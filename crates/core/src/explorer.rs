@@ -19,7 +19,7 @@ use crate::config::MemoryConfig;
 use crate::error::Error;
 use crate::evaluate::{device_power, row_values, service_time, LlcEvaluation};
 use crate::lifetime::lifetime_years;
-use crate::parcache::{CacheConfig, CacheMetrics, GeometryCache, ShardedCache};
+use crate::parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
 use crate::pareto::Constraints;
 use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, KeyedJobs, SweepPlan};
 use crate::pool;
@@ -334,12 +334,25 @@ impl Explorer {
     }
 
     /// A point-in-time snapshot of every memoized characterization,
-    /// sorted by canonical key. This is what the serve frontend's run
-    /// registry persists: the pairs round-trip bit-identically through
-    /// [`Explorer::import_characterization`].
+    /// sorted by canonical key. The pairs round-trip bit-identically
+    /// through [`Explorer::import_characterization`];
+    /// [`Explorer::cached_entries_since`] is the incremental form the
+    /// run registry syncs with.
     #[must_use]
     pub fn cached_entries(&self) -> Vec<(DesignPointKey, ArrayCharacterization)> {
         self.cache.snapshot()
+    }
+
+    /// The memoized characterizations published since `cursor` last
+    /// walked this explorer's cache that `keep` accepts, sorted by
+    /// canonical key — the run registry's incremental sync
+    /// ([`ShardedCache::collect_since`]).
+    pub fn cached_entries_since(
+        &self,
+        cursor: &mut CacheCursor,
+        keep: impl FnMut(&DesignPointKey) -> bool,
+    ) -> Vec<(DesignPointKey, ArrayCharacterization)> {
+        self.cache.collect_since(cursor, keep)
     }
 
     /// Publishes an externally produced characterization (a run-registry

@@ -70,7 +70,7 @@ pub use evaluate::{Feasibility, LlcEvaluation};
 pub use explorer::Explorer;
 pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, KeyedJobs, SweepPlan};
 pub use hybrid::HybridLlc;
-pub use parcache::{CacheConfig, CacheMetrics, GeometryCache, ShardedCache};
+pub use parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
 pub use pareto::{pareto_front, pareto_front_arena, recommend, Constraints, ParetoFrontier};
 pub use request::{DesignPoint, Request, RequestHandler, ResponsePayload, StatusReport};
 pub use search::{PruneReason, PrunedRegion, SearchOutcome, SearchStats};

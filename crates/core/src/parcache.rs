@@ -30,9 +30,15 @@
 //! recomputed. Counting is a pair of relaxed atomic adds per probe;
 //! caches built with [`ShardedCache::new`] count into free-floating
 //! counters that no exporter ever reads.
+//!
+//! Entries are never removed (the admission cap refuses, it does not
+//! evict), so a shard's length only grows. [`CacheCursor`] leans on
+//! that: a persistent store remembers each shard's length at its last
+//! sync and [`ShardedCache::collect_since`] revisits only the shards
+//! that grew since.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use coldtall_array::OrgGeometry;
@@ -103,6 +109,38 @@ impl CacheConfig {
 /// while comfortably exceeding any realistic worker count's collision
 /// rate (the study set has 31 distinct configuration labels).
 const SHARDS: usize = 16;
+
+/// Source of per-cache identities for [`CacheCursor`]. Starts at 1 so
+/// identity 0 can mark a cursor that has walked no cache yet.
+static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// A resumable position in one [`ShardedCache`]: the cache's identity
+/// plus each shard's length when the cursor last walked it.
+///
+/// Shards only grow, so an unchanged length means an unchanged shard
+/// and [`ShardedCache::collect_since`] skips it. A fresh cursor, a
+/// [`reset`](CacheCursor::reset) one, or one last advanced over a
+/// *different* cache walks every shard.
+#[derive(Debug, Clone, Default)]
+pub struct CacheCursor {
+    /// Identity of the cache the lengths were read from; 0 when none.
+    cache: u64,
+    lens: [usize; SHARDS],
+}
+
+impl CacheCursor {
+    /// A cursor whose first walk visits every shard.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rewinds to a full walk — what a store does after a failed
+    /// append, so the entries it could not write are offered again.
+    pub fn reset(&mut self) {
+        *self = Self::default();
+    }
+}
 
 /// Probe counters for one lock stripe.
 #[derive(Debug)]
@@ -299,6 +337,8 @@ pub struct ShardedCache<V> {
     cap: Option<usize>,
     entry_count: AtomicUsize,
     byte_estimate: AtomicUsize,
+    /// Process-unique identity, checked by [`CacheCursor`].
+    id: u64,
 }
 
 impl<V: Clone> ShardedCache<V> {
@@ -334,6 +374,7 @@ impl<V: Clone> ShardedCache<V> {
             cap,
             entry_count: AtomicUsize::new(0),
             byte_estimate: AtomicUsize::new(0),
+            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -443,23 +484,50 @@ impl<V: Clone> ShardedCache<V> {
 
     /// A point-in-time snapshot of every cached entry, sorted by
     /// canonical key so the order is deterministic regardless of shard
-    /// layout or insertion interleaving. Used by the run registry to
-    /// persist warm cache contents.
+    /// layout or insertion interleaving.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(DesignPointKey, V)> {
-        let mut all: Vec<(DesignPointKey, V)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by(|a, b| a.0.canonical().cmp(b.0.canonical()));
-        all
+        self.collect_since(&mut CacheCursor::new(), |_| true)
+    }
+
+    /// The entries of every shard that grew since `cursor` last walked
+    /// this cache and that `keep` accepts, sorted by canonical key;
+    /// advances `cursor` to the lengths it read.
+    ///
+    /// An unchanged shard costs one read lock and a length compare. A
+    /// grown shard is scanned whole — entries carry no insertion order,
+    /// so its older entries are offered to `keep` again — but only the
+    /// entries `keep` accepts are cloned: a persistent store passing
+    /// "not yet on disk" clones just its new work. Each shard's length
+    /// and entries are read under one lock, so an entry published
+    /// mid-walk is either returned now or grows its shard for the next
+    /// walk; none is missed.
+    pub fn collect_since(
+        &self,
+        cursor: &mut CacheCursor,
+        mut keep: impl FnMut(&DesignPointKey) -> bool,
+    ) -> Vec<(DesignPointKey, V)> {
+        if cursor.cache != self.id {
+            *cursor = CacheCursor {
+                cache: self.id,
+                lens: [0; SHARDS],
+            };
+        }
+        let mut found = Vec::new();
+        for (shard, seen) in self.shards.iter().zip(&mut cursor.lens) {
+            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
+            if map.len() == *seen {
+                continue;
+            }
+            *seen = map.len();
+            found.extend(
+                map.iter()
+                    .filter(|(key, _)| keep(key))
+                    .map(|(key, value)| (key.clone(), value.clone())),
+            );
+        }
+        found.sort_unstable_by(|a, b| a.0.canonical().cmp(b.0.canonical()));
+        found
     }
 
     /// Total entries across all shards.
@@ -566,11 +634,22 @@ impl GeometryCache {
     }
 
     /// A point-in-time snapshot of every cached geometry, sorted by
-    /// canonical key — what the persistent warm-start store writes
-    /// after a sweep.
+    /// canonical key ([`GeometryCache::collect_since`] on a fresh
+    /// cursor).
     #[must_use]
     pub fn snapshot(&self) -> Vec<(DesignPointKey, Arc<OrgGeometry>)> {
         self.cache.snapshot()
+    }
+
+    /// The geometries published since `cursor` last walked this cache
+    /// that `keep` accepts, sorted by canonical key — the warm-start
+    /// store's incremental sync ([`ShardedCache::collect_since`]).
+    pub fn collect_since(
+        &self,
+        cursor: &mut CacheCursor,
+        keep: impl FnMut(&DesignPointKey) -> bool,
+    ) -> Vec<(DesignPointKey, Arc<OrgGeometry>)> {
+        self.cache.collect_since(cursor, keep)
     }
 
     /// Number of geometry solves that actually ran.
@@ -825,6 +904,133 @@ mod tests {
         let mut sorted = canon.clone();
         sorted.sort_unstable();
         assert_eq!(canon, sorted, "snapshot must be canonically ordered");
+    }
+
+    #[test]
+    fn cursor_skips_unchanged_shards() {
+        let cache: ShardedCache<usize> = ShardedCache::new();
+        for i in 0..64 {
+            let _ = cache.insert(&key(&format!("entry-{i}")), i);
+        }
+        let mut cursor = CacheCursor::new();
+        let mut offered = 0;
+        let first = cache.collect_since(&mut cursor, |_| {
+            offered += 1;
+            true
+        });
+        assert_eq!(
+            (first.len(), offered),
+            (64, 64),
+            "a fresh cursor walks everything"
+        );
+        assert_eq!(first, cache.snapshot());
+
+        // Nothing grew: no shard is scanned, so `keep` is never asked.
+        let mut offered = 0;
+        let idle = cache.collect_since(&mut cursor, |_| {
+            offered += 1;
+            true
+        });
+        assert!(idle.is_empty());
+        assert_eq!(offered, 0, "unchanged shards must be skipped");
+
+        // One new key: only its shard is scanned, and `keep` decides
+        // which of that shard's entries are cloned.
+        let fresh = key("entry-new");
+        let _ = cache.insert(&fresh, 99);
+        let shard_len = cache.shards[ShardedCache::<usize>::shard_index(&fresh)]
+            .read()
+            .unwrap()
+            .len();
+        let mut offered = 0;
+        let grown = cache.collect_since(&mut cursor, |k| {
+            offered += 1;
+            k == &fresh
+        });
+        assert_eq!(grown, vec![(fresh, 99)]);
+        assert_eq!(offered, shard_len, "only the grown shard is scanned");
+        assert!(offered < cache.len());
+    }
+
+    #[test]
+    fn cursor_from_another_cache_walks_everything() {
+        let a: ShardedCache<u32> = ShardedCache::new();
+        let b: ShardedCache<u32> = ShardedCache::new();
+        for i in 0..20 {
+            let _ = a.insert(&key(&format!("a{i}")), i);
+            let _ = b.insert(&key(&format!("b{i}")), i);
+        }
+        let mut cursor = CacheCursor::new();
+        assert_eq!(a.collect_since(&mut cursor, |_| true).len(), 20);
+        assert!(a.collect_since(&mut cursor, |_| true).is_empty());
+        // Same shard lengths, different cache: the lengths mean nothing
+        // there, so the walk starts over.
+        assert_eq!(b.collect_since(&mut cursor, |_| true), b.snapshot());
+        assert_eq!(a.collect_since(&mut cursor, |_| true), a.snapshot());
+        // An explicit reset also walks everything again.
+        cursor.reset();
+        assert_eq!(a.collect_since(&mut cursor, |_| true).len(), 20);
+    }
+
+    #[test]
+    fn concurrent_publishers_never_hide_an_entry_from_the_cursor() {
+        use std::collections::HashSet;
+
+        // Several short rounds: a lost entry only shows when its shard
+        // stops growing afterwards, which is likeliest near the end of
+        // a round.
+        for round in 0..10 {
+            let cache: ShardedCache<usize> = ShardedCache::new();
+            let mut synced: HashSet<String> = HashSet::new();
+            std::thread::scope(|scope| {
+                let publishers: Vec<_> = (0..2)
+                    .map(|t| {
+                        let cache = &cache;
+                        scope.spawn(move || {
+                            for i in 0..200 {
+                                let _ = cache.insert(&key(&format!("r{round}-t{t}-{i:03}")), i);
+                            }
+                        })
+                    })
+                    .collect();
+                // The syncing side runs on this thread, exactly like a
+                // store: its dedup set is the `keep` predicate.
+                let mut cursor = CacheCursor::new();
+                let mut sync = |synced: &mut HashSet<String>| {
+                    let batch =
+                        cache.collect_since(&mut cursor, |k| !synced.contains(k.canonical()));
+                    assert!(
+                        batch
+                            .windows(2)
+                            .all(|w| w[0].0.canonical() < w[1].0.canonical()),
+                        "every batch is sorted by canonical key"
+                    );
+                    for (k, _) in batch {
+                        assert!(
+                            synced.insert(k.canonical().to_string()),
+                            "{k} returned twice"
+                        );
+                    }
+                };
+                loop {
+                    sync(&mut synced);
+                    if publishers.iter().all(|p| p.is_finished()) {
+                        break;
+                    }
+                }
+                for p in publishers {
+                    p.join().expect("publisher panicked");
+                }
+                sync(&mut synced);
+            });
+            let all: HashSet<String> = cache
+                .snapshot()
+                .into_iter()
+                .map(|(k, _)| k.canonical().to_string())
+                .collect();
+            assert_eq!(all.len(), 400);
+            assert_eq!(synced, all, "round {round}: no published key may be missed");
+        }
     }
 
     #[test]

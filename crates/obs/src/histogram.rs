@@ -128,7 +128,10 @@ impl Histogram {
     /// repairs. Non-decreasing in `q` (within a bucket the position is
     /// non-decreasing; across buckets each upper bound is below the
     /// next bucket's lower bound); always inside the rank's bucket
-    /// bounds; returns 0 when empty.
+    /// bounds *and* clamped to the observed `[min, max]` — samples
+    /// bunched at one end of a wide bucket would otherwise interpolate
+    /// past the data (a p50 of 736 over a max of 613); returns 0 when
+    /// empty.
     #[must_use]
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     pub fn quantile(&self, q: f64) -> u64 {
@@ -150,10 +153,15 @@ impl Histogram {
                 let width = (upper - lower) as f64;
                 let fraction = position as f64 / n as f64;
                 // `saturating_add` + the clamp absorb f64 rounding in
-                // the widest buckets (width > 2^53).
+                // the widest buckets (width > 2^53). `max`/`min` rather
+                // than `clamp`: a racing `record` may briefly publish
+                // the count before the extremes, and that must not
+                // panic.
                 return lower
                     .saturating_add((width * fraction) as u64)
-                    .min(upper);
+                    .min(upper)
+                    .max(self.min())
+                    .min(self.max());
             }
         }
         self.max()
@@ -275,6 +283,31 @@ mod tests {
             h.quantile(0.95),
             h.quantile(0.99)
         );
+    }
+
+    /// Regression: samples bunched at one end of a wide log₂ bucket
+    /// used to interpolate outside the data — BENCH_sweep.json showed
+    /// `search.tightness.latency` with p50 = 736 over a max of 613.
+    #[test]
+    fn quantiles_stay_inside_the_observed_range() {
+        let low = Histogram::new();
+        for v in [600u64, 605, 613] {
+            low.record(v);
+        }
+        // Unclamped, the p50 interpolates to 512 + 511 * 2/3 = 852.
+        assert_eq!(low.quantile(0.50), 613);
+        assert_eq!(low.quantile(1.0), 613);
+
+        let high = Histogram::new();
+        for v in 1000..1010u64 {
+            high.record(v);
+        }
+        // Unclamped, the first rank interpolates to 512 + 511 / 10.
+        assert_eq!(high.quantile(0.0), 1000);
+        for i in 0..=100u32 {
+            let q = high.quantile(f64::from(i) / 100.0);
+            assert!((high.min()..=high.max()).contains(&q), "q={i}%: {q}");
+        }
     }
 
     /// Property: over a deterministic pseudo-random sample set, the

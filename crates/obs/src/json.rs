@@ -7,8 +7,52 @@
 //! grammar — strict enough to reject malformed documents, small enough
 //! to audit in one sitting. It is a *reader* only; rendering lives
 //! with the data (the registry, the bench `JsonObject`).
+//!
+//! The serve daemon feeds it bytes from untrusted TCP clients, so
+//! nesting is capped at [`MAX_DEPTH`]: each level costs a stack frame,
+//! and an unbounded `[[[[…` line would overflow the parsing thread's
+//! stack — an abort of the whole process, not a catchable panic.
 
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// The deepest array/object nesting [`parse`] accepts. Every document
+/// the workspace reads nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ParseError {
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`]; `offset` is
+    /// the byte that would have opened one level too many.
+    TooDeep {
+        /// Byte offset of the refused `[` or `{`.
+        offset: usize,
+    },
+    /// Any other syntax error, described with its byte offset.
+    Syntax(String),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::TooDeep { offset } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {offset}")
+            }
+            Self::Syntax(message) => f.write_str(message),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Callers that report errors as plain messages keep using `?`.
+impl From<ParseError> for String {
+    fn from(error: ParseError) -> Self {
+        error.to_string()
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,18 +96,27 @@ impl Value {
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error,
+/// [`ParseError::TooDeep`] past [`MAX_DEPTH`] levels of nesting, and
+/// otherwise [`ParseError::Syntax`] describing the first syntax error
 /// with its byte offset.
-pub fn parse(input: &str) -> Result<Value, String> {
+pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
+        too_deep: None,
     };
     parser.skip_whitespace();
-    let value = parser.value()?;
+    let value = parser.value().map_err(|message| match parser.too_deep {
+        Some(offset) => ParseError::TooDeep { offset },
+        None => ParseError::Syntax(message),
+    })?;
     parser.skip_whitespace();
     if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", parser.pos));
+        return Err(ParseError::Syntax(format!(
+            "trailing garbage at byte {}",
+            parser.pos
+        )));
     }
     Ok(value)
 }
@@ -71,6 +124,10 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+    /// Where nesting first exceeded [`MAX_DEPTH`], if it did.
+    too_deep: Option<usize>,
 }
 
 impl Parser<'_> {
@@ -108,8 +165,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -117,6 +173,24 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an object or array one nesting level down, refusing to
+    /// open a level past [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            // `parse` reports this as `ParseError::TooDeep`.
+            self.too_deep = Some(self.pos);
+            return Err(String::new());
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -277,6 +351,33 @@ mod tests {
             Value::String("Aé".into())
         );
         assert!(parse("\"\\ud800\"").is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok(), "{MAX_DEPTH} levels are allowed");
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&over), Err(ParseError::TooDeep { offset: MAX_DEPTH }));
+        // Far past the cap, unterminated: still a typed error, and the
+        // stack never grows past the cap.
+        let hostile = format!("{{\"a\":{}", "[".repeat(100_000));
+        assert_eq!(
+            parse(&hostile),
+            Err(ParseError::TooDeep {
+                offset: 5 + MAX_DEPTH - 1
+            })
+        );
+        let message: String = parse(&hostile).unwrap_err().into();
+        assert!(
+            message.contains("nesting deeper than 128 levels"),
+            "{message}"
+        );
+        // Ordinary syntax errors stay syntax errors.
+        assert!(matches!(parse("[1,"), Err(ParseError::Syntax(_))));
     }
 
     #[test]

@@ -21,18 +21,22 @@
 //! A corrupt, truncated, or wrong-epoch line is *skipped and counted*,
 //! never fatal: the store is a cache, and losing one record costs a
 //! re-solve, not correctness.
+//!
+//! Syncing is incremental, exactly as for the run registry: a
+//! [`CacheCursor`] into the explorer's geometry cache limits each
+//! [`GeometryStore::sync_from`] to the shards that grew since the last.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use coldtall_array::{geometry_code_epoch, Geometry, Organization, OrgGeometry};
-use coldtall_core::{DesignPointKey, Explorer, MemoryConfig};
+use coldtall_core::{CacheCursor, DesignPointKey, Explorer, MemoryConfig};
 use coldtall_obs::json::{self, Value};
 
-use crate::proto::escape;
+use crate::proto::push_escaped;
 
 /// The geometry-record schema this build writes and replays. Bump when
 /// the field set changes; replay skips records from other versions.
@@ -50,11 +54,25 @@ pub struct WarmStats {
     pub skipped: u64,
 }
 
-/// Internal mutable state: the append handle and the dedup set of
-/// canonical geometry keys already on disk under the current epoch.
+/// Internal mutable state: the append handle, the dedup set of
+/// canonical geometry keys already on disk under the current epoch, and
+/// where the last [`GeometryStore::sync_from`] left the geometry cache.
 struct Inner {
-    writer: BufWriter<File>,
+    file: File,
     seen: HashSet<String>,
+    cursor: CacheCursor,
+}
+
+impl Inner {
+    /// Writes one record line whole (one `write_all`, nothing left in a
+    /// buffer on failure) and marks its key on disk.
+    fn append(&mut self, key: &DesignPointKey, geometry: &OrgGeometry) -> io::Result<()> {
+        let mut line = render_record(key, geometry);
+        line.push('\n');
+        self.file.write_all(line.as_bytes())?;
+        self.seen.insert(key.canonical().to_string());
+        Ok(())
+    }
 }
 
 /// An append-only on-disk log of solved organization geometries.
@@ -96,10 +114,14 @@ impl GeometryStore {
                 }
             }
         }
-        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
             path,
-            inner: Mutex::new(Inner { writer, seen }),
+            inner: Mutex::new(Inner {
+                file,
+                seen,
+                cursor: CacheCursor::new(),
+            }),
         })
     }
 
@@ -122,39 +144,48 @@ impl GeometryStore {
     }
 
     /// Appends one solved geometry if its key is not already on disk
-    /// under the current epoch; flushes before returning so a crash
-    /// after `record` never loses the line. Returns whether a record
-    /// was written.
+    /// under the current epoch, handing the whole line to the OS before
+    /// returning so a crash after `record` never loses it. Returns
+    /// whether a record was written.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error from the append or flush.
+    /// Returns the underlying I/O error from the append.
     pub fn record(&self, key: &DesignPointKey, geometry: &OrgGeometry) -> io::Result<bool> {
         let mut inner = self.inner.lock().expect("geometry store lock poisoned");
         if inner.seen.contains(key.canonical()) {
             return Ok(false);
         }
-        let line = render_record(key, geometry);
-        inner.writer.write_all(line.as_bytes())?;
-        inner.writer.write_all(b"\n")?;
-        inner.writer.flush()?;
-        inner.seen.insert(key.canonical().to_string());
+        inner.append(key, geometry)?;
         Ok(true)
     }
 
     /// Appends every geometry the explorer's geometry cache holds that
-    /// is not yet on disk. Called after each completed sweep or
-    /// request; returns how many new records landed.
+    /// is not yet on disk, in canonical key order. Called after each
+    /// completed sweep or request; returns how many new records landed.
+    ///
+    /// Only the cache shards that grew since the previous sync are
+    /// visited, under one hold of the store lock.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error from an append.
+    /// Returns the first I/O error from an append. The sync position
+    /// then rewinds to a full walk, so the next sync offers every
+    /// geometry that is still not on disk again.
     pub fn sync_from(&self, explorer: &Explorer) -> io::Result<u64> {
+        let mut guard = self.inner.lock().expect("geometry store lock poisoned");
+        let inner = &mut *guard;
+        let on_disk = &inner.seen;
+        let fresh = explorer
+            .geometry_cache()
+            .collect_since(&mut inner.cursor, |key| !on_disk.contains(key.canonical()));
         let mut appended = 0;
-        for (key, geometry) in explorer.geometry_cache().snapshot() {
-            if self.record(&key, &geometry)? {
-                appended += 1;
+        for (key, geometry) in fresh {
+            if let Err(error) = inner.append(&key, &geometry) {
+                inner.cursor.reset();
+                return Err(error);
             }
+            appended += 1;
         }
         Ok(appended)
     }
@@ -245,11 +276,11 @@ fn render_record(key: &DesignPointKey, geometry: &OrgGeometry) -> String {
     let mut out = String::with_capacity(96 + candidates.len() * 256);
     let _ = write!(
         out,
-        "{{\"schema\":{GEOM_SCHEMA_VERSION},\"kind\":\"geom\",\"epoch\":\"{:016x}\",\"key\":\"{}\",\
-         \"candidates\":[",
-        geometry_code_epoch(),
-        escape(key.canonical())
+        "{{\"schema\":{GEOM_SCHEMA_VERSION},\"kind\":\"geom\",\"epoch\":\"{:016x}\",\"key\":\"",
+        geometry_code_epoch()
     );
+    push_escaped(&mut out, key.canonical());
+    out.push_str("\",\"candidates\":[");
     for (i, (org, geom)) in candidates.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -538,6 +569,99 @@ mod tests {
         let store = GeometryStore::open(&path).unwrap();
         assert_eq!(store.len(), 1);
         assert!(!store.record(&key, &geometry).unwrap());
+
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn record_keys(path: &Path) -> Vec<String> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(|line| parse_record(line).expect("well-formed line").key)
+            .collect()
+    }
+
+    #[test]
+    fn each_sync_appends_exactly_the_new_keys_like_a_full_walk() {
+        let (path, reference_path) = (temp_path("incremental"), temp_path("full-walk"));
+        let store = GeometryStore::open(&path).unwrap();
+        let reference = GeometryStore::open(&reference_path).unwrap();
+        let explorer = private_explorer();
+        let study = MemoryConfig::study_set();
+        let steps = [
+            &study[..4],
+            &study[4..12],
+            &study[4..12],
+            &study[12..],
+            &study[..],
+        ];
+        let mut on_disk: Vec<String> = Vec::new();
+        for step in steps {
+            explorer.try_sweep_configs(step).unwrap();
+            let mut expected: Vec<String> = explorer
+                .geometry_cache()
+                .snapshot()
+                .into_iter()
+                .map(|(key, _)| key.canonical().to_string())
+                .filter(|key| !on_disk.contains(key))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(store.sync_from(&explorer).unwrap() as usize, expected.len());
+            assert_eq!(record_keys(&path)[on_disk.len()..], expected[..]);
+            on_disk.extend(expected);
+            assert_eq!(
+                store.sync_from(&explorer).unwrap(),
+                0,
+                "an idle sync adds nothing"
+            );
+            // The pre-cursor sync: every cached geometry, deduped.
+            for (key, geometry) in explorer.geometry_cache().snapshot() {
+                reference.record(&key, &geometry).unwrap();
+            }
+        }
+        assert_eq!(on_disk.len(), explorer.geometry_cache().len());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&reference_path).unwrap(),
+            "incremental sync must write the full walk's bytes"
+        );
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&reference_path);
+    }
+
+    #[test]
+    fn a_failed_append_is_retried_by_the_next_sync() {
+        let path = temp_path("retry");
+        let store = GeometryStore::open(&path).unwrap();
+        let explorer = private_explorer();
+        let study = MemoryConfig::study_set();
+        explorer.try_sweep_configs(&study[..1]).unwrap();
+        assert_eq!(store.sync_from(&explorer).unwrap(), 1);
+
+        // A read-only handle in place of the append handle: every
+        // append fails.
+        let append_handle = std::mem::replace(
+            &mut store.inner.lock().unwrap().file,
+            File::open(&path).unwrap(),
+        );
+        explorer.try_sweep_configs(&study).unwrap();
+        let total = explorer.geometry_cache().len();
+        assert!(total > 1);
+        assert!(store.sync_from(&explorer).is_err());
+        assert_eq!(store.len(), 1, "nothing new reached the disk");
+
+        store.inner.lock().unwrap().file = append_handle;
+        assert_eq!(
+            store.sync_from(&explorer).unwrap() as usize,
+            total - 1,
+            "the next sync appends what the failed one could not"
+        );
+        assert_eq!(store.sync_from(&explorer).unwrap(), 0);
+        let stats = store.warm_into(&private_explorer(), &study).unwrap();
+        assert_eq!(
+            (stats.restored as usize, stats.duplicates, stats.skipped),
+            (total, 0, 0)
+        );
 
         let _ = std::fs::remove_file(&path);
     }

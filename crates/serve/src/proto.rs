@@ -211,34 +211,62 @@ fn u8_field(value: &Value, field: &str) -> Result<u8, String> {
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out
 }
 
-/// Renders an `f64` as a JSON fragment: finite values as numbers
-/// (Rust's shortest round-trip formatting), non-finite sentinels as
-/// the strings `"inf"`, `"-inf"`, `"nan"`.
-fn num(n: f64) -> String {
+/// Appends `s` to `out` escaped for a JSON string literal (without the
+/// surrounding quotes). Unescaped runs are copied whole, so a string
+/// with nothing to escape — every label, benchmark and backend name the
+/// engine produces — costs one scan and one `push_str`.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// A [`std::fmt::Write`] sink that escapes everything written through
+/// it into the wrapped buffer, so `Display` values (feasibility
+/// verdicts, error messages) render escaped without an intermediate
+/// `String`.
+struct Escaping<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        push_escaped(self.0, s);
+        Ok(())
+    }
+}
+
+/// Appends an `f64` as a JSON fragment: finite values as numbers
+/// (Rust's shortest round-trip formatting), non-finite sentinels as the
+/// strings `"inf"`, `"-inf"`, `"nan"`.
+fn push_num(out: &mut String, n: f64) {
     if n.is_finite() {
-        format!("{n}")
+        let _ = write!(out, "{n}");
     } else if n.is_nan() {
-        "\"nan\"".to_string()
+        out.push_str("\"nan\"");
     } else if n > 0.0 {
-        "\"inf\"".to_string()
+        out.push_str("\"inf\"");
     } else {
-        "\"-inf\"".to_string()
+        out.push_str("\"-inf\"");
     }
 }
 
@@ -251,23 +279,34 @@ pub fn render_response(
     id: Option<&str>,
     outcome: &Result<ResponsePayload, Error>,
 ) -> String {
-    let mut out = String::new();
+    // Sweep responses are the large ones (hundreds of rows of roughly
+    // 350 bytes); reserving up front spares the doubling copies.
+    let rows = match outcome {
+        Ok(ResponsePayload::Sweep { rows, .. }) => rows.len(),
+        _ => 0,
+    };
+    let mut out = String::with_capacity(256 + rows * 384);
+    out.push_str(if outcome.is_ok() {
+        "{\"ok\":true,\"cmd\":\""
+    } else {
+        "{\"ok\":false,\"cmd\":\""
+    });
+    push_escaped(&mut out, cmd);
+    out.push('"');
+    if let Some(id) = id {
+        out.push_str(",\"id\":");
+        out.push_str(id);
+    }
     match outcome {
         Ok(payload) => {
-            let _ = write!(out, "{{\"ok\":true,\"cmd\":\"{}\"", escape(cmd));
-            if let Some(id) = id {
-                let _ = write!(out, ",\"id\":{id}");
-            }
             out.push_str(",\"result\":");
             render_payload(&mut out, payload);
             out.push('}');
         }
         Err(error) => {
-            let _ = write!(out, "{{\"ok\":false,\"cmd\":\"{}\"", escape(cmd));
-            if let Some(id) = id {
-                let _ = write!(out, ",\"id\":{id}");
-            }
-            let _ = write!(out, ",\"error\":\"{}\"}}", escape(&error.to_string()));
+            out.push_str(",\"error\":\"");
+            let _ = write!(Escaping(&mut out), "{error}");
+            out.push_str("\"}");
         }
     }
     out
@@ -276,10 +315,11 @@ pub fn render_response(
 /// Renders one parse-failure response line (no trailing newline).
 #[must_use]
 pub fn render_parse_error(message: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"cmd\":\"invalid\",\"error\":\"{}\"}}",
-        escape(message)
-    )
+    let mut out = String::with_capacity(48 + message.len());
+    out.push_str("{\"ok\":false,\"cmd\":\"invalid\",\"error\":\"");
+    push_escaped(&mut out, message);
+    out.push_str("\"}");
+    out
 }
 
 fn render_payload(out: &mut String, payload: &ResponsePayload) {
@@ -290,12 +330,13 @@ fn render_payload(out: &mut String, payload: &ResponsePayload) {
             plan_hash,
             characterization,
         } => {
+            out.push_str("{\"label\":\"");
+            push_escaped(out, label);
+            out.push_str("\",\"backend\":\"");
+            push_escaped(out, backend);
             let _ = write!(
                 out,
-                "{{\"label\":\"{}\",\"backend\":\"{}\",\"plan\":\"{plan_hash:016x}\",\
-                 \"characterization\":",
-                escape(label),
-                escape(backend)
+                "\",\"plan\":\"{plan_hash:016x}\",\"characterization\":"
             );
             render_characterization(out, characterization);
             out.push('}');
@@ -324,11 +365,9 @@ fn render_payload(out: &mut String, payload: &ResponsePayload) {
             plan_hash,
             outcome,
         } => {
-            let _ = write!(
-                out,
-                "{{\"region\":\"{}\",\"plan\":\"{plan_hash:016x}\",\"frontier\":[",
-                escape(region)
-            );
+            out.push_str("{\"region\":\"");
+            push_escaped(out, region);
+            let _ = write!(out, "\",\"plan\":\"{plan_hash:016x}\",\"frontier\":[");
             for (i, row) in outcome.frontier.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -377,54 +416,73 @@ fn render_status(out: &mut String, status: &StatusReport) {
 
 /// Renders an [`ArrayCharacterization`] as a JSON object of raw SI
 /// numbers (seconds, joules, watts, square meters).
-pub(crate) fn render_characterization(out: &mut String, a: &ArrayCharacterization) {
+fn render_characterization(out: &mut String, a: &ArrayCharacterization) {
+    out.push_str("{\"read_latency_s\":");
+    push_num(out, a.read_latency.get());
+    out.push_str(",\"write_latency_s\":");
+    push_num(out, a.write_latency.get());
+    out.push_str(",\"read_energy_j\":");
+    push_num(out, a.read_energy.get());
+    out.push_str(",\"write_energy_j\":");
+    push_num(out, a.write_energy.get());
+    out.push_str(",\"leakage_power_w\":");
+    push_num(out, a.leakage_power.get());
+    out.push_str(",\"refresh_power_w\":");
+    push_num(out, a.refresh_power.get());
+    out.push_str(",\"refresh_busy_fraction\":");
+    push_num(out, a.refresh_busy_fraction);
+    out.push_str(",\"retention_s\":");
+    match a.retention {
+        Some(r) => push_num(out, r.get()),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"footprint_m2\":");
+    push_num(out, a.footprint.get());
+    out.push_str(",\"total_silicon_m2\":");
+    push_num(out, a.total_silicon.get());
+    out.push_str(",\"array_efficiency\":");
+    push_num(out, a.array_efficiency);
     let _ = write!(
         out,
-        "{{\"read_latency_s\":{},\"write_latency_s\":{},\"read_energy_j\":{},\
-         \"write_energy_j\":{},\"leakage_power_w\":{},\"refresh_power_w\":{},\
-         \"refresh_busy_fraction\":{},\"retention_s\":{},\"footprint_m2\":{},\
-         \"total_silicon_m2\":{},\"array_efficiency\":{},\"organization\":[{},{}],\
-         \"dies\":{},\"transfer_bits\":{},\"read_cycle_s\":{},\"write_cycle_s\":{}}}",
-        num(a.read_latency.get()),
-        num(a.write_latency.get()),
-        num(a.read_energy.get()),
-        num(a.write_energy.get()),
-        num(a.leakage_power.get()),
-        num(a.refresh_power.get()),
-        num(a.refresh_busy_fraction),
-        a.retention
-            .map_or_else(|| "null".to_string(), |r| num(r.get())),
-        num(a.footprint.get()),
-        num(a.total_silicon.get()),
-        num(a.array_efficiency),
+        ",\"organization\":[{},{}],\"dies\":{},\"transfer_bits\":",
         a.organization.rows(),
         a.organization.cols(),
-        a.dies,
-        num(a.transfer_bits),
-        num(a.read_cycle_time.get()),
-        num(a.write_cycle_time.get()),
+        a.dies
     );
+    push_num(out, a.transfer_bits);
+    out.push_str(",\"read_cycle_s\":");
+    push_num(out, a.read_cycle_time.get());
+    out.push_str(",\"write_cycle_s\":");
+    push_num(out, a.write_cycle_time.get());
+    out.push('}');
 }
 
 fn render_row(out: &mut String, row: &LlcEvaluation) {
-    let _ = write!(
-        out,
-        "{{\"config\":\"{}\",\"benchmark\":\"{}\",\"device_power_w\":{},\
-         \"wall_power_w\":{},\"relative_power\":{},\"relative_latency\":{},\
-         \"slowdown\":{},\"feasibility\":\"{}\",\"footprint_mm2\":{},\
-         \"lifetime_years\":{},\"bandwidth_utilization\":{}}}",
-        escape(&row.config_label),
-        escape(row.benchmark),
-        num(row.device_power.get()),
-        num(row.wall_power.get()),
-        num(row.relative_power),
-        num(row.relative_latency),
-        row.slowdown,
-        escape(&row.feasibility.to_string()),
-        num(row.footprint_mm2),
-        num(row.lifetime_years),
-        num(row.bandwidth_utilization),
-    );
+    out.push_str("{\"config\":\"");
+    push_escaped(out, &row.config_label);
+    out.push_str("\",\"benchmark\":\"");
+    push_escaped(out, row.benchmark);
+    out.push_str("\",\"device_power_w\":");
+    push_num(out, row.device_power.get());
+    out.push_str(",\"wall_power_w\":");
+    push_num(out, row.wall_power.get());
+    out.push_str(",\"relative_power\":");
+    push_num(out, row.relative_power);
+    out.push_str(",\"relative_latency\":");
+    push_num(out, row.relative_latency);
+    out.push_str(if row.slowdown {
+        ",\"slowdown\":true,\"feasibility\":\""
+    } else {
+        ",\"slowdown\":false,\"feasibility\":\""
+    });
+    let _ = write!(Escaping(out), "{}", row.feasibility);
+    out.push_str("\",\"footprint_mm2\":");
+    push_num(out, row.footprint_mm2);
+    out.push_str(",\"lifetime_years\":");
+    push_num(out, row.lifetime_years);
+    out.push_str(",\"bandwidth_utilization\":");
+    push_num(out, row.bandwidth_utilization);
+    out.push('}');
 }
 
 #[cfg(test)]
@@ -533,9 +591,17 @@ mod tests {
         assert!(coldtall_obs::json::parse(&invalid).is_ok());
     }
 
+    fn num(n: f64) -> String {
+        let mut out = String::new();
+        push_num(&mut out, n);
+        out
+    }
+
     #[test]
     fn non_finite_floats_render_as_strings() {
         assert_eq!(num(1.5), "1.5");
+        assert_eq!(num(-0.0), "-0");
+        assert_eq!(num(1e-300), format!("{}", 1e-300));
         assert_eq!(num(f64::INFINITY), "\"inf\"");
         assert_eq!(num(f64::NEG_INFINITY), "\"-inf\"");
         assert_eq!(num(f64::NAN), "\"nan\"");
@@ -545,5 +611,81 @@ mod tests {
     fn escape_handles_quotes_and_control_characters() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    /// `push_escaped` appends to what is already in the buffer; a clean
+    /// string (the fast path) is copied through untouched, multi-byte
+    /// UTF-8 included.
+    #[test]
+    fn push_escaped_copies_clean_strings_through() {
+        let mut out = String::from("prefix:");
+        push_escaped(&mut out, "edram 77K x4 | µ-tier");
+        assert_eq!(out, "prefix:edram 77K x4 | µ-tier");
+        push_escaped(&mut out, "");
+        assert_eq!(out, "prefix:edram 77K x4 | µ-tier");
+    }
+
+    #[test]
+    fn push_escaped_escapes_quotes_backslashes_and_controls() {
+        let mut out = String::new();
+        push_escaped(&mut out, "say \"hi\"\\path");
+        assert_eq!(out, "say \\\"hi\\\"\\\\path");
+
+        let mut out = String::new();
+        push_escaped(&mut out, "a\tb\rc\nd\u{0}e\u{1f}f\u{7f}");
+        assert_eq!(out, "a\\tb\\rc\\nd\\u0000e\\u001ff\u{7f}");
+
+        // Escapes at both ends and back to back, around multi-byte text.
+        let mut out = String::new();
+        push_escaped(&mut out, "\"é\\\"");
+        assert_eq!(out, "\\\"é\\\\\\\"");
+    }
+
+    /// Every control character escapes to exactly what the previous
+    /// per-`char` escaper produced, so the wire bytes cannot move.
+    #[test]
+    fn push_escaped_matches_a_per_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let all: String = (0u32..0x80)
+            .filter_map(char::from_u32)
+            .chain("é∑😀".chars())
+            .collect();
+        assert_eq!(escape(&all), reference(&all));
+        for c in all.chars() {
+            let s = format!("x{c}y");
+            assert_eq!(escape(&s), reference(&s), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn error_messages_render_escaped() {
+        let line = render_response(
+            "evaluate",
+            Some("1"),
+            &Err(Error::UnknownBenchmark {
+                name: "do\"om\n".to_string(),
+            }),
+        );
+        let value = coldtall_obs::json::parse(&line).expect("escaped error is valid JSON");
+        assert!(matches!(
+            value.get("error"),
+            Some(Value::String(m)) if m.contains("do\"om\n")
+        ));
     }
 }

@@ -19,19 +19,24 @@
 //! A corrupt or truncated line (a crash mid-append) is *skipped and
 //! counted*, never fatal: the registry is a cache, and losing one
 //! record costs a recomputation, not correctness.
+//!
+//! Syncing is incremental: the registry keeps a [`CacheCursor`] into
+//! the explorer's cache and each [`RunRegistry::sync_from`] revisits
+//! only the cache shards that grew since the previous one, so a request
+//! pays for the records it adds, not for the cache's size.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use coldtall_array::{ArrayCharacterization, Organization};
-use coldtall_core::{DesignPointKey, Explorer};
+use coldtall_core::{CacheCursor, DesignPointKey, Explorer};
 use coldtall_obs::json::{self, Value};
 use coldtall_units::{Joules, Seconds, SquareMeters, Watts};
 
-use crate::proto::escape;
+use crate::proto::push_escaped;
 
 /// The record schema this build writes and replays. Bump when the
 /// field set changes; replay skips records from other versions.
@@ -52,11 +57,46 @@ pub struct ReplayStats {
     pub skipped: u64,
 }
 
-/// Internal mutable state: the append handle and the dedup set.
+/// Internal mutable state: the append handle, the dedup set and the
+/// sync position.
 struct Inner {
-    writer: BufWriter<File>,
-    /// `(plan_hash, canonical key)` pairs already on disk.
-    seen: HashSet<(u64, String)>,
+    file: File,
+    /// Canonical keys already on disk, per plan hash — nested so a
+    /// lookup borrows the key's `&str` instead of allocating a pair.
+    seen: HashMap<u64, HashSet<String>>,
+    /// Where the last [`RunRegistry::sync_from`] left the explorer's
+    /// cache, and the plan hash it synced under (another plan's dedup
+    /// set differs, so switching plans rewinds to a full walk).
+    cursor: CacheCursor,
+    cursor_plan: u64,
+}
+
+impl Inner {
+    fn on_disk(&self, plan_hash: u64, key: &DesignPointKey) -> bool {
+        self.seen
+            .get(&plan_hash)
+            .is_some_and(|keys| keys.contains(key.canonical()))
+    }
+
+    /// Writes one record line whole and marks it on disk. One
+    /// `write_all` per record: nothing lingers in a buffer, so a failed
+    /// append leaves no half-written bytes to be flushed later.
+    fn append(
+        &mut self,
+        plan_hash: u64,
+        key: &DesignPointKey,
+        backend: &str,
+        value: &ArrayCharacterization,
+    ) -> io::Result<()> {
+        let mut line = render_record(plan_hash, key, backend, value);
+        line.push('\n');
+        self.file.write_all(line.as_bytes())?;
+        self.seen
+            .entry(plan_hash)
+            .or_default()
+            .insert(key.canonical().to_string());
+        Ok(())
+    }
 }
 
 /// An append-only on-disk log of computed characterizations.
@@ -87,19 +127,26 @@ impl RunRegistry {
     /// for appending. Unreadable *records* are not errors.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
-        let mut seen = HashSet::new();
+        let mut seen: HashMap<u64, HashSet<String>> = HashMap::new();
         if let Ok(file) = File::open(&path) {
             for line in BufReader::new(file).lines() {
                 let Ok(line) = line else { break };
                 if let Some(record) = parse_record(&line) {
-                    seen.insert((record.plan, record.key.canonical().to_string()));
+                    seen.entry(record.plan)
+                        .or_default()
+                        .insert(record.key.canonical().to_string());
                 }
             }
         }
-        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
             path,
-            inner: Mutex::new(Inner { writer, seen }),
+            inner: Mutex::new(Inner {
+                file,
+                seen,
+                cursor: CacheCursor::new(),
+                cursor_plan: 0,
+            }),
         })
     }
 
@@ -112,7 +159,8 @@ impl RunRegistry {
     /// Records on disk (including those scanned at open).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry lock poisoned").seen.len()
+        let inner = self.inner.lock().expect("registry lock poisoned");
+        inner.seen.values().map(HashSet::len).sum()
     }
 
     /// Whether no records have been written or scanned.
@@ -122,12 +170,13 @@ impl RunRegistry {
     }
 
     /// Appends one characterization if its `(plan, key)` is not already
-    /// on disk; flushes before returning so a crash after `record`
-    /// never loses the line. Returns whether a record was written.
+    /// on disk, handing the whole line to the OS before returning so a
+    /// crash after `record` never loses it. Returns whether a record
+    /// was written.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error from the append or flush.
+    /// Returns the underlying I/O error from the append.
     pub fn record(
         &self,
         plan_hash: u64,
@@ -136,36 +185,49 @@ impl RunRegistry {
         value: &ArrayCharacterization,
     ) -> io::Result<bool> {
         let mut inner = self.inner.lock().expect("registry lock poisoned");
-        let id = (plan_hash, key.canonical().to_string());
-        if inner.seen.contains(&id) {
+        if inner.on_disk(plan_hash, key) {
             return Ok(false);
         }
-        let line = render_record(plan_hash, key, backend, value);
-        inner.writer.write_all(line.as_bytes())?;
-        inner.writer.write_all(b"\n")?;
-        inner.writer.flush()?;
-        inner.seen.insert(id);
+        inner.append(plan_hash, key, backend, value)?;
         Ok(true)
     }
 
     /// Appends every cached characterization the explorer holds that is
-    /// not yet on disk. Called after each completed request; returns
-    /// how many new records landed.
+    /// not yet on disk, in canonical key order. Called after each
+    /// completed request; returns how many new records landed.
+    ///
+    /// Only the cache shards that grew since the previous sync are
+    /// visited, and only entries missing from disk are cloned. The
+    /// registry lock is held once for the whole sync.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error from an append.
+    /// Returns the first I/O error from an append. The sync position
+    /// then rewinds to a full walk, so the next sync offers every entry
+    /// that is still not on disk again.
     pub fn sync_from(&self, explorer: &Explorer, plan_hash: u64) -> io::Result<u64> {
+        let mut guard = self.inner.lock().expect("registry lock poisoned");
+        let inner = &mut *guard;
+        if inner.cursor_plan != plan_hash {
+            inner.cursor.reset();
+            inner.cursor_plan = plan_hash;
+        }
+        let on_disk = inner.seen.get(&plan_hash);
+        let fresh = explorer.cached_entries_since(&mut inner.cursor, |key| {
+            !on_disk.is_some_and(|keys| keys.contains(key.canonical()))
+        });
         let mut appended = 0;
-        for (key, value) in explorer.cached_entries() {
+        for (key, value) in fresh {
             // Every cache publish notes its routing; "unknown" is a
             // defensive fallback, not an expected value.
             let backend = explorer
                 .resolved_backend(&key)
                 .unwrap_or_else(|| "unknown".to_string());
-            if self.record(plan_hash, &key, &backend, &value)? {
-                appended += 1;
+            if let Err(error) = inner.append(plan_hash, &key, &backend, &value) {
+                inner.cursor.reset();
+                return Err(error);
             }
+            appended += 1;
         }
         Ok(appended)
     }
@@ -237,11 +299,12 @@ fn render_record(
     let mut out = String::with_capacity(512);
     let _ = write!(
         out,
-        "{{\"schema\":{SCHEMA_VERSION},\"plan\":\"{plan_hash:016x}\",\"kind\":\"char\",\
-         \"key\":\"{}\",\"backend\":\"{}\"",
-        escape(key.canonical()),
-        escape(backend)
+        "{{\"schema\":{SCHEMA_VERSION},\"plan\":\"{plan_hash:016x}\",\"kind\":\"char\",\"key\":\""
     );
+    push_escaped(&mut out, key.canonical());
+    out.push_str("\",\"backend\":\"");
+    push_escaped(&mut out, backend);
+    out.push('"');
     let bits = |out: &mut String, name: &str, v: f64| {
         let _ = write!(out, ",\"{name}\":\"{:016x}\"", v.to_bits());
     };
@@ -479,6 +542,116 @@ mod tests {
         let stats = registry.replay_into(&Explorer::with_defaults()).unwrap();
         assert_eq!(stats.replayed, 2);
         assert_eq!(stats.skipped, 0);
+
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The sync this registry did before it kept a cursor: walk the
+    /// whole cache and record whatever is not yet on disk.
+    fn full_walk_sync(registry: &RunRegistry, explorer: &Explorer, plan: u64) {
+        for (key, value) in explorer.cached_entries() {
+            let backend = explorer
+                .resolved_backend(&key)
+                .unwrap_or_else(|| "unknown".to_string());
+            registry.record(plan, &key, &backend, &value).unwrap();
+        }
+    }
+
+    fn record_keys(path: &Path) -> Vec<String> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(|line| {
+                parse_record(line)
+                    .expect("well-formed line")
+                    .key
+                    .canonical()
+                    .to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_sync_appends_exactly_the_new_keys_like_a_full_walk() {
+        let (path, reference_path) = (temp_path("incremental"), temp_path("full-walk"));
+        let registry = RunRegistry::open(&path).unwrap();
+        let reference = RunRegistry::open(&reference_path).unwrap();
+        let explorer = Explorer::with_defaults();
+        let plan = 11;
+        let study = MemoryConfig::study_set();
+        // Overlapping steps, one repeated: some syncs add nothing.
+        let steps = [
+            &study[..3],
+            &study[2..9],
+            &study[2..9],
+            &study[9..],
+            &study[..],
+        ];
+        let mut on_disk: Vec<String> = Vec::new();
+        for step in steps {
+            explorer.try_sweep_configs(step).unwrap();
+            let mut expected: Vec<String> = explorer
+                .cached_entries()
+                .into_iter()
+                .map(|(key, _)| key.canonical().to_string())
+                .filter(|key| !on_disk.contains(key))
+                .collect();
+            expected.sort_unstable();
+            let appended = registry.sync_from(&explorer, plan).unwrap();
+            assert_eq!(appended as usize, expected.len());
+            assert_eq!(record_keys(&path)[on_disk.len()..], expected[..]);
+            on_disk.extend(expected);
+            assert_eq!(
+                registry.sync_from(&explorer, plan).unwrap(),
+                0,
+                "an idle sync adds nothing"
+            );
+            full_walk_sync(&reference, &explorer, plan);
+        }
+        assert_eq!(on_disk.len(), explorer.cached_characterizations());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&reference_path).unwrap(),
+            "incremental sync must write the full walk's bytes"
+        );
+        // A sync under another plan hash starts a fresh dedup set.
+        assert_eq!(
+            registry.sync_from(&explorer, plan + 1).unwrap() as usize,
+            on_disk.len()
+        );
+
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&reference_path);
+    }
+
+    #[test]
+    fn a_failed_append_is_retried_by_the_next_sync() {
+        let path = temp_path("retry");
+        let registry = RunRegistry::open(&path).unwrap();
+        let explorer = Explorer::with_defaults();
+        let _ = explorer.characterize(&MemoryConfig::sram_350k());
+        assert_eq!(registry.sync_from(&explorer, 5).unwrap(), 1);
+
+        // A read-only handle in place of the append handle: every
+        // append fails.
+        let append_handle = std::mem::replace(
+            &mut registry.inner.lock().unwrap().file,
+            File::open(&path).unwrap(),
+        );
+        let _ = explorer.characterize(&MemoryConfig::edram_77k());
+        let _ = explorer.characterize(&MemoryConfig::sram_77k());
+        assert!(registry.sync_from(&explorer, 5).is_err());
+        assert_eq!(registry.len(), 1, "nothing new reached the disk");
+
+        registry.inner.lock().unwrap().file = append_handle;
+        assert_eq!(
+            registry.sync_from(&explorer, 5).unwrap(),
+            2,
+            "the next sync appends what the failed one could not"
+        );
+        assert_eq!(registry.sync_from(&explorer, 5).unwrap(), 0);
+        let stats = registry.replay_into(&Explorer::with_defaults()).unwrap();
+        assert_eq!((stats.replayed, stats.duplicates, stats.skipped), (3, 0, 0));
 
         let _ = std::fs::remove_file(&path);
     }

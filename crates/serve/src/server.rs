@@ -25,8 +25,8 @@
 //! [`Server::shutdown`] call); orchestrators should close the daemon's
 //! stdin rather than signal it.
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -37,6 +37,13 @@ use coldtall_core::{MemoryConfig, RequestHandler, SweepPlan};
 use crate::geomstore::{GeometryStore, WarmStats};
 use crate::proto;
 use crate::registry::{ReplayStats, RunRegistry};
+
+/// The longest request line, newline included, a TCP client may send.
+/// Real requests are well under a kilobyte; the cap bounds the memory a
+/// client that never sends a newline can pin, and the parser's work on
+/// one line. An over-long line is answered with one `ok:false` error,
+/// then the connection closes.
+pub const MAX_REQUEST_BYTES: usize = 128 * 1024;
 
 /// How the daemon should be stood up.
 #[derive(Debug, Clone)]
@@ -392,7 +399,8 @@ fn spawn_accept_loop(
 }
 
 /// Serves one TCP client: line-delimited requests in, one response line
-/// per request out, until the client hangs up or the daemon drains.
+/// per request out, until the client hangs up, sends a line longer than
+/// [`MAX_REQUEST_BYTES`], or the daemon drains.
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     let Ok(reader_half) = stream.try_clone() else {
         return;
@@ -403,8 +411,29 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let mut reader = BufReader::new(reader_half);
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // At most one byte past the cap: a line that reaches it is
+        // over-long whether or not its newline has arrived.
+        let budget = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_REQUEST_BYTES => {
+                let response = proto::render_parse_error(&format!(
+                    "request line longer than {MAX_REQUEST_BYTES} bytes"
+                ));
+                let _ = writer
+                    .write_all(response.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"));
+                // Half-close, then discard what the client is still
+                // sending (until it pauses or a bounded amount), so
+                // closing with unread input does not reset the
+                // connection before the client reads its error.
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = io::copy(
+                    &mut (&mut reader).take(32 * MAX_REQUEST_BYTES as u64),
+                    &mut io::sink(),
+                );
+                break;
+            }
             Ok(_) => {
                 let trimmed = line.trim_end_matches(['\r', '\n']);
                 if !trimmed.is_empty() {

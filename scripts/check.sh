@@ -47,6 +47,24 @@ cargo test -q --test search perf_smoke
 # subprocess-spawning suite.
 cargo test -q --test serve concurrent_tcp_clients_get_bit_identical_responses
 cargo test -q --test serve registry_replay_warms_a_fresh_daemon_bit_identically
+# The incremental-sync gates: the cache cursor must skip unchanged
+# shards, restart on a cursor from another cache, and never hide an
+# entry from a sync racing two publishers; each run-registry and
+# geometry-store sync must append exactly the keys new since the last,
+# write the same bytes as a full-cache walk, and re-offer what a failed
+# append left out. Count- and bytes-based, never wall-clock.
+cargo test -q -p coldtall-core cursor
+cargo test -q -p coldtall-serve sync
+# The wire-bytes pin: fixed request lines (sweep, search, characterize,
+# evaluate, a typed error) must render to pinned byte lengths and
+# FNV-1a hashes, and the daemon must send exactly those bytes.
+cargo test -q -p coldtall-serve proto
+cargo test -q --test serve wire_bytes_are_pinned
+# The untrusted-input gates: JSON nested past the depth cap and a TCP
+# request line past the length cap get typed errors, and the daemon
+# keeps answering fresh requests afterwards.
+cargo test -q -p coldtall-obs nesting_is_capped
+cargo test -q --test serve hostile_lines
 # The cryo-NVM gates: every study artifact (including the Δ(T)
 # STT-MRAM region study) must regenerate byte-identically to its
 # golden under results/, and the adaptive search over the cryo-STT

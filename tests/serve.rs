@@ -315,6 +315,77 @@ fn corrupt_registry_lines_are_counted_and_skipped() {
     let _ = std::fs::remove_file(&registry);
 }
 
+/// 64-bit FNV-1a over `bytes`: a std-only fingerprint for pinning wire
+/// bytes without committing multi-kilobyte fixtures.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Fixed request lines and the `(byte length, FNV-1a)` of the response
+/// each renders to. The values were taken from the renderer that
+/// allocated a `String` per field; the in-place renderer must reproduce
+/// them exactly.
+const WIRE_PINS: &[(&str, usize, u64)] = &[
+    (r#"{"cmd":"sweep"}"#, 253_297, 0x4033_2191_f8bb_65d3),
+    (
+        r#"{"cmd":"search","tech":"pcm","max_latency":1.1,"max_area":10.0,"id":"s\"1"}"#,
+        1032,
+        0x4811_92a4_dfa0_472e,
+    ),
+    (
+        r#"{"cmd":"characterize","tech":"edram","temp":77,"id":"c77"}"#,
+        760,
+        0xbd89_96f6_2893_9462,
+    ),
+    (
+        r#"{"cmd":"characterize","tech":"pcm","tentpole":"optimistic","dies":4,"temp":350,"id":9}"#,
+        693,
+        0x4bb6_0102_9f26_d880,
+    ),
+    (
+        r#"{"cmd":"evaluate","tech":"sram","temp":77,"bench":"mcf","id":7}"#,
+        403,
+        0x6e3b_6cb1_eb96_caf8,
+    ),
+    (
+        r#"{"cmd":"evaluate","bench":"doom","id":"e"}"#,
+        73,
+        0x9682_08f6_42b6_d741,
+    ),
+];
+
+#[test]
+fn wire_bytes_are_pinned() {
+    let metrics = coldtall::obs::Registry::new();
+    let handler = RequestHandler::new(
+        Explorer::with_registry(
+            coldtall::tech::ProcessNode::ptm_22nm_hp(),
+            coldtall::array::Objective::EnergyDelayProduct,
+            &metrics,
+        ),
+        &metrics,
+        None,
+    );
+    let mut daemon = Daemon::start(&[], &[]);
+    for &(line, len, hash) in WIRE_PINS {
+        let rendered = expected_response(&handler, line);
+        assert_eq!(
+            (rendered.len(), fnv1a(rendered.as_bytes())),
+            (len, hash),
+            "wire bytes moved for {line}: {}",
+            &rendered[..rendered.len().min(200)]
+        );
+        assert_eq!(
+            daemon.request(line),
+            rendered,
+            "daemon bytes differ for {line}"
+        );
+    }
+    daemon.shutdown();
+}
+
 #[test]
 fn serve_rejects_malformed_requests_without_dying() {
     let mut daemon = Daemon::start(&[], &[]);
@@ -334,6 +405,75 @@ fn serve_rejects_malformed_requests_without_dying() {
     // The daemon is still healthy after every rejection.
     let status = daemon.request(r#"{"cmd":"status"}"#);
     assert!(status.contains("\"ok\":true"), "{status}");
+    daemon.shutdown();
+}
+
+/// Reads one response line from a TCP client, newline trimmed; an
+/// empty string means the daemon closed the connection.
+fn read_response(reader: &mut BufReader<TcpStream>) -> String {
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("response read");
+    response.trim_end().to_string()
+}
+
+#[test]
+fn hostile_lines_get_typed_errors_and_the_daemon_survives() {
+    let mut daemon = Daemon::start(&["--listen", "127.0.0.1:0"], &[]);
+    let addr = daemon.addr.clone().expect("daemon listens");
+    // A read timeout turns a daemon that never answers into a failure
+    // instead of a hung test.
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("client connects");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .expect("read timeout set");
+        stream
+    };
+    let deep = "[".repeat(100_000);
+
+    // 100k levels of nesting: a typed error, and the connection (and
+    // its thread's stack) survive to answer the next request.
+    let mut stream = connect();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    writeln!(stream, "{deep}").expect("deep line sent");
+    let response = read_response(&mut reader);
+    assert!(
+        response.starts_with("{\"ok\":false,") && response.contains("nesting deeper than 128"),
+        "{response}"
+    );
+    writeln!(stream, r#"{{"cmd":"status"}}"#).expect("status sent");
+    assert!(read_response(&mut reader).contains("\"ok\":true"));
+    drop((stream, reader));
+
+    // 2 MiB without a newline: one typed error, then the daemon closes
+    // the connection.
+    let mut stream = connect();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let _ = stream.write_all(&vec![b'a'; 2 << 20]);
+    let response = read_response(&mut reader);
+    assert!(
+        response.starts_with("{\"ok\":false,") && response.contains("request line longer than"),
+        "{response}"
+    );
+    // Closed: end of stream, or a reset if the client was still
+    // sending when the daemon stopped draining. Never another line.
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the connection is closed after the error, got {rest:?}"
+    );
+    drop((stream, reader));
+
+    // A fresh connection, and the stdin frontend, still get answers.
+    let mut stream = connect();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    writeln!(stream, r#"{{"cmd":"status","id":1}}"#).expect("status sent");
+    assert!(read_response(&mut reader).contains("\"ok\":true"));
+    let response = daemon.request(&deep);
+    assert!(response.contains("nesting deeper than 128"), "{response}");
+    assert!(daemon
+        .request(r#"{"cmd":"status"}"#)
+        .contains("\"ok\":true"));
     daemon.shutdown();
 }
 
