@@ -101,7 +101,7 @@ impl Value {
 /// with its byte offset.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut parser = Parser {
-        bytes: input.as_bytes(),
+        input,
         pos: 0,
         depth: 0,
         too_deep: None,
@@ -112,7 +112,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
         None => ParseError::Syntax(message),
     })?;
     parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != input.len() {
         return Err(ParseError::Syntax(format!(
             "trailing garbage at byte {}",
             parser.pos
@@ -122,7 +122,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -132,7 +132,7 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -155,7 +155,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.input.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -247,52 +247,48 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogates are rejected rather than paired:
-                            // metric names never need astral characters.
-                            out.push(char::from_u32(code).ok_or("surrogate \\u escape")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash whole. Both
+            // are ASCII, so the run ends on a char boundary of the input.
+            let run = self.input.as_bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
             }
+            // A backslash: decode one escape.
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .input
+                        .as_bytes()
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                        16,
+                    )
+                    .map_err(|_| "bad \\u escape")?;
+                    // Surrogates are rejected rather than paired:
+                    // metric names never need astral characters.
+                    out.push(char::from_u32(code).ok_or("surrogate \\u escape")?);
+                    self.pos += 4;
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -304,7 +300,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.input[start..self.pos];
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| format!("bad number '{text}' at byte {start}"))
@@ -351,6 +347,64 @@ mod tests {
             Value::String("Aé".into())
         );
         assert!(parse("\"\\ud800\"").is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn string_scan_matches_a_per_char_reference() {
+        // One char at a time, as the scanner did before it copied runs.
+        fn reference(body: &str) -> String {
+            let mut out = String::new();
+            let mut chars = body.chars();
+            while let Some(c) = chars.next() {
+                if c != '\\' {
+                    out.push(c);
+                    continue;
+                }
+                match chars.next().expect("escape in test body") {
+                    'n' => out.push('\n'),
+                    't' => out.push('\t'),
+                    'r' => out.push('\r'),
+                    'b' => out.push('\u{8}'),
+                    'f' => out.push('\u{c}'),
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        let code = u32::from_str_radix(&hex, 16).expect("hex escape");
+                        out.push(char::from_u32(code).expect("scalar escape"));
+                    }
+                    other => out.push(other),
+                }
+            }
+            out
+        }
+        let mut bodies: Vec<String> = (0u8..128)
+            .filter(|&b| b != b'"' && b != b'\\')
+            .map(|b| format!("a{0}b{0}", char::from(b)))
+            .collect();
+        bodies.extend(
+            [
+                "é",
+                "漢字",
+                "🦀x🦀",
+                "aé漢🦀z",
+                r#"\"é\\漢\n🦀\/\u00e9x\tb\rf\b\f"#,
+                r"\\\\",
+                r"ab\u0041\u00e9cd",
+                r#"é\""#,
+                r"漢\u5b57\u0041",
+                "",
+            ]
+            .map(String::from),
+        );
+        bodies.push(format!("{}é{}", "x".repeat(1 << 18), r"\n"));
+        for body in &bodies {
+            assert_eq!(
+                parse(&format!("\"{body}\"")),
+                Ok(Value::String(reference(body))),
+                "{body:.40}"
+            );
+        }
+        assert!(parse("\"abc").is_err(), "unterminated run");
+        assert!(parse("\"ab\\").is_err(), "unterminated escape");
     }
 
     #[test]

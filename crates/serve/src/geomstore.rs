@@ -1,4 +1,4 @@
-//! The persistent geometry warm-start store: an append-only JSONL log
+//! The persistent geometry warm-start store: the append-only record log
 //! of solved organization geometries, replayable at startup so a fresh
 //! process answers sweeps without re-running a single geometry solve.
 //!
@@ -16,133 +16,32 @@
 //! the build that wrote it. A record written by older model code — a
 //! changed feasibility filter, device model, or candidate ordering —
 //! hashes to a different epoch and is skipped wholesale rather than
-//! replayed as stale physics.
-//!
-//! A corrupt, truncated, or wrong-epoch line is *skipped and counted*,
-//! never fatal: the store is a cache, and losing one record costs a
-//! re-solve, not correctness.
-//!
-//! Syncing is incremental, exactly as for the run registry: a
-//! [`CacheCursor`] into the explorer's geometry cache limits each
-//! [`GeometryStore::sync_from`] to the shards that grew since the last.
+//! replayed as stale physics. Like a corrupt or truncated line, it is
+//! counted in [`ReplayStats`], never fatal.
 
-use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::io;
 
 use coldtall_array::{geometry_code_epoch, Geometry, Organization, OrgGeometry};
-use coldtall_core::{CacheCursor, DesignPointKey, Explorer, MemoryConfig};
-use coldtall_obs::json::{self, Value};
+use coldtall_core::{DesignPointKey, Explorer, MemoryConfig};
+use coldtall_obs::json::Value;
 
+use crate::log::{self, f64_bits, hex_u64, subarray_dim, Record, RecordLog, ReplayStats};
 use crate::proto::push_escaped;
 
 /// The geometry-record schema this build writes and replays. Bump when
 /// the field set changes; replay skips records from other versions.
 pub const GEOM_SCHEMA_VERSION: u32 = 1;
 
-/// Counters from one warm-start replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmStats {
-    /// Geometry keys rebuilt into the explorer's geometry cache.
-    pub restored: u64,
-    /// Well-formed records whose key was already seen earlier in the
-    /// file (first record wins).
-    pub duplicates: u64,
-    /// Corrupt, truncated, wrong-schema, or wrong-epoch lines skipped.
-    pub skipped: u64,
-}
-
-/// Internal mutable state: the append handle, the dedup set of
-/// canonical geometry keys already on disk under the current epoch, and
-/// where the last [`GeometryStore::sync_from`] left the geometry cache.
-struct Inner {
-    file: File,
-    seen: HashSet<String>,
-    cursor: CacheCursor,
-}
-
-impl Inner {
-    /// Writes one record line whole (one `write_all`, nothing left in a
-    /// buffer on failure) and marks its key on disk.
-    fn append(&mut self, key: &DesignPointKey, geometry: &OrgGeometry) -> io::Result<()> {
-        let mut line = render_record(key, geometry);
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.seen.insert(key.canonical().to_string());
-        Ok(())
-    }
-}
-
 /// An append-only on-disk log of solved organization geometries.
 ///
-/// All methods take `&self`; appends serialize through an internal
-/// mutex, so the store can be shared across connection threads exactly
-/// like the run registry.
-pub struct GeometryStore {
-    path: PathBuf,
-    inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for GeometryStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GeometryStore")
-            .field("path", &self.path)
-            .finish_non_exhaustive()
-    }
-}
+/// `GeometryStore::open(path)` creates the file if absent and scans its
+/// current-epoch records into the dedup set, so restarts append only
+/// new geometries; `path`, `len` and `is_empty` report on it. All
+/// methods take `&self`, exactly like the run registry's.
+pub type GeometryStore = RecordLog<GeomRecord>;
 
 impl GeometryStore {
-    /// Opens (creating if absent) the store at `path` and scans any
-    /// existing current-epoch records into the dedup set so restarts
-    /// append only genuinely new geometries. Stale-epoch records stay
-    /// out of the set: a rebuilt model re-records its keys fresh.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the file cannot be opened
-    /// for appending. Unreadable *records* are not errors.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        let path = path.into();
-        let mut seen = HashSet::new();
-        if let Ok(file) = File::open(&path) {
-            for line in BufReader::new(file).lines() {
-                let Ok(line) = line else { break };
-                if let Some(record) = parse_record(&line) {
-                    seen.insert(record.key);
-                }
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Self {
-            path,
-            inner: Mutex::new(Inner {
-                file,
-                seen,
-                cursor: CacheCursor::new(),
-            }),
-        })
-    }
-
-    /// The file backing this store.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Current-epoch records on disk (including those scanned at open).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("geometry store lock poisoned").seen.len()
-    }
-
-    /// Whether no current-epoch records have been written or scanned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Appends one solved geometry if its key is not already on disk
     /// under the current epoch, handing the whole line to the OS before
     /// returning so a crash after `record` never loses it. Returns
@@ -152,20 +51,16 @@ impl GeometryStore {
     ///
     /// Returns the underlying I/O error from the append.
     pub fn record(&self, key: &DesignPointKey, geometry: &OrgGeometry) -> io::Result<bool> {
-        let mut inner = self.inner.lock().expect("geometry store lock poisoned");
-        if inner.seen.contains(key.canonical()) {
-            return Ok(false);
-        }
-        inner.append(key, geometry)?;
-        Ok(true)
+        self.append_new(geometry_code_epoch(), key.canonical(), || {
+            render_record(key, geometry)
+        })
     }
 
     /// Appends every geometry the explorer's geometry cache holds that
-    /// is not yet on disk, in canonical key order. Called after each
-    /// completed sweep or request; returns how many new records landed.
-    ///
-    /// Only the cache shards that grew since the previous sync are
-    /// visited, under one hold of the store lock.
+    /// is not yet on disk, in canonical key order, and returns how many
+    /// new records landed. Called after each completed sweep or
+    /// request; only the cache shards that grew since the previous sync
+    /// are visited.
     ///
     /// # Errors
     ///
@@ -173,95 +68,62 @@ impl GeometryStore {
     /// then rewinds to a full walk, so the next sync offers every
     /// geometry that is still not on disk again.
     pub fn sync_from(&self, explorer: &Explorer) -> io::Result<u64> {
-        let mut guard = self.inner.lock().expect("geometry store lock poisoned");
-        let inner = &mut *guard;
-        let on_disk = &inner.seen;
-        let fresh = explorer
-            .geometry_cache()
-            .collect_since(&mut inner.cursor, |key| !on_disk.contains(key.canonical()));
-        let mut appended = 0;
-        for (key, geometry) in fresh {
-            if let Err(error) = inner.append(&key, &geometry) {
-                inner.cursor.reset();
-                return Err(error);
-            }
-            appended += 1;
-        }
-        Ok(appended)
+        self.sync(
+            geometry_code_epoch(),
+            |cursor, keep| explorer.geometry_cache().collect_since(cursor, keep),
+            |key, geometry| render_record(key, geometry),
+        )
     }
 
     /// Replays every current-epoch record matching one of `configs`'
-    /// geometry keys into the explorer's geometry cache.
+    /// geometry keys into the explorer's geometry cache; `replayed`
+    /// counts the geometries restored.
+    ///
+    /// The records are keyed by canonical geometry key
+    /// ([`DesignPointKey::geometry_of`]); only keys reachable from
+    /// `configs` are rebuilt, because reconstructing an [`OrgGeometry`]
+    /// needs the base spec the key canonicalizes. Each matched key is
+    /// imported once ([`OrgGeometry::from_parts`] — no feasibility
+    /// enumeration, no geometry derivation, no solve counted), so a
+    /// subsequent sweep over `configs` dispatches entirely from the
+    /// warmed cache.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the file exists but cannot
     /// be read. A missing file replays zero records successfully.
-    pub fn warm_into(&self, explorer: &Explorer, configs: &[MemoryConfig]) -> io::Result<WarmStats> {
-        warm_file(&self.path, explorer, configs)
+    pub fn warm_into(
+        &self,
+        explorer: &Explorer,
+        configs: &[MemoryConfig],
+    ) -> io::Result<ReplayStats> {
+        let mut stored = HashMap::new();
+        let read = log::replay(self.path(), |record: GeomRecord| {
+            stored.insert(record.key, record.candidates);
+        })?;
+        let mut restored = 0;
+        for config in configs {
+            let key = DesignPointKey::geometry_of(config);
+            // `remove` makes each key restore exactly once even when many
+            // configs (a temperature stripe) share one geometry.
+            let Some(candidates) = stored.remove(key.canonical()) else {
+                continue;
+            };
+            let geometry =
+                OrgGeometry::from_parts(&config.to_base_spec(explorer.node()), candidates);
+            explorer.geometry_cache().import(&key, geometry);
+            restored += 1;
+        }
+        Ok(ReplayStats {
+            replayed: restored,
+            ..read
+        })
     }
 }
 
-/// Replays the geometry store at `path` into `explorer`'s geometry
-/// cache, without opening it for writing.
-///
-/// The records are keyed by canonical geometry key
-/// ([`DesignPointKey::geometry_of`]); only keys reachable from
-/// `configs` are rebuilt, because reconstructing an [`OrgGeometry`]
-/// needs the base spec the key canonicalizes. Each matched key is
-/// imported once ([`OrgGeometry::from_parts`] — no feasibility
-/// enumeration, no geometry derivation, no solve counted), so a
-/// subsequent sweep over `configs` dispatches entirely from the warmed
-/// cache.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the file exists but cannot be
-/// read. A missing file is an empty store, not an error.
-pub fn warm_file(
-    path: &Path,
-    explorer: &Explorer,
-    configs: &[MemoryConfig],
-) -> io::Result<WarmStats> {
-    let mut stats = WarmStats::default();
-    let file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(stats),
-        Err(e) => return Err(e),
-    };
-    let mut store: HashMap<String, Vec<(Organization, Geometry)>> = HashMap::new();
-    for line in BufReader::new(file).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(record) = parse_record(&line) else {
-            stats.skipped += 1;
-            continue;
-        };
-        if store.contains_key(&record.key) {
-            stats.duplicates += 1;
-            continue;
-        }
-        store.insert(record.key, record.candidates);
-    }
-    for config in configs {
-        let key = DesignPointKey::geometry_of(config);
-        // `remove` makes each key restore exactly once even when many
-        // configs (a temperature stripe) share one geometry.
-        let Some(candidates) = store.remove(key.canonical()) else {
-            continue;
-        };
-        let geometry = OrgGeometry::from_parts(&config.to_base_spec(explorer.node()), candidates);
-        explorer.geometry_cache().import(&key, geometry);
-        stats.restored += 1;
-    }
-    Ok(stats)
-}
-
-/// One decoded geometry record.
-struct GeomRecord {
-    /// Canonical geometry key (`geom|tech|tentpole|dN`).
+/// One decoded geometry record: a canonical geometry key
+/// (`geom|tech|tentpole|dN`) and its solved candidate list.
+pub struct GeomRecord {
     key: String,
     candidates: Vec<(Organization, Geometry)>,
 }
@@ -320,94 +182,65 @@ fn geometry_floats(g: &Geometry) -> [f64; 11] {
     ]
 }
 
-/// Decodes one record line; `None` for anything malformed — bad JSON,
-/// wrong schema, *wrong epoch*, missing fields, bad hex, out-of-range
-/// geometry.
-fn parse_record(line: &str) -> Option<GeomRecord> {
-    let value = json::parse(line).ok()?;
-    let Value::Object(fields) = &value else {
-        return None;
-    };
-    if fields.get("schema").and_then(Value::as_f64) != Some(f64::from(GEOM_SCHEMA_VERSION)) {
-        return None;
+impl Record for GeomRecord {
+    const KIND: &'static str = "geom";
+    const SCHEMA: u32 = GEOM_SCHEMA_VERSION;
+
+    fn id(&self) -> (u64, &str) {
+        (geometry_code_epoch(), &self.key)
     }
-    if fields.get("kind") != Some(&Value::String("geom".to_string())) {
-        return None;
-    }
-    match fields.get("epoch") {
-        Some(Value::String(s)) if s.len() == 16 => {
-            let epoch = u64::from_str_radix(s, 16).ok()?;
-            if epoch != geometry_code_epoch() {
+
+    /// Rejects a *wrong epoch*, missing fields, bad hex and out-of-range
+    /// geometry.
+    fn decode(fields: &BTreeMap<String, Value>) -> Option<Self> {
+        if hex_u64(fields.get("epoch")?)? != geometry_code_epoch() {
+            return None;
+        }
+        let key = match fields.get("key") {
+            Some(Value::String(s)) if !s.is_empty() => s.clone(),
+            _ => return None,
+        };
+        let raw = match fields.get("candidates") {
+            Some(Value::Array(items)) if !items.is_empty() => items,
+            _ => return None,
+        };
+        let mut candidates = Vec::with_capacity(raw.len());
+        for item in raw {
+            let Value::Array(parts) = item else {
+                return None;
+            };
+            if parts.len() != 15 {
                 return None;
             }
+            let rows = subarray_dim(&parts[0])?;
+            let cols = subarray_dim(&parts[1])?;
+            let subarrays_total = exact_u64(&parts[2])?;
+            let subarrays_per_die = exact_u64(&parts[3])?;
+            let mut f = [0.0f64; 11];
+            for (slot, v) in f.iter_mut().zip(&parts[4..]) {
+                *slot = f64_bits(v)?;
+            }
+            candidates.push((
+                Organization::new(rows, cols),
+                Geometry {
+                    cell_width: f[0],
+                    cell_height: f[1],
+                    cell_block_area: f[2],
+                    strips_area: f[3],
+                    subarray_area: f[4],
+                    subarrays_total,
+                    subarrays_per_die,
+                    per_die_content: f[5],
+                    floor_area: f[6],
+                    tsv_area: f[7],
+                    footprint: f[8],
+                    total_silicon: f[9],
+                    periph_area: f[10],
+                },
+            ));
         }
-        _ => return None,
+        Some(Self { key, candidates })
     }
-    let key = match fields.get("key") {
-        Some(Value::String(s)) if !s.is_empty() => s.clone(),
-        _ => return None,
-    };
-    let raw = match fields.get("candidates") {
-        Some(Value::Array(items)) if !items.is_empty() => items,
-        _ => return None,
-    };
-    let mut candidates = Vec::with_capacity(raw.len());
-    for item in raw {
-        let Value::Array(parts) = item else {
-            return None;
-        };
-        if parts.len() != 15 {
-            return None;
-        }
-        let rows = subarray_dim(&parts[0])?;
-        let cols = subarray_dim(&parts[1])?;
-        let subarrays_total = exact_u64(&parts[2])?;
-        let subarrays_per_die = exact_u64(&parts[3])?;
-        let mut f = [0.0f64; 11];
-        for (slot, v) in f.iter_mut().zip(&parts[4..]) {
-            *slot = f64_bits(v)?;
-        }
-        candidates.push((
-            Organization::new(rows, cols),
-            Geometry {
-                cell_width: f[0],
-                cell_height: f[1],
-                cell_block_area: f[2],
-                strips_area: f[3],
-                subarray_area: f[4],
-                subarrays_total,
-                subarrays_per_die,
-                per_die_content: f[5],
-                floor_area: f[6],
-                tsv_area: f[7],
-                footprint: f[8],
-                total_silicon: f[9],
-                periph_area: f[10],
-            },
-        ));
-    }
-    Some(GeomRecord { key, candidates })
-}
-
-/// Decodes a 16-hex-digit bit-pattern string into the exact `f64`.
-fn f64_bits(value: &Value) -> Option<f64> {
-    match value {
-        Value::String(s) if s.len() == 16 => u64::from_str_radix(s, 16).ok().map(f64::from_bits),
-        _ => None,
-    }
-}
-
-/// Validates a stored subarray dimension: [`Organization::new`] panics
-/// on non-power-of-two geometry, so a corrupt record must be rejected
-/// *here*, before reconstruction.
-fn subarray_dim(value: &Value) -> Option<u32> {
-    let n = value.as_f64()?;
-    if !(n.is_finite() && n.fract() == 0.0 && (1.0..=f64::from(u32::MAX)).contains(&n)) {
-        return None;
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let dim = n as u32;
-    dim.is_power_of_two().then_some(dim)
 }
 
 /// Validates a stored subarray count: a non-negative integer small
@@ -427,6 +260,8 @@ mod tests {
     use super::*;
     use coldtall_tech::ProcessNode;
     use coldtall_units::Kelvin;
+    use std::fs::File;
+    use std::path::{Path, PathBuf};
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -462,7 +297,7 @@ mod tests {
         let config = MemoryConfig::edram_77k();
         let (key, geometry) = solved(&config);
         let line = render_record(&key, &geometry);
-        let record = parse_record(&line).expect("well-formed record");
+        let record = log::decode::<GeomRecord>(&line).expect("well-formed record");
         assert_eq!(record.key, key.canonical());
         assert_eq!(record.candidates, geometry.candidates());
     }
@@ -488,8 +323,8 @@ mod tests {
         let stats = store.warm_into(&fresh, &configs).unwrap();
         assert_eq!(
             stats,
-            WarmStats {
-                restored: 1,
+            ReplayStats {
+                replayed: 1,
                 duplicates: 0,
                 skipped: 0
             }
@@ -528,7 +363,7 @@ mod tests {
         assert_eq!(store.len() as u64, distinct);
         let fresh = private_explorer();
         let stats = store.warm_into(&fresh, &configs).unwrap();
-        assert_eq!(stats.restored, distinct);
+        assert_eq!(stats.replayed, distinct);
         assert_eq!(stats.skipped, 0);
         let rows = fresh.try_sweep_configs(&configs).unwrap();
         assert_eq!(rows, seeded_rows, "warmed sweep diverged from the seeding sweep");
@@ -552,21 +387,22 @@ mod tests {
         // the Organization constructor can panic on it.
         let bad_org = good.replacen("\"candidates\":[[", "\"candidates\":[[3,", 1);
         let contents = format!(
-            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{wrong_epoch}\n{bad_org}\n{good}\n"
+            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{wrong_epoch}\n{bad_org}\n"
         );
+        // Bytes that are not UTF-8 are a corrupt line, not a read error.
+        let contents = [contents.as_bytes(), b"\xff\n", good.as_bytes(), b"\n"].concat();
         let path = temp_path("corrupt");
         std::fs::write(&path, contents).unwrap();
 
-        let fresh = private_explorer();
-        let stats = warm_file(&path, &fresh, &[config]).unwrap();
-        assert_eq!(stats.restored, 1);
-        assert_eq!(stats.duplicates, 1); // the repeated good line
-        assert_eq!(stats.skipped, 5);
-        assert_eq!(fresh.geometry_cache().solves(), 0);
-
         // The open scan also ignores the junk: the good key is already
-        // on disk, so re-recording it is a no-op.
+        // on disk, so re-recording it below is a no-op.
         let store = GeometryStore::open(&path).unwrap();
+        let fresh = private_explorer();
+        let stats = store.warm_into(&fresh, &[config]).unwrap();
+        assert_eq!(stats.replayed, 1);
+        assert_eq!(stats.duplicates, 1); // the repeated good line
+        assert_eq!(stats.skipped, 6);
+        assert_eq!(fresh.geometry_cache().solves(), 0);
         assert_eq!(store.len(), 1);
         assert!(!store.record(&key, &geometry).unwrap());
 
@@ -577,7 +413,7 @@ mod tests {
         std::fs::read_to_string(path)
             .unwrap()
             .lines()
-            .map(|line| parse_record(line).expect("well-formed line").key)
+            .map(|line| log::decode::<GeomRecord>(line).expect("well-formed line").key)
             .collect()
     }
 
@@ -640,17 +476,14 @@ mod tests {
 
         // A read-only handle in place of the append handle: every
         // append fails.
-        let append_handle = std::mem::replace(
-            &mut store.inner.lock().unwrap().file,
-            File::open(&path).unwrap(),
-        );
+        let append_handle = store.swap_file(File::open(&path).unwrap());
         explorer.try_sweep_configs(&study).unwrap();
         let total = explorer.geometry_cache().len();
         assert!(total > 1);
         assert!(store.sync_from(&explorer).is_err());
         assert_eq!(store.len(), 1, "nothing new reached the disk");
 
-        store.inner.lock().unwrap().file = append_handle;
+        store.swap_file(append_handle);
         assert_eq!(
             store.sync_from(&explorer).unwrap() as usize,
             total - 1,
@@ -659,7 +492,7 @@ mod tests {
         assert_eq!(store.sync_from(&explorer).unwrap(), 0);
         let stats = store.warm_into(&private_explorer(), &study).unwrap();
         assert_eq!(
-            (stats.restored as usize, stats.duplicates, stats.skipped),
+            (stats.replayed as usize, stats.duplicates, stats.skipped),
             (total, 0, 0)
         );
 
@@ -669,8 +502,12 @@ mod tests {
     #[test]
     fn missing_file_warms_empty() {
         let path = temp_path("missing");
-        let stats = warm_file(&path, &private_explorer(), &MemoryConfig::study_set()).unwrap();
-        assert_eq!(stats, WarmStats::default());
+        let store = GeometryStore::open(&path).unwrap();
+        let stats = store
+            .warm_into(&private_explorer(), &MemoryConfig::study_set())
+            .unwrap();
+        assert_eq!(stats, ReplayStats::default());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -684,7 +521,7 @@ mod tests {
         // geometry restores nothing — and is not an error.
         let fresh = private_explorer();
         let stats = store.warm_into(&fresh, &[MemoryConfig::sram_350k()]).unwrap();
-        assert_eq!(stats.restored, 0);
+        assert_eq!(stats.replayed, 0);
         assert_eq!(stats.skipped, 0);
         let _ = std::fs::remove_file(&path);
     }

@@ -13,13 +13,16 @@
 //!   shutdown gate;
 //! * [`proto`] — the wire protocol: request parsing and response
 //!   rendering shared by the daemon and the bit-identity tests;
-//! * [`registry`] — the persistent run registry: an append-only JSONL
-//!   log of computed characterizations (floats stored as exact bit
-//!   patterns) replayed at startup to warm a fresh process;
+//! * [`registry`] — the persistent run registry: computed
+//!   characterizations, replayed at startup to warm a fresh process;
 //! * [`geomstore`] — the persistent geometry warm-start store: solved
 //!   candidate organizations, keyed by the model-code epoch
 //!   fingerprint, so restarts (and repeated CLI invocations with
-//!   `--warm-start`) answer sweeps with zero geometry solves;
+//!   `--warm-start`) answer sweeps with zero geometry solves. Both
+//!   stores are line formats over one private append-only JSONL record
+//!   log, which owns the exact-bit-pattern float codec, the dedup set,
+//!   the incremental sync and the one line reader; a corrupt line is
+//!   counted in [`ReplayStats`], never fatal;
 //! * [`dashboard`] — a static HTML/SVG dashboard generated from the
 //!   warmed cache and live metrics;
 //! * [`pipe`] — the broken-pipe-absorbing writer that lets
@@ -32,14 +35,16 @@
 
 pub mod dashboard;
 pub mod geomstore;
+mod log;
 pub mod pipe;
 pub mod proto;
 pub mod registry;
 pub mod server;
 
 pub use dashboard::render_dashboard;
-pub use geomstore::{warm_file, GeometryStore, WarmStats, GEOM_SCHEMA_VERSION};
+pub use geomstore::{GeometryStore, GEOM_SCHEMA_VERSION};
+pub use log::ReplayStats;
 pub use pipe::PipeSafeWriter;
 pub use proto::{parse_request, render_parse_error, render_response, ParsedRequest};
-pub use registry::{replay_file, ReplayStats, RunRegistry, SCHEMA_VERSION};
+pub use registry::{replay_file, RunRegistry, SCHEMA_VERSION};
 pub use server::{ServeOptions, Server};

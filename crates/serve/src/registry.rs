@@ -1,11 +1,10 @@
-//! The persistent run registry: an append-only JSONL log of every
+//! The persistent run registry: the append-only record log of every
 //! characterization the daemon computes, replayable at startup to warm
 //! a fresh process's caches.
 //!
-//! One record per line. Floats are stored as the 16-hex-digit
-//! [`f64::to_bits`] pattern, not decimal text, so a replayed value is
-//! *bit-identical* to the one originally computed — the property the
-//! round-trip tests pin. Records carry a schema version and the
+//! One record per line, floats stored as the 16-hex-digit
+//! [`f64::to_bits`] pattern so a replayed value is *bit-identical*.
+//! Records carry a schema version and the
 //! [`ExecutionPlan::stable_hash`](coldtall_core::ExecutionPlan::stable_hash)
 //! they were computed under; replay ignores records from other schema
 //! versions, and dedup keys on `(plan, key)` so restarts never grow the
@@ -17,25 +16,19 @@
 //! re-solving any geometry.
 //!
 //! A corrupt or truncated line (a crash mid-append) is *skipped and
-//! counted*, never fatal: the registry is a cache, and losing one
-//! record costs a recomputation, not correctness.
-//!
-//! Syncing is incremental: the registry keeps a [`CacheCursor`] into
-//! the explorer's cache and each [`RunRegistry::sync_from`] revisits
-//! only the cache shards that grew since the previous one, so a request
-//! pays for the records it adds, not for the cache's size.
+//! counted* in [`ReplayStats`], never fatal: the registry is a cache,
+//! and losing one record costs a recomputation, not correctness.
 
-use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 
 use coldtall_array::{ArrayCharacterization, Organization};
-use coldtall_core::{CacheCursor, DesignPointKey, Explorer};
-use coldtall_obs::json::{self, Value};
+use coldtall_core::{DesignPointKey, Explorer};
+use coldtall_obs::json::Value;
 use coldtall_units::{Joules, Seconds, SquareMeters, Watts};
 
+use crate::log::{self, f64_bits, hex_u64, subarray_dim, Record, RecordLog, ReplayStats};
 use crate::proto::push_escaped;
 
 /// The record schema this build writes and replays. Bump when the
@@ -46,129 +39,16 @@ use crate::proto::push_escaped;
 /// the characterization it produced.
 pub const SCHEMA_VERSION: u32 = 2;
 
-/// Counters from one registry replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Well-formed records imported into the cache.
-    pub replayed: u64,
-    /// Records whose `(plan, key)` was already seen earlier in the file.
-    pub duplicates: u64,
-    /// Corrupt, truncated, or wrong-schema lines skipped.
-    pub skipped: u64,
-}
-
-/// Internal mutable state: the append handle, the dedup set and the
-/// sync position.
-struct Inner {
-    file: File,
-    /// Canonical keys already on disk, per plan hash — nested so a
-    /// lookup borrows the key's `&str` instead of allocating a pair.
-    seen: HashMap<u64, HashSet<String>>,
-    /// Where the last [`RunRegistry::sync_from`] left the explorer's
-    /// cache, and the plan hash it synced under (another plan's dedup
-    /// set differs, so switching plans rewinds to a full walk).
-    cursor: CacheCursor,
-    cursor_plan: u64,
-}
-
-impl Inner {
-    fn on_disk(&self, plan_hash: u64, key: &DesignPointKey) -> bool {
-        self.seen
-            .get(&plan_hash)
-            .is_some_and(|keys| keys.contains(key.canonical()))
-    }
-
-    /// Writes one record line whole and marks it on disk. One
-    /// `write_all` per record: nothing lingers in a buffer, so a failed
-    /// append leaves no half-written bytes to be flushed later.
-    fn append(
-        &mut self,
-        plan_hash: u64,
-        key: &DesignPointKey,
-        backend: &str,
-        value: &ArrayCharacterization,
-    ) -> io::Result<()> {
-        let mut line = render_record(plan_hash, key, backend, value);
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.seen
-            .entry(plan_hash)
-            .or_default()
-            .insert(key.canonical().to_string());
-        Ok(())
-    }
-}
-
 /// An append-only on-disk log of computed characterizations.
 ///
-/// All methods take `&self`; appends serialize through an internal
-/// mutex, so the registry can be shared across connection threads.
-pub struct RunRegistry {
-    path: PathBuf,
-    inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for RunRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunRegistry")
-            .field("path", &self.path)
-            .finish_non_exhaustive()
-    }
-}
+/// `RunRegistry::open(path)` creates the file if absent and scans its
+/// records into the dedup set, so restarts append only new work;
+/// `path`, `len` and `is_empty` report on it. All methods take `&self`:
+/// appends serialize through an internal mutex, so one registry can be
+/// shared across connection threads.
+pub type RunRegistry = RecordLog<CharRecord>;
 
 impl RunRegistry {
-    /// Opens (creating if absent) the registry at `path` and scans any
-    /// existing records into the dedup set so restarts append only
-    /// genuinely new work.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the file cannot be opened
-    /// for appending. Unreadable *records* are not errors.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        let path = path.into();
-        let mut seen: HashMap<u64, HashSet<String>> = HashMap::new();
-        if let Ok(file) = File::open(&path) {
-            for line in BufReader::new(file).lines() {
-                let Ok(line) = line else { break };
-                if let Some(record) = parse_record(&line) {
-                    seen.entry(record.plan)
-                        .or_default()
-                        .insert(record.key.canonical().to_string());
-                }
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Self {
-            path,
-            inner: Mutex::new(Inner {
-                file,
-                seen,
-                cursor: CacheCursor::new(),
-                cursor_plan: 0,
-            }),
-        })
-    }
-
-    /// The file backing this registry.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records on disk (including those scanned at open).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("registry lock poisoned");
-        inner.seen.values().map(HashSet::len).sum()
-    }
-
-    /// Whether no records have been written or scanned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Appends one characterization if its `(plan, key)` is not already
     /// on disk, handing the whole line to the OS before returning so a
     /// crash after `record` never loses it. Returns whether a record
@@ -184,21 +64,17 @@ impl RunRegistry {
         backend: &str,
         value: &ArrayCharacterization,
     ) -> io::Result<bool> {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        if inner.on_disk(plan_hash, key) {
-            return Ok(false);
-        }
-        inner.append(plan_hash, key, backend, value)?;
-        Ok(true)
+        self.append_new(plan_hash, key.canonical(), || {
+            render_record(plan_hash, key, backend, value)
+        })
     }
 
     /// Appends every cached characterization the explorer holds that is
-    /// not yet on disk, in canonical key order. Called after each
-    /// completed request; returns how many new records landed.
-    ///
-    /// Only the cache shards that grew since the previous sync are
-    /// visited, and only entries missing from disk are cloned. The
-    /// registry lock is held once for the whole sync.
+    /// not yet on disk under `plan_hash`, in canonical key order, and
+    /// returns how many new records landed. Called after each completed
+    /// request; only the cache shards that grew since the previous sync
+    /// are visited, and a sync under another plan hash rewinds to a
+    /// full walk.
     ///
     /// # Errors
     ///
@@ -206,30 +82,18 @@ impl RunRegistry {
     /// then rewinds to a full walk, so the next sync offers every entry
     /// that is still not on disk again.
     pub fn sync_from(&self, explorer: &Explorer, plan_hash: u64) -> io::Result<u64> {
-        let mut guard = self.inner.lock().expect("registry lock poisoned");
-        let inner = &mut *guard;
-        if inner.cursor_plan != plan_hash {
-            inner.cursor.reset();
-            inner.cursor_plan = plan_hash;
-        }
-        let on_disk = inner.seen.get(&plan_hash);
-        let fresh = explorer.cached_entries_since(&mut inner.cursor, |key| {
-            !on_disk.is_some_and(|keys| keys.contains(key.canonical()))
-        });
-        let mut appended = 0;
-        for (key, value) in fresh {
-            // Every cache publish notes its routing; "unknown" is a
-            // defensive fallback, not an expected value.
-            let backend = explorer
-                .resolved_backend(&key)
-                .unwrap_or_else(|| "unknown".to_string());
-            if let Err(error) = inner.append(plan_hash, &key, &backend, &value) {
-                inner.cursor.reset();
-                return Err(error);
-            }
-            appended += 1;
-        }
-        Ok(appended)
+        self.sync(
+            plan_hash,
+            |cursor, keep| explorer.cached_entries_since(cursor, keep),
+            |key, value| {
+                // Every cache publish notes its routing; "unknown" is a
+                // defensive fallback, not an expected value.
+                let backend = explorer
+                    .resolved_backend(key)
+                    .unwrap_or_else(|| "unknown".to_string());
+                render_record(plan_hash, key, &backend, value)
+            },
+        )
     }
 
     /// Replays every well-formed record from this registry's file into
@@ -240,7 +104,7 @@ impl RunRegistry {
     /// Returns the underlying I/O error if the file exists but cannot
     /// be read. A missing file replays zero records successfully.
     pub fn replay_into(&self, explorer: &Explorer) -> io::Result<ReplayStats> {
-        replay_file(&self.path, explorer)
+        replay_file(self.path(), explorer)
     }
 }
 
@@ -252,35 +116,15 @@ impl RunRegistry {
 /// Returns the underlying I/O error if the file exists but cannot be
 /// read. A missing file is an empty registry, not an error.
 pub fn replay_file(path: &Path, explorer: &Explorer) -> io::Result<ReplayStats> {
-    let mut stats = ReplayStats::default();
-    let file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(stats),
-        Err(e) => return Err(e),
-    };
-    let mut seen: HashSet<(u64, String)> = HashSet::new();
-    for line in BufReader::new(file).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(record) = parse_record(&line) else {
-            stats.skipped += 1;
-            continue;
-        };
-        if !seen.insert((record.plan, record.key.canonical().to_string())) {
-            stats.duplicates += 1;
-            continue;
-        }
+    log::replay(path, |record: CharRecord| {
         explorer.import_characterization(&record.key, record.value);
         explorer.note_resolved_backend(&record.key, &record.backend);
-        stats.replayed += 1;
-    }
-    Ok(stats)
+    })
 }
 
-/// One decoded registry record.
-struct Record {
+/// One decoded registry record: a characterization, the backend that
+/// produced it, and the plan it was computed under.
+pub struct CharRecord {
     plan: u64,
     key: DesignPointKey,
     backend: String,
@@ -336,107 +180,79 @@ fn render_record(
     out
 }
 
-/// Decodes one record line; `None` for anything malformed — bad JSON,
-/// wrong schema, missing fields, bad hex, out-of-range geometry.
-fn parse_record(line: &str) -> Option<Record> {
-    let value = json::parse(line).ok()?;
-    let Value::Object(fields) = &value else {
-        return None;
-    };
-    if fields.get("schema").and_then(Value::as_f64) != Some(f64::from(SCHEMA_VERSION)) {
-        return None;
+impl Record for CharRecord {
+    const KIND: &'static str = "char";
+    const SCHEMA: u32 = SCHEMA_VERSION;
+
+    fn id(&self) -> (u64, &str) {
+        (self.plan, self.key.canonical())
     }
-    if fields.get("kind") != Some(&Value::String("char".to_string())) {
-        return None;
-    }
-    let plan = match fields.get("plan") {
-        Some(Value::String(s)) if s.len() == 16 => u64::from_str_radix(s, 16).ok()?,
-        _ => return None,
-    };
-    let key = match fields.get("key") {
-        Some(Value::String(s)) if !s.is_empty() => DesignPointKey::from_canonical(s.clone()),
-        _ => return None,
-    };
-    let backend = match fields.get("backend") {
-        Some(Value::String(s)) if !s.is_empty() => s.clone(),
-        _ => return None,
-    };
-    let bits = |name: &str| -> Option<f64> { f64_bits(fields.get(name)?) };
-    let retention = match fields.get("retention") {
-        Some(Value::Null) => None,
-        Some(v) => Some(Seconds::new(f64_bits(v)?)),
-        None => return None,
-    };
-    let (rows, cols) = match fields.get("org") {
-        Some(Value::Array(dims)) if dims.len() == 2 => {
-            let rows = subarray_dim(&dims[0])?;
-            let cols = subarray_dim(&dims[1])?;
-            (rows, cols)
-        }
-        _ => return None,
-    };
-    let dies = match fields.get("dies").and_then(Value::as_f64) {
-        Some(n) if n.fract() == 0.0 && (1.0..=255.0).contains(&n) => {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            {
-                n as u8
+
+    /// Rejects missing fields, bad hex and out-of-range geometry.
+    fn decode(fields: &BTreeMap<String, Value>) -> Option<Self> {
+        let plan = hex_u64(fields.get("plan")?)?;
+        let key = match fields.get("key") {
+            Some(Value::String(s)) if !s.is_empty() => DesignPointKey::from_canonical(s.clone()),
+            _ => return None,
+        };
+        let backend = match fields.get("backend") {
+            Some(Value::String(s)) if !s.is_empty() => s.clone(),
+            _ => return None,
+        };
+        let bits = |name: &str| -> Option<f64> { f64_bits(fields.get(name)?) };
+        let retention = match fields.get("retention") {
+            Some(Value::Null) => None,
+            Some(v) => Some(Seconds::new(f64_bits(v)?)),
+            None => return None,
+        };
+        let (rows, cols) = match fields.get("org") {
+            Some(Value::Array(dims)) if dims.len() == 2 => {
+                (subarray_dim(&dims[0])?, subarray_dim(&dims[1])?)
             }
-        }
-        _ => return None,
-    };
-    let value = ArrayCharacterization {
-        read_latency: Seconds::new(bits("read_latency")?),
-        write_latency: Seconds::new(bits("write_latency")?),
-        read_energy: Joules::new(bits("read_energy")?),
-        write_energy: Joules::new(bits("write_energy")?),
-        leakage_power: Watts::new(bits("leakage_power")?),
-        refresh_power: Watts::new(bits("refresh_power")?),
-        refresh_busy_fraction: bits("refresh_busy_fraction")?,
-        retention,
-        footprint: SquareMeters::new(bits("footprint")?),
-        total_silicon: SquareMeters::new(bits("total_silicon")?),
-        array_efficiency: bits("array_efficiency")?,
-        organization: Organization::new(rows, cols),
-        dies,
-        transfer_bits: bits("transfer_bits")?,
-        read_cycle_time: Seconds::new(bits("read_cycle")?),
-        write_cycle_time: Seconds::new(bits("write_cycle")?),
-    };
-    Some(Record {
-        plan,
-        key,
-        backend,
-        value,
-    })
-}
-
-/// Decodes a 16-hex-digit bit-pattern string into the exact `f64`.
-fn f64_bits(value: &Value) -> Option<f64> {
-    match value {
-        Value::String(s) if s.len() == 16 => {
-            u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-        }
-        _ => None,
+            _ => return None,
+        };
+        let dies = match fields.get("dies").and_then(Value::as_f64) {
+            Some(n) if n.fract() == 0.0 && (1.0..=255.0).contains(&n) => {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                {
+                    n as u8
+                }
+            }
+            _ => return None,
+        };
+        let value = ArrayCharacterization {
+            read_latency: Seconds::new(bits("read_latency")?),
+            write_latency: Seconds::new(bits("write_latency")?),
+            read_energy: Joules::new(bits("read_energy")?),
+            write_energy: Joules::new(bits("write_energy")?),
+            leakage_power: Watts::new(bits("leakage_power")?),
+            refresh_power: Watts::new(bits("refresh_power")?),
+            refresh_busy_fraction: bits("refresh_busy_fraction")?,
+            retention,
+            footprint: SquareMeters::new(bits("footprint")?),
+            total_silicon: SquareMeters::new(bits("total_silicon")?),
+            array_efficiency: bits("array_efficiency")?,
+            organization: Organization::new(rows, cols),
+            dies,
+            transfer_bits: bits("transfer_bits")?,
+            read_cycle_time: Seconds::new(bits("read_cycle")?),
+            write_cycle_time: Seconds::new(bits("write_cycle")?),
+        };
+        Some(Self {
+            plan,
+            key,
+            backend,
+            value,
+        })
     }
-}
-
-/// Validates a stored subarray dimension: [`Organization::new`] panics
-/// on non-power-of-two geometry, so a corrupt record must be rejected
-/// *here*, before reconstruction.
-fn subarray_dim(value: &Value) -> Option<u32> {
-    let n = value.as_f64()?;
-    if !(n.is_finite() && n.fract() == 0.0 && (1.0..=f64::from(u32::MAX)).contains(&n)) {
-        return None;
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let dim = n as u32;
-    dim.is_power_of_two().then_some(dim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use coldtall_core::MemoryConfig;
+    use std::fs::File;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -507,15 +323,17 @@ mod tests {
         // Organization constructor can panic on it.
         let bad_org = good.replacen("\"org\":[", "\"org\":[3,", 1);
         let contents = format!(
-            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{v1_record}\n{bad_org}\n{good}\n"
+            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{v1_record}\n{bad_org}\n"
         );
+        // Bytes that are not UTF-8 are a corrupt line, not a read error.
+        let contents = [contents.as_bytes(), b"\xff\n", good.as_bytes(), b"\n"].concat();
         std::fs::write(&path, contents).unwrap();
 
         let fresh = Explorer::with_defaults();
         let stats = replay_file(&path, &fresh).unwrap();
         assert_eq!(stats.replayed, 1);
         assert_eq!(stats.duplicates, 1); // the repeated good line
-        assert_eq!(stats.skipped, 5);
+        assert_eq!(stats.skipped, 6);
         assert_eq!(fresh.cached_entries().len(), 1);
 
         let _ = std::fs::remove_file(&path);
@@ -562,7 +380,7 @@ mod tests {
             .unwrap()
             .lines()
             .map(|line| {
-                parse_record(line)
+                log::decode::<CharRecord>(line)
                     .expect("well-formed line")
                     .key
                     .canonical()
@@ -634,16 +452,13 @@ mod tests {
 
         // A read-only handle in place of the append handle: every
         // append fails.
-        let append_handle = std::mem::replace(
-            &mut registry.inner.lock().unwrap().file,
-            File::open(&path).unwrap(),
-        );
+        let append_handle = registry.swap_file(File::open(&path).unwrap());
         let _ = explorer.characterize(&MemoryConfig::edram_77k());
         let _ = explorer.characterize(&MemoryConfig::sram_77k());
         assert!(registry.sync_from(&explorer, 5).is_err());
         assert_eq!(registry.len(), 1, "nothing new reached the disk");
 
-        registry.inner.lock().unwrap().file = append_handle;
+        registry.swap_file(append_handle);
         assert_eq!(
             registry.sync_from(&explorer, 5).unwrap(),
             2,
@@ -673,7 +488,7 @@ mod tests {
         let line = render_record(3, &key, "cryomem", &array);
         assert!(line.contains("\"retention\":null"));
         assert!(line.contains("\"backend\":\"cryomem\""));
-        let record = parse_record(&line).expect("well-formed record");
+        let record = log::decode::<CharRecord>(&line).expect("well-formed record");
         assert_eq!(record.value, array);
         assert_eq!(record.plan, 3);
         assert_eq!(record.backend, "cryomem");

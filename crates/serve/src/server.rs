@@ -34,9 +34,10 @@ use std::time::Duration;
 
 use coldtall_core::{MemoryConfig, RequestHandler, SweepPlan};
 
-use crate::geomstore::{GeometryStore, WarmStats};
+use crate::geomstore::GeometryStore;
+use crate::log::ReplayStats;
 use crate::proto;
-use crate::registry::{ReplayStats, RunRegistry};
+use crate::registry::RunRegistry;
 
 /// The longest request line, newline included, a TCP client may send.
 /// Real requests are well under a kilobyte; the cap bounds the memory a
@@ -173,7 +174,7 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: Option<SocketAddr>,
     replay: ReplayStats,
-    warm: WarmStats,
+    warm: ReplayStats,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -218,7 +219,7 @@ impl Server {
                 let warm = store.warm_into(handler.explorer(), &MemoryConfig::study_set())?;
                 (Some(store), warm)
             }
-            None => (None, WarmStats::default()),
+            None => (None, ReplayStats::default()),
         };
         let shared = Arc::new(Shared {
             handler,
@@ -256,18 +257,6 @@ impl Server {
         self.local_addr
     }
 
-    /// What startup replay found in the registry.
-    #[must_use]
-    pub fn replay_stats(&self) -> ReplayStats {
-        self.replay
-    }
-
-    /// What startup warm-start restored from the geometry store.
-    #[must_use]
-    pub fn warm_stats(&self) -> WarmStats {
-        self.warm
-    }
-
     /// The shared request handler (for status snapshots in tests).
     #[must_use]
     pub fn handler(&self) -> &RequestHandler {
@@ -286,7 +275,7 @@ impl Server {
         format!(
             "{{\"event\":\"ready\",\"addr\":{addr},\"replayed\":{},\"duplicates\":{},\
              \"skipped\":{},\"geometries_restored\":{}}}",
-            self.replay.replayed, self.replay.duplicates, self.replay.skipped, self.warm.restored
+            self.replay.replayed, self.replay.duplicates, self.replay.skipped, self.warm.replayed
         )
     }
 

@@ -9,7 +9,9 @@ cd "$(dirname "$0")/.."
 cargo test -q
 # The adversarial-input gate runs explicitly so a filtered or partial
 # test invocation can never silently skip it: no CLI argument or
-# environment variable may reach a panic.
+# environment variable may reach a panic, and no line of a seeded,
+# fixed-budget mutation fuzzer over both store formats and the serve
+# request line may either.
 cargo test -q --test fault_injection
 # The perf gate: the batched execution paths must report exactly one
 # geometry solve per distinct temperature-stripped design-point key
@@ -30,8 +32,11 @@ cargo test -q --test batch multi_temperature_stripe_is_faster_than_per_point
 # The warm-start replay gate: a geometry store written by one process
 # must restore the full study set into a fresh explorer byte-identically
 # with zero geometry solves, and corrupt or stale-epoch lines must be
-# skipped, never trusted and never fatal.
+# skipped, never trusted and never fatal. A store line that is not
+# UTF-8 is one more skipped line: a warmed `coldtall sweep` still exits
+# 0 with the plain sweep's bytes and re-appends nothing.
 cargo test -q -p coldtall-serve geomstore
+cargo test -q --test cli warm_start_skips_a_non_utf8_store_line
 # The adaptive-search gates: the branch-and-bound frontier must be
 # bit-identical to the exhaustive extraction (at 1 and 4 pool threads,
 # under every constraint combination), and the search must provably
@@ -60,10 +65,17 @@ cargo test -q -p coldtall-serve sync
 # FNV-1a hashes, and the daemon must send exactly those bytes.
 cargo test -q -p coldtall-serve proto
 cargo test -q --test serve wire_bytes_are_pinned
+# The store-format pin: fixed run-registry and geometry records must
+# write files of pinned byte length and FNV-1a, so a store written by
+# one build replays unchanged in the next.
+cargo test -q --test serve store_bytes_are_pinned
 # The untrusted-input gates: JSON nested past the depth cap and a TCP
 # request line past the length cap get typed errors, and the daemon
-# keeps answering fresh requests afterwards.
+# keeps answering fresh requests afterwards. The JSON string scan
+# copies whole runs (linear time) and must decode exactly as the
+# per-char scan did.
 cargo test -q -p coldtall-obs nesting_is_capped
+cargo test -q -p coldtall-obs string_scan_matches_a_per_char_reference
 cargo test -q --test serve hostile_lines
 # The cryo-NVM gates: every study artifact (including the Δ(T)
 # STT-MRAM region study) must regenerate byte-identically to its

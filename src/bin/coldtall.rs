@@ -479,7 +479,7 @@ fn warm_start(
         .map_err(|e| format!("--warm-start {path}: {e}"))?;
     eprintln!(
         "warm-start: restored {} geometries ({} duplicates, {} skipped) from {path}",
-        stats.restored, stats.duplicates, stats.skipped
+        stats.replayed, stats.duplicates, stats.skipped
     );
     Ok(Some(store))
 }

@@ -178,6 +178,43 @@ fn sweep_summarizes_the_full_study() {
 }
 
 #[test]
+fn warm_start_skips_a_non_utf8_store_line() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("coldtall-cli-warm-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let store = path.to_str().expect("temp path is UTF-8");
+    let (ok, plain, _) = run(&["sweep"]);
+    assert!(ok);
+
+    let (ok, cold, err) = run(&["sweep", "--warm-start", store]);
+    assert!(ok, "{err}");
+    assert_eq!(cold, plain);
+    assert!(err.contains("recorded 29 new geometries"), "{err}");
+    let mut bytes = std::fs::read(&path).expect("store written");
+    assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 29);
+
+    // A line that is not UTF-8 is skipped and counted, never fatal.
+    bytes.extend_from_slice(b"\xff\n");
+    std::fs::write(&path, &bytes).expect("junk appended");
+    let (ok, warm, err) = run(&["sweep", "--warm-start", store]);
+    assert!(ok, "a non-UTF-8 store line must not fail the sweep: {err}");
+    assert_eq!(
+        warm, plain,
+        "the warmed sweep prints the plain sweep's bytes"
+    );
+    assert!(
+        err.contains("restored 29 geometries (0 duplicates, 1 skipped)"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(&path).expect("store still there"),
+        bytes,
+        "every geometry was restored, so nothing is re-appended"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn search_reports_the_frontier_and_work_avoidance() {
     let (ok, out, _) = run(&["search", "--objective", "power"]);
     assert!(ok);

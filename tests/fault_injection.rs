@@ -278,3 +278,238 @@ fn extreme_legal_temperatures_evaluate_cleanly() {
         assert!(row.validate().is_ok());
     }
 }
+
+/// Deterministic mutation fuzzing of the parsers that read bytes from
+/// outside the program: both store line formats and the serve request
+/// line. A fixed seed and iteration budget (not wall-clock) keep every
+/// run identical; a failure reproduces from the seed alone.
+mod fuzz {
+    use coldtall::array::OrgGeometry;
+    use coldtall::cell::{MemoryTechnology, Tentpole};
+    use coldtall::core::{DesignPointKey, Explorer, MemoryConfig};
+    use coldtall::obs::json;
+    use coldtall::serve::{parse_request, render_parse_error, GeometryStore, RunRegistry};
+    use coldtall_rng::SmallRng;
+    use std::path::PathBuf;
+
+    const SEED: u64 = 0x00c0_1d7a_11f0_22ed;
+    /// Store files written per format, and lines per file.
+    const FILES: usize = 150;
+    const LINES_PER_FILE: usize = 8;
+    /// Mutated request lines.
+    const REQUESTS: usize = 4000;
+
+    fn temp_path(tag: &str) -> PathBuf {
+        let mut path = std::env::temp_dir();
+        path.push(format!("coldtall-fuzz-{tag}-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn below(rng: &mut SmallRng, n: usize) -> usize {
+        usize::try_from(rng.gen_range(0..n as u64)).expect("index fits")
+    }
+
+    fn pick<'a>(rng: &mut SmallRng, items: &[&'a [u8]]) -> &'a [u8] {
+        items[below(rng, items.len())]
+    }
+
+    /// Start offsets of `needle` in `line`.
+    fn positions(line: &[u8], needle: &[u8]) -> Vec<usize> {
+        line.windows(needle.len())
+            .enumerate()
+            .filter_map(|(i, w)| (w == needle).then_some(i))
+            .collect()
+    }
+
+    /// The end of the value starting at `from`: the next `,`, `}` or `]`.
+    fn value_end(line: &[u8], from: usize) -> usize {
+        line[from..]
+            .iter()
+            .position(|b| matches!(b, b',' | b'}' | b']'))
+            .map_or(line.len(), |n| from + n)
+    }
+
+    /// Applies one mutation from the menu at a random spot.
+    fn mutate(rng: &mut SmallRng, line: &mut Vec<u8>) {
+        let at = below(rng, line.len() + 1);
+        match rng.gen_range(0..7) {
+            // A flipped bit.
+            0 if !line.is_empty() => {
+                let i = below(rng, line.len());
+                line[i] ^= 1 << rng.gen_range(0..8);
+            }
+            // Truncation: a crash mid-append.
+            1 => line.truncate(at),
+            // Nesting past the parser's depth cap.
+            2 => {
+                let depth = 100 + below(rng, 200);
+                line.splice(at..at, std::iter::repeat_n(b'[', depth));
+            }
+            // A value replaced by an oversized number or a non-JSON
+            // float literal.
+            3 | 4 => {
+                let literal = pick(
+                    rng,
+                    &[
+                        b"1e999",
+                        b"-1e999",
+                        b"1e-400",
+                        b"184467440737095516160000",
+                        b"99999999999999999999999999999999999999",
+                        b"NaN",
+                        b"Infinity",
+                        b"-Infinity",
+                    ],
+                );
+                let colons = positions(line, b":");
+                if colons.is_empty() {
+                    line.splice(at..at, literal.iter().copied());
+                } else {
+                    let start = colons[below(rng, colons.len())] + 1;
+                    let end = value_end(line, start);
+                    line.splice(start..end, literal.iter().copied());
+                }
+            }
+            // A duplicated key, carrying the same or a later-mutated
+            // value.
+            5 => {
+                let keys = positions(line, b",\"");
+                if !keys.is_empty() {
+                    let start = keys[below(rng, keys.len())];
+                    let end = value_end(line, start + 1);
+                    let pair = line[start..end].to_vec();
+                    line.splice(start..start, pair);
+                }
+            }
+            // Bytes that are not UTF-8: a stray byte, a truncated
+            // sequence, an encoded surrogate, a code point past U+10FFFF.
+            _ => {
+                let junk = pick(
+                    rng,
+                    &[b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"],
+                );
+                line.splice(at..at, junk.iter().copied());
+            }
+        }
+    }
+
+    /// A copy of `seed` with one to three mutations.
+    fn mutant(rng: &mut SmallRng, seed: &[u8]) -> Vec<u8> {
+        let mut line = seed.to_vec();
+        for _ in 0..=rng.gen_range(0..3) {
+            mutate(rng, &mut line);
+        }
+        line
+    }
+
+    /// Lines the store reader counts: every line that is not UTF-8
+    /// whitespace.
+    fn non_blank_lines(file: &[u8]) -> u64 {
+        file.split(|&b| b == b'\n')
+            .filter(|line| std::str::from_utf8(line).map_or(true, |t| !t.trim().is_empty()))
+            .count() as u64
+    }
+
+    /// A store file: mutants of `seed`, with intact copies (so dedup
+    /// runs) and blank lines mixed in.
+    fn store_file(rng: &mut SmallRng, seed: &[u8]) -> Vec<u8> {
+        let mut file = Vec::new();
+        for _ in 0..LINES_PER_FILE {
+            match rng.gen_range(0..8) {
+                0 => file.extend_from_slice(seed),
+                1 => file.extend_from_slice(b" \t"),
+                _ => file.extend(mutant(rng, seed)),
+            }
+            file.push(b'\n');
+        }
+        file
+    }
+
+    #[test]
+    fn mutated_store_lines_are_counted_never_fatal() {
+        let explorer = Explorer::with_defaults();
+        let registry_path = temp_path("registry");
+        let geometry_path = temp_path("geometry");
+        // One well-formed line of each format, written by the stores.
+        let registry = RunRegistry::open(&registry_path).expect("registry opens");
+        let config = MemoryConfig::edram_77k();
+        registry
+            .record(
+                7,
+                &DesignPointKey::of_config(&config),
+                "cryomem",
+                &explorer.characterize(&config),
+            )
+            .expect("record appends");
+        let store = GeometryStore::open(&geometry_path).expect("store opens");
+        let stacked = MemoryConfig::envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 4);
+        let geometry = OrgGeometry::solve(&stacked.to_base_spec(explorer.node()));
+        store
+            .record(&DesignPointKey::geometry_of(&stacked), &geometry)
+            .expect("record appends");
+        let char_seed = std::fs::read(&registry_path).expect("registry written");
+        let geom_seed = std::fs::read(&geometry_path).expect("store written");
+        let (char_seed, geom_seed) = (char_seed.trim_ascii_end(), geom_seed.trim_ascii_end());
+
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        for _ in 0..FILES {
+            let file = store_file(&mut rng, char_seed);
+            std::fs::write(&registry_path, &file).expect("fuzz file written");
+            let registry = RunRegistry::open(&registry_path).expect("open reads any contents");
+            let stats = registry
+                .replay_into(&explorer)
+                .expect("replay reads any contents");
+            assert_eq!(
+                stats.replayed + stats.duplicates + stats.skipped,
+                non_blank_lines(&file),
+                "every line is counted once: {stats:?} for {}",
+                String::from_utf8_lossy(&file)
+            );
+
+            let file = store_file(&mut rng, geom_seed);
+            std::fs::write(&geometry_path, &file).expect("fuzz file written");
+            let store = GeometryStore::open(&geometry_path).expect("open reads any contents");
+            let stats = store
+                .warm_into(&explorer, std::slice::from_ref(&stacked))
+                .expect("warm-start reads any contents");
+            assert!(
+                stats.replayed <= 1,
+                "one config restores one geometry: {stats:?}"
+            );
+            assert!(stats.duplicates + stats.skipped <= non_blank_lines(&file));
+        }
+        let _ = std::fs::remove_file(&registry_path);
+        let _ = std::fs::remove_file(&geometry_path);
+    }
+
+    #[test]
+    fn mutated_request_lines_get_typed_answers() {
+        let seeds: [&[u8]; 5] = [
+            br#"{"cmd":"characterize","tech":"edram","temp":77,"id":"c"}"#,
+            br#"{"cmd":"evaluate","tech":"pcm","tentpole":"pess","dies":8,"bench":"namd","id":7}"#,
+            br#"{"cmd":"search","tech":"pcm","dies":4,"max_latency":1.1,"max_area":10.0,"min_lifetime":5,"max_power":0.5}"#,
+            br#"{"cmd":"sweep","deadline_ms":5000,"id":"s\"1"}"#,
+            br#"{"cmd":"status"}"#,
+        ];
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        for i in 0..REQUESTS {
+            let line = mutant(&mut rng, seeds[i % seeds.len()]);
+            let line = String::from_utf8_lossy(&line);
+            match parse_request(&line) {
+                // The id fragment is spliced into the response verbatim.
+                Ok(parsed) => assert!(
+                    parsed
+                        .id
+                        .as_deref()
+                        .is_none_or(|id| json::parse(id).is_ok()),
+                    "{line}"
+                ),
+                Err(message) => assert!(
+                    json::parse(&render_parse_error(&message)).is_ok(),
+                    "the error response for {line:?} must be JSON"
+                ),
+            }
+        }
+    }
+}

@@ -294,22 +294,29 @@ fn corrupt_registry_lines_are_counted_and_skipped() {
     assert!(response.contains("\"ok\":true"), "{response}");
     seeder.shutdown();
 
-    // Vandalize it: garbage, a wrong-schema record, and a torn final
-    // line with no trailing newline (a crash mid-append).
+    // Vandalize it: garbage, bytes that are not UTF-8, a wrong-schema
+    // record, and a torn final line with no trailing newline (a crash
+    // mid-append).
     let good = std::fs::read_to_string(&registry).expect("seeded registry");
     let first = good.lines().next().expect("one record");
     let torn = &first[..first.len() / 2];
-    let vandalized = format!(
-        "{good}not json\n{}\n{torn}",
-        first.replacen("\"schema\":2", "\"schema\":99", 1)
-    );
+    let vandalized = [
+        format!("{good}not json\n").as_bytes(),
+        b"\xff\xfe\n",
+        format!(
+            "{}\n{torn}",
+            first.replacen("\"schema\":2", "\"schema\":99", 1)
+        )
+        .as_bytes(),
+    ]
+    .concat();
     std::fs::write(&registry, vandalized).expect("vandalized write");
 
     let daemon = Daemon::start(&["--registry", registry.to_str().unwrap()], &[]);
     assert!(daemon.replayed >= 1, "good records still replay");
     assert_eq!(
-        daemon.skipped, 3,
-        "garbage + wrong schema + torn line are counted, not fatal"
+        daemon.skipped, 4,
+        "garbage + non-UTF-8 + wrong schema + torn line are counted, not fatal"
     );
     daemon.shutdown();
     let _ = std::fs::remove_file(&registry);
@@ -384,6 +391,52 @@ fn wire_bytes_are_pinned() {
         );
     }
     daemon.shutdown();
+}
+
+/// The two store formats are an on-disk contract: a file written by one
+/// build must replay unchanged in the next. Fixed records — a 77 K
+/// eDRAM point, a 350 K SRAM point whose `retention` is `null`, and a
+/// 4-die geometry — must write files of pinned byte length and FNV-1a.
+/// The values were taken from the two stores' separate writers; the
+/// shared record log must reproduce them exactly.
+#[test]
+fn store_bytes_are_pinned() {
+    use coldtall::array::OrgGeometry;
+    use coldtall::cell::{MemoryTechnology, Tentpole};
+    use coldtall::core::{DesignPointKey, MemoryConfig};
+    use coldtall::serve::{GeometryStore, RunRegistry};
+
+    let explorer = Explorer::with_defaults();
+    let registry_path = temp_registry("pinned-registry");
+    let registry = RunRegistry::open(&registry_path).expect("registry opens");
+    for config in [MemoryConfig::edram_77k(), MemoryConfig::sram_350k()] {
+        let key = DesignPointKey::of_config(&config);
+        let array = explorer.characterize(&config);
+        assert!(registry
+            .record(0x0123_4567_89ab_cdef, &key, "cryomem", &array)
+            .expect("record appends"));
+    }
+    let geometry_path = temp_registry("pinned-geometry");
+    let store = GeometryStore::open(&geometry_path).expect("store opens");
+    let config = MemoryConfig::envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 4);
+    let geometry = OrgGeometry::solve(&config.to_base_spec(explorer.node()));
+    assert!(store
+        .record(&DesignPointKey::geometry_of(&config), &geometry)
+        .expect("record appends"));
+
+    for (path, len, hash) in [
+        (&registry_path, 1226, 0xa479_3345_d1ba_dcb7),
+        (&geometry_path, 5783, 0x0277_e4df_823b_6069),
+    ] {
+        let bytes = std::fs::read(path).expect("store written");
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (len, hash),
+            "store bytes moved for {}",
+            path.display()
+        );
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]
