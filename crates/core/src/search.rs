@@ -122,9 +122,9 @@ impl SearchMetrics {
             skipped_infeasible: registry.counter("search.points.skipped_infeasible"),
             skipped_pruned: registry.counter("search.points.skipped_pruned"),
             bounds_computed: registry.counter("search.bounds.computed"),
-            tightness_power: registry.span("search.tightness.power"),
-            tightness_latency: registry.span("search.tightness.latency"),
-            tightness_area: registry.span("search.tightness.area"),
+            tightness_power: registry.value("search.tightness.power", "permille"),
+            tightness_latency: registry.value("search.tightness.latency", "permille"),
+            tightness_area: registry.value("search.tightness.area", "permille"),
         }
     }
 }

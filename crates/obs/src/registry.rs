@@ -6,10 +6,12 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::{Counter, Gauge, Histogram};
 
-/// Span-duration quantiles reported by the exporters.
-const QUANTILES: [(&str, f64); 3] = [("p50_ns", 0.50), ("p95_ns", 0.95), ("p99_ns", 0.99)];
+/// Histogram quantiles reported by the exporters.
+const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
 
-/// A named collection of counters, gauges, and span histograms.
+/// A named collection of counters, gauges, span histograms (durations
+/// in nanoseconds) and value histograms (samples in a unit named at
+/// registration).
 ///
 /// Lookup is get-or-create and returns a cheap [`Arc`] handle; call
 /// sites resolve their handles once (at construction or in a
@@ -25,6 +27,14 @@ pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     spans: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    values: RwLock<BTreeMap<String, Valued>>,
+}
+
+/// A value histogram and the unit of its samples.
+#[derive(Debug)]
+struct Valued {
+    unit: &'static str,
+    histogram: Arc<Histogram>,
 }
 
 fn get_or_create<M: Default>(map: &RwLock<BTreeMap<String, Arc<M>>>, name: &str) -> Arc<M> {
@@ -68,6 +78,30 @@ impl Registry {
     #[must_use]
     pub fn span(&self, name: &str) -> Arc<Histogram> {
         get_or_create(&self.spans, name)
+    }
+
+    /// The value histogram named `name`, created empty on first use,
+    /// whose samples are in `unit` (for example `"permille"`). It is
+    /// exported in its own `values` section with every field named
+    /// after the unit (`p50_permille`, never `p50_ns`), so a ratio is
+    /// never read as a duration. The first registration fixes the unit.
+    #[must_use]
+    pub fn value(&self, name: &str, unit: &'static str) -> Arc<Histogram> {
+        if let Some(found) = self
+            .values
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
+            debug_assert_eq!(found.unit, unit, "'{name}' registered with two units");
+            return Arc::clone(&found.histogram);
+        }
+        let mut values = self.values.write().unwrap_or_else(PoisonError::into_inner);
+        let entry = values.entry(name.to_string()).or_insert_with(|| Valued {
+            unit,
+            histogram: Arc::default(),
+        });
+        Arc::clone(&entry.histogram)
     }
 
     /// The current value of a counter, if it has been registered.
@@ -129,8 +163,8 @@ impl Registry {
             .collect()
     }
 
-    /// Zeroes every registered counter, gauge, and span histogram (the
-    /// metrics stay registered; their handles stay valid).
+    /// Zeroes every registered counter, gauge, span and value histogram
+    /// (the metrics stay registered; their handles stay valid).
     pub fn reset(&self) {
         for counter in self
             .counters
@@ -156,10 +190,19 @@ impl Registry {
         {
             span.reset();
         }
+        for value in self
+            .values
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+        {
+            value.histogram.reset();
+        }
     }
 
-    /// Renders an aligned human-readable report: counters, gauges, then
-    /// span timings with count/mean/quantiles.
+    /// Renders an aligned human-readable report: counters, gauges, span
+    /// timings, then value histograms, each histogram with
+    /// count/mean/quantiles in its unit.
     #[must_use]
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -188,25 +231,19 @@ impl Registry {
         }
         out.push_str("# spans\n");
         for (name, hist) in self.spans.read().unwrap_or_else(PoisonError::into_inner).iter() {
-            let _ = write!(
-                out,
-                "{name}  count={} mean={:.0}ns min={}ns max={}ns",
-                hist.count(),
-                hist.mean(),
-                hist.min(),
-                hist.max()
-            );
-            for (label, q) in QUANTILES {
-                let _ = write!(out, " {}={}", label.trim_end_matches("_ns"), hist.quantile(q));
-            }
-            out.push('\n');
+            histogram_text(&mut out, name, hist, "ns");
+        }
+        out.push_str("# values\n");
+        for (name, value) in self.values.read().unwrap_or_else(PoisonError::into_inner).iter() {
+            histogram_text(&mut out, name, &value.histogram, value.unit);
         }
         out
     }
 
     /// Renders the registry as one JSON object with `counters`,
-    /// `derived`, `gauges`, and `spans` sections (names are
-    /// JSON-escaped; the output parses with [`crate::json`]).
+    /// `derived`, `gauges`, `spans` and `values` sections (names are
+    /// JSON-escaped; the output parses with [`crate::json`]). Span
+    /// fields carry the `_ns` suffix, value fields their own unit's.
     #[must_use]
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
@@ -224,28 +261,59 @@ impl Registry {
         render_scalar_section(&mut out, &self.gauges());
         out.push_str("},\n  \"spans\": {");
         let spans = self.spans.read().unwrap_or_else(PoisonError::into_inner);
-        for (i, (name, hist)) in spans.iter().enumerate() {
-            let comma = if i + 1 == spans.len() { "" } else { "," };
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"mean_ns\": {:.1}, \"min_ns\": {}, \"max_ns\": {}",
-                escape(name),
-                hist.count(),
-                hist.sum(),
-                hist.mean(),
-                hist.min(),
-                hist.max()
-            );
-            for (label, q) in QUANTILES {
-                let _ = write!(out, ", \"{label}\": {}", hist.quantile(q));
-            }
-            let _ = write!(out, "}}{comma}");
-        }
-        if !spans.is_empty() {
-            out.push_str("\n  ");
-        }
+        let spans: Vec<_> = spans.iter().map(|(name, hist)| (name, &**hist, "ns")).collect();
+        histogram_section_json(&mut out, &spans);
+        out.push_str("},\n  \"values\": {");
+        let values = self.values.read().unwrap_or_else(PoisonError::into_inner);
+        let values: Vec<_> = values
+            .iter()
+            .map(|(name, value)| (name, &*value.histogram, value.unit))
+            .collect();
+        histogram_section_json(&mut out, &values);
         out.push_str("}\n}\n");
         out
+    }
+}
+
+/// One text line for a histogram: count, then mean, min and max
+/// suffixed with `unit`, then the quantiles.
+fn histogram_text(out: &mut String, name: &str, hist: &Histogram, unit: &str) {
+    let _ = write!(
+        out,
+        "{name}  count={} mean={:.0}{unit} min={}{unit} max={}{unit}",
+        hist.count(),
+        hist.mean(),
+        hist.min(),
+        hist.max()
+    );
+    for (label, q) in QUANTILES {
+        let _ = write!(out, " {label}={}", hist.quantile(q));
+    }
+    out.push('\n');
+}
+
+/// The entries of one JSON histogram section, every field but `count`
+/// suffixed with its histogram's unit.
+fn histogram_section_json(out: &mut String, entries: &[(&String, &Histogram, &str)]) {
+    for (i, (name, hist, unit)) in entries.iter().enumerate() {
+        let comma = if i + 1 == entries.len() { "" } else { "," };
+        let _ = write!(
+            out,
+            "\n    \"{}\": {{\"count\": {}, \"sum_{unit}\": {}, \"mean_{unit}\": {:.1}, \"min_{unit}\": {}, \"max_{unit}\": {}",
+            escape(name),
+            hist.count(),
+            hist.sum(),
+            hist.mean(),
+            hist.min(),
+            hist.max()
+        );
+        for (label, q) in QUANTILES {
+            let _ = write!(out, ", \"{label}_{unit}\": {}", hist.quantile(q));
+        }
+        let _ = write!(out, "}}{comma}");
+    }
+    if !entries.is_empty() {
+        out.push_str("\n  ");
     }
 }
 
@@ -311,10 +379,12 @@ mod tests {
         c.add(5);
         registry.gauge("g").set(2);
         registry.span("s").record(100);
+        registry.value("v", "permille").record(900);
         registry.reset();
         assert_eq!(registry.counter_value("c"), Some(0));
         assert_eq!(registry.gauges()[0].1, 0);
         assert_eq!(registry.span("s").count(), 0);
+        assert_eq!(registry.value("v", "permille").count(), 0);
         c.inc();
         assert_eq!(registry.counter_value("c"), Some(1));
     }
@@ -356,6 +426,49 @@ mod tests {
         };
         assert_eq!(sweep["count"], Value::Number(1.0));
         assert!(matches!(sweep["p99_ns"], Value::Number(v) if v >= 5000.0));
+    }
+
+    /// A value histogram exports in its own section with fields named
+    /// after its unit: no `_ns` field ever names a permille ratio.
+    #[test]
+    fn value_histograms_export_in_their_unit() {
+        let registry = Registry::new();
+        registry.span("sweep").record(5000);
+        let tightness = registry.value("search.tightness.power", "permille");
+        tightness.record(800);
+        tightness.record(1000);
+
+        let export = registry.render_json();
+        let parsed = json::parse(&export).expect("export is valid JSON");
+        let Value::Object(root) = parsed else {
+            panic!("root must be an object")
+        };
+        let Value::Object(spans) = &root["spans"] else {
+            panic!("spans section")
+        };
+        assert!(!spans.contains_key("search.tightness.power"));
+        let Value::Object(values) = &root["values"] else {
+            panic!("values section")
+        };
+        let Value::Object(power) = &values["search.tightness.power"] else {
+            panic!("tightness entry")
+        };
+        assert_eq!(power["count"], Value::Number(2.0));
+        assert_eq!(power["sum_permille"], Value::Number(1800.0));
+        assert_eq!(power["max_permille"], Value::Number(1000.0));
+        assert!(power.contains_key("p50_permille"));
+        assert!(power.keys().all(|field| !field.ends_with("_ns")), "{power:?}");
+
+        let text = registry.render_text();
+        let (_, values) = text.split_once("# values\n").expect("values section");
+        let expected = format!(
+            "search.tightness.power  count=2 mean=900permille min=800permille \
+             max=1000permille p50={} p95={} p99={}\n",
+            tightness.quantile(0.50),
+            tightness.quantile(0.95),
+            tightness.quantile(0.99)
+        );
+        assert_eq!(values, expected);
     }
 
     #[test]

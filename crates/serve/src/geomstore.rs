@@ -386,8 +386,12 @@ mod tests {
         // Non-power-of-two subarray geometry must be rejected before
         // the Organization constructor can panic on it.
         let bad_org = good.replacen("\"candidates\":[[", "\"candidates\":[[3,", 1);
+        // A record padded past the line cap would decode, but is never
+        // read whole: it is one skipped line.
+        let over_long = format!("{good}{}", " ".repeat(log::MAX_RECORD_BYTES));
         let contents = format!(
-            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{wrong_epoch}\n{bad_org}\n"
+            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{wrong_epoch}\n{bad_org}\n\
+             {over_long}\n"
         );
         // Bytes that are not UTF-8 are a corrupt line, not a read error.
         let contents = [contents.as_bytes(), b"\xff\n", good.as_bytes(), b"\n"].concat();
@@ -401,7 +405,7 @@ mod tests {
         let stats = store.warm_into(&fresh, &[config]).unwrap();
         assert_eq!(stats.replayed, 1);
         assert_eq!(stats.duplicates, 1); // the repeated good line
-        assert_eq!(stats.skipped, 6);
+        assert_eq!(stats.skipped, 7);
         assert_eq!(fresh.geometry_cache().solves(), 0);
         assert_eq!(store.len(), 1);
         assert!(!store.record(&key, &geometry).unwrap());

@@ -12,7 +12,10 @@
 //!   deadlines, bounded in-flight concurrency, and a drain-before-exit
 //!   shutdown gate;
 //! * [`proto`] — the wire protocol: request parsing and response
-//!   rendering shared by the daemon and the bit-identity tests;
+//!   rendering shared by the daemon and the bit-identity tests. Every
+//!   number it prints goes through one private kernel that appends the
+//!   shortest round-trip digits without `core::fmt`, byte for byte what
+//!   `Display` prints;
 //! * [`registry`] — the persistent run registry: computed
 //!   characterizations, replayed at startup to warm a fresh process;
 //! * [`geomstore`] — the persistent geometry warm-start store: solved
@@ -36,6 +39,7 @@
 pub mod dashboard;
 pub mod geomstore;
 mod log;
+mod num;
 pub mod pipe;
 pub mod proto;
 pub mod registry;

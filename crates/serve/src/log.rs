@@ -21,20 +21,27 @@
 //!   [`f64::to_bits`] pattern, not decimal text, so a replayed value is
 //!   *bit-identical* to the one originally computed.
 //!
-//! A line that is not UTF-8, not JSON, of another schema or kind, or
-//! that its format cannot decode (a stale epoch, a bad field, a crash
-//! mid-append) is *skipped and counted*, never fatal: each store is a
-//! cache, and losing one record costs a recomputation, not correctness.
+//! A line that is not UTF-8, not JSON, of another schema or kind,
+//! longer than [`MAX_RECORD_BYTES`], or that its format cannot decode
+//! (a stale epoch, a bad field, a crash mid-append) is *skipped and
+//! counted*, never fatal: each store is a cache, and losing one record
+//! costs a recomputation, not correctness.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use coldtall_core::{CacheCursor, DesignPointKey};
 use coldtall_obs::json::{self, Value};
+
+/// The longest store line the reader takes, newline included. Real
+/// records are far shorter (the longest geometry record is 5,804 bytes,
+/// the longest registry record 621); the cap bounds what a line with no
+/// newline can make the reader buffer.
+pub(crate) const MAX_RECORD_BYTES: usize = 1 << 20;
 
 /// One line format of a [`RecordLog`].
 pub trait Record: Sized {
@@ -60,8 +67,9 @@ pub struct ReplayStats {
     /// Well-formed records whose `(scope, key)` was already read earlier
     /// in the file (the first copy wins).
     pub duplicates: u64,
-    /// Lines skipped: not UTF-8, not JSON, another schema or kind, or a
-    /// record its format cannot decode.
+    /// Lines skipped: not UTF-8, not JSON, another schema or kind,
+    /// longer than the line cap (1 MiB), or a record its format cannot
+    /// decode.
     pub skipped: u64,
 }
 
@@ -256,8 +264,11 @@ pub(crate) fn replay<R: Record>(path: &Path, import: impl FnMut(R)) -> io::Resul
 /// The one line reader. A missing file reads as empty and blank lines
 /// are ignored. Each record's first copy goes to `each` and counts as
 /// `replayed`; later copies count as `duplicates`; a line
-/// [`decode`] rejects, or one that is not UTF-8, counts as `skipped`.
-/// Returns the dedup set of the records read with the counts.
+/// [`decode`] rejects, one that is not UTF-8, or one longer than
+/// [`MAX_RECORD_BYTES`] counts as `skipped`. An over-long line is never
+/// buffered whole: the reader drops the rest of it up to the next
+/// newline a buffer at a time. Returns the dedup set of the records
+/// read with the counts.
 fn read<R: Record>(path: &Path, mut each: impl FnMut(R)) -> io::Result<(Seen, ReplayStats)> {
     let mut seen = Seen::default();
     let mut stats = ReplayStats::default();
@@ -267,7 +278,21 @@ fn read<R: Record>(path: &Path, mut each: impl FnMut(R)) -> io::Result<(Seen, Re
         Err(e) => return Err(e),
     };
     let mut line = Vec::new();
-    while reader.read_until(b'\n', &mut line)? > 0 {
+    loop {
+        line.clear();
+        // At most one byte past the cap: a line that reaches it is
+        // over-long whether or not its newline has arrived.
+        let budget = MAX_RECORD_BYTES as u64 + 1;
+        if (&mut reader).take(budget).read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        if line.len() > MAX_RECORD_BYTES {
+            if line.last() != Some(&b'\n') {
+                reader.skip_until(b'\n')?;
+            }
+            stats.skipped += 1;
+            continue;
+        }
         let text = std::str::from_utf8(&line);
         if !text.is_ok_and(|text| text.trim().is_empty()) {
             match text.ok().and_then(decode::<R>) {
@@ -283,7 +308,6 @@ fn read<R: Record>(path: &Path, mut each: impl FnMut(R)) -> io::Result<(Seen, Re
                 }
             }
         }
-        line.clear();
     }
     Ok((seen, stats))
 }

@@ -24,9 +24,11 @@
 //! point fields default to the 350 K 2D SRAM baseline.
 //!
 //! Responses are `{"ok":true,"cmd":...,"result":{...}}` or
-//! `{"ok":false,"cmd":...,"error":"..."}`. Non-finite floats (the
-//! infinite-latency sentinel) render as the JSON strings `"inf"`,
-//! `"-inf"` — JSON numbers cannot carry them.
+//! `{"ok":false,"cmd":...,"error":"..."}`. Every number is printed by
+//! the crate's number kernel, byte for byte what `Display` prints:
+//! floats as their shortest round-trip decimal, counts as integers.
+//! Non-finite floats (the infinite-latency sentinel) render as the JSON
+//! strings `"inf"`, `"-inf"` — JSON numbers cannot carry them.
 
 use std::fmt::Write as _;
 
@@ -35,6 +37,8 @@ use coldtall_core::{
     Constraints, DesignPoint, Error, LlcEvaluation, Request, ResponsePayload, StatusReport,
 };
 use coldtall_obs::json::{self, Value};
+
+use crate::num;
 
 /// A parsed request line: the typed request plus its envelope fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +103,11 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
     let id = match fields.get("id") {
         None => None,
         Some(Value::String(s)) => Some(format!("\"{}\"", escape(s))),
-        Some(Value::Number(n)) if n.is_finite() => Some(format!("{n}")),
+        Some(Value::Number(n)) if n.is_finite() => {
+            let mut id = String::new();
+            num::push_f64(&mut id, *n);
+            Some(id)
+        }
         Some(_) => return Err("'id' must be a string or a finite number".to_string()),
     };
     let deadline_ms = match fields.get("deadline_ms") {
@@ -256,11 +264,11 @@ impl std::fmt::Write for Escaping<'_> {
 }
 
 /// Appends an `f64` as a JSON fragment: finite values as numbers
-/// (Rust's shortest round-trip formatting), non-finite sentinels as the
-/// strings `"inf"`, `"-inf"`, `"nan"`.
+/// (the shortest round-trip digits, exactly as `Display` prints them),
+/// non-finite sentinels as the strings `"inf"`, `"-inf"`, `"nan"`.
 fn push_num(out: &mut String, n: f64) {
     if n.is_finite() {
-        let _ = write!(out, "{n}");
+        num::push_f64(out, n);
     } else if n.is_nan() {
         out.push_str("\"nan\"");
     } else if n > 0.0 {
@@ -347,11 +355,9 @@ fn render_payload(out: &mut String, payload: &ResponsePayload) {
             out.push('}');
         }
         ResponsePayload::Sweep { plan_hash, rows } => {
-            let _ = write!(
-                out,
-                "{{\"plan\":\"{plan_hash:016x}\",\"rows\":{},\"evaluations\":[",
-                rows.len()
-            );
+            let _ = write!(out, "{{\"plan\":\"{plan_hash:016x}\",\"rows\":");
+            num::push_u64(out, rows.len() as u64);
+            out.push_str(",\"evaluations\":[");
             for (i, row) in rows.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -375,43 +381,54 @@ fn render_payload(out: &mut String, payload: &ResponsePayload) {
                 render_row(out, row);
             }
             let stats = &outcome.stats;
-            let _ = write!(
+            out.push_str("],\"stats\":");
+            push_counts(
                 out,
-                "],\"stats\":{{\"rows_total\":{},\"points_evaluated\":{},\
-                 \"points_skipped\":{},\"skipped_infeasible\":{},\"skipped_pruned\":{},\
-                 \"regions_expanded\":{},\"regions_pruned\":{},\"regions_refined\":{},\
-                 \"bounds_computed\":{}}},\"pruned_regions\":{}}}",
-                stats.rows_total,
-                stats.points_evaluated,
-                stats.points_skipped,
-                stats.skipped_infeasible,
-                stats.skipped_pruned,
-                stats.regions_expanded,
-                stats.regions_pruned,
-                stats.regions_refined,
-                stats.bounds_computed,
-                outcome.pruned.len()
+                &[
+                    ("rows_total", stats.rows_total),
+                    ("points_evaluated", stats.points_evaluated),
+                    ("points_skipped", stats.points_skipped),
+                    ("skipped_infeasible", stats.skipped_infeasible),
+                    ("skipped_pruned", stats.skipped_pruned),
+                    ("regions_expanded", stats.regions_expanded),
+                    ("regions_pruned", stats.regions_pruned),
+                    ("regions_refined", stats.regions_refined),
+                    ("bounds_computed", stats.bounds_computed),
+                ],
             );
+            out.push_str(",\"pruned_regions\":");
+            num::push_u64(out, outcome.pruned.len() as u64);
+            out.push('}');
         }
         ResponsePayload::Status(status) => render_status(out, status),
     }
 }
 
 fn render_status(out: &mut String, status: &StatusReport) {
-    let _ = write!(
+    push_counts(
         out,
-        "{{\"cached_characterizations\":{},\"cached_geometries\":{},\"cache_hits\":{},\
-         \"cache_misses\":{},\"cache_rejected\":{},\"cache_approx_bytes\":{},\
-         \"geometry_solves\":{},\"requests_served\":{}}}",
-        status.cached_characterizations,
-        status.cached_geometries,
-        status.cache_hits,
-        status.cache_misses,
-        status.cache_rejected,
-        status.cache_approx_bytes,
-        status.geometry_solves,
-        status.requests_served
+        &[
+            ("cached_characterizations", status.cached_characterizations as u64),
+            ("cached_geometries", status.cached_geometries as u64),
+            ("cache_hits", status.cache_hits),
+            ("cache_misses", status.cache_misses),
+            ("cache_rejected", status.cache_rejected),
+            ("cache_approx_bytes", status.cache_approx_bytes),
+            ("geometry_solves", status.geometry_solves),
+            ("requests_served", status.requests_served),
+        ],
     );
+}
+
+/// Appends a JSON object of counts, its keys needing no escaping.
+fn push_counts(out: &mut String, fields: &[(&str, u64)]) {
+    for (i, (key, value)) in fields.iter().enumerate() {
+        out.push_str(if i == 0 { "{\"" } else { ",\"" });
+        out.push_str(key);
+        out.push_str("\":");
+        num::push_u64(out, *value);
+    }
+    out.push('}');
 }
 
 /// Renders an [`ArrayCharacterization`] as a JSON object of raw SI
@@ -442,13 +459,13 @@ fn render_characterization(out: &mut String, a: &ArrayCharacterization) {
     push_num(out, a.total_silicon.get());
     out.push_str(",\"array_efficiency\":");
     push_num(out, a.array_efficiency);
-    let _ = write!(
-        out,
-        ",\"organization\":[{},{}],\"dies\":{},\"transfer_bits\":",
-        a.organization.rows(),
-        a.organization.cols(),
-        a.dies
-    );
+    out.push_str(",\"organization\":[");
+    num::push_u64(out, a.organization.rows().into());
+    out.push(',');
+    num::push_u64(out, a.organization.cols().into());
+    out.push_str("],\"dies\":");
+    num::push_u64(out, a.dies.into());
+    out.push_str(",\"transfer_bits\":");
     push_num(out, a.transfer_bits);
     out.push_str(",\"read_cycle_s\":");
     push_num(out, a.read_cycle_time.get());
@@ -601,7 +618,8 @@ mod tests {
     fn non_finite_floats_render_as_strings() {
         assert_eq!(num(1.5), "1.5");
         assert_eq!(num(-0.0), "-0");
-        assert_eq!(num(1e-300), format!("{}", 1e-300));
+        assert_eq!(num(1e21), "1000000000000000000000");
+        assert_eq!(num(-2.5e-3), "-0.0025");
         assert_eq!(num(f64::INFINITY), "\"inf\"");
         assert_eq!(num(f64::NEG_INFINITY), "\"-inf\"");
         assert_eq!(num(f64::NAN), "\"nan\"");

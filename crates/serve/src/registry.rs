@@ -322,8 +322,12 @@ mod tests {
         // Non-power-of-two geometry must be rejected before the
         // Organization constructor can panic on it.
         let bad_org = good.replacen("\"org\":[", "\"org\":[3,", 1);
+        // A record padded past the line cap would decode, but is never
+        // read whole: it is one skipped line.
+        let over_long = format!("{good}{}", " ".repeat(log::MAX_RECORD_BYTES));
         let contents = format!(
-            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{v1_record}\n{bad_org}\n"
+            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{v1_record}\n{bad_org}\n\
+             {over_long}\n"
         );
         // Bytes that are not UTF-8 are a corrupt line, not a read error.
         let contents = [contents.as_bytes(), b"\xff\n", good.as_bytes(), b"\n"].concat();
@@ -333,8 +337,22 @@ mod tests {
         let stats = replay_file(&path, &fresh).unwrap();
         assert_eq!(stats.replayed, 1);
         assert_eq!(stats.duplicates, 1); // the repeated good line
-        assert_eq!(stats.skipped, 6);
+        assert_eq!(stats.skipped, 7);
         assert_eq!(fresh.cached_entries().len(), 1);
+
+        // An over-long last line with no newline runs to EOF after the
+        // good records: skipped, and the records before it still count.
+        std::fs::write(&path, format!("{good}\n{over_long}")).unwrap();
+        let fresh = Explorer::with_defaults();
+        let stats = replay_file(&path, &fresh).unwrap();
+        assert_eq!(
+            stats,
+            ReplayStats {
+                replayed: 1,
+                duplicates: 0,
+                skipped: 1
+            }
+        );
 
         let _ = std::fs::remove_file(&path);
     }

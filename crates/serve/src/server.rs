@@ -406,12 +406,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break,
             Ok(_) if line.len() > MAX_REQUEST_BYTES => {
-                let response = proto::render_parse_error(&format!(
+                let mut response = proto::render_parse_error(&format!(
                     "request line longer than {MAX_REQUEST_BYTES} bytes"
                 ));
-                let _ = writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"));
+                response.push('\n');
+                let _ = writer.write_all(response.as_bytes());
                 // Half-close, then discard what the client is still
                 // sending (until it pauses or a bounded amount), so
                 // closing with unread input does not reset the
@@ -426,11 +425,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             Ok(_) => {
                 let trimmed = line.trim_end_matches(['\r', '\n']);
                 if !trimmed.is_empty() {
-                    let response = shared.handle_line(trimmed);
-                    if writer.write_all(response.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
+                    // The newline rides in the same write: with
+                    // TCP_NODELAY a separate one costs a second syscall
+                    // and usually a second segment the client waits for.
+                    let mut response = shared.handle_line(trimmed);
+                    response.push('\n');
+                    if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
                         break;
                     }
                 }

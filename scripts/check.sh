@@ -65,6 +65,15 @@ cargo test -q -p coldtall-serve sync
 # FNV-1a hashes, and the daemon must send exactly those bytes.
 cargo test -q -p coldtall-serve proto
 cargo test -q --test serve wire_bytes_are_pinned
+# The wire-number kernel: every float the protocol prints must be
+# byte-identical to `format!("{x}")` over a fixed-seed sample of 1M
+# random bit patterns, every biased exponent, powers of ten +-3 ULP,
+# integers and the extremes, with exact ties rounding up as std does.
+cargo test -q -p coldtall-serve num::tests
+# The store line cap: a run-registry or geometry-store line longer than
+# 1 MiB (mid-file, or running to EOF with no newline) is one skipped
+# line, never buffered whole, and the records around it still replay.
+cargo test -q -p coldtall-serve corrupt
 # The store-format pin: fixed run-registry and geometry records must
 # write files of pinned byte length and FNV-1a, so a store written by
 # one build replays unchanged in the next.

@@ -261,14 +261,21 @@ fn perf_smoke() {
         );
     }
     // The bound-tightness histograms recorded one sample per refined
-    // plane coordinate with a finite, positive actual minimum.
-    let report = registry.render_text();
-    for span in [
+    // plane coordinate with a finite, positive actual minimum. They are
+    // permille ratios: exported as values in that unit, never as spans.
+    let export = coldtall::obs::json::parse(&registry.render_json()).expect("valid export");
+    let spans = export.get("spans").expect("spans section");
+    let values = export.get("values").expect("values section");
+    for name in [
         "search.tightness.power",
         "search.tightness.latency",
         "search.tightness.area",
     ] {
-        assert!(report.contains(span), "telemetry must report {span}");
+        assert!(spans.get(name).is_none(), "{name} is not a duration");
+        let tightness = values.get(name).expect("telemetry must report the tightness");
+        assert!(tightness.get("count").and_then(|v| v.as_f64()) > Some(0.0));
+        let p50 = tightness.get("p50_permille").and_then(|v| v.as_f64());
+        assert!(p50.is_some_and(|p| p <= 1000.0), "{name}: p50 {p50:?}");
     }
 }
 
