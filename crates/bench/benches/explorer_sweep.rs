@@ -1,10 +1,9 @@
 //! Wall-clock benchmarks of the design-space exploration driver: the
-//! end-to-end cost of regenerating the paper's figures and Table II,
-//! sequential versus the scoped-pool parallel sweep.
+//! one-cell query, the study plan run cold and warm, and Table II.
 //! Std-only timing — the offline workspace has no criterion.
 
 use coldtall_bench::timing::{report, time};
-use coldtall_core::{pool, selection, Explorer, MemoryConfig};
+use coldtall_core::{selection, EvalArena, Explorer, MemoryConfig};
 use coldtall_workloads::benchmark;
 
 fn main() {
@@ -20,21 +19,26 @@ fn main() {
         explorer.evaluate(&config, namd)
     }));
 
-    samples.push(time("study_sweep_cold_seq", 3, || {
+    samples.push(time("study_run_cold", 3, || {
         let explorer = Explorer::with_defaults();
-        explorer.sweep_configs_seq(&MemoryConfig::study_set()).len()
+        let plan = explorer
+            .plan_sweep(&MemoryConfig::study_set())
+            .expect("the study set resolves");
+        let mut arena = EvalArena::new();
+        explorer.run(&plan, &mut arena);
+        arena.rows()
     }));
-    samples.push(time(
-        &format!("study_sweep_cold_par_{}t", pool::max_threads()),
-        3,
-        || {
-            let explorer = Explorer::with_defaults();
-            explorer.par_sweep_configs(&MemoryConfig::study_set()).len()
-        },
-    ));
 
     let explorer = Explorer::with_defaults();
-    let _ = explorer.sweep(); // prime the cache
+    let plan = explorer
+        .plan_sweep(&MemoryConfig::study_set())
+        .expect("the study set resolves");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena); // prime the cache
+    samples.push(time("study_run_warm", 100, || {
+        explorer.run(&plan, &mut arena);
+        arena.rows()
+    }));
     samples.push(time("table2_selection", 10, || {
         selection::table2(&explorer).len()
     }));

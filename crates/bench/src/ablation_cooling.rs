@@ -6,28 +6,37 @@
 //! cryocooler class that makes cryogenic operation pay.
 
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Explorer, MemoryConfig};
+use coldtall_core::{EvalArena, Explorer, MemoryConfig};
 use coldtall_cryo::overhead_for_capacity;
 use coldtall_units::Watts;
-use coldtall_workloads::spec2017;
 
 /// Break-even cooling factor per benchmark: `(warm power) / (77 K
 /// device power)`, i.e. `1 + overhead` at parity, plus the smallest
 /// surveyed plant capacity that achieves it.
+///
+/// # Panics
+///
+/// Panics if the two configurations stop resolving to a backend (they
+/// never do).
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    let plan = explorer
+        .plan_sweep(&[MemoryConfig::sram_350k(), MemoryConfig::edram_77k()])
+        .expect("the volatile study points resolve");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let device = arena.device_power_watts();
     let mut table = TextTable::new(&[
         "benchmark",
         "reads_per_s",
         "break_even_factor",
         "smallest_viable_plant_W",
     ]);
-    for bench in spec2017() {
-        let warm = explorer.evaluate(&MemoryConfig::sram_350k(), bench);
-        let cold = explorer.evaluate(&MemoryConfig::edram_77k(), bench);
+    for (b, bench) in plan.benchmarks().iter().enumerate() {
+        let (warm, cold) = (device[arena.row_index(0, b)], device[arena.row_index(1, b)]);
         // wall = device * (1 + f) <= warm  =>  f <= warm/device - 1.
-        let break_even = warm.device_power / cold.device_power - 1.0;
+        let break_even = warm / cold - 1.0;
         let plant = smallest_viable_plant(break_even);
         table.row_owned(vec![
             bench.name.to_string(),

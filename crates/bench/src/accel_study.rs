@@ -8,11 +8,16 @@
 //! for cryogenics, and reports the winner per scenario.
 
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Constraints, Explorer, LlcEvaluation, MemoryConfig};
+use coldtall_core::{Constraints, EvalArena, Explorer, LlcEvaluation, MemoryConfig};
 use coldtall_cryo::CoolingSystem;
 use coldtall_workloads::accelerator_profiles;
 
 /// Winner per accelerator scenario under embedded-scale cooling.
+///
+/// # Panics
+///
+/// Panics if a study configuration stops resolving to a backend, or no
+/// configuration is viable for a scenario (neither ever happens).
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
@@ -20,6 +25,11 @@ pub fn run() -> TextTable {
         .into_iter()
         .map(|c| c.with_cooling(CoolingSystem::Embedded10W))
         .collect();
+    let plan = explorer
+        .plan_sweep_over(&configs, accelerator_profiles())
+        .expect("the study set resolves");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
     let mut table = TextTable::new(&[
         "scenario",
         "reads_per_s",
@@ -27,10 +37,9 @@ pub fn run() -> TextTable {
         "rel_power",
         "cryo_wins",
     ]);
-    for bench in accelerator_profiles() {
-        let evals: Vec<LlcEvaluation> = configs
-            .iter()
-            .map(|c| explorer.evaluate(c, &bench))
+    for (b, bench) in plan.benchmarks().iter().enumerate() {
+        let evals: Vec<LlcEvaluation> = (0..arena.config_count())
+            .map(|c| arena.row(arena.row_index(c, b)))
             .collect();
         let pick = coldtall_core::recommend(&evals, &Constraints::default())
             .expect("some configuration is always viable");

@@ -14,21 +14,27 @@ use std::collections::BTreeSet;
 
 use coldtall_cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Constraints, Explorer, MemoryConfig};
-use coldtall_workloads::spec2017;
+use coldtall_core::{Constraints, EvalArena, Explorer, MemoryConfig};
 
 /// One row per (tentpole, dies, temperature) point of the cryo-NVM
 /// region, in [`MemoryConfig::cryo_stt_study_set`] order.
+///
+/// # Panics
+///
+/// Panics if the region stops resolving to a backend (it never does).
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
     let configs = MemoryConfig::cryo_stt_study_set();
 
-    // Exhaustive path: one batched sweep of the region under the full
-    // SPEC2017 suite, rows in config-major order.
-    let rows = explorer.sweep_configs(&configs);
-    let suite = spec2017().len();
-    assert_eq!(rows.len(), configs.len() * suite);
+    // Exhaustive path: one plan over the region under the full
+    // SPEC2017 suite, run into an arena in config-major order.
+    let plan = explorer
+        .plan_sweep(&configs)
+        .expect("the cryo-STT region resolves");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let suite = arena.benchmark_count();
 
     // Adaptive path over the same region: the frontier labels mark
     // which design points survive to the Pareto front.
@@ -52,7 +58,11 @@ pub fn run() -> TextTable {
         "rel_latency",
         "frontier",
     ]);
-    for (config, evals) in configs.iter().zip(rows.chunks_exact(suite)) {
+    let planes = arena
+        .relative_power()
+        .chunks_exact(suite)
+        .zip(arena.relative_latency().chunks_exact(suite));
+    for (config, (powers, latencies)) in configs.iter().zip(planes) {
         let cell = CellModel::tentpole(
             MemoryTechnology::SttRam,
             config.tentpole(),
@@ -62,8 +72,8 @@ pub fn run() -> TextTable {
         let thermal = cell
             .mtj_thermal(t)
             .expect("STT-RAM cells model an MTJ junction");
-        let rel_power = evals.iter().map(|e| e.relative_power).sum::<f64>() / suite as f64;
-        let rel_latency = evals.iter().map(|e| e.relative_latency).sum::<f64>() / suite as f64;
+        let rel_power = powers.iter().sum::<f64>() / suite as f64;
+        let rel_latency = latencies.iter().sum::<f64>() / suite as f64;
         table.row_owned(vec![
             match config.tentpole() {
                 Tentpole::Optimistic => "optimistic".to_string(),

@@ -3,9 +3,11 @@
 
 use coldtall_cell::MemoryTechnology;
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Explorer, MemoryConfig};
+use coldtall_core::{EvalArena, Explorer, MemoryConfig};
 use coldtall_units::Kelvin;
-use coldtall_workloads::benchmark;
+
+/// The volatile technologies Fig. 4 plots.
+const TECHNOLOGIES: [MemoryTechnology; 2] = [MemoryTechnology::Sram, MemoryTechnology::Edram3T];
 
 /// Regenerates Fig. 4: for the `namd` and `leela` benchmarks and both
 /// volatile technologies, total LLC power at 350 K, at 77 K without
@@ -18,6 +20,20 @@ use coldtall_workloads::benchmark;
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    // Planes: per technology, 350 K then 77 K.
+    let configs: Vec<MemoryConfig> = TECHNOLOGIES
+        .iter()
+        .flat_map(|&tech| {
+            [Kelvin::REFERENCE, Kelvin::LN2].map(|t| MemoryConfig::volatile_2d(tech, t))
+        })
+        .collect();
+    let plan = explorer
+        .plan_sweep(&configs)
+        .expect("the volatile study points resolve");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let (power, device) = (arena.relative_power(), arena.device_power_watts());
+    let reference = explorer.reference_power().get();
     let mut table = TextTable::new(&[
         "benchmark",
         "technology",
@@ -26,18 +42,19 @@ pub fn run() -> TextTable {
         "rel_power_77K_cooled",
     ]);
     for bench_name in ["namd", "leela"] {
-        let bench = benchmark(bench_name).expect("benchmark present");
-        for tech in [MemoryTechnology::Sram, MemoryTechnology::Edram3T] {
-            let warm =
-                explorer.evaluate(&MemoryConfig::volatile_2d(tech, Kelvin::REFERENCE), bench);
-            let cold = explorer.evaluate(&MemoryConfig::volatile_2d(tech, Kelvin::LN2), bench);
-            let cold_device_rel = cold.device_power / explorer.reference_power();
+        let b = arena
+            .benchmark_names()
+            .iter()
+            .position(|&name| name == bench_name)
+            .expect("benchmark present");
+        for (i, tech) in TECHNOLOGIES.iter().enumerate() {
+            let (warm, cold) = (arena.row_index(2 * i, b), arena.row_index(2 * i + 1, b));
             table.row_owned(vec![
                 bench_name.to_string(),
                 tech.name().to_string(),
-                sci(warm.relative_power),
-                sci(cold_device_rel),
-                sci(cold.relative_power),
+                sci(power[warm]),
+                sci(device[cold] / reference),
+                sci(power[cold]),
             ]);
         }
     }

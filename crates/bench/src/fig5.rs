@@ -4,9 +4,8 @@
 
 use coldtall_cell::MemoryTechnology;
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Explorer, MemoryConfig};
+use coldtall_core::{EvalArena, Explorer, MemoryConfig};
 use coldtall_units::Kelvin;
-use coldtall_workloads::spec2017;
 
 /// The four configurations Fig. 5 plots.
 fn configs() -> Vec<MemoryConfig> {
@@ -21,9 +20,20 @@ fn configs() -> Vec<MemoryConfig> {
 /// Regenerates Fig. 5: one row per (benchmark, configuration) carrying
 /// the traffic coordinates and the relative power (device-only and
 /// including cooling) and relative latency series.
+///
+/// # Panics
+///
+/// Panics if a configuration stops resolving to a backend (none ever
+/// does).
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    let plan = explorer
+        .plan_sweep(&configs())
+        .expect("the volatile study points resolve");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let reference = explorer.reference_power().get();
     let mut table = TextTable::new(&[
         "benchmark",
         "reads_per_s",
@@ -33,18 +43,18 @@ pub fn run() -> TextTable {
         "rel_power_cooled",
         "rel_latency",
     ]);
-    for bench in spec2017() {
-        for config in configs() {
-            let eval = explorer.evaluate(&config, bench);
-            let device_rel = eval.device_power / explorer.reference_power();
+    // The arena is config-major; the figure prints benchmark-major.
+    for (b, bench) in plan.benchmarks().iter().enumerate() {
+        for (c, label) in arena.config_labels().iter().enumerate() {
+            let row = arena.row_index(c, b);
             table.row_owned(vec![
                 bench.name.to_string(),
                 sci(bench.traffic.reads_per_sec),
                 sci(bench.traffic.writes_per_sec),
-                eval.config_label.clone(),
-                sci(device_rel),
-                sci(eval.relative_power),
-                sci(eval.relative_latency),
+                label.clone(),
+                sci(arena.device_power_watts()[row] / reference),
+                sci(arena.relative_power()[row]),
+                sci(arena.relative_latency()[row]),
             ]);
         }
     }
@@ -54,6 +64,7 @@ pub fn run() -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coldtall_workloads::spec2017;
 
     #[test]
     fn covers_suite_times_configs() {

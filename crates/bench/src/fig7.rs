@@ -3,8 +3,7 @@
 
 use coldtall_cell::{MemoryTechnology, Tentpole};
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Explorer, MemoryConfig};
-use coldtall_workloads::spec2017;
+use coldtall_core::{EvalArena, Explorer, MemoryConfig};
 
 /// The configurations Fig. 7 plots: 2D/3D SRAM plus every eNVM tentpole
 /// at every die count, all at 350 K.
@@ -30,9 +29,19 @@ fn configs() -> Vec<MemoryConfig> {
 /// Regenerates Fig. 7: one row per (benchmark, configuration) with the
 /// traffic coordinates, relative power, relative latency, and the
 /// wear-limited lifetime used for endurance screening.
+///
+/// # Panics
+///
+/// Panics if a configuration stops resolving to a backend (none ever
+/// does).
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    let plan = explorer
+        .plan_sweep(&configs())
+        .expect("the 350 K eNVM set resolves");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
     let mut table = TextTable::new(&[
         "benchmark",
         "reads_per_s",
@@ -42,17 +51,18 @@ pub fn run() -> TextTable {
         "rel_latency",
         "lifetime_years",
     ]);
-    for bench in spec2017() {
-        for config in configs() {
-            let eval = explorer.evaluate(&config, bench);
+    // The arena is config-major; the figure prints benchmark-major.
+    for (b, bench) in plan.benchmarks().iter().enumerate() {
+        for (c, label) in arena.config_labels().iter().enumerate() {
+            let row = arena.row_index(c, b);
             table.row_owned(vec![
                 bench.name.to_string(),
                 sci(bench.traffic.reads_per_sec),
                 sci(bench.traffic.writes_per_sec),
-                eval.config_label.clone(),
-                sci(eval.relative_power),
-                sci(eval.relative_latency),
-                sci(eval.lifetime_years),
+                label.clone(),
+                sci(arena.relative_power()[row]),
+                sci(arena.relative_latency()[row]),
+                sci(arena.lifetime_years()[row]),
             ]);
         }
     }
@@ -62,6 +72,7 @@ pub fn run() -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coldtall_workloads::spec2017;
 
     #[test]
     fn covers_suite_times_configs() {

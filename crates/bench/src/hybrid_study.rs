@@ -7,15 +7,32 @@
 
 use coldtall_cell::{MemoryTechnology, Tentpole};
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Explorer, HybridLlc, MemoryConfig};
-use coldtall_workloads::benchmark;
+use coldtall_core::{EvalArena, Explorer, HybridLlc, MemoryConfig};
+
+/// The dense technologies the study pairs with SRAM ways.
+const DENSE: [MemoryTechnology; 2] = [MemoryTechnology::SttRam, MemoryTechnology::Pcm];
 
 /// One row per (workload, dense technology, fast ways 0/2/4/8), where
 /// zero fast ways denotes the pure dense configuration and 16 the pure
 /// SRAM one.
+///
+/// # Panics
+///
+/// Panics if a benchmark is missing from the suite or a pure end point
+/// stops resolving to a backend (neither ever happens).
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    // The pure end points as planes: each dense technology, then SRAM.
+    let mut pure: Vec<MemoryConfig> = DENSE
+        .map(|tech| MemoryConfig::envm_3d(tech, Tentpole::Optimistic, 4))
+        .to_vec();
+    pure.push(MemoryConfig::sram_350k());
+    let plan = explorer
+        .plan_sweep(&pure)
+        .expect("the pure end points resolve");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
     let mut table = TextTable::new(&[
         "benchmark",
         "dense_technology",
@@ -25,22 +42,21 @@ pub fn run() -> TextTable {
         "lifetime_years",
     ]);
     for bench_name in ["lbm", "mcf"] {
-        let bench = benchmark(bench_name).expect("benchmark present");
-        for dense_tech in [MemoryTechnology::SttRam, MemoryTechnology::Pcm] {
-            let dense = MemoryConfig::envm_3d(dense_tech, Tentpole::Optimistic, 4);
-            // Pure dense end point.
-            let pure = explorer.evaluate(&dense, bench);
-            table.row_owned(vec![
-                bench_name.to_string(),
-                dense_tech.name().to_string(),
-                "0".to_string(),
-                sci(pure.relative_power),
-                sci(pure.relative_latency),
-                sci(pure.lifetime_years),
-            ]);
+        let b = arena
+            .benchmark_names()
+            .iter()
+            .position(|&name| name == bench_name)
+            .expect("benchmark present");
+        let bench = &plan.benchmarks()[b];
+        for (plane, dense_tech) in DENSE.iter().enumerate() {
+            let mut rows = vec![(0u8, arena.row(arena.row_index(plane, b)))];
             for fast_ways in [2u8, 4, 8] {
-                let hybrid = HybridLlc::new(MemoryConfig::sram_350k(), dense.clone(), fast_ways);
-                let eval = explorer.evaluate_hybrid(&hybrid, bench);
+                let hybrid =
+                    HybridLlc::new(MemoryConfig::sram_350k(), pure[plane].clone(), fast_ways);
+                rows.push((fast_ways, explorer.evaluate_hybrid(&hybrid, bench)));
+            }
+            rows.push((16, arena.row(arena.row_index(DENSE.len(), b))));
+            for (fast_ways, eval) in rows {
                 table.row_owned(vec![
                     bench_name.to_string(),
                     dense_tech.name().to_string(),
@@ -50,16 +66,6 @@ pub fn run() -> TextTable {
                     sci(eval.lifetime_years),
                 ]);
             }
-            // Pure SRAM end point.
-            let sram = explorer.evaluate(&MemoryConfig::sram_350k(), bench);
-            table.row_owned(vec![
-                bench_name.to_string(),
-                dense_tech.name().to_string(),
-                "16".to_string(),
-                sci(sram.relative_power),
-                sci(sram.relative_latency),
-                sci(sram.lifetime_years),
-            ]);
         }
     }
     table

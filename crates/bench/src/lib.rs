@@ -17,7 +17,7 @@
 //! | `table1` | CPU model parameters |
 //! | `table2` | optimal LLC per traffic band and design target |
 //!
-//! Beyond the paper's artifacts, four ablation/extension studies:
+//! Beyond the paper's artifacts, eleven ablation/extension studies:
 //!
 //! | binary | study |
 //! |---|---|
@@ -32,7 +32,6 @@
 //! | `hybrid_study` | SRAM + eNVM hybrid partitions (related work II-B) |
 //! | `dynamic_temperature` | temperature as a dynamic knob (future work VI) |
 //! | `variation_study` | Monte-Carlo sampling between the tentpoles |
-//! | `bench_sweep` | sequential-vs-parallel sweep wall-clock (writes `BENCH_sweep.json`) |
 //!
 //! # Examples
 //!

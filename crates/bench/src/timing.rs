@@ -1,12 +1,11 @@
-//! Minimal std-only timing support for the bench binaries.
+//! Minimal std-only timing support for the benches and the kernel
+//! perf gates.
 //!
 //! The offline build cannot depend on criterion; this module provides
-//! the slice of it the harness needs: warmup-then-measure wall-clock
-//! timing with a stable report format, and a tiny JSON writer so runs
-//! leave a machine-readable trail (`BENCH_sweep.json`) for tracking
-//! the perf trajectory across PRs.
+//! the slice of it they need: warmup-then-measure wall-clock timing
+//! with a stable report format, and interleaved median timing for
+//! A-vs-B comparisons on a shared host.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// One timed measurement.
@@ -86,21 +85,6 @@ impl MedianSample {
     }
 }
 
-/// Runs `f` once untimed (warmup), then `iters` individually timed
-/// iterations, and returns the per-iteration samples. The closure's
-/// result is passed through [`std::hint::black_box`] so the optimizer
-/// cannot elide the work.
-pub fn time_median<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) -> MedianSample {
-    let _ = std::hint::black_box(f());
-    let runs = (0..iters.max(1))
-        .map(|_| timed_run(&mut f))
-        .collect();
-    MedianSample {
-        label: label.to_string(),
-        runs,
-    }
-}
-
 /// Times two workloads **interleaved**: one untimed warmup of each,
 /// then `iters` rounds of (one `a` run, one `b` run), each timed
 /// individually.
@@ -155,68 +139,6 @@ pub fn report(title: &str, samples: &[Sample]) {
     }
 }
 
-/// A flat string/number JSON object writer (no external crates; the
-/// harness only ever needs one nesting level).
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    /// Creates an empty object.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a string field.
-    pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
-        let escaped: String = value.chars().flat_map(char::escape_default).collect();
-        self.fields
-            .push((key.to_string(), format!("\"{escaped}\"")));
-        self
-    }
-
-    /// Adds a numeric field.
-    pub fn number(&mut self, key: &str, value: f64) -> &mut Self {
-        // JSON has no NaN/inf; clamp to null for robustness.
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn boolean(&mut self, key: &str, value: bool) -> &mut Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Embeds a pre-rendered JSON value verbatim (used to fold the
-    /// metrics registry's nested export into the flat report). The
-    /// caller is responsible for `value` being valid JSON.
-    pub fn raw(&mut self, key: &str, value: &str) -> &mut Self {
-        self.fields
-            .push((key.to_string(), value.trim_end().to_string()));
-        self
-    }
-
-    /// Renders the object with one field per line.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            let comma = if i + 1 == self.fields.len() { "" } else { "," };
-            let _ = writeln!(out, "  \"{key}\": {value}{comma}");
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,15 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn time_median_records_one_run_per_iteration() {
-        let mut calls = 0u32;
-        let sample = time_median("noop", 4, || calls += 1);
-        // 1 warmup + 4 measured.
-        assert_eq!(calls, 5);
-        assert_eq!(sample.runs.len(), 4);
-    }
-
-    #[test]
     fn interleaved_pair_alternates_the_workloads() {
         let order = std::cell::RefCell::new(Vec::new());
         let (a, b) = time_median_pair(
@@ -277,21 +190,5 @@ mod tests {
         assert_eq!(*order.borrow(), vec!['a', 'b', 'a', 'b', 'a', 'b', 'a', 'b']);
         assert_eq!(a.runs.len(), 3);
         assert_eq!(b.runs.len(), 3);
-    }
-
-    #[test]
-    fn json_renders_all_field_kinds() {
-        let mut obj = JsonObject::new();
-        obj.string("name", "sweep \"full\"")
-            .number("seconds", 1.25)
-            .number("bad", f64::NAN)
-            .boolean("identical", true);
-        let json = obj.render();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"seconds\": 1.25,"));
-        assert!(json.contains("\"bad\": null,"));
-        assert!(json.contains("\"identical\": true\n"));
-        assert!(json.contains("\\\"full\\\""));
     }
 }

@@ -1,15 +1,15 @@
 //! Struct-of-arrays batch evaluation: the caller-owned [`EvalArena`]
-//! row store and the grid-at-once [`evaluate_batch`] entry point.
+//! row store that [`crate::Explorer::run`] fills.
 //!
-//! PR 5 batched the *characterization* phase (one geometry solve per
-//! temperature-stripped key); this module extends the same two-phase
+//! Plan execution batches the *characterization* phase (one geometry
+//! solve per temperature-stripped key) and carries the same two-phase
 //! idea through *evaluation*, the hot path of a warm sweep. The scalar
-//! oracle ([`crate::Explorer::evaluate`]) pays, per grid cell: one
-//! span sample (two clock reads), one canonical-key format + hash, one
-//! cache probe with a shard lock, one `CellModel` construction, one
+//! one-cell query ([`crate::Explorer::evaluate`]) pays, per grid cell:
+//! one span sample (two clock reads), one canonical-key format + hash,
+//! one cache probe with a shard lock, one `CellModel` construction, one
 //! label allocation, and one baseline service-time recomputation. The
-//! batched kernel ([`crate::Explorer::evaluate_batch`]) hoists every
-//! one of those out of the per-row loop:
+//! plane loop under [`crate::Explorer::run`] hoists every one of those
+//! out of the per-row loop:
 //!
 //! * per grid — the 350 K SRAM baseline and the `reference_power`
 //!   normalization denominator (already hoisted into the explorer),
@@ -24,7 +24,7 @@
 //! What remains per row is pure float arithmetic — and it is *the
 //! same* arithmetic: both paths produce rows through
 //! `row_values` (one copy of the float
-//! expressions), so batch/scalar bit-identity holds by construction
+//! expressions), so run/scalar bit-identity holds by construction
 //! rather than by expression discipline. `tests/eval_batch.rs` pins it
 //! over the full study × temperature × SPEC2017 grid, infeasible rows
 //! included.
@@ -44,8 +44,6 @@ use coldtall_units::Watts;
 use coldtall_workloads::Benchmark;
 
 use crate::evaluate::{Feasibility, LlcEvaluation, RowValues};
-use crate::explorer::Explorer;
-use crate::plan::ExecutionPlan;
 
 /// A caller-owned struct-of-arrays store for evaluation rows.
 ///
@@ -53,20 +51,23 @@ use crate::plan::ExecutionPlan;
 /// clears contents but keeps capacity, so repeated sweeps of the same
 /// grid shape allocate nothing after the first. Row `index` of the
 /// grid maps to `(config, benchmark) = (index / benchmark_count,
-/// index % benchmark_count)` — row-major, exactly the order of
-/// [`crate::Explorer::execute`].
+/// index % benchmark_count)` — config-major, the order
+/// [`crate::Explorer::run`] fills it in.
 ///
 /// # Examples
 ///
 /// ```
-/// use coldtall_core::{evaluate_batch, EvalArena, Explorer, MemoryConfig};
+/// use coldtall_core::{EvalArena, Explorer, MemoryConfig};
+/// use coldtall_workloads::spec2017;
 ///
 /// let explorer = Explorer::with_defaults();
-/// let plan = explorer.plan_sweep(&[MemoryConfig::sram_350k()]).unwrap();
+/// let config = MemoryConfig::sram_350k();
+/// let plan = explorer.plan_sweep(std::slice::from_ref(&config)).unwrap();
 /// let mut arena = EvalArena::new();
-/// evaluate_batch(&explorer, &plan, &mut arena);
+/// explorer.run(&plan, &mut arena);
 /// assert_eq!(arena.rows(), plan.rows());
-/// assert_eq!(arena.to_rows(), explorer.execute(&plan));
+/// let cell = arena.row_index(0, 3);
+/// assert_eq!(arena.row(cell), explorer.evaluate(&config, &spec2017()[3]));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalArena {
@@ -281,13 +282,13 @@ impl EvalArena {
         )
     }
 
-    /// Materializes every row, in row-major grid order.
+    /// Materializes every row, in config-major grid order.
     #[must_use]
     pub fn to_rows(&self) -> Vec<LlcEvaluation> {
         (0..self.rows()).map(|index| self.row(index)).collect()
     }
 
-    /// Iterates the rows lazily, in row-major grid order.
+    /// Iterates the rows lazily, in config-major grid order.
     pub fn iter_rows(&self) -> impl Iterator<Item = LlcEvaluation> + '_ {
         (0..self.rows()).map(|index| self.row(index))
     }
@@ -321,19 +322,11 @@ impl EvalArena {
     }
 }
 
-/// Evaluates an entire (configuration × benchmark) grid in one call,
-/// emitting rows allocation-free into `arena`.
-///
-/// Free-function form of [`Explorer::evaluate_batch`]; see the module
-/// docs for the hoisting rules and the bit-identity contract.
-pub fn evaluate_batch(explorer: &Explorer, plan: &ExecutionPlan, arena: &mut EvalArena) {
-    explorer.evaluate_batch(plan, arena);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MemoryConfig;
+    use crate::explorer::Explorer;
 
     #[test]
     fn arena_grid_accessors_are_consistent() {
@@ -341,7 +334,7 @@ mod tests {
         let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_77k()];
         let plan = explorer.plan_sweep(&configs).expect("configs resolve");
         let mut arena = EvalArena::new();
-        evaluate_batch(&explorer, &plan, &mut arena);
+        explorer.run(&plan, &mut arena);
 
         assert_eq!(arena.config_count(), 2);
         assert_eq!(arena.benchmark_count(), plan.benchmarks().len());
@@ -373,7 +366,7 @@ mod tests {
             .plan_sweep(&[MemoryConfig::sram_350k()])
             .expect("config resolves");
         let mut arena = EvalArena::new();
-        evaluate_batch(&explorer, &plan, &mut arena);
+        explorer.run(&plan, &mut arena);
         let _ = arena.row_index(0, arena.benchmark_count());
     }
 }

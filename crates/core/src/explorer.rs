@@ -11,8 +11,6 @@ use coldtall_workloads::Benchmark;
 
 use std::collections::HashMap;
 
-use coldtall_cachesim::TrafficTable;
-
 use crate::backend::BackendRegistry;
 use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
@@ -22,19 +20,11 @@ use crate::lifetime::lifetime_years;
 use crate::parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
 use crate::pareto::Constraints;
 use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, KeyedJobs, SweepPlan};
-use crate::pool;
 use crate::search::{self, SearchMetrics, SearchOutcome};
 
 /// The reference benchmark all power results are normalized to, as in
 /// the paper (350 K SRAM running `namd`).
 pub const REFERENCE_BENCHMARK: &str = "namd";
-
-/// Below this many characterization jobs, [`Explorer::execute_par`]
-/// runs the plan inline through [`Explorer::execute`]: the pool's
-/// spin-up cost dominates plans this small (the paper's 31-job study
-/// plan ran ~0.9x under the pool), while the temperature-expanded
-/// grids that benefit from fan-out (248+ jobs) sit well above it.
-const INLINE_JOB_THRESHOLD: usize = 64;
 
 /// Drives the design-space exploration: characterizes configurations
 /// (with caching), normalizes against the 350 K SRAM / `namd` reference,
@@ -42,20 +32,19 @@ const INLINE_JOB_THRESHOLD: usize = 64;
 ///
 /// Characterization is dispatched through a [`BackendRegistry`]
 /// (CryoMEM for single-die volatile points, Destiny for eNVM and
-/// stacked arrays, by default), and sweeps run as a plan/execute
+/// stacked arrays, by default), and sweeps run as a plan/run
 /// pipeline: [`Explorer::plan_sweep`] compiles the (configuration x
 /// benchmark) grid into a validated [`ExecutionPlan`] with
-/// key-deduplicated characterization jobs, and
-/// [`Explorer::execute`] / [`Explorer::execute_par`] run it. The
-/// classic entry points ([`Explorer::sweep_configs`] and friends) are
-/// thin wrappers over that pipeline.
+/// key-deduplicated characterization jobs, and [`Explorer::run`]
+/// executes it into an [`EvalArena`] — the one way a compiled plan
+/// runs. [`Explorer::evaluate`] stays as the one-cell query.
 ///
 /// The explorer is `Send + Sync`: the characterization memo is a
 /// sharded, lock-striped cache ([`crate::ShardedCache`]) keyed by
-/// [`DesignPointKey`], so one explorer can be shared by every worker
-/// of a parallel sweep. All evaluation is pure arithmetic over
-/// immutable state, which makes [`Explorer::par_sweep_configs`]
-/// bit-identical to the sequential [`Explorer::sweep_configs_seq`].
+/// [`DesignPointKey`], so one explorer can serve every connection
+/// thread of a daemon. All evaluation is pure arithmetic over
+/// immutable state, so every row is bit-identical to the scalar
+/// [`Explorer::evaluate`] of the same grid cell.
 ///
 /// # Examples
 ///
@@ -72,8 +61,8 @@ pub struct Explorer {
     node: ProcessNode,
     objective: Objective,
     cache: ShardedCache<ArrayCharacterization>,
-    /// Temperature-stripped geometry solves shared by the batched
-    /// execution paths (phase 1 of the two-phase kernel).
+    /// Temperature-stripped geometry solves shared by plan execution
+    /// and the search bounds (phase 1 of the two-phase kernel).
     geometries: GeometryCache,
     baseline: ArrayCharacterization,
     reference_power: Watts,
@@ -82,9 +71,10 @@ pub struct Explorer {
     /// Telemetry handles aligned with `backends.backends()` by index.
     backend_stats: Vec<BackendStats>,
     /// Resolved backend per cached design point (canonical key →
-    /// backend name), written alongside cache publishes and replay
-    /// imports so the serve run registry can persist the routing
-    /// decision per key.
+    /// backend name), so the serve run registry can persist the
+    /// routing decision per key. Written only by a cache publish or
+    /// replay import that landed, so it holds exactly the cached keys
+    /// and the cache's admission cap bounds it too.
     resolved_names: Mutex<HashMap<String, String>>,
     /// Work-avoidance telemetry of the adaptive search
     /// ([`Explorer::search`]); registered eagerly so counter *sets* are
@@ -356,19 +346,21 @@ impl Explorer {
     }
 
     /// Publishes an externally produced characterization (a run-registry
-    /// replay) into the memo cache without counting a probe. First
-    /// publication wins, exactly like a worker's publish; one insert is
-    /// counted only if the entry lands.
+    /// replay) and the backend that produced it into the memo cache,
+    /// without counting a probe. First publication wins, exactly like
+    /// a worker's publish; one insert is counted, and the backend
+    /// recorded, only if the entry lands.
     pub fn import_characterization(
         &self,
         key: &DesignPointKey,
         value: ArrayCharacterization,
+        backend: &str,
     ) -> ArrayCharacterization {
-        self.cache.insert(key, value)
+        self.publish(key, value, backend)
     }
 
-    /// The backend name resolution routed `key` to, if this explorer
-    /// characterized the point (or a replay recorded its routing).
+    /// The backend name resolution routed `key` to, if the cache holds
+    /// the point (computed here, or imported by a replay).
     #[must_use]
     pub fn resolved_backend(&self, key: &DesignPointKey) -> Option<String> {
         self.resolved_names
@@ -378,19 +370,26 @@ impl Explorer {
             .cloned()
     }
 
-    /// Records which backend served `key` — the write half of
-    /// [`Explorer::resolved_backend`]. Called internally on every cache
-    /// publish and by run-registry replay so routing survives
-    /// restarts. First note wins, mirroring the cache's
-    /// first-publication-wins rule.
-    pub fn note_resolved_backend(&self, key: &DesignPointKey, backend: &str) {
-        if let Ok(mut map) = self.resolved_names.lock() {
-            map.entry(key.canonical().to_string())
-                .or_insert_with(|| backend.to_string());
+    /// Publishes `key → value` into the cache and, only if the entry
+    /// landed, records `backend` for [`Explorer::resolved_backend`]. A
+    /// publish the admission cap refuses records nothing, so the
+    /// routing map never outgrows the cache.
+    fn publish(
+        &self,
+        key: &DesignPointKey,
+        value: ArrayCharacterization,
+        backend: &str,
+    ) -> ArrayCharacterization {
+        let (value, landed) = self.cache.publish(key, value);
+        if landed {
+            if let Ok(mut map) = self.resolved_names.lock() {
+                map.insert(key.canonical().to_string(), backend.to_string());
+            }
         }
+        value
     }
 
-    /// The geometry cache feeding the batched execution paths.
+    /// The geometry cache feeding plan execution and the search bounds.
     #[must_use]
     pub fn geometry_cache(&self) -> &GeometryCache {
         &self.geometries
@@ -403,22 +402,26 @@ impl Explorer {
     }
 
     /// Resolves `config`'s backend and dispatches one characterization,
-    /// counting it against the backend's telemetry.
+    /// counting it against the backend's telemetry. Returns the result
+    /// with the backend's name.
     ///
     /// Panics on resolution failure — callers on the infallible paths
     /// have the documented precondition that their configurations
     /// resolve; [`Explorer::try_characterize`] and the plan compiler
     /// surface the typed error instead.
-    fn dispatch(&self, key: &DesignPointKey, config: &MemoryConfig) -> ArrayCharacterization {
+    fn dispatch(&self, config: &MemoryConfig) -> (ArrayCharacterization, &'static str) {
         let index = self
             .backends
             .resolve_index(config)
             .unwrap_or_else(|e| panic!("{e}"));
         self.backend_stats[index].resolved.inc();
         self.backend_stats[index].characterizations.inc();
-        self.note_resolved_backend(key, self.backends.backends()[index].name());
+        let backend = &self.backends.backends()[index];
         let _span = Span::enter(self.backend_stats[index].span.clone());
-        self.backends.backends()[index].characterize(config, &self.node, self.objective)
+        (
+            backend.characterize(config, &self.node, self.objective),
+            backend.name(),
+        )
     }
 
     /// Characterizes a configuration's array (cached, thread-safe),
@@ -442,22 +445,25 @@ impl Explorer {
     }
 
     /// [`Explorer::characterize`] with the canonical key already in
-    /// hand (plan execution computes each job's key once at compile
-    /// time).
+    /// hand (plan compilation computes each job's key once).
     fn characterize_keyed(
         &self,
         key: &DesignPointKey,
         config: &MemoryConfig,
     ) -> ArrayCharacterization {
         self.metrics.characterize_calls.inc();
-        self.cache.get_or_insert_with(key, || {
-            // The span times only real characterization work, so its
-            // sample count equals the dispatch count (one single-point
-            // dispatch here; the batched paths count one per batch).
-            self.metrics.characterize_dispatches.inc();
+        if let Some(hit) = self.cache.get(key) {
+            return hit;
+        }
+        // The span times only real characterization work, so its sample
+        // count equals the dispatch count (one single-point dispatch
+        // here; plan execution counts one per geometry batch).
+        self.metrics.characterize_dispatches.inc();
+        let (value, backend) = {
             let _span = Span::enter(self.metrics.characterize_span.clone());
-            self.dispatch(key, config)
-        })
+            self.dispatch(config)
+        };
+        self.publish(key, value, backend)
     }
 
     /// Characterizes `config` lowered through its backend with the
@@ -526,13 +532,14 @@ impl Explorer {
     /// Warms the characterization cache for every distinct configuration
     /// in `configs`, one pool item per distinct [`DesignPointKey`].
     ///
-    /// Called by the parallel sweep before fanning out over
-    /// (configuration, benchmark) pairs, so co-scheduled workers of the
-    /// same configuration do not redundantly characterize it. Keys are
-    /// deduplicated first ([`KeyedJobs`]): each distinct key is probed
-    /// by exactly one pool item, which keeps the cache's hit/miss
-    /// counters deterministic under any thread count (two workers
-    /// racing the same missing key would otherwise both count a miss).
+    /// The thermal scheduler calls this before fanning its (phase x
+    /// temperature) grid out over the pool, so co-scheduled workers of
+    /// the same configuration do not redundantly characterize it. Keys
+    /// are deduplicated first ([`KeyedJobs`]): each distinct key is
+    /// probed by exactly one pool item, which keeps the cache's
+    /// hit/miss counters deterministic under any thread count (two
+    /// workers racing the same missing key would otherwise both count
+    /// a miss).
     pub fn precharacterize(&self, configs: &[MemoryConfig]) {
         let jobs = KeyedJobs::build(configs.iter().cloned(), |_, config| {
             DesignPointKey::of_config(config)
@@ -540,7 +547,10 @@ impl Explorer {
         let _ = jobs.execute(|key, config| self.characterize_keyed(key, config));
     }
 
-    /// Evaluates one configuration under one benchmark's traffic.
+    /// Evaluates one configuration under one benchmark's traffic — the
+    /// one-cell query. Multi-row evaluations compile a plan and
+    /// [`Explorer::run`] it instead; every row they produce is
+    /// bit-identical to this function's answer for the same cell.
     #[must_use]
     pub fn evaluate(&self, config: &MemoryConfig, benchmark: &Benchmark) -> LlcEvaluation {
         let _span = Span::enter(self.metrics.evaluate_span.clone());
@@ -596,7 +606,9 @@ impl Explorer {
     }
 
     /// Evaluates the given configurations under every SPEC2017
-    /// benchmark, validating every produced row's NaN-free invariant.
+    /// benchmark ([`Explorer::plan_sweep`] + [`Explorer::run`]),
+    /// validating every produced row's NaN-free invariant. Rows come
+    /// back in config-major order.
     ///
     /// # Errors
     ///
@@ -607,7 +619,9 @@ impl Explorer {
     /// their documented `INFINITY` sentinel are fine and included).
     pub fn try_sweep_configs(&self, configs: &[MemoryConfig]) -> Result<Vec<LlcEvaluation>, Error> {
         let plan = self.plan_sweep(configs)?;
-        let rows = self.execute_par(&plan);
+        let mut arena = EvalArena::new();
+        self.run(&plan, &mut arena);
+        let rows = arena.to_rows();
         for row in &rows {
             row.validate()?;
         }
@@ -622,7 +636,24 @@ impl Explorer {
     /// Returns [`Error::NoBackend`] / [`Error::BackendConflict`] if
     /// some configuration does not resolve to exactly one backend.
     pub fn plan_sweep(&self, configs: &[MemoryConfig]) -> Result<ExecutionPlan, Error> {
-        let plan = SweepPlan::new(configs.to_vec()).compile(&self.backends)?;
+        self.plan_sweep_over(configs, coldtall_workloads::spec2017())
+    }
+
+    /// [`Explorer::plan_sweep`] under an explicit benchmark set (the
+    /// accelerator profiles, one benchmark of the suite, ...).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoBackend`] / [`Error::BackendConflict`] if
+    /// some configuration does not resolve to exactly one backend.
+    pub fn plan_sweep_over(
+        &self,
+        configs: &[MemoryConfig],
+        benchmarks: &'static [Benchmark],
+    ) -> Result<ExecutionPlan, Error> {
+        let plan = SweepPlan::new(configs.to_vec())
+            .with_benchmarks(benchmarks)
+            .compile(&self.backends)?;
         // Attribute each job's compile-time resolution to its backend —
         // pure plan arithmetic, deterministic under any thread count.
         for job in plan.jobs() {
@@ -633,80 +664,59 @@ impl Explorer {
         Ok(plan)
     }
 
-    /// Evaluates the full study: every configuration of
-    /// [`MemoryConfig::study_set`] under every SPEC2017 benchmark.
-    #[must_use]
-    pub fn sweep(&self) -> Vec<LlcEvaluation> {
-        self.sweep_configs(&MemoryConfig::study_set())
-    }
-
-    /// Evaluates the given configurations under every SPEC2017
-    /// benchmark.
+    /// Runs a compiled plan into a caller-owned arena — the one way a
+    /// compiled plan executes.
     ///
-    /// Always the pooled path: [`crate::pool::parallel_map`] itself
-    /// degrades to an inline loop on 1-CPU machines, so routing
-    /// unconditionally through [`Explorer::par_sweep_configs`] keeps
-    /// the logical call pattern — and with it every exported counter —
-    /// identical under any thread count.
-    #[must_use]
-    pub fn sweep_configs(&self, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
-        self.par_sweep_configs(configs)
-    }
-
-    /// The sequential reference sweep: compiles a plan and runs it with
-    /// [`Explorer::execute`] (plain loops, no pool).
+    /// Two phases, both inline on the calling thread:
     ///
-    /// Kept as the determinism oracle for [`Explorer::par_sweep_configs`].
+    /// 1. the job list, grouped by (temperature-stripped geometry key,
+    ///    backend): every job probes the cache once, and each group's
+    ///    misses dispatch as one batch, so each distinct geometry is
+    ///    solved once;
+    /// 2. every configuration plane, evaluated through the batched
+    ///    kernel into the arena.
+    ///
+    /// The arena is cleared (capacity kept) and refilled in
+    /// config-major row order ([`EvalArena::row_index`]); a caller
+    /// that reuses one arena across sweeps of the same shape allocates
+    /// nothing after the first sweep. Column accessors read results
+    /// without constructing [`LlcEvaluation`] values at all.
+    ///
+    /// Telemetry: one `sweep` span sample, `sweep.configs` and
+    /// `sweep.rows`, one `evaluate` span sample per plane with
+    /// `explorer.evaluate.calls` per row, and one `characterize`
+    /// dispatch per (geometry, backend) group that has misses.
     ///
     /// # Panics
     ///
-    /// Panics if some configuration does not resolve to exactly one
-    /// backend; use [`Explorer::plan_sweep`] for the typed error.
-    #[must_use]
-    pub fn sweep_configs_seq(&self, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
-        let plan = self.plan_sweep(configs).unwrap_or_else(|e| panic!("{e}"));
-        self.execute(&plan)
-    }
-
-    /// Compiles and runs the pooled sweep over `configs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some configuration does not resolve to exactly one
-    /// backend; use [`Explorer::plan_sweep`] for the typed error.
-    #[must_use]
-    pub fn par_sweep_configs(&self, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
-        let plan = self.plan_sweep(configs).unwrap_or_else(|e| panic!("{e}"));
-        self.execute_par(&plan)
+    /// Panics if a job names a backend this explorer's registry does
+    /// not hold (the plan was compiled against a different registry).
+    pub fn run(&self, plan: &ExecutionPlan, arena: &mut EvalArena) {
+        let _span = Span::enter(self.metrics.sweep_span.clone());
+        self.metrics.sweep_configs.add(plan.configs().len() as u64);
+        for group in self.geometry_groups(plan) {
+            self.characterize_group(&group);
+        }
+        arena.begin(plan.benchmarks());
+        let base_services = self.base_services(plan.benchmarks());
+        for config in plan.configs() {
+            self.evaluate_plane_into(config, &base_services, arena);
+        }
+        self.metrics.sweep_rows.add(arena.rows() as u64);
     }
 
     /// Groups a plan's job list by (temperature-stripped geometry key,
     /// resolved backend), keys and groups in first-appearance order.
     ///
     /// Grouping is pure plan arithmetic — deterministic under any
-    /// thread count — which is what keeps every batched-path counter
-    /// inside the determinism contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job names a backend this explorer's registry does
-    /// not hold (the plan was compiled against a different registry).
+    /// thread count — which is what keeps every counter of
+    /// [`Explorer::run`] inside the determinism contract.
     fn geometry_groups<'a>(&self, plan: &'a ExecutionPlan) -> Vec<JobGroup<'a>> {
         let mut groups: Vec<JobGroup<'a>> = Vec::new();
         let mut index: HashMap<(DesignPointKey, usize), usize> = HashMap::new();
         for job in plan.jobs() {
             let geometry_key = DesignPointKey::geometry_of(job.config());
-            let backend_index = self
-                .backends
-                .backends()
-                .iter()
-                .position(|b| b.name() == job.backend())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "plan job resolved to backend '{}', which this explorer does not hold",
-                        job.backend()
-                    )
-                });
+            let backend_index = self.backend_position(job.backend());
             match index.entry((geometry_key.clone(), backend_index)) {
                 std::collections::hash_map::Entry::Occupied(slot) => {
                     groups[*slot.get()].jobs.push(job);
@@ -729,13 +739,14 @@ impl Explorer {
     /// dispatches the misses as a single batch through the group's
     /// backend ([`crate::CharacterizationBackend::characterize_batch`]
     /// — one geometry solve for the whole group), and publishes the
-    /// results.
+    /// results. The adaptive search refines one plane through a group
+    /// of one.
     ///
     /// Counter accounting matches the per-point path probe for probe;
     /// only the dispatch granularity differs (one `characterize` span
     /// sample and one `explorer.characterize.dispatches` per batch
     /// with work, instead of one per missed point).
-    fn characterize_group(&self, group: &JobGroup<'_>) {
+    pub(crate) fn characterize_group(&self, group: &JobGroup<'_>) {
         let missing: Vec<&CharacterizationJob> = group
             .jobs
             .iter()
@@ -772,72 +783,7 @@ impl Explorer {
             missing.len()
         );
         for (job, result) in missing.iter().zip(results) {
-            let _ = self.cache.insert(job.key(), result);
-            self.note_resolved_backend(job.key(), job.backend());
-        }
-    }
-
-    /// Runs a compiled plan sequentially: plain loops, no pool.
-    ///
-    /// The job list runs first, grouped by geometry key so each
-    /// distinct geometry is solved once ([`Explorer::execute_par`]
-    /// groups identically — the cache and geometry counters come out
-    /// the same on both paths), then the (configuration x benchmark)
-    /// grid is evaluated in row-major order through the batched kernel
-    /// ([`Explorer::evaluate_batch`]) into a private arena.
-    #[must_use]
-    pub fn execute(&self, plan: &ExecutionPlan) -> Vec<LlcEvaluation> {
-        let mut arena = EvalArena::new();
-        self.execute_into(plan, &mut arena);
-        arena.to_rows()
-    }
-
-    /// Runs a compiled plan sequentially into a caller-owned arena —
-    /// [`Explorer::execute`] without the row materialization.
-    ///
-    /// The arena is cleared (capacity kept) and refilled; a caller that
-    /// reuses one arena across sweeps of the same shape allocates
-    /// nothing after the first sweep. Column accessors on
-    /// [`EvalArena`] read results without constructing
-    /// [`LlcEvaluation`] values at all.
-    pub fn execute_into(&self, plan: &ExecutionPlan, arena: &mut EvalArena) {
-        let _span = Span::enter(self.metrics.sweep_span.clone());
-        self.metrics.sweep_configs.add(plan.configs().len() as u64);
-        for group in self.geometry_groups(plan) {
-            self.characterize_group(&group);
-        }
-        self.evaluate_batch(plan, arena);
-        self.metrics.sweep_rows.add(arena.rows() as u64);
-    }
-
-    /// Evaluates the plan's entire (configuration × benchmark) grid in
-    /// one call, emitting rows allocation-free into `arena`.
-    ///
-    /// This is the batched counterpart of looping
-    /// [`Explorer::evaluate`] over the grid, with every grid invariant
-    /// hoisted out of the per-row loop: the baseline's `base_service`
-    /// term per benchmark column, the traffic rates (read once into the
-    /// arena's dense [`TrafficTable`]), and — per configuration plane —
-    /// one characterization-cache probe, the cooling tier's wall-power
-    /// factor, the cell endurance model, and one `evaluate` span
-    /// sample. The per-row arithmetic is shared with the scalar path
-    /// (`row_values` — one copy of the float
-    /// expressions), so the emitted rows are bit-identical to the
-    /// oracle's.
-    ///
-    /// Characterizations need not be warm: a cold plane pays its cache
-    /// miss inside the plane's probe, exactly like the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some configuration resolves to zero or several
-    /// backends (plans compiled by this explorer's
-    /// [`Explorer::plan_sweep`] always resolve).
-    pub fn evaluate_batch(&self, plan: &ExecutionPlan, arena: &mut EvalArena) {
-        arena.begin(plan.benchmarks());
-        let base_services = self.base_services(plan.benchmarks());
-        for config in plan.configs() {
-            self.evaluate_plane_into(config, &base_services, arena);
+            let _ = self.publish(job.key(), result, job.backend());
         }
     }
 
@@ -853,27 +799,24 @@ impl Explorer {
             .collect()
     }
 
-    /// Hoisted per-plane invariants of the batched kernel: one
-    /// characterization-cache probe, the cooling tier's wall-power
-    /// factor, and the cell endurance model. Counts the plane's
-    /// `evaluate.calls` (one per grid row, matching the scalar path's
-    /// total); the caller holds the plane's single `evaluate` span
-    /// sample.
-    fn plane_invariants(
-        &self,
-        config: &MemoryConfig,
-        rows: usize,
-    ) -> (ArrayCharacterization, f64, CellModel) {
-        self.metrics.evaluate_calls.add(rows as u64);
-        let array = self.characterize(config);
-        let wall_factor = config.cooling().wall_factor(config.temperature());
-        let cell = CellModel::tentpole(config.technology(), config.tentpole(), &self.node);
-        (array, wall_factor, cell)
-    }
-
-    /// Evaluates one configuration plane of the batched kernel straight
-    /// into the arena.
-    fn evaluate_plane_into(
+    /// Evaluates one configuration plane straight into the arena — the
+    /// one plane loop, shared by [`Explorer::run`] and the search's
+    /// refinement.
+    ///
+    /// Every grid invariant is hoisted out of the per-row loop: the
+    /// caller's per-column `base_services`, the arena's dense traffic
+    /// table, and — per plane — one characterization-cache probe, the
+    /// cooling tier's wall-power factor, the cell endurance model, the
+    /// display label, and one `evaluate` span sample. The per-row
+    /// arithmetic is shared with the scalar path (`row_values` — one
+    /// copy of the float expressions), so the rows are bit-identical
+    /// to [`Explorer::evaluate`]'s. Counts the plane's
+    /// `explorer.evaluate.calls` (one per row, matching the scalar
+    /// path's total).
+    ///
+    /// Characterizations need not be warm: a cold plane pays its cache
+    /// miss inside the plane's probe, exactly like the scalar path.
+    pub(crate) fn evaluate_plane_into(
         &self,
         config: &MemoryConfig,
         base_services: &[f64],
@@ -881,7 +824,10 @@ impl Explorer {
     ) {
         let nb = arena.benchmark_count();
         let _span = Span::enter(self.metrics.evaluate_span.clone());
-        let (array, wall_factor, cell) = self.plane_invariants(config, nb);
+        self.metrics.evaluate_calls.add(nb as u64);
+        let array = self.characterize(config);
+        let wall_factor = config.cooling().wall_factor(config.temperature());
+        let cell = CellModel::tentpole(config.technology(), config.tentpole(), &self.node);
         let capacity = Capacity::from_mebibytes(16);
         arena.push_plane_label(config.label());
         for (b, &base_service) in base_services.iter().enumerate().take(nb) {
@@ -898,125 +844,12 @@ impl Explorer {
         }
     }
 
-    /// One configuration plane of the batched kernel, materialized as
-    /// owned rows — the unit of work [`Explorer::execute_par`] fans
-    /// out (and the refinement unit of the adaptive search). Same
-    /// hoisting, same per-row arithmetic, same counter accounting as
-    /// [`Explorer::evaluate_plane_into`].
-    pub(crate) fn evaluate_plane_rows(
-        &self,
-        config: &MemoryConfig,
-        benchmarks: &[Benchmark],
-        traffic: &TrafficTable,
-        base_services: &[f64],
-    ) -> Vec<LlcEvaluation> {
-        let _span = Span::enter(self.metrics.evaluate_span.clone());
-        let (array, wall_factor, cell) = self.plane_invariants(config, benchmarks.len());
-        let capacity = Capacity::from_mebibytes(16);
-        let label = config.label();
-        let mut rows = Vec::with_capacity(benchmarks.len());
-        for (b, benchmark) in benchmarks.iter().enumerate() {
-            let t = traffic.get(b);
-            let values = row_values(&array, &t, wall_factor, base_services[b], self.reference_power);
-            let years = lifetime_years(&cell, capacity, 512, t.writes_per_sec);
-            rows.push(LlcEvaluation::from_values(
-                label.clone(),
-                benchmark.name,
-                t,
-                &values,
-                years,
-            ));
-        }
-        rows
-    }
-
-    /// Runs a compiled plan with every characterization dispatched
-    /// individually — no geometry grouping, no batch lowering.
-    ///
-    /// This is the reference the batched paths are measured against:
-    /// `tests/batch.rs` pins bit-identity of the produced rows, and
-    /// the bench harness's `batch` section reports both per-row
-    /// timings. Counters differ from [`Explorer::execute`] only in
-    /// dispatch granularity (`explorer.characterize.dispatches`, the
-    /// `characterize` span count, and `geometry.*`, which this path
-    /// never touches).
-    #[must_use]
-    pub fn execute_per_point(&self, plan: &ExecutionPlan) -> Vec<LlcEvaluation> {
-        let _span = Span::enter(self.metrics.sweep_span.clone());
-        self.metrics.sweep_configs.add(plan.configs().len() as u64);
-        for job in plan.jobs() {
-            let _ = self.characterize_keyed(job.key(), job.config());
-        }
-        self.evaluate_grid(plan)
-    }
-
-    /// The row-major evaluation phase shared by every execution path;
-    /// all characterizations are cache hits by the time it runs.
-    fn evaluate_grid(&self, plan: &ExecutionPlan) -> Vec<LlcEvaluation> {
-        let rows: Vec<LlcEvaluation> = plan
-            .configs()
-            .iter()
-            .flat_map(|config| {
-                plan.benchmarks()
-                    .iter()
-                    .map(move |benchmark| self.evaluate(config, benchmark))
-            })
-            .collect();
-        self.metrics.sweep_rows.add(rows.len() as u64);
-        rows
-    }
-
-    /// Runs a compiled plan on the scoped worker pool.
-    ///
-    /// Two phases: the geometry-keyed job groups fan out first (each
-    /// group solves its geometry once and sweeps its temperatures —
-    /// the expensive organization searches), then the batched
-    /// evaluation kernel fans out one configuration *plane* per pool
-    /// item, with the per-benchmark invariants (base service times,
-    /// traffic table) hoisted once and shared by reference across
-    /// workers. Output order is row-major — identical to
-    /// [`Explorer::execute`] — and values are bit-identical because
-    /// every path computes rows through the same
-    /// `row_values` arithmetic over the shared
-    /// cache. Counter totals are plane-local sums, so they too are
-    /// identical under any thread count.
-    ///
-    /// Plans smaller than `INLINE_JOB_THRESHOLD` (64) jobs run inline
-    /// through [`Explorer::execute`] instead: below that size the
-    /// pool's spin-up and handoff overhead exceeds the work, so the
-    /// pooled path used to run *slower* than the sequential one on
-    /// study-sized plans. The fallback is observable as the
-    /// process-global `pool.inline_plans` counter and changes no
-    /// logical counter (both paths group, probe, and count
-    /// identically) and no byte of output.
-    #[must_use]
-    pub fn execute_par(&self, plan: &ExecutionPlan) -> Vec<LlcEvaluation> {
-        if plan.jobs().len() < INLINE_JOB_THRESHOLD {
-            pool::count_inline_plan();
-            return self.execute(plan);
-        }
-        let _span = Span::enter(self.metrics.sweep_span.clone());
-        self.metrics.sweep_configs.add(plan.configs().len() as u64);
-        let groups = self.geometry_groups(plan);
-        let _ = pool::parallel_map_slice(&groups, |group| self.characterize_group(group));
-        let configs = plan.configs();
-        let benchmarks = plan.benchmarks();
-        let base_services = self.base_services(benchmarks);
-        let traffic: TrafficTable = benchmarks.iter().map(|b| b.traffic).collect();
-        let planes = pool::parallel_map(configs.len(), |c| {
-            self.evaluate_plane_rows(&configs[c], benchmarks, &traffic, &base_services)
-        });
-        let rows: Vec<LlcEvaluation> = planes.into_iter().flatten().collect();
-        self.metrics.sweep_rows.add(rows.len() as u64);
-        rows
-    }
-
     /// Best-first branch-and-bound exploration of `configs` under the
     /// full SPEC2017 suite: regions of the (technology × dies ×
     /// temperature × organization) space are bounded from below on
     /// power, latency, and area, pruned when the incumbent frontier
     /// provably dominates them, and only the survivors are refined
-    /// through the batched plan/execute kernels.
+    /// through the plane loop [`Explorer::run`] uses.
     ///
     /// The returned frontier is byte-identical to
     /// [`crate::pareto_front`] over the exhaustive sweep of the same
@@ -1071,52 +904,12 @@ impl Explorer {
         (self.floors.insert(key, floors), true)
     }
 
-    /// The search's refinement-phase characterization of one plane:
-    /// probe the cache (counting the one hit or miss), and on a miss
-    /// dispatch a batch of one through the plane's backend — the same
-    /// two-phase lowering, geometry cache, and counter accounting as
-    /// one [`Explorer::characterize_group`] batch with a single job.
-    pub(crate) fn characterize_search_plane(
-        &self,
-        key: &DesignPointKey,
-        config: &MemoryConfig,
-        backend_index: usize,
-    ) {
-        self.metrics.characterize_calls.inc();
-        if self.cache.get(key).is_some() {
-            return;
-        }
-        let geometry_key = DesignPointKey::geometry_of(config);
-        let stats = &self.backend_stats[backend_index];
-        stats.characterizations.inc();
-        self.metrics.characterize_dispatches.inc();
-        let results = {
-            let _span = Span::enter(self.metrics.characterize_span.clone());
-            let _backend_span = Span::enter(stats.span.clone());
-            self.backends.backends()[backend_index].characterize_batch(
-                &geometry_key,
-                std::slice::from_ref(config),
-                &self.node,
-                self.objective,
-                &self.geometries,
-            )
-        };
-        assert_eq!(
-            results.len(),
-            1,
-            "backend '{}' returned {} results for a batch of 1",
-            self.backends.backends()[backend_index].name(),
-            results.len()
-        );
-        for result in results {
-            let _ = self.cache.insert(key, result);
-            self.note_resolved_backend(key, self.backends.backends()[backend_index].name());
-        }
-    }
-
-    /// Position of the named backend in this explorer's registry —
-    /// the search resolves each plan job's backend name once up front,
-    /// exactly as [`Explorer::geometry_groups`] does.
+    /// Position of the named backend in this explorer's registry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the registry holds no backend of that name (a plan
+    /// compiled against a different registry).
     pub(crate) fn backend_position(&self, name: &str) -> usize {
         self.backends
             .backends()
@@ -1131,10 +924,10 @@ impl Explorer {
 /// One geometry-keyed batch of a plan's job phase: every job of the
 /// plan that shares this temperature-stripped geometry key and
 /// backend, in first-appearance order.
-struct JobGroup<'a> {
-    geometry_key: DesignPointKey,
-    backend_index: usize,
-    jobs: Vec<&'a CharacterizationJob>,
+pub(crate) struct JobGroup<'a> {
+    pub(crate) geometry_key: DesignPointKey,
+    pub(crate) backend_index: usize,
+    pub(crate) jobs: Vec<&'a CharacterizationJob>,
 }
 
 impl Default for Explorer {
@@ -1207,24 +1000,18 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_the_cross_product() {
+    fn run_covers_the_cross_product_in_config_major_order() {
         let explorer = Explorer::with_defaults();
         let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_77k()];
-        let rows = explorer.sweep_configs(&configs);
-        assert_eq!(rows.len(), 2 * spec2017().len());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_sweep() {
-        let explorer = Explorer::with_defaults();
-        let configs = [
-            MemoryConfig::sram_350k(),
-            MemoryConfig::sram_77k(),
-            MemoryConfig::edram_77k(),
-        ];
-        let par = explorer.par_sweep_configs(&configs);
-        let seq = explorer.sweep_configs_seq(&configs);
-        assert_eq!(par, seq);
+        let plan = explorer.plan_sweep(&configs).expect("plan compiles");
+        let mut arena = EvalArena::new();
+        explorer.run(&plan, &mut arena);
+        assert_eq!(arena.rows(), 2 * spec2017().len());
+        let cell = arena.row_index(1, 3);
+        assert_eq!(
+            arena.row(cell),
+            explorer.evaluate(&configs[1], &spec2017()[3])
+        );
     }
 
     #[test]
@@ -1265,11 +1052,14 @@ mod tests {
         let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_350k()];
         let rows = explorer.try_sweep_configs(&configs).expect("sweep is NaN-free");
         assert_eq!(rows.len(), 2 * spec2017().len());
-        assert_eq!(rows, explorer.sweep_configs(&configs));
+        let plan = explorer.plan_sweep(&configs).expect("plan compiles");
+        let mut arena = EvalArena::new();
+        explorer.run(&plan, &mut arena);
+        assert_eq!(rows, arena.to_rows());
     }
 
     #[test]
-    fn plan_execute_matches_the_wrapper_paths() {
+    fn duplicate_configs_share_one_job_and_keep_their_rows() {
         let explorer = Explorer::with_defaults();
         let configs = [
             MemoryConfig::sram_350k(),
@@ -1279,10 +1069,13 @@ mod tests {
         let plan = explorer.plan_sweep(&configs).expect("plan compiles");
         assert_eq!(plan.jobs().len(), 2);
         assert_eq!(plan.rows(), 3 * spec2017().len());
-        let seq = explorer.execute(&plan);
-        let par = explorer.execute_par(&plan);
-        assert_eq!(seq, par);
-        assert_eq!(seq, explorer.sweep_configs(&configs));
+        let mut arena = EvalArena::new();
+        explorer.run(&plan, &mut arena);
+        let nb = arena.benchmark_count();
+        assert_eq!(
+            arena.relative_power()[..nb],
+            arena.relative_power()[2 * nb..]
+        );
     }
 
     #[test]

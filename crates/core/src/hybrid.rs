@@ -9,18 +9,13 @@
 //! models that architecture at the same application level as the rest
 //! of the exploration.
 
-use coldtall_array::ArrayCharacterization;
-use coldtall_cachesim::LlcTraffic;
-use coldtall_cell::CellModel;
 use coldtall_units::{Capacity, Joules, Watts};
-use coldtall_workloads::{spec2017, Benchmark};
+use coldtall_workloads::Benchmark;
 
-use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::evaluate::{Feasibility, LlcEvaluation, RowValues};
 use crate::explorer::Explorer;
 use crate::lifetime::lifetime_years;
-use crate::pool;
 
 /// Exponent of the write-capture law: the fraction of writes the fast
 /// partition absorbs is `fast_fraction ^ WRITE_CAPTURE_EXP`. Write-hot
@@ -137,66 +132,7 @@ impl HybridLlc {
     }
 }
 
-/// The per-hybrid invariants of a sweep, computed once and reused
-/// across every benchmark (plane) of that hybrid: the
-/// capacity-apportioned partition characterizations (the two
-/// organization searches dominate a single hybrid evaluation's cost)
-/// plus the hoisted pure-function terms the batched kernel shares —
-/// label, cooling wall factor, and the two capture fractions.
-#[derive(Debug, Clone)]
-struct HybridParts {
-    fast: ArrayCharacterization,
-    dense: ArrayCharacterization,
-    dense_cell: CellModel,
-    dense_capacity: Capacity,
-    /// [`HybridLlc::label`], formatted once per plane.
-    label: String,
-    /// The fast partition's cooling multiplier (both partitions share
-    /// the die, so a cryogenic hybrid cools both).
-    wall_factor: f64,
-    /// [`HybridLlc::write_capture`], one `powf` per plane.
-    write_capture: f64,
-    /// [`HybridLlc::read_capture`], one `powf` per plane.
-    read_capture: f64,
-}
-
 impl Explorer {
-    /// Characterizes both partitions at their share of the 16 MiB
-    /// capacity and hoists the hybrid's plane-invariant terms.
-    fn hybrid_parts(&self, hybrid: &HybridLlc) -> HybridParts {
-        let total_bytes = Capacity::from_mebibytes(16).bytes();
-        let fast_capacity =
-            Capacity::from_bytes(total_bytes * u64::from(hybrid.fast_ways) / 16);
-        let dense_capacity = Capacity::from_bytes(
-            total_bytes * u64::from(16 - hybrid.fast_ways) / 16,
-        );
-
-        let (fast, _) = self.characterize_scaled(&hybrid.fast, fast_capacity);
-        let (dense, dense_cell) = self.characterize_scaled(&hybrid.dense, dense_capacity);
-        HybridParts {
-            fast,
-            dense,
-            dense_cell,
-            dense_capacity,
-            label: hybrid.label(),
-            wall_factor: hybrid
-                .fast
-                .cooling()
-                .wall_factor(hybrid.fast.temperature()),
-            write_capture: hybrid.write_capture(),
-            read_capture: hybrid.read_capture(),
-        }
-    }
-
-    /// The baseline's raw traffic-weighted service time for the hybrid
-    /// latency normalization (undiluted, matching the hybrid model's
-    /// own undiluted partition sum).
-    fn hybrid_base_service(&self, traffic: &LlcTraffic) -> f64 {
-        let baseline = self.baseline();
-        traffic.reads_per_sec * baseline.read_latency.get()
-            + traffic.writes_per_sec * baseline.write_latency.get()
-    }
-
     /// Evaluates a hybrid LLC under a benchmark's traffic.
     ///
     /// Each partition is characterized at its share of the 16 MiB
@@ -204,75 +140,15 @@ impl Explorer {
     /// migration surcharge on dense-partition writes.
     #[must_use]
     pub fn evaluate_hybrid(&self, hybrid: &HybridLlc, benchmark: &Benchmark) -> LlcEvaluation {
-        self.evaluate_hybrid_parts(&self.hybrid_parts(hybrid), benchmark)
-    }
+        let total_bytes = Capacity::from_mebibytes(16).bytes();
+        let fast_capacity = Capacity::from_bytes(total_bytes * u64::from(hybrid.fast_ways) / 16);
+        let dense_capacity =
+            Capacity::from_bytes(total_bytes * u64::from(16 - hybrid.fast_ways) / 16);
+        let (fast, _) = self.characterize_scaled(&hybrid.fast, fast_capacity);
+        let (dense, dense_cell) = self.characterize_scaled(&hybrid.dense, dense_capacity);
 
-    /// Evaluates every hybrid under every SPEC2017 benchmark on the
-    /// worker pool, in row-major (hybrid, benchmark) order.
-    ///
-    /// Each hybrid's partitions are characterized exactly once (in
-    /// parallel across hybrids) before the pair grid fans out, so the
-    /// sweep does two organization searches per hybrid instead of two
-    /// per (hybrid, benchmark) pair.
-    #[must_use]
-    pub fn par_sweep_hybrids(&self, hybrids: &[HybridLlc]) -> Vec<LlcEvaluation> {
-        let parts = pool::parallel_map_slice(hybrids, |hybrid| self.hybrid_parts(hybrid));
-        let benchmarks = spec2017();
-        pool::parallel_map(hybrids.len() * benchmarks.len(), |index| {
-            let (h, b) = pool::unflatten(index, benchmarks.len());
-            self.evaluate_hybrid_parts(&parts[h], &benchmarks[b])
-        })
-    }
-
-    /// Evaluates every hybrid under every SPEC2017 benchmark
-    /// sequentially into a caller-owned arena — the hybrid counterpart
-    /// of [`Explorer::execute_into`], emitting rows allocation-free
-    /// and bit-identical to [`Explorer::par_sweep_hybrids`].
-    pub fn sweep_hybrids_into(&self, hybrids: &[HybridLlc], arena: &mut EvalArena) {
-        let benchmarks = spec2017();
-        arena.begin(benchmarks);
-        let base_services: Vec<f64> = benchmarks
-            .iter()
-            .map(|b| self.hybrid_base_service(&b.traffic))
-            .collect();
-        for hybrid in hybrids {
-            let parts = self.hybrid_parts(hybrid);
-            arena.push_plane_label(parts.label.clone());
-            for (b, base_service) in base_services.iter().enumerate() {
-                let traffic = arena.traffic.get(b);
-                let (values, years) = self.hybrid_row(&parts, &traffic, *base_service);
-                arena.push_row(&values, years);
-            }
-        }
-    }
-
-    fn evaluate_hybrid_parts(&self, parts: &HybridParts, benchmark: &Benchmark) -> LlcEvaluation {
         let traffic = benchmark.traffic;
-        let base_service = self.hybrid_base_service(&traffic);
-        let (values, years) = self.hybrid_row(parts, &traffic, base_service);
-        LlcEvaluation::from_values(parts.label.clone(), benchmark.name, traffic, &values, years)
-    }
-
-    /// The hybrid model's per-row arithmetic — the single copy of the
-    /// float expressions shared by the scalar path
-    /// ([`Explorer::evaluate_hybrid`]), the pooled sweep, and the
-    /// arena sweep, which is what keeps them bit-identical.
-    fn hybrid_row(
-        &self,
-        parts: &HybridParts,
-        traffic: &LlcTraffic,
-        base_service: f64,
-    ) -> (RowValues, f64) {
-        let HybridParts {
-            fast,
-            dense,
-            dense_cell,
-            dense_capacity,
-            wall_factor,
-            write_capture: wc,
-            read_capture: rc,
-            ..
-        } = parts;
+        let (wc, rc) = (hybrid.write_capture(), hybrid.read_capture());
         let (r, w) = (traffic.reads_per_sec, traffic.writes_per_sec);
         let (r_fast, r_dense) = (r * rc, r * (1.0 - rc));
         let (w_fast, w_dense) = (w * wc, w * (1.0 - wc));
@@ -287,23 +163,26 @@ impl Explorer {
         );
         let standby = fast.standby_power() + dense.standby_power();
         let device = standby + Watts::new(dynamic.get());
-        // Both partitions share the die: a cryogenic hybrid cools both
-        // (the hoisted factor is exactly the scalar path's multiplier).
-        let wall = device * *wall_factor;
+        // Both partitions share the die: a cryogenic hybrid cools both.
+        let wall = device * hybrid.fast.cooling().wall_factor(hybrid.fast.temperature());
 
         // Latency: traffic-weighted across partitions, normalized to the
-        // baseline on the same benchmark.
+        // baseline's raw service time on the same benchmark (undiluted,
+        // matching the hybrid model's own undiluted partition sum).
         let service = r_fast * fast.read_latency.get()
             + w_fast * fast.write_latency.get()
             + r_dense * dense.read_latency.get()
             + w_dense * dense.write_latency.get();
+        let baseline = self.baseline();
+        let base_service = traffic.reads_per_sec * baseline.read_latency.get()
+            + traffic.writes_per_sec * baseline.write_latency.get();
         let relative_latency = if base_service > 0.0 {
             service / base_service
         } else {
             1.0
         };
 
-        let years = lifetime_years(dense_cell, *dense_capacity, 512, w_dense + migrations);
+        let years = lifetime_years(&dense_cell, dense_capacity, 512, w_dense + migrations);
 
         let footprint_mm2 = fast.footprint.as_mm2() + dense.footprint.as_mm2();
         let utilization = fast
@@ -329,7 +208,7 @@ impl Explorer {
             footprint_mm2,
             bandwidth_utilization: utilization,
         };
-        (values, years)
+        LlcEvaluation::from_values(hybrid.label(), benchmark.name, traffic, &values, years)
     }
 }
 
@@ -398,28 +277,6 @@ mod tests {
         let small = explorer.evaluate_hybrid(&hybrid(2), quiet);
         let large = explorer.evaluate_hybrid(&hybrid(8), quiet);
         assert!(large.relative_power > small.relative_power);
-    }
-
-    #[test]
-    fn hybrid_sweep_matches_pointwise_evaluation() {
-        let explorer = Explorer::with_defaults();
-        let hybrids = [hybrid(2), hybrid(8)];
-        let rows = explorer.par_sweep_hybrids(&hybrids);
-        let benchmarks = spec2017();
-        assert_eq!(rows.len(), hybrids.len() * benchmarks.len());
-        // Row-major order, values identical to the one-off path.
-        let direct = explorer.evaluate_hybrid(&hybrids[1], &benchmarks[3]);
-        assert_eq!(rows[benchmarks.len() + 3], direct);
-    }
-
-    #[test]
-    fn arena_hybrid_sweep_is_bit_identical_to_the_pooled_sweep() {
-        let explorer = Explorer::with_defaults();
-        let hybrids = [hybrid(2), hybrid(8)];
-        let mut arena = EvalArena::new();
-        explorer.sweep_hybrids_into(&hybrids, &mut arena);
-        assert_eq!(arena.rows(), hybrids.len() * spec2017().len());
-        assert_eq!(arena.to_rows(), explorer.par_sweep_hybrids(&hybrids));
     }
 
     #[test]

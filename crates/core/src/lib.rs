@@ -19,8 +19,9 @@
 //!    relative to the 350 K SRAM baseline, and area,
 //! 3. the [`Explorer`] compiles sweeps into validated plans
 //!    ([`SweepPlan`] → [`ExecutionPlan`], deduplicated by
-//!    [`DesignPointKey`]) and executes them across the SPEC2017
-//!    profiles, and the [`selection`] engine condenses the sweep into
+//!    [`DesignPointKey`]) and runs them across the SPEC2017 profiles
+//!    into an [`EvalArena`] ([`Explorer::run`]), and the [`selection`]
+//!    engine condenses the sweep into
 //!    the paper's Table II: the optimal LLC per traffic band under
 //!    power, performance, and area objectives, with endurance-screened
 //!    alternates.
@@ -63,7 +64,7 @@ pub use backend::{
     BackendCapabilities, BackendRegistry, CharacterizationBackend, CryoMemBackend,
     DestinyBackend,
 };
-pub use batch::{evaluate_batch, EvalArena};
+pub use batch::EvalArena;
 pub use config::MemoryConfig;
 pub use error::Error;
 pub use evaluate::{Feasibility, LlcEvaluation};
@@ -71,9 +72,9 @@ pub use explorer::Explorer;
 pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, KeyedJobs, SweepPlan};
 pub use hybrid::HybridLlc;
 pub use parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
-pub use pareto::{pareto_front, pareto_front_arena, recommend, Constraints, ParetoFrontier};
+pub use pareto::{pareto_front, recommend, Constraints, ParetoFrontier};
 pub use request::{DesignPoint, Request, RequestHandler, ResponsePayload, StatusReport};
 pub use search::{PruneReason, PrunedRegion, SearchOutcome, SearchStats};
-pub use thermal_schedule::{phase_evaluation, plan_schedule, TemperatureSchedule, WorkloadPhase};
+pub use thermal_schedule::{plan_schedule, TemperatureSchedule, WorkloadPhase};
 pub use variation::{monte_carlo, sample_cells, MetricBand, VariationSummary};
 pub use lifetime::{lifetime_years, LIFETIME_TARGET_YEARS};

@@ -427,7 +427,7 @@ impl<V: Clone> ShardedCache<V> {
             return hit;
         }
         let value = compute();
-        self.publish(key, value)
+        self.publish(key, value).0
     }
 
     /// Publishes `key → value` without counting a probe.
@@ -439,26 +439,29 @@ impl<V: Clone> ShardedCache<V> {
     /// miss. Counts one insert only if the publication lands; on a
     /// race the first published value wins and is returned.
     pub fn insert(&self, key: &DesignPointKey, value: V) -> V {
-        self.publish(key, value)
+        self.publish(key, value).0
     }
 
     /// The publication path shared by [`ShardedCache::insert`] and
     /// [`ShardedCache::get_or_insert_with`]: first landed value wins,
     /// the admission cap refuses (never evicts), and the entry/byte
-    /// gauges track landed publications.
-    fn publish(&self, key: &DesignPointKey, value: V) -> V {
+    /// gauges track landed publications. Returns the winning value and
+    /// whether this publication is the one that landed.
+    pub(crate) fn publish(&self, key: &DesignPointKey, value: V) -> (V, bool) {
         let stripe = Self::shard_index(key);
         match self.shards[stripe]
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .entry(key.clone())
         {
-            std::collections::hash_map::Entry::Occupied(existing) => existing.get().clone(),
+            std::collections::hash_map::Entry::Occupied(existing) => {
+                (existing.get().clone(), false)
+            }
             std::collections::hash_map::Entry::Vacant(slot) => {
                 if let Some(cap) = self.cap {
                     if self.entry_count.load(Ordering::Relaxed) >= cap {
                         self.metrics.rejected.inc();
-                        return value;
+                        return (value, false);
                     }
                 }
                 let footprint = Self::entry_footprint(key);
@@ -467,7 +470,7 @@ impl<V: Clone> ShardedCache<V> {
                 self.metrics.entries.set(count as u64);
                 self.metrics.approx_bytes.set(bytes as u64);
                 self.metrics.insert(stripe);
-                slot.insert(value).clone()
+                (slot.insert(value).clone(), true)
             }
         }
     }

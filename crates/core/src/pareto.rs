@@ -5,7 +5,6 @@
 //! against deployment constraints, extract the power/latency/area
 //! Pareto frontier, and recommend a configuration.
 
-use crate::batch::EvalArena;
 use crate::evaluate::LlcEvaluation;
 
 /// Deployment constraints an LLC evaluation must satisfy.
@@ -278,25 +277,6 @@ pub fn pareto_front(evals: &[LlcEvaluation]) -> Vec<LlcEvaluation> {
     frontier.into_sorted()
 }
 
-/// [`pareto_front`] straight off an [`EvalArena`]'s dense columns:
-/// dominance screening reads the power/latency/area columns in place
-/// and only rows accepted onto the frontier are materialized as
-/// [`LlcEvaluation`] values.
-///
-/// Produces exactly `pareto_front(&arena.to_rows())` without building
-/// the full row vector first.
-#[must_use]
-pub fn pareto_front_arena(arena: &EvalArena) -> Vec<LlcEvaluation> {
-    let power = arena.relative_power();
-    let latency = arena.relative_latency();
-    let area = arena.footprint_mm2();
-    let mut frontier = ParetoFrontier::new();
-    for i in 0..arena.rows() {
-        frontier.insert_with(i, [power[i], latency[i], area[i]], || arena.row(i));
-    }
-    frontier.into_sorted()
-}
-
 /// Recommends the lowest-power configuration satisfying `constraints`
 /// for the given pre-computed evaluations, or `None` when nothing
 /// qualifies.
@@ -437,22 +417,6 @@ mod tests {
             .iter()
             .all(|e| !e.config_label.starts_with("nan-")));
         assert_eq!(front, pareto_front(&evals), "poison rows change nothing");
-    }
-
-    #[test]
-    fn arena_front_matches_the_row_vector_front() {
-        let explorer = Explorer::with_defaults();
-        let plan = explorer
-            .plan_sweep(&MemoryConfig::study_set())
-            .expect("study set resolves");
-        let mut arena = crate::batch::EvalArena::new();
-        explorer.execute_into(&plan, &mut arena);
-        // Whole-grid frontier (all benchmarks at once) and a
-        // single-benchmark slice both agree with the row-vector path.
-        assert_eq!(
-            pareto_front_arena(&arena),
-            pareto_front(&arena.to_rows())
-        );
     }
 
     #[test]

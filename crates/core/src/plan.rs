@@ -13,8 +13,7 @@
 //! claiming (pool items are claimed per distinct key, never per
 //! duplicate).
 //!
-//! Executing a plan is the explorer's half:
-//! [`crate::Explorer::execute`] / [`crate::Explorer::execute_par`].
+//! Executing a plan is the explorer's half: [`crate::Explorer::run`].
 
 #![deny(missing_docs)]
 
@@ -336,8 +335,7 @@ impl SweepPlan {
 /// every job already resolved to its backend.
 ///
 /// Produced by [`SweepPlan::compile`]; executed by
-/// [`crate::Explorer::execute`] (sequential reference) or
-/// [`crate::Explorer::execute_par`] (worker pool).
+/// [`crate::Explorer::run`].
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     configs: Vec<MemoryConfig>,

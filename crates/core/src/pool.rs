@@ -1,36 +1,15 @@
-//! Scoped worker pool used by the parallel sweep engine.
+//! Scoped worker pool for the work that fans out: Monte-Carlo cell
+//! sampling, cache warm-up, and the thermal schedule's energy grid.
+//! Compiled plans never touch it — [`crate::Explorer::run`] executes
+//! inline.
 //!
 //! The implementation lives in the bottom-of-stack `coldtall-par`
 //! crate so the array-level organization search can share the same
 //! pool (and its nested-region guard) without a dependency cycle;
 //! this module re-exports it under the explorer's roof and adds the
-//! cross-product indexing helper the sweep drivers share.
-
-use std::sync::{Arc, OnceLock};
-
-use coldtall_obs::Counter;
+//! cross-product indexing helper the grid drivers share.
 
 pub use coldtall_par::{in_worker, max_threads, parallel_map, parallel_map_slice, set_max_threads};
-
-/// Counts one plan whose pooled execution ran inline because its job
-/// grid sat below the fan-out threshold
-/// (`Explorer::execute_par`). Feeds the process-global registry like
-/// the pool's own `pool.inline` telemetry: which execution path served
-/// a plan is a scheduling fact, not logical work, so it stays out of
-/// the per-explorer deterministic counter set.
-pub(crate) fn count_inline_plan() {
-    // The inline fallback bypasses `parallel_map`, which is where the
-    // pool lazily registers its metrics and first consults
-    // `COLDTALL_THREADS` (warning once on an invalid value). Resolve
-    // both here so the registered metric set and the env diagnostic
-    // do not depend on whether a plan was large enough to fan out.
-    coldtall_par::register_metrics();
-    let _ = max_threads();
-    static INLINE_PLANS: OnceLock<Arc<Counter>> = OnceLock::new();
-    INLINE_PLANS
-        .get_or_init(|| coldtall_obs::global().counter("pool.inline_plans"))
-        .inc();
-}
 
 /// Splits a flat work-item index back into `(row, column)` coordinates
 /// of a `rows x cols` cross-product (row-major), so sweep drivers can

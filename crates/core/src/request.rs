@@ -22,6 +22,7 @@ use coldtall_array::ArrayCharacterization;
 use coldtall_obs::{Counter, Histogram, Registry, Span};
 use coldtall_units::Kelvin;
 
+use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::error::Error;
 use crate::evaluate::LlcEvaluation;
@@ -362,9 +363,13 @@ impl RequestHandler {
                 let plan = self.explorer.plan_sweep(&configs)?;
                 let plan_hash = plan.stable_hash();
                 deadline.check()?;
-                let rows = self.explorer.execute_par(&plan);
+                let mut arena = EvalArena::new();
+                self.explorer.run(&plan, &mut arena);
                 deadline.check()?;
-                Ok(ResponsePayload::Sweep { plan_hash, rows })
+                Ok(ResponsePayload::Sweep {
+                    plan_hash,
+                    rows: arena.to_rows(),
+                })
             }
             Request::Search {
                 tech,
@@ -439,6 +444,8 @@ impl RequestHandler {
 mod tests {
     use super::*;
     use crate::backend::BackendRegistry;
+    use crate::parcache::CacheConfig;
+    use crate::plan::DesignPointKey;
     use coldtall_array::Objective;
     use coldtall_tech::ProcessNode;
 
@@ -586,5 +593,59 @@ mod tests {
             .stable_hash();
         assert_eq!(plan_hash, expected);
         assert_eq!(rows.len(), 31 * 23);
+    }
+
+    /// Regression: every characterization miss used to record its
+    /// backend in an uncapped side map, even when the admission cap
+    /// refused the cache entry, so one client sweeping temperatures
+    /// grew the daemon's memory without bound despite `--cache-cap`.
+    /// The routing map now answers for exactly the keys the cache
+    /// holds.
+    #[test]
+    fn resolved_backends_are_bounded_by_the_cache_cap() {
+        let registry = Registry::new();
+        let explorer = Explorer::try_with_backends_configured(
+            ProcessNode::ptm_22nm_hp(),
+            Objective::EnergyDelayProduct,
+            BackendRegistry::with_defaults(),
+            &registry,
+            &CacheConfig {
+                capacity: Some(8),
+                ..CacheConfig::default()
+            },
+        )
+        .expect("default backends cover the baseline");
+        let handler = RequestHandler::new(explorer, &registry, None);
+        let points: Vec<DesignPoint> = (0..2000)
+            .map(|i| DesignPoint {
+                temperature_kelvin: 60.0 + f64::from(i) * 0.17,
+                ..DesignPoint::baseline()
+            })
+            .collect();
+        for point in &points {
+            let request = Request::Characterize {
+                point: point.clone(),
+            };
+            assert!(handler.handle(&request).is_ok());
+        }
+        let explorer = handler.explorer();
+        let cached: Vec<String> = explorer
+            .cached_entries()
+            .into_iter()
+            .map(|(key, _)| key.canonical().to_string())
+            .collect();
+        assert_eq!(cached.len(), 8, "the admission cap holds the cache at 8");
+        let mut answered = 0;
+        for point in &points {
+            let key = DesignPointKey::of_config(&point.to_config().unwrap());
+            let backend = explorer.resolved_backend(&key);
+            assert_eq!(
+                backend.is_some(),
+                cached.iter().any(|c| c == key.canonical()),
+                "resolved_backend must answer exactly for cached keys"
+            );
+            answered += usize::from(backend.is_some());
+        }
+        assert_eq!(answered, 8);
     }
 }

@@ -6,8 +6,8 @@
 //! organization) space into a region tree, bounds every region from
 //! *below* on the three frontier coordinates (relative power, relative
 //! latency, footprint), and expands regions best-first — refining a
-//! leaf (one configuration plane) through the existing batched
-//! plan/execute kernels only when no incumbent frontier point provably
+//! leaf (one configuration plane) through plan execution's geometry
+//! batch and plane loop only when no incumbent frontier point provably
 //! dominates the whole region.
 //!
 //! # Bound soundness
@@ -70,12 +70,13 @@ use coldtall_obs::{Counter, Histogram, Registry};
 use coldtall_units::SquareMeters;
 use std::sync::Arc;
 
+use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::error::Error;
 use crate::evaluate::{LlcEvaluation, REFRESH_INFEASIBLE};
-use crate::explorer::Explorer;
+use crate::explorer::{Explorer, JobGroup};
 use crate::pareto::{Constraints, ParetoFrontier};
-use crate::plan::{DesignPointKey, ExecutionPlan};
+use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan};
 
 /// Registry handles for the search's work-avoidance telemetry.
 ///
@@ -90,7 +91,7 @@ pub(crate) struct SearchMetrics {
     regions_expanded: Arc<Counter>,
     /// Regions pruned (dominated, constraint-capped, or infeasible).
     regions_pruned: Arc<Counter>,
-    /// Leaf regions refined through the batch kernels.
+    /// Leaf regions refined through the plane loop.
     regions_refined: Arc<Counter>,
     /// Rows evaluated by refinement.
     points_evaluated: Arc<Counter>,
@@ -152,7 +153,7 @@ pub struct SearchStats {
     pub regions_expanded: u64,
     /// Regions pruned whole (any reason).
     pub regions_pruned: u64,
-    /// Leaf regions refined through the batch kernels.
+    /// Leaf regions refined through the plane loop.
     pub regions_refined: u64,
     /// Plane lower-bound computations this run actually performed: one
     /// per distinct design point *not already memoized* in the
@@ -213,11 +214,11 @@ pub struct SearchOutcome {
 
 /// One leaf of the region tree: a configuration plane with its
 /// lower-bound corner.
-struct Leaf {
+struct Leaf<'a> {
     /// Index into the plan's configuration list.
     config_index: usize,
-    /// The plane's canonical design-point key.
-    key: DesignPointKey,
+    /// The plan's characterization job for the plane.
+    job: &'a CharacterizationJob,
     /// Position of the plane's backend in the explorer's registry.
     backend_index: usize,
     /// Componentwise lower bound on every row of the plane:
@@ -294,7 +295,7 @@ fn group_by<K: PartialEq>(items: &[usize], mut key: impl FnMut(usize) -> K) -> V
 /// Builds the region tree: root → (technology, tentpole) → die count →
 /// temperature-plane leaves, every level in first-appearance order of
 /// the plan's configuration list.
-fn build_tree(leaves: &[Leaf], plan: &ExecutionPlan) -> Region {
+fn build_tree(leaves: &[Leaf<'_>], plan: &ExecutionPlan) -> Region {
     let all: Vec<usize> = (0..leaves.len()).collect();
     let config = |i: usize| &plan.configs()[leaves[i].config_index];
     let tech_groups = group_by(&all, |i| {
@@ -413,6 +414,9 @@ pub(crate) fn run(
     let nb = benchmarks.len() as u64;
     let base_services = explorer.base_services(benchmarks);
     let traffic: TrafficTable = benchmarks.iter().map(|b| b.traffic).collect();
+    // The one-plane arena every refinement writes into: cleared per
+    // leaf, capacity kept.
+    let mut arena = EvalArena::new();
     let reference_power = explorer.reference_power().get();
 
     let mut stats = SearchStats {
@@ -426,21 +430,20 @@ pub(crate) fn run(
     // share a single computation; geometry solves go through the
     // explorer's geometry cache, shared with the batched refinement
     // phase.
-    let mut leaves: Vec<Leaf> = Vec::with_capacity(plan.configs().len());
+    let mut leaves: Vec<Leaf<'_>> = Vec::with_capacity(plan.configs().len());
     for (config_index, config) in plan.configs().iter().enumerate() {
-        let key = DesignPointKey::of_config(config);
         let job = plan
-            .job_for(&key)
+            .job_for(&DesignPointKey::of_config(config))
             .expect("every plan configuration has a compiled job");
         let backend_index = explorer.backend_position(job.backend());
-        let (floors, fresh) = explorer.plane_floors(&key, config);
+        let (floors, fresh) = explorer.plane_floors(job.key(), config);
         if fresh {
             stats.bounds_computed += 1;
         }
         let wall_factor = config.cooling().wall_factor(config.temperature());
         leaves.push(Leaf {
             config_index,
-            key,
+            job,
             backend_index,
             corner: plane_corner(&floors, wall_factor, &base_services, &traffic, reference_power),
             infeasible: floors.refresh_busy_fraction >= REFRESH_INFEASIBLE,
@@ -449,9 +452,7 @@ pub(crate) fn run(
 
     // Phase 2: best-first expansion. The loop is sequential (regions
     // pop one at a time), so every counter and the frontier itself are
-    // trivially deterministic under any pool width; the refinement
-    // kernels underneath parallelize characterization batches exactly
-    // as the exhaustive path does.
+    // trivially deterministic under any pool width.
     let mut frontier: ParetoFrontier = ParetoFrontier::new();
     let mut pruned: Vec<PrunedRegion> = Vec::new();
     let mut open = vec![build_tree(&leaves, &plan)];
@@ -500,20 +501,27 @@ pub(crate) fn run(
             RegionKind::Leaf(i) => {
                 let leaf = &leaves[i];
                 let config = &plan.configs()[leaf.config_index];
-                explorer.characterize_search_plane(&leaf.key, config, leaf.backend_index);
-                let rows =
-                    explorer.evaluate_plane_rows(config, benchmarks, &traffic, &base_services);
+                // The plane's characterization is a geometry batch of
+                // one, then the plane runs through the one plane loop.
+                explorer.characterize_group(&JobGroup {
+                    geometry_key: DesignPointKey::geometry_of(config),
+                    backend_index: leaf.backend_index,
+                    jobs: vec![leaf.job],
+                });
+                arena.begin(benchmarks);
+                explorer.evaluate_plane_into(config, &base_services, &mut arena);
                 stats.regions_refined += 1;
-                stats.points_evaluated += rows.len() as u64;
+                stats.points_evaluated += arena.rows() as u64;
                 let mut actual = [f64::INFINITY; 3];
-                for (b, row) in rows.iter().enumerate() {
+                for b in 0..arena.rows() {
+                    let row = arena.row(b);
                     actual[0] = actual[0].min(row.relative_power);
                     if row.relative_latency.is_finite() {
                         actual[1] = actual[1].min(row.relative_latency);
                     }
                     actual[2] = actual[2].min(row.footprint_mm2);
-                    if constraints.satisfied_by(row) {
-                        frontier.insert(leaf.config_index * benchmarks.len() + b, row);
+                    if constraints.satisfied_by(&row) {
+                        frontier.insert(leaf.config_index * benchmarks.len() + b, &row);
                     }
                 }
                 record_tightness(&metrics.tightness_power, region.corner[0], actual[0]);
@@ -552,7 +560,9 @@ mod tests {
         let outcome = explorer
             .search("study", &configs, &Constraints::none())
             .expect("the study set searches");
-        let exhaustive = explorer.sweep_configs(&configs);
+        let exhaustive = explorer
+            .try_sweep_configs(&configs)
+            .expect("the study set sweeps");
         assert_eq!(outcome.frontier, pareto_front(&exhaustive));
         assert_eq!(
             outcome.stats.points_evaluated + outcome.stats.points_skipped,

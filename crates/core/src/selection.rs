@@ -87,7 +87,7 @@ pub fn summarize(explorer: &Explorer, configs: &[MemoryConfig]) -> Vec<BandSumma
         .plan_sweep(configs)
         .unwrap_or_else(|e| panic!("{e}"));
     let mut arena = EvalArena::new();
-    explorer.execute_into(&plan, &mut arena);
+    explorer.run(&plan, &mut arena);
     TrafficBand::ALL
         .iter()
         .map(|&band| {

@@ -14,7 +14,6 @@ use coldtall_units::{Joules, Kelvin, Seconds};
 use coldtall_workloads::Benchmark;
 
 use crate::config::MemoryConfig;
-use crate::evaluate::LlcEvaluation;
 use crate::explorer::Explorer;
 
 /// Energy to move the cold plate and die stack by one kelvin
@@ -172,34 +171,6 @@ pub fn plan_schedule(
         best_fixed_energy: Joules::new(fixed_energy),
         best_fixed_temperature: candidates[fixed_idx],
     }
-}
-
-/// Convenience: evaluates what a phase would look like as a standalone
-/// steady-state workload (for reporting alongside the schedule).
-#[must_use]
-pub fn phase_evaluation(
-    explorer: &Explorer,
-    technology: MemoryTechnology,
-    t: Kelvin,
-    phase: &WorkloadPhase,
-) -> LlcEvaluation {
-    let config = MemoryConfig::volatile_2d(technology, t);
-    let bench = Benchmark {
-        name: "phase",
-        suite: coldtall_workloads::Suite::Accelerator,
-        traffic: phase.traffic,
-        generator: coldtall_workloads::GeneratorParams {
-            working_set_bytes: 1 << 20,
-            hot_fraction: 0.05,
-            hot_probability: 0.9,
-            write_fraction: phase.traffic.write_fraction(),
-            sequential_run: 16,
-            instructions_per_access: 4.0,
-            shared_fraction: 0.0,
-        },
-        ipc: 1.0,
-    };
-    explorer.evaluate(&config, &bench)
 }
 
 #[cfg(test)]

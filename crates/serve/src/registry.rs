@@ -86,8 +86,8 @@ impl RunRegistry {
             plan_hash,
             |cursor, keep| explorer.cached_entries_since(cursor, keep),
             |key, value| {
-                // Every cache publish notes its routing; "unknown" is a
-                // defensive fallback, not an expected value.
+                // Every landed cache publish records its routing;
+                // "unknown" is a defensive fallback, not an expected value.
                 let backend = explorer
                     .resolved_backend(key)
                     .unwrap_or_else(|| "unknown".to_string());
@@ -117,8 +117,7 @@ impl RunRegistry {
 /// read. A missing file is an empty registry, not an error.
 pub fn replay_file(path: &Path, explorer: &Explorer) -> io::Result<ReplayStats> {
     log::replay(path, |record: CharRecord| {
-        explorer.import_characterization(&record.key, record.value);
-        explorer.note_resolved_backend(&record.key, &record.backend);
+        explorer.import_characterization(&record.key, record.value, &record.backend);
     })
 }
 

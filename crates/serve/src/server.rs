@@ -39,12 +39,52 @@ use crate::log::ReplayStats;
 use crate::proto;
 use crate::registry::RunRegistry;
 
-/// The longest request line, newline included, a TCP client may send.
+/// The longest request line, newline included, either frontend reads.
 /// Real requests are well under a kilobyte; the cap bounds the memory a
 /// client that never sends a newline can pin, and the parser's work on
-/// one line. An over-long line is answered with one `ok:false` error,
-/// then the connection closes.
+/// one line. An over-long line is answered with one `ok:false` error;
+/// a TCP connection then closes, while stdin (which cannot be
+/// reopened) discards the rest of the line and keeps serving.
 pub const MAX_REQUEST_BYTES: usize = 128 * 1024;
+
+/// What [`read_frame`] found next on a request stream.
+#[derive(Debug, PartialEq, Eq)]
+enum Frame {
+    /// End of input.
+    Eof,
+    /// A line (possibly the final unterminated one) is in the buffer.
+    Line,
+    /// The line runs past [`MAX_REQUEST_BYTES`]; only its first
+    /// `MAX_REQUEST_BYTES + 1` bytes were read.
+    TooLong,
+}
+
+/// The one framing helper both frontends read through: appends the
+/// next request line to `buf` as raw bytes, never holding more than
+/// [`MAX_REQUEST_BYTES`] + 1 of it. Bytes a previous call left in
+/// `buf` (a TCP read that timed out mid-line) count against the cap.
+/// UTF-8 is checked later, per line, so a bad line is one typed error
+/// rather than a read failure.
+fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Frame> {
+    let budget = (MAX_REQUEST_BYTES + 1).saturating_sub(buf.len()) as u64;
+    let read = reader.take(budget).read_until(b'\n', buf)?;
+    Ok(if buf.len() > MAX_REQUEST_BYTES {
+        Frame::TooLong
+    } else if read == 0 {
+        Frame::Eof
+    } else {
+        Frame::Line
+    })
+}
+
+/// The typed error an over-long request line is answered with.
+fn too_long_response() -> String {
+    let mut response = proto::render_parse_error(&format!(
+        "request line longer than {MAX_REQUEST_BYTES} bytes"
+    ));
+    response.push('\n');
+    response
+}
 
 /// How the daemon should be stood up.
 #[derive(Debug, Clone)]
@@ -123,6 +163,26 @@ impl Shared {
         gate.active = gate.active.saturating_sub(1);
         drop(gate);
         self.gate_cv.notify_all();
+    }
+
+    /// Answers one framed request line (its `\r\n` terminator still
+    /// attached): `None` for an empty line, a typed parse error for one
+    /// that is not UTF-8, and otherwise [`Shared::handle_line`]'s
+    /// response, newline included.
+    fn respond(&self, raw: &[u8]) -> Option<String> {
+        let end = raw
+            .iter()
+            .rposition(|&b| b != b'\n' && b != b'\r')
+            .map_or(0, |i| i + 1);
+        if end == 0 {
+            return None;
+        }
+        let mut response = match std::str::from_utf8(&raw[..end]) {
+            Ok(line) => self.handle_line(line),
+            Err(_) => proto::render_parse_error("request line is not valid UTF-8"),
+        };
+        response.push('\n');
+        Some(response)
     }
 
     /// Handles one request line end to end: parse, admit, dispatch,
@@ -292,23 +352,49 @@ impl Server {
     /// down. This is the stdin frontend — EOF is the graceful-shutdown
     /// trigger, since std cannot trap `SIGTERM`.
     ///
+    /// A line that is not UTF-8 gets a typed error, and so does one
+    /// longer than [`MAX_REQUEST_BYTES`], whose rest is then discarded
+    /// in bounded chunks; either way the session continues.
+    ///
     /// # Errors
     ///
     /// Propagates read errors from `input` and write errors from
     /// `output` (wrap `output` in
     /// [`PipeSafeWriter`](crate::PipeSafeWriter) to absorb a consumer
     /// hangup). The drain still runs on early return.
-    pub fn serve_lines<R: BufRead, W: Write>(&self, input: R, output: &mut W) -> io::Result<()> {
+    pub fn serve_lines<R: BufRead, W: Write>(
+        &self,
+        mut input: R,
+        output: &mut W,
+    ) -> io::Result<()> {
         let result = (|| {
-            for line in input.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
+            let mut buf = Vec::new();
+            loop {
+                buf.clear();
+                let response = match read_frame(&mut input, &mut buf)? {
+                    Frame::Eof => return Ok(()),
+                    // Stdin skips whitespace-only lines outright.
+                    Frame::Line if std::str::from_utf8(&buf).is_ok_and(|l| l.trim().is_empty()) => {
+                        None
+                    }
+                    Frame::Line => self.shared.respond(&buf),
+                    Frame::TooLong => {
+                        // Skip to the end of the line, one capped chunk
+                        // at a time.
+                        while !buf.ends_with(b"\n") {
+                            buf.clear();
+                            if read_frame(&mut input, &mut buf)? == Frame::Eof {
+                                break;
+                            }
+                        }
+                        Some(too_long_response())
+                    }
+                };
+                if let Some(response) = response {
+                    output.write_all(response.as_bytes())?;
+                    output.flush()?;
                 }
-                writeln!(output, "{}", self.shared.handle_line(&line))?;
-                output.flush()?;
             }
-            Ok(())
         })();
         self.shutdown();
         result
@@ -398,19 +484,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = reader_half.set_read_timeout(Some(Duration::from_millis(50)));
     let mut writer = stream;
     let mut reader = BufReader::new(reader_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        // At most one byte past the cap: a line that reaches it is
-        // over-long whether or not its newline has arrived.
-        let budget = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len()) as u64;
-        match (&mut reader).take(budget).read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.len() > MAX_REQUEST_BYTES => {
-                let mut response = proto::render_parse_error(&format!(
-                    "request line longer than {MAX_REQUEST_BYTES} bytes"
-                ));
-                response.push('\n');
-                let _ = writer.write_all(response.as_bytes());
+        match read_frame(&mut reader, &mut line) {
+            Ok(Frame::Eof) => break,
+            Ok(Frame::TooLong) => {
+                let _ = writer.write_all(too_long_response().as_bytes());
                 // Half-close, then discard what the client is still
                 // sending (until it pauses or a bounded amount), so
                 // closing with unread input does not reset the
@@ -422,14 +501,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 );
                 break;
             }
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if !trimmed.is_empty() {
-                    // The newline rides in the same write: with
-                    // TCP_NODELAY a separate one costs a second syscall
-                    // and usually a second segment the client waits for.
-                    let mut response = shared.handle_line(trimmed);
-                    response.push('\n');
+            Ok(Frame::Line) => {
+                // The newline rides in the same write: with TCP_NODELAY
+                // a separate one costs a second syscall and usually a
+                // second segment the client waits for.
+                if let Some(response) = shared.respond(&line) {
                     if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
                         break;
                     }
@@ -445,5 +521,80 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             }
             Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use coldtall_core::Explorer;
+    use coldtall_obs::Registry;
+
+    /// Feeds `input` to a stdin-only daemon and returns its response
+    /// lines.
+    fn serve_stdin(input: &[u8]) -> Vec<String> {
+        let registry = Registry::new();
+        let handler = RequestHandler::new(Explorer::with_defaults(), &registry, None);
+        let server = Server::start(handler, &ServeOptions::default()).expect("daemon starts");
+        let mut output = Vec::new();
+        server
+            .serve_lines(input, &mut output)
+            .expect("hostile lines never end the session");
+        String::from_utf8(output)
+            .expect("responses are UTF-8")
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn stdin_hostile_lines_get_typed_errors_and_the_session_continues() {
+        let status = br#"{"cmd":"status"}"#;
+        let over_long = vec![b'a'; 2 * MAX_REQUEST_BYTES + 7];
+        let input = [
+            &b"\xff\xfe\n"[..],
+            status,
+            b"\n",
+            &over_long,
+            b"\n  \n",
+            status,
+            b"\n",
+            &over_long,
+        ]
+        .concat();
+        // The blank line is skipped; an over-long line running to EOF
+        // is still answered.
+        let responses = serve_stdin(&input);
+        assert_eq!(responses.len(), 5, "{responses:?}");
+        assert!(responses[0].contains("not valid UTF-8"), "{}", responses[0]);
+        for ok in [1, 3] {
+            assert!(responses[ok].contains("\"ok\":true"), "{}", responses[ok]);
+        }
+        for too_long in [2, 4] {
+            assert!(
+                responses[too_long].contains("request line longer than"),
+                "{}",
+                responses[too_long]
+            );
+        }
+    }
+
+    #[test]
+    fn read_frame_caps_each_line_at_one_byte_past_the_limit() {
+        let long = vec![b'x'; MAX_REQUEST_BYTES];
+        let input = [&long[..], b"\nshort\nrest"].concat();
+        let mut reader = &input[..];
+        let mut buf = Vec::new();
+        // Exactly the cap, newline included, is one byte too many.
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), Frame::TooLong);
+        assert_eq!(buf.len(), MAX_REQUEST_BYTES + 1);
+        buf.clear();
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), Frame::Line);
+        assert_eq!(buf, b"short\n");
+        buf.clear();
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), Frame::Line);
+        assert_eq!(buf, b"rest", "the final unterminated line is a line");
+        buf.clear();
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), Frame::Eof);
     }
 }

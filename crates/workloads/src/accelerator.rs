@@ -8,6 +8,8 @@
 //! traffic profiles to run that follow-on study: accelerator memories
 //! with well-characterized, mostly modest LLC/scratchpad traffic.
 
+use std::sync::OnceLock;
+
 use coldtall_cachesim::LlcTraffic;
 
 use crate::generator::GeneratorParams;
@@ -44,7 +46,12 @@ fn accel(
 /// an ultra-quiet space-borne sensor pipeline to a streaming graph
 /// engine.
 #[must_use]
-pub fn accelerator_profiles() -> Vec<Benchmark> {
+pub fn accelerator_profiles() -> &'static [Benchmark] {
+    static PROFILES: OnceLock<Vec<Benchmark>> = OnceLock::new();
+    PROFILES.get_or_init(build_profiles)
+}
+
+fn build_profiles() -> Vec<Benchmark> {
     const MIB: u64 = 1024 * 1024;
     vec![
         // A duty-cycled sensor-fusion pipeline on a satellite: tiny,
@@ -62,8 +69,8 @@ pub fn accelerator_profiles() -> Vec<Benchmark> {
 
 /// Looks an accelerator profile up by name.
 #[must_use]
-pub fn accelerator_profile(name: &str) -> Option<Benchmark> {
-    accelerator_profiles().into_iter().find(|b| b.name == name)
+pub fn accelerator_profile(name: &str) -> Option<&'static Benchmark> {
+    accelerator_profiles().iter().find(|b| b.name == name)
 }
 
 #[cfg(test)]
@@ -77,7 +84,7 @@ mod tests {
         assert_eq!(set.len(), 4);
         assert_eq!(set[0].traffic_band(), TrafficBand::Low);
         assert_eq!(set.last().unwrap().traffic_band(), TrafficBand::High);
-        for b in &set {
+        for b in set {
             assert_eq!(b.suite, Suite::Accelerator);
             b.generator.validate();
         }
@@ -87,7 +94,7 @@ mod tests {
     fn space_profile_is_quietest() {
         let set = accelerator_profiles();
         let space = accelerator_profile("sensor-fusion-space").unwrap();
-        for b in &set {
+        for b in set {
             assert!(b.traffic.reads_per_sec >= space.traffic.reads_per_sec);
         }
     }

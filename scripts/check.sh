@@ -13,21 +13,22 @@ cargo test -q
 # fixed-budget mutation fuzzer over both store formats and the serve
 # request line may either.
 cargo test -q --test fault_injection
-# The perf gate: the batched execution paths must report exactly one
-# geometry solve per distinct temperature-stripped design-point key
-# (the `geometry.solves` counter over the full study x temperature
-# grid). Counter-based, so it cannot flake on machine load the way a
+# The perf gate: `Explorer::run`, the one plan executor, must report
+# exactly one geometry solve per distinct temperature-stripped
+# design-point key (the `geometry.solves` counter over the full study x
+# temperature grid) and one dispatch per geometry batch.
+# Counter-based, so it cannot flake on machine load the way a
 # wall-clock threshold would.
 cargo test -q --test batch perf_smoke
-# The evaluation-kernel perf gate: on a warm explorer the batched
-# evaluation path must be strictly faster per row than the scalar
-# per-row loop (interleaved median timing, so a one-off scheduler
-# hiccup lands on both sides alike).
+# The evaluation-kernel perf gate: on a warm explorer `Explorer::run`
+# must be strictly faster per row than the scalar per-cell loop of
+# `Explorer::evaluate` (interleaved median timing, so a one-off
+# scheduler hiccup lands on both sides alike).
 cargo test -q --test eval_batch perf_smoke
 # The characterization-kernel perf gate: the SoA multi-temperature
-# stripe over pre-solved geometries must beat the per-point oracle per
-# dispatch while staying bit-identical (same interleaved-median
-# discipline as the eval gate).
+# stripe over pre-solved geometries (what `run` dispatches per geometry
+# batch) must beat the per-point oracle per dispatch while staying
+# bit-identical (same interleaved-median discipline as the eval gate).
 cargo test -q --test batch multi_temperature_stripe_is_faster_than_per_point
 # The warm-start replay gate: a geometry store written by one process
 # must restore the full study set into a fresh explorer byte-identically
@@ -78,14 +79,23 @@ cargo test -q -p coldtall-serve corrupt
 # write files of pinned byte length and FNV-1a, so a store written by
 # one build replays unchanged in the next.
 cargo test -q --test serve store_bytes_are_pinned
-# The untrusted-input gates: JSON nested past the depth cap and a TCP
-# request line past the length cap get typed errors, and the daemon
-# keeps answering fresh requests afterwards. The JSON string scan
+# The untrusted-input gates: JSON nested past the depth cap, a request
+# line past the length cap and a line that is not UTF-8 get typed
+# errors on both frontends, and the daemon keeps answering fresh
+# requests afterwards (stdin skips the rest of an over-long line in
+# capped chunks; TCP closes that connection). The JSON string scan
 # copies whole runs (linear time) and must decode exactly as the
 # per-char scan did.
 cargo test -q -p coldtall-obs nesting_is_capped
 cargo test -q -p coldtall-obs string_scan_matches_a_per_char_reference
+cargo test -q -p coldtall-serve stdin_hostile_lines_get_typed_errors_and_the_session_continues
+cargo test -q -p coldtall-serve read_frame_caps_each_line_at_one_byte_past_the_limit
 cargo test -q --test serve hostile_lines
+# The resolved-backend bound: with the cache capped at 8 entries, 2,000
+# characterize requests at distinct temperatures leave the routing map
+# answering for exactly the 8 cached keys, so no client can grow the
+# daemon past `--cache-cap`.
+cargo test -q -p coldtall-core resolved_backends_are_bounded_by_the_cache_cap
 # The cryo-NVM gates: every study artifact (including the Δ(T)
 # STT-MRAM region study) must regenerate byte-identically to its
 # golden under results/, and the adaptive search over the cryo-STT

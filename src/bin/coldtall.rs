@@ -27,7 +27,8 @@ use coldtall::array::Objective;
 use coldtall::cell::Tentpole;
 use coldtall::core::report::{sci, TextTable};
 use coldtall::core::{
-    selection, BackendRegistry, CacheConfig, Constraints, Explorer, MemoryConfig, RequestHandler,
+    selection, BackendRegistry, CacheConfig, Constraints, Error, EvalArena, Explorer, MemoryConfig,
+    RequestHandler,
 };
 use coldtall::par::PoolConfig;
 use coldtall::serve::{
@@ -35,7 +36,7 @@ use coldtall::serve::{
 };
 use coldtall::tech::ProcessNode;
 use coldtall::units::Kelvin;
-use coldtall::workloads::spec2017;
+use coldtall::workloads::{benchmark, spec2017};
 
 /// What `--metrics[=json]` asked for.
 #[derive(Clone, Copy, PartialEq)]
@@ -59,6 +60,17 @@ fn main() -> ExitCode {
         }
         _ => true,
     });
+    // The worker pool is resolved once, before any command runs:
+    // `COLDTALL_THREADS` is read here (an invalid value warns once and
+    // falls back to auto-detection), and the pool's metrics register
+    // even when a command never fans out, so `--metrics` reports the
+    // same metric set for every command and thread count.
+    let (pool, pool_warnings) = PoolConfig::from_env();
+    for w in &pool_warnings {
+        eprintln!("{w}");
+    }
+    pool.apply();
+    coldtall::par::register_metrics();
     let Some(command) = args.first() else {
         let mut usage = String::new();
         write_usage(&mut usage);
@@ -441,11 +453,22 @@ fn cmd_recommend(opts: &Options, out: &mut String) -> Result<(), String> {
     }
     let explorer = Explorer::with_defaults();
     let name = benchmark_name(opts);
-    let evals: Vec<_> = MemoryConfig::study_set()
-        .iter()
-        .map(|c| explorer.try_evaluate(c, name))
-        .collect::<Result<_, _>>()
+    let bench = benchmark(name).ok_or_else(|| {
+        Error::UnknownBenchmark {
+            name: name.to_string(),
+        }
+        .to_string()
+    })?;
+    // One plan: the study set under this benchmark alone.
+    let plan = explorer
+        .plan_sweep_over(&MemoryConfig::study_set(), std::slice::from_ref(bench))
         .map_err(|e| e.to_string())?;
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let evals = arena.to_rows();
+    for row in &evals {
+        row.validate().map_err(|e| e.to_string())?;
+    }
     match coldtall::core::recommend(&evals, &constraints) {
         Some(pick) => {
             let _ = writeln!(
@@ -756,26 +779,19 @@ fn cmd_table2(out: &mut String) -> Result<(), String> {
 /// complete, not at exit.
 fn cmd_serve(opts: &Options) -> Result<(), String> {
     // Explicit configs, not environment latches: a long-running host
-    // reconfigures per logical restart, so the once-per-process
-    // `OnceLock` env path the one-shot commands use is wrong here.
-    let (pool_env, pool_warnings) = PoolConfig::from_env();
-    let pool = match opts.get("threads") {
-        Some(raw) => PoolConfig {
+    // reconfigures per logical restart. `main` already applied
+    // `COLDTALL_THREADS`; `--threads` overrides it.
+    if let Some(raw) = opts.get("threads") {
+        PoolConfig {
             threads: Some(
                 raw.parse::<usize>()
                     .ok()
                     .filter(|&n| n > 0)
                     .ok_or_else(|| "bad --threads value".to_string())?,
             ),
-        },
-        None => {
-            for w in &pool_warnings {
-                eprintln!("{w}");
-            }
-            pool_env
         }
-    };
-    pool.apply();
+        .apply();
+    }
 
     let (mut cache_config, cache_warnings) = CacheConfig::from_env();
     match opts.get("cache-cap") {

@@ -98,17 +98,22 @@ fn backend_dispatch_is_bit_identical_to_direct_lowering() {
 }
 
 /// The full study grid — study set x SPEC2017 — is byte-identical
-/// between a 1-thread and a 4-thread pool, through the plan/execute
+/// between a 1-thread and a 4-thread pool, through the plan/run
 /// pipeline.
 #[test]
 fn study_sweep_rows_identical_under_1_and_4_thread_pools() {
+    let sweep = || {
+        Explorer::with_defaults()
+            .try_sweep_configs(&MemoryConfig::study_set())
+            .expect("the study set resolves")
+    };
     let one = {
         let _pinned = PinnedPool::threads(1);
-        Explorer::with_defaults().sweep()
+        sweep()
     };
     let four = {
         let _pinned = PinnedPool::threads(4);
-        Explorer::with_defaults().sweep()
+        sweep()
     };
     assert_eq!(one.len(), MemoryConfig::study_set().len() * spec2017().len());
     assert_eq!(one, four, "sweep rows must not depend on the pool width");

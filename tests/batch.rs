@@ -1,19 +1,21 @@
 //! Bit-identity and counter tests of the two-phase characterization
 //! kernel (geometry-batched plan execution).
 //!
-//! The batched paths ([`Explorer::execute`] / [`Explorer::execute_par`])
-//! group a plan's characterization jobs by temperature-stripped
-//! geometry key, solve each geometry once, and fan the temperatures
-//! out over the cached candidate list. The contract under test:
+//! [`Explorer::run`] groups a plan's characterization jobs by
+//! temperature-stripped geometry key, solves each geometry once, and
+//! fans the temperatures out over the cached candidate list. The
+//! contract under test:
 //!
-//! * rows are **bit-identical** to the per-point reference
-//!   ([`Explorer::execute_per_point`]), at any pool width,
+//! * rows are **bit-identical** to the per-point oracle
+//!   (`support::per_point`), at any pool width,
 //! * the geometry cache records exactly one solve per distinct
 //!   geometry key (`perf_smoke`),
 //! * the organization optimizer's lower-bound prune never changes the
 //!   argmin (brute force over the full candidate grid), because the
 //!   bound is sound (`score_lower_bound <= score`, verified
 //!   exhaustively).
+
+mod support;
 
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -24,7 +26,7 @@ use coldtall::array::{
 };
 use coldtall_bench::timing::time_median_pair;
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
-use coldtall::core::{pool, DesignPointKey, Explorer, MemoryConfig};
+use coldtall::core::{pool, DesignPointKey, EvalArena, Explorer, MemoryConfig};
 use coldtall::cryo::{characterize_at, study_temperatures};
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
@@ -71,28 +73,27 @@ fn observed_explorer(registry: &Registry) -> Explorer {
     )
 }
 
-/// Runs the per-point reference and both batched paths over the full
+/// Runs the per-point oracle and [`Explorer::run`] over the full
 /// study x temperature grid on `threads` pool threads, each on a fresh
 /// explorer (cold caches), and asserts the rows are bit-identical.
 fn assert_batched_paths_bit_identical(threads: usize) {
     let _pinned = PinnedPool::threads(threads);
     let configs = expanded_study();
-    let run = |execute: fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
+    let run = |execute: &dyn Fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
         let registry = Registry::new();
         let explorer = observed_explorer(&registry);
         let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
         execute(&explorer, &plan)
     };
-    let per_point = run(Explorer::execute_per_point);
-    let batched = run(Explorer::execute);
-    let batched_par = run(Explorer::execute_par);
+    let per_point = run(&support::per_point);
+    let batched = run(&|explorer, plan| {
+        let mut arena = EvalArena::new();
+        explorer.run(plan, &mut arena);
+        arena.to_rows()
+    });
     assert_eq!(
         per_point, batched,
         "batched execution must be bit-identical to per-point at {threads} threads"
-    );
-    assert_eq!(
-        batched, batched_par,
-        "pooled batched execution must match sequential at {threads} threads"
     );
 }
 
@@ -125,7 +126,9 @@ fn perf_smoke() {
         "the temperature sweep must share geometries across jobs"
     );
 
-    let rows = explorer.execute(&plan);
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let rows = arena.to_rows();
     assert_eq!(rows.len(), plan.rows());
     let solves = registry
         .counter_value("geometry.solves")
@@ -155,8 +158,8 @@ fn perf_smoke() {
     );
 
     // A second execution is all cache hits: no new solves, no dispatch.
-    let again = explorer.execute(&plan);
-    assert_eq!(rows, again);
+    explorer.run(&plan, &mut arena);
+    assert_eq!(rows, arena.to_rows());
     assert_eq!(registry.counter_value("geometry.solves"), Some(solves));
 }
 
@@ -165,8 +168,8 @@ fn perf_smoke() {
 /// stripe must be strictly faster per dispatch than the per-point
 /// oracle, while staying bit-identical. Interleaved median timing, so
 /// a one-off scheduler hiccup lands on both sides alike (the same
-/// discipline as the eval-kernel gate); the wall-clock margin in the
-/// bench harness is ≥3x, so a strict inequality here has headroom.
+/// discipline as the eval-kernel gate); the stripe measured ≥3x ahead
+/// when it landed, so a strict inequality here has headroom.
 #[test]
 fn multi_temperature_stripe_is_faster_than_per_point() {
     let _pinned = PinnedPool::threads(1);
@@ -174,7 +177,7 @@ fn multi_temperature_stripe_is_faster_than_per_point() {
     let objective = Objective::EnergyDelayProduct;
     let temps = study_temperatures().to_vec();
     // One configuration per distinct study geometry — the same
-    // temperature-stripped grouping the batched execution paths use.
+    // temperature-stripped grouping plan execution uses.
     let mut seen = HashSet::new();
     let configs: Vec<MemoryConfig> = MemoryConfig::study_set()
         .into_iter()
@@ -218,54 +221,6 @@ fn multi_temperature_stripe_is_faster_than_per_point() {
          vs per-point {:.0} ns over {dispatches} dispatches",
         batched.median_ns_per(dispatches),
         point.median_ns_per(dispatches),
-    );
-}
-
-/// Plans below the fan-out threshold must take the inline path inside
-/// [`Explorer::execute_par`] — observable only through the
-/// process-global `pool.inline_plans` counter — and stay bit-identical
-/// to both the sequential batched path and the per-point reference.
-#[test]
-fn small_plans_run_inline_and_stay_bit_identical() {
-    // A wide pool makes the fallback meaningful: fan-out is available
-    // but must not be used for a study-sized (31-job < 64) plan.
-    let _pinned = PinnedPool::threads(4);
-    let configs = MemoryConfig::study_set();
-    let inline_plans = |registry: &Registry| registry.counter_value("pool.inline_plans");
-
-    let run = |execute: fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
-        let registry = Registry::new();
-        let explorer = observed_explorer(&registry);
-        let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
-        assert!(
-            plan.jobs().len() < 64,
-            "the bare study set must sit below the inline threshold"
-        );
-        execute(&explorer, &plan)
-    };
-
-    // `pool.inline_plans` feeds the process-global registry (the path
-    // taken is a scheduling fact, not per-explorer logical work), so
-    // sample it around the pooled run and tolerate concurrent tests by
-    // asserting a lower bound on the delta.
-    let global = coldtall::obs::global();
-    let before = inline_plans(global).unwrap_or(0);
-    let pooled = run(Explorer::execute_par);
-    let after = inline_plans(global).unwrap_or(0);
-    assert!(
-        after > before,
-        "a sub-threshold plan must bump pool.inline_plans ({before} -> {after})"
-    );
-
-    let sequential = run(Explorer::execute);
-    let per_point = run(Explorer::execute_per_point);
-    assert_eq!(
-        pooled, sequential,
-        "the inline fallback must be bit-identical to the sequential batched path"
-    );
-    assert_eq!(
-        sequential, per_point,
-        "batched execution must stay bit-identical to the per-point reference"
     );
 }
 

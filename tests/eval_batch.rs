@@ -1,28 +1,29 @@
 //! Bit-identity, arena-reuse, and perf tests of the batch evaluation
-//! kernel ([`coldtall::core::evaluate_batch`] / `EvalArena`).
+//! kernel behind [`Explorer::run`] and its `EvalArena`.
 //!
 //! The kernel evaluates a whole (configuration x benchmark x
 //! temperature) grid in one call, hoisting the grid-invariants — the
 //! 350 K SRAM baseline services, the cooling wall factor, the traffic
 //! table — out of the per-row path. The contract under test:
 //!
-//! * batch rows are **bit-identical** to the scalar
+//! * `run` rows are **bit-identical** to the scalar
 //!   [`Explorer::evaluate`] oracle over the full study x SPEC2017 x
 //!   temperature grid, at any pool width, including infeasible rows
 //!   (refresh-dead, bandwidth-saturated, and the non-finite baseline
 //!   guard),
 //! * a reused arena allocates nothing after its first fill (column
 //!   capacities are stable across repeated sweeps),
-//! * on a warm explorer the batched path is strictly faster per row
-//!   than the scalar per-row loop (`perf_smoke`, gated by
-//!   `scripts/check.sh`),
+//! * on a warm explorer `run` is strictly faster per row than the
+//!   scalar per-row loop (`perf_smoke`, gated by `scripts/check.sh`),
 //! * repeated sweeps over the *same* explorer at new temperatures hit
 //!   the geometry cache (nonzero `geometry.hits`) without re-solving.
+
+mod support;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coldtall::array::Objective;
-use coldtall::core::{evaluate_batch, pool, EvalArena, Explorer, Feasibility, MemoryConfig};
+use coldtall::core::{pool, EvalArena, Explorer, Feasibility, MemoryConfig};
 use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
@@ -71,44 +72,28 @@ fn observed_explorer(registry: &Registry) -> Explorer {
     )
 }
 
-/// Runs the scalar per-row oracle and every batch-kernel consumer over
-/// the full study x SPEC2017 x temperature grid on `threads` pool
-/// threads, each on a fresh explorer, and asserts bit-identity.
+/// Runs the scalar per-cell oracle and [`Explorer::run`] over the full
+/// study x SPEC2017 x temperature grid on `threads` pool threads, each
+/// on a fresh explorer, and asserts bit-identity.
 fn assert_batch_matches_scalar_oracle(threads: usize) {
     let _pinned = PinnedPool::threads(threads);
     let configs = expanded_study();
-
-    // The scalar oracle: one `Explorer::evaluate` call per grid cell,
-    // in the batch kernel's row-major (config-major) order.
-    let registry = Registry::new();
-    let explorer = observed_explorer(&registry);
-    let scalar: Vec<_> = configs
-        .iter()
-        .flat_map(|config| spec2017().iter().map(|b| explorer.evaluate(config, b)))
-        .collect();
-
-    let run = |consume: fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
-        let registry = Registry::new();
-        let explorer = observed_explorer(&registry);
+    let plan_on = |registry: &Registry| {
+        let explorer = observed_explorer(registry);
         let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
-        consume(&explorer, &plan)
+        (explorer, plan)
     };
-    let batched = run(|explorer, plan| {
-        let mut arena = EvalArena::new();
-        evaluate_batch(explorer, plan, &mut arena);
-        arena.to_rows()
-    });
-    let executed = run(Explorer::execute);
-    let executed_par = run(Explorer::execute_par);
+
+    let (explorer, plan) = plan_on(&Registry::new());
+    let scalar = support::per_point(&explorer, &plan);
+    let (explorer, plan) = plan_on(&Registry::new());
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let batched = arena.to_rows();
 
     assert_eq!(
         scalar, batched,
-        "evaluate_batch must be bit-identical to the scalar oracle at {threads} threads"
-    );
-    assert_eq!(batched, executed, "execute rides the same kernel");
-    assert_eq!(
-        executed, executed_par,
-        "pooled execution must match sequential at {threads} threads"
+        "run must be bit-identical to the scalar oracle at {threads} threads"
     );
 
     // The grid genuinely exercises the infeasible paths: the 350 K
@@ -159,12 +144,9 @@ fn batch_matches_scalar_on_bandwidth_saturated_rows() {
         .compile(explorer.backends())
         .expect("study configs resolve");
 
-    let scalar: Vec<_> = configs
-        .iter()
-        .flat_map(|config| benchmarks.iter().map(|b| explorer.evaluate(config, b)))
-        .collect();
+    let scalar = support::per_point(&explorer, &plan);
     let mut arena = EvalArena::new();
-    evaluate_batch(&explorer, &plan, &mut arena);
+    explorer.run(&plan, &mut arena);
 
     assert_eq!(
         scalar,
@@ -195,7 +177,7 @@ fn arena_reuse_allocates_nothing_after_the_first_sweep() {
         .expect("study configs resolve");
 
     let mut arena = EvalArena::new();
-    explorer.execute_into(&plan, &mut arena);
+    explorer.run(&plan, &mut arena);
     let first = arena.to_rows();
     assert_eq!(arena.rows(), plan.rows());
     let capacity = arena.row_capacity();
@@ -205,7 +187,7 @@ fn arena_reuse_allocates_nothing_after_the_first_sweep() {
     // column ever reallocates (the minimum capacity across all columns
     // is exactly what the first sweep left behind).
     for round in 0..3 {
-        explorer.execute_into(&plan, &mut arena);
+        explorer.run(&plan, &mut arena);
         assert_eq!(arena.to_rows(), first, "round {round} changed the rows");
         assert_eq!(
             arena.row_capacity(),
@@ -217,7 +199,7 @@ fn arena_reuse_allocates_nothing_after_the_first_sweep() {
 
 /// The headline perf invariant gated by `scripts/check.sh`: on a warm
 /// explorer (characterizations cached, so the evaluation kernel is
-/// what gets measured) the batched path is strictly faster per row
+/// what gets measured) [`Explorer::run`] is strictly faster per row
 /// than the scalar per-row loop.
 #[test]
 fn perf_smoke() {
@@ -226,10 +208,11 @@ fn perf_smoke() {
     let explorer = Explorer::with_defaults();
     let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
     // Warm every characterization so both sides measure evaluation.
-    let reference = explorer.execute(&plan);
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let reference = arena.to_rows();
     let rows = reference.len();
 
-    let mut arena = EvalArena::new();
     let (per_row, batched) = time_median_pair(
         ("per_row", "batched"),
         9,
@@ -239,7 +222,7 @@ fn perf_smoke() {
                 .flat_map(|config| spec2017().iter().map(|b| explorer.evaluate(config, b)))
                 .collect()
         },
-        || evaluate_batch(&explorer, &plan, &mut arena),
+        || explorer.run(&plan, &mut arena),
     );
 
     assert_eq!(arena.to_rows(), reference, "timed runs stay bit-identical");
@@ -255,16 +238,16 @@ fn perf_smoke() {
 /// The geometry cache is alive across sweeps of the *same* explorer:
 /// characterizing already-solved geometries at new temperatures probes
 /// the temperature-stripped geometry key and hits, instead of
-/// re-solving. (A fresh explorer per sweep — what `BENCH_sweep.json`
-/// used to time exclusively — never revisits a geometry, which is why
-/// its `geometry.hits` read zero.)
+/// re-solving. (A fresh explorer per sweep never revisits a geometry,
+/// so its `geometry.hits` read zero.)
 #[test]
 fn new_temperatures_on_a_warm_explorer_hit_the_geometry_cache() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
     let configs = expanded_study();
     let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
-    let _ = explorer.execute(&plan);
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
     let solves = registry.counter_value("geometry.solves").unwrap();
     let hits = registry.counter_value("geometry.hits").unwrap();
     assert!(solves > 0, "the first sweep solves every distinct geometry");
@@ -281,7 +264,7 @@ fn new_temperatures_on_a_warm_explorer_hit_the_geometry_cache() {
         })
         .collect();
     let shifted_plan = explorer.plan_sweep(&shifted).expect("shifted configs resolve");
-    let _ = explorer.execute(&shifted_plan);
+    explorer.run(&shifted_plan, &mut arena);
 
     assert_eq!(
         registry.counter_value("geometry.solves"),

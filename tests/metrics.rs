@@ -8,7 +8,7 @@
 //!
 //! * every characterization call is counted as exactly one cache hit
 //!   or one cache miss,
-//! * counter values are identical between sequential and parallel runs
+//! * counter values are identical between 1-thread and 4-thread runs
 //!   of the same sweep (the determinism contract extends from rows to
 //!   telemetry),
 //! * histogram quantile estimates are monotone,
@@ -18,7 +18,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use coldtall::array::Objective;
-use coldtall::core::{pool, Explorer, MemoryConfig};
+use coldtall::core::{pool, Explorer, LlcEvaluation, MemoryConfig};
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 
@@ -42,15 +42,36 @@ fn small_config_set() -> Vec<MemoryConfig> {
     ]
 }
 
+/// The sweep every test here observes: `configs` under the full suite.
+fn sweep(explorer: &Explorer, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
+    explorer
+        .try_sweep_configs(configs)
+        .expect("configs resolve")
+}
+
+/// [`sweep`] on a fresh explorer observed by `registry`, with the pool
+/// pinned to `threads` workers.
+fn sweep_on_threads(
+    registry: &Registry,
+    threads: usize,
+    configs: &[MemoryConfig],
+) -> Vec<LlcEvaluation> {
+    let _lock = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    pool::set_max_threads(threads);
+    let rows = sweep(&observed_explorer(registry), configs);
+    pool::set_max_threads(0);
+    rows
+}
+
 #[test]
 fn hits_plus_misses_equals_characterization_calls() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
     let configs = small_config_set();
-    let _ = explorer.sweep_configs(&configs);
+    let _ = sweep(&explorer, &configs);
     // A second sweep re-probes everything as hits; the identity must
     // keep holding.
-    let _ = explorer.sweep_configs(&configs);
+    let _ = sweep(&explorer, &configs);
 
     let hits = registry.counter_value("cache.hits").expect("hits registered");
     let misses = registry.counter_value("cache.misses").expect("misses registered");
@@ -67,26 +88,19 @@ fn hits_plus_misses_equals_characterization_calls() {
 fn counters_identical_between_sequential_and_parallel_sweeps() {
     let configs = small_config_set();
 
+    // A 4-wide pool even on a 1-CPU host: counters must not depend on
+    // the pool width.
     let seq_registry = Registry::new();
-    let seq_rows = observed_explorer(&seq_registry).sweep_configs_seq(&configs);
-
-    // Force real workers for the parallel side, so the contract is
-    // exercised across threads even on a 1-CPU host.
+    let seq_rows = sweep_on_threads(&seq_registry, 1, &configs);
     let par_registry = Registry::new();
-    let par_rows = {
-        let _lock = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        pool::set_max_threads(4);
-        let rows = observed_explorer(&par_registry).par_sweep_configs(&configs);
-        pool::set_max_threads(0);
-        rows
-    };
+    let par_rows = sweep_on_threads(&par_registry, 4, &configs);
 
-    assert_eq!(seq_rows, par_rows, "rows must not depend on the path");
+    assert_eq!(seq_rows, par_rows, "rows must not depend on the pool width");
     assert_eq!(
         seq_registry.counters(),
         par_registry.counters(),
-        "every exported counter must be identical between sequential \
-         and parallel runs"
+        "every exported counter must be identical between 1-thread \
+         and 4-thread runs"
     );
     let hits = seq_registry.counter_value("cache.hits").unwrap();
     assert_eq!(
@@ -108,7 +122,7 @@ fn backend_counters_attribute_every_dispatch() {
     let explorer = observed_explorer(&registry);
     // The small set is all single-die volatile: everything routes to
     // CryoMEM, and Destiny's counter registers but never moves.
-    let _ = explorer.sweep_configs(&small_config_set());
+    let _ = sweep(&explorer, &small_config_set());
     let misses = registry.counter_value("cache.misses").unwrap();
     let cryomem = registry
         .counter_value("backend.cryomem.characterizations")
@@ -150,14 +164,9 @@ fn backend_counters_attribute_every_dispatch() {
 fn backend_counters_identical_between_sequential_and_parallel_sweeps() {
     let configs = small_config_set();
     let seq_registry = Registry::new();
-    let _ = observed_explorer(&seq_registry).sweep_configs_seq(&configs);
+    let _ = sweep_on_threads(&seq_registry, 1, &configs);
     let par_registry = Registry::new();
-    {
-        let _lock = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        pool::set_max_threads(4);
-        let _ = observed_explorer(&par_registry).par_sweep_configs(&configs);
-        pool::set_max_threads(0);
-    }
+    let _ = sweep_on_threads(&par_registry, 4, &configs);
     for name in [
         "backend.cryomem.characterizations",
         "backend.destiny.characterizations",
@@ -175,7 +184,7 @@ fn characterization_span_counts_only_real_work() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
     let configs = small_config_set();
-    let _ = explorer.sweep_configs(&configs);
+    let _ = sweep(&explorer, &configs);
     let span = registry.span("characterize");
     assert_eq!(
         span.count(),
@@ -207,7 +216,7 @@ fn characterization_span_counts_only_real_work() {
 fn histogram_quantiles_are_monotone() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
-    let _ = explorer.sweep_configs(&small_config_set());
+    let _ = sweep(&explorer, &small_config_set());
     for name in ["characterize", "evaluate", "sweep"] {
         let span = registry.span(name);
         let (p50, p95, p99) = (span.quantile(0.50), span.quantile(0.95), span.quantile(0.99));
@@ -223,7 +232,7 @@ fn histogram_quantiles_are_monotone() {
 fn reset_zeroes_every_counter_gauge_and_span() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
-    let _ = explorer.sweep_configs(&small_config_set());
+    let _ = sweep(&explorer, &small_config_set());
     assert!(registry.counter_value("cache.hits").unwrap() > 0);
 
     registry.reset();

@@ -1,10 +1,27 @@
-//! Integration tests of the parallel sweep engine: thread-safety of
-//! the explorer, determinism of the parallel paths against their
-//! sequential references, and the sharded characterization cache's
-//! convergence under contention.
+//! Integration tests of thread safety and determinism: the explorer is
+//! shareable, plan execution is bit-identical to the sequential
+//! per-point oracle under any pool width, the sharded characterization
+//! cache converges under contention, and the pool itself keeps order.
 
-use coldtall::core::{pool, Explorer, MemoryConfig};
+mod support;
+
+use coldtall::core::{pool, EvalArena, Explorer, LlcEvaluation, MemoryConfig};
 use coldtall::workloads::spec2017;
+
+/// Compiles `configs` on `explorer` and returns the rows of
+/// [`Explorer::run`] next to the per-point oracle's rows, the oracle
+/// computed on a fresh explorer.
+fn run_and_oracle(
+    explorer: &Explorer,
+    configs: &[MemoryConfig],
+) -> (Vec<LlcEvaluation>, Vec<LlcEvaluation>) {
+    let plan = explorer.plan_sweep(configs).expect("configs resolve");
+    let mut arena = EvalArena::new();
+    explorer.run(&plan, &mut arena);
+    let oracle = Explorer::with_defaults();
+    let oracle_plan = oracle.plan_sweep(configs).expect("configs resolve");
+    (arena.to_rows(), support::per_point(&oracle, &oracle_plan))
+}
 
 /// Compile-time proof the explorer can be shared across threads.
 #[test]
@@ -13,26 +30,27 @@ fn explorer_is_send_and_sync() {
     assert_send_sync::<Explorer>();
 }
 
-/// The headline determinism contract: the parallel sweep over the full
-/// study set x SPEC2017 cross-product is bit-identical, in identical
-/// order, to the sequential reference sweep.
+/// The headline determinism contract: the full study set x SPEC2017
+/// cross-product, run under a 4-wide pool, is bit-identical, in
+/// identical order, to the sequential per-point oracle.
 #[test]
 fn par_sweep_matches_sequential_over_full_study() {
-    // Force a multi-worker pool even on a 1-CPU machine, so the
-    // determinism contract is exercised across real threads.
+    // A multi-worker pool even on a 1-CPU machine: plan execution must
+    // not depend on the pool width.
     pool::set_max_threads(4);
     let configs = MemoryConfig::study_set();
-    let explorer = Explorer::with_defaults();
-    let par = explorer.par_sweep_configs(&configs);
-    let seq = explorer.sweep_configs_seq(&configs);
+    let (run, oracle) = run_and_oracle(&Explorer::with_defaults(), &configs);
     pool::set_max_threads(0);
-    assert_eq!(par.len(), configs.len() * spec2017().len());
-    assert_eq!(par, seq, "parallel sweep diverged from sequential");
+    assert_eq!(run.len(), configs.len() * spec2017().len());
+    assert_eq!(
+        run, oracle,
+        "plan execution diverged from the per-point oracle"
+    );
 }
 
-/// Determinism must also hold from a cold cache on each side (the
-/// parallel path characterizes concurrently, the sequential one
-/// on demand).
+/// Determinism must also hold from a cold cache on each side (plan
+/// execution characterizes geometry batches, the oracle one point at a
+/// time on demand).
 #[test]
 fn cold_cache_sweeps_agree() {
     let configs = [
@@ -41,21 +59,23 @@ fn cold_cache_sweeps_agree() {
         MemoryConfig::edram_350k(),
         MemoryConfig::edram_77k(),
     ];
-    let par = Explorer::with_defaults().par_sweep_configs(&configs);
-    let seq = Explorer::with_defaults().sweep_configs_seq(&configs);
-    assert_eq!(par, seq);
+    let (run, oracle) = run_and_oracle(&Explorer::with_defaults(), &configs);
+    assert_eq!(run, oracle);
 }
 
-/// The default entry point must produce the same rows regardless of
-/// which path it selects for this machine.
+/// The default entry point, [`Explorer::try_sweep_configs`], returns
+/// exactly the rows of an explicit plan run on a warm explorer and of
+/// the per-point oracle.
 #[test]
 fn default_sweep_is_path_independent() {
     let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_77k()];
     let explorer = Explorer::with_defaults();
-    assert_eq!(
-        explorer.sweep_configs(&configs),
-        explorer.sweep_configs_seq(&configs)
-    );
+    let default_rows = explorer
+        .try_sweep_configs(&configs)
+        .expect("configs resolve");
+    let (run, oracle) = run_and_oracle(&explorer, &configs);
+    assert_eq!(default_rows, run);
+    assert_eq!(run, oracle);
 }
 
 /// N OS threads hammer `characterize` on overlapping configurations:

@@ -92,7 +92,9 @@ fn end_to_end_choice_agrees_between_simulated_and_calibrated_traffic() {
 #[test]
 fn full_sweep_produces_finite_sane_rows() {
     let explorer = Explorer::with_defaults();
-    let rows = explorer.sweep();
+    let rows = explorer
+        .try_sweep_configs(&MemoryConfig::study_set())
+        .expect("the study set resolves");
     assert_eq!(rows.len(), MemoryConfig::study_set().len() * spec2017().len());
     for row in &rows {
         assert!(row.wall_power.get() > 0.0, "{}: zero power", row.config_label);

@@ -6,7 +6,7 @@
 //! The contract under test:
 //!
 //! * on the paper's full study set × temperature grid, the adaptive
-//!   frontier equals [`pareto_front_arena`] over the exhaustive sweep,
+//!   frontier equals [`pareto_front`] over the exhaustive sweep,
 //!   at 1 and 4 pool threads, for every constraint combination
 //!   [`recommend`] supports — and the search reports
 //!   `points_skipped > 0` every time,
@@ -22,8 +22,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coldtall::array::Objective;
 use coldtall::core::{
-    pareto_front, pareto_front_arena, pool, recommend, Constraints, EvalArena, Explorer,
-    LlcEvaluation, MemoryConfig, ParetoFrontier, PruneReason,
+    pareto_front, pool, recommend, Constraints, EvalArena, Explorer, LlcEvaluation, MemoryConfig,
+    ParetoFrontier, PruneReason,
 };
 use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
@@ -101,24 +101,24 @@ fn assert_search_matches_exhaustive(threads: usize) {
     let _pinned = PinnedPool::threads(threads);
     let configs = expanded_study();
 
-    // The exhaustive reference: one batched sweep into an arena.
+    // The exhaustive reference: one plan run into an arena.
     let registry = Registry::new();
     let exhaustive = observed_explorer(&registry);
     let plan = exhaustive.plan_sweep(&configs).expect("study configs resolve");
     let mut arena = EvalArena::new();
-    exhaustive.execute_into(&plan, &mut arena);
+    exhaustive.run(&plan, &mut arena);
     let rows = arena.to_rows();
     assert_eq!(rows.len(), configs.len() * spec2017().len());
 
-    // Unconstrained: bit-identical to the arena extraction.
+    // Unconstrained: bit-identical to the exhaustive extraction.
     let registry = Registry::new();
     let outcome = observed_explorer(&registry)
         .search("expanded study", &configs, &Constraints::none())
         .expect("the expanded study searches");
     assert_eq!(
         outcome.frontier,
-        pareto_front_arena(&arena),
-        "adaptive frontier diverged from the exhaustive arena extraction at {threads} threads"
+        pareto_front(&rows),
+        "adaptive frontier diverged from the exhaustive extraction at {threads} threads"
     );
 
     // Every constraint combination: bit-identical to filtering the
@@ -173,7 +173,7 @@ fn search_matches_exhaustive_at_one_thread() {
 
 /// The cryogenic-NVM region (Δ(T) STT-MRAM across both tentpoles,
 /// 1-8 dies, 77-387 K): the adaptive frontier is bit-identical to the
-/// exhaustive arena extraction at both pool widths, and the search
+/// exhaustive extraction at both pool widths, and the search
 /// still avoids provable work — here purely by dominance, since no
 /// STT-RAM plane is refresh-dead.
 #[test]
@@ -187,14 +187,14 @@ fn cryo_stt_region_search_matches_exhaustive() {
             .plan_sweep(&configs)
             .expect("every cryo-STT point resolves to a backend");
         let mut arena = EvalArena::new();
-        exhaustive.execute_into(&plan, &mut arena);
+        exhaustive.run(&plan, &mut arena);
 
         let outcome = Explorer::with_defaults()
             .search("cryo-STT region", &configs, &Constraints::none())
             .expect("the cryo-STT region searches");
         assert_eq!(
             outcome.frontier,
-            pareto_front_arena(&arena),
+            pareto_front(&arena.to_rows()),
             "cryo-STT adaptive frontier diverged from the exhaustive \
              extraction at {threads} threads"
         );

@@ -79,8 +79,15 @@ impl Daemon {
 
     /// Sends one request line over stdin and reads one response line.
     fn request(&mut self, line: &str) -> String {
+        self.request_bytes(line.as_bytes())
+    }
+
+    /// [`Daemon::request`] for a line of raw bytes (not necessarily
+    /// UTF-8).
+    fn request_bytes(&mut self, line: &[u8]) -> String {
         let stdin = self.stdin.as_mut().expect("stdin open");
-        writeln!(stdin, "{line}").expect("request written");
+        stdin.write_all(line).expect("request written");
+        stdin.write_all(b"\n").expect("newline written");
         stdin.flush().expect("request flushed");
         let mut response = String::new();
         self.stdout.read_line(&mut response).expect("response line");
@@ -517,15 +524,39 @@ fn hostile_lines_get_typed_errors_and_the_daemon_survives() {
     );
     drop((stream, reader));
 
-    // A fresh connection, and the stdin frontend, still get answers.
+    // A line that is not UTF-8: a typed error, and the same connection
+    // answers the next request.
     let mut stream = connect();
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(b"\xff\xfe\n").expect("bad line sent");
+    let response = read_response(&mut reader);
+    assert!(
+        response.starts_with("{\"ok\":false,") && response.contains("not valid UTF-8"),
+        "{response}"
+    );
     writeln!(stream, r#"{{"cmd":"status","id":1}}"#).expect("status sent");
     assert!(read_response(&mut reader).contains("\"ok\":true"));
+
+    // The stdin frontend answers the same hostile lines with typed
+    // errors and keeps serving: stdin cannot be reopened, so even an
+    // over-long line only skips to its end.
     let response = daemon.request(&deep);
     assert!(response.contains("nesting deeper than 128"), "{response}");
+    let response = daemon.request_bytes(b"\xff\xfe");
+    assert!(
+        response.starts_with("{\"ok\":false,") && response.contains("not valid UTF-8"),
+        "{response}"
+    );
     assert!(daemon
-        .request(r#"{"cmd":"status"}"#)
+        .request(r#"{"cmd":"status","id":2}"#)
+        .contains("\"ok\":true"));
+    let response = daemon.request_bytes(&vec![b'a'; 2 << 20]);
+    assert!(
+        response.starts_with("{\"ok\":false,") && response.contains("request line longer than"),
+        "{response}"
+    );
+    assert!(daemon
+        .request(r#"{"cmd":"status","id":3}"#)
         .contains("\"ok\":true"));
     daemon.shutdown();
 }
