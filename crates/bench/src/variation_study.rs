@@ -49,11 +49,12 @@ pub fn run() -> TextTable {
         "read_energy_p5/50/95",
         "area_p5/50/95",
     ]);
-    for tech in MemoryTechnology::ENVM_SET {
-        for dies in [1u8, 8] {
-            let summary = monte_carlo(tech, dies, SAMPLES, 0xC01D + u64::from(dies));
-            push(&mut table, &summary);
-        }
+    let cases: Vec<(MemoryTechnology, u8, u64)> = MemoryTechnology::ENVM_SET
+        .into_iter()
+        .flat_map(|tech| [1u8, 8].map(|dies| (tech, dies, 0xC01D + u64::from(dies))))
+        .collect();
+    for summary in monte_carlo(&cases, SAMPLES) {
+        push(&mut table, &summary);
     }
     table
 }

@@ -19,7 +19,7 @@ use crate::evaluate::{device_power, row_values, service_time, LlcEvaluation};
 use crate::lifetime::lifetime_years;
 use crate::parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
 use crate::pareto::Constraints;
-use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, KeyedJobs, SweepPlan};
+use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 use crate::search::{self, SearchMetrics, SearchOutcome};
 
 /// The reference benchmark all power results are normalized to, as in
@@ -529,24 +529,6 @@ impl Explorer {
         Ok(array)
     }
 
-    /// Warms the characterization cache for every distinct configuration
-    /// in `configs`, one pool item per distinct [`DesignPointKey`].
-    ///
-    /// The thermal scheduler calls this before fanning its (phase x
-    /// temperature) grid out over the pool, so co-scheduled workers of
-    /// the same configuration do not redundantly characterize it. Keys
-    /// are deduplicated first ([`KeyedJobs`]): each distinct key is
-    /// probed by exactly one pool item, which keeps the cache's
-    /// hit/miss counters deterministic under any thread count (two
-    /// workers racing the same missing key would otherwise both count
-    /// a miss).
-    pub fn precharacterize(&self, configs: &[MemoryConfig]) {
-        let jobs = KeyedJobs::build(configs.iter().cloned(), |_, config| {
-            DesignPointKey::of_config(config)
-        });
-        let _ = jobs.execute(|key, config| self.characterize_keyed(key, config));
-    }
-
     /// Evaluates one configuration under one benchmark's traffic — the
     /// one-cell query. Multi-row evaluations compile a plan and
     /// [`Explorer::run`] it instead; every row they produce is
@@ -694,15 +676,23 @@ impl Explorer {
     pub fn run(&self, plan: &ExecutionPlan, arena: &mut EvalArena) {
         let _span = Span::enter(self.metrics.sweep_span.clone());
         self.metrics.sweep_configs.add(plan.configs().len() as u64);
-        for group in self.geometry_groups(plan) {
-            self.characterize_group(&group);
-        }
+        self.characterize_jobs(plan);
         arena.begin(plan.benchmarks());
         let base_services = self.base_services(plan.benchmarks());
         for config in plan.configs() {
             self.evaluate_plane_into(config, &base_services, arena);
         }
         self.metrics.sweep_rows.add(arena.rows() as u64);
+    }
+
+    /// The job phase of [`Explorer::run`], on its own: every job of
+    /// `plan` probes the cache once, and each geometry group's misses
+    /// dispatch as one batch. The thermal schedule warms its candidate
+    /// temperatures through this without evaluating any rows.
+    pub(crate) fn characterize_jobs(&self, plan: &ExecutionPlan) {
+        for group in self.geometry_groups(plan) {
+            self.characterize_group(&group);
+        }
     }
 
     /// Groups a plan's job list by (temperature-stripped geometry key,
@@ -941,8 +931,8 @@ mod tests {
     use super::*;
     use coldtall_workloads::{benchmark, spec2017};
 
-    /// Compile-time proof that the explorer can be shared across the
-    /// worker pool.
+    /// Compile-time proof that the explorer can be shared across
+    /// threads (a daemon's connection threads share one).
     #[test]
     fn explorer_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

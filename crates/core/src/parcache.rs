@@ -2,11 +2,10 @@
 //!
 //! The explorer memoizes array characterizations by canonical
 //! [`DesignPointKey`] — the same key type the plan compiler
-//! deduplicates jobs by and the worker pool claims them by, so one
-//! identity threads the whole pipeline (display labels round
-//! temperatures and are not unique; keys are).
-//! A single `Mutex<HashMap>` would serialize every worker of a
-//! parallel sweep on one lock; a `RefCell` (the previous design) is
+//! deduplicates jobs by, so one identity threads the whole pipeline
+//! (display labels round temperatures and are not unique; keys are).
+//! A single `Mutex<HashMap>` would serialize every connection thread
+//! of a daemon on one lock; a `RefCell` (the previous design) is
 //! not `Sync` at all. This cache stripes the key space over `N`
 //! independent `RwLock<HashMap>` shards selected by key hash, so
 //! concurrent hits on different configurations never contend and hits
@@ -156,10 +155,11 @@ struct StripeMetrics {
 /// Every public probe counts exactly one hit or one miss, and every
 /// publication that actually lands in the map counts one insert, so
 /// `hits + misses == probes` and `inserts == distinct keys` hold at
-/// all times. All counts are of *logical* cache traffic — under the
-/// explorer's precharacterize/warmup discipline they are deterministic
-/// for a given workload regardless of thread count (see `DESIGN.md`
-/// § Observability).
+/// all times. All counts are of *logical* cache traffic — the
+/// explorer probes in plan order on the calling thread, and the
+/// pool's one user (the Monte-Carlo study) touches no cache, so they
+/// are deterministic for a given workload regardless of thread count
+/// (see `DESIGN.md` § Observability).
 #[derive(Debug)]
 pub struct CacheMetrics {
     hits: Arc<Counter>,
@@ -613,9 +613,9 @@ impl GeometryCache {
     /// Returns the cached geometry for `key`, solving and publishing
     /// it if absent. `solve` runs without any lock held and counts one
     /// `geometry.solves`; racers on the same missing key converge on
-    /// the first published solve (the batched execution paths group
-    /// jobs so each distinct key is claimed by one worker, keeping the
-    /// counter deterministic).
+    /// the first published solve (plan execution groups jobs by
+    /// geometry key and runs inline, so each distinct key is solved at
+    /// most once per sweep and the counter stays deterministic).
     pub fn get_or_solve(
         &self,
         key: &DesignPointKey,
@@ -686,7 +686,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn key(token: &str) -> DesignPointKey {
-        DesignPointKey::synthetic(token)
+        DesignPointKey::from_canonical(token.to_string())
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! against a [`crate::BackendRegistry`] (every configuration must
 //! resolve to exactly one backend) and produces an [`ExecutionPlan`]
 //! whose job list is deduplicated by [`DesignPointKey`] — the single
-//! canonical key type shared by the sharded characterization cache,
-//! the per-stripe observability counters, and the worker pool's job
-//! claiming (pool items are claimed per distinct key, never per
-//! duplicate).
+//! canonical key type shared by the sharded characterization cache and
+//! its per-stripe observability counters.
 //!
-//! Executing a plan is the explorer's half: [`crate::Explorer::run`].
+//! Executing a plan is the explorer's half: [`crate::Explorer::run`],
+//! inline on the calling thread.
 
 #![deny(missing_docs)]
 
@@ -24,7 +23,6 @@ use coldtall_workloads::{spec2017, Benchmark};
 use crate::backend::BackendRegistry;
 use crate::config::MemoryConfig;
 use crate::error::Error;
-use crate::pool;
 
 /// Canonical identity of one characterization job.
 ///
@@ -87,7 +85,7 @@ impl DesignPointKey {
     /// technology, same tentpole where the cell model reads it, same
     /// die count, any temperature. Keys the geometry cache of the
     /// batched two-phase characterization path. Namespaced so geometry
-    /// keys can never collide with design-point or synthetic keys.
+    /// keys can never collide with design-point keys.
     ///
     /// # Examples
     ///
@@ -111,15 +109,6 @@ impl DesignPointKey {
             tentpole,
             config.dies(),
         ))
-    }
-
-    /// A key for a job that is not a [`MemoryConfig`] — Monte-Carlo
-    /// cell samples, ad-hoc cache entries in tests. The token is
-    /// namespaced so synthetic keys can never collide with
-    /// configuration keys.
-    #[must_use]
-    pub fn synthetic(token: &str) -> Self {
-        Self::from_canonical(format!("synthetic|{token}"))
     }
 
     /// Reconstructs a key from a previously stored canonical form — a
@@ -161,69 +150,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// An ordered job list deduplicated by [`DesignPointKey`]: the shared
-/// substrate of an [`ExecutionPlan`]'s characterization phase and the
-/// Monte-Carlo sampling fan-out.
-///
-/// Jobs keep first-appearance order, and the worker pool claims one
-/// item per *distinct* key — duplicates never reach the pool, which is
-/// what keeps cache hit/miss counters deterministic under any thread
-/// count (two workers racing the same missing key would otherwise both
-/// count a miss).
-#[derive(Debug, Clone)]
-pub struct KeyedJobs<J> {
-    entries: Vec<(DesignPointKey, J)>,
-}
-
-impl<J> KeyedJobs<J> {
-    /// Builds the job list, dropping every item whose key was already
-    /// seen (first occurrence wins). `key_fn` receives the item's
-    /// pre-dedup index alongside the item.
-    pub fn build<I>(items: I, mut key_fn: impl FnMut(usize, &J) -> DesignPointKey) -> Self
-    where
-        I: IntoIterator<Item = J>,
-    {
-        let mut seen = std::collections::HashSet::new();
-        let entries = items
-            .into_iter()
-            .enumerate()
-            .filter_map(|(index, item)| {
-                let key = key_fn(index, &item);
-                seen.insert(key.clone()).then_some((key, item))
-            })
-            .collect();
-        Self { entries }
-    }
-
-    /// Number of distinct jobs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the list holds no jobs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The deduplicated `(key, job)` entries in first-appearance order.
-    #[must_use]
-    pub fn entries(&self) -> &[(DesignPointKey, J)] {
-        &self.entries
-    }
-
-    /// Runs every job on the worker pool (one claimed pool item per
-    /// distinct key), returning results in entry order.
-    pub fn execute<T>(&self, f: impl Fn(&DesignPointKey, &J) -> T + Sync) -> Vec<T>
-    where
-        J: Sync,
-        T: Send + Sync,
-    {
-        pool::parallel_map_slice(&self.entries, |(key, job)| f(key, job))
-    }
 }
 
 /// One validated characterization job of an [`ExecutionPlan`]: a
@@ -505,39 +431,15 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_keys_never_collide_with_config_keys() {
-        let config = MemoryConfig::sram_350k();
-        let key = DesignPointKey::of_config(&config);
-        assert_ne!(key, DesignPointKey::synthetic(key.canonical()));
-        assert_eq!(
-            DesignPointKey::synthetic("x"),
-            DesignPointKey::synthetic("x")
-        );
-    }
-
-    #[test]
     fn stable_hash_is_process_independent() {
         // FNV-1a of a fixed string is a fixed number; pin one value so
         // any accidental hasher change shows up as a test failure, not
         // as silently shuffled cache stripes.
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(
-            DesignPointKey::synthetic("x").stable_hash(),
-            fnv1a(b"synthetic|x")
+            DesignPointKey::from_canonical("x".to_string()).stable_hash(),
+            fnv1a(b"x")
         );
-    }
-
-    #[test]
-    fn keyed_jobs_dedup_preserving_first_appearance() {
-        let jobs = KeyedJobs::build(
-            vec!["a", "b", "a", "c", "b"],
-            |_, item| DesignPointKey::synthetic(item),
-        );
-        assert_eq!(jobs.len(), 3);
-        let order: Vec<&str> = jobs.entries().iter().map(|(_, j)| *j).collect();
-        assert_eq!(order, ["a", "b", "c"]);
-        let doubled = jobs.execute(|_, item| item.len() * 2);
-        assert_eq!(doubled, [2, 2, 2]);
     }
 
     #[test]

@@ -94,7 +94,9 @@ fn phase_power(
 ///
 /// # Panics
 ///
-/// Panics if `phases` or `candidates` is empty.
+/// Panics if `phases` or `candidates` is empty, or with the typed
+/// error's message if some candidate temperature resolves to no
+/// characterization backend.
 #[must_use]
 pub fn plan_schedule(
     explorer: &Explorer,
@@ -105,23 +107,29 @@ pub fn plan_schedule(
     assert!(!phases.is_empty(), "need at least one phase");
     assert!(!candidates.is_empty(), "need at least one temperature");
 
-    // Per-phase, per-candidate energies: warm the characterization
-    // cache (one keyed job per candidate temperature, dispatched
-    // through the backend registry) in parallel, then fan the
-    // (phase x candidate) grid out over the worker pool.
+    // Warm every candidate temperature through the plan executor's job
+    // phase — one geometry batch per (geometry, backend) group, so the
+    // technology's organization is solved once and striped over the
+    // candidates — then read the (phase x candidate) grid from the
+    // cache.
     let temp_configs: Vec<MemoryConfig> = candidates
         .iter()
         .map(|&t| MemoryConfig::volatile_2d(technology, t))
         .collect();
-    explorer.precharacterize(&temp_configs);
-    let flat = crate::pool::parallel_map(phases.len() * candidates.len(), |index| {
-        let (p, c) = crate::pool::unflatten(index, candidates.len());
-        phase_power(explorer, technology, candidates[c], phases[p].traffic)
-            * phases[p].duration.get()
-    });
-    let energy: Vec<Vec<f64>> = flat
-        .chunks(candidates.len())
-        .map(<[f64]>::to_vec)
+    let plan = explorer
+        .plan_sweep(&temp_configs)
+        .unwrap_or_else(|e| panic!("{e}"));
+    explorer.characterize_jobs(&plan);
+    let energy: Vec<Vec<f64>> = phases
+        .iter()
+        .map(|phase| {
+            candidates
+                .iter()
+                .map(|&t| {
+                    phase_power(explorer, technology, t, phase.traffic) * phase.duration.get()
+                })
+                .collect()
+        })
         .collect();
 
     // DP over (phase, temperature state).
@@ -269,6 +277,41 @@ mod tests {
         assert_eq!(schedule.transitions(), 0);
         assert_eq!(schedule.best_fixed_temperature, Kelvin::REFERENCE);
         assert!((schedule.total_energy / schedule.best_fixed_energy - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn candidates_warm_as_one_geometry_batch() {
+        // The candidates share one temperature-stripped geometry, so
+        // the job phase solves it once and dispatches one batch; every
+        // candidate still misses the characterization cache once.
+        let registry = coldtall_obs::Registry::new();
+        let explorer = Explorer::with_registry(
+            coldtall_tech::ProcessNode::ptm_22nm_hp(),
+            coldtall_array::Objective::EnergyDelayProduct,
+            &registry,
+        );
+        let _ = plan_schedule(
+            &explorer,
+            MemoryTechnology::Sram,
+            &phases(),
+            coldtall_cryo::study_temperatures(),
+        );
+        let count = |name: &str| registry.counter_value(name);
+        assert_eq!(count("explorer.characterize.dispatches"), Some(1));
+        assert_eq!(count("geometry.solves"), Some(1));
+        assert_eq!(count("cache.misses"), Some(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "no characterization backend supports 500K SRAM")]
+    fn unresolvable_candidates_panic_with_the_typed_error() {
+        let explorer = Explorer::with_defaults();
+        let _ = plan_schedule(
+            &explorer,
+            MemoryTechnology::Sram,
+            &phases(),
+            &[Kelvin::REFERENCE, Kelvin::new(500.0)],
+        );
     }
 
     #[test]

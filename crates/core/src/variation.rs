@@ -7,8 +7,11 @@
 //! matching the tentpoles' own field-wise construction), characterizes
 //! each sample, and reports percentile bands — turning the paper's
 //! two-point envelopes into distributions.
+//!
+//! [`monte_carlo`] is the worker pool's one user: every sample of a
+//! study, across all its cases, is characterized in one pool region.
 
-use coldtall_array::{ArraySpec, Objective};
+use coldtall_array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall_cell::{CellModel, MemoryTechnology, SurveyEntry, Tentpole};
 use coldtall_tech::ProcessNode;
 use coldtall_rng::SmallRng;
@@ -118,62 +121,61 @@ fn band(mut values: Vec<f64>) -> MetricBand {
     }
 }
 
-/// Runs the Monte-Carlo study: `samples` synthetic cells of `technology`
-/// at `dies` stacked dies, each characterized at 350 K and normalized to
-/// the 2D SRAM baseline.
+/// Runs the Monte-Carlo study over `cases`, each a `(technology, dies,
+/// seed)` triple: `samples` synthetic cells of the technology, drawn
+/// from the case's own seeded RNG ([`sample_cells`]) and stacked on
+/// `dies` dies, each characterized at 350 K and normalized to the 2D
+/// SRAM baseline. Returns one summary per case, in case order; a
+/// single case is a one-element slice.
+///
+/// The baseline is characterized once per call. Every sample of every
+/// case — one organization search per sampled cell — is characterized
+/// in one worker-pool region. The samples are distinct devices, so
+/// nothing dedups and nothing touches a cache.
 ///
 /// # Panics
 ///
-/// Panics if `samples` is zero or the technology has no survey.
+/// Panics if `samples` is zero or a technology has no survey.
 #[must_use]
-pub fn monte_carlo(
-    technology: MemoryTechnology,
-    dies: u8,
-    samples: usize,
-    seed: u64,
-) -> VariationSummary {
+pub fn monte_carlo(cases: &[(MemoryTechnology, u8, u64)], samples: usize) -> Vec<VariationSummary> {
     assert!(samples > 0, "need at least one sample");
     let node = ProcessNode::ptm_22nm_hp();
     let objective = Objective::EnergyDelayProduct;
     let baseline = ArraySpec::llc_16mib(CellModel::sram(&node), &node).characterize(objective);
 
-    // Sampling is sequential (one RNG stream keeps seeds meaningful);
-    // the expensive part — one organization search per sampled cell —
-    // fans out over the worker pool as a keyed job set. Sample keys are
-    // synthetic: every draw is a distinct device, so nothing dedups.
-    let cells = sample_cells(technology, samples, seed, &node);
-    let jobs = crate::plan::KeyedJobs::build(cells, |i, _| {
-        crate::plan::DesignPointKey::synthetic(&format!(
-            "mc|{}|d{dies}|s{seed}|{i}",
-            technology.name()
-        ))
-    });
-    let characterized = jobs.execute(|_, cell| {
+    let drawn: Vec<(CellModel, u8)> = cases
+        .iter()
+        .flat_map(|&(technology, dies, seed)| {
+            sample_cells(technology, samples, seed, &node)
+                .into_iter()
+                .map(move |cell| (cell, dies))
+        })
+        .collect();
+    let characterized = crate::pool::parallel_map_slice(&drawn, |(cell, dies)| {
         let mut spec = ArraySpec::llc_16mib(cell.clone(), &node);
-        if dies > 1 {
-            spec = spec.with_dies(dies);
+        if *dies > 1 {
+            spec = spec.with_dies(*dies);
         }
         spec.characterize(objective)
     });
-    let mut read_latency = Vec::with_capacity(samples);
-    let mut write_latency = Vec::with_capacity(samples);
-    let mut read_energy = Vec::with_capacity(samples);
-    let mut area = Vec::with_capacity(samples);
-    for a in characterized {
-        read_latency.push(a.read_latency / baseline.read_latency);
-        write_latency.push(a.write_latency / baseline.write_latency);
-        read_energy.push(a.read_energy / baseline.read_energy);
-        area.push(a.footprint / baseline.footprint);
-    }
-    VariationSummary {
-        technology,
-        dies,
-        samples,
-        read_latency: band(read_latency),
-        write_latency: band(write_latency),
-        read_energy: band(read_energy),
-        area: band(area),
-    }
+    cases
+        .iter()
+        .zip(characterized.chunks(samples))
+        .map(|(&(technology, dies, _), arrays)| {
+            let relative = |ratio: &dyn Fn(&ArrayCharacterization) -> f64| {
+                band(arrays.iter().map(ratio).collect())
+            };
+            VariationSummary {
+                technology,
+                dies,
+                samples,
+                read_latency: relative(&|a| a.read_latency / baseline.read_latency),
+                write_latency: relative(&|a| a.write_latency / baseline.write_latency),
+                read_energy: relative(&|a| a.read_energy / baseline.read_energy),
+                area: relative(&|a| a.footprint / baseline.footprint),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -203,7 +205,7 @@ mod tests {
 
     #[test]
     fn samples_are_bounded_by_the_tentpoles() {
-        let summary = monte_carlo(MemoryTechnology::Pcm, 1, 40, 7);
+        let summary = &monte_carlo(&[(MemoryTechnology::Pcm, 1, 7)], 40)[0];
         let (opt_lat, opt_area) = tentpole_metric(MemoryTechnology::Pcm, Tentpole::Optimistic, 1);
         let (pess_lat, pess_area) =
             tentpole_metric(MemoryTechnology::Pcm, Tentpole::Pessimistic, 1);
@@ -215,7 +217,7 @@ mod tests {
 
     #[test]
     fn percentiles_are_ordered() {
-        let s = monte_carlo(MemoryTechnology::SttRam, 4, 30, 11);
+        let s = &monte_carlo(&[(MemoryTechnology::SttRam, 4, 11)], 30)[0];
         for b in [s.read_latency, s.write_latency, s.read_energy, s.area] {
             assert!(b.p5 <= b.p50 && b.p50 <= b.p95);
         }
@@ -224,10 +226,10 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
-        let a = monte_carlo(MemoryTechnology::Rram, 1, 10, 3);
-        let b = monte_carlo(MemoryTechnology::Rram, 1, 10, 3);
+        let a = monte_carlo(&[(MemoryTechnology::Rram, 1, 3)], 10);
+        let b = monte_carlo(&[(MemoryTechnology::Rram, 1, 3)], 10);
         assert_eq!(a, b);
-        let c = monte_carlo(MemoryTechnology::Rram, 1, 10, 4);
+        let c = monte_carlo(&[(MemoryTechnology::Rram, 1, 4)], 10);
         assert_ne!(a, c);
     }
 

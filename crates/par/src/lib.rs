@@ -1,4 +1,4 @@
-//! Std-only scoped worker pool for coldtall's parallel sweeps.
+//! Std-only scoped worker pool for coldtall's Monte-Carlo study.
 //!
 //! The build environment is offline, so the workspace cannot pull in
 //! `rayon`; this crate provides the small slice of it the explorer
@@ -10,9 +10,10 @@
 //! * an atomic work-stealing index, so uneven item costs (a PCM
 //!   characterization is much slower than a cached SRAM lookup) never
 //!   leave a core idle while work remains,
-//! * automatic sequential fallback on 1-CPU machines, for trivially
-//!   small inputs, and inside an already-parallel region (nested
-//!   `parallel_map` calls run inline rather than oversubscribing),
+//! * automatic sequential fallback on 1-CPU machines, for a single
+//!   item (two items already spawn two threads), and inside an
+//!   already-parallel region (nested `parallel_map` calls run inline
+//!   rather than oversubscribing),
 //! * telemetry into the global `coldtall-obs` registry: a
 //!   deterministic `pool.tasks` counter (items submitted, inline or
 //!   not), `pool.spinups`/`pool.inline`/`pool.threads` gauges, and
@@ -22,12 +23,14 @@
 //! `(0..n).map(f).collect()` whenever `f(i)` depends only on `i` — the
 //! scheduling order varies between runs, the output order never does.
 //!
-//! The pool itself is key-agnostic: it schedules by index. Sweep job
-//! claiming is keyed one layer up, in `coldtall-core`'s execution
-//! plans, where each characterization job carries a canonical
-//! `DesignPointKey` — duplicates are deduplicated *before* the plan
-//! reaches the pool, so two workers never race to characterize the
-//! same design point.
+//! Every region spawns its threads afresh. On a shared 2-vCPU host an
+//! empty two-thread region costs about 70–260 µs, so spreading less
+//! than about half a millisecond of work loses to the inline loop. A
+//! caller therefore fans out once, over all of its items, or not at
+//! all. The one caller is `coldtall-core`'s `monte_carlo`, which
+//! characterizes every sample of a study in one region; compiled
+//! sweep plans and the thermal schedule run inline. The pool itself
+//! is key-agnostic: it schedules by index.
 //!
 //! # Examples
 //!
@@ -47,8 +50,9 @@ use std::time::Instant;
 
 use coldtall_obs::{Counter, Gauge, Histogram};
 
-/// Items-per-thread threshold below which the scheduling overhead is
-/// not worth paying and the map runs inline.
+/// Total item count below which [`parallel_map`] runs inline. It is
+/// compared against `n`, not items per thread, so only a single item
+/// stays inline: a 2-item region spawns two threads.
 const MIN_ITEMS_FOR_PARALLEL: usize = 2;
 
 /// Explicit thread-count override (0 = not set; see [`set_max_threads`]).
@@ -157,16 +161,16 @@ pub fn max_threads() -> usize {
 /// Eagerly resolves the pool's metric handles into the global
 /// registry. The metric *set* a process reports must not depend on
 /// whether any parallel region was large enough to fan out (`DESIGN.md`
-/// § Observability), so callers that bypass [`parallel_map`] — the
-/// sweep engine's inline-plan fallback — register the pool's metrics
-/// through this before skipping the pool.
+/// § Observability), so a process that may never call [`parallel_map`]
+/// — the CLI, whose commands all run inline — registers the pool's
+/// metrics through this at start-up.
 pub fn register_metrics() {
     let _ = metrics();
 }
 
 /// Overrides the worker-thread count process-wide (`0` restores
-/// auto-detection). Used by the timing harness to compare a genuinely
-/// sequential run (1 thread at every level) against a parallel one.
+/// auto-detection). Tests pin a pool width through it, and
+/// [`PoolConfig::apply`] installs a host's configured width.
 pub fn set_max_threads(threads: usize) {
     THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
 }
@@ -287,8 +291,9 @@ impl Drop for RegionGuard {
 /// the next unclaimed item), so heterogeneous item costs balance
 /// automatically; each result is written into its own pre-sized slot,
 /// so the output order is deterministic regardless of scheduling.
-/// Falls back to an inline sequential map when `n` is small, only one
-/// thread is available, or the caller is itself a pool worker.
+/// Falls back to an inline sequential map when `n` is below
+/// `MIN_ITEMS_FOR_PARALLEL` (that is, a single item), only one thread
+/// is available, or the caller is itself a pool worker.
 ///
 /// # Panics
 ///

@@ -30,6 +30,10 @@ cargo test -q --test eval_batch perf_smoke
 # batch) must beat the per-point oracle per dispatch while staying
 # bit-identical (same interleaved-median discipline as the eval gate).
 cargo test -q --test batch multi_temperature_stripe_is_faster_than_per_point
+# Pool regions: `dynamic_temperature` opens none, `variation_study` exactly one (360 tasks).
+cargo test -q --test pool_regions
+# The thermal schedule warms its candidates as one geometry batch (1 dispatch, 1 solve).
+cargo test -q -p coldtall-core candidates_warm_as_one_geometry_batch
 # The warm-start replay gate: a geometry store written by one process
 # must restore the full study set into a fresh explorer byte-identically
 # with zero geometry solves, and corrupt or stale-epoch lines must be

@@ -5,8 +5,13 @@
 
 mod support;
 
+use std::sync::{Mutex, PoisonError};
+
 use coldtall::core::{pool, EvalArena, Explorer, LlcEvaluation, MemoryConfig};
 use coldtall::workloads::spec2017;
+
+/// Tests that force a pool width share the process-global override.
+static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 /// Compiles `configs` on `explorer` and returns the rows of
 /// [`Explorer::run`] next to the per-point oracle's rows, the oracle
@@ -37,6 +42,7 @@ fn explorer_is_send_and_sync() {
 fn par_sweep_matches_sequential_over_full_study() {
     // A multi-worker pool even on a 1-CPU machine: plan execution must
     // not depend on the pool width.
+    let _pinned = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     pool::set_max_threads(4);
     let configs = MemoryConfig::study_set();
     let (run, oracle) = run_and_oracle(&Explorer::with_defaults(), &configs);
@@ -111,6 +117,7 @@ fn concurrent_characterize_smoke() {
 /// The pool preserves output order no matter how work is stolen.
 #[test]
 fn pool_output_order_is_deterministic() {
+    let _pinned = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     pool::set_max_threads(4);
     let expected: Vec<usize> = (0..997).map(|i| i * 31).collect();
     for _ in 0..8 {
@@ -119,12 +126,43 @@ fn pool_output_order_is_deterministic() {
     pool::set_max_threads(0);
 }
 
-/// The Monte-Carlo variation study (parallel inner loop) stays
-/// deterministic per seed.
+/// The Monte-Carlo variation study (the pool's one user) stays
+/// deterministic per seed, and batching its cases into one pool region
+/// changes no sample: the six `variation_study` cases in one call give
+/// the summaries of six one-case calls, under 1- and 4-thread pools.
+/// Every band is a finite, positive ratio, so `==` is bit equality.
 #[test]
 fn parallel_monte_carlo_is_deterministic() {
     use coldtall::cell::MemoryTechnology;
-    let a = coldtall::core::monte_carlo(MemoryTechnology::Pcm, 4, 12, 9);
-    let b = coldtall::core::monte_carlo(MemoryTechnology::Pcm, 4, 12, 9);
+    use coldtall::core::monte_carlo;
+    let a = monte_carlo(&[(MemoryTechnology::Pcm, 4, 9)], 12);
+    let b = monte_carlo(&[(MemoryTechnology::Pcm, 4, 9)], 12);
     assert_eq!(a, b);
+
+    // `variation_study`: every surveyed technology at 1 and 8 dies.
+    let cases: Vec<(MemoryTechnology, u8, u64)> = MemoryTechnology::ENVM_SET
+        .into_iter()
+        .flat_map(|tech| [1u8, 8].map(|dies| (tech, dies, 0xC01D + u64::from(dies))))
+        .collect();
+    let _pinned = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut widths = Vec::new();
+    for threads in [1, 4] {
+        pool::set_max_threads(threads);
+        let batched = monte_carlo(&cases, 60);
+        let one_case_calls: Vec<_> = cases
+            .iter()
+            .flat_map(|case| monte_carlo(std::slice::from_ref(case), 60))
+            .collect();
+        assert_eq!(batched.len(), cases.len());
+        assert_eq!(
+            batched, one_case_calls,
+            "batched cases diverged at {threads} threads"
+        );
+        widths.push(batched);
+    }
+    pool::set_max_threads(0);
+    assert_eq!(
+        widths[0], widths[1],
+        "the summaries depend on the pool width"
+    );
 }
