@@ -38,11 +38,11 @@ pub fn run() -> TextTable {
         // wall = device * (1 + f) <= warm  =>  f <= warm/device - 1.
         let break_even = warm / cold - 1.0;
         let plant = smallest_viable_plant(break_even);
-        table.row_owned(vec![
-            bench.name.to_string(),
-            sci(bench.traffic.reads_per_sec),
-            sci(break_even),
-            plant.map_or_else(|| "none".to_string(), sci),
+        table.row(&[
+            bench.name,
+            &sci(bench.traffic.reads_per_sec),
+            &sci(break_even),
+            plant.map(sci).as_deref().unwrap_or("none"),
         ]);
     }
     table

@@ -36,13 +36,13 @@ pub fn run() -> TextTable {
             let a = ArraySpec::llc_16mib(cell.clone(), &node)
                 .with_ecc_scheme(scheme)
                 .characterize(objective);
-            table.row_owned(vec![
-                tech.name().to_string(),
-                scheme.to_string(),
-                scheme.correctable_bits().to_string(),
-                sci(a.footprint / bare.footprint),
-                sci(a.read_energy / bare.read_energy),
-                sci(a.read_latency / bare.read_latency),
+            table.row(&[
+                tech.name(),
+                &scheme.to_string(),
+                &scheme.correctable_bits().to_string(),
+                &sci(a.footprint / bare.footprint),
+                &sci(a.read_energy / bare.read_energy),
+                &sci(a.read_latency / bare.read_latency),
             ]);
         }
     }

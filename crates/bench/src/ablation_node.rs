@@ -33,13 +33,13 @@ pub fn run() -> TextTable {
         ] {
             let cell = CellModel::tentpole(tech, Tentpole::Optimistic, &node);
             let a = ArraySpec::llc_16mib(cell, &node).characterize(Objective::EnergyDelayProduct);
-            table.row_owned(vec![
-                node.name().to_string(),
-                tech.name().to_string(),
-                format!("{:.2}", a.footprint.as_mm2()),
-                sci(a.read_latency / base.read_latency),
-                sci(a.read_energy / base.read_energy),
-                sci(a.leakage_power.get()),
+            table.row(&[
+                node.name(),
+                tech.name(),
+                &format!("{:.2}", a.footprint.as_mm2()),
+                &sci(a.read_latency / base.read_latency),
+                &sci(a.read_energy / base.read_energy),
+                &sci(a.leakage_power.get()),
             ]);
         }
     }

@@ -39,13 +39,13 @@ pub fn run() -> TextTable {
                 let a = ArraySpec::llc_16mib(cell.clone(), &node)
                     .with_stacking(stacking, dies)
                     .characterize(objective);
-                table.row_owned(vec![
-                    tech.name().to_string(),
-                    stacking.to_string(),
-                    dies.to_string(),
-                    sci(a.footprint / own_2d.footprint),
-                    sci(a.read_latency / own_2d.read_latency),
-                    sci(a.read_energy / own_2d.read_energy),
+                table.row(&[
+                    tech.name(),
+                    &stacking.to_string(),
+                    &dies.to_string(),
+                    &sci(a.footprint / own_2d.footprint),
+                    &sci(a.read_latency / own_2d.read_latency),
+                    &sci(a.read_energy / own_2d.read_energy),
                 ]);
             }
         }

@@ -57,13 +57,13 @@ pub fn run() -> TextTable {
         let latency_share =
             tags.read_latency.get() / (tags.read_latency.get() + data.read_latency.get());
         let area_share = tags.footprint.get() / (tags.footprint.get() + data.footprint.get());
-        table.row_owned(vec![
-            tech.name().to_string(),
-            sci(leak_share),
-            sci(latency_share),
-            sci(area_share),
-            sci(data.leakage_power.get()),
-            sci(tags.leakage_power.get()),
+        table.row(&[
+            tech.name(),
+            &sci(leak_share),
+            &sci(latency_share),
+            &sci(area_share),
+            &sci(data.leakage_power.get()),
+            &sci(tags.leakage_power.get()),
         ]);
     }
     table

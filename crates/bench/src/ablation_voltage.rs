@@ -35,12 +35,12 @@ pub fn run() -> TextTable {
         let a = ArraySpec::llc_16mib(cell.clone(), &node)
             .with_operating_point(op)
             .characterize(objective);
-        table.row_owned(vec![
-            format!("{:.2}", vdd.get()),
-            sci(a.read_energy / policy.read_energy),
-            sci(a.read_latency / policy.read_latency),
-            sci(a.leakage_power / policy.leakage_power),
-            sci(a.read_edp() / policy.read_edp()),
+        table.row(&[
+            &format!("{:.2}", vdd.get()),
+            &sci(a.read_energy / policy.read_energy),
+            &sci(a.read_latency / policy.read_latency),
+            &sci(a.leakage_power / policy.leakage_power),
+            &sci(a.read_edp() / policy.read_edp()),
         ]);
     }
     table

@@ -44,12 +44,12 @@ pub fn run() -> TextTable {
         let pick = coldtall_core::recommend(&evals, &Constraints::default())
             .expect("some configuration is always viable");
         let cryo_wins = pick.config_label.contains("77K");
-        table.row_owned(vec![
-            bench.name.to_string(),
-            sci(bench.traffic.reads_per_sec),
-            pick.config_label.clone(),
-            sci(pick.relative_power),
-            cryo_wins.to_string(),
+        table.row(&[
+            bench.name,
+            &sci(bench.traffic.reads_per_sec),
+            &pick.config_label,
+            &sci(pick.relative_power),
+            &cryo_wins.to_string(),
         ]);
     }
     table

@@ -74,22 +74,22 @@ pub fn run() -> TextTable {
             .expect("STT-RAM cells model an MTJ junction");
         let rel_power = powers.iter().sum::<f64>() / suite as f64;
         let rel_latency = latencies.iter().sum::<f64>() / suite as f64;
-        table.row_owned(vec![
+        table.row(&[
             match config.tentpole() {
-                Tentpole::Optimistic => "optimistic".to_string(),
-                Tentpole::Pessimistic => "pessimistic".to_string(),
+                Tentpole::Optimistic => "optimistic",
+                Tentpole::Pessimistic => "pessimistic",
             },
-            config.dies().to_string(),
-            format!("{:.0}", t.get()),
-            sci(thermal.delta),
-            sci(thermal.retention.get()),
-            sci(thermal.write_energy_factor),
-            sci(rel_power),
-            sci(rel_latency),
+            &config.dies().to_string(),
+            &format!("{:.0}", t.get()),
+            &sci(thermal.delta),
+            &sci(thermal.retention.get()),
+            &sci(thermal.write_energy_factor),
+            &sci(rel_power),
+            &sci(rel_latency),
             if on_frontier.contains(config.label().as_str()) {
-                "yes".to_string()
+                "yes"
             } else {
-                "no".to_string()
+                "no"
             },
         ]);
     }

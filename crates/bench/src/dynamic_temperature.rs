@@ -58,13 +58,13 @@ pub fn run() -> TextTable {
                 .iter()
                 .map(|t| format!("{:.0}", t.get()))
                 .collect();
-            table.row_owned(vec![
-                tech.name().to_string(),
-                label.to_string(),
-                temps.join(">"),
-                schedule.transitions().to_string(),
-                format!("{:.0}", schedule.best_fixed_temperature.get()),
-                sci(schedule.savings_fraction()),
+            table.row(&[
+                tech.name(),
+                label,
+                &temps.join(">"),
+                &schedule.transitions().to_string(),
+                &format!("{:.0}", schedule.best_fixed_temperature.get()),
+                &sci(schedule.savings_fraction()),
             ]);
         }
     }

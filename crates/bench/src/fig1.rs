@@ -53,19 +53,22 @@ pub fn run() -> TextTable {
         .iter()
         .flat_map(|&tech| study_temperatures().iter().map(move |&t| (tech, t)));
     for (group, (tech, t)) in points.enumerate() {
-        let planes = group * tiers..(group + 1) * tiers;
+        let first = group * tiers;
         // Device power ignores the cooling tier: the uncooled figure
         // reads the first (100 kW) plane.
-        let device = arena.device_power_watts()[arena.row_index(planes.start, 0)];
-        let mut cells = vec![
-            tech.name().to_string(),
-            format!("{:.0}", t.get()),
-            sci(device / reference),
-        ];
-        for plane in planes {
-            cells.push(sci(arena.relative_power()[arena.row_index(plane, 0)]));
-        }
-        table.row_owned(cells);
+        let device = arena.device_power_watts()[arena.row_index(first, 0)];
+        let [kw100, kw1, w100, w10] = std::array::from_fn(|tier| {
+            sci(arena.relative_power()[arena.row_index(first + tier, 0)])
+        });
+        table.row(&[
+            tech.name(),
+            &format!("{:.0}", t.get()),
+            &sci(device / reference),
+            &kw100,
+            &kw1,
+            &w100,
+            &w10,
+        ]);
     }
     table
 }

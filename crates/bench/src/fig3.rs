@@ -33,14 +33,14 @@ pub fn run() -> TextTable {
         let spec = ArraySpec::llc_16mib(cell, &node);
         for &t in study_temperatures() {
             let a = characterize_at(&spec, t, objective);
-            table.row_owned(vec![
-                tech.name().to_string(),
-                format!("{:.0}", t.get()),
-                sci(a.read_energy_per_bit() / base.read_energy_per_bit()),
-                sci(a.write_energy_per_bit() / base.write_energy_per_bit()),
-                sci(a.read_latency / base.read_latency),
-                sci(a.write_latency / base.write_latency),
-                sci(a.leakage_power / base.leakage_power),
+            table.row(&[
+                tech.name(),
+                &format!("{:.0}", t.get()),
+                &sci(a.read_energy_per_bit() / base.read_energy_per_bit()),
+                &sci(a.write_energy_per_bit() / base.write_energy_per_bit()),
+                &sci(a.read_latency / base.read_latency),
+                &sci(a.write_latency / base.write_latency),
+                &sci(a.leakage_power / base.leakage_power),
             ]);
         }
     }

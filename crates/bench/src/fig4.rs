@@ -49,12 +49,12 @@ pub fn run() -> TextTable {
             .expect("benchmark present");
         for (i, tech) in TECHNOLOGIES.iter().enumerate() {
             let (warm, cold) = (arena.row_index(2 * i, b), arena.row_index(2 * i + 1, b));
-            table.row_owned(vec![
-                bench_name.to_string(),
-                tech.name().to_string(),
-                sci(power[warm]),
-                sci(device[cold] / reference),
-                sci(power[cold]),
+            table.row(&[
+                bench_name,
+                tech.name(),
+                &sci(power[warm]),
+                &sci(device[cold] / reference),
+                &sci(power[cold]),
             ]);
         }
     }

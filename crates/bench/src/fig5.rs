@@ -45,16 +45,18 @@ pub fn run() -> TextTable {
     ]);
     // The arena is config-major; the figure prints benchmark-major.
     for (b, bench) in plan.benchmarks().iter().enumerate() {
+        let reads = sci(bench.traffic.reads_per_sec);
+        let writes = sci(bench.traffic.writes_per_sec);
         for (c, label) in arena.config_labels().iter().enumerate() {
             let row = arena.row_index(c, b);
-            table.row_owned(vec![
-                bench.name.to_string(),
-                sci(bench.traffic.reads_per_sec),
-                sci(bench.traffic.writes_per_sec),
-                label.clone(),
-                sci(arena.device_power_watts()[row] / reference),
-                sci(arena.relative_power()[row]),
-                sci(arena.relative_latency()[row]),
+            table.row(&[
+                bench.name,
+                &reads,
+                &writes,
+                label,
+                &sci(arena.device_power_watts()[row] / reference),
+                &sci(arena.relative_power()[row]),
+                &sci(arena.relative_latency()[row]),
             ]);
         }
     }

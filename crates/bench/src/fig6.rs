@@ -39,6 +39,11 @@ pub fn run() -> TextTable {
             &Tentpole::BOTH
         };
         for &tentpole in tentpoles {
+            let tentpole_label = if tech == MemoryTechnology::Sram {
+                "-".to_string()
+            } else {
+                tentpole.to_string()
+            };
             for dies in [1u8, 2, 4, 8] {
                 let cell = CellModel::tentpole(tech, tentpole, &node);
                 let mut spec = ArraySpec::llc_16mib(cell, &node);
@@ -46,20 +51,16 @@ pub fn run() -> TextTable {
                     spec = spec.with_dies(dies);
                 }
                 let a = spec.characterize(objective);
-                table.row_owned(vec![
-                    tech.name().to_string(),
-                    if tech == MemoryTechnology::Sram {
-                        "-".to_string()
-                    } else {
-                        tentpole.to_string()
-                    },
-                    dies.to_string(),
-                    sci(a.footprint / base.footprint),
-                    sci(a.read_energy_per_bit() / base.read_energy_per_bit()),
-                    sci(a.write_energy_per_bit() / base.write_energy_per_bit()),
-                    sci(a.read_latency / base.read_latency),
-                    sci(a.write_latency / base.write_latency),
-                    sci(a.leakage_power / base.leakage_power),
+                table.row(&[
+                    tech.name(),
+                    &tentpole_label,
+                    &dies.to_string(),
+                    &sci(a.footprint / base.footprint),
+                    &sci(a.read_energy_per_bit() / base.read_energy_per_bit()),
+                    &sci(a.write_energy_per_bit() / base.write_energy_per_bit()),
+                    &sci(a.read_latency / base.read_latency),
+                    &sci(a.write_latency / base.write_latency),
+                    &sci(a.leakage_power / base.leakage_power),
                 ]);
             }
         }

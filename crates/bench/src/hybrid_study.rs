@@ -57,13 +57,13 @@ pub fn run() -> TextTable {
             }
             rows.push((16, arena.row(arena.row_index(DENSE.len(), b))));
             for (fast_ways, eval) in rows {
-                table.row_owned(vec![
-                    bench_name.to_string(),
-                    dense_tech.name().to_string(),
-                    fast_ways.to_string(),
-                    sci(eval.relative_power),
-                    sci(eval.relative_latency),
-                    sci(eval.lifetime_years),
+                table.row(&[
+                    bench_name,
+                    dense_tech.name(),
+                    &fast_ways.to_string(),
+                    &sci(eval.relative_power),
+                    &sci(eval.relative_latency),
+                    &sci(eval.lifetime_years),
                 ]);
             }
         }

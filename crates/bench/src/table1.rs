@@ -10,18 +10,18 @@ pub fn run() -> TextTable {
     let cfg = CpuConfig::skylake_desktop();
     let mut table = TextTable::new(&["parameter", "value"]);
     table.row(&["class", "Desktop (based on Intel Skylake)"]);
-    table.row_owned(vec!["num. cores".into(), cfg.cores.to_string()]);
+    table.row(&["num. cores", &cfg.cores.to_string()]);
     table.row(&["process node", "22nm"]);
-    table.row_owned(vec![
-        "frequency".into(),
-        format!("{:.0} GHz", cfg.frequency.get() / 1e9),
+    table.row(&[
+        "frequency",
+        &format!("{:.0} GHz", cfg.frequency.get() / 1e9),
     ]);
-    table.row_owned(vec!["L1I$".into(), cfg.l1i.capacity.to_string()]);
-    table.row_owned(vec!["L1D$".into(), cfg.l1d.capacity.to_string()]);
-    table.row_owned(vec!["L2$".into(), cfg.l2.capacity.to_string()]);
-    table.row_owned(vec![
-        "L3$".into(),
-        format!("shared {}, {} ways", cfg.llc.capacity, cfg.llc.ways),
+    table.row(&["L1I$", &cfg.l1i.capacity.to_string()]);
+    table.row(&["L1D$", &cfg.l1d.capacity.to_string()]);
+    table.row(&["L2$", &cfg.l2.capacity.to_string()]);
+    table.row(&[
+        "L3$",
+        &format!("shared {}, {} ways", cfg.llc.capacity, cfg.llc.ways),
     ]);
     table
 }

@@ -39,15 +39,15 @@ pub fn run() -> TextTable {
         } else {
             row.power.label.clone()
         };
-        table.row_owned(vec![
-            row.band.label().to_string(),
-            power_label,
-            format!("{:.0}x", row.power.improvement),
-            row.power.alternate.clone().unwrap_or_else(|| "-".into()),
-            row.performance.label.clone(),
-            rt.performance.label.clone(),
-            row.area.label.clone(),
-            row.area.alternate.clone().unwrap_or_else(|| "-".into()),
+        table.row(&[
+            row.band.label(),
+            &power_label,
+            &format!("{:.0}x", row.power.improvement),
+            row.power.alternate.as_deref().unwrap_or("-"),
+            &row.performance.label,
+            &rt.performance.label,
+            &row.area.label,
+            row.area.alternate.as_deref().unwrap_or("-"),
         ]);
     }
     table

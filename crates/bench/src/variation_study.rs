@@ -12,28 +12,28 @@ use coldtall_core::{monte_carlo, VariationSummary};
 const SAMPLES: usize = 60;
 
 fn push(table: &mut TextTable, s: &VariationSummary) {
-    table.row_owned(vec![
-        s.technology.name().to_string(),
-        s.dies.to_string(),
-        format!(
+    table.row(&[
+        s.technology.name(),
+        &s.dies.to_string(),
+        &format!(
             "{}/{}/{}",
             sci(s.read_latency.p5),
             sci(s.read_latency.p50),
             sci(s.read_latency.p95)
         ),
-        format!(
+        &format!(
             "{}/{}/{}",
             sci(s.write_latency.p5),
             sci(s.write_latency.p50),
             sci(s.write_latency.p95)
         ),
-        format!(
+        &format!(
             "{}/{}/{}",
             sci(s.read_energy.p5),
             sci(s.read_energy.p50),
             sci(s.read_energy.p95)
         ),
-        format!("{}/{}/{}", sci(s.area.p5), sci(s.area.p50), sci(s.area.p95)),
+        &format!("{}/{}/{}", sci(s.area.p5), sci(s.area.p50), sci(s.area.p95)),
     ]);
 }
 

@@ -42,13 +42,13 @@ fn main() {
             .find(|b| b.name == name)
             .expect("benchmark present");
         let traffic = simulate_traffic(bench, config, 60_000, 0xC01D);
-        table.row_owned(vec![
-            bench.name.to_string(),
-            sci(traffic.reads_per_sec),
-            sci(traffic.writes_per_sec),
-            sci(bench.traffic.reads_per_sec),
-            sci(bench.traffic.writes_per_sec),
-            format!("{:.2}", traffic.write_fraction()),
+        table.row(&[
+            bench.name,
+            &sci(traffic.reads_per_sec),
+            &sci(traffic.writes_per_sec),
+            &sci(bench.traffic.reads_per_sec),
+            &sci(bench.traffic.writes_per_sec),
+            &format!("{:.2}", traffic.write_fraction()),
         ]);
     }
     print!("{}", table.render());

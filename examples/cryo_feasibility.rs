@@ -45,13 +45,13 @@ fn main() -> Result<(), Error> {
                     }
                 }
                 let (bt, bp) = best.expect("sweep is non-empty");
-                table.row_owned(vec![
-                    name.to_string(),
-                    tech.name().to_string(),
-                    cooling.to_string(),
-                    format!("{bt:.0}"),
-                    sci(bp),
-                    sci(at_350),
+                table.row(&[
+                    name,
+                    tech.name(),
+                    &cooling.to_string(),
+                    &format!("{bt:.0}"),
+                    &sci(bp),
+                    &sci(at_350),
                 ]);
             }
         }

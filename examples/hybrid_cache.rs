@@ -39,27 +39,27 @@ fn main() {
         "area_mm2",
         "lifetime_years",
     ]);
-    let mut add = |label: String, e: &coldtall::core::LlcEvaluation| {
-        table.row_owned(vec![
+    let mut add = |label: &str, e: &coldtall::core::LlcEvaluation| {
+        table.row(&[
             label,
-            sci(e.relative_power),
-            sci(e.relative_latency),
-            format!("{:.2}", e.footprint_mm2),
-            sci(e.lifetime_years),
+            &sci(e.relative_power),
+            &sci(e.relative_latency),
+            &format!("{:.2}", e.footprint_mm2),
+            &sci(e.lifetime_years),
         ]);
     };
 
     let sram = MemoryConfig::sram_350k();
-    add("pure SRAM".into(), &explorer.evaluate(&sram, bench));
+    add("pure SRAM", &explorer.evaluate(&sram, bench));
     for dense_tech in [MemoryTechnology::SttRam, MemoryTechnology::Pcm] {
         let dense = MemoryConfig::envm_3d(dense_tech, Tentpole::Optimistic, 4);
         add(
-            format!("pure {}", dense.label()),
+            &format!("pure {}", dense.label()),
             &explorer.evaluate(&dense, bench),
         );
         for ways in [2u8, 4, 8] {
             let hybrid = HybridLlc::new(sram.clone(), dense.clone(), ways);
-            add(hybrid.label(), &explorer.evaluate_hybrid(&hybrid, bench));
+            add(&hybrid.label(), &explorer.evaluate_hybrid(&hybrid, bench));
         }
     }
     print!("{}", table.render());

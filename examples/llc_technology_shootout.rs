@@ -58,14 +58,14 @@ fn main() {
             Feasibility::Viable if !e.meets_lifetime_target() => "wears out".to_string(),
             other => other.to_string(),
         };
-        table.row_owned(vec![
-            (i + 1).to_string(),
-            e.config_label.clone(),
-            sci(e.relative_power),
-            sci(e.relative_latency),
-            format!("{:.2}", e.footprint_mm2),
-            sci(e.lifetime_years),
-            verdict,
+        table.row(&[
+            &(i + 1).to_string(),
+            &e.config_label,
+            &sci(e.relative_power),
+            &sci(e.relative_latency),
+            &format!("{:.2}", e.footprint_mm2),
+            &sci(e.lifetime_years),
+            &verdict,
         ]);
     }
     print!("{}", table.render());

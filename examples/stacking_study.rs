@@ -42,14 +42,14 @@ fn main() {
                 spec = spec.with_dies(dies);
             }
             let a = spec.characterize(objective);
-            table.row_owned(vec![
-                tech.name().to_string(),
-                dies.to_string(),
-                sci(a.footprint / base.footprint),
-                sci(a.read_latency / base.read_latency),
-                sci(a.write_latency / base.write_latency),
-                sci(a.read_energy / base.read_energy),
-                sci(a.leakage_power / base.leakage_power),
+            table.row(&[
+                tech.name(),
+                &dies.to_string(),
+                &sci(a.footprint / base.footprint),
+                &sci(a.read_latency / base.read_latency),
+                &sci(a.write_latency / base.write_latency),
+                &sci(a.read_energy / base.read_energy),
+                &sci(a.leakage_power / base.leakage_power),
             ]);
         }
     }
@@ -67,12 +67,12 @@ fn main() {
         let cell = CellModel::tentpole(MemoryTechnology::SttRam, Tentpole::Optimistic, &node);
         let spec = ArraySpec::llc_16mib(cell, &node).with_stacking(stacking, 2);
         let a = spec.characterize(objective);
-        styles.row_owned(vec![
-            stacking.to_string(),
-            stacking.max_dies().to_string(),
-            sci(a.footprint / base.footprint),
-            sci(a.read_latency / base.read_latency),
-            sci(a.read_energy / base.read_energy),
+        styles.row(&[
+            &stacking.to_string(),
+            &stacking.max_dies().to_string(),
+            &sci(a.footprint / base.footprint),
+            &sci(a.read_latency / base.read_latency),
+            &sci(a.read_energy / base.read_energy),
         ]);
     }
     print!("{}", styles.render());

@@ -75,6 +75,10 @@ cargo test -q --test serve wire_bytes_are_pinned
 # random bit patterns, every biased exponent, powers of ten +-3 ULP,
 # integers and the extremes, with exact ties rounding up as std does.
 cargo test -q -p coldtall-serve num::tests
+# The report kernel: `sci` prints every byte its `format!` oracle prints, ties to even.
+cargo test -q -p coldtall-core report::tests::sci_matches_format
+# The one-buffer `TextTable` renders and exports CSV byte for byte as the nested-`Vec` oracle.
+cargo test -q -p coldtall-core report::tests::table_matches_the_nested_vec_oracle
 # The store line cap: a run-registry or geometry-store line longer than
 # 1 MiB (mid-file, or running to EOF with no newline) is one skipped
 # line, never buffered whole, and the records around it still replay.

@@ -369,16 +369,16 @@ fn cmd_backends(out: &mut String) -> Result<(), String> {
         let priority = registry
             .priority(backend.name())
             .expect("registered backends have a priority");
-        table.row_owned(vec![
-            backend.name().to_string(),
-            priority.to_string(),
-            technologies.join(", "),
-            format!(
+        table.row(&[
+            backend.name(),
+            &priority.to_string(),
+            &technologies.join(", "),
+            &format!(
                 "{:.0}-{:.0} K",
                 caps.min_temperature().get(),
                 caps.max_temperature().get()
             ),
-            dies.join("/"),
+            &dies.join("/"),
         ]);
     }
     let _ = write!(out, "{}", table.render());
@@ -388,12 +388,12 @@ fn cmd_backends(out: &mut String) -> Result<(), String> {
 fn cmd_list(out: &mut String) -> Result<(), String> {
     let mut table = TextTable::new(&["benchmark", "suite", "reads_per_s", "writes_per_s", "band"]);
     for b in spec2017() {
-        table.row_owned(vec![
-            b.name.to_string(),
-            b.suite.to_string(),
-            sci(b.traffic.reads_per_sec),
-            sci(b.traffic.writes_per_sec),
-            b.traffic_band().to_string(),
+        table.row(&[
+            b.name,
+            &b.suite.to_string(),
+            &sci(b.traffic.reads_per_sec),
+            &sci(b.traffic.writes_per_sec),
+            &b.traffic_band().to_string(),
         ]);
     }
     let _ = write!(out, "{}", table.render());
@@ -561,12 +561,12 @@ fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
         } else {
             finite_latencies.iter().sum::<f64>() / finite_latencies.len() as f64
         };
-        table.row_owned(vec![
-            config.label(),
-            format!("{viable}/{benchmarks}"),
-            sci(min_power),
-            sci(mean_power),
-            sci(mean_latency),
+        table.row(&[
+            &config.label(),
+            &format!("{viable}/{benchmarks}"),
+            &sci(min_power),
+            &sci(mean_power),
+            &sci(mean_latency),
         ]);
     }
     let _ = write!(out, "{}", table.render());
@@ -706,12 +706,12 @@ fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
         "area_mm2",
     ]);
     for row in &outcome.frontier {
-        table.row_owned(vec![
-            row.config_label.clone(),
-            row.benchmark.to_string(),
-            sci(row.relative_power),
-            sci(row.relative_latency),
-            format!("{:.2}", row.footprint_mm2),
+        table.row(&[
+            &row.config_label,
+            row.benchmark,
+            &sci(row.relative_power),
+            &sci(row.relative_latency),
+            &format!("{:.2}", row.footprint_mm2),
         ]);
     }
     let _ = write!(out, "{}", table.render());
@@ -761,12 +761,12 @@ fn cmd_table2(out: &mut String) -> Result<(), String> {
     let rows = selection::table2(&explorer);
     let mut table = TextTable::new(&["band", "power", "power_alt", "performance", "area"]);
     for row in rows {
-        table.row_owned(vec![
-            row.band.label().to_string(),
-            row.power.label,
-            row.power.alternate.unwrap_or_else(|| "-".into()),
-            row.performance.label,
-            row.area.label,
+        table.row(&[
+            row.band.label(),
+            &row.power.label,
+            row.power.alternate.as_deref().unwrap_or("-"),
+            &row.performance.label,
+            &row.area.label,
         ]);
     }
     let _ = write!(out, "{}", table.render());

@@ -462,17 +462,16 @@ fn metrics_counters_identical_across_thread_counts() {
 /// listening to the pipeline anymore).
 #[test]
 fn sweep_into_closed_pipe_exits_cleanly() {
-    use std::process::Stdio;
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_coldtall"))
+    // The child's stdout is a pipe whose read end is closed before it
+    // starts: every write it attempts fails with EPIPE, however little
+    // it prints.
+    let (reader, writer) = std::io::pipe().expect("pipe opens");
+    drop(reader);
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_coldtall"))
         .args(["sweep", "--metrics"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary spawns");
-    // Close the read end before the child produces output: every write
-    // it attempts from then on fails with EPIPE.
-    drop(child.stdout.take());
-    let output = child.wait_with_output().expect("child exits");
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
