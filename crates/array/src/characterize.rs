@@ -59,11 +59,10 @@ impl ArrayCharacterization {
         Self::from_ctx(&Ctx::new(spec, org))
     }
 
-    /// Evaluates a pre-built context — the organization search's entry
-    /// point, which shares one `DeviceCtx` (and, on the two-phase
-    /// path, cached geometries) across candidates. Produces exactly
-    /// the bytes of [`ArrayCharacterization::evaluate`] on an equal
-    /// context.
+    /// Evaluates a pre-built context — how the organization scan fully
+    /// characterizes its winner, around the solved geometry and the
+    /// scan's shared `DeviceCtx`. Produces exactly the bytes of
+    /// [`ArrayCharacterization::evaluate`] on an equal context.
     #[must_use]
     pub(crate) fn from_ctx(ctx: &Ctx<'_>) -> Self {
         let (spec, org) = (ctx.spec, ctx.org);

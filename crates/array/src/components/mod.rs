@@ -5,17 +5,18 @@
 //! background behaviour (leakage, refresh). All of them consume the
 //! shared evaluation context [`Ctx`].
 //!
-//! # One formula site, two call shapes
+//! # One formula site
 //!
 //! Every temperature-dependent component expression lives in exactly one
 //! `*_raw` helper that reads the hoisted per-temperature terms from
-//! [`TempCtx`] plus the candidate's scalar inputs. The AoS oracle path
-//! (`Ctx`-taking public functions, used by [`crate::optimize`] and
-//! `ArrayCharacterization::from_ctx`) and the SoA multi-temperature
-//! kernel (`optimizer::kernel_scores` over `CandidateColumns`) both call
-//! those helpers with bit-identical scalar inputs, which is what makes
-//! the batched characterization byte-identical to the per-point oracle
-//! by construction rather than by coincidence.
+//! [`TempCtx`] plus the candidate's scalar inputs. The organization scan
+//! (`optimizer::kernel_scores` over `CandidateColumns`) calls those
+//! helpers to score every candidate; the `Ctx`-taking public functions
+//! call the same helpers with bit-identical scalar inputs when
+//! `ArrayCharacterization::from_ctx` fully characterizes the winner (or
+//! `ArrayCharacterization::evaluate` a fixed organization). That is
+//! what makes a scanned score equal the winner's characterized field by
+//! construction rather than by coincidence.
 
 pub mod bitline;
 pub mod decoder;
@@ -299,9 +300,10 @@ impl TempCtx {
 /// device-derived term of the spec's operating point, hoisted into a
 /// [`TempCtx`].
 ///
-/// An organization search evaluates every candidate of one spec, so
-/// these values are built once per search and shared across candidates
-/// via [`Ctx::with_parts`] instead of being recomputed 25 times.
+/// An organization scan scores every candidate of one spec at one
+/// operating point, so these values are built once per scan and shared
+/// by every candidate (and by the winner's [`Ctx::with_parts`]) instead
+/// of being recomputed 25 times.
 #[derive(Debug, Clone)]
 pub struct DeviceCtx {
     /// Hoisted per-temperature component terms.

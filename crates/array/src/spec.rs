@@ -8,7 +8,8 @@ use coldtall_units::{Capacity, Kelvin};
 
 use crate::characterize::ArrayCharacterization;
 use crate::ecc::EccScheme;
-use crate::optimizer::{optimize, Objective};
+use crate::optimizer::Objective;
+use crate::org_geometry::OrgGeometry;
 use crate::stacking::Stacking;
 
 /// A rejected array specification: the builder was asked for a
@@ -200,6 +201,21 @@ impl ArraySpec {
     }
 
     /// Convenience: cryo-policy operation at temperature `t`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use coldtall_array::{ArraySpec, Objective};
+    /// use coldtall_cell::CellModel;
+    /// use coldtall_tech::ProcessNode;
+    /// use coldtall_units::Kelvin;
+    ///
+    /// let node = ProcessNode::ptm_22nm_hp();
+    /// let spec = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
+    /// let at = |t| spec.clone().at_temperature_cryo(t).characterize(Objective::EnergyDelayProduct);
+    /// let (cold, warm) = (at(Kelvin::LN2), at(Kelvin::REFERENCE));
+    /// assert!(cold.read_latency < warm.read_latency);
+    /// ```
     #[must_use]
     pub fn at_temperature_cryo(mut self, t: Kelvin) -> Self {
         self.op = OperatingPoint::cryo_optimized(&self.node, t);
@@ -360,10 +376,16 @@ impl ArraySpec {
     }
 
     /// Characterizes this array, searching internal organizations for the
-    /// one minimizing `objective`.
+    /// one minimizing `objective`: one [`OrgGeometry::solve`] plus one
+    /// scan at this spec's own operating point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no candidate organization fits the spec (capacity
+    /// smaller than the smallest subarray).
     #[must_use]
     pub fn characterize(&self, objective: Objective) -> ArrayCharacterization {
-        optimize(self, objective)
+        OrgGeometry::solve(self).characterize(objective)
     }
 }
 
@@ -443,6 +465,22 @@ mod tests {
             .and_then(|s| s.try_with_line_bits(256))
             .unwrap();
         assert_eq!((s.dies(), s.line_bits()), (4, 256));
+    }
+
+    #[test]
+    fn cryo_policy_applies_only_when_cold() {
+        let characterize_at = |t: Kelvin| {
+            spec()
+                .at_temperature_cryo(t)
+                .characterize(Objective::EnergyDelayProduct)
+        };
+        let cold = characterize_at(Kelvin::LN2);
+        let warm = characterize_at(Kelvin::REFERENCE);
+        // Cryo dynamic energy is mildly lower (scaled Vdd), latency much lower.
+        assert!(cold.read_energy < warm.read_energy);
+        assert!(cold.read_energy.get() > warm.read_energy.get() * 0.8);
+        assert!(cold.read_latency.get() < warm.read_latency.get() * 0.35);
+        assert!(cold.leakage_power.get() < warm.leakage_power.get() * 1e-4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! inner loop behind every figure (NVSim/Destiny/CryoMEM-equivalent
 //! work). Std-only timing — the offline workspace has no criterion.
 
-use coldtall_array::{ArraySpec, Objective};
+use coldtall_array::{ArraySpec, Objective, OrgGeometry};
 use coldtall_bench::timing::{report, time};
 use coldtall_cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall_tech::ProcessNode;
@@ -44,13 +44,15 @@ fn main() {
 
     let spec = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
     samples.push(time("characterize_cryo_sweep", ITERS, || {
-        coldtall_cryo::study_temperatures()
-            .iter()
-            .map(|&t| coldtall_cryo::characterize_at(&spec, t, Objective::EnergyDelayProduct))
-            .collect::<Vec<_>>()
+        OrgGeometry::solve(&spec).characterize_temps(
+            coldtall_cryo::study_temperatures(),
+            Objective::EnergyDelayProduct,
+        )
     }));
     samples.push(time("characterize_77k_single", ITERS, || {
-        coldtall_cryo::characterize_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct)
+        spec.clone()
+            .at_temperature_cryo(Kelvin::LN2)
+            .characterize(Objective::EnergyDelayProduct)
     }));
 
     report("array characterization", &samples);

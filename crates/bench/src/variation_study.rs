@@ -9,7 +9,18 @@ use coldtall_cell::MemoryTechnology;
 use coldtall_core::report::{sci, TextTable};
 use coldtall_core::{monte_carlo, VariationSummary};
 
-const SAMPLES: usize = 60;
+/// Cells sampled per case.
+pub const SAMPLES: usize = 60;
+
+/// The study's `(technology, dies, seed)` cases: every eNVM technology
+/// on 1 and 8 dies, each drawn from its own seed.
+#[must_use]
+pub fn cases() -> Vec<(MemoryTechnology, u8, u64)> {
+    MemoryTechnology::ENVM_SET
+        .into_iter()
+        .flat_map(|tech| [1u8, 8].map(|dies| (tech, dies, 0xC01D + u64::from(dies))))
+        .collect()
+}
 
 fn push(table: &mut TextTable, s: &VariationSummary) {
     table.row(&[
@@ -49,11 +60,7 @@ pub fn run() -> TextTable {
         "read_energy_p5/50/95",
         "area_p5/50/95",
     ]);
-    let cases: Vec<(MemoryTechnology, u8, u64)> = MemoryTechnology::ENVM_SET
-        .into_iter()
-        .flat_map(|tech| [1u8, 8].map(|dies| (tech, dies, 0xC01D + u64::from(dies))))
-        .collect();
-    for summary in monte_carlo(&cases, SAMPLES) {
+    for summary in monte_carlo(&cases(), SAMPLES) {
         push(&mut table, &summary);
     }
     table

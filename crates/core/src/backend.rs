@@ -35,7 +35,7 @@ use core::fmt;
 use std::sync::Arc;
 
 use coldtall_array::{ArrayCharacterization, ArraySpec, Objective, OrgGeometry};
-use coldtall_cell::{CellModel, MemoryTechnology};
+use coldtall_cell::MemoryTechnology;
 use coldtall_tech::ProcessNode;
 use coldtall_units::Kelvin;
 
@@ -230,8 +230,8 @@ pub trait CharacterizationBackend: Send + Sync + fmt::Debug {
 /// backends lower every config through the same base spec
 /// ([`MemoryConfig::to_base_spec`]) before applying
 /// `at_temperature_cryo` — exactly the decomposition
-/// [`OrgGeometry::characterize_temps`] replays per stripe entry (it is
-/// itself pinned bit-identical to [`OrgGeometry::apply_temperature`]).
+/// [`OrgGeometry::characterize_temps`] replays per stripe entry, over
+/// the same column scan [`ArraySpec::characterize`] runs.
 fn two_phase_batch(
     geometry_key: &DesignPointKey,
     configs: &[MemoryConfig],
@@ -249,9 +249,10 @@ fn two_phase_batch(
 }
 
 /// The CryoMEM-equivalent backend: single-die volatile memories
-/// (SRAM and the eDRAMs) swept across operating temperature, routed
-/// through [`coldtall_cryo::characterize_at`] so the cryogenic
-/// voltage-scaling policy is applied by the cryo layer itself.
+/// (SRAM and the eDRAMs) swept across operating temperature. It keeps
+/// the trait's default lowering, [`MemoryConfig::to_spec`], which
+/// applies the cryogenic voltage-scaling policy
+/// ([`ArraySpec::at_temperature_cryo`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CryoMemBackend;
 
@@ -271,21 +272,6 @@ impl CharacterizationBackend for CryoMemBackend {
             Kelvin::new(MAX_TEMPERATURE_K),
             vec![1],
         )
-    }
-
-    fn characterize(
-        &self,
-        config: &MemoryConfig,
-        node: &ProcessNode,
-        objective: Objective,
-    ) -> ArrayCharacterization {
-        // Build the temperature-free base array and hand the operating
-        // point to the cryo layer, which applies the voltage-scaling
-        // policy — bit-identical to lowering the temperature into the
-        // spec first, but keeps the policy in one place.
-        let cell = CellModel::tentpole(config.technology(), config.tentpole(), node);
-        let base = ArraySpec::llc_16mib(cell, node);
-        coldtall_cryo::characterize_at(&base, config.temperature(), objective)
     }
 
     fn characterize_batch(
@@ -526,24 +512,6 @@ mod tests {
                 "cryomem"
             };
             assert_eq!(backend.name(), expected, "{}", config.label());
-        }
-    }
-
-    #[test]
-    fn cryomem_routes_bit_identically_to_the_spec_path() {
-        let node = ProcessNode::ptm_22nm_hp();
-        let objective = Objective::EnergyDelayProduct;
-        for config in [
-            MemoryConfig::sram_350k(),
-            MemoryConfig::sram_77k(),
-            MemoryConfig::edram_77k(),
-        ] {
-            assert_eq!(
-                CryoMemBackend.characterize(&config, &node, objective),
-                config.to_spec(&node).characterize(objective),
-                "{}",
-                config.label()
-            );
         }
     }
 

@@ -12,9 +12,7 @@
 //!
 //! # Bound soundness
 //!
-//! Region bounds generalize the organization optimizer's
-//! [`coldtall_array::score_lower_bound`] from one candidate's score to
-//! a whole plane's field vector. Per plane,
+//! Region bounds are built from component floors. Per plane,
 //! [`coldtall_array::OrgGeometry::floors_at_temperature`] takes the
 //! componentwise minimum of read latency, read energy, standby power,
 //! footprint, and refresh-busy fraction over *every* candidate

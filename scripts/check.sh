@@ -25,11 +25,18 @@ cargo test -q --test batch perf_smoke
 # `Explorer::evaluate` (interleaved median timing, so a one-off
 # scheduler hiccup lands on both sides alike).
 cargo test -q --test eval_batch perf_smoke
-# The characterization-kernel perf gate: the SoA multi-temperature
-# stripe over pre-solved geometries (what `run` dispatches per geometry
-# batch) must beat the per-point oracle per dispatch while staying
+# The characterization-kernel perf gate: the multi-temperature stripe
+# over pre-solved geometries (what `run` dispatches per geometry batch)
+# must beat characterizing each point on its own (a solve plus a
+# one-temperature scan per point) per dispatch while staying
 # bit-identical (same interleaved-median discipline as the eval gate).
 cargo test -q --test batch multi_temperature_stripe_is_faster_than_per_point
+# The one organization scan, per point and as a stripe, picks the brute-force argmin over every feasible candidate.
+cargo test -q --test batch column_scan_matches_brute_force
+# The 360 single-use geometries `variation_study` samples pick the brute-force argmin too.
+cargo test -q --test batch variation_study_cells_match_brute_force
+# The search's component floors are the brute force's per-field minima, bit for bit.
+cargo test -q --test batch floors_are_the_per_field_minima_of_evaluate
 # Pool regions: `dynamic_temperature` opens none, `variation_study` exactly one (360 tasks).
 cargo test -q --test pool_regions
 # The thermal schedule warms its candidates as one geometry batch (1 dispatch, 1 solve).

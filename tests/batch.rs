@@ -10,27 +10,24 @@
 //!   (`support::per_point`), at any pool width,
 //! * the geometry cache records exactly one solve per distinct
 //!   geometry key (`perf_smoke`),
-//! * the organization optimizer's lower-bound prune never changes the
-//!   argmin (brute force over the full candidate grid), because the
-//!   bound is sound (`score_lower_bound <= score`, verified
-//!   exhaustively).
+//! * the one organization scan picks the argmin a brute force over
+//!   every feasible candidate picks, and its component floors are the
+//!   brute force's per-field minima, bit for bit.
 
 mod support;
 
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use coldtall::array::{
-    optimize, score_lower_bound, ArrayCharacterization, ArraySpec, Objective, OrgGeometry,
-    Organization,
-};
-use coldtall_bench::timing::time_median_pair;
+use coldtall::array::{ArrayCharacterization, ArraySpec, Objective, OrgGeometry, Organization};
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
-use coldtall::core::{pool, DesignPointKey, EvalArena, Explorer, MemoryConfig};
-use coldtall::cryo::{characterize_at, study_temperatures};
+use coldtall::core::{pool, sample_cells, DesignPointKey, EvalArena, Explorer, MemoryConfig};
+use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
-use coldtall::units::Capacity;
+use coldtall::units::{Capacity, Kelvin};
+use coldtall_bench::timing::time_median_pair;
+use coldtall_bench::variation_study;
 
 /// Tests that force a pool width share the process-global override.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -164,9 +161,10 @@ fn perf_smoke() {
 }
 
 /// The characterization-kernel perf gate: against pre-solved
-/// geometries (the warm-start steady state) the SoA multi-temperature
-/// stripe must be strictly faster per dispatch than the per-point
-/// oracle, while staying bit-identical. Interleaved median timing, so
+/// geometries (the warm-start steady state) the multi-temperature
+/// stripe must be strictly faster per dispatch than characterizing
+/// each point on its own — a solve plus a one-temperature scan per
+/// point — while staying bit-identical. Interleaved median timing, so
 /// a one-off scheduler hiccup lands on both sides alike (the same
 /// discipline as the eval-kernel gate); the stripe measured ≥3x ahead
 /// when it landed, so a strict inequality here has headroom.
@@ -212,7 +210,7 @@ fn multi_temperature_stripe_is_faster_than_per_point() {
     assert_eq!(
         per_point(),
         stripe(),
-        "the stripe must stay bit-identical to the per-point oracle"
+        "the stripe must stay bit-identical to per-point characterization"
     );
     let (point, batched) = time_median_pair(("per_point", "stripe"), 9, per_point, stripe);
     assert!(
@@ -224,103 +222,187 @@ fn multi_temperature_stripe_is_faster_than_per_point() {
     );
 }
 
-/// Brute-force argmin over the full candidate grid, replicating the
-/// optimizer's feasibility rule and first-wins tie semantics — but
-/// with no pruning and no shared device context.
-fn brute_force(spec: &ArraySpec, objective: Objective) -> ArrayCharacterization {
+const OBJECTIVES: [Objective; 5] = [
+    Objective::EnergyDelayProduct,
+    Objective::ReadLatency,
+    Objective::ReadEnergy,
+    Objective::Area,
+    Objective::StandbyPower,
+];
+
+/// Every feasible candidate of `spec`, each fully characterized on its
+/// own by [`ArrayCharacterization::evaluate`] (fresh geometry, fresh
+/// device context, no columns), in canonical candidate order. The
+/// feasibility rule is restated here, not borrowed from the scan.
+fn evaluate_feasible(spec: &ArraySpec) -> Vec<ArrayCharacterization> {
     let per_die = spec.capacity().bits_f64() * spec.storage_overhead() / f64::from(spec.dies());
-    let mut best: Option<(f64, ArrayCharacterization)> = None;
-    for org in Organization::candidates() {
-        #[allow(clippy::cast_precision_loss)]
-        if org.bits_per_subarray() as f64 > per_die {
-            continue;
-        }
-        let array = ArrayCharacterization::evaluate(spec, org);
-        let score = objective.score(&array);
-        if best.as_ref().is_none_or(|(incumbent, _)| score < *incumbent) {
+    #[allow(clippy::cast_precision_loss)]
+    let feasible = |org: &Organization| org.bits_per_subarray() as f64 <= per_die;
+    Organization::candidates()
+        .filter(feasible)
+        .map(|org| ArrayCharacterization::evaluate(spec, org))
+        .collect()
+}
+
+/// The reference organization search: the first-wins argmin of
+/// `objective` over [`evaluate_feasible`]'s candidates, with no
+/// columns, no shared context and no skipped candidate.
+fn brute_force(
+    evaluated: &[ArrayCharacterization],
+    objective: Objective,
+) -> &ArrayCharacterization {
+    let mut best: Option<(f64, &ArrayCharacterization)> = None;
+    for array in evaluated {
+        let score = objective.score(array);
+        if best.is_none_or(|(incumbent, _)| score < incumbent) {
             best = Some((score, array));
         }
     }
     best.expect("at least one feasible organization").1
 }
 
-/// Specs spanning the regimes the prune sees: the 350 K baseline, a
-/// cryogenic operating point, a refresh-bearing cell, and a stacked
-/// spec small enough that the feasibility filter actually removes
-/// candidates.
-fn prune_specs() -> Vec<ArraySpec> {
+/// Every technology at both tentpoles, at its nominal operating point:
+/// the 16 MiB array on 1, 2, 4 and 8 dies, plus a 1 MiB array on 8
+/// dies whose per-die share is small enough that the feasibility
+/// filter removes candidates (70 geometries).
+fn oracle_geometries() -> Vec<ArraySpec> {
     let node = ProcessNode::ptm_22nm_hp();
-    let sram = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
-    let edram = ArraySpec::llc_16mib(
-        CellModel::tentpole(MemoryTechnology::Edram3T, Tentpole::Optimistic, &node),
-        &node,
-    );
-    vec![
-        sram.clone(),
-        sram.clone().at_temperature_cryo(coldtall::units::Kelvin::LN2),
-        edram,
-        sram.with_capacity(Capacity::from_mebibytes(1)).with_dies(8),
-    ]
-}
-
-#[test]
-fn prune_never_changes_the_argmin() {
-    for spec in prune_specs() {
-        for objective in [
-            Objective::EnergyDelayProduct,
-            Objective::ReadLatency,
-            Objective::ReadEnergy,
-            Objective::Area,
-            Objective::StandbyPower,
-        ] {
-            assert_eq!(
-                optimize(&spec, objective),
-                brute_force(&spec, objective),
-                "pruned search diverged from brute force for {objective}"
-            );
+    let mut specs = Vec::new();
+    for technology in [
+        MemoryTechnology::Sram,
+        MemoryTechnology::Edram3T,
+        MemoryTechnology::Edram1T1C,
+        MemoryTechnology::Pcm,
+        MemoryTechnology::SttRam,
+        MemoryTechnology::Rram,
+        MemoryTechnology::SotRam,
+    ] {
+        for tentpole in Tentpole::BOTH {
+            let spec =
+                ArraySpec::llc_16mib(CellModel::tentpole(technology, tentpole, &node), &node);
+            for dies in [1, 2, 4, 8] {
+                specs.push(spec.clone().with_dies(dies));
+            }
+            specs.push(spec.with_capacity(Capacity::from_mebibytes(1)).with_dies(8));
         }
     }
+    specs
 }
 
+/// 60 K to 400 K in 10 K steps: the backends' whole legal span.
+fn temperature_ladder() -> Vec<Kelvin> {
+    (6..=40).map(|t| Kelvin::new(f64::from(t) * 10.0)).collect()
+}
+
+/// The scan behind every characterization, both per point
+/// (`ArraySpec::characterize`) and as a stripe (`characterize_temps`),
+/// against the brute force: every oracle geometry x objective, at its
+/// nominal operating point and at every temperature of the ladder.
 #[test]
-fn lower_bound_is_sound_for_every_candidate() {
-    for spec in prune_specs() {
-        for objective in [
-            Objective::EnergyDelayProduct,
-            Objective::ReadLatency,
-            Objective::ReadEnergy,
-            Objective::Area,
-            Objective::StandbyPower,
-        ] {
-            for org in Organization::candidates() {
-                let bound = score_lower_bound(&spec, org, objective);
-                let score = objective.score(&ArrayCharacterization::evaluate(&spec, org));
-                assert!(
-                    bound <= score,
-                    "bound {bound} exceeds score {score} for {org:?} under {objective}"
+fn column_scan_matches_brute_force() {
+    let temps = temperature_ladder();
+    for base in oracle_geometries() {
+        let nominal = evaluate_feasible(&base);
+        for objective in OBJECTIVES {
+            assert_eq!(
+                &base.characterize(objective),
+                brute_force(&nominal, objective),
+                "{} x{} at its nominal operating point diverged for {objective}",
+                base.cell().technology().name(),
+                base.dies(),
+            );
+        }
+        let geometry = OrgGeometry::solve(&base);
+        let stripes: Vec<Vec<ArrayCharacterization>> = OBJECTIVES
+            .iter()
+            .map(|&objective| geometry.characterize_temps(&temps, objective))
+            .collect();
+        for (i, &t) in temps.iter().enumerate() {
+            let spec = base.clone().at_temperature_cryo(t);
+            let evaluated = evaluate_feasible(&spec);
+            for (&objective, stripe) in OBJECTIVES.iter().zip(&stripes) {
+                let oracle = brute_force(&evaluated, objective);
+                assert_eq!(
+                    &spec.characterize(objective),
+                    oracle,
+                    "{} x{} at {t}: scan diverged from brute force for {objective}",
+                    base.cell().technology().name(),
+                    base.dies(),
+                );
+                assert_eq!(
+                    &stripe[i],
+                    oracle,
+                    "{} x{} at {t}: stripe diverged from brute force for {objective}",
+                    base.cell().technology().name(),
+                    base.dies(),
                 );
             }
         }
     }
 }
 
-/// Phase 2 against the one-shot reference: re-scoring a cached
-/// geometry at a temperature must equal characterizing the base spec
-/// at that temperature from scratch.
+/// The 360 cells `variation_study` samples: the only sampled cells the
+/// repo characterizes, and each one a single-use geometry.
 #[test]
-fn apply_temperature_matches_characterize_at() {
+fn variation_study_cells_match_brute_force() {
     let node = ProcessNode::ptm_22nm_hp();
-    let objective = Objective::EnergyDelayProduct;
-    for cell in [
-        CellModel::sram(&node),
-        CellModel::tentpole(MemoryTechnology::Edram3T, Tentpole::Optimistic, &node),
-    ] {
-        let spec = ArraySpec::llc_16mib(cell, &node);
-        let geometry = OrgGeometry::solve(&spec);
-        for &t in study_temperatures() {
+    let mut checked = 0;
+    for (technology, dies, seed) in variation_study::cases() {
+        for cell in sample_cells(technology, variation_study::SAMPLES, seed, &node) {
+            let mut spec = ArraySpec::llc_16mib(cell, &node);
+            if dies > 1 {
+                spec = spec.with_dies(dies);
+            }
+            let evaluated = evaluate_feasible(&spec);
+            for objective in OBJECTIVES {
+                assert_eq!(
+                    &spec.characterize(objective),
+                    brute_force(&evaluated, objective),
+                    "sampled {} cell {checked} x{dies} diverged for {objective}",
+                    technology.name(),
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 360);
+}
+
+/// The search prunes with these floors and counts what they skip, so
+/// they must be exact, not merely sound: each equals the per-field
+/// minimum of [`ArrayCharacterization::evaluate`] over the feasible
+/// candidates, bit for bit.
+#[test]
+fn floors_are_the_per_field_minima_of_evaluate() {
+    let temps = temperature_ladder();
+    for base in oracle_geometries() {
+        let geometry = OrgGeometry::solve(&base);
+        for &t in &temps {
+            let evaluated = evaluate_feasible(&base.clone().at_temperature_cryo(t));
+            let min = |field: fn(&ArrayCharacterization) -> f64| {
+                evaluated.iter().map(field).fold(f64::INFINITY, f64::min)
+            };
+            let floors = geometry.floors_at_temperature(t);
+            let expected = [
+                min(|a| a.read_latency.get()),
+                min(|a| a.read_energy.get()),
+                min(|a| a.standby_power().get()),
+                min(|a| a.footprint.get()),
+                min(|a| a.refresh_busy_fraction),
+            ];
+            let got = [
+                floors.read_latency_s,
+                floors.read_energy_j,
+                floors.standby_power_w,
+                floors.footprint_m2,
+                floors.refresh_busy_fraction,
+            ];
             assert_eq!(
-                geometry.apply_temperature(t, objective),
-                characterize_at(&spec, t, objective)
+                got.map(f64::to_bits),
+                expected.map(f64::to_bits),
+                "{} x{} at {t}: floors {got:?} vs per-field minima {expected:?}",
+                base.cell().technology().name(),
+                base.dies(),
             );
         }
     }

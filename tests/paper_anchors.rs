@@ -9,7 +9,7 @@
 use coldtall::array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall::core::{Explorer, MemoryConfig};
-use coldtall::cryo::{characterize_at, study_temperatures, CoolingSystem};
+use coldtall::cryo::{study_temperatures, CoolingSystem};
 use coldtall::tech::ProcessNode;
 use coldtall::units::Kelvin;
 use coldtall::workloads::{benchmark, spec2017, TrafficBand};
@@ -21,6 +21,12 @@ fn node() -> ProcessNode {
 fn sram_baseline() -> ArrayCharacterization {
     ArraySpec::llc_16mib(CellModel::sram(&node()), &node())
         .characterize(Objective::EnergyDelayProduct)
+}
+
+/// `spec` characterized at `t` under the cryogenic voltage-scaling
+/// policy, as every temperature sweep of the study applies it.
+fn characterize_at(spec: &ArraySpec, t: Kelvin, objective: Objective) -> ArrayCharacterization {
+    spec.clone().at_temperature_cryo(t).characterize(objective)
 }
 
 fn characterized(tech: MemoryTechnology, tentpole: Tentpole, dies: u8) -> ArrayCharacterization {
