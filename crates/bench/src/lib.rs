@@ -2,11 +2,11 @@
 //!
 //! Each submodule reproduces one evaluation artifact, returning a
 //! [`coldtall_core::report::TextTable`] with the same rows/series the
-//! paper plots. A thin binary per experiment (in `src/bin/`) prints the
-//! table (pass `--csv` for machine-readable output); the integration
-//! test suite asserts the paper's shape anchors on the same data.
+//! paper plots. [`ARTIFACTS`] lists them once, for `coldtall replicate`
+//! and the golden suite; the integration test suite asserts the paper's
+//! shape anchors on the same data.
 //!
-//! | binary | artifact |
+//! | name | artifact |
 //! |---|---|
 //! | `fig1` | total LLC power vs temperature for `namd`, with cooling tiers |
 //! | `fig3` | array characterization vs temperature (SRAM, 3T-eDRAM) |
@@ -19,7 +19,7 @@
 //!
 //! Beyond the paper's artifacts, eleven ablation/extension studies:
 //!
-//! | binary | study |
+//! | name | study |
 //! |---|---|
 //! | `ablation_node` | process-node scaling (45/32/22/16 nm) |
 //! | `ablation_stacking` | 3D integration styles (F2F / F2B / monolithic) |
@@ -66,16 +66,51 @@ pub mod variation_study;
 
 use coldtall_core::report::TextTable;
 
-/// Prints an experiment table to stdout, honouring a `--csv` argument.
-///
-/// This is the shared entry point of every experiment binary.
-pub fn emit(title: &str, table: &TextTable) {
-    let csv = std::env::args().any(|a| a == "--csv");
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        println!("# {title}");
-        println!();
-        print!("{}", table.render());
+/// An artifact generator: builds its table anew on every call.
+pub type Generator = fn() -> TextTable;
+
+/// Every artifact under `results/`, in file-name order: the golden
+/// file's stem and the generator that regenerates it.
+pub const ARTIFACTS: [(&str, Generator); 19] = [
+    ("ablation_cooling", ablation_cooling::run),
+    ("ablation_ecc", ablation_ecc::run),
+    ("ablation_node", ablation_node::run),
+    ("ablation_stacking", ablation_stacking::run),
+    ("ablation_tags", ablation_tags::run),
+    ("ablation_voltage", ablation_voltage::run),
+    ("accel_study", accel_study::run),
+    ("cryo_nvm_study", cryo_nvm_study::run),
+    ("dynamic_temperature", dynamic_temperature::run),
+    ("fig1", fig1::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("hybrid_study", hybrid_study::run),
+    ("table1", table1::run),
+    ("table2", table2::run),
+    ("variation_study", variation_study::run),
+];
+
+/// The golden bytes of an artifact, exactly as `results/<name>.txt`
+/// holds them: `# <name>`, a blank line, then the table.
+pub fn render(name: &str, table: &TextTable) -> String {
+    format!("# {name}\n\n{}", table.render())
+}
+
+/// Where `actual` first departs from `expected`: the first differing
+/// line, or the line counts when one is a prefix of the other.
+pub fn first_divergence(expected: &str, actual: &str) -> String {
+    let mut pairs = expected.lines().zip(actual.lines()).enumerate();
+    match pairs.find(|(_, (want, got))| want != got) {
+        Some((i, (want, got))) => {
+            format!("first divergence at line {}:\n  expected: {want}\n  actual:   {got}", i + 1)
+        }
+        None => format!(
+            "line counts differ: expected {}, actual {}",
+            expected.lines().count(),
+            actual.lines().count()
+        ),
     }
 }

@@ -118,6 +118,11 @@ cargo test -q -p coldtall-core resolved_backends_are_bounded_by_the_cache_cap
 # exhaustive sweep's frontier bit-for-bit while still skipping work.
 cargo test -q --test golden_results artifacts_match_golden_files
 cargo test -q --test search cryo_stt_region_search_matches_exhaustive
+# The same bytes through the CLI: `replicate --check` passes here, `replicate` prints every golden and keeps its counters at 1 and 4 threads, `--csv` prints the generators' CSV, and a closed pipe exits 0.
+cargo run -q --bin coldtall -- replicate --check
+cargo test -q --test cli replicate
+cargo test -q --test cli metrics_counters_identical_across_thread_counts
+cargo test -q --test cli sweep_into_closed_pipe_exits_cleanly
 cargo clippy --workspace --all-targets -- -D warnings
 # Documentation is part of the API surface: a broken intra-doc link or
 # an undocumented public item on the strict modules fails the gate.

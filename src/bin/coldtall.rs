@@ -1,12 +1,14 @@
 //! The `coldtall` command-line tool: characterize, evaluate, and
-//! recommend LLC design points without writing code.
+//! recommend LLC design points without writing code, and regenerate
+//! the paper's artifacts.
 //!
 //! ```sh
 //! coldtall list
 //! coldtall characterize --tech pcm --tentpole optimistic --dies 8
 //! coldtall evaluate --bench namd --tech edram --temp 77
 //! coldtall recommend --bench mcf --max-area 5
-//! coldtall table2
+//! coldtall replicate table2
+//! coldtall replicate --check
 //! coldtall sweep --metrics
 //! coldtall serve --listen 127.0.0.1:0 --registry runs.jsonl
 //! ```
@@ -27,7 +29,7 @@ use coldtall::array::Objective;
 use coldtall::cell::Tentpole;
 use coldtall::core::report::{sci, TextTable};
 use coldtall::core::{
-    selection, BackendRegistry, CacheConfig, Constraints, Error, EvalArena, Explorer, MemoryConfig,
+    BackendRegistry, CacheConfig, Constraints, Error, EvalArena, Explorer, MemoryConfig,
     RequestHandler,
 };
 use coldtall::par::PoolConfig;
@@ -37,6 +39,7 @@ use coldtall::serve::{
 use coldtall::tech::ProcessNode;
 use coldtall::units::Kelvin;
 use coldtall::workloads::{benchmark, spec2017};
+use coldtall_bench::{first_divergence, render, ARTIFACTS};
 
 /// What `--metrics[=json]` asked for.
 #[derive(Clone, Copy, PartialEq)]
@@ -96,7 +99,7 @@ fn main() -> ExitCode {
         }
         "recommend" => Options::parse(&args[1..], &["bench", "max-area"])
             .and_then(|opts| cmd_recommend(&opts, &mut out)),
-        "table2" => Options::parse(&args[1..], &[]).and_then(|_| cmd_table2(&mut out)),
+        "replicate" => cmd_replicate(&args[1..], &mut out),
         "backends" => Options::parse(&args[1..], &[]).and_then(|_| cmd_backends(&mut out)),
         "sweep" => Options::parse(&args[1..], &["warm-start"])
             .and_then(|opts| cmd_sweep(&opts, &mut out)),
@@ -192,7 +195,7 @@ fn write_usage(out: &mut String) {
          \x20 characterize    array characteristics of one design point\n\
          \x20 evaluate        a design point under one benchmark's traffic\n\
          \x20 recommend       lowest-power viable choice for a benchmark\n\
-         \x20 table2          the optimal-LLC summary table\n\
+         \x20 replicate       regenerate the paper's figures, tables and studies\n\
          \x20 sweep           the full study sweep, summarized per configuration\n\
          \x20 search          adaptive branch-and-bound Pareto search of the study space\n\
          \x20 backends        the characterization backends and their capabilities\n\
@@ -225,6 +228,10 @@ fn write_usage(out: &mut String) {
          \x20 --metrics[=json]                   after the command, report engine\n\
          \x20                                    telemetry (cache hit rates, pool\n\
          \x20                                    utilization, span timings) to stderr\n\
+         \n\
+         REPLICATE OPTIONS (coldtall replicate [NAME...], default all 19):\n\
+         \x20 --csv                              print each artifact's CSV\n\
+         \x20 --check                            byte-check each against results/<name>.txt\n\
          \n\
          SERVE OPTIONS:\n\
          \x20 --listen <addr:port>               accept TCP clients (port 0 = ephemeral);\n\
@@ -756,20 +763,69 @@ fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_table2(out: &mut String) -> Result<(), String> {
-    let explorer = Explorer::with_defaults();
-    let rows = selection::table2(&explorer);
-    let mut table = TextTable::new(&["band", "power", "power_alt", "performance", "area"]);
-    for row in rows {
-        table.row(&[
-            row.band.label(),
-            &row.power.label,
-            row.power.alternate.as_deref().unwrap_or("-"),
-            &row.performance.label,
-            &row.area.label,
-        ]);
+/// `coldtall replicate [NAME...] [--csv | --check]`: prints the named
+/// artifacts of [`ARTIFACTS`] (all when none is named) or their CSV,
+/// or byte-checks them against `results/`.
+fn cmd_replicate(args: &[String], out: &mut String) -> Result<(), String> {
+    let (mut csv, mut check) = (false, false);
+    let mut selected = Vec::new();
+    for arg in args {
+        let seen = match arg.as_str() {
+            "--csv" => &mut csv,
+            "--check" => &mut check,
+            flag if flag.starts_with("--") => return Err(format!("unknown option '{flag}'")),
+            name => {
+                let artifact = ARTIFACTS
+                    .into_iter()
+                    .find(|&(known, _)| known == name)
+                    .ok_or_else(|| format!("unknown artifact '{name}'"))?;
+                if selected.iter().any(|&(known, _)| known == name) {
+                    return Err(format!("duplicate artifact '{name}'"));
+                }
+                selected.push(artifact);
+                continue;
+            }
+        };
+        if std::mem::replace(seen, true) {
+            return Err(format!("duplicate option '{arg}'"));
+        }
     }
-    let _ = write!(out, "{}", table.render());
+    if csv && check {
+        return Err("--csv and --check cannot be combined".into());
+    }
+    if selected.is_empty() {
+        selected = ARTIFACTS.to_vec();
+    }
+    let mut mismatches = Vec::new();
+    for &(name, generate) in &selected {
+        let table = generate();
+        let bytes = if csv {
+            table.to_csv()
+        } else {
+            render(name, &table)
+        };
+        if !check {
+            out.push_str(&bytes);
+            continue;
+        }
+        let path = format!("results/{name}.txt");
+        match std::fs::read_to_string(&path) {
+            Ok(golden) if golden == bytes => {}
+            Ok(golden) => mismatches.push(format!("{path}: {}", first_divergence(&golden, &bytes))),
+            Err(e) => mismatches.push(format!("{path}: unreadable: {e}")),
+        }
+    }
+    if !mismatches.is_empty() {
+        return Err(format!(
+            "{} of {} artifacts do not match results/\n{}",
+            mismatches.len(),
+            selected.len(),
+            mismatches.join("\n")
+        ));
+    }
+    if check {
+        let _ = writeln!(out, "{} artifacts match results/", selected.len());
+    }
     Ok(())
 }
 

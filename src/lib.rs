@@ -24,7 +24,8 @@
 //! * [`obs`] — the observability layer: the metrics registry behind
 //!   `coldtall --metrics` (cache hit rates, pool utilization, span
 //!   timings),
-//! * `coldtall-bench` — binaries regenerating every figure and table.
+//! * `coldtall-bench` — the artifact manifest behind `coldtall replicate`,
+//!   which regenerates every figure and table.
 //!
 //! # Quickstart
 //!

@@ -3,15 +3,7 @@
 use std::process::Command;
 
 fn run(args: &[&str]) -> (bool, String, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_coldtall"))
-        .args(args)
-        .output()
-        .expect("binary runs");
-    (
-        output.status.success(),
-        String::from_utf8_lossy(&output.stdout).into_owned(),
-        String::from_utf8_lossy(&output.stderr).into_owned(),
-    )
+    run_with_env(args, &[])
 }
 
 #[test]
@@ -63,11 +55,41 @@ fn recommend_quiet_workload_goes_cryogenic() {
 }
 
 #[test]
-fn table2_prints_three_bands() {
-    let (ok, out, _) = run(&["table2"]);
+fn replicate_table2_prints_three_bands() {
+    let (ok, out, _) = run(&["replicate", "table2"]);
     assert!(ok);
     assert!(out.contains("<5e4"));
     assert!(out.contains(">8e6"));
+}
+
+/// `coldtall replicate` prints the concatenated goldens in manifest
+/// order whatever the thread count, and `--check` agrees.
+#[test]
+fn replicate_prints_every_golden_byte() {
+    let goldens: String = coldtall_bench::ARTIFACTS
+        .iter()
+        .map(|(name, _)| std::fs::read_to_string(format!("results/{name}.txt")).expect("golden"))
+        .collect();
+    for threads in ["1", "4"] {
+        let (ok, out, err) = run_with_env(&["replicate"], &[("COLDTALL_THREADS", threads)]);
+        assert!(ok && out == goldens, "COLDTALL_THREADS={threads}: {err}");
+    }
+    let (ok, out, err) = run(&["replicate", "--check"]);
+    assert!(ok && out == "19 artifacts match results/\n", "{err}");
+}
+
+/// `replicate --csv` prints every generator's CSV, in manifest order,
+/// and refuses to be combined with `--check`.
+#[test]
+fn replicate_csv_prints_every_generator_csv() {
+    let (ok, out, err) = run(&["replicate", "--csv"]);
+    let csv: String = coldtall_bench::ARTIFACTS
+        .iter()
+        .map(|(_, generate)| generate().to_csv())
+        .collect();
+    assert!(ok && out == csv, "{err}");
+    let (ok, _, err) = run(&["replicate", "--csv", "--check"]);
+    assert!(!ok && err.contains("--csv and --check cannot be combined"), "{err}");
 }
 
 #[test]
@@ -430,28 +452,27 @@ fn valid_threads_env_is_silent() {
 }
 
 /// The acceptance contract of the observability layer: exported
-/// counter values are bit-identical between a sequential run and a
-/// 4-thread run of the same full-study sweep. (Gauges and span
-/// timings are explicitly run-dependent and excluded.)
+/// counter values are bit-identical between a 1- and a 4-thread run of
+/// the inline full-study sweep and of the pooled Monte-Carlo study.
+/// (Gauges and span timings are explicitly run-dependent and excluded.)
 #[test]
 fn metrics_counters_identical_across_thread_counts() {
-    let (ok1, _, err1) = run_with_env(&["sweep", "--metrics=json"], &[("COLDTALL_THREADS", "1")]);
-    let (ok4, _, err4) = run_with_env(&["sweep", "--metrics=json"], &[("COLDTALL_THREADS", "4")]);
-    assert!(ok1 && ok4);
-    let counters1 = coldtall::obs::json::parse(&err1)
-        .expect("1-thread metrics parse")
-        .get("counters")
-        .cloned()
-        .expect("counters section");
-    let counters4 = coldtall::obs::json::parse(&err4)
-        .expect("4-thread metrics parse")
-        .get("counters")
-        .cloned()
-        .expect("counters section");
-    assert_eq!(
-        counters1, counters4,
-        "counters must be deterministic under any thread count"
-    );
+    for (command, pool_tasks) in [("sweep", 0.0), ("replicate variation_study", 360.0)] {
+        let counters = |threads| {
+            let args: Vec<&str> = command.split(' ').chain(["--metrics=json"]).collect();
+            let (ok, _, err) = run_with_env(&args, &[("COLDTALL_THREADS", threads)]);
+            assert!(ok, "{command}: {err}");
+            let metrics = coldtall::obs::json::parse(&err).expect("metrics parse");
+            metrics.get("counters").cloned().expect("counters section")
+        };
+        let (counters1, counters4) = (counters("1"), counters("4"));
+        assert_eq!(
+            counters1, counters4,
+            "{command}: counters must be deterministic under any thread count"
+        );
+        let tasks = counters1.get("pool.tasks").and_then(|v| v.as_f64());
+        assert_eq!(tasks, Some(pool_tasks), "{command}");
+    }
 }
 
 /// Regression (ISSUE 8): `coldtall sweep | head -1` used to panic with
@@ -462,25 +483,31 @@ fn metrics_counters_identical_across_thread_counts() {
 /// listening to the pipeline anymore).
 #[test]
 fn sweep_into_closed_pipe_exits_cleanly() {
-    // The child's stdout is a pipe whose read end is closed before it
-    // starts: every write it attempts fails with EPIPE, however little
-    // it prints.
-    let (reader, writer) = std::io::pipe().expect("pipe opens");
-    drop(reader);
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_coldtall"))
-        .args(["sweep", "--metrics"])
-        .stdout(writer)
-        .output()
-        .expect("binary runs");
-    let err = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "a broken pipe must exit 0, got {:?}; stderr: {err}",
-        output.status
-    );
-    assert!(!err.contains("panicked"), "no panic on EPIPE: {err}");
-    assert!(
-        !err.contains("cache."),
-        "metrics are skipped once the consumer is gone: {err}"
-    );
+    for command in ["sweep", "replicate fig7"] {
+        // The child's stdout is a pipe whose read end is closed before
+        // it starts: every write it attempts fails with EPIPE, however
+        // little it prints.
+        let (reader, writer) = std::io::pipe().expect("pipe opens");
+        drop(reader);
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_coldtall"))
+            .args(command.split(' '))
+            .arg("--metrics")
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success(),
+            "{command}: a broken pipe must exit 0, got {:?}; stderr: {err}",
+            output.status
+        );
+        assert!(
+            !err.contains("panicked"),
+            "{command}: no panic on EPIPE: {err}"
+        );
+        assert!(
+            !err.contains("cache."),
+            "{command}: metrics are skipped once the consumer is gone: {err}"
+        );
+    }
 }

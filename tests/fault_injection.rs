@@ -72,7 +72,16 @@ fn hostile_cli_arguments_never_panic() {
         &["characterize", "--temp=77", "--temp", "300"],
         &["evaluate", "--benhc", "mcf"],
         &["sweep", "--bench", "mcf"],
-        &["table2", "extra-positional"],
+        // `replicate` takes distinct artifact names (Fig. 2 is not one)
+        // and two exclusive, valueless switches; `table2` is gone.
+        &["replicate", "fig2"],
+        &["replicate", "fig1", "fig1"],
+        &["replicate", "--csv", "--csv"],
+        &["replicate", "--csv", "--check"],
+        &["replicate", "--cvs"],
+        &["replicate", "--csv=1"],
+        &["replicate", "--bench", "namd"],
+        &["table2"],
         &["list", "--tech", "sram"],
         // Stacked volatile memories outside the study.
         &["characterize", "--tech", "edram", "--dies", "8"],
@@ -112,10 +121,32 @@ fn hostile_cli_arguments_never_panic() {
     }
 }
 
+/// `replicate --check` where there is no `results/` names what is missing.
+#[test]
+fn replicate_check_without_results_names_the_missing_file() {
+    let dir = std::env::temp_dir().join(format!("coldtall-replicate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let output = Command::new(env!("CARGO_BIN_EXE_coldtall"))
+        .args(["replicate", "--check"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir(&dir);
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.contains("error: 19 of 19") && err.contains("results/table2.txt: unreadable"),
+        "stderr: {err}"
+    );
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
 #[test]
 fn hostile_environment_never_breaks_a_run() {
     // Every command must survive garbage COLDTALL_THREADS: warn once,
-    // auto-detect, and produce its normal output.
+    // auto-detect, and produce its normal output. The Monte-Carlo study
+    // is the one command whose work the thread count reaches.
+    let variation = std::fs::read_to_string("results/variation_study.txt").expect("golden");
     for threads in ["garbage", "0", "-4", "184467440737095516160", "³"] {
         let (ok, out, err) =
             run_with_env(&["recommend", "--bench", "povray"], &[("COLDTALL_THREADS", threads)]);
@@ -124,6 +155,12 @@ fn hostile_environment_never_breaks_a_run() {
         assert!(
             !err.contains("panicked"),
             "COLDTALL_THREADS={threads} reached a panic: {err}"
+        );
+        let (ok, out, err) =
+            run_with_env(&["replicate", "variation_study"], &[("COLDTALL_THREADS", threads)]);
+        assert!(
+            ok && out == variation && !err.contains("panicked"),
+            "COLDTALL_THREADS={threads} broke replicate: {err}"
         );
     }
 }

@@ -1,11 +1,11 @@
 //! Golden-file regression suite over `results/`.
 //!
-//! Every artifact the paper reproduction checks in is regenerated
-//! in-process and byte-compared against the committed file, so no
-//! future perf PR can silently corrupt the reproduction. The
-//! comparison runs twice — pinned to one pool thread, then forced to
-//! four — because the artifacts must be independent of how the sweep
-//! is scheduled.
+//! Every artifact of [`coldtall_bench::ARTIFACTS`] is regenerated
+//! in-process and byte-compared against the committed file, as
+//! `coldtall replicate --check` does, so no future change can silently
+//! corrupt the reproduction. The comparison runs twice — pinned to one
+//! pool thread, then forced to four — because the artifacts must be
+//! independent of how the sweep is scheduled.
 //!
 //! To rebless after an *intentional* model change:
 //!
@@ -13,40 +13,12 @@
 //! COLDTALL_BLESS=1 cargo test --test golden_results
 //! ```
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coldtall::core::pool;
-use coldtall::core::report::TextTable;
 use coldtall_bench as bench;
-
-type Generator = fn() -> TextTable;
-
-/// Every artifact under `results/`, paired with its in-process
-/// regenerator (the same `run()` the corresponding binary prints).
-const ARTIFACTS: [(&str, Generator); 19] = [
-    ("ablation_cooling", bench::ablation_cooling::run),
-    ("ablation_ecc", bench::ablation_ecc::run),
-    ("ablation_node", bench::ablation_node::run),
-    ("ablation_stacking", bench::ablation_stacking::run),
-    ("ablation_tags", bench::ablation_tags::run),
-    ("ablation_voltage", bench::ablation_voltage::run),
-    ("accel_study", bench::accel_study::run),
-    ("cryo_nvm_study", bench::cryo_nvm_study::run),
-    ("dynamic_temperature", bench::dynamic_temperature::run),
-    ("fig1", bench::fig1::run),
-    ("fig3", bench::fig3::run),
-    ("fig4", bench::fig4::run),
-    ("fig5", bench::fig5::run),
-    ("fig6", bench::fig6::run),
-    ("fig7", bench::fig7::run),
-    ("hybrid_study", bench::hybrid_study::run),
-    ("table1", bench::table1::run),
-    ("table2", bench::table2::run),
-    ("variation_study", bench::variation_study::run),
-];
 
 /// The two passes share the process-wide pool override, so they take
 /// this lock and restore auto-detection on drop (even on panic).
@@ -68,49 +40,14 @@ impl Drop for PinnedPool {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("results")
-        .join(format!("{name}.txt"))
-}
-
-/// Renders an artifact exactly as its binary prints it (and exactly as
-/// the checked-in file was captured): `# <name>`, a blank line, then
-/// the table.
-fn rendered(name: &str, run: Generator) -> String {
-    format!("# {name}\n\n{}", run().render())
-}
-
 fn bless_requested() -> bool {
     std::env::var("COLDTALL_BLESS").is_ok_and(|v| v == "1")
 }
 
-/// A human-oriented first-divergence report for a byte mismatch.
-fn describe_divergence(expected: &str, actual: &str) -> String {
-    let mut report = String::new();
-    for (i, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
-        if want != got {
-            let _ = write!(
-                report,
-                "first divergence at line {}:\n  expected: {want}\n  actual:   {got}",
-                i + 1
-            );
-            return report;
-        }
-    }
-    let _ = write!(
-        report,
-        "line counts differ: expected {}, actual {}",
-        expected.lines().count(),
-        actual.lines().count()
-    );
-    report
-}
-
 fn check_all_artifacts(mode: &str) {
-    for (name, run) in ARTIFACTS {
-        let actual = rendered(name, run);
-        let path = golden_path(name);
+    for (name, run) in bench::ARTIFACTS {
+        let actual = bench::render(name, &run());
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("results/{name}.txt"));
         if bless_requested() {
             fs::write(&path, &actual)
                 .unwrap_or_else(|err| panic!("blessing {} failed: {err}", path.display()));
@@ -122,7 +59,7 @@ fn check_all_artifacts(mode: &str) {
             expected == actual,
             "results/{name}.txt diverged from its regenerator ({mode} pool).\n{}\n\
              If the change is intentional, rebless with:\n  COLDTALL_BLESS=1 cargo test --test golden_results",
-            describe_divergence(&expected, &actual)
+            bench::first_divergence(&expected, &actual)
         );
     }
 }
@@ -165,8 +102,9 @@ fn study_plan_invariants_behind_the_goldens() {
 }
 
 /// The suite covers the complete `results/` directory — a new artifact
-/// must be added to [`ARTIFACTS`] (and a removed one deleted) or this
-/// test fails, keeping the golden set exhaustive by construction.
+/// must be added to [`bench::ARTIFACTS`] (and a removed one deleted), in
+/// file-name order, or this test fails, keeping the golden set
+/// exhaustive by construction.
 #[test]
 fn every_results_artifact_is_covered() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
@@ -175,11 +113,10 @@ fn every_results_artifact_is_covered() {
         .map(|entry| entry.expect("readable dir entry").file_name().to_string_lossy().into_owned())
         .collect();
     on_disk.sort();
-    let mut covered: Vec<String> = ARTIFACTS
+    let covered: Vec<String> = bench::ARTIFACTS
         .iter()
         .map(|(name, _)| format!("{name}.txt"))
         .collect();
-    covered.sort();
     assert_eq!(
         on_disk, covered,
         "results/ and the golden suite drifted apart"
