@@ -1,47 +1,10 @@
-//! Minimal std-only timing support for the benches and the kernel
-//! perf gates.
+//! Minimal std-only timing support for the kernel perf gates.
 //!
 //! The offline build cannot depend on criterion; this module provides
-//! the slice of it they need: warmup-then-measure wall-clock timing
-//! with a stable report format, and interleaved median timing for
+//! the slice of it the gates need: interleaved median timing for
 //! A-vs-B comparisons on a shared host.
 
 use std::time::{Duration, Instant};
-
-/// One timed measurement.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// What was measured.
-    pub label: String,
-    /// Measured iterations (after one untimed warmup).
-    pub iters: u32,
-    /// Total wall-clock across the measured iterations.
-    pub total: Duration,
-}
-
-impl Sample {
-    /// Mean seconds per iteration.
-    #[must_use]
-    pub fn secs_per_iter(&self) -> f64 {
-        self.total.as_secs_f64() / f64::from(self.iters.max(1))
-    }
-}
-
-/// Runs `f` once untimed (warmup), then `iters` timed iterations, and
-/// returns the measurement. The closure's result is passed through
-/// [`std::hint::black_box`] so the optimizer cannot elide the work.
-pub fn time<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) -> Sample {
-    let _ = std::hint::black_box(f());
-    let start = Instant::now();
-    for _ in 0..iters {
-        let _ = std::hint::black_box(f());
-    }
-    Sample {
-        label: label.to_string(),
-        iters,
-        total: start.elapsed(),
-    }
-}
 
 /// Per-iteration wall-clock samples: one untimed warmup, then every
 /// iteration timed individually, summarized by the median.
@@ -125,33 +88,9 @@ fn timed_run<T>(f: &mut impl FnMut() -> T) -> Duration {
     start.elapsed()
 }
 
-/// Prints samples as an aligned two-column report.
-pub fn report(title: &str, samples: &[Sample]) {
-    println!("# {title}");
-    let width = samples.iter().map(|s| s.label.len()).max().unwrap_or(0);
-    for s in samples {
-        println!(
-            "{:width$}  {:>12.3} ms/iter  ({} iters)",
-            s.label,
-            s.secs_per_iter() * 1e3,
-            s.iters,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_counts_iterations() {
-        let mut calls = 0u32;
-        let sample = time("noop", 5, || calls += 1);
-        // 1 warmup + 5 measured.
-        assert_eq!(calls, 6);
-        assert_eq!(sample.iters, 5);
-        assert!(sample.secs_per_iter() >= 0.0);
-    }
 
     #[test]
     fn median_is_the_middle_order_statistic() {

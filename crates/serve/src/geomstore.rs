@@ -26,7 +26,7 @@ use coldtall_array::{geometry_code_epoch, Geometry, Organization, OrgGeometry};
 use coldtall_core::{DesignPointKey, Explorer, MemoryConfig};
 use coldtall_obs::json::Value;
 
-use crate::log::{self, f64_bits, hex_u64, subarray_dim, Record, RecordLog, ReplayStats};
+use crate::log::{f64_bits, hex_u64, subarray_dim, Record, RecordLog, ReplayStats};
 use crate::proto::push_escaped;
 
 /// The geometry-record schema this build writes and replays. Bump when
@@ -35,10 +35,13 @@ pub const GEOM_SCHEMA_VERSION: u32 = 1;
 
 /// An append-only on-disk log of solved organization geometries.
 ///
-/// `GeometryStore::open(path)` creates the file if absent and scans its
-/// current-epoch records into the dedup set, so restarts append only
-/// new geometries; `path`, `len` and `is_empty` report on it. All
-/// methods take `&self`, exactly like the run registry's.
+/// `GeometryStore::open(path)` creates the file if absent and reads
+/// nothing; `warm_into` reads it once, restoring geometries and filling
+/// the dedup set with its current-epoch records together, so restarts
+/// append only new geometries. An append, sync or `len` before any
+/// warm-start scans the file into the set instead. `path`, `len` and
+/// `is_empty` report on it. All methods take `&self`, exactly like the
+/// run registry's.
 pub type GeometryStore = RecordLog<GeomRecord>;
 
 impl GeometryStore {
@@ -86,7 +89,8 @@ impl GeometryStore {
     /// imported once ([`OrgGeometry::from_parts`] — no feasibility
     /// enumeration, no geometry derivation, no solve counted), so a
     /// subsequent sweep over `configs` dispatches entirely from the
-    /// warmed cache.
+    /// warmed cache. Each call re-reads the file; the first one also
+    /// fills the dedup set, unless an append already scanned it.
     ///
     /// # Errors
     ///
@@ -98,7 +102,7 @@ impl GeometryStore {
         configs: &[MemoryConfig],
     ) -> io::Result<ReplayStats> {
         let mut stored = HashMap::new();
-        let read = log::replay(self.path(), |record: GeomRecord| {
+        let read = self.replay(|record| {
             stored.insert(record.key, record.candidates);
         })?;
         let mut restored = 0;
@@ -258,6 +262,7 @@ fn exact_u64(value: &Value) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log;
     use coldtall_tech::ProcessNode;
     use coldtall_units::Kelvin;
     use std::fs::File;
@@ -357,8 +362,8 @@ mod tests {
             assert_eq!(store.sync_from(&seeder).unwrap(), 0);
         }
 
-        // A second process opens the same file: the dedup set is
-        // rescanned, and warm-start replays every geometry.
+        // A second process opens the same file: `len` scans the dedup
+        // set, and warm-start replays every geometry.
         let store = GeometryStore::open(&path).unwrap();
         assert_eq!(store.len() as u64, distinct);
         let fresh = private_explorer();
@@ -398,8 +403,9 @@ mod tests {
         let path = temp_path("corrupt");
         std::fs::write(&path, contents).unwrap();
 
-        // The open scan also ignores the junk: the good key is already
-        // on disk, so re-recording it below is a no-op.
+        // The warm-start's read fills the dedup set and ignores the
+        // junk too: the good key is already on disk, so re-recording it
+        // below is a no-op.
         let store = GeometryStore::open(&path).unwrap();
         let fresh = private_explorer();
         let stats = store.warm_into(&fresh, &[config]).unwrap();

@@ -41,11 +41,13 @@ pub const SCHEMA_VERSION: u32 = 2;
 
 /// An append-only on-disk log of computed characterizations.
 ///
-/// `RunRegistry::open(path)` creates the file if absent and scans its
-/// records into the dedup set, so restarts append only new work;
-/// `path`, `len` and `is_empty` report on it. All methods take `&self`:
-/// appends serialize through an internal mutex, so one registry can be
-/// shared across connection threads.
+/// `RunRegistry::open(path)` creates the file if absent and reads
+/// nothing; `replay_into` reads it once, importing its records and
+/// filling the dedup set together, so restarts append only new work. An
+/// append, sync or `len` before any replay scans the file into the set
+/// instead. `path`, `len` and `is_empty` report on it. All methods take
+/// `&self`: appends serialize through an internal mutex, so one
+/// registry can be shared across connection threads.
 pub type RunRegistry = RecordLog<CharRecord>;
 
 impl RunRegistry {
@@ -97,14 +99,16 @@ impl RunRegistry {
     }
 
     /// Replays every well-formed record from this registry's file into
-    /// the explorer's characterization cache.
+    /// the explorer's characterization cache. Each call re-reads the
+    /// file; the first one also fills the dedup set, unless an append
+    /// already scanned it.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the file exists but cannot
     /// be read. A missing file replays zero records successfully.
     pub fn replay_into(&self, explorer: &Explorer) -> io::Result<ReplayStats> {
-        replay_file(self.path(), explorer)
+        self.replay(|record| import(explorer, record))
     }
 }
 
@@ -116,9 +120,13 @@ impl RunRegistry {
 /// Returns the underlying I/O error if the file exists but cannot be
 /// read. A missing file is an empty registry, not an error.
 pub fn replay_file(path: &Path, explorer: &Explorer) -> io::Result<ReplayStats> {
-    log::replay(path, |record: CharRecord| {
-        explorer.import_characterization(&record.key, record.value, &record.backend);
-    })
+    log::replay(path, |record| import(explorer, record))
+}
+
+/// Imports one replayed record into `explorer`'s characterization cache,
+/// with the backend that produced it.
+fn import(explorer: &Explorer, record: CharRecord) {
+    explorer.import_characterization(&record.key, record.value, &record.backend);
 }
 
 /// One decoded registry record: a characterization, the backend that

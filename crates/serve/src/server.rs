@@ -249,13 +249,14 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Stands the daemon up: replays the registry (if any) into the
-    /// handler's cache, binds and starts accepting on the listen
-    /// address (if any), and returns ready to serve.
+    /// Stands the daemon up: replays the registry and the geometry store
+    /// (if any) into the handler's caches, reading each file once, binds
+    /// and starts accepting on the listen address (if any), and returns
+    /// ready to serve.
     ///
     /// # Errors
     ///
-    /// Propagates registry-open, replay-read, and bind failures. A
+    /// Propagates store-open, replay-read, and bind failures. A
     /// handler whose study plan cannot compile also errors (it could
     /// never serve a sweep).
     pub fn start(handler: RequestHandler, options: &ServeOptions) -> io::Result<Self> {
@@ -325,7 +326,10 @@ impl Server {
 
     /// The one-line startup announcement. Emitted on stdout by the CLI
     /// so orchestrators (and the integration tests) can discover the
-    /// ephemeral port without racing the log.
+    /// ephemeral port without racing the log. It carries the registry's
+    /// replay counts, then the geometries restored and the geometry
+    /// lines skipped, so a store whose every line was stale or corrupt
+    /// does not look empty.
     #[must_use]
     pub fn ready_line(&self) -> String {
         let addr = self.local_addr.map_or_else(
@@ -334,8 +338,12 @@ impl Server {
         );
         format!(
             "{{\"event\":\"ready\",\"addr\":{addr},\"replayed\":{},\"duplicates\":{},\
-             \"skipped\":{},\"geometries_restored\":{}}}",
-            self.replay.replayed, self.replay.duplicates, self.replay.skipped, self.warm.replayed
+             \"skipped\":{},\"geometries_restored\":{},\"geometries_skipped\":{}}}",
+            self.replay.replayed,
+            self.replay.duplicates,
+            self.replay.skipped,
+            self.warm.replayed,
+            self.warm.skipped
         )
     }
 
@@ -577,6 +585,70 @@ mod tests {
                 responses[too_long]
             );
         }
+    }
+
+    #[test]
+    fn start_reads_each_store_once() {
+        use crate::geomstore::GeomRecord;
+        use crate::log::{self, take_reads};
+        use crate::registry::CharRecord;
+        use std::path::Path;
+
+        // Both stores hold what a sweep of four study points computed,
+        // plus a repeated record and a corrupt line each.
+        let explorer = Explorer::with_defaults();
+        explorer
+            .try_sweep_configs(&MemoryConfig::study_set()[..4])
+            .unwrap();
+        let path = |tag: &str| {
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "coldtall-server-{tag}-{}.jsonl",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            path
+        };
+        let (registry_path, geometry_path) = (path("registry"), path("geometry"));
+        RunRegistry::open(&registry_path)
+            .unwrap()
+            .sync_from(&explorer, 1)
+            .unwrap();
+        GeometryStore::open(&geometry_path)
+            .unwrap()
+            .sync_from(&explorer)
+            .unwrap();
+        let vandalize = |path: &Path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            let first = text.lines().next().unwrap();
+            std::fs::write(path, format!("{text}{first}\nnot json\n")).unwrap();
+        };
+        vandalize(&registry_path);
+        vandalize(&geometry_path);
+
+        take_reads();
+        let handler = RequestHandler::new(Explorer::with_defaults(), &Registry::new(), None);
+        let options = ServeOptions {
+            registry: Some(registry_path.clone()),
+            geometry: Some(geometry_path.clone()),
+            ..ServeOptions::default()
+        };
+        let server = Server::start(handler, &options).expect("daemon starts");
+        assert_eq!(take_reads(), [registry_path.clone(), geometry_path.clone()]);
+
+        // An independent read of each file counts what start reported.
+        let replay = log::replay::<CharRecord>(&registry_path, drop).unwrap();
+        let warm = log::replay::<GeomRecord>(&geometry_path, drop).unwrap();
+        assert_eq!((server.replay, server.warm), (replay, warm));
+        let counts = |replayed| ReplayStats {
+            replayed,
+            duplicates: 1,
+            skipped: 1,
+        };
+        assert_eq!((replay, warm), (counts(4), counts(2)));
+        server.shutdown();
+        let _ = std::fs::remove_file(&registry_path);
+        let _ = std::fs::remove_file(&geometry_path);
     }
 
     #[test]

@@ -49,6 +49,9 @@ cargo test -q -p coldtall-core candidates_warm_as_one_geometry_batch
 # 0 with the plain sweep's bytes and re-appends nothing.
 cargo test -q -p coldtall-serve geomstore
 cargo test -q --test cli warm_start_skips_a_non_utf8_store_line
+# The read-count gate: `open` reads a store 0 times, its first replay or scan once, and `Server::start` each store once.
+cargo test -q -p coldtall-serve log::tests
+cargo test -q -p coldtall-serve start_reads_each_store_once
 # The adaptive-search gates: the branch-and-bound frontier must be
 # bit-identical to the exhaustive extraction (at 1 and 4 pool threads,
 # under every constraint combination), and the search must provably

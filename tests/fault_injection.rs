@@ -448,6 +448,11 @@ mod fuzz {
             .count() as u64
     }
 
+    /// Whether `file` has a line that is exactly `seed`.
+    fn holds(file: &[u8], seed: &[u8]) -> bool {
+        file.split(|&b| b == b'\n').any(|line| line == seed)
+    }
+
     /// A store file: mutants of `seed`, with intact copies (so dedup
     /// runs) and blank lines mixed in.
     fn store_file(rng: &mut SmallRng, seed: &[u8]) -> Vec<u8> {
@@ -471,20 +476,23 @@ mod fuzz {
         // One well-formed line of each format, written by the stores.
         let registry = RunRegistry::open(&registry_path).expect("registry opens");
         let config = MemoryConfig::edram_77k();
-        registry
-            .record(
-                7,
-                &DesignPointKey::of_config(&config),
-                "cryomem",
-                &explorer.characterize(&config),
-            )
-            .expect("record appends");
+        let (char_key, array) = (
+            DesignPointKey::of_config(&config),
+            explorer.characterize(&config),
+        );
+        let record_char = |registry: &RunRegistry| {
+            registry
+                .record(7, &char_key, "cryomem", &array)
+                .expect("record appends")
+        };
+        record_char(&registry);
         let store = GeometryStore::open(&geometry_path).expect("store opens");
         let stacked = MemoryConfig::envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 4);
         let geometry = OrgGeometry::solve(&stacked.to_base_spec(explorer.node()));
-        store
-            .record(&DesignPointKey::geometry_of(&stacked), &geometry)
-            .expect("record appends");
+        let geom_key = DesignPointKey::geometry_of(&stacked);
+        let record_geom =
+            |store: &GeometryStore| store.record(&geom_key, &geometry).expect("record appends");
+        record_geom(&store);
         let char_seed = std::fs::read(&registry_path).expect("registry written");
         let geom_seed = std::fs::read(&geometry_path).expect("store written");
         let (char_seed, geom_seed) = (char_seed.trim_ascii_end(), geom_seed.trim_ascii_end());
@@ -503,6 +511,17 @@ mod fuzz {
                 "every line is counted once: {stats:?} for {}",
                 String::from_utf8_lossy(&file)
             );
+            // The replay's dedup set and the one a first `len` scans
+            // are the same set.
+            let scanned = RunRegistry::open(&registry_path).expect("open reads any contents");
+            assert_eq!(registry.len(), scanned.len(), "{stats:?}");
+            assert_eq!(registry.len() as u64, stats.replayed, "{stats:?}");
+            let wrote = record_char(&registry);
+            assert_eq!(record_char(&scanned), wrote, "both sets agree on the seed");
+            assert!(
+                !(wrote && holds(&file, char_seed)),
+                "re-recording the intact seed record appends nothing"
+            );
 
             let file = store_file(&mut rng, geom_seed);
             std::fs::write(&geometry_path, &file).expect("fuzz file written");
@@ -515,6 +534,14 @@ mod fuzz {
                 "one config restores one geometry: {stats:?}"
             );
             assert!(stats.duplicates + stats.skipped <= non_blank_lines(&file));
+            let scanned = GeometryStore::open(&geometry_path).expect("open reads any contents");
+            assert_eq!(store.len(), scanned.len(), "{stats:?}");
+            let wrote = record_geom(&store);
+            assert_eq!(record_geom(&scanned), wrote, "both sets agree on the seed");
+            assert!(
+                !(wrote && holds(&file, geom_seed)),
+                "re-recording the intact seed record appends nothing"
+            );
         }
         let _ = std::fs::remove_file(&registry_path);
         let _ = std::fs::remove_file(&geometry_path);

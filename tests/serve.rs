@@ -10,8 +10,8 @@
 //! * a registry written by a 4-thread daemon replays into a 1-thread
 //!   daemon whose sweep answer is byte-identical, with a warm cache
 //!   (nonzero hits) to show no re-solving happened;
-//! * corrupt or truncated registry lines are counted and skipped,
-//!   never fatal;
+//! * corrupt or truncated registry and geometry-store lines are counted
+//!   and skipped, never fatal, and the ready line reports both counts;
 //! * stdin EOF drains in-flight work and exits 0 without dropping
 //!   registry records (the file ends on a complete line).
 
@@ -32,6 +32,8 @@ struct Daemon {
     addr: Option<String>,
     replayed: u64,
     skipped: u64,
+    geometries_restored: u64,
+    geometries_skipped: u64,
 }
 
 impl Daemon {
@@ -74,6 +76,8 @@ impl Daemon {
             addr,
             replayed: field("replayed"),
             skipped: field("skipped"),
+            geometries_restored: field("geometries_restored"),
+            geometries_skipped: field("geometries_skipped"),
         }
     }
 
@@ -327,6 +331,42 @@ fn corrupt_registry_lines_are_counted_and_skipped() {
     );
     daemon.shutdown();
     let _ = std::fs::remove_file(&registry);
+}
+
+#[test]
+fn corrupt_geometry_lines_are_counted_in_the_ready_line() {
+    use coldtall::array::OrgGeometry;
+    use coldtall::core::{DesignPointKey, MemoryConfig};
+    use coldtall::serve::GeometryStore;
+
+    // One study-set geometry, written by the library.
+    let geometry_path = temp_registry("geometry-skipped");
+    let config = MemoryConfig::edram_77k();
+    let geometry = OrgGeometry::solve(&config.to_base_spec(Explorer::with_defaults().node()));
+    assert!(GeometryStore::open(&geometry_path)
+        .expect("store opens")
+        .record(&DesignPointKey::geometry_of(&config), &geometry)
+        .expect("record appends"));
+    let warm_start = ["--warm-start", geometry_path.to_str().unwrap()];
+
+    let daemon = Daemon::start(&warm_start, &[]);
+    assert_eq!(
+        (daemon.geometries_restored, daemon.geometries_skipped),
+        (1, 0)
+    );
+    daemon.shutdown();
+
+    // A corrupt line is skipped, counted, and restores nothing less.
+    let mut contents = std::fs::read(&geometry_path).expect("store written");
+    contents.extend_from_slice(b"{\"schema\":1,\"kind\":\"geom\",\"epoch\":\"torn\n");
+    std::fs::write(&geometry_path, contents).expect("vandalized write");
+    let daemon = Daemon::start(&warm_start, &[]);
+    assert_eq!(
+        (daemon.geometries_restored, daemon.geometries_skipped),
+        (1, 1)
+    );
+    daemon.shutdown();
+    let _ = std::fs::remove_file(&geometry_path);
 }
 
 /// 64-bit FNV-1a over `bytes`: a std-only fingerprint for pinning wire
