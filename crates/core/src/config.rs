@@ -34,8 +34,9 @@ pub struct MemoryConfig {
 
 impl MemoryConfig {
     /// The die counts the study stacks. The single source of truth for
-    /// die-count validation: [`MemoryConfig::validate_dies`], the CLI,
-    /// and the Destiny backend's capability descriptor all read it.
+    /// die-count validation: [`MemoryConfig::try_design_point`], the
+    /// search region builder, and the Destiny backend's capability
+    /// descriptor all read it.
     pub const VALID_DIES: [u8; 4] = [1, 2, 4, 8];
 
     /// Validates a die count against [`MemoryConfig::VALID_DIES`].
@@ -44,7 +45,7 @@ impl MemoryConfig {
     ///
     /// Returns [`crate::Error::InvalidDieCount`] if `dies` is not 1, 2,
     /// 4, or 8.
-    pub fn validate_dies(dies: u8) -> Result<(), crate::Error> {
+    pub(crate) fn validate_dies(dies: u8) -> Result<(), crate::Error> {
         if Self::VALID_DIES.contains(&dies) {
             Ok(())
         } else {
@@ -156,7 +157,7 @@ impl MemoryConfig {
     /// # Errors
     ///
     /// Returns [`crate::Error::UnknownTentpole`] for anything else.
-    pub fn parse_tentpole(name: &str) -> Result<Tentpole, crate::Error> {
+    pub(crate) fn parse_tentpole(name: &str) -> Result<Tentpole, crate::Error> {
         match name {
             "optimistic" | "opt" => Ok(Tentpole::Optimistic),
             "pessimistic" | "pess" => Ok(Tentpole::Pessimistic),
@@ -166,9 +167,10 @@ impl MemoryConfig {
         }
     }
 
-    /// Builds a design point from frontend-style raw fields — the
-    /// typed equivalent of the CLI's flag parsing, shared by the serve
-    /// protocol so both frontends accept the same space.
+    /// Builds a design point from frontend-style raw fields — the one
+    /// design-point validator, which both frontends reach through
+    /// [`crate::DesignPoint::to_config`], so they accept the same
+    /// space.
     ///
     /// eNVM technologies take any tentpole, die count, and
     /// temperature. Volatile technologies (SRAM, 3T-eDRAM) are 2D at

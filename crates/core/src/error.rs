@@ -107,6 +107,15 @@ pub enum Error {
         /// Why the combination is out of scope.
         reason: String,
     },
+    /// A search temperature selector that is not `study`, a kelvin
+    /// value inside the modeled 60-400 K window, or a `lo:hi` range
+    /// holding at least one study temperature.
+    InvalidTemps {
+        /// The selector as supplied.
+        temps: String,
+        /// Why it was refused.
+        reason: &'static str,
+    },
     /// A request ran past the per-request deadline its caller set.
     /// Raised by the serve frontend's [`crate::RequestHandler`], which
     /// checks the budget between pipeline stages — work already
@@ -158,6 +167,7 @@ impl fmt::Display for Error {
             Self::UnsupportedPoint { reason } => {
                 write!(f, "unsupported design point: {reason}")
             }
+            Self::InvalidTemps { temps, reason } => write!(f, "temps '{temps}': {reason}"),
             Self::DeadlineExceeded {
                 elapsed_ms,
                 budget_ms,

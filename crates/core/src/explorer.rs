@@ -85,8 +85,11 @@ pub struct Explorer {
     /// the geometry cache), so repeated searches on one explorer —
     /// a serve daemon, the bench harness's warm comparisons — skip the
     /// bound recomputation entirely; `search.floor_cache.{hits,misses}`
-    /// report the traffic. Unbounded: a [`ComponentFloors`] is a few
-    /// dozen bytes and the key space is the design grid itself.
+    /// report the traffic. A serve `search` names any temperature, so
+    /// the characterization cache's admission cap
+    /// ([`CacheConfig::capacity`]) bounds this cache too: a refused
+    /// floor counts `search.floor_cache.rejected` and is recomputed on
+    /// the next probe, never changing a frontier.
     floors: ShardedCache<ComponentFloors>,
 }
 
@@ -277,11 +280,10 @@ impl Explorer {
             backend_stats,
             resolved_names: Mutex::new(HashMap::new()),
             search_metrics: SearchMetrics::registered(registry),
-            floors: ShardedCache::with_metrics(CacheMetrics::registered_with_config(
-                registry,
-                "search.floor_cache",
-                cache_config,
-            )),
+            floors: ShardedCache::with_metrics_and_cap(
+                CacheMetrics::registered_with_config(registry, "search.floor_cache", cache_config),
+                cache_config.capacity,
+            ),
         })
     }
 

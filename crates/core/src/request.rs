@@ -1,20 +1,26 @@
-//! Typed request/response facade over the [`Explorer`] for service
+//! Typed request/response facade over the [`Explorer`] for the
 //! frontends.
 //!
-//! The serve daemon (and any future RPC frontend) speaks to the engine
-//! exclusively through [`RequestHandler`]: a thin, `Send + Sync`
-//! dispatcher that owns one warm [`Explorer`], enforces a cooperative
-//! per-request deadline, and answers with typed payloads. Wire formats
-//! live in the frontends — this module knows nothing about JSON or
-//! sockets, which is what keeps responses bit-identical between a
-//! daemon round-trip and a direct library call: both render the same
-//! [`ResponsePayload`] through the same renderer.
+//! Both frontends speak to the engine exclusively through
+//! [`RequestHandler`]: the `coldtall` CLI turns its flags into a
+//! [`Request`] and renders the answer as text, and the serve daemon
+//! parses a JSON line into one and renders the answer as JSON. The
+//! handler is a thin, `Send + Sync` dispatcher that owns one warm
+//! [`Explorer`], enforces a cooperative per-request deadline, and
+//! answers with typed payloads. Validation lives here and in
+//! [`DesignPoint::to_config`], once, so the two frontends accept the
+//! same inputs and refuse the rest with the same typed [`Error`].
+//! Wire formats live in the frontends — this module knows nothing
+//! about JSON or sockets, which is what keeps responses bit-identical
+//! between a daemon round-trip and a direct library call: both render
+//! the same [`ResponsePayload`] through the same renderer.
 //!
 //! Deadlines are cooperative: the handler checks the elapsed budget
 //! between pipeline stages (after planning, after characterization,
 //! after evaluation), so work already dispatched runs to completion
 //! and lands in the cache — a timed-out request wastes no warmth.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,6 +36,10 @@ use crate::explorer::Explorer;
 use crate::pareto::Constraints;
 use crate::plan::SweepPlan;
 use crate::search::SearchOutcome;
+
+/// The modeled operating window in kelvin: a design point's
+/// temperature and a search's `temps` selector must fall inside it.
+const TEMPERATURE_WINDOW: RangeInclusive<f64> = 60.0..=400.0;
 
 /// One design point as a frontend names it: raw strings and numbers,
 /// validated by [`MemoryConfig::try_design_point`] at dispatch time.
@@ -69,7 +79,7 @@ impl DesignPoint {
     /// modeled 60–400 K window.
     pub fn to_config(&self) -> Result<MemoryConfig, Error> {
         let temperature = Kelvin::try_new(self.temperature_kelvin)?;
-        if !(60.0..=400.0).contains(&self.temperature_kelvin) {
+        if !TEMPERATURE_WINDOW.contains(&self.temperature_kelvin) {
             return Err(Error::UnsupportedPoint {
                 reason: format!(
                     "{:.1} K is outside the modeled 60-400 K window",
@@ -100,12 +110,18 @@ pub enum Request {
     /// SPEC2017 profile, in row order.
     Sweep,
     /// Adaptive branch-and-bound Pareto search over the study region,
-    /// optionally narrowed to one technology and/or die count.
+    /// optionally narrowed to one technology and/or die count and
+    /// expanded over (or re-pinned to) temperatures.
     Search {
         /// Restrict the region to one technology name.
         tech: Option<String>,
         /// Restrict the region to one die count.
         dies: Option<u8>,
+        /// Temperature selector, as raw text: `study` expands the
+        /// region over the study's temperature ladder, `lo:hi` over
+        /// the ladder inside the range, and a kelvin value re-pins it
+        /// to that one temperature.
+        temps: Option<String>,
         /// Feasibility constraints on the frontier.
         constraints: Constraints,
     },
@@ -159,7 +175,7 @@ pub enum ResponsePayload {
     },
     /// Answer to [`Request::Search`].
     Search {
-        /// The region as the handler named it (mirrors the CLI).
+        /// The region's name (`study x stt-ram x 77:400 K`).
         region: String,
         /// Hash of the compiled region plan.
         plan_hash: u64,
@@ -366,17 +382,20 @@ impl RequestHandler {
                 let mut arena = EvalArena::new();
                 self.explorer.run(&plan, &mut arena);
                 deadline.check()?;
-                Ok(ResponsePayload::Sweep {
-                    plan_hash,
-                    rows: arena.to_rows(),
-                })
+                let rows = arena.to_rows();
+                for row in &rows {
+                    row.validate()?;
+                }
+                Ok(ResponsePayload::Sweep { plan_hash, rows })
             }
             Request::Search {
                 tech,
                 dies,
+                temps,
                 constraints,
             } => {
-                let (region, configs) = Self::search_region(tech.as_deref(), *dies)?;
+                let (region, configs) =
+                    Self::search_region(tech.as_deref(), *dies, temps.as_deref())?;
                 let plan_hash = self.plan_hash(&configs)?;
                 deadline.check()?;
                 let outcome = self.explorer.search(&region, &configs, constraints)?;
@@ -391,13 +410,16 @@ impl RequestHandler {
         }
     }
 
-    /// The study region narrowed by the optional filters, named the
-    /// way the CLI names it (`study`, `study x pcm`, ...). Filters
-    /// that match nothing surface as [`Error::EmptySearchSpace`] from
-    /// the search itself; invalid filter values fail here.
+    /// The study region narrowed by the optional filters and expanded
+    /// over the `temps` selector's temperatures, with its name
+    /// (`study`, `study x pcm x 8 dies`, `study x 77:400 K`, ...).
+    /// Filters that match nothing surface as
+    /// [`Error::EmptySearchSpace`] from the search itself; invalid
+    /// filter values fail here.
     fn search_region(
         tech: Option<&str>,
         dies: Option<u8>,
+        temps: Option<&str>,
     ) -> Result<(String, Vec<MemoryConfig>), Error> {
         let mut configs = MemoryConfig::study_set();
         let mut region = vec!["study".to_string()];
@@ -410,6 +432,14 @@ impl RequestHandler {
             MemoryConfig::validate_dies(dies)?;
             configs.retain(|c| c.dies() == dies);
             region.push(format!("{dies} dies"));
+        }
+        if let Some(temps) = temps {
+            let (ladder, name) = temperatures(temps)?;
+            configs = configs
+                .iter()
+                .flat_map(|c| ladder.iter().map(|&t| c.clone().at_temperature(t)))
+                .collect();
+            region.push(name);
         }
         Ok((region.join(" x "), configs))
     }
@@ -438,6 +468,47 @@ impl RequestHandler {
             requests_served: self.metrics.requests.get(),
         }
     }
+}
+
+/// The temperatures a search's `temps` selector names, with the
+/// selector's part of the region name: `study` is the whole study
+/// ladder, `lo:hi` the ladder inside the range (`77:400` walks all of
+/// it), and a kelvin value that one temperature.
+fn temperatures(temps: &str) -> Result<(Vec<Kelvin>, String), Error> {
+    let invalid = |reason| Error::InvalidTemps {
+        temps: temps.to_string(),
+        reason,
+    };
+    let ladder = coldtall_cryo::study_temperatures();
+    if temps == "study" {
+        return Ok((ladder.to_vec(), "study temperatures".to_string()));
+    }
+    if let Some((lo, hi)) = temps.split_once(':') {
+        let (Ok(lo), Ok(hi)) = (lo.parse::<f64>(), hi.parse::<f64>()) else {
+            return Err(invalid("lo and hi must be kelvin values"));
+        };
+        if !(TEMPERATURE_WINDOW.contains(&lo) && TEMPERATURE_WINDOW.contains(&hi) && lo <= hi) {
+            return Err(invalid("lo:hi needs 60 <= lo <= hi <= 400 kelvin"));
+        }
+        let inside: Vec<Kelvin> = ladder
+            .iter()
+            .copied()
+            .filter(|t| (lo..=hi).contains(&t.get()))
+            .collect();
+        if inside.is_empty() {
+            return Err(invalid(
+                "no study temperature falls in that range (the ladder spans 77-387 K)",
+            ));
+        }
+        return Ok((inside, format!("{temps} K")));
+    }
+    let kelvin: f64 = temps
+        .parse()
+        .map_err(|_| invalid("expected 'study', a kelvin value, or a lo:hi range"))?;
+    if !TEMPERATURE_WINDOW.contains(&kelvin) {
+        return Err(invalid("outside the modeled 60-400 K window"));
+    }
+    Ok((vec![Kelvin::try_new(kelvin)?], format!("{temps} K")))
 }
 
 #[cfg(test)]
@@ -565,17 +636,46 @@ mod tests {
 
     #[test]
     fn search_region_mirrors_the_cli_filters() {
-        let (region, configs) = RequestHandler::search_region(Some("pcm"), Some(8)).unwrap();
+        let (region, configs) = RequestHandler::search_region(Some("pcm"), Some(8), None).unwrap();
         assert_eq!(region, "study x pcm x 8 dies");
         assert_eq!(configs.len(), 2, "optimistic + pessimistic 8-die PCM");
         assert!(matches!(
-            RequestHandler::search_region(Some("flash"), None),
+            RequestHandler::search_region(Some("flash"), None, None),
             Err(Error::UnknownTechnology { .. })
         ));
         assert!(matches!(
-            RequestHandler::search_region(None, Some(3)),
+            RequestHandler::search_region(None, Some(3), None),
             Err(Error::InvalidDieCount { dies: 3 })
         ));
+
+        // `lo:hi` walks the ladder inside the range, config-major.
+        let (region, configs) =
+            RequestHandler::search_region(Some("stt-ram"), None, Some("77:400")).unwrap();
+        assert_eq!(region, "study x stt-ram x 77:400 K");
+        assert_eq!(configs, MemoryConfig::cryo_stt_study_set());
+        let (region, configs) = RequestHandler::search_region(None, None, Some("study")).unwrap();
+        assert_eq!(region, "study x study temperatures");
+        assert_eq!(configs.len(), 31 * 8);
+        let (region, configs) = RequestHandler::search_region(None, Some(4), Some("77")).unwrap();
+        assert_eq!(region, "study x 4 dies x 77 K");
+        assert!(configs.iter().all(|c| c.temperature() == Kelvin::LN2));
+
+        for (temps, phrase) in [
+            ("300:100", "60 <= lo <= hi <= 400"),
+            ("20:300", "60 <= lo <= hi <= 400"),
+            ("390:400", "no study temperature"),
+            ("a:b", "kelvin values"),
+            ("banana", "'study', a kelvin value, or a lo:hi range"),
+            ("500", "60-400 K"),
+            ("nan", "60-400 K"),
+        ] {
+            let err = RequestHandler::search_region(None, None, Some(temps)).unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidTemps { temps: t, .. } if t == temps),
+                "{temps}: {err:?}"
+            );
+            assert!(err.to_string().contains(phrase), "{temps}: {err}");
+        }
     }
 
     #[test]
@@ -647,5 +747,57 @@ mod tests {
             answered += usize::from(backend.is_some());
         }
         assert_eq!(answered, 8);
+    }
+
+    /// A serve `search` reaches the floor cache with any temperature,
+    /// so the admission cap that bounds the characterization cache
+    /// bounds it too. Refused floors are recomputed on the next probe,
+    /// which costs work, never a different frontier.
+    #[test]
+    fn floor_cache_is_bounded_by_the_cache_cap() {
+        let capped_registry = Registry::new();
+        let capped = RequestHandler::new(
+            Explorer::try_with_backends_configured(
+                ProcessNode::ptm_22nm_hp(),
+                Objective::EnergyDelayProduct,
+                BackendRegistry::with_defaults(),
+                &capped_registry,
+                &CacheConfig {
+                    capacity: Some(8),
+                    ..CacheConfig::default()
+                },
+            )
+            .expect("default backends cover the baseline"),
+            &capped_registry,
+            None,
+        );
+        let uncapped_registry = Registry::new();
+        let uncapped = handler(&uncapped_registry);
+        for i in 0..40 {
+            let request = Request::Search {
+                tech: Some("stt".to_string()),
+                dies: None,
+                temps: Some(format!("{}", 61 + 8 * i)),
+                constraints: Constraints::none(),
+            };
+            let frontier = |handler: &RequestHandler| match handler.handle(&request) {
+                Ok(ResponsePayload::Search {
+                    region, outcome, ..
+                }) => (region, outcome.frontier),
+                other => panic!("search must answer with a frontier: {other:?}"),
+            };
+            assert_eq!(frontier(&capped), frontier(&uncapped), "{request:?}");
+        }
+        let entries = capped_registry.gauge("search.floor_cache.entries").get();
+        assert!(
+            entries <= 8,
+            "the cap holds the floor cache at 8, got {entries}"
+        );
+        assert!(capped_registry.counter_value("search.floor_cache.rejected") > Some(0));
+        assert_eq!(
+            uncapped_registry.gauge("search.floor_cache.entries").get(),
+            40 * 8,
+            "uncapped, every (point, temperature) plane keeps its floors"
+        );
     }
 }

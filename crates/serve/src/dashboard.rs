@@ -81,6 +81,7 @@ pub fn render_dashboard(
         .handle(&Request::Search {
             tech: None,
             dies: None,
+            temps: None,
             constraints: Constraints::default(),
         })
         .map_err(wrap)?;

@@ -16,12 +16,15 @@
 //! {"cmd":"evaluate","tech":"sram","temp":77,"bench":"namd"}
 //! {"cmd":"sweep"}
 //! {"cmd":"search","tech":"pcm","max_latency":1.1,"max_area":10.0}
+//! {"cmd":"search","tech":"stt-ram","temps":"77:400"}
 //! {"cmd":"status"}
 //! ```
 //!
 //! Every request may carry `"id"` (string or number, echoed verbatim
 //! in the response) and `"deadline_ms"` (per-request budget). Design
-//! point fields default to the 350 K 2D SRAM baseline.
+//! point fields default to the 350 K 2D SRAM baseline. A search's
+//! `"temps"` is the CLI's `--temps` selector as a string: `"study"`,
+//! a kelvin value (`"77"`), or a `"lo:hi"` range of the study ladder.
 //!
 //! Responses are `{"ok":true,"cmd":...,"result":{...}}` or
 //! `{"ok":false,"cmd":...,"error":"..."}`. Every number is printed by
@@ -88,6 +91,7 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
             "deadline_ms",
             "tech",
             "dies",
+            "temps",
             "max_latency",
             "max_area",
             "min_lifetime",
@@ -120,24 +124,17 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
         },
         "evaluate" => Request::Evaluate {
             point: design_point(fields)?,
-            benchmark: match fields.get("bench") {
-                Some(Value::String(s)) => s.clone(),
-                Some(_) => return Err("'bench' must be a string".to_string()),
-                None => "namd".to_string(),
-            },
+            benchmark: string_field(fields, "bench")?.unwrap_or_else(|| "namd".to_string()),
         },
         "sweep" => Request::Sweep,
         "status" => Request::Status,
         "search" => {
-            let tech = match fields.get("tech") {
-                None => None,
-                Some(Value::String(s)) => Some(s.clone()),
-                Some(_) => return Err("'tech' must be a string".to_string()),
-            };
-            let dies = match fields.get("dies") {
-                None => None,
-                Some(v) => Some(u8_field(v, "dies")?),
-            };
+            let tech = string_field(fields, "tech")?;
+            let dies = fields
+                .get("dies")
+                .map(|v| u8_field(v, "dies"))
+                .transpose()?;
+            let temps = string_field(fields, "temps")?;
             let mut constraints = Constraints::none();
             if let Some(v) = fields.get("max_latency") {
                 constraints.max_relative_latency = finite_f64(v, "max_latency")?;
@@ -154,6 +151,7 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
             Request::Search {
                 tech,
                 dies,
+                temps,
                 constraints,
             }
         }
@@ -172,17 +170,11 @@ fn design_point(
     fields: &std::collections::BTreeMap<String, Value>,
 ) -> Result<DesignPoint, String> {
     let mut point = DesignPoint::baseline();
-    if let Some(v) = fields.get("tech") {
-        match v {
-            Value::String(s) => point.tech = s.clone(),
-            _ => return Err("'tech' must be a string".to_string()),
-        }
+    if let Some(tech) = string_field(fields, "tech")? {
+        point.tech = tech;
     }
-    if let Some(v) = fields.get("tentpole") {
-        match v {
-            Value::String(s) => point.tentpole = s.clone(),
-            _ => return Err("'tentpole' must be a string".to_string()),
-        }
+    if let Some(tentpole) = string_field(fields, "tentpole")? {
+        point.tentpole = tentpole;
     }
     if let Some(v) = fields.get("dies") {
         point.dies = u8_field(v, "dies")?;
@@ -191,6 +183,18 @@ fn design_point(
         point.temperature_kelvin = finite_f64(v, "temp")?;
     }
     Ok(point)
+}
+
+/// The string value of `field`, if present.
+fn string_field(
+    fields: &std::collections::BTreeMap<String, Value>,
+    field: &str,
+) -> Result<Option<String>, String> {
+    match fields.get(field) {
+        None => Ok(None),
+        Some(Value::String(s)) => Ok(Some(s.clone())),
+        Some(_) => Err(format!("'{field}' must be a string")),
+    }
 }
 
 fn finite_f64(value: &Value, field: &str) -> Result<f64, String> {
@@ -529,13 +533,22 @@ mod tests {
 
         let parsed = parse_request(r#"{"cmd":"search","tech":"stt","max_latency":1.2}"#).unwrap();
         let Request::Search {
-            tech, constraints, ..
+            tech,
+            temps,
+            constraints,
+            ..
         } = &parsed.request
         else {
             panic!("expected a search request");
         };
         assert_eq!(tech.as_deref(), Some("stt"));
+        assert_eq!(temps.as_deref(), None);
         assert!((constraints.max_relative_latency - 1.2).abs() < 1e-12);
+        let parsed = parse_request(r#"{"cmd":"search","temps":"77:400"}"#).unwrap();
+        assert!(matches!(
+            &parsed.request,
+            Request::Search { temps: Some(t), .. } if t == "77:400"
+        ));
 
         assert!(matches!(
             parse_request(r#"{"cmd":"sweep"}"#).unwrap().request,
@@ -562,6 +575,7 @@ mod tests {
             r#"{"cmd":"characterize","temp":"cold"}"#,
             r#"{"cmd":"evaluate","bench":7}"#,
             r#"{"cmd":"search","max_area":"big"}"#,
+            r#"{"cmd":"search","temps":77}"#,
             r#"{"cmd":"status","deadline_ms":-1}"#,
             r#"{"cmd":"status","id":[1]}"#,
         ] {

@@ -114,6 +114,10 @@ cargo test -q --test serve hostile_lines
 # answering for exactly the 8 cached keys, so no client can grow the
 # daemon past `--cache-cap`.
 cargo test -q -p coldtall-core resolved_backends_are_bounded_by_the_cache_cap
+# One front door: CLI stdout bytes stay pinned, the CLI and the wire accept and refuse the same inputs, and the cache cap bounds the search floor cache.
+cargo test -q --test cli cli_stdout_bytes_are_pinned
+cargo test -q --test cli cli_and_wire_answer_alike
+cargo test -q -p coldtall-core floor_cache_is_bounded_by_the_cache_cap
 # The cryo-NVM gates: every study artifact (including the Δ(T)
 # STT-MRAM region study) must regenerate byte-identically to its
 # golden under results/, and the adaptive search over the cryo-STT

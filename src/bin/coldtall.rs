@@ -23,22 +23,21 @@ use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use coldtall::array::Objective;
-use coldtall::cell::Tentpole;
 use coldtall::core::report::{sci, TextTable};
 use coldtall::core::{
-    BackendRegistry, CacheConfig, Constraints, Error, EvalArena, Explorer, MemoryConfig,
-    RequestHandler,
+    BackendRegistry, CacheConfig, Constraints, DesignPoint, Error, Explorer, LlcEvaluation,
+    MemoryConfig, Request, RequestHandler, ResponsePayload,
 };
 use coldtall::par::PoolConfig;
 use coldtall::serve::{
     render_dashboard, replay_file, GeometryStore, PipeSafeWriter, ServeOptions, Server,
 };
 use coldtall::tech::ProcessNode;
-use coldtall::units::Kelvin;
-use coldtall::workloads::{benchmark, spec2017};
+use coldtall::workloads::spec2017;
 use coldtall_bench::{first_divergence, render, ARTIFACTS};
 
 /// What `--metrics[=json]` asked for.
@@ -298,59 +297,74 @@ impl Options {
     fn get(&self, name: &str) -> Option<&str> {
         self.0.get(name).map(String::as_str)
     }
-}
 
-fn parse_config(opts: &Options) -> Result<MemoryConfig, String> {
-    let tech = MemoryConfig::parse_technology(opts.get("tech").unwrap_or("sram"))
-        .map_err(|e| e.to_string())?;
-    let tentpole = match opts.get("tentpole").unwrap_or("optimistic") {
-        "optimistic" | "opt" => Tentpole::Optimistic,
-        "pessimistic" | "pess" => Tentpole::Pessimistic,
-        other => return Err(format!("unknown tentpole '{other}'")),
-    };
-    let dies: u8 = opts
-        .get("dies")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --dies value".to_string())?;
-    MemoryConfig::validate_dies(dies).map_err(|e| format!("--dies: {e}"))?;
-    let temp: f64 = opts
-        .get("temp")
-        .unwrap_or("350")
-        .parse()
-        .map_err(|_| "bad --temp value".to_string())?;
-    if !(60.0..=400.0).contains(&temp) {
-        return Err("--temp must be between 60 and 400 kelvin".into());
+    /// The value of `--name` parsed as a `T`, if given.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| format!("bad --{name} value")))
+            .transpose()
     }
-    let temp = Kelvin::try_new(temp).map_err(|e| e.to_string())?;
-    let config = if tech.is_nonvolatile() {
-        MemoryConfig::try_envm_3d(tech, tentpole, dies)
-            .map_err(|e| e.to_string())?
-            .at_temperature(temp)
-    } else if dies == 1 {
-        MemoryConfig::volatile_2d(tech, temp)
-    } else {
-        return Err("stacked volatile configs: use --tech sram --dies N at 350K only".into());
-    };
-    Ok(config)
+
+    /// The value of `--name` as a positive count, if given.
+    fn positive(&self, name: &str) -> Result<Option<usize>, String> {
+        match self.parsed(name)? {
+            Some(0) => Err(format!("bad --{name} value")),
+            n => Ok(n),
+        }
+    }
 }
 
-fn benchmark_name(opts: &Options) -> &str {
-    opts.get("bench").unwrap_or("namd")
+/// The engine every command runs through, built the way the daemon
+/// builds it: the default node, objective and backends, reporting into
+/// the global registry. The cache knobs come from `COLDTALL_CACHE_CAP`
+/// and `COLDTALL_METRICS_DETAIL` (an invalid value warns once) unless
+/// `serve --cache-cap` overrides them; `serve --deadline-ms` sets the
+/// default budget.
+fn engine(opts: &Options) -> Result<RequestHandler, String> {
+    let (mut cache_config, cache_warnings) = CacheConfig::from_env();
+    match opts.positive("cache-cap")? {
+        Some(cap) => cache_config.capacity = Some(cap),
+        None => {
+            for w in &cache_warnings {
+                eprintln!("{w}");
+            }
+        }
+    }
+    let deadline = opts.parsed("deadline-ms")?.map(Duration::from_millis);
+    let metrics = coldtall::obs::global();
+    let explorer = Explorer::try_with_backends_configured(
+        ProcessNode::ptm_22nm_hp(),
+        Objective::EnergyDelayProduct,
+        BackendRegistry::with_defaults(),
+        metrics,
+        &cache_config,
+    )
+    .map_err(|e| e.to_string())?;
+    Ok(RequestHandler::new(explorer, metrics, deadline))
 }
 
-/// Resolves the backend the registry picks for `config` and, when the
-/// user pinned one with `--backend`, insists the pin matches. A pin
-/// never reroutes characterization — it asserts the routing, so a
-/// script that expects the Destiny path fails loudly if its point is
-/// actually served by CryoMEM.
-fn check_backend(opts: &Options, explorer: &Explorer, config: &MemoryConfig) -> Result<&'static str, String> {
-    let resolved = explorer
-        .backends()
-        .resolve(config)
-        .map_err(|e| e.to_string())?
-        .name();
-    if let Some(pinned) = opts.get("backend") {
+/// Answers `request` through the [`engine`]: the one way a command
+/// reaches it.
+///
+/// A `--backend` pin never reroutes characterization — it asserts the
+/// registry's routing, so a script that expects the Destiny path fails
+/// loudly if its point is actually served by CryoMEM. A `--warm-start`
+/// file is replayed over the study set's geometries (what `serve`
+/// warms) before the request, and every geometry the request solved is
+/// appended after it, so the next invocation skips those solves too.
+/// Its diagnostics go to stderr: warm-start is an engine fact, not
+/// artifact data.
+fn answer(
+    opts: &Options,
+    handler: &RequestHandler,
+    request: &Request,
+) -> Result<ResponsePayload, String> {
+    let explorer = handler.explorer();
+    if let (Some(pinned), Request::Characterize { point } | Request::Evaluate { point, .. }) =
+        (opts.get("backend"), request)
+    {
+        let config = point.to_config().map_err(cli_error)?;
+        let resolved = explorer.backends().resolve(&config).map_err(cli_error)?.name();
         if explorer.backends().get(pinned).is_none() {
             return Err(format!("unknown backend '{pinned}'"));
         }
@@ -360,7 +374,49 @@ fn check_backend(opts: &Options, explorer: &Explorer, config: &MemoryConfig) -> 
             ));
         }
     }
-    Ok(resolved)
+    let store_error = |path: &str, e: io::Error| format!("--warm-start {path}: {e}");
+    let store = match opts.get("warm-start") {
+        None => None,
+        Some(path) => {
+            let store = GeometryStore::open(path).map_err(|e| store_error(path, e))?;
+            let stats = store
+                .warm_into(explorer, &MemoryConfig::study_set())
+                .map_err(|e| store_error(path, e))?;
+            eprintln!(
+                "warm-start: restored {} geometries ({} duplicates, {} skipped) from {path}",
+                stats.replayed, stats.duplicates, stats.skipped
+            );
+            Some((path, store))
+        }
+    };
+    let payload = handler.handle(request).map_err(cli_error)?;
+    if let Some((path, store)) = store {
+        let appended = store.sync_from(explorer).map_err(|e| store_error(path, e))?;
+        if appended > 0 {
+            eprintln!("warm-start: recorded {appended} new geometries to {path}");
+        }
+    }
+    Ok(payload)
+}
+
+/// A core error as the CLI words it: a bad die count names its flag.
+fn cli_error(error: Error) -> String {
+    match error {
+        Error::InvalidDieCount { .. } => format!("--dies: {error}"),
+        _ => error.to_string(),
+    }
+}
+
+/// The design point the flags name. Parsing here is textual only;
+/// every range and combination check is [`DesignPoint::to_config`]'s.
+fn design_point(opts: &Options) -> Result<DesignPoint, String> {
+    let baseline = DesignPoint::baseline();
+    Ok(DesignPoint {
+        tech: opts.get("tech").map_or(baseline.tech, String::from),
+        tentpole: opts.get("tentpole").map_or(baseline.tentpole, String::from),
+        dies: opts.parsed("dies")?.unwrap_or(baseline.dies),
+        temperature_kelvin: opts.parsed("temp")?.unwrap_or(baseline.temperature_kelvin),
+    })
 }
 
 fn cmd_backends(out: &mut String) -> Result<(), String> {
@@ -412,13 +468,19 @@ fn cmd_list(out: &mut String) -> Result<(), String> {
 }
 
 fn cmd_characterize(opts: &Options, out: &mut String) -> Result<(), String> {
-    let config = parse_config(opts)?;
-    let explorer = Explorer::with_defaults();
-    let backend = check_backend(opts, &explorer, &config)?;
-    let a = explorer
-        .try_characterize(&config)
-        .map_err(|e| e.to_string())?;
-    let _ = writeln!(out, "{}:", config.label());
+    let request = Request::Characterize {
+        point: design_point(opts)?,
+    };
+    let ResponsePayload::Characterization {
+        label,
+        backend,
+        characterization: a,
+        ..
+    } = answer(opts, &engine(opts)?, &request)?
+    else {
+        unreachable!("characterize answers with a characterization");
+    };
+    let _ = writeln!(out, "{label}:");
     let _ = writeln!(out, "  backend           : {backend}");
     let _ = writeln!(out, "  organization      : {} subarrays x {} dies", a.organization, a.dies);
     let _ = writeln!(out, "  read latency      : {}", a.read_latency);
@@ -433,14 +495,15 @@ fn cmd_characterize(opts: &Options, out: &mut String) -> Result<(), String> {
 }
 
 fn cmd_evaluate(opts: &Options, out: &mut String) -> Result<(), String> {
-    let config = parse_config(opts)?;
-    let explorer = Explorer::with_defaults();
-    check_backend(opts, &explorer, &config)?;
+    let request = Request::Evaluate {
+        point: design_point(opts)?,
+        benchmark: opts.get("bench").unwrap_or("namd").to_string(),
+    };
     // Infeasible design points are still printable results — only
     // invalid inputs (or a NaN-invariant violation) error out.
-    let e = explorer
-        .try_evaluate(&config, benchmark_name(opts))
-        .map_err(|e| e.to_string())?;
+    let ResponsePayload::Evaluation { row: e, .. } = answer(opts, &engine(opts)?, &request)? else {
+        unreachable!("evaluate answers with a row");
+    };
     let _ = writeln!(out, "{} running {}:", e.config_label, e.benchmark);
     let _ = writeln!(out, "  device power        : {}", e.device_power);
     let _ = writeln!(out, "  wall power (cooled) : {}", e.wall_power);
@@ -452,93 +515,43 @@ fn cmd_evaluate(opts: &Options, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
+/// `coldtall recommend`: the study sweep's rows for one benchmark,
+/// ranked by [`coldtall::core::recommend`].
 fn cmd_recommend(opts: &Options, out: &mut String) -> Result<(), String> {
-    let mut constraints = Constraints::default();
-    if let Some(area) = opts.get("max-area") {
-        constraints.max_area_mm2 =
-            Some(area.parse().map_err(|_| "bad --max-area value".to_string())?);
-    }
-    let explorer = Explorer::with_defaults();
-    let name = benchmark_name(opts);
-    let bench = benchmark(name).ok_or_else(|| {
-        Error::UnknownBenchmark {
-            name: name.to_string(),
-        }
-        .to_string()
-    })?;
-    // One plan: the study set under this benchmark alone.
-    let plan = explorer
-        .plan_sweep_over(&MemoryConfig::study_set(), std::slice::from_ref(bench))
-        .map_err(|e| e.to_string())?;
-    let mut arena = EvalArena::new();
-    explorer.run(&plan, &mut arena);
-    let evals = arena.to_rows();
-    for row in &evals {
-        row.validate().map_err(|e| e.to_string())?;
-    }
-    match coldtall::core::recommend(&evals, &constraints) {
-        Some(pick) => {
-            let _ = writeln!(
-                out,
-                "{}: {} ({}x below the 350K SRAM reference, {:.2} mm^2)",
-                name,
-                pick.config_label,
-                sci(1.0 / pick.relative_power),
-                pick.footprint_mm2
-            );
-            Ok(())
-        }
-        None => Err("no configuration satisfies the constraints".into()),
-    }
-}
-
-/// Replays a `--warm-start` geometry file into the explorer before the
-/// command runs. Diagnostics go to stderr: warm-start is an engine
-/// fact, not artifact data.
-fn warm_start(
-    opts: &Options,
-    explorer: &Explorer,
-    configs: &[MemoryConfig],
-) -> Result<Option<GeometryStore>, String> {
-    let Some(path) = opts.get("warm-start") else {
-        return Ok(None);
+    let constraints = Constraints {
+        max_area_mm2: opts.parsed("max-area")?,
+        ..Constraints::default()
     };
-    let store = GeometryStore::open(path).map_err(|e| format!("--warm-start {path}: {e}"))?;
-    let stats = store
-        .warm_into(explorer, configs)
-        .map_err(|e| format!("--warm-start {path}: {e}"))?;
-    eprintln!(
-        "warm-start: restored {} geometries ({} duplicates, {} skipped) from {path}",
-        stats.replayed, stats.duplicates, stats.skipped
-    );
-    Ok(Some(store))
-}
-
-/// Appends every newly solved geometry back to the `--warm-start`
-/// file, so the next invocation skips those solves too.
-fn warm_sync(store: Option<&GeometryStore>, explorer: &Explorer) -> Result<(), String> {
-    if let Some(store) = store {
-        let appended = store
-            .sync_from(explorer)
-            .map_err(|e| format!("--warm-start {}: {e}", store.path().display()))?;
-        if appended > 0 {
-            eprintln!(
-                "warm-start: recorded {appended} new geometries to {}",
-                store.path().display()
-            );
-        }
+    let name = opts.get("bench").unwrap_or("namd");
+    let ResponsePayload::Sweep { rows, .. } = answer(opts, &engine(opts)?, &Request::Sweep)? else {
+        unreachable!("sweep answers with rows");
+    };
+    let rows: Vec<LlcEvaluation> = rows
+        .into_iter()
+        .filter(|row| row.benchmark == name)
+        .collect();
+    if rows.is_empty() {
+        let name = name.to_string();
+        return Err(Error::UnknownBenchmark { name }.to_string());
     }
+    let pick = coldtall::core::recommend(&rows, &constraints)
+        .ok_or("no configuration satisfies the constraints")?;
+    let _ = writeln!(
+        out,
+        "{}: {} ({}x below the 350K SRAM reference, {:.2} mm^2)",
+        name,
+        pick.config_label,
+        sci(1.0 / pick.relative_power),
+        pick.footprint_mm2
+    );
     Ok(())
 }
 
 fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
-    let explorer = Explorer::with_defaults();
-    let configs = MemoryConfig::study_set();
-    let store = warm_start(opts, &explorer, &configs)?;
-    let rows = explorer
-        .try_sweep_configs(&configs)
-        .map_err(|e| e.to_string())?;
-    warm_sync(store.as_ref(), &explorer)?;
+    let handler = engine(opts)?;
+    let ResponsePayload::Sweep { rows, .. } = answer(opts, &handler, &Request::Sweep)? else {
+        unreachable!("sweep answers with rows");
+    };
     let benchmarks = spec2017().len();
     let mut table = TextTable::new(&[
         "configuration",
@@ -547,8 +560,7 @@ fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
         "mean_rel_power",
         "mean_rel_latency",
     ]);
-    for (i, config) in configs.iter().enumerate() {
-        let per_bench = &rows[i * benchmarks..(i + 1) * benchmarks];
+    for per_bench in rows.chunks(benchmarks) {
         let viable = per_bench.iter().filter(|row| !row.slowdown).count();
         let min_power = per_bench
             .iter()
@@ -569,7 +581,7 @@ fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
             finite_latencies.iter().sum::<f64>() / finite_latencies.len() as f64
         };
         table.row(&[
-            &config.label(),
+            &per_bench[0].config_label,
             &format!("{viable}/{benchmarks}"),
             &sci(min_power),
             &sci(mean_power),
@@ -581,124 +593,48 @@ fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
         out,
         "\n{} rows ({} configurations x {} benchmarks), {} characterizations memoized",
         rows.len(),
-        configs.len(),
+        rows.len() / benchmarks,
         benchmarks,
-        explorer.cached_characterizations()
+        handler.explorer().cached_characterizations()
     );
     Ok(())
 }
 
-fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
-    // The region: the study set, narrowed by --tech/--dies, optionally
-    // expanded over (or re-pinned to) temperatures. Filters that match
-    // nothing are a typed empty-region error, never an empty report.
-    let mut configs = MemoryConfig::study_set();
-    let mut region = vec!["study".to_string()];
-    if let Some(name) = opts.get("tech") {
-        let tech = MemoryConfig::parse_technology(name).map_err(|e| e.to_string())?;
-        configs.retain(|c| c.technology() == tech);
-        region.push(name.to_string());
-    }
-    if let Some(dies) = opts.get("dies") {
-        let dies: u8 = dies.parse().map_err(|_| "bad --dies value".to_string())?;
-        MemoryConfig::validate_dies(dies).map_err(|e| format!("--dies: {e}"))?;
-        configs.retain(|c| c.dies() == dies);
-        region.push(format!("{dies} dies"));
-    }
-    match opts.get("temps") {
-        None => {}
-        Some("study") => {
-            configs = configs
-                .iter()
-                .flat_map(|c| {
-                    coldtall::cryo::study_temperatures()
-                        .iter()
-                        .map(|&t| c.clone().at_temperature(t))
-                })
-                .collect();
-            region.push("study temperatures".to_string());
-        }
-        // `lo:hi` expands over the study temperatures inside the
-        // range — `--temps 77:400` walks the full cryo-to-hot ladder.
-        Some(range) if range.contains(':') => {
-            let (lo, hi) = range
-                .split_once(':')
-                .expect("checked for ':' above");
-            let lo: f64 = lo.parse().map_err(|_| "bad --temps range".to_string())?;
-            let hi: f64 = hi.parse().map_err(|_| "bad --temps range".to_string())?;
-            if !(60.0..=400.0).contains(&lo) || !(60.0..=400.0).contains(&hi) || lo > hi {
-                return Err(
-                    "--temps lo:hi needs 60 <= lo <= hi <= 400 kelvin".into()
-                );
-            }
-            let ladder: Vec<Kelvin> = coldtall::cryo::study_temperatures()
-                .iter()
-                .copied()
-                .filter(|t| (lo..=hi).contains(&t.get()))
-                .collect();
-            if ladder.is_empty() {
-                return Err(format!(
-                    "--temps {range}: no study temperature falls in that range \
-                     (the ladder spans 77-387 K)"
-                ));
-            }
-            configs = configs
-                .iter()
-                .flat_map(|c| ladder.iter().map(|&t| c.clone().at_temperature(t)))
-                .collect();
-            region.push(format!("{range} K"));
-        }
-        Some(t) => {
-            let kelvin: f64 = t.parse().map_err(|_| "bad --temps value".to_string())?;
-            if !(60.0..=400.0).contains(&kelvin) {
-                return Err(
-                    "--temps must be 'study', a kelvin value, or a lo:hi range".into()
-                );
-            }
-            let kelvin = Kelvin::try_new(kelvin).map_err(|e| e.to_string())?;
-            configs = configs
-                .iter()
-                .map(|c| c.clone().at_temperature(kelvin))
-                .collect();
-            region.push(format!("{t} K"));
-        }
-    }
-    let objective = match opts.get("objective") {
-        None => None,
-        Some("power") => Some(0),
-        Some("latency") => Some(1),
-        Some("area") => Some(2),
-        Some(other) => {
-            return Err(format!(
-                "unknown objective '{other}' (expected power, latency, or area)"
-            ))
-        }
-    };
-    let mut constraints = Constraints::none();
-    if let Some(v) = opts.get("max-latency") {
-        constraints.max_relative_latency =
-            v.parse().map_err(|_| "bad --max-latency value".to_string())?;
-    }
-    if let Some(v) = opts.get("max-area") {
-        constraints.max_area_mm2 =
-            Some(v.parse().map_err(|_| "bad --max-area value".to_string())?);
-    }
-    if let Some(v) = opts.get("min-lifetime") {
-        constraints.min_lifetime_years =
-            v.parse().map_err(|_| "bad --min-lifetime value".to_string())?;
-    }
-    if let Some(v) = opts.get("max-power") {
-        constraints.max_relative_power =
-            Some(v.parse().map_err(|_| "bad --max-power value".to_string())?);
-    }
+/// The coordinates `search --objective` picks the frontier's best
+/// point by: a render choice over the frontier, never engine work.
+const OBJECTIVES: [&str; 3] = ["power", "latency", "area"];
 
-    let region = region.join(" x ");
-    let explorer = Explorer::with_defaults();
-    let store = warm_start(opts, &explorer, &configs)?;
-    let outcome = explorer
-        .search(&region, &configs, &constraints)
-        .map_err(|e| e.to_string())?;
-    warm_sync(store.as_ref(), &explorer)?;
+fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
+    let objective = opts
+        .get("objective")
+        .map(|name| {
+            OBJECTIVES.iter().position(|&o| o == name).ok_or_else(|| {
+                format!("unknown objective '{name}' (expected power, latency, or area)")
+            })
+        })
+        .transpose()?;
+    let none = Constraints::none();
+    let request = Request::Search {
+        tech: opts.get("tech").map(String::from),
+        dies: opts.parsed("dies")?,
+        temps: opts.get("temps").map(String::from),
+        constraints: Constraints {
+            max_relative_latency: opts
+                .parsed("max-latency")?
+                .unwrap_or(none.max_relative_latency),
+            max_area_mm2: opts.parsed("max-area")?,
+            min_lifetime_years: opts
+                .parsed("min-lifetime")?
+                .unwrap_or(none.min_lifetime_years),
+            max_relative_power: opts.parsed("max-power")?,
+        },
+    };
+    let ResponsePayload::Search {
+        region, outcome, ..
+    } = answer(opts, &engine(opts)?, &request)?
+    else {
+        unreachable!("search answers with a frontier");
+    };
     if outcome.frontier.is_empty() {
         return Err(format!(
             "no design point in region '{region}' is feasible under the given constraints"
@@ -739,11 +675,8 @@ fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
         stats.regions_expanded, stats.regions_refined, stats.regions_pruned, stats.bounds_computed
     );
     if let Some(k) = objective {
-        let coord = |row: &coldtall::core::LlcEvaluation| match k {
-            0 => row.relative_power,
-            1 => row.relative_latency,
-            _ => row.footprint_mm2,
-        };
+        let coord =
+            |row: &LlcEvaluation| [row.relative_power, row.relative_latency, row.footprint_mm2][k];
         let best = outcome
             .frontier
             .iter()
@@ -752,7 +685,7 @@ fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
         let _ = writeln!(
             out,
             "best by {}: {} on {} (rel_power {}, rel_latency {}, {:.2} mm^2)",
-            ["power", "latency", "area"][k],
+            OBJECTIVES[k],
             best.config_label,
             best.benchmark,
             sci(best.relative_power),
@@ -837,61 +770,14 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     // Explicit configs, not environment latches: a long-running host
     // reconfigures per logical restart. `main` already applied
     // `COLDTALL_THREADS`; `--threads` overrides it.
-    if let Some(raw) = opts.get("threads") {
+    if let Some(threads) = opts.positive("threads")? {
         PoolConfig {
-            threads: Some(
-                raw.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "bad --threads value".to_string())?,
-            ),
+            threads: Some(threads),
         }
         .apply();
     }
-
-    let (mut cache_config, cache_warnings) = CacheConfig::from_env();
-    match opts.get("cache-cap") {
-        Some(raw) => {
-            cache_config.capacity = Some(
-                raw.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "bad --cache-cap value".to_string())?,
-            );
-        }
-        None => {
-            for w in &cache_warnings {
-                eprintln!("{w}");
-            }
-        }
-    }
-
-    let default_deadline = match opts.get("deadline-ms") {
-        Some(raw) => Some(Duration::from_millis(
-            raw.parse::<u64>()
-                .map_err(|_| "bad --deadline-ms value".to_string())?,
-        )),
-        None => None,
-    };
-    let max_inflight = match opts.get("max-inflight") {
-        Some(raw) => raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| "bad --max-inflight value".to_string())?,
-        None => 8,
-    };
-
-    let metrics = coldtall::obs::global();
-    let explorer = Explorer::try_with_backends_configured(
-        ProcessNode::ptm_22nm_hp(),
-        Objective::EnergyDelayProduct,
-        BackendRegistry::with_defaults(),
-        metrics,
-        &cache_config,
-    )
-    .map_err(|e| e.to_string())?;
-    let handler = RequestHandler::new(explorer, metrics, default_deadline);
+    let max_inflight = opts.positive("max-inflight")?.unwrap_or(8);
+    let handler = engine(opts)?;
 
     if let Some(dir) = opts.get("render") {
         if let Some(path) = opts.get("registry") {
@@ -902,7 +788,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
                 stats.replayed, stats.duplicates, stats.skipped
             );
         }
-        let written = render_dashboard(Path::new(dir), &handler, metrics)
+        let written = render_dashboard(Path::new(dir), &handler, coldtall::obs::global())
             .map_err(|e| format!("dashboard render: {e}"))?;
         eprintln!("wrote {} pages to {dir}", written.len());
         return Ok(());

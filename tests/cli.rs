@@ -176,6 +176,190 @@ fn bad_inputs_are_reported() {
     assert!(err.contains("unknown command"));
 }
 
+/// 64-bit FNV-1a over `bytes`: pins stdout without committing
+/// multi-kilobyte fixtures, as `tests/serve.rs` pins wire bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Fixed invocations and the `(byte length, FNV-1a)` of their stdout.
+/// The values were taken from the build whose commands each built
+/// their own explorer; running every command through
+/// `RequestHandler` must reproduce them exactly.
+const STDOUT_PINS: &[(&str, usize, u64)] = &[
+    ("list", 2290, 0x2bed_d8cc_3f39_2b97),
+    ("backends", 291, 0x9327_ac55_f91e_a607),
+    (
+        "characterize --tech edram --temp 77",
+        346,
+        0xa51f_dfb6_be3f_a6be,
+    ),
+    (
+        "characterize --tech pcm --dies 4 --backend destiny",
+        352,
+        0x80cc_5b6f_96e7_9d68,
+    ),
+    (
+        "evaluate --bench mcf --tech pcm --dies 8",
+        266,
+        0x39c0_7c55_a744_c408,
+    ),
+    ("recommend --bench povray", 73, 0xa22f_b1a6_a329_0b2e),
+    (
+        "recommend --bench mcf --max-area 5",
+        82,
+        0x7f85_b105_d446_4b0f,
+    ),
+    ("sweep", 2547, 0x48bc_f179_ccee_7951),
+    ("search --objective power", 2092, 0xbd1f_1eca_d288_b60f),
+    (
+        "search --tech stt-ram --temps 77:400",
+        1264,
+        0xefb9_9086_9459_8af2,
+    ),
+    (
+        "search --max-latency 1.0 --max-area 5 --objective area",
+        801,
+        0xcb7b_252e_1811_e370,
+    ),
+];
+
+#[test]
+fn cli_stdout_bytes_are_pinned() {
+    for &(command, len, hash) in STDOUT_PINS {
+        let args: Vec<&str> = command.split(' ').collect();
+        let (ok, out, err) = run(&args);
+        assert!(ok, "coldtall {command}: {err}");
+        assert_eq!(
+            (out.len(), fnv1a(out.as_bytes())),
+            (len, hash),
+            "stdout moved for coldtall {command}:\n{out}"
+        );
+    }
+}
+
+/// The serve request line for CLI `args`: the command is `cmd`,
+/// `--dies` and `--temp` are numbers, and every other flag is a
+/// string field of the same name.
+fn wire_line(args: &[&str]) -> String {
+    let mut fields = vec![format!("\"cmd\":\"{}\"", args[0])];
+    for pair in args[1..].chunks(2) {
+        let key = pair[0].trim_start_matches("--");
+        let value = match key {
+            "dies" | "temp" => pair[1].to_string(),
+            _ => format!("\"{}\"", pair[1]),
+        };
+        fields.push(format!("\"{key}\":{value}"));
+    }
+    format!("{{{}}}", fields.join(","))
+}
+
+/// One table of inputs through both frontends: the binary, and
+/// `parse_request` -> `RequestHandler::handle` -> `render_response`.
+/// Both must succeed, naming the same configuration (and, for a
+/// characterization, the same backend), or both must fail with the
+/// CLI's `error:` line containing the wire's error text. Every study
+/// point, spelled the way a user types it, characterizes on both.
+#[test]
+fn cli_and_wire_answer_alike() {
+    use coldtall::core::{Explorer, MemoryConfig, RequestHandler};
+    use coldtall::obs::json::Value;
+    use coldtall::serve::{parse_request, render_parse_error, render_response};
+
+    // Each row with the label a success must carry, where it is known.
+    let mut rows: Vec<(String, Option<String>)> = [
+        // The study's stacked SRAM is modeled at 350 K only.
+        "characterize --tech sram --dies 2",
+        "characterize --tech sram --dies 4",
+        "characterize --tech sram --dies 8",
+        "evaluate --tech sram --dies 2 --bench mcf",
+        "characterize --tech sram --dies 4 --temp 77",
+        "characterize --temp 0",
+        "characterize --temp 20",
+        "characterize --tech pcm --tentpole hopeful",
+        "characterize --tech pcm --dies 3",
+        "characterize --tech edram --dies 8",
+        "evaluate --bench doom",
+        "search --tech edram --dies 8",
+        "search --temps 300:100",
+        "search --temps 390:400",
+        "search --temps 500",
+        "search --temps banana",
+    ]
+    .map(|row| (row.to_string(), None))
+    .to_vec();
+    for config in MemoryConfig::study_set() {
+        let row = format!(
+            "characterize --tech {} --tentpole {} --dies {} --temp {}",
+            config.technology().name().to_lowercase(),
+            config.tentpole(),
+            config.dies(),
+            config.temperature().get()
+        );
+        rows.push((row, Some(config.label())));
+    }
+
+    let metrics = coldtall::obs::Registry::new();
+    let handler = RequestHandler::new(
+        Explorer::with_registry(
+            coldtall::tech::ProcessNode::ptm_22nm_hp(),
+            coldtall::array::Objective::EnergyDelayProduct,
+            &metrics,
+        ),
+        &metrics,
+        None,
+    );
+    let text = |value: Option<&Value>| match value {
+        Some(Value::String(s)) => Some(s.clone()),
+        _ => None,
+    };
+    let mut disagreements = Vec::new();
+    for (row, expected) in &rows {
+        let args: Vec<&str> = row.split(' ').collect();
+        let (cli_ok, out, err) = run(&args);
+        let line = wire_line(&args);
+        let response = match parse_request(&line) {
+            Ok(parsed) => render_response(
+                parsed.request.kind(),
+                None,
+                &handler.handle(&parsed.request),
+            ),
+            Err(message) => render_parse_error(&message),
+        };
+        let wire = coldtall::obs::json::parse(&response).expect("responses are JSON");
+        let agree = match (cli_ok, wire.get("ok") == Some(&Value::Bool(true))) {
+            (true, true) => {
+                let result = wire.get("result");
+                let label = text(result.and_then(|r| r.get("label")))
+                    .or_else(|| text(result.and_then(|r| r.get("row")?.get("config"))));
+                let backend = text(result.and_then(|r| r.get("backend")));
+                let backend_line = |b| format!("  backend           : {b}\n");
+                label.is_some_and(|l| {
+                    out.starts_with(&l) && expected.as_ref().is_none_or(|e| *e == l)
+                }) && backend.is_none_or(|b| out.contains(&backend_line(b)))
+            }
+            (false, false) => text(wire.get("error")).is_some_and(|message| {
+                err.lines()
+                    .any(|l| l.starts_with("error: ") && l.contains(&message))
+            }),
+            _ => false,
+        };
+        if !agree {
+            disagreements.push(format!(
+                "coldtall {row}\n  cli: {out:.80}{err}  wire: {response:.200}"
+            ));
+        }
+    }
+    assert!(
+        disagreements.is_empty(),
+        "the frontends disagree on {} inputs:\n{}",
+        disagreements.len(),
+        disagreements.join("\n")
+    );
+}
+
 fn run_with_env(args: &[&str], envs: &[(&str, &str)]) -> (bool, String, String) {
     let mut command = Command::new(env!("CARGO_BIN_EXE_coldtall"));
     command.args(args);
@@ -423,19 +607,28 @@ fn equals_form_options_are_accepted() {
 
 /// Regression (ISSUE 3): an invalid `COLDTALL_THREADS` used to be
 /// silently replaced by auto-detection. The run must still succeed,
-/// but a one-time warning now lands on stderr.
+/// but a one-time warning now lands on stderr. An invalid
+/// `COLDTALL_CACHE_CAP` used to be dropped without a word by every
+/// command but `serve`; it warns the same way.
 #[test]
 fn invalid_threads_env_warns_once_and_falls_back() {
-    for bad in ["abc", "0", "-2", "1.5"] {
-        let (ok, out, err) = run_with_env(&["sweep"], &[("COLDTALL_THREADS", bad)]);
-        assert!(ok, "sweep must survive COLDTALL_THREADS={bad}");
+    for (var, bad) in [
+        ("COLDTALL_THREADS", "abc"),
+        ("COLDTALL_THREADS", "0"),
+        ("COLDTALL_THREADS", "-2"),
+        ("COLDTALL_THREADS", "1.5"),
+        ("COLDTALL_CACHE_CAP", "abc"),
+    ] {
+        let (ok, out, err) = run_with_env(&["sweep"], &[(var, bad)]);
+        assert!(ok, "sweep must survive {var}={bad}");
         assert!(out.contains("713 rows"), "results unaffected by bad env");
+        let warning = format!("ignoring invalid {var}");
         assert!(
-            err.contains("ignoring invalid COLDTALL_THREADS"),
-            "COLDTALL_THREADS={bad} must warn on stderr, got: {err}"
+            err.contains(&warning),
+            "{var}={bad} must warn on stderr, got: {err}"
         );
         assert_eq!(
-            err.matches("ignoring invalid COLDTALL_THREADS").count(),
+            err.matches(&warning).count(),
             1,
             "warning must fire exactly once per process"
         );
