@@ -6,7 +6,7 @@
 //! idea through *evaluation*, the hot path of a warm sweep. The scalar
 //! one-cell query ([`crate::Explorer::evaluate`]) pays, per grid cell:
 //! one span sample (two clock reads), one canonical-key format + hash,
-//! one cache probe with a shard lock, one `CellModel` construction, one
+//! one cache probe under the cache lock, one `CellModel` construction, one
 //! label allocation, and one baseline service-time recomputation. The
 //! plane loop under [`crate::Explorer::run`] hoists every one of those
 //! out of the per-row loop:

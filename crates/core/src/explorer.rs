@@ -1,6 +1,6 @@
 //! The exploration driver: configurations x benchmarks.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use coldtall_array::{ArrayCharacterization, ArraySpec, ComponentFloors, Objective, OrgGeometry};
 use coldtall_cell::CellModel;
@@ -17,7 +17,7 @@ use crate::config::MemoryConfig;
 use crate::error::Error;
 use crate::evaluate::{device_power, row_values, service_time, LlcEvaluation};
 use crate::lifetime::lifetime_years;
-use crate::parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
+use crate::parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, MemoCache};
 use crate::pareto::Constraints;
 use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 use crate::search::{self, SearchMetrics, SearchOutcome};
@@ -39,12 +39,12 @@ pub const REFERENCE_BENCHMARK: &str = "namd";
 /// executes it into an [`EvalArena`] — the one way a compiled plan
 /// runs. [`Explorer::evaluate`] stays as the one-cell query.
 ///
-/// The explorer is `Send + Sync`: the characterization memo is a
-/// sharded, lock-striped cache ([`crate::ShardedCache`]) keyed by
-/// [`DesignPointKey`], so one explorer can serve every connection
-/// thread of a daemon. All evaluation is pure arithmetic over
-/// immutable state, so every row is bit-identical to the scalar
-/// [`Explorer::evaluate`] of the same grid cell.
+/// The explorer is `Send + Sync`: the characterization memo is one
+/// lock over an insertion-ordered log keyed by [`DesignPointKey`], so
+/// one explorer can serve every connection thread of a daemon. All
+/// evaluation is pure arithmetic over immutable state, so every row is
+/// bit-identical to the scalar [`Explorer::evaluate`] of the same grid
+/// cell.
 ///
 /// # Examples
 ///
@@ -60,7 +60,12 @@ pub const REFERENCE_BENCHMARK: &str = "namd";
 pub struct Explorer {
     node: ProcessNode,
     objective: Objective,
-    cache: ShardedCache<ArrayCharacterization>,
+    /// The characterization memo: each cached point's result and the
+    /// name of the backend resolution routed it to, so the serve run
+    /// registry can persist the routing decision per key. A name is one
+    /// `Arc<str>` per backend ([`BackendStats::name`]), so a hit clones
+    /// a pointer, never a string.
+    cache: MemoCache<(ArrayCharacterization, Arc<str>)>,
     /// Temperature-stripped geometry solves shared by plan execution
     /// and the search bounds (phase 1 of the two-phase kernel).
     geometries: GeometryCache,
@@ -70,12 +75,6 @@ pub struct Explorer {
     backends: BackendRegistry,
     /// Telemetry handles aligned with `backends.backends()` by index.
     backend_stats: Vec<BackendStats>,
-    /// Resolved backend per cached design point (canonical key →
-    /// backend name), so the serve run registry can persist the
-    /// routing decision per key. Written only by a cache publish or
-    /// replay import that landed, so it holds exactly the cached keys
-    /// and the cache's admission cap bounds it too.
-    resolved_names: Mutex<HashMap<String, String>>,
     /// Work-avoidance telemetry of the adaptive search
     /// ([`Explorer::search`]); registered eagerly so counter *sets* are
     /// identical whether or not a search ever ran.
@@ -90,7 +89,7 @@ pub struct Explorer {
     /// ([`CacheConfig::capacity`]) bounds this cache too: a refused
     /// floor counts `search.floor_cache.rejected` and is recomputed on
     /// the next probe, never changing a frontier.
-    floors: ShardedCache<ComponentFloors>,
+    floors: MemoCache<ComponentFloors>,
 }
 
 /// Per-backend telemetry: how many design points the resolution policy
@@ -98,6 +97,8 @@ pub struct Explorer {
 /// and where their wall-clock went.
 #[derive(Debug)]
 struct BackendStats {
+    /// The backend's name, shared by every cache entry it produced.
+    name: Arc<str>,
     /// Successful resolutions the explorer performed on the backend's
     /// behalf (`backend.<name>.resolved`): the eager baseline,
     /// per-point dispatches, hybrid capacity scaling, and one per job
@@ -114,6 +115,7 @@ struct BackendStats {
 impl BackendStats {
     fn registered(registry: &Registry, name: &str) -> Self {
         Self {
+            name: Arc::from(name),
             resolved: registry.counter(&format!("backend.{name}.resolved")),
             characterizations: registry.counter(&format!("backend.{name}.characterizations")),
             span: registry.span(&format!("backend.{name}")),
@@ -233,8 +235,8 @@ impl Explorer {
     /// instead of the environment defaults.
     ///
     /// Long-running hosts (the serve daemon) construct their explorers
-    /// through this path so a logical restart can change the detail
-    /// export and admission cap without touching process-global state.
+    /// through this path so a logical restart can change the admission
+    /// cap without touching process-global state.
     ///
     /// # Errors
     ///
@@ -268,20 +270,19 @@ impl Explorer {
         Ok(Self {
             node,
             objective,
-            cache: ShardedCache::with_metrics_and_cap(
-                CacheMetrics::registered_with_config(registry, "cache", cache_config),
+            cache: MemoCache::new(
+                CacheMetrics::registered(registry, "cache"),
                 cache_config.capacity,
             ),
-            geometries: GeometryCache::registered_with_config(registry, cache_config),
+            geometries: GeometryCache::registered(registry, cache_config.capacity),
             baseline,
             reference_power,
             metrics: ExplorerMetrics::registered(registry),
             backends,
             backend_stats,
-            resolved_names: Mutex::new(HashMap::new()),
             search_metrics: SearchMetrics::registered(registry),
-            floors: ShardedCache::with_metrics_and_cap(
-                CacheMetrics::registered_with_config(registry, "search.floor_cache", cache_config),
+            floors: MemoCache::new(
+                CacheMetrics::registered(registry, "search.floor_cache"),
                 cache_config.capacity,
             ),
         })
@@ -332,18 +333,23 @@ impl Explorer {
     /// run registry syncs with.
     #[must_use]
     pub fn cached_entries(&self) -> Vec<(DesignPointKey, ArrayCharacterization)> {
-        self.cache.snapshot()
+        self.cache
+            .snapshot()
+            .into_iter()
+            .map(|(key, (value, _))| (key, value))
+            .collect()
     }
 
     /// The memoized characterizations published since `cursor` last
-    /// walked this explorer's cache that `keep` accepts, sorted by
-    /// canonical key — the run registry's incremental sync
-    /// ([`ShardedCache::collect_since`]).
+    /// walked this explorer's cache that `keep` accepts, each with the
+    /// name of the backend that produced it, sorted by canonical key —
+    /// the run registry's incremental sync. `keep` is asked only about
+    /// the entries published since the cursor.
     pub fn cached_entries_since(
         &self,
         cursor: &mut CacheCursor,
         keep: impl FnMut(&DesignPointKey) -> bool,
-    ) -> Vec<(DesignPointKey, ArrayCharacterization)> {
+    ) -> Vec<(DesignPointKey, (ArrayCharacterization, Arc<str>))> {
         self.cache.collect_since(cursor, keep)
     }
 
@@ -358,37 +364,21 @@ impl Explorer {
         value: ArrayCharacterization,
         backend: &str,
     ) -> ArrayCharacterization {
-        self.publish(key, value, backend)
+        let name = self
+            .backend_stats
+            .iter()
+            .find(|stats| &*stats.name == backend)
+            .map_or_else(|| Arc::from(backend), |stats| Arc::clone(&stats.name));
+        self.cache.insert(key, (value, name)).0
     }
 
     /// The backend name resolution routed `key` to, if the cache holds
-    /// the point (computed here, or imported by a replay).
+    /// the point (computed here, or imported by a replay). The name
+    /// lives in the cache entry, so it answers for exactly the cached
+    /// keys and the admission cap bounds it too.
     #[must_use]
     pub fn resolved_backend(&self, key: &DesignPointKey) -> Option<String> {
-        self.resolved_names
-            .lock()
-            .ok()?
-            .get(key.canonical())
-            .cloned()
-    }
-
-    /// Publishes `key → value` into the cache and, only if the entry
-    /// landed, records `backend` for [`Explorer::resolved_backend`]. A
-    /// publish the admission cap refuses records nothing, so the
-    /// routing map never outgrows the cache.
-    fn publish(
-        &self,
-        key: &DesignPointKey,
-        value: ArrayCharacterization,
-        backend: &str,
-    ) -> ArrayCharacterization {
-        let (value, landed) = self.cache.publish(key, value);
-        if landed {
-            if let Ok(mut map) = self.resolved_names.lock() {
-                map.insert(key.canonical().to_string(), backend.to_string());
-            }
-        }
-        value
+        self.cache.peek(key, |(_, backend)| backend.to_string())
     }
 
     /// The geometry cache feeding plan execution and the search bounds.
@@ -411,25 +401,25 @@ impl Explorer {
     /// have the documented precondition that their configurations
     /// resolve; [`Explorer::try_characterize`] and the plan compiler
     /// surface the typed error instead.
-    fn dispatch(&self, config: &MemoryConfig) -> (ArrayCharacterization, &'static str) {
+    fn dispatch(&self, config: &MemoryConfig) -> (ArrayCharacterization, Arc<str>) {
         let index = self
             .backends
             .resolve_index(config)
             .unwrap_or_else(|e| panic!("{e}"));
-        self.backend_stats[index].resolved.inc();
-        self.backend_stats[index].characterizations.inc();
-        let backend = &self.backends.backends()[index];
-        let _span = Span::enter(self.backend_stats[index].span.clone());
+        let stats = &self.backend_stats[index];
+        stats.resolved.inc();
+        stats.characterizations.inc();
+        let _span = Span::enter(stats.span.clone());
         (
-            backend.characterize(config, &self.node, self.objective),
-            backend.name(),
+            self.backends.backends()[index].characterize(config, &self.node, self.objective),
+            Arc::clone(&stats.name),
         )
     }
 
     /// Characterizes a configuration's array (cached, thread-safe),
     /// dispatching misses through the backend registry.
     ///
-    /// On a miss the characterization runs without any shard lock held;
+    /// On a miss the characterization runs without the cache lock held;
     /// threads racing on the same key converge on the first published
     /// entry (the backends are deterministic, so every racer computes
     /// the same value anyway).
@@ -454,18 +444,18 @@ impl Explorer {
         config: &MemoryConfig,
     ) -> ArrayCharacterization {
         self.metrics.characterize_calls.inc();
-        if let Some(hit) = self.cache.get(key) {
+        if let Some((hit, _)) = self.cache.get(key) {
             return hit;
         }
         // The span times only real characterization work, so its sample
         // count equals the dispatch count (one single-point dispatch
         // here; plan execution counts one per geometry batch).
         self.metrics.characterize_dispatches.inc();
-        let (value, backend) = {
+        let routed = {
             let _span = Span::enter(self.metrics.characterize_span.clone());
             self.dispatch(config)
         };
-        self.publish(key, value, backend)
+        self.cache.insert(key, routed).0
     }
 
     /// Characterizes `config` lowered through its backend with the
@@ -775,7 +765,9 @@ impl Explorer {
             missing.len()
         );
         for (job, result) in missing.iter().zip(results) {
-            let _ = self.publish(job.key(), result, job.backend());
+            let _ = self
+                .cache
+                .insert(job.key(), (result, Arc::clone(&stats.name)));
         }
     }
 
@@ -971,8 +963,8 @@ mod tests {
             MemoryConfig::edram_77k(),
         ];
         // 24 OS threads hammer 3 overlapping configurations at once
-        // (raw spawns, not the pool: this must stay concurrent even on
-        // a 1-CPU machine where the pool would run inline).
+        // (raw spawns: this must stay concurrent even on a 1-CPU
+        // machine, where the Monte-Carlo fan-out would run inline).
         let results: Vec<ArrayCharacterization> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..24)
                 .map(|i| {

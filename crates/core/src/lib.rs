@@ -52,7 +52,6 @@ mod lifetime;
 mod parcache;
 mod pareto;
 mod plan;
-pub mod pool;
 mod request;
 mod search;
 pub mod report;
@@ -71,10 +70,12 @@ pub use evaluate::{Feasibility, LlcEvaluation};
 pub use explorer::Explorer;
 pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 pub use hybrid::HybridLlc;
-pub use parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
+pub use parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache};
 pub use pareto::{pareto_front, recommend, Constraints, ParetoFrontier};
 pub use request::{DesignPoint, Request, RequestHandler, ResponsePayload, StatusReport};
 pub use search::{PruneReason, PrunedRegion, SearchOutcome, SearchStats};
 pub use thermal_schedule::{plan_schedule, TemperatureSchedule, WorkloadPhase};
-pub use variation::{monte_carlo, sample_cells, MetricBand, VariationSummary};
+pub use variation::{
+    max_threads, monte_carlo, sample_cells, set_max_threads, MetricBand, VariationSummary,
+};
 pub use lifetime::{lifetime_years, LIFETIME_TARGET_YEARS};

@@ -1,43 +1,41 @@
-//! Sharded, lock-striped characterization cache.
+//! The explorer's memo caches: one lock over an insertion-ordered log.
 //!
 //! The explorer memoizes array characterizations by canonical
 //! [`DesignPointKey`] — the same key type the plan compiler
 //! deduplicates jobs by, so one identity threads the whole pipeline
 //! (display labels round temperatures and are not unique; keys are).
-//! A single `Mutex<HashMap>` would serialize every connection thread
-//! of a daemon on one lock; a `RefCell` (the previous design) is
-//! not `Sync` at all. This cache stripes the key space over `N`
-//! independent `RwLock<HashMap>` shards selected by key hash, so
-//! concurrent hits on different configurations never contend and hits
-//! on the same configuration share a read lock.
+//! A [`MemoCache`] holds its entries in one `RwLock` over a log: a
+//! `Vec` of entries in insertion order, plus a key → position index.
+//! The cache is shared by at most the daemon's connection threads,
+//! and every lock hold is one map operation, so one lock serves it;
+//! hits on any keys share the read lock.
 //!
 //! Locking discipline (see also `DESIGN.md` § Parallelism):
 //!
-//! * a shard lock is never held across a characterization — misses
-//!   release the read lock, compute outside any lock, then take the
+//! * the lock is never held across a characterization — a miss
+//!   releases the read lock, computes outside any lock, then takes the
 //!   write lock only to publish;
 //! * two threads racing on the same missing key may both compute; the
 //!   first to publish wins and both return the published value, so
 //!   callers always observe one canonical entry per key;
 //! * lock poisoning is ignored (a panicking characterization leaves
-//!   the map in a consistent state: entries are only ever inserted
-//!   whole).
+//!   the log consistent: entries are only ever appended whole).
 //!
 //! Every probe is counted (one hit or miss, plus one insert per landed
-//! publication) through [`CacheMetrics`] — per-stripe and aggregate —
-//! so sweeps can report exactly which evaluations were memoized versus
-//! recomputed. Counting is a pair of relaxed atomic adds per probe;
-//! caches built with [`ShardedCache::new`] count into free-floating
-//! counters that no exporter ever reads.
+//! publication) through [`CacheMetrics`], so sweeps can report exactly
+//! which evaluations were memoized versus recomputed. Counting is a
+//! pair of relaxed atomic adds per probe; caches built on
+//! [`CacheMetrics::unregistered`] count into free-floating counters
+//! that no exporter ever reads.
 //!
 //! Entries are never removed (the admission cap refuses, it does not
-//! evict), so a shard's length only grows. [`CacheCursor`] leans on
-//! that: a persistent store remembers each shard's length at its last
-//! sync and [`ShardedCache::collect_since`] revisits only the shards
-//! that grew since.
+//! evict), so the log only grows. [`CacheCursor`] leans on that: a
+//! persistent store remembers the log's length at its last sync, and
+//! [`MemoCache::collect_since`] offers only the entries appended
+//! since.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use coldtall_array::OrgGeometry;
@@ -56,26 +54,22 @@ use crate::plan::DesignPointKey;
 /// read permanent for the process lifetime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Export per-stripe cache counters (48 extra names per cache).
-    pub detail: bool,
-    /// Admission cap: maximum entries a cache will hold across all
-    /// stripes. `None` (the default) leaves growth unbounded.
+    /// Admission cap: maximum entries each of the explorer's caches
+    /// will hold. `None` (the default) leaves growth unbounded.
     pub capacity: Option<usize>,
 }
 
 impl CacheConfig {
-    /// Builds a config from raw setting strings, returning the config
-    /// alongside human-readable warnings for every ignored invalid
-    /// value. Pure: reads nothing from the environment and prints
-    /// nothing, so hosts decide where warnings go.
+    /// Builds a config from a raw cap string, returning the config
+    /// alongside a human-readable warning if the value is ignored.
+    /// Pure: reads nothing from the environment and prints nothing, so
+    /// hosts decide where warnings go.
     ///
-    /// `detail` enables per-stripe counters only for the exact string
-    /// `"1"`. `capacity` must parse as a positive integer; anything
-    /// else is ignored with a warning and leaves the cache unbounded.
+    /// `capacity` must parse as a positive integer; anything else is
+    /// ignored with a warning and leaves the cache unbounded.
     #[must_use]
-    pub fn parse(detail: Option<&str>, capacity: Option<&str>) -> (Self, Vec<String>) {
+    pub fn parse(capacity: Option<&str>) -> (Self, Vec<String>) {
         let mut warnings = Vec::new();
-        let detail = detail.is_some_and(|v| v == "1");
         let capacity = match capacity {
             None => None,
             Some(raw) => match raw.parse::<usize>() {
@@ -89,46 +83,40 @@ impl CacheConfig {
                 }
             },
         };
-        (Self { detail, capacity }, warnings)
+        (Self { capacity }, warnings)
     }
 
-    /// Reads `COLDTALL_METRICS_DETAIL` and `COLDTALL_CACHE_CAP` fresh
-    /// from the environment (no latching) and returns the parsed
-    /// config plus any warnings. The caller decides whether and where
-    /// to surface the warnings; this crate never prints.
+    /// Reads `COLDTALL_CACHE_CAP` fresh from the environment (no
+    /// latching) and returns the parsed config plus any warnings. The
+    /// caller decides whether and where to surface the warnings; this
+    /// crate never prints them.
     #[must_use]
     pub fn from_env() -> (Self, Vec<String>) {
-        let detail = std::env::var("COLDTALL_METRICS_DETAIL").ok();
-        let capacity = std::env::var("COLDTALL_CACHE_CAP").ok();
-        Self::parse(detail.as_deref(), capacity.as_deref())
+        Self::parse(std::env::var("COLDTALL_CACHE_CAP").ok().as_deref())
     }
 }
-
-/// Number of lock stripes. A small power of two keeps the modulo cheap
-/// while comfortably exceeding any realistic worker count's collision
-/// rate (the study set has 31 distinct configuration labels).
-const SHARDS: usize = 16;
 
 /// Source of per-cache identities for [`CacheCursor`]. Starts at 1 so
 /// identity 0 can mark a cursor that has walked no cache yet.
 static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A resumable position in one [`ShardedCache`]: the cache's identity
-/// plus each shard's length when the cursor last walked it.
+/// A resumable position in one cache's log: the cache's identity plus
+/// the log's length when the cursor last walked it.
 ///
-/// Shards only grow, so an unchanged length means an unchanged shard
-/// and [`ShardedCache::collect_since`] skips it. A fresh cursor, a
+/// The log only grows, so the entries past that length are exactly the
+/// ones published since. A fresh cursor, a
 /// [`reset`](CacheCursor::reset) one, or one last advanced over a
-/// *different* cache walks every shard.
+/// *different* cache walks the whole log.
 #[derive(Debug, Clone, Default)]
 pub struct CacheCursor {
-    /// Identity of the cache the lengths were read from; 0 when none.
+    /// Identity of the cache the length was read from; 0 when none.
     cache: u64,
-    lens: [usize; SHARDS],
+    /// Log entries already walked.
+    seen: usize,
 }
 
 impl CacheCursor {
-    /// A cursor whose first walk visits every shard.
+    /// A cursor whose first walk visits every entry.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -141,25 +129,16 @@ impl CacheCursor {
     }
 }
 
-/// Probe counters for one lock stripe.
-#[derive(Debug)]
-struct StripeMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    inserts: Arc<Counter>,
-}
-
-/// Registry-backed telemetry for a [`ShardedCache`]: aggregate and
-/// per-stripe hit/miss/insert counters.
+/// Registry-backed telemetry for one cache: hit, miss, insert and
+/// refusal counters plus entry and byte gauges.
 ///
 /// Every public probe counts exactly one hit or one miss, and every
-/// publication that actually lands in the map counts one insert, so
-/// `hits + misses == probes` and `inserts == distinct keys` hold at
-/// all times. All counts are of *logical* cache traffic — the
-/// explorer probes in plan order on the calling thread, and the
-/// pool's one user (the Monte-Carlo study) touches no cache, so they
-/// are deterministic for a given workload regardless of thread count
-/// (see `DESIGN.md` § Observability).
+/// publication that actually lands counts one insert, so `hits +
+/// misses == probes` and `inserts == distinct keys` hold at all times.
+/// All counts are of *logical* cache traffic — the explorer probes in
+/// plan order on the calling thread, and the Monte-Carlo fan-out
+/// touches no cache, so they are deterministic for a given workload
+/// regardless of thread count (see `DESIGN.md` § Observability).
 #[derive(Debug)]
 pub struct CacheMetrics {
     hits: Arc<Counter>,
@@ -168,42 +147,14 @@ pub struct CacheMetrics {
     rejected: Arc<Counter>,
     entries: Arc<Gauge>,
     approx_bytes: Arc<Gauge>,
-    stripes: Vec<StripeMetrics>,
 }
 
 impl CacheMetrics {
     /// Counters registered under `prefix` (e.g. `cache.hits`) in
     /// `registry`. Two caches sharing a registry and prefix share
     /// counters, prometheus-style.
-    ///
-    /// Per-stripe counters (`cache.stripe07.misses`, 48 names per
-    /// cache) are export noise for most consumers, so they are
-    /// registered only when `COLDTALL_METRICS_DETAIL=1` is set in the
-    /// environment; otherwise they count into free-floating counters
-    /// still readable through [`CacheMetrics::stripe`]. Use
-    /// [`CacheMetrics::registered_detailed`] to force the full export
-    /// regardless of the environment.
     #[must_use]
     pub fn registered(registry: &Registry, prefix: &str) -> Self {
-        Self::registered_with_detail(registry, prefix, CacheConfig::from_env().0.detail)
-    }
-
-    /// [`CacheMetrics::registered`] with the per-stripe counters
-    /// unconditionally exported, independent of
-    /// `COLDTALL_METRICS_DETAIL`.
-    #[must_use]
-    pub fn registered_detailed(registry: &Registry, prefix: &str) -> Self {
-        Self::registered_with_detail(registry, prefix, true)
-    }
-
-    /// [`CacheMetrics::registered`] driven by an explicit
-    /// [`CacheConfig`] instead of the environment.
-    #[must_use]
-    pub fn registered_with_config(registry: &Registry, prefix: &str, config: &CacheConfig) -> Self {
-        Self::registered_with_detail(registry, prefix, config.detail)
-    }
-
-    fn registered_with_detail(registry: &Registry, prefix: &str, detail: bool) -> Self {
         Self {
             hits: registry.counter(&format!("{prefix}.hits")),
             misses: registry.counter(&format!("{prefix}.misses")),
@@ -211,24 +162,6 @@ impl CacheMetrics {
             rejected: registry.counter(&format!("{prefix}.rejected")),
             entries: registry.gauge(&format!("{prefix}.entries")),
             approx_bytes: registry.gauge(&format!("{prefix}.approx_bytes")),
-            stripes: (0..SHARDS)
-                .map(|i| {
-                    if detail {
-                        StripeMetrics {
-                            hits: registry.counter(&format!("{prefix}.stripe{i:02}.hits")),
-                            misses: registry.counter(&format!("{prefix}.stripe{i:02}.misses")),
-                            inserts: registry
-                                .counter(&format!("{prefix}.stripe{i:02}.inserts")),
-                        }
-                    } else {
-                        StripeMetrics {
-                            hits: Arc::new(Counter::new()),
-                            misses: Arc::new(Counter::new()),
-                            inserts: Arc::new(Counter::new()),
-                        }
-                    }
-                })
-                .collect(),
         }
     }
 
@@ -244,29 +177,7 @@ impl CacheMetrics {
             rejected: Arc::new(Counter::new()),
             entries: Arc::new(Gauge::new()),
             approx_bytes: Arc::new(Gauge::new()),
-            stripes: (0..SHARDS)
-                .map(|_| StripeMetrics {
-                    hits: Arc::new(Counter::new()),
-                    misses: Arc::new(Counter::new()),
-                    inserts: Arc::new(Counter::new()),
-                })
-                .collect(),
         }
-    }
-
-    fn hit(&self, stripe: usize) {
-        self.hits.inc();
-        self.stripes[stripe].hits.inc();
-    }
-
-    fn miss(&self, stripe: usize) {
-        self.misses.inc();
-        self.stripes[stripe].misses.inc();
-    }
-
-    fn insert(&self, stripe: usize) {
-        self.inserts.inc();
-        self.stripes[stripe].inserts.inc();
     }
 
     /// Total probe hits.
@@ -281,7 +192,7 @@ impl CacheMetrics {
         self.misses.get()
     }
 
-    /// Total publications that landed in the map.
+    /// Total publications that landed in the cache.
     #[must_use]
     pub fn inserts(&self) -> u64 {
         self.inserts.get()
@@ -308,53 +219,36 @@ impl CacheMetrics {
     pub fn approx_bytes(&self) -> u64 {
         self.approx_bytes.get()
     }
-
-    /// `(hits, misses, inserts)` of one stripe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripe >= SHARDS`.
-    #[must_use]
-    pub fn stripe(&self, stripe: usize) -> (u64, u64, u64) {
-        let s = &self.stripes[stripe];
-        (s.hits.get(), s.misses.get(), s.inserts.get())
-    }
 }
 
-/// A concurrent memo table keyed by [`DesignPointKey`] with `SHARDS`
-/// lock stripes.
+/// The entries of a [`MemoCache`], in insertion order, and where each
+/// key sits among them.
+#[derive(Debug)]
+struct Log<V> {
+    entries: Vec<(DesignPointKey, V)>,
+    index: HashMap<DesignPointKey, usize>,
+    /// Estimated resident bytes of `entries` (the `.approx_bytes`
+    /// gauge).
+    bytes: usize,
+}
+
+/// A concurrent memo table keyed by [`DesignPointKey`]: one `RwLock`
+/// over an insertion-ordered log.
 ///
 /// Values are cloned out; `V` is expected to be a plain data record
-/// (the explorer stores `ArrayCharacterization`).
+/// (the explorer stores `ArrayCharacterization`s with their backend).
 #[derive(Debug)]
-pub struct ShardedCache<V> {
-    shards: Vec<RwLock<HashMap<DesignPointKey, V>>>,
+pub(crate) struct MemoCache<V> {
+    log: RwLock<Log<V>>,
     metrics: CacheMetrics,
-    /// Admission cap over all stripes; `None` is unbounded. The count
-    /// is read outside the stripe being written, so concurrent inserts
-    /// on different stripes can overshoot by at most the worker count —
-    /// the cap bounds growth, it is not an exact high-water mark.
+    /// Admission cap; `None` is unbounded. Checked under the write
+    /// lock, so the log never holds more than `cap` entries.
     cap: Option<usize>,
-    entry_count: AtomicUsize,
-    byte_estimate: AtomicUsize,
     /// Process-unique identity, checked by [`CacheCursor`].
     id: u64,
 }
 
-impl<V: Clone> ShardedCache<V> {
-    /// Creates an empty cache whose counters are attached to no
-    /// registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_metrics(CacheMetrics::unregistered())
-    }
-
-    /// Creates an empty unbounded cache reporting through `metrics`.
-    #[must_use]
-    pub fn with_metrics(metrics: CacheMetrics) -> Self {
-        Self::with_metrics_and_cap(metrics, None)
-    }
-
+impl<V: Clone> MemoCache<V> {
     /// Creates an empty cache reporting through `metrics` that admits
     /// at most `cap` entries (`None` for unbounded).
     ///
@@ -366,113 +260,91 @@ impl<V: Clone> ShardedCache<V> {
     /// keys miss again on the next probe, so probe counters under a
     /// cap depend on request order; the deterministic-counter contract
     /// applies to the default unbounded configuration.
-    #[must_use]
-    pub fn with_metrics_and_cap(metrics: CacheMetrics, cap: Option<usize>) -> Self {
+    pub(crate) fn new(metrics: CacheMetrics, cap: Option<usize>) -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            log: RwLock::new(Log {
+                entries: Vec::new(),
+                index: HashMap::new(),
+                bytes: 0,
+            }),
             metrics,
             cap,
-            entry_count: AtomicUsize::new(0),
-            byte_estimate: AtomicUsize::new(0),
             id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
-    /// The admission cap, if one was set.
-    #[must_use]
-    pub fn cap(&self) -> Option<usize> {
-        self.cap
-    }
-
-    /// The cache's telemetry (aggregate and per-stripe counters).
-    #[must_use]
-    pub fn metrics(&self) -> &CacheMetrics {
+    /// The cache's telemetry.
+    pub(crate) fn metrics(&self) -> &CacheMetrics {
         &self.metrics
     }
 
-    /// The key's lock stripe: its precomputed FNV-1a hash
-    /// ([`DesignPointKey::stable_hash`], deterministic across
-    /// processes where the std `RandomState` is not) modulo the stripe
-    /// count.
-    fn shard_index(key: &DesignPointKey) -> usize {
-        (key.stable_hash() % SHARDS as u64) as usize
+    /// `read` applied to the cached value, if present, without counting
+    /// a probe.
+    pub(crate) fn peek<R>(&self, key: &DesignPointKey, read: impl FnOnce(&V) -> R) -> Option<R> {
+        let log = self.log.read().unwrap_or_else(PoisonError::into_inner);
+        log.index.get(key).map(|&at| read(&log.entries[at].1))
     }
 
     /// Returns a clone of the cached value, if present. Counts exactly
-    /// one hit or one miss against the key's stripe.
-    #[must_use]
-    pub fn get(&self, key: &DesignPointKey) -> Option<V> {
-        let stripe = Self::shard_index(key);
-        let found = self.shards[stripe]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned();
+    /// one hit or one miss.
+    pub(crate) fn get(&self, key: &DesignPointKey) -> Option<V> {
+        let found = self.peek(key, V::clone);
         if found.is_some() {
-            self.metrics.hit(stripe);
+            self.metrics.hits.inc();
         } else {
-            self.metrics.miss(stripe);
+            self.metrics.misses.inc();
         }
         found
     }
 
     /// Returns the cached value for `key`, computing and publishing it
-    /// if absent. `compute` runs without any lock held; on a race the
+    /// if absent. `compute` runs without the lock held; on a race the
     /// first published value wins and is returned to every racer.
     ///
     /// Counts one hit or miss for the initial probe (never both), and
     /// one insert only for the publication that actually lands.
-    pub fn get_or_insert_with(&self, key: &DesignPointKey, compute: impl FnOnce() -> V) -> V {
+    pub(crate) fn get_or_insert_with(
+        &self,
+        key: &DesignPointKey,
+        compute: impl FnOnce() -> V,
+    ) -> V {
         if let Some(hit) = self.get(key) {
             return hit;
         }
         let value = compute();
-        self.publish(key, value).0
+        self.insert(key, value)
     }
 
-    /// Publishes `key → value` without counting a probe.
+    /// Publishes `key → value` without counting a probe, and returns
+    /// the value the cache holds for `key` afterwards.
     ///
     /// The batched characterization path probes every job up front
     /// (each probe counting its one hit or miss), dispatches the
     /// misses as a batch, and publishes the results through this
     /// method — a `get_or_insert_with` here would double-count the
-    /// miss. Counts one insert only if the publication lands; on a
-    /// race the first published value wins and is returned.
-    pub fn insert(&self, key: &DesignPointKey, value: V) -> V {
-        self.publish(key, value).0
-    }
-
-    /// The publication path shared by [`ShardedCache::insert`] and
-    /// [`ShardedCache::get_or_insert_with`]: first landed value wins,
-    /// the admission cap refuses (never evicts), and the entry/byte
-    /// gauges track landed publications. Returns the winning value and
-    /// whether this publication is the one that landed.
-    pub(crate) fn publish(&self, key: &DesignPointKey, value: V) -> (V, bool) {
-        let stripe = Self::shard_index(key);
-        match self.shards[stripe]
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key.clone())
-        {
-            std::collections::hash_map::Entry::Occupied(existing) => {
-                (existing.get().clone(), false)
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                if let Some(cap) = self.cap {
-                    if self.entry_count.load(Ordering::Relaxed) >= cap {
-                        self.metrics.rejected.inc();
-                        return (value, false);
-                    }
-                }
-                let footprint = Self::entry_footprint(key);
-                let count = self.entry_count.fetch_add(1, Ordering::Relaxed) + 1;
-                let bytes = self.byte_estimate.fetch_add(footprint, Ordering::Relaxed) + footprint;
-                self.metrics.entries.set(count as u64);
-                self.metrics.approx_bytes.set(bytes as u64);
-                self.metrics.insert(stripe);
-                (slot.insert(value).clone(), true)
-            }
+    /// miss. The first landed value wins; a full cache refuses (never
+    /// evicts) and hands `value` back. One insert is counted, and the
+    /// entry and byte gauges move, only if the publication lands.
+    pub(crate) fn insert(&self, key: &DesignPointKey, value: V) -> V {
+        let mut log = self.log.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&at) = log.index.get(key) {
+            return log.entries[at].1.clone();
         }
+        if self.cap.is_some_and(|cap| log.entries.len() >= cap) {
+            self.metrics.rejected.inc();
+            return value;
+        }
+        // Clone before touching the log, so the entry lands whole or
+        // not at all.
+        let (entry, indexed) = ((key.clone(), value.clone()), key.clone());
+        let at = log.entries.len();
+        log.entries.push(entry);
+        log.index.insert(indexed, at);
+        log.bytes += Self::entry_footprint(key);
+        self.metrics.entries.set(log.entries.len() as u64);
+        self.metrics.approx_bytes.set(log.bytes as u64);
+        self.metrics.inserts.inc();
+        value
     }
 
     /// Estimated resident bytes of one entry: the canonical key string
@@ -486,26 +358,23 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// A point-in-time snapshot of every cached entry, sorted by
-    /// canonical key so the order is deterministic regardless of shard
-    /// layout or insertion interleaving.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(DesignPointKey, V)> {
+    /// canonical key so the order is deterministic regardless of
+    /// insertion interleaving.
+    pub(crate) fn snapshot(&self) -> Vec<(DesignPointKey, V)> {
         self.collect_since(&mut CacheCursor::new(), |_| true)
     }
 
-    /// The entries of every shard that grew since `cursor` last walked
-    /// this cache and that `keep` accepts, sorted by canonical key;
-    /// advances `cursor` to the lengths it read.
+    /// The entries appended since `cursor` last walked this cache that
+    /// `keep` accepts, sorted by canonical key; advances `cursor` to
+    /// the log's length.
     ///
-    /// An unchanged shard costs one read lock and a length compare. A
-    /// grown shard is scanned whole — entries carry no insertion order,
-    /// so its older entries are offered to `keep` again — but only the
-    /// entries `keep` accepts are cloned: a persistent store passing
-    /// "not yet on disk" clones just its new work. Each shard's length
-    /// and entries are read under one lock, so an entry published
-    /// mid-walk is either returned now or grows its shard for the next
-    /// walk; none is missed.
-    pub fn collect_since(
+    /// `keep` is asked once per new entry, and only the entries it
+    /// accepts are cloned: a persistent store passing "not yet on disk"
+    /// clones just its new work. The length and the entries are read
+    /// under one lock, so an entry published mid-walk is either
+    /// returned now or lies past the cursor for the next walk; none is
+    /// missed.
+    pub(crate) fn collect_since(
         &self,
         cursor: &mut CacheCursor,
         mut keep: impl FnMut(&DesignPointKey) -> bool,
@@ -513,51 +382,26 @@ impl<V: Clone> ShardedCache<V> {
         if cursor.cache != self.id {
             *cursor = CacheCursor {
                 cache: self.id,
-                lens: [0; SHARDS],
+                seen: 0,
             };
         }
-        let mut found = Vec::new();
-        for (shard, seen) in self.shards.iter().zip(&mut cursor.lens) {
-            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-            if map.len() == *seen {
-                continue;
-            }
-            *seen = map.len();
-            found.extend(
-                map.iter()
-                    .filter(|(key, _)| keep(key))
-                    .map(|(key, value)| (key.clone(), value.clone())),
-            );
-        }
+        let mut found: Vec<(DesignPointKey, V)> = {
+            let log = self.log.read().unwrap_or_else(PoisonError::into_inner);
+            let fresh = &log.entries[cursor.seen..];
+            cursor.seen = log.entries.len();
+            fresh.iter().filter(|(key, _)| keep(key)).cloned().collect()
+        };
         found.sort_unstable_by(|a, b| a.0.canonical().cmp(b.0.canonical()));
         found
     }
 
-    /// Total entries across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The number of lock stripes (exposed for tests and diagnostics).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-impl<V: Clone> Default for ShardedCache<V> {
-    fn default() -> Self {
-        Self::new()
+    /// Total entries.
+    pub(crate) fn len(&self) -> usize {
+        self.log
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entries
+            .len()
     }
 }
 
@@ -571,31 +415,20 @@ impl<V: Clone> Default for ShardedCache<V> {
 /// hit/miss/insert telemetry under the `geometry.*` prefix.
 #[derive(Debug)]
 pub struct GeometryCache {
-    cache: ShardedCache<Arc<OrgGeometry>>,
+    cache: MemoCache<Arc<OrgGeometry>>,
     solves: Arc<Counter>,
 }
 
 impl GeometryCache {
     /// An empty cache reporting under the `geometry.*` prefix of
-    /// `registry`, configured from the environment
-    /// ([`CacheConfig::from_env`], warnings dropped).
+    /// `registry` that admits at most `cap` geometries (`None` for
+    /// unbounded). Under a cap, refused geometries are re-solved on
+    /// the next probe, so `geometry.solves` equals the distinct-key
+    /// count only on an unbounded cache.
     #[must_use]
-    pub fn registered(registry: &Registry) -> Self {
-        Self::registered_with_config(registry, &CacheConfig::from_env().0)
-    }
-
-    /// An empty cache reporting under the `geometry.*` prefix of
-    /// `registry` with explicit [`CacheConfig`] knobs (detail export
-    /// and admission cap). Under a cap, refused geometries are
-    /// re-solved on the next probe, so `geometry.solves` equals the
-    /// distinct-key count only on the default unbounded configuration.
-    #[must_use]
-    pub fn registered_with_config(registry: &Registry, config: &CacheConfig) -> Self {
+    pub fn registered(registry: &Registry, cap: Option<usize>) -> Self {
         Self {
-            cache: ShardedCache::with_metrics_and_cap(
-                CacheMetrics::registered_with_detail(registry, "geometry", config.detail),
-                config.capacity,
-            ),
+            cache: MemoCache::new(CacheMetrics::registered(registry, "geometry"), cap),
             solves: registry.counter("geometry.solves"),
         }
     }
@@ -605,13 +438,13 @@ impl GeometryCache {
     #[must_use]
     pub fn unregistered() -> Self {
         Self {
-            cache: ShardedCache::new(),
+            cache: MemoCache::new(CacheMetrics::unregistered(), None),
             solves: Arc::new(Counter::new()),
         }
     }
 
     /// Returns the cached geometry for `key`, solving and publishing
-    /// it if absent. `solve` runs without any lock held and counts one
+    /// it if absent. `solve` runs without the lock held and counts one
     /// `geometry.solves`; racers on the same missing key converge on
     /// the first published solve (plan execution groups jobs by
     /// geometry key and runs inline, so each distinct key is solved at
@@ -646,7 +479,7 @@ impl GeometryCache {
 
     /// The geometries published since `cursor` last walked this cache
     /// that `keep` accepts, sorted by canonical key — the warm-start
-    /// store's incremental sync ([`ShardedCache::collect_since`]).
+    /// store's incremental sync.
     pub fn collect_since(
         &self,
         cursor: &mut CacheCursor,
@@ -670,7 +503,7 @@ impl GeometryCache {
     /// Whether the cache holds no geometries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.len() == 0
     }
 
     /// The cache's probe telemetry.
@@ -689,10 +522,14 @@ mod tests {
         DesignPointKey::from_canonical(token.to_string())
     }
 
+    fn unbounded<V: Clone>() -> MemoCache<V> {
+        MemoCache::new(CacheMetrics::unregistered(), None)
+    }
+
     #[test]
     fn miss_then_hit() {
-        let cache: ShardedCache<u32> = ShardedCache::new();
-        assert!(cache.is_empty());
+        let cache: MemoCache<u32> = unbounded();
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.get(&key("a")), None);
         assert_eq!(cache.get_or_insert_with(&key("a"), || 7), 7);
         assert_eq!(cache.get(&key("a")), Some(7));
@@ -701,7 +538,7 @@ mod tests {
 
     #[test]
     fn compute_runs_once_per_key_when_sequential() {
-        let cache: ShardedCache<u32> = ShardedCache::new();
+        let cache: MemoCache<u32> = unbounded();
         let calls = AtomicUsize::new(0);
         for _ in 0..5 {
             let v = cache.get_or_insert_with(&key("k"), || {
@@ -714,23 +551,8 @@ mod tests {
     }
 
     #[test]
-    fn keys_spread_over_multiple_shards() {
-        let cache: ShardedCache<usize> = ShardedCache::new();
-        for i in 0..200 {
-            let _ = cache.get_or_insert_with(&key(&format!("config-{i}")), || i);
-        }
-        assert_eq!(cache.len(), 200);
-        let occupied = cache
-            .shards
-            .iter()
-            .filter(|s| !s.read().unwrap().is_empty())
-            .count();
-        assert!(occupied > 1, "all 200 keys landed in one shard");
-    }
-
-    #[test]
     fn probes_count_hits_misses_and_inserts() {
-        let cache: ShardedCache<u32> = ShardedCache::new();
+        let cache: MemoCache<u32> = unbounded();
         assert_eq!(cache.get(&key("a")), None); // miss
         assert_eq!(cache.get_or_insert_with(&key("a"), || 1), 1); // miss + insert
         assert_eq!(cache.get_or_insert_with(&key("a"), || 2), 1); // hit
@@ -741,44 +563,19 @@ mod tests {
 
     #[test]
     fn publish_only_insert_counts_no_probe() {
-        let cache: ShardedCache<u32> = ShardedCache::new();
+        let cache: MemoCache<u32> = unbounded();
         assert_eq!(cache.insert(&key("a"), 1), 1); // insert, no hit/miss
         assert_eq!(cache.insert(&key("a"), 2), 1); // first publication wins
+        assert_eq!(cache.peek(&key("a"), |v| *v), Some(1)); // no probe
         assert_eq!(cache.get(&key("a")), Some(1)); // hit
         let m = cache.metrics();
         assert_eq!((m.hits(), m.misses(), m.inserts()), (1, 0, 1));
     }
 
     #[test]
-    fn stripe_counters_stay_unexported_without_the_detail_flag() {
-        // `registered_with_detail(.., false)` is the default-path
-        // behaviour when COLDTALL_METRICS_DETAIL is unset; exercised
-        // directly so the test does not depend on the environment.
-        let registry = coldtall_obs::Registry::new();
-        let cache: ShardedCache<u32> = ShardedCache::with_metrics(
-            CacheMetrics::registered_with_detail(&registry, "cache", false),
-        );
-        let _ = cache.get_or_insert_with(&key("a"), || 1);
-        let _ = cache.get_or_insert_with(&key("a"), || 1);
-        assert_eq!(registry.counter_value("cache.hits"), Some(1));
-        assert!(
-            !registry
-                .counters()
-                .iter()
-                .any(|(name, _)| name.contains(".stripe")),
-            "per-stripe counters must not be exported by default"
-        );
-        // The stripes still count internally for CacheMetrics::stripe.
-        let striped: u64 = (0..cache.shard_count())
-            .map(|s| cache.metrics().stripe(s).0)
-            .sum();
-        assert_eq!(striped, 1);
-    }
-
-    #[test]
     fn geometry_cache_counts_each_solve_once() {
         let registry = coldtall_obs::Registry::new();
-        let geometries = GeometryCache::registered(&registry);
+        let geometries = GeometryCache::registered(&registry, None);
         let node = coldtall_tech::ProcessNode::ptm_22nm_hp();
         let config = crate::MemoryConfig::sram_77k();
         let geometry_key = DesignPointKey::geometry_of(&config);
@@ -797,45 +594,17 @@ mod tests {
     }
 
     #[test]
-    fn stripe_counters_sum_to_the_aggregates() {
-        let registry = coldtall_obs::Registry::new();
-        let cache: ShardedCache<usize> =
-            ShardedCache::with_metrics(CacheMetrics::registered_detailed(&registry, "cache"));
-        for i in 0..50 {
-            let _ = cache.get_or_insert_with(&key(&format!("key-{i}")), || i); // misses
-            let _ = cache.get_or_insert_with(&key(&format!("key-{i}")), || i); // hits
-        }
-        let m = cache.metrics();
-        let (mut hits, mut misses, mut inserts) = (0, 0, 0);
-        for stripe in 0..cache.shard_count() {
-            let (h, mi, ins) = m.stripe(stripe);
-            hits += h;
-            misses += mi;
-            inserts += ins;
-        }
-        assert_eq!((hits, misses, inserts), (m.hits(), m.misses(), m.inserts()));
-        assert_eq!((m.hits(), m.misses(), m.inserts()), (50, 50, 50));
-        // The registered names are visible to the registry's exporter.
-        assert_eq!(registry.counter_value("cache.hits"), Some(50));
-        assert!(registry
-            .counters()
-            .iter()
-            .any(|(name, _)| name.starts_with("cache.stripe")));
-    }
-
-    #[test]
     fn cache_config_parses_and_warns_on_garbage() {
-        let (config, warnings) = CacheConfig::parse(Some("1"), Some("128"));
+        let (config, warnings) = CacheConfig::parse(Some("128"));
         assert_eq!(
             config,
             CacheConfig {
-                detail: true,
                 capacity: Some(128)
             }
         );
         assert!(warnings.is_empty());
 
-        let (config, warnings) = CacheConfig::parse(None, None);
+        let (config, warnings) = CacheConfig::parse(None);
         assert_eq!(config, CacheConfig::default());
         assert!(warnings.is_empty());
 
@@ -843,8 +612,7 @@ mod tests {
         // is invalid (a cache that can hold nothing is a typo, not a
         // policy).
         for bad in ["0", "-4", "lots", "1e6"] {
-            let (config, warnings) = CacheConfig::parse(Some("0"), Some(bad));
-            assert!(!config.detail, "detail requires exactly \"1\"");
+            let (config, warnings) = CacheConfig::parse(Some(bad));
             assert_eq!(config.capacity, None);
             assert_eq!(warnings.len(), 1);
             assert!(warnings[0].contains("COLDTALL_CACHE_CAP"));
@@ -855,10 +623,8 @@ mod tests {
     #[test]
     fn admission_cap_refuses_but_stays_correct() {
         let registry = coldtall_obs::Registry::new();
-        let cache: ShardedCache<u32> = ShardedCache::with_metrics_and_cap(
-            CacheMetrics::registered_with_detail(&registry, "cache", false),
-            Some(2),
-        );
+        let cache: MemoCache<u32> =
+            MemoCache::new(CacheMetrics::registered(&registry, "cache"), Some(2));
         assert_eq!(cache.get_or_insert_with(&key("a"), || 1), 1);
         assert_eq!(cache.get_or_insert_with(&key("b"), || 2), 2);
         // The cap refuses the third publication but the computed value
@@ -883,13 +649,37 @@ mod tests {
         );
     }
 
+    /// The cap is checked under the write lock, so publishers racing
+    /// past it on different keys cannot overshoot it.
+    #[test]
+    fn admission_cap_is_exact_under_concurrent_publishers() {
+        let registry = coldtall_obs::Registry::new();
+        let cache: MemoCache<usize> =
+            MemoCache::new(CacheMetrics::registered(&registry, "cache"), Some(8));
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let cache = &cache;
+                scope.spawn(move || {
+                    for i in 0..100 {
+                        let _ = cache.insert(&key(&format!("t{t}-{i:03}")), i);
+                    }
+                });
+            }
+        });
+        let m = cache.metrics();
+        assert_eq!(cache.len(), 8);
+        assert_eq!(m.entries(), 8);
+        assert_eq!(m.inserts(), 8);
+        assert_eq!(m.rejected(), 4 * 100 - 8);
+    }
+
     #[test]
     fn unbounded_cache_never_rejects_and_tracks_gauges() {
-        let cache: ShardedCache<u32> = ShardedCache::new();
+        let cache: MemoCache<u32> = unbounded();
         for i in 0..40 {
             let _ = cache.get_or_insert_with(&key(&format!("k{i}")), || i);
         }
-        assert_eq!(cache.cap(), None);
+        assert_eq!(cache.cap, None);
         assert_eq!(cache.metrics().rejected(), 0);
         assert_eq!(cache.metrics().entries(), 40);
         assert_eq!(cache.len(), 40);
@@ -897,7 +687,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
-        let cache: ShardedCache<usize> = ShardedCache::new();
+        let cache: MemoCache<usize> = unbounded();
         for i in 0..25 {
             let _ = cache.insert(&key(&format!("point-{i:02}")), i);
         }
@@ -910,8 +700,8 @@ mod tests {
     }
 
     #[test]
-    fn cursor_skips_unchanged_shards() {
-        let cache: ShardedCache<usize> = ShardedCache::new();
+    fn cursor_offers_only_the_entries_appended_since() {
+        let cache: MemoCache<usize> = unbounded();
         for i in 0..64 {
             let _ = cache.insert(&key(&format!("entry-{i}")), i);
         }
@@ -928,37 +718,32 @@ mod tests {
         );
         assert_eq!(first, cache.snapshot());
 
-        // Nothing grew: no shard is scanned, so `keep` is never asked.
+        // Nothing was appended: `keep` is never asked.
         let mut offered = 0;
         let idle = cache.collect_since(&mut cursor, |_| {
             offered += 1;
             true
         });
         assert!(idle.is_empty());
-        assert_eq!(offered, 0, "unchanged shards must be skipped");
+        assert_eq!(offered, 0, "an unchanged log offers nothing");
 
-        // One new key: only its shard is scanned, and `keep` decides
-        // which of that shard's entries are cloned.
+        // One new key among 65: `keep` is asked about it alone.
         let fresh = key("entry-new");
         let _ = cache.insert(&fresh, 99);
-        let shard_len = cache.shards[ShardedCache::<usize>::shard_index(&fresh)]
-            .read()
-            .unwrap()
-            .len();
-        let mut offered = 0;
+        let mut offered = Vec::new();
         let grown = cache.collect_since(&mut cursor, |k| {
-            offered += 1;
-            k == &fresh
+            offered.push(k.clone());
+            true
         });
-        assert_eq!(grown, vec![(fresh, 99)]);
-        assert_eq!(offered, shard_len, "only the grown shard is scanned");
-        assert!(offered < cache.len());
+        assert_eq!(grown, vec![(fresh.clone(), 99)]);
+        assert_eq!(offered, vec![fresh], "only the appended entry is offered");
+        assert_eq!(cache.len(), 65);
     }
 
     #[test]
     fn cursor_from_another_cache_walks_everything() {
-        let a: ShardedCache<u32> = ShardedCache::new();
-        let b: ShardedCache<u32> = ShardedCache::new();
+        let a: MemoCache<u32> = unbounded();
+        let b: MemoCache<u32> = unbounded();
         for i in 0..20 {
             let _ = a.insert(&key(&format!("a{i}")), i);
             let _ = b.insert(&key(&format!("b{i}")), i);
@@ -966,7 +751,7 @@ mod tests {
         let mut cursor = CacheCursor::new();
         assert_eq!(a.collect_since(&mut cursor, |_| true).len(), 20);
         assert!(a.collect_since(&mut cursor, |_| true).is_empty());
-        // Same shard lengths, different cache: the lengths mean nothing
+        // Same log length, different cache: the length means nothing
         // there, so the walk starts over.
         assert_eq!(b.collect_since(&mut cursor, |_| true), b.snapshot());
         assert_eq!(a.collect_since(&mut cursor, |_| true), a.snapshot());
@@ -979,11 +764,11 @@ mod tests {
     fn concurrent_publishers_never_hide_an_entry_from_the_cursor() {
         use std::collections::HashSet;
 
-        // Several short rounds: a lost entry only shows when its shard
+        // Several short rounds: a lost entry only shows when the log
         // stops growing afterwards, which is likeliest near the end of
         // a round.
         for round in 0..10 {
-            let cache: ShardedCache<usize> = ShardedCache::new();
+            let cache: MemoCache<usize> = unbounded();
             let mut synced: HashSet<String> = HashSet::new();
             std::thread::scope(|scope| {
                 let publishers: Vec<_> = (0..2)
@@ -1038,10 +823,9 @@ mod tests {
 
     #[test]
     fn racing_inserts_converge_on_one_value() {
-        let cache: ShardedCache<usize> = ShardedCache::new();
-        // Raw thread spawns (not the pool, which runs inline on 1-CPU
-        // machines): each thread proposes its own value; exactly one
-        // wins and every racer observes the winner.
+        let cache: MemoCache<usize> = unbounded();
+        // Raw thread spawns: each thread proposes its own value;
+        // exactly one wins and every racer observes the winner.
         let results: Vec<usize> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..64)
                 .map(|i| {

@@ -8,8 +8,8 @@
 //! against a [`crate::BackendRegistry`] (every configuration must
 //! resolve to exactly one backend) and produces an [`ExecutionPlan`]
 //! whose job list is deduplicated by [`DesignPointKey`] — the single
-//! canonical key type shared by the sharded characterization cache and
-//! its per-stripe observability counters.
+//! canonical key type shared by the characterization cache and its
+//! observability counters.
 //!
 //! Executing a plan is the explorer's half: [`crate::Explorer::run`],
 //! inline on the calling thread.
@@ -37,8 +37,7 @@ use crate::error::Error;
 /// keys the cache.
 ///
 /// The FNV-1a hash of the canonical form is precomputed at
-/// construction and is stable across processes (unlike `RandomState`),
-/// so cache stripes and per-stripe counters line up run to run.
+/// construction and is stable across processes (unlike `RandomState`).
 ///
 /// # Examples
 ///
@@ -128,7 +127,7 @@ impl DesignPointKey {
     }
 
     /// The precomputed FNV-1a hash of the canonical form — stable
-    /// across processes, used for cache shard selection.
+    /// across processes.
     #[must_use]
     pub fn stable_hash(&self) -> u64 {
         self.hash
@@ -433,8 +432,7 @@ mod tests {
     #[test]
     fn stable_hash_is_process_independent() {
         // FNV-1a of a fixed string is a fixed number; pin one value so
-        // any accidental hasher change shows up as a test failure, not
-        // as silently shuffled cache stripes.
+        // any accidental hasher change shows up as a test failure.
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(
             DesignPointKey::from_canonical("x".to_string()).stable_hash(),

@@ -709,10 +709,7 @@ mod tests {
             Objective::EnergyDelayProduct,
             BackendRegistry::with_defaults(),
             &registry,
-            &CacheConfig {
-                capacity: Some(8),
-                ..CacheConfig::default()
-            },
+            &CacheConfig { capacity: Some(8) },
         )
         .expect("default backends cover the baseline");
         let handler = RequestHandler::new(explorer, &registry, None);
@@ -762,10 +759,7 @@ mod tests {
                 Objective::EnergyDelayProduct,
                 BackendRegistry::with_defaults(),
                 &capped_registry,
-                &CacheConfig {
-                    capacity: Some(8),
-                    ..CacheConfig::default()
-                },
+                &CacheConfig { capacity: Some(8) },
             )
             .expect("default backends cover the baseline"),
             &capped_registry,

@@ -450,7 +450,7 @@ pub(crate) fn run(
 
     // Phase 2: best-first expansion. The loop is sequential (regions
     // pop one at a time), so every counter and the frontier itself are
-    // trivially deterministic under any pool width.
+    // trivially deterministic under any thread count.
     let mut frontier: ParetoFrontier = ParetoFrontier::new();
     let mut pruned: Vec<PrunedRegion> = Vec::new();
     let mut open = vec![build_tree(&leaves, &plan)];

@@ -8,13 +8,116 @@
 //! each sample, and reports percentile bands — turning the paper's
 //! two-point envelopes into distributions.
 //!
-//! [`monte_carlo`] is the worker pool's one user: every sample of a
-//! study, across all its cases, is characterized in one pool region.
+//! [`monte_carlo`] is coldtall's one fan-out: every sample of a study,
+//! across all its cases, is characterized in one pass over scoped
+//! threads. [`max_threads`] sizes it (the [`set_max_threads`]
+//! override, else `COLDTALL_THREADS`, else the host's parallelism), and
+//! it reports through the global registry: `pool.tasks` advances by
+//! the sample count whether the samples run inline or not, and each
+//! worker records one `pool.worker.busy` and one `pool.worker.idle`
+//! sample per fan-out.
+
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
+use std::time::Instant;
 
 use coldtall_array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall_cell::{CellModel, MemoryTechnology, SurveyEntry, Tentpole};
+use coldtall_obs::{Counter, Histogram, Span};
 use coldtall_tech::ProcessNode;
 use coldtall_rng::SmallRng;
+
+/// Explicit thread-count override; 0 when unset ([`set_max_threads`]).
+static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// The fan-out's process-wide state, resolved once: the thread count
+/// the environment or the host gives, and the `pool.*` handles in the
+/// global registry. Resolving both together is what lets the CLI
+/// register the `pool.*` metrics and warn about a bad `COLDTALL_THREADS`
+/// with one call at start-up, whether or not the command fans out.
+struct FanOut {
+    /// `COLDTALL_THREADS`, else the host's available parallelism.
+    detected: usize,
+    /// Samples characterized, inline or not (`pool.tasks`).
+    tasks: Arc<Counter>,
+    /// Per-worker time spent characterizing (`pool.worker.busy`).
+    busy: Arc<Histogram>,
+    /// Per-worker time from its finish to the end of the fan-out
+    /// (`pool.worker.idle`).
+    idle: Arc<Histogram>,
+}
+
+fn fan_out() -> &'static FanOut {
+    static FAN_OUT: OnceLock<FanOut> = OnceLock::new();
+    FAN_OUT.get_or_init(|| {
+        let registry = coldtall_obs::global();
+        FanOut {
+            detected: detect_threads(),
+            tasks: registry.counter("pool.tasks"),
+            busy: registry.span("pool.worker.busy"),
+            idle: registry.span("pool.worker.idle"),
+        }
+    })
+}
+
+/// `COLDTALL_THREADS` if it is a positive integer, else the host's
+/// available parallelism. Runs once per process (inside [`fan_out`]'s
+/// `OnceLock`), so an invalid value warns exactly once.
+fn detect_threads() -> usize {
+    let available = || thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let raw = match std::env::var("COLDTALL_THREADS") {
+        Ok(raw) => raw,
+        Err(std::env::VarError::NotPresent) => return available(),
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            warn_invalid_threads(&raw);
+            available()
+        }
+    }
+}
+
+// The workspace denies `print_stderr` in libraries, but this is the one
+// place a library-level diagnostic is the right tool: the user asked
+// for a thread count and is getting auto-detection instead, the
+// fallback happens once per process, and redirected stdout artifacts
+// must stay clean (stderr is the diagnostics channel).
+#[allow(clippy::print_stderr)]
+fn warn_invalid_threads(raw: &str) {
+    eprintln!(
+        "warning: ignoring invalid COLDTALL_THREADS={raw:?} (expected a positive \
+         integer); auto-detecting the thread count instead"
+    );
+}
+
+/// The number of threads [`monte_carlo`] fans out over (at most one
+/// per sample).
+///
+/// Resolution order: the [`set_max_threads`] override, then the
+/// `COLDTALL_THREADS` environment variable (read once; an invalid value
+/// warns once and falls back), then
+/// [`std::thread::available_parallelism`]. Always at least 1. The first
+/// call also registers the fan-out's `pool.*` metrics in the global
+/// registry.
+#[must_use]
+pub fn max_threads() -> usize {
+    let detected = fan_out().detected;
+    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
+        0 => detected,
+        n => n,
+    }
+}
+
+/// Overrides the thread count process-wide (`0` restores the
+/// environment or auto-detection). Tests pin a width through it, and
+/// `serve --threads` installs the daemon's.
+pub fn set_max_threads(threads: usize) {
+    THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
+}
 
 /// Percentile summary of one metric across the sampled population,
 /// relative to the 350 K 2D SRAM baseline.
@@ -130,8 +233,8 @@ fn band(mut values: Vec<f64>) -> MetricBand {
 ///
 /// The baseline is characterized once per call. Every sample of every
 /// case — one organization search per sampled cell — is characterized
-/// in one worker-pool region. The samples are distinct devices, so
-/// nothing dedups and nothing touches a cache.
+/// in one fan-out ([`max_threads`] wide). The samples are distinct
+/// devices, so nothing dedups and nothing touches a cache.
 ///
 /// # Panics
 ///
@@ -151,7 +254,7 @@ pub fn monte_carlo(cases: &[(MemoryTechnology, u8, u64)], samples: usize) -> Vec
                 .map(move |cell| (cell, dies))
         })
         .collect();
-    let characterized = crate::pool::parallel_map_slice(&drawn, |(cell, dies)| {
+    let characterized = characterize_samples(&drawn, |(cell, dies)| {
         let mut spec = ArraySpec::llc_16mib(cell.clone(), &node);
         if *dies > 1 {
             spec = spec.with_dies(*dies);
@@ -174,6 +277,66 @@ pub fn monte_carlo(cases: &[(MemoryTechnology, u8, u64)], samples: usize) -> Vec
                 read_energy: relative(&|a| a.read_energy / baseline.read_energy),
                 area: relative(&|a| a.footprint / baseline.footprint),
             }
+        })
+        .collect()
+}
+
+/// `characterize` over every drawn sample, in index order.
+///
+/// With `t = max_threads().min(n)` above 1, worker `w` characterizes
+/// samples `w, w + t, …` — worker 0 on the calling thread, the others
+/// on scoped threads — and the results are restored by index;
+/// otherwise the samples run inline. A stride is enough: each case's
+/// samples cost about the same and sit contiguously, so every worker
+/// gets an equal share of each case.
+fn characterize_samples(
+    drawn: &[(CellModel, u8)],
+    characterize: impl Fn(&(CellModel, u8)) -> ArrayCharacterization + Sync,
+) -> Vec<ArrayCharacterization> {
+    let fan_out = fan_out();
+    fan_out.tasks.add(drawn.len() as u64);
+    let threads = max_threads().min(drawn.len());
+    if threads <= 1 {
+        return drawn.iter().map(characterize).collect();
+    }
+    let characterize = &characterize;
+    // Worker `w`'s samples in order, and when it finished them.
+    let work = move |w: usize| -> (Vec<ArrayCharacterization>, Instant) {
+        let part = {
+            let _busy = Span::enter(fan_out.busy.clone());
+            drawn
+                .iter()
+                .skip(w)
+                .step_by(threads)
+                .map(characterize)
+                .collect()
+        };
+        (part, Instant::now())
+    };
+    // The calling thread is worker 0, so `t - 1` threads spawn.
+    let workers = thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|w| scope.spawn(move || work(w))).collect();
+        let mut workers = vec![work(0)];
+        workers.extend(spawned.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        workers
+    });
+    let ended = Instant::now();
+    let mut parts: Vec<_> = workers
+        .into_iter()
+        .map(|(part, finished)| {
+            let idle = ended.saturating_duration_since(finished).as_nanos();
+            fan_out.idle.record(u64::try_from(idle).unwrap_or(u64::MAX));
+            part.into_iter()
+        })
+        .collect();
+    (0..drawn.len())
+        .map(|i| {
+            parts[i % threads]
+                .next()
+                .expect("worker i % t holds sample i")
         })
         .collect()
 }

@@ -194,7 +194,7 @@ impl Histogram {
     }
 
     /// Empties the histogram. Not atomic with respect to concurrent
-    /// `record` calls; callers quiesce recording first (the registry
+    /// `record` calls; callers stop recording first (the registry
     /// only resets between test runs).
     pub fn reset(&self) {
         for bucket in &self.buckets {

@@ -62,7 +62,7 @@ impl GeometryStore {
     /// Appends every geometry the explorer's geometry cache holds that
     /// is not yet on disk, in canonical key order, and returns how many
     /// new records landed. Called after each completed sweep or
-    /// request; only the cache shards that grew since the previous sync
+    /// request; only the geometries published since the previous sync
     /// are visited.
     ///
     /// # Errors

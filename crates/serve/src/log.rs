@@ -16,9 +16,9 @@
 //!   scans the file once, so a start-up that opens and replays a store
 //!   reads it once;
 //! * the incremental sync: a [`CacheCursor`] into the explorer's cache,
-//!   so a sync revisits only the cache shards that grew since the last
-//!   and a request pays for the records it adds, not for the cache's
-//!   size;
+//!   a position in its insertion-ordered log, so a sync visits only the
+//!   entries published since the last and a request pays for the
+//!   records it adds, not for the cache's size;
 //! * the one line reader behind every replay and the dedup scan. Every
 //!   replay re-reads the file;
 //! * the codec helpers. Floats travel as the 16-hex-digit
@@ -249,8 +249,8 @@ impl<R: Record> RecordLog<R> {
     /// Returns how many records landed.
     ///
     /// `collect` walks the cache from the log's cursor, so it visits
-    /// only the shards that grew since the previous sync, and clones
-    /// only the entries its `keep` argument accepts: those not yet on
+    /// only the entries published since the previous sync, and clones
+    /// only those its `keep` argument accepts: the ones not yet on
     /// disk under `scope`. The log lock is held once for the whole
     /// sync.
     ///

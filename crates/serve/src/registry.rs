@@ -74,9 +74,9 @@ impl RunRegistry {
     /// Appends every cached characterization the explorer holds that is
     /// not yet on disk under `plan_hash`, in canonical key order, and
     /// returns how many new records landed. Called after each completed
-    /// request; only the cache shards that grew since the previous sync
-    /// are visited, and a sync under another plan hash rewinds to a
-    /// full walk.
+    /// request; only the cache entries published since the previous
+    /// sync are visited, and a sync under another plan hash rewinds to
+    /// a full walk.
     ///
     /// # Errors
     ///
@@ -87,14 +87,7 @@ impl RunRegistry {
         self.sync(
             plan_hash,
             |cursor, keep| explorer.cached_entries_since(cursor, keep),
-            |key, value| {
-                // Every landed cache publish records its routing;
-                // "unknown" is a defensive fallback, not an expected value.
-                let backend = explorer
-                    .resolved_backend(key)
-                    .unwrap_or_else(|| "unknown".to_string());
-                render_record(plan_hash, key, &backend, value)
-            },
+            |key, (value, backend)| render_record(plan_hash, key, backend, value),
         )
     }
 

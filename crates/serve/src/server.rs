@@ -12,6 +12,10 @@
 //!   same [`Server::handle_line`] path, so a piped request and a TCP
 //!   request take identical code.
 //!
+//! No request fans out: every request runs inline on the thread that
+//! read it, and the threads share one explorer, whose caches each sit
+//! behind one lock.
+//!
 //! The shutdown gate is a `Mutex<GateState>` + condvar (a struct, not a
 //! bare integer — the workspace denies `clippy::mutex_integer`). Every
 //! request passes through it: admission refuses new work once draining
@@ -409,8 +413,8 @@ impl Server {
     }
 
     /// Drains and stops the daemon: refuses new requests, waits for
-    /// every in-flight request to finish, joins the accept and
-    /// connection threads, and quiesces the worker pool. Idempotent.
+    /// every in-flight request to finish, and joins the accept and
+    /// connection threads. Idempotent.
     pub fn shutdown(&self) {
         {
             let mut gate = self.shared.gate.lock().expect("gate lock poisoned");
@@ -445,9 +449,6 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
-        // Parallel regions spawned by admitted requests have finished
-        // (active == 0), but assert global quiescence for good measure.
-        let _ = coldtall_par::quiesce(Duration::from_secs(30));
     }
 }
 

@@ -37,8 +37,10 @@ cargo test -q --test batch column_scan_matches_brute_force
 cargo test -q --test batch variation_study_cells_match_brute_force
 # The search's component floors are the brute force's per-field minima, bit for bit.
 cargo test -q --test batch floors_are_the_per_field_minima_of_evaluate
-# Pool regions: `dynamic_temperature` opens none, `variation_study` exactly one (360 tasks).
+# The one fan-out: `dynamic_temperature` never fans out, `variation_study` fans out once (360 tasks, one busy sample per worker).
 cargo test -q --test pool_regions
+# An invalid `COLDTALL_THREADS` warns exactly once per process, also when the Monte-Carlo study fans out.
+cargo test -q --test cli invalid_threads_env_warns_once_and_falls_back
 # The thermal schedule warms its candidates as one geometry batch (1 dispatch, 1 solve).
 cargo test -q -p coldtall-core candidates_warm_as_one_geometry_batch
 # The warm-start replay gate: a geometry store written by one process
@@ -67,14 +69,20 @@ cargo test -q --test search perf_smoke
 # subprocess-spawning suite.
 cargo test -q --test serve concurrent_tcp_clients_get_bit_identical_responses
 cargo test -q --test serve registry_replay_warms_a_fresh_daemon_bit_identically
-# The incremental-sync gates: the cache cursor must skip unchanged
-# shards, restart on a cursor from another cache, and never hide an
-# entry from a sync racing two publishers; each run-registry and
-# geometry-store sync must append exactly the keys new since the last,
-# write the same bytes as a full-cache walk, and re-offer what a failed
-# append left out. Count- and bytes-based, never wall-clock.
+# The incremental-sync gates: the cache cursor is a position in the
+# cache's insertion-ordered log, so a walk must offer only the entries
+# appended since the last, restart on a cursor from another cache, and
+# never hide an entry from a sync racing two publishers; each
+# run-registry and geometry-store sync must append exactly the keys new
+# since the last, write the same bytes as a full-cache walk, and
+# re-offer what a failed append left out. Count- and bytes-based, never
+# wall-clock.
 cargo test -q -p coldtall-core cursor
 cargo test -q -p coldtall-serve sync
+# The admission cap is checked under the cache's one write lock, so four
+# racing publishers of 100 distinct keys each land exactly 8 under a cap
+# of 8 and have the other 392 refused.
+cargo test -q -p coldtall-core admission_cap_is_exact_under_concurrent_publishers
 # The wire-bytes pin: fixed request lines (sweep, search, characterize,
 # evaluate, a typed error) must render to pinned byte lengths and
 # FNV-1a hashes, and the daemon must send exactly those bytes.

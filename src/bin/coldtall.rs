@@ -32,7 +32,6 @@ use coldtall::core::{
     BackendRegistry, CacheConfig, Constraints, DesignPoint, Error, Explorer, LlcEvaluation,
     MemoryConfig, Request, RequestHandler, ResponsePayload,
 };
-use coldtall::par::PoolConfig;
 use coldtall::serve::{
     render_dashboard, replay_file, GeometryStore, PipeSafeWriter, ServeOptions, Server,
 };
@@ -62,17 +61,12 @@ fn main() -> ExitCode {
         }
         _ => true,
     });
-    // The worker pool is resolved once, before any command runs:
-    // `COLDTALL_THREADS` is read here (an invalid value warns once and
-    // falls back to auto-detection), and the pool's metrics register
-    // even when a command never fans out, so `--metrics` reports the
-    // same metric set for every command and thread count.
-    let (pool, pool_warnings) = PoolConfig::from_env();
-    for w in &pool_warnings {
-        eprintln!("{w}");
-    }
-    pool.apply();
-    coldtall::par::register_metrics();
+    // The fan-out's thread count is resolved once, before any command
+    // runs: `COLDTALL_THREADS` is read here (an invalid value warns once
+    // and falls back to auto-detection), and the `pool.*` metrics
+    // register even when a command never fans out, so `--metrics`
+    // reports the same metric set for every command and thread count.
+    let _ = coldtall::core::max_threads();
     let Some(command) = args.first() else {
         let mut usage = String::new();
         write_usage(&mut usage);
@@ -239,8 +233,9 @@ fn write_usage(out: &mut String) {
          \x20                                    append every new characterization to it\n\
          \x20 --max-inflight <n>                 concurrent request cap (default 8)\n\
          \x20 --deadline-ms <ms>                 default per-request budget (default none)\n\
-         \x20 --threads <n>                      worker pool size (default: COLDTALL_THREADS\n\
-         \x20                                    or auto-detect)\n\
+         \x20 --threads <n>                      Monte-Carlo fan-out width (default:\n\
+         \x20                                    COLDTALL_THREADS or auto-detect); no\n\
+         \x20                                    serve request fans out\n\
          \x20 --cache-cap <n>                    characterization-cache admission cap\n\
          \x20                                    (default: COLDTALL_CACHE_CAP or unbounded)\n\
          \x20 --render <dir>                     write the static HTML dashboard from the\n\
@@ -316,9 +311,9 @@ impl Options {
 
 /// The engine every command runs through, built the way the daemon
 /// builds it: the default node, objective and backends, reporting into
-/// the global registry. The cache knobs come from `COLDTALL_CACHE_CAP`
-/// and `COLDTALL_METRICS_DETAIL` (an invalid value warns once) unless
-/// `serve --cache-cap` overrides them; `serve --deadline-ms` sets the
+/// the global registry. The admission cap comes from
+/// `COLDTALL_CACHE_CAP` (an invalid value warns once) unless
+/// `serve --cache-cap` overrides it; `serve --deadline-ms` sets the
 /// default budget.
 fn engine(opts: &Options) -> Result<RequestHandler, String> {
     let (mut cache_config, cache_warnings) = CacheConfig::from_env();
@@ -768,13 +763,10 @@ fn cmd_replicate(args: &[String], out: &mut String) -> Result<(), String> {
 /// complete, not at exit.
 fn cmd_serve(opts: &Options) -> Result<(), String> {
     // Explicit configs, not environment latches: a long-running host
-    // reconfigures per logical restart. `main` already applied
+    // reconfigures per logical restart. `main` already resolved
     // `COLDTALL_THREADS`; `--threads` overrides it.
     if let Some(threads) = opts.positive("threads")? {
-        PoolConfig {
-            threads: Some(threads),
-        }
-        .apply();
+        coldtall::core::set_max_threads(threads);
     }
     let max_inflight = opts.positive("max-inflight")?.unwrap_or(8);
     let handler = engine(opts)?;

@@ -14,17 +14,16 @@
 //! * dispatching through the trait is bit-identical to the pre-refactor
 //!   direct `to_spec().characterize()` path, for every study point,
 //! * a full study sweep (study set x SPEC2017) produces byte-identical
-//!   rows under a 1-thread and a 4-thread worker pool,
+//!   rows at 1 and at 4 threads,
 //! * `--backend` pinning overrides the policy as an assertion: a pin
 //!   that contradicts resolution exits 1, it never reroutes,
 //! * a mock backend registered at test time flows its (doctored)
 //!   output and its per-backend telemetry through the explorer.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+mod support;
 
 use coldtall::array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall::cell::{CellModel, MemoryTechnology};
-use coldtall::core::pool;
 use coldtall::core::{
     BackendCapabilities, BackendRegistry, CharacterizationBackend, CryoMemBackend, Error,
     Explorer, MemoryConfig, SweepPlan,
@@ -33,25 +32,6 @@ use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 use coldtall::units::Kelvin;
 use coldtall::workloads::spec2017;
-
-/// Tests that force a pool width share the process-global override.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
-
-struct PinnedPool(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl PinnedPool {
-    fn threads(n: usize) -> Self {
-        let guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        pool::set_max_threads(n);
-        Self(guard)
-    }
-}
-
-impl Drop for PinnedPool {
-    fn drop(&mut self) {
-        pool::set_max_threads(0);
-    }
-}
 
 #[test]
 fn every_study_point_resolves_to_exactly_one_default_backend() {
@@ -98,7 +78,7 @@ fn backend_dispatch_is_bit_identical_to_direct_lowering() {
 }
 
 /// The full study grid — study set x SPEC2017 — is byte-identical
-/// between a 1-thread and a 4-thread pool, through the plan/run
+/// between 1 and 4 threads, through the plan/run
 /// pipeline.
 #[test]
 fn study_sweep_rows_identical_under_1_and_4_thread_pools() {
@@ -108,15 +88,15 @@ fn study_sweep_rows_identical_under_1_and_4_thread_pools() {
             .expect("the study set resolves")
     };
     let one = {
-        let _pinned = PinnedPool::threads(1);
+        let _pinned = support::pin_threads(1);
         sweep()
     };
     let four = {
-        let _pinned = PinnedPool::threads(4);
+        let _pinned = support::pin_threads(4);
         sweep()
     };
     assert_eq!(one.len(), MemoryConfig::study_set().len() * spec2017().len());
-    assert_eq!(one, four, "sweep rows must not depend on the pool width");
+    assert_eq!(one, four, "sweep rows must not depend on the thread count");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! contract under test:
 //!
 //! * rows are **bit-identical** to the per-point oracle
-//!   (`support::per_point`), at any pool width,
+//!   (`support::per_point`), at any thread count,
 //! * the geometry cache records exactly one solve per distinct
 //!   geometry key (`perf_smoke`),
 //! * the one organization scan picks the argmin a brute force over
@@ -17,36 +17,16 @@
 mod support;
 
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coldtall::array::{ArrayCharacterization, ArraySpec, Objective, OrgGeometry, Organization};
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
-use coldtall::core::{pool, sample_cells, DesignPointKey, EvalArena, Explorer, MemoryConfig};
+use coldtall::core::{sample_cells, DesignPointKey, EvalArena, Explorer, MemoryConfig};
 use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 use coldtall::units::{Capacity, Kelvin};
 use coldtall_bench::timing::time_median_pair;
 use coldtall_bench::variation_study;
-
-/// Tests that force a pool width share the process-global override.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
-
-struct PinnedPool(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl PinnedPool {
-    fn threads(n: usize) -> Self {
-        let guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        pool::set_max_threads(n);
-        Self(guard)
-    }
-}
-
-impl Drop for PinnedPool {
-    fn drop(&mut self) {
-        pool::set_max_threads(0);
-    }
-}
 
 /// The full study set expanded across every study temperature — the
 /// densest temperature sweep the repo runs, and the workload where
@@ -71,10 +51,10 @@ fn observed_explorer(registry: &Registry) -> Explorer {
 }
 
 /// Runs the per-point oracle and [`Explorer::run`] over the full
-/// study x temperature grid on `threads` pool threads, each on a fresh
+/// study x temperature grid at `threads` threads, each on a fresh
 /// explorer (cold caches), and asserts the rows are bit-identical.
 fn assert_batched_paths_bit_identical(threads: usize) {
-    let _pinned = PinnedPool::threads(threads);
+    let _pinned = support::pin_threads(threads);
     let configs = expanded_study();
     let run = |execute: &dyn Fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
         let registry = Registry::new();
@@ -170,7 +150,7 @@ fn perf_smoke() {
 /// when it landed, so a strict inequality here has headroom.
 #[test]
 fn multi_temperature_stripe_is_faster_than_per_point() {
-    let _pinned = PinnedPool::threads(1);
+    let _pinned = support::pin_threads(1);
     let node = ProcessNode::ptm_22nm_hp();
     let objective = Objective::EnergyDelayProduct;
     let temps = study_temperatures().to_vec();

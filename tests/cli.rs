@@ -609,19 +609,12 @@ fn equals_form_options_are_accepted() {
 /// silently replaced by auto-detection. The run must still succeed,
 /// but a one-time warning now lands on stderr. An invalid
 /// `COLDTALL_CACHE_CAP` used to be dropped without a word by every
-/// command but `serve`; it warns the same way.
+/// command but `serve`; it warns the same way. The Monte-Carlo study,
+/// the one command that fans out, once parsed `COLDTALL_THREADS` a
+/// second time and warned twice.
 #[test]
 fn invalid_threads_env_warns_once_and_falls_back() {
-    for (var, bad) in [
-        ("COLDTALL_THREADS", "abc"),
-        ("COLDTALL_THREADS", "0"),
-        ("COLDTALL_THREADS", "-2"),
-        ("COLDTALL_THREADS", "1.5"),
-        ("COLDTALL_CACHE_CAP", "abc"),
-    ] {
-        let (ok, out, err) = run_with_env(&["sweep"], &[(var, bad)]);
-        assert!(ok, "sweep must survive {var}={bad}");
-        assert!(out.contains("713 rows"), "results unaffected by bad env");
+    let warns_once = |err: &str, var: &str, bad: &str| {
         let warning = format!("ignoring invalid {var}");
         assert!(
             err.contains(&warning),
@@ -632,6 +625,28 @@ fn invalid_threads_env_warns_once_and_falls_back() {
             1,
             "warning must fire exactly once per process"
         );
+    };
+    for (var, bad) in [
+        ("COLDTALL_THREADS", "abc"),
+        ("COLDTALL_THREADS", "0"),
+        ("COLDTALL_THREADS", "-2"),
+        ("COLDTALL_THREADS", "1.5"),
+        ("COLDTALL_CACHE_CAP", "abc"),
+    ] {
+        let (ok, out, err) = run_with_env(&["sweep"], &[(var, bad)]);
+        assert!(ok, "sweep must survive {var}={bad}");
+        assert!(out.contains("713 rows"), "results unaffected by bad env");
+        warns_once(&err, var, bad);
+    }
+    let golden = std::fs::read_to_string("results/variation_study.txt").expect("golden");
+    for bad in ["abc", "0", "-2", "1.5"] {
+        let (ok, out, err) = run_with_env(
+            &["replicate", "variation_study"],
+            &[("COLDTALL_THREADS", bad)],
+        );
+        assert!(ok, "replicate must survive COLDTALL_THREADS={bad}: {err}");
+        assert_eq!(out, golden, "results unaffected by bad env");
+        warns_once(&err, "COLDTALL_THREADS", bad);
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! * `run` rows are **bit-identical** to the scalar
 //!   [`Explorer::evaluate`] oracle over the full study x SPEC2017 x
-//!   temperature grid, at any pool width, including infeasible rows
+//!   temperature grid, at any thread count, including infeasible rows
 //!   (refresh-dead, bandwidth-saturated, and the non-finite baseline
 //!   guard),
 //! * a reused arena allocates nothing after its first fill (column
@@ -20,35 +20,14 @@
 
 mod support;
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use coldtall::array::Objective;
-use coldtall::core::{pool, EvalArena, Explorer, Feasibility, MemoryConfig};
+use coldtall::core::{EvalArena, Explorer, Feasibility, MemoryConfig};
 use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 use coldtall::units::Kelvin;
 use coldtall::workloads::{benchmark, spec2017, Benchmark};
 use coldtall_bench::timing::time_median_pair;
-
-/// Tests that force a pool width share the process-global override.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
-
-struct PinnedPool(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl PinnedPool {
-    fn threads(n: usize) -> Self {
-        let guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        pool::set_max_threads(n);
-        Self(guard)
-    }
-}
-
-impl Drop for PinnedPool {
-    fn drop(&mut self) {
-        pool::set_max_threads(0);
-    }
-}
 
 /// The full study set expanded across every study temperature: the
 /// densest grid the repo evaluates, containing viable, slowdown, and
@@ -73,10 +52,10 @@ fn observed_explorer(registry: &Registry) -> Explorer {
 }
 
 /// Runs the scalar per-cell oracle and [`Explorer::run`] over the full
-/// study x SPEC2017 x temperature grid on `threads` pool threads, each
+/// study x SPEC2017 x temperature grid at `threads` threads, each
 /// on a fresh explorer, and asserts bit-identity.
 fn assert_batch_matches_scalar_oracle(threads: usize) {
-    let _pinned = PinnedPool::threads(threads);
+    let _pinned = support::pin_threads(threads);
     let configs = expanded_study();
     let plan_on = |registry: &Registry| {
         let explorer = observed_explorer(registry);
@@ -203,7 +182,7 @@ fn arena_reuse_allocates_nothing_after_the_first_sweep() {
 /// than the scalar per-row loop.
 #[test]
 fn perf_smoke() {
-    let _pinned = PinnedPool::threads(1);
+    let _pinned = support::pin_threads(1);
     let configs = expanded_study();
     let explorer = Explorer::with_defaults();
     let plan = explorer.plan_sweep(&configs).expect("study configs resolve");

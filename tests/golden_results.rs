@@ -4,7 +4,7 @@
 //! in-process and byte-compared against the committed file, as
 //! `coldtall replicate --check` does, so no future change can silently
 //! corrupt the reproduction. The comparison runs twice — pinned to one
-//! pool thread, then forced to four — because the artifacts must be
+//! thread, then forced to four — because the artifacts must be
 //! independent of how the sweep is scheduled.
 //!
 //! To rebless after an *intentional* model change:
@@ -13,32 +13,12 @@
 //! COLDTALL_BLESS=1 cargo test --test golden_results
 //! ```
 
+mod support;
+
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use coldtall::core::pool;
 use coldtall_bench as bench;
-
-/// The two passes share the process-wide pool override, so they take
-/// this lock and restore auto-detection on drop (even on panic).
-static POOL_LOCK: Mutex<()> = Mutex::new(());
-
-struct PinnedPool(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl PinnedPool {
-    fn threads(n: usize) -> Self {
-        let guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        pool::set_max_threads(n);
-        Self(guard)
-    }
-}
-
-impl Drop for PinnedPool {
-    fn drop(&mut self) {
-        pool::set_max_threads(0);
-    }
-}
 
 fn bless_requested() -> bool {
     std::env::var("COLDTALL_BLESS").is_ok_and(|v| v == "1")
@@ -57,26 +37,26 @@ fn check_all_artifacts(mode: &str) {
             .unwrap_or_else(|err| panic!("golden file {} unreadable: {err}", path.display()));
         assert!(
             expected == actual,
-            "results/{name}.txt diverged from its regenerator ({mode} pool).\n{}\n\
+            "results/{name}.txt diverged from its regenerator ({mode} run).\n{}\n\
              If the change is intentional, rebless with:\n  COLDTALL_BLESS=1 cargo test --test golden_results",
             bench::first_divergence(&expected, &actual)
         );
     }
 }
 
-/// Every artifact, regenerated with the pool pinned to one thread at
+/// Every artifact, regenerated with the thread count pinned to one at
 /// every level, must match the checked-in bytes.
 #[test]
 fn artifacts_match_golden_files_sequentially() {
-    let _pinned = PinnedPool::threads(1);
+    let _pinned = support::pin_threads(1);
     check_all_artifacts("1-thread");
 }
 
-/// And again with a forced 4-worker pool: parallel scheduling must not
+/// And again with four threads forced: parallel scheduling must not
 /// change a single byte of any artifact.
 #[test]
 fn artifacts_match_golden_files_with_four_threads() {
-    let _pinned = PinnedPool::threads(4);
+    let _pinned = support::pin_threads(4);
     check_all_artifacts("4-thread");
 }
 

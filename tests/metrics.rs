@@ -1,7 +1,7 @@
 //! Metric-invariant tests of the observability layer.
 //!
 //! Each test observes a *private* `Registry`, so assertions cannot be
-//! perturbed by other tests of this binary (or the pool's telemetry,
+//! perturbed by other tests of this binary (or the fan-out's telemetry,
 //! which feeds the process-global registry) running concurrently.
 //! The invariants under test are the ones `DESIGN.md` § Observability
 //! promises:
@@ -15,15 +15,12 @@
 //! * `Registry::reset` returns every metric to zero without breaking
 //!   live handles.
 
-use std::sync::{Mutex, PoisonError};
+mod support;
 
 use coldtall::array::Objective;
-use coldtall::core::{pool, Explorer, LlcEvaluation, MemoryConfig};
+use coldtall::core::{Explorer, LlcEvaluation, MemoryConfig};
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
-
-/// Tests that force a pool width share the process-global override.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 fn observed_explorer(registry: &Registry) -> Explorer {
     Explorer::with_registry(
@@ -49,18 +46,15 @@ fn sweep(explorer: &Explorer, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
         .expect("configs resolve")
 }
 
-/// [`sweep`] on a fresh explorer observed by `registry`, with the pool
-/// pinned to `threads` workers.
+/// [`sweep`] on a fresh explorer observed by `registry`, with the
+/// thread count pinned to `threads`.
 fn sweep_on_threads(
     registry: &Registry,
     threads: usize,
     configs: &[MemoryConfig],
 ) -> Vec<LlcEvaluation> {
-    let _lock = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    pool::set_max_threads(threads);
-    let rows = sweep(&observed_explorer(registry), configs);
-    pool::set_max_threads(0);
-    rows
+    let _pinned = support::pin_threads(threads);
+    sweep(&observed_explorer(registry), configs)
 }
 
 #[test]
@@ -89,13 +83,13 @@ fn counters_identical_between_sequential_and_parallel_sweeps() {
     let configs = small_config_set();
 
     // A 4-wide pool even on a 1-CPU host: counters must not depend on
-    // the pool width.
+    // the thread count.
     let seq_registry = Registry::new();
     let seq_rows = sweep_on_threads(&seq_registry, 1, &configs);
     let par_registry = Registry::new();
     let par_rows = sweep_on_threads(&par_registry, 4, &configs);
 
-    assert_eq!(seq_rows, par_rows, "rows must not depend on the pool width");
+    assert_eq!(seq_rows, par_rows, "rows must not depend on the thread count");
     assert_eq!(
         seq_registry.counters(),
         par_registry.counters(),
@@ -174,7 +168,7 @@ fn backend_counters_identical_between_sequential_and_parallel_sweeps() {
         assert_eq!(
             seq_registry.counter_value(name),
             par_registry.counter_value(name),
-            "{name} must not depend on the pool width"
+            "{name} must not depend on the thread count"
         );
     }
 }

@@ -1,17 +1,13 @@
 //! Integration tests of thread safety and determinism: the explorer is
 //! shareable, plan execution is bit-identical to the sequential
-//! per-point oracle under any pool width, the sharded characterization
-//! cache converges under contention, and the pool itself keeps order.
+//! per-point oracle under any thread count, the characterization cache
+//! converges under contention, and the Monte-Carlo fan-out keeps its
+//! samples in order.
 
 mod support;
 
-use std::sync::{Mutex, PoisonError};
-
-use coldtall::core::{pool, EvalArena, Explorer, LlcEvaluation, MemoryConfig};
+use coldtall::core::{EvalArena, Explorer, LlcEvaluation, MemoryConfig};
 use coldtall::workloads::spec2017;
-
-/// Tests that force a pool width share the process-global override.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 /// Compiles `configs` on `explorer` and returns the rows of
 /// [`Explorer::run`] next to the per-point oracle's rows, the oracle
@@ -36,17 +32,15 @@ fn explorer_is_send_and_sync() {
 }
 
 /// The headline determinism contract: the full study set x SPEC2017
-/// cross-product, run under a 4-wide pool, is bit-identical, in
+/// cross-product, run with 4 threads pinned, is bit-identical, in
 /// identical order, to the sequential per-point oracle.
 #[test]
 fn par_sweep_matches_sequential_over_full_study() {
-    // A multi-worker pool even on a 1-CPU machine: plan execution must
-    // not depend on the pool width.
-    let _pinned = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    pool::set_max_threads(4);
+    // Four threads even on a 1-CPU machine: plan execution must not
+    // depend on the thread count.
+    let _pinned = support::pin_threads(4);
     let configs = MemoryConfig::study_set();
     let (run, oracle) = run_and_oracle(&Explorer::with_defaults(), &configs);
-    pool::set_max_threads(0);
     assert_eq!(run.len(), configs.len() * spec2017().len());
     assert_eq!(
         run, oracle,
@@ -85,7 +79,7 @@ fn default_sweep_is_path_independent() {
 }
 
 /// N OS threads hammer `characterize` on overlapping configurations:
-/// the sharded cache must converge on exactly one entry per distinct
+/// the cache must converge on exactly one entry per distinct
 /// label, and every thread must observe equal characterizations.
 #[test]
 fn concurrent_characterize_smoke() {
@@ -114,23 +108,11 @@ fn concurrent_characterize_smoke() {
     }
 }
 
-/// The pool preserves output order no matter how work is stolen.
-#[test]
-fn pool_output_order_is_deterministic() {
-    let _pinned = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    pool::set_max_threads(4);
-    let expected: Vec<usize> = (0..997).map(|i| i * 31).collect();
-    for _ in 0..8 {
-        assert_eq!(pool::parallel_map(997, |i| i * 31), expected);
-    }
-    pool::set_max_threads(0);
-}
-
-/// The Monte-Carlo variation study (the pool's one user) stays
-/// deterministic per seed, and batching its cases into one pool region
+/// The Monte-Carlo variation study (the one fan-out) stays
+/// deterministic per seed, and batching its cases into one fan-out
 /// changes no sample: the six `variation_study` cases in one call give
-/// the summaries of six one-case calls, under 1- and 4-thread pools.
-/// Every band is a finite, positive ratio, so `==` is bit equality.
+/// the summaries of six one-case calls, at 1 and 4 threads. Every band
+/// is a finite, positive ratio, so `==` is bit equality.
 #[test]
 fn parallel_monte_carlo_is_deterministic() {
     use coldtall::cell::MemoryTechnology;
@@ -144,10 +126,9 @@ fn parallel_monte_carlo_is_deterministic() {
         .into_iter()
         .flat_map(|tech| [1u8, 8].map(|dies| (tech, dies, 0xC01D + u64::from(dies))))
         .collect();
-    let _pinned = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let mut widths = Vec::new();
     for threads in [1, 4] {
-        pool::set_max_threads(threads);
+        let _pinned = support::pin_threads(threads);
         let batched = monte_carlo(&cases, 60);
         let one_case_calls: Vec<_> = cases
             .iter()
@@ -160,9 +141,8 @@ fn parallel_monte_carlo_is_deterministic() {
         );
         widths.push(batched);
     }
-    pool::set_max_threads(0);
     assert_eq!(
         widths[0], widths[1],
-        "the summaries depend on the pool width"
+        "the summaries depend on the thread count"
     );
 }

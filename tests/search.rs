@@ -7,7 +7,7 @@
 //!
 //! * on the paper's full study set × temperature grid, the adaptive
 //!   frontier equals [`pareto_front`] over the exhaustive sweep,
-//!   at 1 and 4 pool threads, for every constraint combination
+//!   at 1 and 4 threads, for every constraint combination
 //!   [`recommend`] supports — and the search reports
 //!   `points_skipped > 0` every time,
 //! * the incremental [`ParetoFrontier`] is insertion-order invariant,
@@ -17,37 +17,19 @@
 //! * every pruned region's lower bounds sit at or below every member
 //!   row's true values (brute-forced, no tolerance).
 
+mod support;
+
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coldtall::array::Objective;
 use coldtall::core::{
-    pareto_front, pool, recommend, Constraints, EvalArena, Explorer, LlcEvaluation, MemoryConfig,
+    pareto_front, recommend, Constraints, EvalArena, Explorer, LlcEvaluation, MemoryConfig,
     ParetoFrontier, PruneReason,
 };
 use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 use coldtall::workloads::{benchmark, spec2017};
-
-/// Tests that force a pool width share the process-global override.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
-
-struct PinnedPool(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl PinnedPool {
-    fn threads(n: usize) -> Self {
-        let guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        pool::set_max_threads(n);
-        Self(guard)
-    }
-}
-
-impl Drop for PinnedPool {
-    fn drop(&mut self) {
-        pool::set_max_threads(0);
-    }
-}
 
 /// The paper's full study set expanded across every study temperature.
 fn expanded_study() -> Vec<MemoryConfig> {
@@ -94,11 +76,11 @@ fn constraint_grid() -> Vec<Constraints> {
     ]
 }
 
-/// The exhaustive-equivalence contract at one pool width: the adaptive
+/// The exhaustive-equivalence contract at one thread count: the adaptive
 /// frontier is bit-identical to filtering the full sweep, under every
 /// constraint set, and the search always avoids provable work.
 fn assert_search_matches_exhaustive(threads: usize) {
-    let _pinned = PinnedPool::threads(threads);
+    let _pinned = support::pin_threads(threads);
     let configs = expanded_study();
 
     // The exhaustive reference: one plan run into an arena.
@@ -173,13 +155,13 @@ fn search_matches_exhaustive_at_one_thread() {
 
 /// The cryogenic-NVM region (Δ(T) STT-MRAM across both tentpoles,
 /// 1-8 dies, 77-387 K): the adaptive frontier is bit-identical to the
-/// exhaustive extraction at both pool widths, and the search
+/// exhaustive extraction at both thread counts, and the search
 /// still avoids provable work — here purely by dominance, since no
 /// STT-RAM plane is refresh-dead.
 #[test]
 fn cryo_stt_region_search_matches_exhaustive() {
     for threads in [1, 4] {
-        let _pinned = PinnedPool::threads(threads);
+        let _pinned = support::pin_threads(threads);
         let configs = MemoryConfig::cryo_stt_study_set();
 
         let exhaustive = Explorer::with_defaults();

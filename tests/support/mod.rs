@@ -1,7 +1,13 @@
-//! The per-point reference oracle that plan execution is checked
-//! against.
+//! Helpers shared by the integration tests: the per-point reference
+//! oracle that plan execution is checked against, and the guard that
+//! pins the Monte-Carlo fan-out's thread count.
 
-use coldtall::core::{ExecutionPlan, Explorer, LlcEvaluation};
+// Each test binary compiles its own copy and uses a subset of it.
+#![allow(dead_code)]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use coldtall::core::{set_max_threads, ExecutionPlan, Explorer, LlcEvaluation};
 
 /// Runs `plan` one point at a time through the public API: the public
 /// [`Explorer::characterize`] for each job (one backend dispatch per
@@ -20,4 +26,25 @@ pub fn per_point(explorer: &Explorer, plan: &ExecutionPlan) -> Vec<LlcEvaluation
                 .map(move |benchmark| explorer.evaluate(config, benchmark))
         })
         .collect()
+}
+
+/// Serializes the tests of one binary that pin the process-wide thread
+/// override.
+static PIN_LOCK: Mutex<()> = Mutex::new(());
+
+/// The thread count pinned by [`pin_threads`]; dropping it restores
+/// auto-detection (even on panic) and lets the next pinning test run.
+pub struct PinnedThreads(MutexGuard<'static, ()>);
+
+/// Pins the fan-out to `n` threads until the returned guard drops.
+pub fn pin_threads(n: usize) -> PinnedThreads {
+    let guard = PIN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    set_max_threads(n);
+    PinnedThreads(guard)
+}
+
+impl Drop for PinnedThreads {
+    fn drop(&mut self) {
+        set_max_threads(0);
+    }
 }
