@@ -51,7 +51,7 @@ pub(crate) fn read_energy_raw(tc: &TempCtx, bl_cap_f: f64, cols: f64) -> Joules 
         SenseKind::Voltage { swing } => cols * bl_cap_f * tc.vdd * swing,
         SenseKind::Current => tc.transfer_bits * bl_cap_f * tc.vdd * tc.vdd * 0.25,
     };
-    Joules::new(e * tc.port_energy_factor)
+    Joules::new(e * calib::DUAL_PORT_ENERGY_FACTOR)
 }
 
 /// Bitline write energy from the candidate's scalar inputs.
@@ -63,7 +63,7 @@ pub(crate) fn write_energy_raw(tc: &TempCtx, bl_cap_f: f64, cols: f64) -> Joules
         }
         SenseKind::Current => bits * bl_cap_f * tc.vdd * tc.vdd,
     };
-    Joules::new(e * tc.port_energy_factor)
+    Joules::new(e * calib::DUAL_PORT_ENERGY_FACTOR)
 }
 
 /// Capacitance of one bitline: junction load of every cell plus the wire.

@@ -60,12 +60,7 @@ impl Geometry {
         };
         let decoder_strip = rows * cell_height * calib::DECODER_STRIP_DEPTH_F * f;
         let sense_strip = cols * cell_width * sense_depth * f;
-        let port_factor = if spec.dual_port() {
-            calib::DUAL_PORT_AREA_FACTOR
-        } else {
-            1.0
-        };
-        let strips_area = (decoder_strip + sense_strip) * port_factor;
+        let strips_area = (decoder_strip + sense_strip) * calib::DUAL_PORT_AREA_FACTOR;
         let subarray_area =
             (cell_block_area + strips_area) * (1.0 + calib::CONTROL_AREA_OVERHEAD);
 

@@ -154,8 +154,6 @@ pub(crate) struct TempCtx {
     pub(crate) vdd_ratio_08: f64,
     /// Bits transferred per access including ECC.
     pub(crate) transfer_bits: f64,
-    /// Dual-port bitline energy factor.
-    pub(crate) port_energy_factor: f64,
     /// Sensing mechanism with hoisted scalars.
     pub(crate) sense: SenseKind,
     /// Total cell leakage power (candidate-invariant, whole).
@@ -243,11 +241,6 @@ impl TempCtx {
             ReadMechanism::VoltageSense { swing } => SenseKind::Voltage { swing: swing.get() },
             ReadMechanism::CurrentSense => SenseKind::Current,
         };
-        let port_energy_factor = if spec.dual_port() {
-            calib::DUAL_PORT_ENERGY_FACTOR
-        } else {
-            1.0
-        };
 
         let leak_bits = spec.capacity().bits_f64() * spec.storage_overhead();
         let cell_leakage = cell.leakage_power(node, op) * leak_bits;
@@ -286,7 +279,6 @@ impl TempCtx {
             wires,
             vdd_ratio_08: vdd / 0.8,
             transfer_bits: bits,
-            port_energy_factor,
             sense,
             cell_leakage,
             periph_leak_per_um,

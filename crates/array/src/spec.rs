@@ -93,7 +93,6 @@ pub struct ArraySpec {
     capacity: Capacity,
     line_bits: u32,
     ecc: EccScheme,
-    dual_port: bool,
     dies: u8,
     stacking: Stacking,
 }
@@ -110,7 +109,6 @@ impl ArraySpec {
             capacity,
             line_bits: 512,
             ecc: EccScheme::Secded,
-            dual_port: true,
             dies: 1,
             stacking: Stacking::Planar,
         }
@@ -281,24 +279,10 @@ impl ArraySpec {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Enables or disables SECDED ECC storage and transport overhead.
-    #[must_use]
-    pub fn with_ecc(mut self, ecc: bool) -> Self {
-        self.ecc = if ecc { EccScheme::Secded } else { EccScheme::None };
-        self
-    }
-
     /// Selects an explicit error-correction scheme.
     #[must_use]
     pub fn with_ecc_scheme(mut self, scheme: EccScheme) -> Self {
         self.ecc = scheme;
-        self
-    }
-
-    /// Enables or disables the dual-port overheads.
-    #[must_use]
-    pub fn with_dual_port(mut self, dual_port: bool) -> Self {
-        self.dual_port = dual_port;
         self
     }
 
@@ -332,22 +316,10 @@ impl ArraySpec {
         self.line_bits
     }
 
-    /// Whether any ECC is enabled.
-    #[must_use]
-    pub fn ecc(&self) -> bool {
-        self.ecc != EccScheme::None
-    }
-
     /// The error-correction scheme.
     #[must_use]
     pub fn ecc_scheme(&self) -> EccScheme {
         self.ecc
-    }
-
-    /// Whether the array is dual-ported.
-    #[must_use]
-    pub fn dual_port(&self) -> bool {
-        self.dual_port
     }
 
     /// Die count.
@@ -404,8 +376,7 @@ mod tests {
         let s = spec();
         assert_eq!(s.capacity(), Capacity::from_mebibytes(16));
         assert_eq!(s.line_bits(), 512);
-        assert!(s.ecc());
-        assert!(s.dual_port());
+        assert_eq!(s.ecc_scheme(), EccScheme::Secded);
         assert_eq!(s.dies(), 1);
         assert_eq!(s.stacking(), Stacking::Planar);
         assert_eq!(s.op().temperature(), Kelvin::REFERENCE);
@@ -416,7 +387,7 @@ mod tests {
         let s = spec();
         assert!((s.storage_overhead() - 1.125).abs() < 1e-12);
         assert!((s.transfer_bits() - 576.0).abs() < 1e-12);
-        let no_ecc = spec().with_ecc(false);
+        let no_ecc = spec().with_ecc_scheme(EccScheme::None);
         assert!((no_ecc.transfer_bits() - 512.0).abs() < 1e-12);
     }
 

@@ -7,7 +7,7 @@
 //! lookup latency that pure data-array comparisons hide. This study
 //! quantifies that floor for each technology.
 
-use coldtall_array::{ArrayCharacterization, ArraySpec, Objective};
+use coldtall_array::{ArrayCharacterization, ArraySpec, EccScheme, Objective};
 use coldtall_cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall_core::report::{sci, TextTable};
 use coldtall_tech::ProcessNode;
@@ -22,7 +22,7 @@ fn tag_store(node: &ProcessNode) -> ArrayCharacterization {
     let tag_capacity = Capacity::from_bits(lines * TAG_BITS_PER_LINE);
     ArraySpec::new(CellModel::sram(node), node, tag_capacity)
         .with_line_bits(u32::try_from(TAG_BITS_PER_LINE * 16).expect("fits"))
-        .with_ecc(false)
+        .with_ecc_scheme(EccScheme::None)
         .characterize(Objective::ReadLatency)
 }
 

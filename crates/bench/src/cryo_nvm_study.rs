@@ -5,16 +5,16 @@
 //! stability, the retention it implies, the write-energy inflation the
 //! cryogenic switching-current rise costs, and the suite-mean relative
 //! power/latency from the exhaustive sweep. The `frontier` column
-//! marks design points the adaptive search keeps on the Pareto front —
-//! the search and the exhaustive extraction are bit-identical over
-//! this region (asserted by `tests/search.rs`), so either path
-//! regenerates the same bytes.
+//! marks design points on the Pareto front of that same sweep's rows
+//! ([`pareto_front`]); the adaptive search finds the identical front
+//! over this region (`tests/search.rs` pins the equality), so the
+//! study reads it off the arena it already holds.
 
 use std::collections::BTreeSet;
 
 use coldtall_cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Constraints, EvalArena, Explorer, MemoryConfig};
+use coldtall_core::{pareto_front, EvalArena, Explorer, MemoryConfig};
 
 /// One row per (tentpole, dies, temperature) point of the cryo-NVM
 /// region, in [`MemoryConfig::cryo_stt_study_set`] order.
@@ -36,13 +36,10 @@ pub fn run() -> TextTable {
     explorer.run(&plan, &mut arena);
     let suite = arena.benchmark_count();
 
-    // Adaptive path over the same region: the frontier labels mark
-    // which design points survive to the Pareto front.
-    let outcome = explorer
-        .search("cryo-STT region", &configs, &Constraints::none())
-        .expect("the cryo-STT region resolves and searches");
-    let on_frontier: BTreeSet<&str> = outcome
-        .frontier
+    // The frontier labels mark which design points reach the Pareto
+    // front of the sweep's rows.
+    let frontier = pareto_front(&arena.to_rows());
+    let on_frontier: BTreeSet<&str> = frontier
         .iter()
         .map(|row| row.config_label.as_str())
         .collect();

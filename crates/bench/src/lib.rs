@@ -28,7 +28,7 @@
 //! | `ablation_voltage` | 77 K supply-voltage sweep around the cryo policy |
 //! | `ablation_tags` | the SRAM tag store's share of leakage/latency/area |
 //! | `accel_study` | the future-work accelerator scenarios at 10 W cooling |
-//! | `cryo_nvm_study` | Δ(T) STT-MRAM across 77-387 K × 1-8 dies, sweep + search |
+//! | `cryo_nvm_study` | Δ(T) STT-MRAM across 77-387 K × 1-8 dies, sweep + Pareto front |
 //! | `hybrid_study` | SRAM + eNVM hybrid partitions (related work II-B) |
 //! | `dynamic_temperature` | temperature as a dynamic knob (future work VI) |
 //! | `variation_study` | Monte-Carlo sampling between the tentpoles |

@@ -34,7 +34,7 @@
 use core::fmt;
 use std::sync::Arc;
 
-use coldtall_array::{ArrayCharacterization, ArraySpec, Objective, OrgGeometry};
+use coldtall_array::{ArrayCharacterization, Objective, OrgGeometry};
 use coldtall_cell::MemoryTechnology;
 use coldtall_tech::ProcessNode;
 use coldtall_units::Kelvin;
@@ -144,12 +144,11 @@ impl BackendCapabilities {
 
 /// One array-characterization engine.
 ///
-/// A backend owns the lowering of a [`MemoryConfig`] to an
-/// [`ArraySpec`] and its characterization. All dispatch goes through a
-/// [`BackendRegistry`] — nothing outside this module calls
-/// `to_spec().characterize()` directly — so swapping or adding an
-/// engine (a measured-silicon table, an external simulator binding)
-/// touches exactly one seam.
+/// A backend is a name, a capability descriptor and one
+/// characterization method. All dispatch goes through a
+/// [`BackendRegistry`] and the explorer's geometry-batch dispatch, so
+/// swapping or adding an engine (a measured-silicon table, an external
+/// simulator binding) touches exactly one seam.
 pub trait CharacterizationBackend: Send + Sync + fmt::Debug {
     /// Stable machine-readable name (`cryomem`, `destiny`), used for
     /// CLI selection and per-backend metrics.
@@ -165,40 +164,25 @@ pub trait CharacterizationBackend: Send + Sync + fmt::Debug {
         self.capabilities().supports(config)
     }
 
-    /// Lowers the design point to an array specification (cell model,
-    /// 16 MiB LLC geometry, stacking, temperature policy). Exposed so
-    /// callers that re-shape the array before characterizing — the
-    /// hybrid-LLC partitioner overrides capacity — still route through
-    /// the backend.
-    fn lower(&self, config: &MemoryConfig, node: &ProcessNode) -> ArraySpec {
-        config.to_spec(node)
-    }
-
-    /// Characterizes the design point's array.
-    fn characterize(
-        &self,
-        config: &MemoryConfig,
-        node: &ProcessNode,
-        objective: Objective,
-    ) -> ArrayCharacterization {
-        self.lower(config, node).characterize(objective)
-    }
-
     /// Characterizes a batch of design points sharing one
     /// temperature-stripped geometry key (same technology, tentpole
     /// where the cell model reads it, and die count — the points
     /// differ only in operating temperature), returning one result per
-    /// config in order.
+    /// config in order. A one-cell query is a batch of one.
     ///
-    /// The default implementation loops
-    /// [`CharacterizationBackend::characterize`] and never touches the
-    /// geometry cache, so custom backends are correct with no extra
-    /// work. The two default backends override it with the two-phase
-    /// kernel: the organization geometry is solved once per
-    /// `geometry_key` (memoized in `geometries`, counted as
-    /// `geometry.solves`) and the cheap temperature pass fans out per
-    /// point. Overrides must stay **bit-identical** to the per-point
-    /// path — the golden suite and `tests/batch.rs` pin this.
+    /// The default is the two-phase kernel both built-in backends use:
+    /// one geometry solve per key ([`OrgGeometry::solve`] on the
+    /// batch's temperature-free base spec, memoized in `geometries` and
+    /// counted as `geometry.solves`), then the whole temperature stripe
+    /// scored in **one** [`OrgGeometry::characterize_temps`] call over
+    /// the geometry's candidate columns — N temperatures cost one
+    /// solve plus N column scans instead of N full searches. Every
+    /// config lowers through the same base spec
+    /// ([`MemoryConfig::to_base_spec`]) before `at_temperature_cryo`,
+    /// exactly the decomposition `characterize_temps` replays, so each
+    /// result is bit-identical to `config.to_spec(node).characterize(objective)`
+    /// — the golden suite and `tests/batch.rs` pin this. An override
+    /// must return one result per config, in order.
     fn characterize_batch(
         &self,
         geometry_key: &DesignPointKey,
@@ -207,52 +191,21 @@ pub trait CharacterizationBackend: Send + Sync + fmt::Debug {
         objective: Objective,
         geometries: &GeometryCache,
     ) -> Vec<ArrayCharacterization> {
-        let _ = (geometry_key, geometries);
-        configs
-            .iter()
-            .map(|config| self.characterize(config, node, objective))
-            .collect()
+        let Some(first) = configs.first() else {
+            return Vec::new();
+        };
+        let geometry = geometries.get_or_solve(geometry_key, || {
+            OrgGeometry::solve(&first.to_base_spec(node))
+        });
+        let temps: Vec<Kelvin> = configs.iter().map(MemoryConfig::temperature).collect();
+        geometry.characterize_temps(&temps, objective)
     }
 }
 
-/// The shared two-phase batch kernel of the default backends: one
-/// geometry solve per key ([`OrgGeometry::solve`] on the batch's
-/// temperature-free base spec, memoized in `geometries`), then the
-/// whole temperature stripe scored in **one**
-/// [`OrgGeometry::characterize_temps`] call over the geometry's SoA
-/// candidate columns — the per-temperature device-parameter derivation
-/// (Matula resistivity, subthreshold leakage, mobility) is hoisted out
-/// of the per-candidate loop inside the kernel, so a batch of N
-/// temperatures costs N device derivations plus N column scans instead
-/// of N full searches.
-///
-/// Bit-identity with the per-point path holds because both default
-/// backends lower every config through the same base spec
-/// ([`MemoryConfig::to_base_spec`]) before applying
-/// `at_temperature_cryo` — exactly the decomposition
-/// [`OrgGeometry::characterize_temps`] replays per stripe entry, over
-/// the same column scan [`ArraySpec::characterize`] runs.
-fn two_phase_batch(
-    geometry_key: &DesignPointKey,
-    configs: &[MemoryConfig],
-    node: &ProcessNode,
-    objective: Objective,
-    geometries: &GeometryCache,
-) -> Vec<ArrayCharacterization> {
-    let Some(first) = configs.first() else {
-        return Vec::new();
-    };
-    let geometry =
-        geometries.get_or_solve(geometry_key, || OrgGeometry::solve(&first.to_base_spec(node)));
-    let temps: Vec<Kelvin> = configs.iter().map(MemoryConfig::temperature).collect();
-    geometry.characterize_temps(&temps, objective)
-}
-
 /// The CryoMEM-equivalent backend: single-die volatile memories
-/// (SRAM and the eDRAMs) swept across operating temperature. It keeps
-/// the trait's default lowering, [`MemoryConfig::to_spec`], which
-/// applies the cryogenic voltage-scaling policy
-/// ([`ArraySpec::at_temperature_cryo`]).
+/// (SRAM and the eDRAMs) swept across operating temperature, lowered
+/// with the cryogenic voltage-scaling policy
+/// ([`ArraySpec::at_temperature_cryo`](coldtall_array::ArraySpec::at_temperature_cryo)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CryoMemBackend;
 
@@ -272,20 +225,6 @@ impl CharacterizationBackend for CryoMemBackend {
             Kelvin::new(MAX_TEMPERATURE_K),
             vec![1],
         )
-    }
-
-    fn characterize_batch(
-        &self,
-        geometry_key: &DesignPointKey,
-        configs: &[MemoryConfig],
-        node: &ProcessNode,
-        objective: Objective,
-        geometries: &GeometryCache,
-    ) -> Vec<ArrayCharacterization> {
-        // The temperature sweeps this backend serves are exactly the
-        // workload the two-phase kernel amortizes: one geometry solve,
-        // then rho(T)/leakage/mobility re-evaluation per temperature.
-        two_phase_batch(geometry_key, configs, node, objective, geometries)
     }
 }
 
@@ -313,17 +252,6 @@ impl CharacterizationBackend for DestinyBackend {
             Kelvin::new(MAX_TEMPERATURE_K),
             MemoryConfig::VALID_DIES.to_vec(),
         )
-    }
-
-    fn characterize_batch(
-        &self,
-        geometry_key: &DesignPointKey,
-        configs: &[MemoryConfig],
-        node: &ProcessNode,
-        objective: Objective,
-        geometries: &GeometryCache,
-    ) -> Vec<ArrayCharacterization> {
-        two_phase_batch(geometry_key, configs, node, objective, geometries)
     }
 }
 
@@ -534,7 +462,7 @@ mod tests {
         for (config, got) in cryo_configs.iter().zip(&batched) {
             assert_eq!(
                 got,
-                &CryoMemBackend.characterize(config, &node, objective),
+                &config.to_spec(&node).characterize(objective),
                 "{}",
                 config.label()
             );
@@ -555,7 +483,7 @@ mod tests {
         for (config, got) in stacked.iter().zip(&batched) {
             assert_eq!(
                 got,
-                &DestinyBackend.characterize(config, &node, objective),
+                &config.to_spec(&node).characterize(objective),
                 "{}",
                 config.label()
             );

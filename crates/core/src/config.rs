@@ -280,13 +280,15 @@ impl MemoryConfig {
         parts
     }
 
-    /// Lowers this design point to an array specification.
+    /// Lowers this design point to an array specification: the base
+    /// spec ([`MemoryConfig::to_base_spec`]) under the cryogenic
+    /// voltage-scaling policy at the point's temperature.
     ///
-    /// This is the default lowering the characterization backends
-    /// share (see [`crate::CharacterizationBackend::lower`]);
-    /// characterization itself is dispatched through a
-    /// [`crate::BackendRegistry`], never chained directly off this
-    /// spec.
+    /// The built-in backends' two-phase kernel
+    /// ([`crate::CharacterizationBackend::characterize_batch`]) is
+    /// bit-identical to characterizing this spec. In production only
+    /// the hybrid-LLC partitioner characterizes it directly, after
+    /// resizing the array.
     #[must_use]
     pub fn to_spec(&self, node: &ProcessNode) -> ArraySpec {
         self.to_base_spec(node).at_temperature_cryo(self.temperature)

@@ -344,8 +344,6 @@ mod tests {
     use coldtall_cell::CellModel;
     use coldtall_tech::ProcessNode;
 
-    use crate::backend::CharacterizationBackend;
-
     fn sram_array() -> ArrayCharacterization {
         let node = ProcessNode::ptm_22nm_hp();
         ArraySpec::llc_16mib(CellModel::sram(&node), &node)
@@ -388,11 +386,9 @@ mod tests {
     #[test]
     fn infinite_over_infinite_is_explicit_infeasibility_not_nan() {
         let node = ProcessNode::ptm_22nm_hp();
-        let dead = crate::backend::CryoMemBackend.characterize(
-            &MemoryConfig::edram_350k(),
-            &node,
-            Objective::EnergyDelayProduct,
-        );
+        let dead = MemoryConfig::edram_350k()
+            .to_spec(&node)
+            .characterize(Objective::EnergyDelayProduct);
         assert!(
             dead.refresh_busy_fraction >= 0.999,
             "precondition: 350 K 3T-eDRAM is refresh-dead"

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use coldtall_array::{ArrayCharacterization, ArraySpec, ComponentFloors, Objective, OrgGeometry};
+use coldtall_array::{ArrayCharacterization, ComponentFloors, Objective, OrgGeometry};
 use coldtall_cell::CellModel;
 use coldtall_obs::{Counter, Histogram, Registry, Span};
 use coldtall_tech::ProcessNode;
@@ -11,7 +11,7 @@ use coldtall_workloads::Benchmark;
 
 use std::collections::HashMap;
 
-use crate::backend::BackendRegistry;
+use crate::backend::{BackendRegistry, CharacterizationBackend};
 use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::error::Error;
@@ -66,8 +66,9 @@ pub struct Explorer {
     /// `Arc<str>` per backend ([`BackendStats::name`]), so a hit clones
     /// a pointer, never a string.
     cache: MemoCache<(ArrayCharacterization, Arc<str>)>,
-    /// Temperature-stripped geometry solves shared by plan execution
-    /// and the search bounds (phase 1 of the two-phase kernel).
+    /// Temperature-stripped geometry solves shared by every
+    /// characterization miss and the search bounds (phase 1 of the
+    /// two-phase kernel).
     geometries: GeometryCache,
     baseline: ArrayCharacterization,
     reference_power: Watts,
@@ -100,15 +101,15 @@ struct BackendStats {
     /// The backend's name, shared by every cache entry it produced.
     name: Arc<str>,
     /// Successful resolutions the explorer performed on the backend's
-    /// behalf (`backend.<name>.resolved`): the eager baseline,
-    /// per-point dispatches, hybrid capacity scaling, and one per job
-    /// at plan compilation. Overlap resolution is auditable here —
+    /// behalf (`backend.<name>.resolved`): the eager baseline, one-cell
+    /// misses, hybrid capacity scaling, and one per job at plan
+    /// compilation. Overlap resolution is auditable here —
     /// a point silently rerouted by a policy change moves between
     /// these counters.
     resolved: Arc<Counter>,
-    /// Dispatched characterizations (`backend.<name>.characterizations`).
+    /// Characterized design points (`backend.<name>.characterizations`).
     characterizations: Arc<Counter>,
-    /// Latency histogram of those dispatches (span `backend.<name>`).
+    /// Latency histogram of the backend's batches (span `backend.<name>`).
     span: Arc<Histogram>,
 }
 
@@ -121,6 +122,38 @@ impl BackendStats {
             span: registry.span(&format!("backend.{name}")),
         }
     }
+
+    /// Runs one geometry batch through `backend`, counted and timed as
+    /// its work — the one call of
+    /// [`CharacterizationBackend::characterize_batch`], shared by the
+    /// eager baseline and every cache miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend does not answer one result per config.
+    fn characterize(
+        &self,
+        backend: &dyn CharacterizationBackend,
+        geometry_key: &DesignPointKey,
+        configs: &[MemoryConfig],
+        node: &ProcessNode,
+        objective: Objective,
+        geometries: &GeometryCache,
+    ) -> Vec<ArrayCharacterization> {
+        self.characterizations.add(configs.len() as u64);
+        let _span = Span::enter(self.span.clone());
+        let results =
+            backend.characterize_batch(geometry_key, configs, node, objective, geometries);
+        assert_eq!(
+            results.len(),
+            configs.len(),
+            "backend '{}' returned {} results for a batch of {}",
+            self.name,
+            results.len(),
+            configs.len()
+        );
+        results
+    }
 }
 
 /// Registry handles for the explorer's own telemetry.
@@ -132,10 +165,9 @@ impl BackendStats {
 struct ExplorerMetrics {
     /// Probes of the characterization cache (hit or miss alike).
     characterize_calls: Arc<Counter>,
-    /// Backend dispatches that performed real characterization work: a
-    /// single missed point, or one *batch* of missed points on the
-    /// grouped execution paths. Always equals the `characterize` span's
-    /// sample count; at most `cache.misses`.
+    /// Geometry batches that performed real characterization work (a
+    /// one-cell miss is a batch of one). Always equals the
+    /// `characterize` span's sample count; at most `cache.misses`.
     characterize_dispatches: Arc<Counter>,
     /// Benchmark evaluations performed.
     evaluate_calls: Arc<Counter>,
@@ -209,7 +241,9 @@ impl Explorer {
     /// This is the fallible root constructor: the 350 K SRAM baseline
     /// is characterized eagerly (everything is normalized against it),
     /// so a registry that cannot resolve the baseline is rejected here
-    /// rather than panicking on first use.
+    /// rather than panicking on first use. The baseline is a geometry
+    /// batch of one over a private geometry cache, so a fresh explorer
+    /// reports no geometry traffic.
     ///
     /// # Errors
     ///
@@ -257,11 +291,16 @@ impl Explorer {
         let baseline_config = MemoryConfig::sram_350k();
         let index = backends.resolve_index(&baseline_config)?;
         backend_stats[index].resolved.inc();
-        backend_stats[index].characterizations.inc();
-        let baseline = {
-            let _span = Span::enter(backend_stats[index].span.clone());
-            backends.backends()[index].characterize(&baseline_config, &node, objective)
-        };
+        let baseline = backend_stats[index]
+            .characterize(
+                backends.backends()[index].as_ref(),
+                &DesignPointKey::geometry_of(&baseline_config),
+                std::slice::from_ref(&baseline_config),
+                &node,
+                objective,
+                &GeometryCache::unregistered(),
+            )
+            .remove(0);
         let reference = coldtall_workloads::spec2017()
             .iter()
             .find(|b| b.name == REFERENCE_BENCHMARK)
@@ -381,7 +420,8 @@ impl Explorer {
         self.cache.peek(key, |(_, backend)| backend.to_string())
     }
 
-    /// The geometry cache feeding plan execution and the search bounds.
+    /// The geometry cache every characterization miss and the search
+    /// bounds solve through.
     #[must_use]
     pub fn geometry_cache(&self) -> &GeometryCache {
         &self.geometries
@@ -393,36 +433,15 @@ impl Explorer {
         &self.backends
     }
 
-    /// Resolves `config`'s backend and dispatches one characterization,
-    /// counting it against the backend's telemetry. Returns the result
-    /// with the backend's name.
+    /// Characterizes a configuration's array (cached, thread-safe).
     ///
-    /// Panics on resolution failure — callers on the infallible paths
-    /// have the documented precondition that their configurations
-    /// resolve; [`Explorer::try_characterize`] and the plan compiler
-    /// surface the typed error instead.
-    fn dispatch(&self, config: &MemoryConfig) -> (ArrayCharacterization, Arc<str>) {
-        let index = self
-            .backends
-            .resolve_index(config)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let stats = &self.backend_stats[index];
-        stats.resolved.inc();
-        stats.characterizations.inc();
-        let _span = Span::enter(stats.span.clone());
-        (
-            self.backends.backends()[index].characterize(config, &self.node, self.objective),
-            Arc::clone(&stats.name),
-        )
-    }
-
-    /// Characterizes a configuration's array (cached, thread-safe),
-    /// dispatching misses through the backend registry.
-    ///
-    /// On a miss the characterization runs without the cache lock held;
-    /// threads racing on the same key converge on the first published
-    /// entry (the backends are deterministic, so every racer computes
-    /// the same value anyway).
+    /// A miss resolves the configuration's backend and runs as a
+    /// geometry batch of one, so it shares the geometry cache with
+    /// plan execution and warm-started geometries. The
+    /// characterization runs without the cache lock held; threads
+    /// racing on the same key converge on the first published entry
+    /// (the backends are deterministic, so every racer computes the
+    /// same value anyway).
     ///
     /// # Panics
     ///
@@ -434,34 +453,37 @@ impl Explorer {
     #[must_use]
     pub fn characterize(&self, config: &MemoryConfig) -> ArrayCharacterization {
         self.characterize_keyed(&DesignPointKey::of_config(config), config)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Explorer::characterize`] with the canonical key already in
-    /// hand (plan compilation computes each job's key once).
+    /// The one-cell probe: a hit returns the cached entry; a miss
+    /// resolves the backend once and characterizes the point as a
+    /// geometry batch of one.
     fn characterize_keyed(
         &self,
         key: &DesignPointKey,
         config: &MemoryConfig,
-    ) -> ArrayCharacterization {
+    ) -> Result<ArrayCharacterization, Error> {
         self.metrics.characterize_calls.inc();
         if let Some((hit, _)) = self.cache.get(key) {
-            return hit;
+            return Ok(hit);
         }
-        // The span times only real characterization work, so its sample
-        // count equals the dispatch count (one single-point dispatch
-        // here; plan execution counts one per geometry batch).
-        self.metrics.characterize_dispatches.inc();
-        let routed = {
-            let _span = Span::enter(self.metrics.characterize_span.clone());
-            self.dispatch(config)
-        };
-        self.cache.insert(key, routed).0
+        let backend_index = self.backends.resolve_index(config)?;
+        self.backend_stats[backend_index].resolved.inc();
+        let mut published = self.characterize_misses(
+            &DesignPointKey::geometry_of(config),
+            backend_index,
+            &[key],
+            std::slice::from_ref(config),
+        );
+        Ok(published.remove(0))
     }
 
-    /// Characterizes `config` lowered through its backend with the
-    /// array capacity overridden — the hybrid-LLC partitioner's path.
-    /// Uncached (partition capacities are not design points of the
-    /// study grid), but counted against the backend like any dispatch.
+    /// Characterizes `config`'s array ([`MemoryConfig::to_spec`]) with
+    /// the capacity overridden — the hybrid-LLC partitioner's path, the
+    /// one characterization outside the geometry-batch dispatch. Uncached
+    /// (partition capacities are not design points of the study grid),
+    /// but resolved and counted against the backend like any miss.
     pub(crate) fn characterize_scaled(
         &self,
         config: &MemoryConfig,
@@ -471,9 +493,7 @@ impl Explorer {
             .backends
             .resolve_index(config)
             .unwrap_or_else(|e| panic!("{e}"));
-        let spec: ArraySpec = self.backends.backends()[index]
-            .lower(config, &self.node)
-            .with_capacity(capacity);
+        let spec = config.to_spec(&self.node).with_capacity(capacity);
         let cell = spec.cell().clone();
         self.backend_stats[index].resolved.inc();
         self.backend_stats[index].characterizations.inc();
@@ -496,8 +516,7 @@ impl Explorer {
     /// [`Error::NonFinite`] if any characteristic that must be finite
     /// (latency, energy, power, area) is not.
     pub fn try_characterize(&self, config: &MemoryConfig) -> Result<ArrayCharacterization, Error> {
-        self.backends.resolve(config)?;
-        let array = self.characterize(config);
+        let array = self.characterize_keyed(&DesignPointKey::of_config(config), config)?;
         let non_finite = |field: &str| Error::NonFinite {
             context: format!("{}: {field}", config.label()),
         };
@@ -525,11 +544,26 @@ impl Explorer {
     /// one-cell query. Multi-row evaluations compile a plan and
     /// [`Explorer::run`] it instead; every row they produce is
     /// bit-identical to this function's answer for the same cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration resolves to zero or several
+    /// backends; [`Explorer::try_evaluate`] returns the typed error.
     #[must_use]
     pub fn evaluate(&self, config: &MemoryConfig, benchmark: &Benchmark) -> LlcEvaluation {
+        self.evaluate_cell(config, benchmark)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Explorer::evaluate`] with resolution failure as a typed error.
+    fn evaluate_cell(
+        &self,
+        config: &MemoryConfig,
+        benchmark: &Benchmark,
+    ) -> Result<LlcEvaluation, Error> {
         let _span = Span::enter(self.metrics.evaluate_span.clone());
         self.metrics.evaluate_calls.inc();
-        let array = self.characterize(config);
+        let array = self.characterize_keyed(&DesignPointKey::of_config(config), config)?;
         // Lifetime needs only the cell's endurance model, not a full
         // lowering — build the cell directly.
         let cell = CellModel::tentpole(config.technology(), config.tentpole(), &self.node);
@@ -539,7 +573,7 @@ impl Explorer {
             512,
             benchmark.traffic.writes_per_sec,
         );
-        LlcEvaluation::build(
+        Ok(LlcEvaluation::build(
             config,
             benchmark.name,
             benchmark.traffic,
@@ -547,7 +581,7 @@ impl Explorer {
             &self.baseline,
             self.reference_power,
             years,
-        )
+        ))
     }
 
     /// Evaluates one configuration under a benchmark looked up by name,
@@ -562,8 +596,10 @@ impl Explorer {
     /// # Errors
     ///
     /// Returns [`Error::UnknownBenchmark`] if `benchmark` is not in the
-    /// workload suite, or [`Error::NonFinite`] if the produced row
-    /// violates the finite-or-explicitly-infeasible invariant.
+    /// workload suite, [`Error::NoBackend`] or
+    /// [`Error::BackendConflict`] if the configuration does not resolve
+    /// to exactly one backend, or [`Error::NonFinite`] if the produced
+    /// row violates the finite-or-explicitly-infeasible invariant.
     pub fn try_evaluate(
         &self,
         config: &MemoryConfig,
@@ -574,7 +610,7 @@ impl Explorer {
                 name: benchmark.to_string(),
             }
         })?;
-        let row = self.evaluate(config, bench);
+        let row = self.evaluate_cell(config, bench)?;
         row.validate()?;
         Ok(row)
     }
@@ -717,17 +753,11 @@ impl Explorer {
     }
 
     /// Runs one geometry group of a plan's job phase: probes every
-    /// job's cache entry (each probe counting its one hit or miss),
-    /// dispatches the misses as a single batch through the group's
-    /// backend ([`crate::CharacterizationBackend::characterize_batch`]
-    /// — one geometry solve for the whole group), and publishes the
-    /// results. The adaptive search refines one plane through a group
-    /// of one.
-    ///
-    /// Counter accounting matches the per-point path probe for probe;
-    /// only the dispatch granularity differs (one `characterize` span
-    /// sample and one `explorer.characterize.dispatches` per batch
-    /// with work, instead of one per missed point).
+    /// job's cache entry (each probe counting its one hit or miss) and
+    /// characterizes the misses as one batch
+    /// ([`Explorer::characterize_misses`] — one geometry solve for the
+    /// whole group). The adaptive search refines one plane through a
+    /// group of one.
     pub(crate) fn characterize_group(&self, group: &JobGroup<'_>) {
         let missing: Vec<&CharacterizationJob> = group
             .jobs
@@ -741,34 +771,46 @@ impl Explorer {
         if missing.is_empty() {
             return;
         }
+        let keys: Vec<&DesignPointKey> = missing.iter().map(|job| job.key()).collect();
         let configs: Vec<MemoryConfig> = missing.iter().map(|job| job.config().clone()).collect();
-        let stats = &self.backend_stats[group.backend_index];
-        stats.characterizations.add(missing.len() as u64);
+        let _ = self.characterize_misses(&group.geometry_key, group.backend_index, &keys, &configs);
+    }
+
+    /// Characterizes cache misses that share one temperature-stripped
+    /// geometry key and backend as one batch through the geometry
+    /// cache, and publishes them. Plan groups, the search's refinement
+    /// and one-cell misses all land here; only the eager baseline (the
+    /// same backend method over a private geometry cache) and the
+    /// hybrid's resized partitions characterize elsewhere. Returns the
+    /// published entries in order (first publication wins a race).
+    ///
+    /// One call is one `explorer.characterize.dispatches` increment and
+    /// one `characterize` span sample; `backend.<name>.characterizations`
+    /// counts every point.
+    fn characterize_misses(
+        &self,
+        geometry_key: &DesignPointKey,
+        backend_index: usize,
+        keys: &[&DesignPointKey],
+        configs: &[MemoryConfig],
+    ) -> Vec<ArrayCharacterization> {
+        let stats = &self.backend_stats[backend_index];
         self.metrics.characterize_dispatches.inc();
         let results = {
             let _span = Span::enter(self.metrics.characterize_span.clone());
-            let _backend_span = Span::enter(stats.span.clone());
-            self.backends.backends()[group.backend_index].characterize_batch(
-                &group.geometry_key,
-                &configs,
+            stats.characterize(
+                self.backends.backends()[backend_index].as_ref(),
+                geometry_key,
+                configs,
                 &self.node,
                 self.objective,
                 &self.geometries,
             )
         };
-        assert_eq!(
-            results.len(),
-            missing.len(),
-            "backend '{}' returned {} results for a batch of {}",
-            self.backends.backends()[group.backend_index].name(),
-            results.len(),
-            missing.len()
-        );
-        for (job, result) in missing.iter().zip(results) {
-            let _ = self
-                .cache
-                .insert(job.key(), (result, Arc::clone(&stats.name)));
-        }
+        keys.iter()
+            .zip(results)
+            .map(|(key, result)| self.cache.insert(key, (result, Arc::clone(&stats.name))).0)
+            .collect()
     }
 
     /// Hoisted per-benchmark-column invariants: the 350 K SRAM

@@ -101,12 +101,12 @@ fn coords_dominate(a: &[f64; 3], b: &[f64; 3]) -> bool {
 }
 
 /// One accepted point of a [`ParetoFrontier`]: its insertion sequence
-/// number, its objective coordinates, and the caller's payload.
+/// number, its objective coordinates, and the row.
 #[derive(Debug, Clone)]
-struct FrontierPoint<T> {
+struct FrontierPoint {
     seq: usize,
     coords: [f64; 3],
-    payload: T,
+    row: LlcEvaluation,
 }
 
 /// An incremental Pareto frontier over up to three minimized
@@ -122,24 +122,18 @@ struct FrontierPoint<T> {
 /// design points in best-first order) and the exhaustive sweep (which
 /// visits them in grid order) produce the same frontier.
 ///
-/// Payloads are built lazily via [`ParetoFrontier::insert_with`], so a
-/// rejected point costs three comparisons per resident and no clone.
-/// The `seq` number passed at insertion is the global tie-breaker:
+/// A row is cloned only on acceptance, so a rejected point costs three
+/// comparisons per resident and no clone. The `seq` number passed at
+/// insertion is the global tie-breaker:
 /// [`ParetoFrontier::into_sorted`] orders by `(coords[0], seq)`, which
 /// reproduces a *stable* sort by the first coordinate whenever `seq`
 /// follows the original row order.
-#[derive(Debug, Clone)]
-pub struct ParetoFrontier<T = LlcEvaluation> {
-    points: Vec<FrontierPoint<T>>,
+#[derive(Debug, Clone, Default)]
+pub struct ParetoFrontier {
+    points: Vec<FrontierPoint>,
 }
 
-impl<T> Default for ParetoFrontier<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ParetoFrontier<T> {
+impl ParetoFrontier {
     /// An empty frontier.
     #[must_use]
     pub fn new() -> Self {
@@ -158,16 +152,23 @@ impl<T> ParetoFrontier<T> {
         self.points.is_empty()
     }
 
-    /// Offers a point; returns `true` if it joined the frontier.
+    /// Offers an evaluation under the standard (relative power,
+    /// relative latency, footprint) coordinates; returns `true` if it
+    /// joined the frontier.
     ///
     /// A point with any non-finite coordinate is rejected outright (a
     /// `NaN`/`INF` coordinate can never be dominated, so admitting one
     /// would seat it on the frontier forever). A point dominated by a
-    /// resident is rejected without building its payload. An accepted
-    /// point evicts every resident it dominates. Coordinate-equal
-    /// points do not dominate each other, so duplicates coexist until
+    /// resident is rejected without cloning the row. An accepted point
+    /// evicts every resident it dominates. Coordinate-equal points do
+    /// not dominate each other, so duplicates coexist until
     /// [`ParetoFrontier::into_sorted`] deduplicates by label order.
-    pub fn insert_with(&mut self, seq: usize, coords: [f64; 3], make: impl FnOnce() -> T) -> bool {
+    pub fn insert(&mut self, seq: usize, eval: &LlcEvaluation) -> bool {
+        let coords = [
+            eval.relative_power,
+            eval.relative_latency,
+            eval.footprint_mm2,
+        ];
         if !coords.iter().all(|c| c.is_finite()) {
             return false;
         }
@@ -182,7 +183,7 @@ impl<T> ParetoFrontier<T> {
         self.points.push(FrontierPoint {
             seq,
             coords,
-            payload: make(),
+            row: eval.clone(),
         });
         true
     }
@@ -204,39 +205,9 @@ impl<T> ParetoFrontier<T> {
         })
     }
 
-    /// The resident point minimizing coordinate `k`, ties broken by the
-    /// lowest insertion `seq` — the first-of-equal-minima semantics of
-    /// `Iterator::min_by` over the original insertion order. Returns
-    /// the point's `seq` and payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= 3`.
-    #[must_use]
-    pub fn min_by_coord(&self, k: usize) -> Option<(usize, &T)> {
-        assert!(k < 3, "a frontier point has three coordinates");
-        self.points
-            .iter()
-            .min_by(|a, b| a.coords[k].total_cmp(&b.coords[k]).then(a.seq.cmp(&b.seq)))
-            .map(|p| (p.seq, &p.payload))
-    }
-
-    /// Iterates the resident points as `(seq, coords, payload)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, [f64; 3], &T)> {
-        self.points.iter().map(|p| (p.seq, p.coords, &p.payload))
-    }
-}
-
-impl ParetoFrontier<LlcEvaluation> {
-    /// Offers an evaluation under the standard (relative power,
-    /// relative latency, footprint) coordinates, cloning it only on
-    /// acceptance. Returns `true` if it joined the frontier.
-    pub fn insert(&mut self, seq: usize, eval: &LlcEvaluation) -> bool {
-        self.insert_with(
-            seq,
-            [eval.relative_power, eval.relative_latency, eval.footprint_mm2],
-            || eval.clone(),
-        )
+    /// Iterates the resident points as `(seq, coords, row)`.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, [f64; 3], &LlcEvaluation)> {
+        self.points.iter().map(|p| (p.seq, p.coords, &p.row))
     }
 
     /// Consumes the frontier into the classic presentation: ascending
@@ -251,7 +222,7 @@ impl ParetoFrontier<LlcEvaluation> {
     pub fn into_sorted(self) -> Vec<LlcEvaluation> {
         let mut points = self.points;
         points.sort_by(|a, b| a.coords[0].total_cmp(&b.coords[0]).then(a.seq.cmp(&b.seq)));
-        let mut front: Vec<LlcEvaluation> = points.into_iter().map(|p| p.payload).collect();
+        let mut front: Vec<LlcEvaluation> = points.into_iter().map(|p| p.row).collect();
         front.dedup_by(|a, b| a.config_label == b.config_label);
         front
     }
@@ -279,29 +250,37 @@ pub fn pareto_front(evals: &[LlcEvaluation]) -> Vec<LlcEvaluation> {
 
 /// Recommends the lowest-power configuration satisfying `constraints`
 /// for the given pre-computed evaluations, or `None` when nothing
-/// qualifies.
-///
-/// Re-ranks through the incremental frontier in degenerate one-axis
-/// form — coordinates `(relative_power, 0, 0)`, so a strictly cheaper
-/// satisfier evicts and equal-power satisfiers coexist — then takes
-/// the minimum by `(power, seq)`. This is exactly the
-/// first-of-equal-minima semantics of the historical
-/// `filter().min_by()` scan. Constraint screening happens *before*
-/// insertion because lifetime is a constraint, not a frontier
-/// coordinate: a constraint-violating row must never evict a
-/// satisfier.
+/// qualifies: the first finite power minimum among the satisfiers, in
+/// row order.
 #[must_use]
 pub fn recommend<'a>(
     evals: &'a [LlcEvaluation],
     constraints: &Constraints,
 ) -> Option<&'a LlcEvaluation> {
-    let mut frontier: ParetoFrontier<()> = ParetoFrontier::new();
-    for (seq, eval) in evals.iter().enumerate() {
-        if constraints.satisfied_by(eval) {
-            frontier.insert_with(seq, [eval.relative_power, 0.0, 0.0], || ());
-        }
-    }
-    frontier.min_by_coord(0).map(|(seq, ())| &evals[seq])
+    argmin(
+        evals.iter().filter(|eval| constraints.satisfied_by(eval)),
+        |eval| eval.relative_power,
+    )
+}
+
+/// The first item whose `score` is a finite minimum by
+/// [`f64::total_cmp`], or `None` when no score is finite — the
+/// first-of-equal-minima semantics of `Iterator::min_by`, with
+/// non-finite scores never chosen. The one argmin behind
+/// [`recommend`] and Table II's per-benchmark rankings.
+pub(crate) fn argmin<T>(
+    items: impl IntoIterator<Item = T>,
+    score: impl Fn(&T) -> f64,
+) -> Option<T> {
+    items
+        .into_iter()
+        .map(|item| {
+            let value = score(&item);
+            (item, value)
+        })
+        .filter(|(_, value)| value.is_finite())
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(item, _)| item)
 }
 
 #[cfg(test)]

@@ -36,9 +36,6 @@ use crate::error::Error;
 /// would collide — which is why this type, not [`MemoryConfig::label`],
 /// keys the cache.
 ///
-/// The FNV-1a hash of the canonical form is precomputed at
-/// construction and is stable across processes (unlike `RandomState`).
-///
 /// # Examples
 ///
 /// ```
@@ -55,7 +52,6 @@ use crate::error::Error;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DesignPointKey {
     canonical: String,
-    hash: u64,
 }
 
 impl DesignPointKey {
@@ -111,26 +107,17 @@ impl DesignPointKey {
     }
 
     /// Reconstructs a key from a previously stored canonical form — a
-    /// run-registry record replaying into a fresh process. The hash is
-    /// recomputed from the bytes, so a restored key is identical to
-    /// (and cache-compatible with) the original.
+    /// run-registry record replaying into a fresh process. A restored
+    /// key is identical to (and cache-compatible with) the original.
     #[must_use]
     pub fn from_canonical(canonical: String) -> Self {
-        let hash = fnv1a(canonical.as_bytes());
-        Self { canonical, hash }
+        Self { canonical }
     }
 
     /// The canonical string form.
     #[must_use]
     pub fn canonical(&self) -> &str {
         &self.canonical
-    }
-
-    /// The precomputed FNV-1a hash of the canonical form — stable
-    /// across processes.
-    #[must_use]
-    pub fn stable_hash(&self) -> u64 {
-        self.hash
     }
 }
 
@@ -297,9 +284,9 @@ impl ExecutionPlan {
 
     /// A deterministic FNV-1a hash of the plan's identity: every grid
     /// configuration's canonical key in row order, then every
-    /// benchmark name. Stable across processes and thread counts (the
-    /// same guarantee as [`DesignPointKey::stable_hash`]), so it can
-    /// key persisted artifacts — the run registry records it with
+    /// benchmark name. Stable across processes and thread counts
+    /// (FNV-1a, unlike `RandomState`), so it can key persisted
+    /// artifacts — the run registry records it with
     /// every entry to tie a cached result back to the plan that
     /// produced it.
     #[must_use]
@@ -434,10 +421,7 @@ mod tests {
         // FNV-1a of a fixed string is a fixed number; pin one value so
         // any accidental hasher change shows up as a test failure.
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(
-            DesignPointKey::from_canonical("x".to_string()).stable_hash(),
-            fnv1a(b"x")
-        );
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::explorer::Explorer;
 use crate::lifetime::LIFETIME_TARGET_YEARS;
-use crate::pareto::ParetoFrontier;
+use crate::pareto::argmin;
 
 /// The optimization goal of one Table II column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,28 +120,19 @@ fn choose_for(
     bench_indices: &[usize],
     target: DesignTarget,
 ) -> OptimalChoice {
-    // Per benchmark: rank configurations by the target score, read off
-    // the arena's dense columns. The ranking is a degenerate 1-D
-    // incremental frontier — score as the only live coordinate, config
-    // index as the sequence number — so a strictly lower score evicts,
-    // equal scores coexist, non-finite scores are rejected at insert,
-    // and the `(score, seq)` minimum is exactly the first-of-equal
-    // minima a stable sort would put first.
-    let mut first_counts: HashMap<String, usize> = HashMap::new();
+    // Per benchmark: the configuration with the first finite minimum of
+    // the target score, read off the arena's dense columns — the
+    // first-of-equal minima a stable sort would put first.
+    let labels = arena.config_labels();
+    let score = |bi: usize| move |&c: &usize| target.score_at(arena, arena.row_index(c, bi));
+    let mut first_counts: HashMap<&str, usize> = HashMap::new();
     for &bi in bench_indices {
-        let mut ranked: ParetoFrontier<()> = ParetoFrontier::new();
-        for c in 0..configs.len() {
-            let score = target.score_at(arena, arena.row_index(c, bi));
-            ranked.insert_with(c, [score, 0.0, 0.0], || ());
-        }
-        if let Some((first, ())) = ranked.min_by_coord(0) {
-            *first_counts
-                .entry(arena.config_labels()[first].clone())
-                .or_default() += 1;
+        if let Some(first) = argmin(0..configs.len(), score(bi)) {
+            *first_counts.entry(&labels[first]).or_default() += 1;
         }
     }
 
-    let winner = modal(&first_counts).expect("at least one feasible configuration");
+    let winner = modal(&first_counts, labels).expect("at least one feasible configuration");
     // The alternate — the paper's "second-most-preferred LLC" — is the
     // winner among configurations of a *different solution class*
     // (different technology or temperature regime), so a family of die
@@ -157,22 +148,15 @@ fn choose_for(
         if others.is_empty() {
             return None;
         }
-        let mut counts: HashMap<String, usize> = HashMap::new();
+        let mut counts: HashMap<&str, usize> = HashMap::new();
         for &bi in bench_indices {
-            // Same degenerate 1-D frontier ranking as the winner pass,
-            // restricted to the other solution classes.
-            let mut ranked: ParetoFrontier<()> = ParetoFrontier::new();
-            for &c in &others {
-                let score = target.score_at(arena, arena.row_index(c, bi));
-                ranked.insert_with(c, [score, 0.0, 0.0], || ());
-            }
-            if let Some((best, ())) = ranked.min_by_coord(0) {
-                *counts
-                    .entry(arena.config_labels()[best].clone())
-                    .or_default() += 1;
+            // Same ranking as the winner pass, restricted to the other
+            // solution classes.
+            if let Some(best) = argmin(others.iter().copied(), score(bi)) {
+                *counts.entry(&labels[best]).or_default() += 1;
             }
         }
-        modal(&counts)
+        modal(&counts, labels)
     });
 
     // The winner's rows, skipping benchmarks where its score is not
@@ -207,10 +191,14 @@ fn choose_for(
     }
 }
 
-fn modal(counts: &HashMap<String, usize>) -> Option<String> {
-    counts
+/// The most frequent label of `counts`: the highest count, then the
+/// shortest label, then the first in configuration order (`labels`),
+/// so a tie never falls to the map's iteration order.
+fn modal(counts: &HashMap<&str, usize>, labels: &[String]) -> Option<String> {
+    labels
         .iter()
-        .max_by_key(|(label, count)| (**count, std::cmp::Reverse(label.len())))
+        .filter_map(|label| counts.get(label.as_str()).map(|&count| (label, count)))
+        .min_by_key(|&(label, count)| (std::cmp::Reverse(count), label.len()))
         .map(|(label, _)| label.clone())
 }
 
@@ -298,6 +286,24 @@ mod tests {
             );
             assert!(row.area.label.contains("8-die"));
         }
+    }
+
+    #[test]
+    fn modal_ties_fall_to_configuration_order() {
+        let labels: Vec<String> = ["2-die PCM", "4-die PCM", "8-die PCM", "SRAM"]
+            .map(String::from)
+            .to_vec();
+        // A fresh map per round: each has its own iteration order.
+        for _ in 0..200 {
+            let counts: HashMap<&str, usize> =
+                HashMap::from([("8-die PCM", 3), ("4-die PCM", 3), ("2-die PCM", 1)]);
+            assert_eq!(modal(&counts, &labels).as_deref(), Some("4-die PCM"));
+            // Among equal counts a shorter label wins before order.
+            let counts: HashMap<&str, usize> =
+                HashMap::from([("8-die PCM", 3), ("4-die PCM", 3), ("SRAM", 3)]);
+            assert_eq!(modal(&counts, &labels).as_deref(), Some("SRAM"));
+        }
+        assert_eq!(modal(&HashMap::new(), &labels), None);
     }
 
     #[test]

@@ -292,8 +292,7 @@ mod tests {
         assert_eq!(cached.len(), 1);
         // Replay restores the routing record alongside the value.
         assert_eq!(fresh.resolved_backend(&key).as_deref(), Some("cryomem"));
-        assert_eq!(cached[0].0.canonical(), key.canonical());
-        assert_eq!(cached[0].0.stable_hash(), key.stable_hash());
+        assert_eq!(cached[0].0, key);
         // Bit-identity, not approximate equality.
         assert_eq!(
             cached[0].1.read_latency.get().to_bits(),

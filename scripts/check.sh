@@ -43,6 +43,11 @@ cargo test -q --test pool_regions
 cargo test -q --test cli invalid_threads_env_warns_once_and_falls_back
 # The thermal schedule warms its candidates as one geometry batch (1 dispatch, 1 solve).
 cargo test -q -p coldtall-core candidates_warm_as_one_geometry_batch
+# One characterization path: a one-cell miss is a geometry batch of one, so after a plan and after a geometry-store warm start it counts one `geometry.hits` and no solve, and a point no backend claims is `Error::NoBackend` from `try_evaluate` and `try_characterize`, never a panic.
+cargo test -q --test batch one_cell_misses_reuse_planned_and_warm_started_geometries
+cargo test -q --test fault_injection unclaimed_points_are_no_backend_on_the_one_cell_entries
+# Table II's modal winner breaks ties by configuration order, never by hash-map iteration order.
+cargo test -q -p coldtall-core modal_ties_fall_to_configuration_order
 # The warm-start replay gate: a geometry store written by one process
 # must restore the full study set into a fresh explorer byte-identically
 # with zero geometry solves, and corrupt or stale-epoch lines must be

@@ -25,8 +25,8 @@ mod support;
 use coldtall::array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall::cell::{CellModel, MemoryTechnology};
 use coldtall::core::{
-    BackendCapabilities, BackendRegistry, CharacterizationBackend, CryoMemBackend, Error,
-    Explorer, MemoryConfig, SweepPlan,
+    BackendCapabilities, BackendRegistry, CharacterizationBackend, CryoMemBackend, DesignPointKey,
+    Error, Explorer, GeometryCache, MemoryConfig, SweepPlan,
 };
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
@@ -321,7 +321,8 @@ fn registry_migration_preserves_every_resolved_point() {
 
 /// A test-time backend: claims single-die SRAM only and stamps a
 /// sentinel array efficiency on everything it characterizes, proving
-/// third-party backends plug into the explorer unchanged.
+/// third-party backends plug into the explorer unchanged by overriding
+/// the trait's one characterization method.
 #[derive(Debug)]
 struct MockBackend;
 
@@ -343,18 +344,25 @@ impl CharacterizationBackend for MockBackend {
         )
     }
 
-    fn characterize(
+    fn characterize_batch(
         &self,
-        config: &MemoryConfig,
+        _geometry_key: &DesignPointKey,
+        configs: &[MemoryConfig],
         node: &ProcessNode,
         objective: Objective,
-    ) -> ArrayCharacterization {
-        let cell = CellModel::tentpole(config.technology(), config.tentpole(), node);
-        let mut array = ArraySpec::llc_16mib(cell, node)
-            .at_temperature_cryo(config.temperature())
-            .characterize(objective);
-        array.array_efficiency = MOCK_EFFICIENCY;
-        array
+        _geometries: &GeometryCache,
+    ) -> Vec<ArrayCharacterization> {
+        configs
+            .iter()
+            .map(|config| {
+                let cell = CellModel::tentpole(config.technology(), config.tentpole(), node);
+                let mut array = ArraySpec::llc_16mib(cell, node)
+                    .at_temperature_cryo(config.temperature())
+                    .characterize(objective);
+                array.array_efficiency = MOCK_EFFICIENCY;
+                array
+            })
+            .collect()
     }
 }
 

@@ -140,6 +140,66 @@ fn perf_smoke() {
     assert_eq!(registry.counter_value("geometry.solves"), Some(solves));
 }
 
+/// A one-cell miss is a geometry batch of one: after a plan has solved
+/// a geometry, and after a geometry store has warm-started a fresh
+/// explorer, characterizing or evaluating that geometry at an
+/// off-ladder temperature counts one `geometry.hits` and no solve, and
+/// still answers the direct lowering's bits.
+#[test]
+fn one_cell_misses_reuse_planned_and_warm_started_geometries() {
+    use coldtall::serve::GeometryStore;
+    let counter = |registry: &Registry, name: &str| registry.counter_value(name).unwrap();
+    let node = ProcessNode::ptm_22nm_hp();
+
+    // After a plan.
+    let registry = Registry::new();
+    let explorer = observed_explorer(&registry);
+    let plan = explorer
+        .plan_sweep(&MemoryConfig::study_set())
+        .expect("the study resolves");
+    explorer.run(&plan, &mut EvalArena::new());
+    let (hits, solves) = (
+        counter(&registry, "geometry.hits"),
+        counter(&registry, "geometry.solves"),
+    );
+    let off_ladder = MemoryConfig::edram_77k().at_temperature(Kelvin::new(123.4));
+    assert_eq!(
+        explorer.characterize(&off_ladder),
+        off_ladder
+            .to_spec(&node)
+            .characterize(Objective::EnergyDelayProduct)
+    );
+    assert_eq!(counter(&registry, "geometry.hits"), hits + 1);
+    assert_eq!(counter(&registry, "geometry.solves"), solves);
+
+    // After a geometry-store warm start.
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "coldtall-one-cell-warm-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let store = GeometryStore::open(&path).expect("store opens");
+    assert_eq!(store.sync_from(&explorer).expect("sync appends"), solves);
+    let warm_registry = Registry::new();
+    let warm = observed_explorer(&warm_registry);
+    let point = MemoryConfig::sram_350k().at_temperature(Kelvin::new(211.5));
+    let stats = store
+        .warm_into(&warm, std::slice::from_ref(&point))
+        .expect("store replays");
+    assert_eq!(stats.replayed, 1);
+    let row = warm
+        .try_evaluate(&point, "namd")
+        .expect("the point evaluates");
+    assert_eq!(
+        row,
+        explorer.evaluate(&point, coldtall::workloads::benchmark("namd").unwrap())
+    );
+    assert_eq!(counter(&warm_registry, "geometry.hits"), 1);
+    assert_eq!(counter(&warm_registry, "geometry.solves"), 0);
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The characterization-kernel perf gate: against pre-solved
 /// geometries (the warm-start steady state) the multi-temperature
 /// stripe must be strictly faster per dispatch than characterizing

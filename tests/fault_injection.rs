@@ -301,6 +301,28 @@ fn zero_backend_registry_fails_typed_at_every_entry_point() {
     assert!(matches!(err, Error::NoBackend { .. }), "{err}");
 }
 
+/// A design point no backend claims — SRAM above the 400 K span, a
+/// 2-die 1T1C-eDRAM stack — is a typed [`Error::NoBackend`] from every
+/// fallible one-cell entry, never a panic.
+///
+/// [`Error::NoBackend`]: coldtall::core::Error::NoBackend
+#[test]
+fn unclaimed_points_are_no_backend_on_the_one_cell_entries() {
+    use coldtall::core::Error;
+    let explorer = Explorer::with_defaults();
+    for config in [
+        MemoryConfig::volatile_2d(MemoryTechnology::Sram, Kelvin::new(500.0)),
+        MemoryConfig::envm_3d(MemoryTechnology::Edram1T1C, Tentpole::Optimistic, 2),
+    ] {
+        let label = config.label();
+        let err = explorer.try_evaluate(&config, "namd").unwrap_err();
+        assert!(matches!(err, Error::NoBackend { .. }), "{label}: {err}");
+        let err = explorer.try_characterize(&config).unwrap_err();
+        assert!(matches!(err, Error::NoBackend { .. }), "{label}: {err}");
+    }
+    assert_eq!(explorer.cached_characterizations(), 0, "nothing was published");
+}
+
 /// Adversarial-but-legal corners of the library API: extreme yet valid
 /// temperatures evaluate without panicking and produce validated rows.
 #[test]

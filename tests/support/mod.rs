@@ -9,14 +9,20 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coldtall::core::{set_max_threads, ExecutionPlan, Explorer, LlcEvaluation};
 
-/// Runs `plan` one point at a time through the public API: the public
-/// [`Explorer::characterize`] for each job (one backend dispatch per
-/// missed point, no geometry batching), then the scalar
-/// [`Explorer::evaluate`] for each grid cell, in config-major order —
-/// the rows [`Explorer::run`] must reproduce bit for bit.
+/// Runs `plan` one point at a time, independent of the explorer's
+/// geometry-batch dispatch: each job is characterized directly
+/// (`config.to_spec(node).characterize(objective)`, one organization
+/// solve per point) and published through
+/// [`Explorer::import_characterization`], then the scalar
+/// [`Explorer::evaluate`] runs for each grid cell, in config-major
+/// order — the rows [`Explorer::run`] must reproduce bit for bit.
 pub fn per_point(explorer: &Explorer, plan: &ExecutionPlan) -> Vec<LlcEvaluation> {
     for job in plan.jobs() {
-        let _ = explorer.characterize(job.config());
+        let array = job
+            .config()
+            .to_spec(explorer.node())
+            .characterize(explorer.objective());
+        let _ = explorer.import_characterization(job.key(), array, job.backend());
     }
     plan.configs()
         .iter()
