@@ -35,8 +35,8 @@ pub struct MemoryConfig {
 impl MemoryConfig {
     /// The die counts the study stacks. The single source of truth for
     /// die-count validation: [`MemoryConfig::try_design_point`], the
-    /// search region builder, and the Destiny backend's capability
-    /// descriptor all read it.
+    /// search region builder, and [`crate::Backend::Destiny`]'s die
+    /// counts all read it.
     pub const VALID_DIES: [u8; 4] = [1, 2, 4, 8];
 
     /// Validates a die count against [`MemoryConfig::VALID_DIES`].
@@ -284,8 +284,8 @@ impl MemoryConfig {
     /// spec ([`MemoryConfig::to_base_spec`]) under the cryogenic
     /// voltage-scaling policy at the point's temperature.
     ///
-    /// The built-in backends' two-phase kernel
-    /// ([`crate::CharacterizationBackend::characterize_batch`]) is
+    /// The backends' two-phase kernel (one geometry solve on
+    /// [`MemoryConfig::to_base_spec`], then a temperature stripe) is
     /// bit-identical to characterizing this spec. In production only
     /// the hybrid-LLC partitioner characterizes it directly, after
     /// resizing the array.

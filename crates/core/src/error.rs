@@ -73,18 +73,10 @@ pub enum Error {
         /// What was being computed when the invariant broke.
         context: String,
     },
-    /// No registered characterization backend claims the configuration.
+    /// Neither characterization backend admits the configuration.
     NoBackend {
         /// Display label of the unclaimed configuration.
         config: String,
-    },
-    /// More than one registered backend claims the configuration, so
-    /// resolution is ambiguous.
-    BackendConflict {
-        /// Display label of the contested configuration.
-        config: String,
-        /// Names of every claiming backend, in registration order.
-        backends: Vec<String>,
     },
     /// An adaptive search was asked to explore a region holding no
     /// design points at all (for example, a CLI filter that matches
@@ -149,13 +141,6 @@ impl fmt::Display for Error {
             }
             Self::NoBackend { config } => {
                 write!(f, "no characterization backend supports {config}")
-            }
-            Self::BackendConflict { config, backends } => {
-                write!(
-                    f,
-                    "ambiguous backend for {config}: {} all claim it",
-                    backends.join(", ")
-                )
             }
             Self::EmptySearchSpace { region } => {
                 write!(f, "the search region '{region}' contains no design points")
@@ -229,11 +214,6 @@ mod tests {
         }
         .to_string()
         .contains("77K SRAM"));
-        let conflict = Error::BackendConflict {
-            config: "SRAM".into(),
-            backends: vec!["cryomem".into(), "destiny".into()],
-        };
-        assert!(conflict.to_string().contains("cryomem, destiny"));
         assert!(Error::EmptySearchSpace {
             region: "edram x 8 dies".into()
         }

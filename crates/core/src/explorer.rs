@@ -11,7 +11,7 @@ use coldtall_workloads::Benchmark;
 
 use std::collections::HashMap;
 
-use crate::backend::{BackendRegistry, CharacterizationBackend};
+use crate::backend::{self, Backend, BackendRegistry};
 use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::error::Error;
@@ -30,9 +30,9 @@ pub const REFERENCE_BENCHMARK: &str = "namd";
 /// (with caching), normalizes against the 350 K SRAM / `namd` reference,
 /// and evaluates configurations under benchmark traffic.
 ///
-/// Characterization is dispatched through a [`BackendRegistry`]
+/// Characterization is dispatched by [`BackendRegistry::resolve`]
 /// (CryoMEM for single-die volatile points, Destiny for eNVM and
-/// stacked arrays, by default), and sweeps run as a plan/run
+/// stacked arrays), and sweeps run as a plan/run
 /// pipeline: [`Explorer::plan_sweep`] compiles the (configuration x
 /// benchmark) grid into a validated [`ExecutionPlan`] with
 /// key-deduplicated characterization jobs, and [`Explorer::run`]
@@ -61,11 +61,9 @@ pub struct Explorer {
     node: ProcessNode,
     objective: Objective,
     /// The characterization memo: each cached point's result and the
-    /// name of the backend resolution routed it to, so the serve run
-    /// registry can persist the routing decision per key. A name is one
-    /// `Arc<str>` per backend ([`BackendStats::name`]), so a hit clones
-    /// a pointer, never a string.
-    cache: MemoCache<(ArrayCharacterization, Arc<str>)>,
+    /// backend resolution routed it to, so the serve run registry can
+    /// persist the routing decision per key.
+    cache: MemoCache<(ArrayCharacterization, Backend)>,
     /// Temperature-stripped geometry solves shared by every
     /// characterization miss and the search bounds (phase 1 of the
     /// two-phase kernel).
@@ -73,9 +71,8 @@ pub struct Explorer {
     baseline: ArrayCharacterization,
     reference_power: Watts,
     metrics: ExplorerMetrics,
-    backends: BackendRegistry,
-    /// Telemetry handles aligned with `backends.backends()` by index.
-    backend_stats: Vec<BackendStats>,
+    /// Per-backend telemetry, indexed by [`Backend::index`].
+    backend_stats: [BackendStats; 2],
     /// Work-avoidance telemetry of the adaptive search
     /// ([`Explorer::search`]); registered eagerly so counter *sets* are
     /// identical whether or not a search ever ran.
@@ -93,18 +90,16 @@ pub struct Explorer {
     floors: MemoCache<ComponentFloors>,
 }
 
-/// Per-backend telemetry: how many design points the resolution policy
+/// Per-backend telemetry: how many design points the dispatch rule
 /// routed to the backend, how many characterizations were dispatched,
 /// and where their wall-clock went.
 #[derive(Debug)]
 struct BackendStats {
-    /// The backend's name, shared by every cache entry it produced.
-    name: Arc<str>,
     /// Successful resolutions the explorer performed on the backend's
     /// behalf (`backend.<name>.resolved`): the eager baseline, one-cell
-    /// misses, hybrid capacity scaling, and one per job at plan
+    /// misses, hybrid partition misses, and one per job at plan
     /// compilation. Overlap resolution is auditable here —
-    /// a point silently rerouted by a policy change moves between
+    /// a point silently rerouted by a rule change moves between
     /// these counters.
     resolved: Arc<Counter>,
     /// Characterized design points (`backend.<name>.characterizations`).
@@ -114,26 +109,20 @@ struct BackendStats {
 }
 
 impl BackendStats {
-    fn registered(registry: &Registry, name: &str) -> Self {
+    fn registered(registry: &Registry, backend: Backend) -> Self {
+        let name = backend.name();
         Self {
-            name: Arc::from(name),
             resolved: registry.counter(&format!("backend.{name}.resolved")),
             characterizations: registry.counter(&format!("backend.{name}.characterizations")),
             span: registry.span(&format!("backend.{name}")),
         }
     }
 
-    /// Runs one geometry batch through `backend`, counted and timed as
-    /// its work — the one call of
-    /// [`CharacterizationBackend::characterize_batch`], shared by the
-    /// eager baseline and every cache miss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend does not answer one result per config.
+    /// Runs one geometry batch through the two-phase kernel, counted and
+    /// timed as this backend's work — the one call of the kernel,
+    /// shared by the eager baseline and every geometry-batch miss.
     fn characterize(
         &self,
-        backend: &dyn CharacterizationBackend,
         geometry_key: &DesignPointKey,
         configs: &[MemoryConfig],
         node: &ProcessNode,
@@ -142,17 +131,7 @@ impl BackendStats {
     ) -> Vec<ArrayCharacterization> {
         self.characterizations.add(configs.len() as u64);
         let _span = Span::enter(self.span.clone());
-        let results =
-            backend.characterize_batch(geometry_key, configs, node, objective, geometries);
-        assert_eq!(
-            results.len(),
-            configs.len(),
-            "backend '{}' returned {} results for a batch of {}",
-            self.name,
-            results.len(),
-            configs.len()
-        );
-        results
+        backend::characterize_batch(geometry_key, configs, node, objective, geometries)
     }
 }
 
@@ -200,26 +179,20 @@ impl ExplorerMetrics {
 
 impl Explorer {
     /// Creates an explorer on the paper's 22 nm node with EDP-optimized
-    /// arrays.
+    /// arrays, reporting into the process-wide metrics registry
+    /// ([`coldtall_obs::global`]).
     #[must_use]
     pub fn with_defaults() -> Self {
-        Self::new(ProcessNode::ptm_22nm_hp(), Objective::EnergyDelayProduct)
+        Self::with_registry(
+            ProcessNode::ptm_22nm_hp(),
+            Objective::EnergyDelayProduct,
+            coldtall_obs::global(),
+        )
     }
 
     /// Creates an explorer with an explicit node and array objective,
-    /// reporting into the process-wide metrics registry
-    /// ([`coldtall_obs::global`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference benchmark is missing from the workload
-    /// suite (it never is).
-    #[must_use]
-    pub fn new(node: ProcessNode, objective: Objective) -> Self {
-        Self::with_registry(node, objective, coldtall_obs::global())
-    }
-
-    /// Creates an explorer reporting into an explicit metrics registry.
+    /// reporting into an explicit metrics registry, with the cache
+    /// knobs of the environment ([`CacheConfig::from_env`]).
     ///
     /// Tests use a private [`Registry`] so counter assertions cannot be
     /// perturbed by other explorers (or other tests of the same binary)
@@ -227,73 +200,43 @@ impl Explorer {
     ///
     /// # Panics
     ///
-    /// Panics if the reference benchmark is missing from the workload
-    /// suite (it never is).
+    /// As [`Explorer::configured`].
     #[must_use]
     pub fn with_registry(node: ProcessNode, objective: Objective, registry: &Registry) -> Self {
-        Self::try_with_backends(node, objective, BackendRegistry::with_defaults(), registry)
-            .expect("the default backends cover the baseline configuration")
+        Self::configured(node, objective, registry, &CacheConfig::from_env().0)
     }
 
-    /// Creates an explorer dispatching through an explicit backend
-    /// registry, reporting into an explicit metrics registry.
-    ///
-    /// This is the fallible root constructor: the 350 K SRAM baseline
-    /// is characterized eagerly (everything is normalized against it),
-    /// so a registry that cannot resolve the baseline is rejected here
-    /// rather than panicking on first use. The baseline is a geometry
-    /// batch of one over a private geometry cache, so a fresh explorer
-    /// reports no geometry traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoBackend`] / [`Error::BackendConflict`] if the
-    /// baseline configuration does not resolve to exactly one backend
-    /// (an empty registry always fails this way).
-    pub fn try_with_backends(
-        node: ProcessNode,
-        objective: Objective,
-        backends: BackendRegistry,
-        registry: &Registry,
-    ) -> Result<Self, Error> {
-        Self::try_with_backends_configured(
-            node,
-            objective,
-            backends,
-            registry,
-            &CacheConfig::from_env().0,
-        )
-    }
-
-    /// [`Explorer::try_with_backends`] with explicit cache knobs
-    /// instead of the environment defaults.
+    /// [`Explorer::with_registry`] with explicit cache knobs instead of
+    /// the environment defaults.
     ///
     /// Long-running hosts (the serve daemon) construct their explorers
     /// through this path so a logical restart can change the admission
     /// cap without touching process-global state.
     ///
-    /// # Errors
+    /// The 350 K SRAM baseline is characterized eagerly (everything is
+    /// normalized against it) as a geometry batch of one over a private
+    /// geometry cache, so a fresh explorer reports no geometry traffic.
     ///
-    /// Returns [`Error::NoBackend`] / [`Error::BackendConflict`] if the
-    /// baseline configuration does not resolve to exactly one backend.
-    pub fn try_with_backends_configured(
+    /// # Panics
+    ///
+    /// Panics if the reference benchmark is missing from the workload
+    /// suite, or no backend serves the baseline (neither ever happens).
+    #[must_use]
+    pub fn configured(
         node: ProcessNode,
         objective: Objective,
-        backends: BackendRegistry,
         registry: &Registry,
         cache_config: &CacheConfig,
-    ) -> Result<Self, Error> {
-        let backend_stats: Vec<BackendStats> = backends
-            .backends()
-            .iter()
-            .map(|b| BackendStats::registered(registry, b.name()))
-            .collect();
+    ) -> Self {
+        let backend_stats = Backend::ALL.map(|backend| BackendStats::registered(registry, backend));
         let baseline_config = MemoryConfig::sram_350k();
-        let index = backends.resolve_index(&baseline_config)?;
-        backend_stats[index].resolved.inc();
-        let baseline = backend_stats[index]
+        let backend = BackendRegistry::with_defaults()
+            .resolve(&baseline_config)
+            .expect("CryoMEM admits the 350 K SRAM baseline");
+        let stats = &backend_stats[backend.index()];
+        stats.resolved.inc();
+        let baseline = stats
             .characterize(
-                backends.backends()[index].as_ref(),
                 &DesignPointKey::geometry_of(&baseline_config),
                 std::slice::from_ref(&baseline_config),
                 &node,
@@ -306,7 +249,7 @@ impl Explorer {
             .find(|b| b.name == REFERENCE_BENCHMARK)
             .expect("reference benchmark present");
         let reference_power = device_power(&baseline, &reference.traffic);
-        Ok(Self {
+        Self {
             node,
             objective,
             cache: MemoCache::new(
@@ -317,14 +260,13 @@ impl Explorer {
             baseline,
             reference_power,
             metrics: ExplorerMetrics::registered(registry),
-            backends,
             backend_stats,
             search_metrics: SearchMetrics::registered(registry),
             floors: MemoCache::new(
                 CacheMetrics::registered(registry, "search.floor_cache"),
                 cache_config.capacity,
             ),
-        })
+        }
     }
 
     /// The process node.
@@ -352,8 +294,8 @@ impl Explorer {
         self.reference_power
     }
 
-    /// Distinct configurations currently memoized in the
-    /// characterization cache.
+    /// Distinct arrays currently memoized in the characterization
+    /// cache: design points, plus any hybrid partitions.
     #[must_use]
     pub fn cached_characterizations(&self) -> usize {
         self.cache.len()
@@ -381,14 +323,14 @@ impl Explorer {
 
     /// The memoized characterizations published since `cursor` last
     /// walked this explorer's cache that `keep` accepts, each with the
-    /// name of the backend that produced it, sorted by canonical key —
+    /// backend that produced it, sorted by canonical key —
     /// the run registry's incremental sync. `keep` is asked only about
     /// the entries published since the cursor.
     pub fn cached_entries_since(
         &self,
         cursor: &mut CacheCursor,
         keep: impl FnMut(&DesignPointKey) -> bool,
-    ) -> Vec<(DesignPointKey, (ArrayCharacterization, Arc<str>))> {
+    ) -> Vec<(DesignPointKey, (ArrayCharacterization, Backend))> {
         self.cache.collect_since(cursor, keep)
     }
 
@@ -401,23 +343,23 @@ impl Explorer {
         &self,
         key: &DesignPointKey,
         value: ArrayCharacterization,
-        backend: &str,
+        backend: Backend,
     ) -> ArrayCharacterization {
-        let name = self
-            .backend_stats
-            .iter()
-            .find(|stats| &*stats.name == backend)
-            .map_or_else(|| Arc::from(backend), |stats| Arc::clone(&stats.name));
-        self.cache.insert(key, (value, name)).0
+        self.cache.insert(key, (value, backend)).0
     }
 
-    /// The backend name resolution routed `key` to, if the cache holds
-    /// the point (computed here, or imported by a replay). The name
+    /// The backend resolution routed `key` to, if the cache holds the
+    /// point (computed here, or imported by a replay). The backend
     /// lives in the cache entry, so it answers for exactly the cached
     /// keys and the admission cap bounds it too.
     #[must_use]
-    pub fn resolved_backend(&self, key: &DesignPointKey) -> Option<String> {
-        self.cache.peek(key, |(_, backend)| backend.to_string())
+    pub fn resolved_backend(&self, key: &DesignPointKey) -> Option<Backend> {
+        self.cache.peek(key, |&(_, backend)| backend)
+    }
+
+    /// The telemetry handles of `backend`.
+    fn stats(&self, backend: Backend) -> &BackendStats {
+        &self.backend_stats[backend.index()]
     }
 
     /// The geometry cache every characterization miss and the search
@@ -427,10 +369,10 @@ impl Explorer {
         &self.geometries
     }
 
-    /// The backend registry characterizations dispatch through.
+    /// The dispatch rule characterizations resolve through.
     #[must_use]
     pub fn backends(&self) -> &BackendRegistry {
-        &self.backends
+        &BackendRegistry
     }
 
     /// Characterizes a configuration's array (cached, thread-safe).
@@ -445,11 +387,9 @@ impl Explorer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration resolves to zero or several
-    /// backends. Every configuration the study set or the CLI can
-    /// produce resolves under the default registry; use
-    /// [`Explorer::try_characterize`] for untrusted configurations or
-    /// custom registries.
+    /// Panics if no backend admits the configuration. Every
+    /// configuration the study set or the CLI can produce resolves; use
+    /// [`Explorer::try_characterize`] for untrusted configurations.
     #[must_use]
     pub fn characterize(&self, config: &MemoryConfig) -> ArrayCharacterization {
         self.characterize_keyed(&DesignPointKey::of_config(config), config)
@@ -457,48 +397,70 @@ impl Explorer {
     }
 
     /// The one-cell probe: a hit returns the cached entry; a miss
-    /// resolves the backend once and characterizes the point as a
-    /// geometry batch of one.
+    /// characterizes the point as a geometry batch of one.
     fn characterize_keyed(
         &self,
         key: &DesignPointKey,
         config: &MemoryConfig,
     ) -> Result<ArrayCharacterization, Error> {
+        self.probe(key, config, |backend| {
+            self.characterize_misses(
+                &DesignPointKey::geometry_of(config),
+                backend,
+                &[key],
+                std::slice::from_ref(config),
+            )
+            .remove(0)
+        })
+    }
+
+    /// Characterizes one partition of a hybrid LLC: `config`'s array
+    /// ([`MemoryConfig::to_spec`]) with the capacity overridden, the one
+    /// characterization outside the geometry-batch dispatch. A
+    /// partition depends on its (configuration, capacity) only, so it
+    /// is memoized in the characterization cache under
+    /// [`DesignPointKey::of_partition`]; a miss is resolved and counted
+    /// against the backend like a one-cell miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no backend admits the configuration.
+    pub(crate) fn characterize_partition(
+        &self,
+        config: &MemoryConfig,
+        capacity: Capacity,
+    ) -> ArrayCharacterization {
+        let key = DesignPointKey::of_partition(config, capacity);
+        self.probe(&key, config, |backend| {
+            let stats = self.stats(backend);
+            let spec = config.to_spec(&self.node).with_capacity(capacity);
+            stats.characterizations.inc();
+            let array = {
+                let _span = Span::enter(stats.span.clone());
+                spec.characterize(self.objective)
+            };
+            self.cache.insert(&key, (array, backend)).0
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one probe of the characterization cache outside a plan's job
+    /// phase: counts the call, returns a hit, and on a miss resolves
+    /// `config`'s backend once, counts the resolution and hands the
+    /// backend to `miss`, which characterizes and publishes the entry.
+    fn probe(
+        &self,
+        key: &DesignPointKey,
+        config: &MemoryConfig,
+        miss: impl FnOnce(Backend) -> ArrayCharacterization,
+    ) -> Result<ArrayCharacterization, Error> {
         self.metrics.characterize_calls.inc();
         if let Some((hit, _)) = self.cache.get(key) {
             return Ok(hit);
         }
-        let backend_index = self.backends.resolve_index(config)?;
-        self.backend_stats[backend_index].resolved.inc();
-        let mut published = self.characterize_misses(
-            &DesignPointKey::geometry_of(config),
-            backend_index,
-            &[key],
-            std::slice::from_ref(config),
-        );
-        Ok(published.remove(0))
-    }
-
-    /// Characterizes `config`'s array ([`MemoryConfig::to_spec`]) with
-    /// the capacity overridden — the hybrid-LLC partitioner's path, the
-    /// one characterization outside the geometry-batch dispatch. Uncached
-    /// (partition capacities are not design points of the study grid),
-    /// but resolved and counted against the backend like any miss.
-    pub(crate) fn characterize_scaled(
-        &self,
-        config: &MemoryConfig,
-        capacity: Capacity,
-    ) -> (ArrayCharacterization, CellModel) {
-        let index = self
-            .backends
-            .resolve_index(config)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let spec = config.to_spec(&self.node).with_capacity(capacity);
-        let cell = spec.cell().clone();
-        self.backend_stats[index].resolved.inc();
-        self.backend_stats[index].characterizations.inc();
-        let _span = Span::enter(self.backend_stats[index].span.clone());
-        (spec.characterize(self.objective), cell)
+        let backend = self.backends().resolve(config)?;
+        self.stats(backend).resolved.inc();
+        Ok(miss(backend))
     }
 
     /// Characterizes a configuration's array, verifying the
@@ -511,10 +473,9 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoBackend`] or [`Error::BackendConflict`] if
-    /// the configuration does not resolve to exactly one backend, and
-    /// [`Error::NonFinite`] if any characteristic that must be finite
-    /// (latency, energy, power, area) is not.
+    /// Returns [`Error::NoBackend`] if no backend admits the
+    /// configuration, and [`Error::NonFinite`] if any characteristic
+    /// that must be finite (latency, energy, power, area) is not.
     pub fn try_characterize(&self, config: &MemoryConfig) -> Result<ArrayCharacterization, Error> {
         let array = self.characterize_keyed(&DesignPointKey::of_config(config), config)?;
         let non_finite = |field: &str| Error::NonFinite {
@@ -547,8 +508,8 @@ impl Explorer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration resolves to zero or several
-    /// backends; [`Explorer::try_evaluate`] returns the typed error.
+    /// Panics if no backend admits the configuration;
+    /// [`Explorer::try_evaluate`] returns the typed error.
     #[must_use]
     pub fn evaluate(&self, config: &MemoryConfig, benchmark: &Benchmark) -> LlcEvaluation {
         self.evaluate_cell(config, benchmark)
@@ -596,9 +557,8 @@ impl Explorer {
     /// # Errors
     ///
     /// Returns [`Error::UnknownBenchmark`] if `benchmark` is not in the
-    /// workload suite, [`Error::NoBackend`] or
-    /// [`Error::BackendConflict`] if the configuration does not resolve
-    /// to exactly one backend, or [`Error::NonFinite`] if the produced
+    /// workload suite, [`Error::NoBackend`] if no backend admits the
+    /// configuration, or [`Error::NonFinite`] if the produced
     /// row violates the finite-or-explicitly-infeasible invariant.
     pub fn try_evaluate(
         &self,
@@ -622,9 +582,8 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoBackend`] / [`Error::BackendConflict`] if
-    /// some configuration does not resolve to exactly one backend, or
-    /// [`Error::NonFinite`] if any row violates the
+    /// Returns [`Error::NoBackend`] if no backend admits some
+    /// configuration, or [`Error::NonFinite`] if any row violates the
     /// finite-or-explicitly-infeasible invariant (infeasible rows with
     /// their documented `INFINITY` sentinel are fine and included).
     pub fn try_sweep_configs(&self, configs: &[MemoryConfig]) -> Result<Vec<LlcEvaluation>, Error> {
@@ -643,8 +602,8 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoBackend`] / [`Error::BackendConflict`] if
-    /// some configuration does not resolve to exactly one backend.
+    /// Returns [`Error::NoBackend`] if no backend admits some
+    /// configuration.
     pub fn plan_sweep(&self, configs: &[MemoryConfig]) -> Result<ExecutionPlan, Error> {
         self.plan_sweep_over(configs, coldtall_workloads::spec2017())
     }
@@ -654,8 +613,8 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoBackend`] / [`Error::BackendConflict`] if
-    /// some configuration does not resolve to exactly one backend.
+    /// Returns [`Error::NoBackend`] if no backend admits some
+    /// configuration.
     pub fn plan_sweep_over(
         &self,
         configs: &[MemoryConfig],
@@ -663,13 +622,11 @@ impl Explorer {
     ) -> Result<ExecutionPlan, Error> {
         let plan = SweepPlan::new(configs.to_vec())
             .with_benchmarks(benchmarks)
-            .compile(&self.backends)?;
+            .compile(self.backends())?;
         // Attribute each job's compile-time resolution to its backend —
         // pure plan arithmetic, deterministic under any thread count.
         for job in plan.jobs() {
-            self.backend_stats[self.backend_position(job.backend())]
-                .resolved
-                .inc();
+            self.stats(job.backend()).resolved.inc();
         }
         Ok(plan)
     }
@@ -696,11 +653,6 @@ impl Explorer {
     /// `sweep.rows`, one `evaluate` span sample per plane with
     /// `explorer.evaluate.calls` per row, and one `characterize`
     /// dispatch per (geometry, backend) group that has misses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job names a backend this explorer's registry does
-    /// not hold (the plan was compiled against a different registry).
     pub fn run(&self, plan: &ExecutionPlan, arena: &mut EvalArena) {
         let _span = Span::enter(self.metrics.sweep_span.clone());
         self.metrics.sweep_configs.add(plan.configs().len() as u64);
@@ -731,11 +683,11 @@ impl Explorer {
     /// [`Explorer::run`] inside the determinism contract.
     fn geometry_groups<'a>(&self, plan: &'a ExecutionPlan) -> Vec<JobGroup<'a>> {
         let mut groups: Vec<JobGroup<'a>> = Vec::new();
-        let mut index: HashMap<(DesignPointKey, usize), usize> = HashMap::new();
+        let mut index: HashMap<(DesignPointKey, Backend), usize> = HashMap::new();
         for job in plan.jobs() {
             let geometry_key = DesignPointKey::geometry_of(job.config());
-            let backend_index = self.backend_position(job.backend());
-            match index.entry((geometry_key.clone(), backend_index)) {
+            let backend = job.backend();
+            match index.entry((geometry_key.clone(), backend)) {
                 std::collections::hash_map::Entry::Occupied(slot) => {
                     groups[*slot.get()].jobs.push(job);
                 }
@@ -743,7 +695,7 @@ impl Explorer {
                     slot.insert(groups.len());
                     groups.push(JobGroup {
                         geometry_key,
-                        backend_index,
+                        backend,
                         jobs: vec![job],
                     });
                 }
@@ -773,15 +725,15 @@ impl Explorer {
         }
         let keys: Vec<&DesignPointKey> = missing.iter().map(|job| job.key()).collect();
         let configs: Vec<MemoryConfig> = missing.iter().map(|job| job.config().clone()).collect();
-        let _ = self.characterize_misses(&group.geometry_key, group.backend_index, &keys, &configs);
+        let _ = self.characterize_misses(&group.geometry_key, group.backend, &keys, &configs);
     }
 
     /// Characterizes cache misses that share one temperature-stripped
     /// geometry key and backend as one batch through the geometry
     /// cache, and publishes them. Plan groups, the search's refinement
     /// and one-cell misses all land here; only the eager baseline (the
-    /// same backend method over a private geometry cache) and the
-    /// hybrid's resized partitions characterize elsewhere. Returns the
+    /// same kernel over a private geometry cache) and the hybrid's
+    /// resized partitions characterize elsewhere. Returns the
     /// published entries in order (first publication wins a race).
     ///
     /// One call is one `explorer.characterize.dispatches` increment and
@@ -790,16 +742,14 @@ impl Explorer {
     fn characterize_misses(
         &self,
         geometry_key: &DesignPointKey,
-        backend_index: usize,
+        backend: Backend,
         keys: &[&DesignPointKey],
         configs: &[MemoryConfig],
     ) -> Vec<ArrayCharacterization> {
-        let stats = &self.backend_stats[backend_index];
         self.metrics.characterize_dispatches.inc();
         let results = {
             let _span = Span::enter(self.metrics.characterize_span.clone());
-            stats.characterize(
-                self.backends.backends()[backend_index].as_ref(),
+            self.stats(backend).characterize(
                 geometry_key,
                 configs,
                 &self.node,
@@ -809,7 +759,7 @@ impl Explorer {
         };
         keys.iter()
             .zip(results)
-            .map(|(key, result)| self.cache.insert(key, (result, Arc::clone(&stats.name))).0)
+            .map(|(key, result)| self.cache.insert(key, (result, backend)).0)
             .collect()
     }
 
@@ -889,8 +839,7 @@ impl Explorer {
     /// # Errors
     ///
     /// Returns [`Error::EmptySearchSpace`] if `configs` is empty, or
-    /// [`Error::NoBackend`] / [`Error::BackendConflict`] if some
-    /// configuration does not resolve to exactly one backend.
+    /// [`Error::NoBackend`] if no backend admits some configuration.
     pub fn search(
         &self,
         region: &str,
@@ -929,22 +878,6 @@ impl Explorer {
         let floors = geometry.floors_at_temperature(config.temperature());
         (self.floors.insert(key, floors), true)
     }
-
-    /// Position of the named backend in this explorer's registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry holds no backend of that name (a plan
-    /// compiled against a different registry).
-    pub(crate) fn backend_position(&self, name: &str) -> usize {
-        self.backends
-            .backends()
-            .iter()
-            .position(|b| b.name() == name)
-            .unwrap_or_else(|| {
-                panic!("plan job resolved to backend '{name}', which this explorer does not hold")
-            })
-    }
 }
 
 /// One geometry-keyed batch of a plan's job phase: every job of the
@@ -952,7 +885,7 @@ impl Explorer {
 /// backend, in first-appearance order.
 pub(crate) struct JobGroup<'a> {
     pub(crate) geometry_key: DesignPointKey,
-    pub(crate) backend_index: usize,
+    pub(crate) backend: Backend,
     pub(crate) jobs: Vec<&'a CharacterizationJob>,
 }
 
@@ -1102,19 +1035,6 @@ mod tests {
             arena.relative_power()[..nb],
             arena.relative_power()[2 * nb..]
         );
-    }
-
-    #[test]
-    fn zero_backend_registry_is_rejected_at_construction() {
-        let registry = Registry::new();
-        let err = Explorer::try_with_backends(
-            ProcessNode::ptm_22nm_hp(),
-            Objective::EnergyDelayProduct,
-            BackendRegistry::new(),
-            &registry,
-        )
-        .expect_err("an empty backend registry cannot characterize the baseline");
-        assert!(matches!(err, Error::NoBackend { .. }), "{err}");
     }
 
     #[test]

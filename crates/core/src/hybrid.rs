@@ -9,6 +9,7 @@
 //! models that architecture at the same application level as the rest
 //! of the exploration.
 
+use coldtall_cell::CellModel;
 use coldtall_units::{Capacity, Joules, Watts};
 use coldtall_workloads::Benchmark;
 
@@ -136,16 +137,25 @@ impl Explorer {
     /// Evaluates a hybrid LLC under a benchmark's traffic.
     ///
     /// Each partition is characterized at its share of the 16 MiB
-    /// capacity; traffic splits by the placement-capture laws, with a
-    /// migration surcharge on dense-partition writes.
+    /// capacity (memoized per (configuration, capacity), so another
+    /// benchmark on the same hybrid characterizes nothing); traffic
+    /// splits by the placement-capture laws, with a migration surcharge
+    /// on dense-partition writes.
     #[must_use]
     pub fn evaluate_hybrid(&self, hybrid: &HybridLlc, benchmark: &Benchmark) -> LlcEvaluation {
         let total_bytes = Capacity::from_mebibytes(16).bytes();
         let fast_capacity = Capacity::from_bytes(total_bytes * u64::from(hybrid.fast_ways) / 16);
         let dense_capacity =
             Capacity::from_bytes(total_bytes * u64::from(16 - hybrid.fast_ways) / 16);
-        let (fast, _) = self.characterize_scaled(&hybrid.fast, fast_capacity);
-        let (dense, dense_cell) = self.characterize_scaled(&hybrid.dense, dense_capacity);
+        let fast = self.characterize_partition(&hybrid.fast, fast_capacity);
+        let dense = self.characterize_partition(&hybrid.dense, dense_capacity);
+        // Lifetime needs only the dense cell's endurance model, which
+        // resizing leaves untouched.
+        let dense_cell = CellModel::tentpole(
+            hybrid.dense.technology(),
+            hybrid.dense.tentpole(),
+            self.node(),
+        );
 
         let traffic = benchmark.traffic;
         let (wc, rc) = (hybrid.write_capture(), hybrid.read_capture());
@@ -215,7 +225,10 @@ impl Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coldtall_array::Objective;
     use coldtall_cell::{MemoryTechnology, Tentpole};
+    use coldtall_obs::Registry;
+    use coldtall_tech::ProcessNode;
     use coldtall_workloads::benchmark;
 
     fn hybrid(fast_ways: u8) -> HybridLlc {
@@ -277,6 +290,41 @@ mod tests {
         let small = explorer.evaluate_hybrid(&hybrid(2), quiet);
         let large = explorer.evaluate_hybrid(&hybrid(8), quiet);
         assert!(large.relative_power > small.relative_power);
+    }
+
+    /// A partition depends on its (configuration, capacity) only, so the
+    /// same hybrid on another benchmark characterizes nothing and
+    /// answers what a fresh explorer answers.
+    #[test]
+    fn another_benchmark_on_the_same_hybrid_characterizes_nothing() {
+        let registry = Registry::new();
+        let explorer = Explorer::with_registry(
+            ProcessNode::ptm_22nm_hp(),
+            Objective::EnergyDelayProduct,
+            &registry,
+        );
+        let characterizations = || -> u64 {
+            explorer
+                .backends()
+                .backends()
+                .iter()
+                .map(|backend| {
+                    let name = format!("backend.{backend}.characterizations");
+                    registry.counter_value(&name).unwrap_or(0)
+                })
+                .sum()
+        };
+        let h = hybrid(2);
+        let _ = explorer.evaluate_hybrid(&h, benchmark("lbm").unwrap());
+        let before = characterizations();
+        let leela = benchmark("leela").unwrap();
+        let warm = explorer.evaluate_hybrid(&h, leela);
+        assert_eq!(
+            characterizations(),
+            before,
+            "both partitions come from the cache"
+        );
+        assert_eq!(warm, Explorer::with_defaults().evaluate_hybrid(&h, leela));
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! The flow mirrors Fig. 2 of the paper:
 //!
 //! 1. a [`MemoryConfig`] names one design point — technology, tentpole,
-//!    die count, operating temperature, cooling tier — and a
-//!    [`BackendRegistry`] resolves it to exactly one characterization
-//!    backend ([`CryoMemBackend`] for temperature-swept volatile
-//!    memories, [`DestinyBackend`] for 2D/3D eNVM and stacked SRAM),
-//!    which lowers it to an [`coldtall_array::ArraySpec`] and
-//!    characterizes it,
+//!    die count, operating temperature, cooling tier — and
+//!    [`BackendRegistry::resolve`] routes it to one of the two
+//!    characterization engines ([`Backend::CryoMem`] for
+//!    temperature-swept volatile memories, [`Backend::Destiny`] for
+//!    2D/3D eNVM and stacked SRAM), which lowers it to an
+//!    [`coldtall_array::ArraySpec`] and characterizes it,
 //! 2. the application model ([`LlcEvaluation`]) combines the array
 //!    characteristics with a benchmark's LLC traffic into total LLC
 //!    power (with cryogenic cooling overhead), total LLC latency
@@ -59,10 +59,7 @@ pub mod selection;
 mod thermal_schedule;
 mod variation;
 
-pub use backend::{
-    BackendCapabilities, BackendRegistry, CharacterizationBackend, CryoMemBackend,
-    DestinyBackend,
-};
+pub use backend::{Backend, BackendRegistry};
 pub use batch::EvalArena;
 pub use config::MemoryConfig;
 pub use error::Error;

@@ -4,9 +4,9 @@
 //! A sweep used to be one monolithic call that interleaved planning
 //! (which configurations, which benchmarks), deduplication, caching,
 //! and dispatch. This module splits the *planning* half out: a
-//! [`SweepPlan`] names the work, [`SweepPlan::compile`] validates it
-//! against a [`crate::BackendRegistry`] (every configuration must
-//! resolve to exactly one backend) and produces an [`ExecutionPlan`]
+//! [`SweepPlan`] names the work, [`SweepPlan::compile`] resolves it
+//! through [`crate::BackendRegistry::resolve`] (every configuration
+//! must have a backend) and produces an [`ExecutionPlan`]
 //! whose job list is deduplicated by [`DesignPointKey`] — the single
 //! canonical key type shared by the characterization cache and its
 //! observability counters.
@@ -18,9 +18,10 @@
 
 use core::fmt;
 
+use coldtall_units::Capacity;
 use coldtall_workloads::{spec2017, Benchmark};
 
-use crate::backend::BackendRegistry;
+use crate::backend::{Backend, BackendRegistry};
 use crate::config::MemoryConfig;
 use crate::error::Error;
 
@@ -106,6 +107,15 @@ impl DesignPointKey {
         ))
     }
 
+    /// The key of one hybrid-LLC partition: `config`'s design-point key
+    /// plus the partition's exact capacity in bits, so a partition
+    /// shares no entry with the full-capacity point.
+    pub(crate) fn of_partition(config: &MemoryConfig, capacity: Capacity) -> Self {
+        let mut key = Self::of_config(config);
+        key.canonical.push_str(&format!("|cap{}", capacity.bits()));
+        key
+    }
+
     /// Reconstructs a key from a previously stored canonical form — a
     /// run-registry record replaying into a fresh process. A restored
     /// key is identical to (and cache-compatible with) the original.
@@ -139,13 +149,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One validated characterization job of an [`ExecutionPlan`]: a
-/// distinct design point, its canonical key, and the backend the
-/// registry resolved it to.
+/// distinct design point, its canonical key, and the backend it
+/// resolved to.
 #[derive(Debug, Clone)]
 pub struct CharacterizationJob {
     key: DesignPointKey,
     config: MemoryConfig,
-    backend: &'static str,
+    backend: Backend,
 }
 
 impl CharacterizationJob {
@@ -161,9 +171,9 @@ impl CharacterizationJob {
         &self.config
     }
 
-    /// Name of the backend the registry resolved this job to.
+    /// The backend this job resolved to.
     #[must_use]
-    pub fn backend(&self) -> &'static str {
+    pub fn backend(&self) -> Backend {
         self.backend
     }
 }
@@ -216,9 +226,8 @@ impl SweepPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoBackend`] if some configuration is claimed by
-    /// no registered backend, or [`Error::BackendConflict`] if more
-    /// than one claims it.
+    /// Returns [`Error::NoBackend`] if no backend admits some
+    /// configuration.
     pub fn compile(self, registry: &BackendRegistry) -> Result<ExecutionPlan, Error> {
         let mut seen = std::collections::HashSet::new();
         let mut jobs = Vec::new();
@@ -227,7 +236,7 @@ impl SweepPlan {
             if !seen.insert(key.clone()) {
                 continue;
             }
-            let backend = registry.resolve(config)?.name();
+            let backend = registry.resolve(config)?;
             jobs.push(CharacterizationJob {
                 key,
                 config: config.clone(),
@@ -448,10 +457,23 @@ mod tests {
     }
 
     #[test]
-    fn compile_fails_closed_on_an_empty_registry() {
-        let err = SweepPlan::new(vec![MemoryConfig::sram_350k()])
-            .compile(&BackendRegistry::new())
+    fn compile_fails_closed_on_an_unclaimed_point() {
+        let hot = MemoryConfig::volatile_2d(MemoryTechnology::Sram, Kelvin::new(500.0));
+        let err = SweepPlan::new(vec![MemoryConfig::sram_350k(), hot])
+            .compile(&BackendRegistry::with_defaults())
             .unwrap_err();
         assert!(matches!(err, Error::NoBackend { .. }), "{err}");
+    }
+
+    #[test]
+    fn partition_keys_extend_the_design_point_key() {
+        let config = MemoryConfig::sram_350k();
+        let point = DesignPointKey::of_config(&config);
+        let two_ways = DesignPointKey::of_partition(&config, Capacity::from_mebibytes(2));
+        assert_eq!(two_ways.canonical(), format!("{point}|cap16777216"));
+        assert_ne!(
+            two_ways,
+            DesignPointKey::of_partition(&config, Capacity::from_mebibytes(14))
+        );
     }
 }

@@ -151,7 +151,7 @@ pub enum ResponsePayload {
     Characterization {
         /// Paper-style label of the configuration.
         label: String,
-        /// Name of the backend the registry resolved the point to.
+        /// Name of the backend the point resolved to.
         backend: &'static str,
         /// Hash of the single-point plan that produced it (the run
         /// registry's plan key).
@@ -514,20 +514,30 @@ fn temperatures(temps: &str) -> Result<(Vec<Kelvin>, String), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendRegistry;
     use crate::parcache::CacheConfig;
     use crate::plan::DesignPointKey;
     use coldtall_array::Objective;
     use coldtall_tech::ProcessNode;
 
     fn handler(registry: &Registry) -> RequestHandler {
-        let explorer = Explorer::try_with_backends(
+        let explorer = Explorer::with_registry(
             ProcessNode::ptm_22nm_hp(),
             Objective::EnergyDelayProduct,
-            BackendRegistry::with_defaults(),
             registry,
-        )
-        .expect("default backends cover the baseline");
+        );
+        RequestHandler::new(explorer, registry, None)
+    }
+
+    /// [`handler`] with the admission cap at `cap` entries.
+    fn capped_handler(registry: &Registry, cap: usize) -> RequestHandler {
+        let explorer = Explorer::configured(
+            ProcessNode::ptm_22nm_hp(),
+            Objective::EnergyDelayProduct,
+            registry,
+            &CacheConfig {
+                capacity: Some(cap),
+            },
+        );
         RequestHandler::new(explorer, registry, None)
     }
 
@@ -704,15 +714,7 @@ mod tests {
     #[test]
     fn resolved_backends_are_bounded_by_the_cache_cap() {
         let registry = Registry::new();
-        let explorer = Explorer::try_with_backends_configured(
-            ProcessNode::ptm_22nm_hp(),
-            Objective::EnergyDelayProduct,
-            BackendRegistry::with_defaults(),
-            &registry,
-            &CacheConfig { capacity: Some(8) },
-        )
-        .expect("default backends cover the baseline");
-        let handler = RequestHandler::new(explorer, &registry, None);
+        let handler = capped_handler(&registry, 8);
         let points: Vec<DesignPoint> = (0..2000)
             .map(|i| DesignPoint {
                 temperature_kelvin: 60.0 + f64::from(i) * 0.17,
@@ -753,18 +755,7 @@ mod tests {
     #[test]
     fn floor_cache_is_bounded_by_the_cache_cap() {
         let capped_registry = Registry::new();
-        let capped = RequestHandler::new(
-            Explorer::try_with_backends_configured(
-                ProcessNode::ptm_22nm_hp(),
-                Objective::EnergyDelayProduct,
-                BackendRegistry::with_defaults(),
-                &capped_registry,
-                &CacheConfig { capacity: Some(8) },
-            )
-            .expect("default backends cover the baseline"),
-            &capped_registry,
-            None,
-        );
+        let capped = capped_handler(&capped_registry, 8);
         let uncapped_registry = Registry::new();
         let uncapped = handler(&uncapped_registry);
         for i in 0..40 {
@@ -792,6 +783,54 @@ mod tests {
             uncapped_registry.gauge("search.floor_cache.entries").get(),
             40 * 8,
             "uncapped, every (point, temperature) plane keeps its floors"
+        );
+    }
+
+    /// The geometry cache is temperature-stripped, so a client can name
+    /// only 29 of its keys: SRAM at 1/2/4/8 dies, 3T-eDRAM at 1 die,
+    /// and PCM/STT/RRAM x 2 tentpoles x 4 die counts. It holds at most
+    /// min(cap, 29) entries; a refused geometry is solved again on the
+    /// next miss, which costs work, never a different answer.
+    #[test]
+    fn geometry_cache_is_bounded_by_the_cache_cap() {
+        let capped_registry = Registry::new();
+        let capped = capped_handler(&capped_registry, 8);
+        let uncapped = handler(&Registry::new());
+        for config in MemoryConfig::study_set() {
+            for temperature_kelvin in [config.temperature().get(), 77.0] {
+                let point = DesignPoint {
+                    tech: config.technology().name().to_lowercase(),
+                    tentpole: config.tentpole().to_string(),
+                    dies: config.dies(),
+                    temperature_kelvin,
+                };
+                // Stacked SRAM is modeled at the 350 K reference only.
+                if point.to_config().is_err() {
+                    continue;
+                }
+                let request = Request::Characterize { point };
+                let answer = |handler: &RequestHandler| match handler.handle(&request) {
+                    Ok(ResponsePayload::Characterization {
+                        label,
+                        backend,
+                        characterization,
+                        ..
+                    }) => (label, backend, characterization),
+                    other => panic!("characterize must answer with a characterization: {other:?}"),
+                };
+                assert_eq!(answer(&capped), answer(&uncapped), "{request:?}");
+            }
+        }
+        let geometries = capped.explorer().geometry_cache().len();
+        assert!(
+            geometries <= 8,
+            "the cap holds the geometry cache at 8, got {geometries}"
+        );
+        assert!(capped_registry.counter_value("geometry.rejected") > Some(0));
+        assert_eq!(
+            uncapped.explorer().geometry_cache().len(),
+            29,
+            "uncapped, every nameable geometry key is cached once"
         );
     }
 }

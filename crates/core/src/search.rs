@@ -217,8 +217,6 @@ struct Leaf<'a> {
     config_index: usize,
     /// The plan's characterization job for the plane.
     job: &'a CharacterizationJob,
-    /// Position of the plane's backend in the explorer's registry.
-    backend_index: usize,
     /// Componentwise lower bound on every row of the plane:
     /// `[power, latency, area]`.
     corner: [f64; 3],
@@ -433,7 +431,6 @@ pub(crate) fn run(
         let job = plan
             .job_for(&DesignPointKey::of_config(config))
             .expect("every plan configuration has a compiled job");
-        let backend_index = explorer.backend_position(job.backend());
         let (floors, fresh) = explorer.plane_floors(job.key(), config);
         if fresh {
             stats.bounds_computed += 1;
@@ -442,7 +439,6 @@ pub(crate) fn run(
         leaves.push(Leaf {
             config_index,
             job,
-            backend_index,
             corner: plane_corner(&floors, wall_factor, &base_services, &traffic, reference_power),
             infeasible: floors.refresh_busy_fraction >= REFRESH_INFEASIBLE,
         });
@@ -503,7 +499,7 @@ pub(crate) fn run(
                 // one, then the plane runs through the one plane loop.
                 explorer.characterize_group(&JobGroup {
                     geometry_key: DesignPointKey::geometry_of(config),
-                    backend_index: leaf.backend_index,
+                    backend: leaf.job.backend(),
                     jobs: vec![leaf.job],
                 });
                 arena.begin(benchmarks);

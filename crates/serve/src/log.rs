@@ -419,7 +419,7 @@ pub(crate) fn subarray_dim(value: &Value) -> Option<u32> {
 mod tests {
     use super::*;
     use crate::{GeometryStore, RunRegistry};
-    use coldtall_core::{Explorer, MemoryConfig};
+    use coldtall_core::{Backend, Explorer, MemoryConfig};
     use std::slice::from_ref;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -500,7 +500,7 @@ mod tests {
         // Each first use finds the records already on disk, so it must
         // have scanned them; a second use reads nothing.
         let registry_uses: [&dyn Fn(&RunRegistry); 3] = [
-            &|registry| assert!(!registry.record(1, &key, "cryomem", &value).unwrap()),
+            &|registry| assert!(!registry.record(1, &key, Backend::CryoMem, &value).unwrap()),
             &|registry| assert_eq!(registry.sync_from(&explorer, 1).unwrap(), 0),
             &|registry| assert_eq!(registry.len(), 2),
         ];
@@ -542,7 +542,7 @@ mod tests {
         assert_eq!(registry.len(), 2);
         assert!(RunRegistry::open(&registry_path)
             .unwrap()
-            .record(2, &key, "cryomem", &value)
+            .record(2, &key, Backend::CryoMem, &value)
             .unwrap());
         let stats = registry.replay_into(&Explorer::with_defaults()).unwrap();
         assert_eq!(
@@ -577,7 +577,12 @@ mod tests {
         assert!(registry.is_empty());
         assert!(registry.replay_into(&explorer).is_err());
         assert!(registry
-            .record(1, &DesignPointKey::of_config(&config), "cryomem", &value)
+            .record(
+                1,
+                &DesignPointKey::of_config(&config),
+                Backend::CryoMem,
+                &value
+            )
             .is_err());
         assert!(registry.sync_from(&explorer, 1).is_err());
         assert_eq!(take_reads().len(), 4, "each use retries the scan");

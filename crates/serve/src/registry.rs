@@ -24,7 +24,7 @@ use std::io;
 use std::path::Path;
 
 use coldtall_array::{ArrayCharacterization, Organization};
-use coldtall_core::{DesignPointKey, Explorer};
+use coldtall_core::{Backend, DesignPointKey, Explorer};
 use coldtall_obs::json::Value;
 use coldtall_units::{Joules, Seconds, SquareMeters, Watts};
 
@@ -63,7 +63,7 @@ impl RunRegistry {
         &self,
         plan_hash: u64,
         key: &DesignPointKey,
-        backend: &str,
+        backend: Backend,
         value: &ArrayCharacterization,
     ) -> io::Result<bool> {
         self.append_new(plan_hash, key.canonical(), || {
@@ -87,7 +87,7 @@ impl RunRegistry {
         self.sync(
             plan_hash,
             |cursor, keep| explorer.cached_entries_since(cursor, keep),
-            |key, (value, backend)| render_record(plan_hash, key, backend, value),
+            |key, (value, backend)| render_record(plan_hash, key, *backend, value),
         )
     }
 
@@ -119,7 +119,7 @@ pub fn replay_file(path: &Path, explorer: &Explorer) -> io::Result<ReplayStats> 
 /// Imports one replayed record into `explorer`'s characterization cache,
 /// with the backend that produced it.
 fn import(explorer: &Explorer, record: CharRecord) {
-    explorer.import_characterization(&record.key, record.value, &record.backend);
+    explorer.import_characterization(&record.key, record.value, record.backend);
 }
 
 /// One decoded registry record: a characterization, the backend that
@@ -127,7 +127,7 @@ fn import(explorer: &Explorer, record: CharRecord) {
 pub struct CharRecord {
     plan: u64,
     key: DesignPointKey,
-    backend: String,
+    backend: Backend,
     value: ArrayCharacterization,
 }
 
@@ -136,7 +136,7 @@ pub struct CharRecord {
 fn render_record(
     plan_hash: u64,
     key: &DesignPointKey,
-    backend: &str,
+    backend: Backend,
     a: &ArrayCharacterization,
 ) -> String {
     use std::fmt::Write as _;
@@ -147,7 +147,7 @@ fn render_record(
     );
     push_escaped(&mut out, key.canonical());
     out.push_str("\",\"backend\":\"");
-    push_escaped(&mut out, backend);
+    out.push_str(backend.name());
     out.push('"');
     let bits = |out: &mut String, name: &str, v: f64| {
         let _ = write!(out, ",\"{name}\":\"{:016x}\"", v.to_bits());
@@ -188,7 +188,8 @@ impl Record for CharRecord {
         (self.plan, self.key.canonical())
     }
 
-    /// Rejects missing fields, bad hex and out-of-range geometry.
+    /// Rejects missing fields, bad hex, out-of-range geometry and a
+    /// backend this build does not have.
     fn decode(fields: &BTreeMap<String, Value>) -> Option<Self> {
         let plan = hex_u64(fields.get("plan")?)?;
         let key = match fields.get("key") {
@@ -196,7 +197,7 @@ impl Record for CharRecord {
             _ => return None,
         };
         let backend = match fields.get("backend") {
-            Some(Value::String(s)) if !s.is_empty() => s.clone(),
+            Some(Value::String(s)) => Backend::from_name(s)?,
             _ => return None,
         };
         let bits = |name: &str| -> Option<f64> { f64_bits(fields.get(name)?) };
@@ -273,9 +274,13 @@ mod tests {
 
         let path = temp_path("roundtrip");
         let registry = RunRegistry::open(&path).unwrap();
-        assert!(registry.record(7, &key, "cryomem", &original).unwrap());
+        assert!(registry
+            .record(7, &key, Backend::CryoMem, &original)
+            .unwrap());
         // Same (plan, key) again is a dedup no-op.
-        assert!(!registry.record(7, &key, "cryomem", &original).unwrap());
+        assert!(!registry
+            .record(7, &key, Backend::CryoMem, &original)
+            .unwrap());
         assert_eq!(registry.len(), 1);
 
         let fresh = Explorer::with_defaults();
@@ -291,7 +296,7 @@ mod tests {
         let cached = fresh.cached_entries();
         assert_eq!(cached.len(), 1);
         // Replay restores the routing record alongside the value.
-        assert_eq!(fresh.resolved_backend(&key).as_deref(), Some("cryomem"));
+        assert_eq!(fresh.resolved_backend(&key), Some(Backend::CryoMem));
         assert_eq!(cached[0].0, key);
         // Bit-identity, not approximate equality.
         assert_eq!(
@@ -311,13 +316,15 @@ mod tests {
         let key = DesignPointKey::of_config(&config);
 
         let path = temp_path("corrupt");
-        let good = render_record(1, &key, "cryomem", &array);
+        let good = render_record(1, &key, Backend::CryoMem, &array);
         let truncated = &good[..good.len() / 2];
         let wrong_schema = good.replacen("\"schema\":2", "\"schema\":99", 1);
         // A v1 record (no backend field) is foreign, not fatal.
         let v1_record = good
             .replacen("\"schema\":2", "\"schema\":1", 1)
             .replacen(",\"backend\":\"cryomem\"", "", 1);
+        // A backend this build does not have is foreign too.
+        let foreign_backend = good.replacen("\"backend\":\"cryomem\"", "\"backend\":\"nvsim\"", 1);
         // Non-power-of-two geometry must be rejected before the
         // Organization constructor can panic on it.
         let bad_org = good.replacen("\"org\":[", "\"org\":[3,", 1);
@@ -325,8 +332,8 @@ mod tests {
         // read whole: it is one skipped line.
         let over_long = format!("{good}{}", " ".repeat(log::MAX_RECORD_BYTES));
         let contents = format!(
-            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{v1_record}\n{bad_org}\n\
-             {over_long}\n"
+            "{good}\nnot json at all\n{truncated}\n{wrong_schema}\n{v1_record}\n{foreign_backend}\n\
+             {bad_org}\n{over_long}\n"
         );
         // Bytes that are not UTF-8 are a corrupt line, not a read error.
         let contents = [contents.as_bytes(), b"\xff\n", good.as_bytes(), b"\n"].concat();
@@ -336,7 +343,7 @@ mod tests {
         let stats = replay_file(&path, &fresh).unwrap();
         assert_eq!(stats.replayed, 1);
         assert_eq!(stats.duplicates, 1); // the repeated good line
-        assert_eq!(stats.skipped, 7);
+        assert_eq!(stats.skipped, 8);
         assert_eq!(fresh.cached_entries().len(), 1);
 
         // An over-long last line with no newline runs to EOF after the
@@ -387,8 +394,8 @@ mod tests {
         for (key, value) in explorer.cached_entries() {
             let backend = explorer
                 .resolved_backend(&key)
-                .unwrap_or_else(|| "unknown".to_string());
-            registry.record(plan, &key, &backend, &value).unwrap();
+                .expect("every cached key has a backend");
+            registry.record(plan, &key, backend, &value).unwrap();
         }
     }
 
@@ -502,12 +509,12 @@ mod tests {
         let array = explorer.characterize(&config);
         assert!(array.retention.is_none(), "SRAM has no retention limit");
         let key = DesignPointKey::of_config(&config);
-        let line = render_record(3, &key, "cryomem", &array);
+        let line = render_record(3, &key, Backend::CryoMem, &array);
         assert!(line.contains("\"retention\":null"));
         assert!(line.contains("\"backend\":\"cryomem\""));
         let record = log::decode::<CharRecord>(&line).expect("well-formed record");
         assert_eq!(record.value, array);
         assert_eq!(record.plan, 3);
-        assert_eq!(record.backend, "cryomem");
+        assert_eq!(record.backend, Backend::CryoMem);
     }
 }

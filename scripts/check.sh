@@ -43,7 +43,7 @@ cargo test -q --test pool_regions
 cargo test -q --test cli invalid_threads_env_warns_once_and_falls_back
 # The thermal schedule warms its candidates as one geometry batch (1 dispatch, 1 solve).
 cargo test -q -p coldtall-core candidates_warm_as_one_geometry_batch
-# One characterization path: a one-cell miss is a geometry batch of one, so after a plan and after a geometry-store warm start it counts one `geometry.hits` and no solve, and a point no backend claims is `Error::NoBackend` from `try_evaluate` and `try_characterize`, never a panic.
+# One characterization path: a one-cell miss is a geometry batch of one, so after a plan and after a geometry-store warm start it counts one `geometry.hits` and no solve, and a point no backend claims is `Error::NoBackend` from the dispatch rule, plan compilation, `try_evaluate` and `try_characterize`, never a panic.
 cargo test -q --test batch one_cell_misses_reuse_planned_and_warm_started_geometries
 cargo test -q --test fault_injection unclaimed_points_are_no_backend_on_the_one_cell_entries
 # Table II's modal winner breaks ties by configuration order, never by hash-map iteration order.
@@ -131,6 +131,10 @@ cargo test -q -p coldtall-core resolved_backends_are_bounded_by_the_cache_cap
 cargo test -q --test cli cli_stdout_bytes_are_pinned
 cargo test -q --test cli cli_and_wire_answer_alike
 cargo test -q -p coldtall-core floor_cache_is_bounded_by_the_cache_cap
+# The geometry-cache bound: a client can name 29 temperature-stripped keys, and at a cap of 8 every study point (and each again at 77 K) leaves at most 8 geometries with answers equal to an uncapped handler's.
+cargo test -q -p coldtall-core geometry_cache_is_bounded_by_the_cache_cap
+# Hybrid partitions are memoized per (configuration, capacity): the same hybrid on another benchmark characterizes nothing and answers as a fresh explorer does.
+cargo test -q -p coldtall-core another_benchmark_on_the_same_hybrid_characterizes_nothing
 # The cryo-NVM gates: every study artifact (including the Δ(T)
 # STT-MRAM region study) must regenerate byte-identically to its
 # golden under results/, and the adaptive search over the cryo-STT

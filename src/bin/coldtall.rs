@@ -29,8 +29,8 @@ use std::time::Duration;
 use coldtall::array::Objective;
 use coldtall::core::report::{sci, TextTable};
 use coldtall::core::{
-    BackendRegistry, CacheConfig, Constraints, DesignPoint, Error, Explorer, LlcEvaluation,
-    MemoryConfig, Request, RequestHandler, ResponsePayload,
+    Backend, BackendRegistry, CacheConfig, Constraints, DesignPoint, Error, Explorer,
+    LlcEvaluation, MemoryConfig, Request, RequestHandler, ResponsePayload,
 };
 use coldtall::serve::{
     render_dashboard, replay_file, GeometryStore, PipeSafeWriter, ServeOptions, Server,
@@ -327,14 +327,12 @@ fn engine(opts: &Options) -> Result<RequestHandler, String> {
     }
     let deadline = opts.parsed("deadline-ms")?.map(Duration::from_millis);
     let metrics = coldtall::obs::global();
-    let explorer = Explorer::try_with_backends_configured(
+    let explorer = Explorer::configured(
         ProcessNode::ptm_22nm_hp(),
         Objective::EnergyDelayProduct,
-        BackendRegistry::with_defaults(),
         metrics,
         &cache_config,
-    )
-    .map_err(|e| e.to_string())?;
+    );
     Ok(RequestHandler::new(explorer, metrics, deadline))
 }
 
@@ -342,7 +340,7 @@ fn engine(opts: &Options) -> Result<RequestHandler, String> {
 /// reaches it.
 ///
 /// A `--backend` pin never reroutes characterization — it asserts the
-/// registry's routing, so a script that expects the Destiny path fails
+/// dispatch rule's routing, so a script that expects the Destiny path fails
 /// loudly if its point is actually served by CryoMEM. A `--warm-start`
 /// file is replayed over the study set's geometries (what `serve`
 /// warms) before the request, and every geometry the request solved is
@@ -359,10 +357,10 @@ fn answer(
         (opts.get("backend"), request)
     {
         let config = point.to_config().map_err(cli_error)?;
-        let resolved = explorer.backends().resolve(&config).map_err(cli_error)?.name();
-        if explorer.backends().get(pinned).is_none() {
+        let resolved = explorer.backends().resolve(&config).map_err(cli_error)?;
+        let Some(pinned) = Backend::from_name(pinned) else {
             return Err(format!("unknown backend '{pinned}'"));
-        }
+        };
         if pinned != resolved {
             return Err(format!(
                 "backend '{pinned}' does not serve {config}: the registry resolves it to '{resolved}'"
@@ -415,27 +413,17 @@ fn design_point(opts: &Options) -> Result<DesignPoint, String> {
 }
 
 fn cmd_backends(out: &mut String) -> Result<(), String> {
-    let registry = BackendRegistry::with_defaults();
     let mut table =
         TextTable::new(&["backend", "priority", "technologies", "temperature", "dies"]);
-    for backend in registry.backends() {
-        let caps = backend.capabilities();
-        let technologies: Vec<&str> =
-            caps.technologies().iter().map(|t| t.name()).collect();
-        let dies: Vec<String> =
-            caps.die_counts().iter().map(u8::to_string).collect();
-        let priority = registry
-            .priority(backend.name())
-            .expect("registered backends have a priority");
+    for &backend in BackendRegistry::with_defaults().backends() {
+        let technologies: Vec<&str> = backend.technologies().iter().map(|t| t.name()).collect();
+        let dies: Vec<String> = backend.die_counts().iter().map(u8::to_string).collect();
+        let (min, max) = backend.temperature_span();
         table.row(&[
             backend.name(),
-            &priority.to_string(),
+            &backend.priority().to_string(),
             &technologies.join(", "),
-            &format!(
-                "{:.0}-{:.0} K",
-                caps.min_temperature().get(),
-                caps.max_temperature().get()
-            ),
+            &format!("{:.0}-{:.0} K", min.get(), max.get()),
             &dies.join("/"),
         ]);
     }

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 
 use coldtall::array::{ArrayCharacterization, ArraySpec, Objective, OrgGeometry, Organization};
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
-use coldtall::core::{sample_cells, DesignPointKey, EvalArena, Explorer, MemoryConfig};
+use coldtall::core::{sample_cells, Backend, DesignPointKey, EvalArena, Explorer, MemoryConfig};
 use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
@@ -124,7 +124,7 @@ fn perf_smoke() {
             .counter_value("explorer.characterize.dispatches")
             .unwrap(),
         {
-            let backends: HashSet<(DesignPointKey, &str)> = plan
+            let backends: HashSet<(DesignPointKey, Backend)> = plan
                 .jobs()
                 .iter()
                 .map(|job| (DesignPointKey::geometry_of(job.config()), job.backend()))

@@ -275,46 +275,31 @@ fn every_study_row_validates_nan_free() {
     }
 }
 
-/// A registry with no backends at all — the worst misconfiguration a
-/// library embedder can produce — fails with typed errors at every
-/// entry point, never a panic.
-#[test]
-fn zero_backend_registry_fails_typed_at_every_entry_point() {
-    use coldtall::core::{BackendRegistry, Error, SweepPlan};
-    let empty = BackendRegistry::new();
-
-    let err = empty.resolve(&MemoryConfig::sram_350k()).unwrap_err();
-    assert!(matches!(err, Error::NoBackend { .. }), "{err}");
-    assert!(err.to_string().contains("no characterization backend"));
-
-    let err = SweepPlan::study().compile(&empty).unwrap_err();
-    assert!(matches!(err, Error::NoBackend { .. }), "{err}");
-
-    let metrics = coldtall::obs::Registry::new();
-    let err = Explorer::try_with_backends(
-        ProcessNode::ptm_22nm_hp(),
-        coldtall::array::Objective::EnergyDelayProduct,
-        BackendRegistry::new(),
-        &metrics,
-    )
-    .expect_err("an explorer cannot exist without a baseline backend");
-    assert!(matches!(err, Error::NoBackend { .. }), "{err}");
-}
-
 /// A design point no backend claims — SRAM above the 400 K span, a
-/// 2-die 1T1C-eDRAM stack — is a typed [`Error::NoBackend`] from every
-/// fallible one-cell entry, never a panic.
+/// 2-die 1T1C-eDRAM stack — is a typed [`Error::NoBackend`] from the
+/// dispatch rule, plan compilation and every fallible one-cell entry,
+/// never a panic.
 ///
 /// [`Error::NoBackend`]: coldtall::core::Error::NoBackend
 #[test]
 fn unclaimed_points_are_no_backend_on_the_one_cell_entries() {
-    use coldtall::core::Error;
+    use coldtall::core::{Error, SweepPlan};
     let explorer = Explorer::with_defaults();
     for config in [
         MemoryConfig::volatile_2d(MemoryTechnology::Sram, Kelvin::new(500.0)),
         MemoryConfig::envm_3d(MemoryTechnology::Edram1T1C, Tentpole::Optimistic, 2),
     ] {
         let label = config.label();
+        let err = explorer.backends().resolve(&config).unwrap_err();
+        assert!(matches!(err, Error::NoBackend { .. }), "{label}: {err}");
+        assert!(
+            err.to_string().contains("no characterization backend"),
+            "{label}: {err}"
+        );
+        let err = SweepPlan::new(vec![MemoryConfig::sram_350k(), config.clone()])
+            .compile(explorer.backends())
+            .unwrap_err();
+        assert!(matches!(err, Error::NoBackend { .. }), "{label}: {err}");
         let err = explorer.try_evaluate(&config, "namd").unwrap_err();
         assert!(matches!(err, Error::NoBackend { .. }), "{label}: {err}");
         let err = explorer.try_characterize(&config).unwrap_err();
@@ -345,7 +330,7 @@ fn extreme_legal_temperatures_evaluate_cleanly() {
 mod fuzz {
     use coldtall::array::OrgGeometry;
     use coldtall::cell::{MemoryTechnology, Tentpole};
-    use coldtall::core::{DesignPointKey, Explorer, MemoryConfig};
+    use coldtall::core::{Backend, DesignPointKey, Explorer, MemoryConfig};
     use coldtall::obs::json;
     use coldtall::serve::{parse_request, render_parse_error, GeometryStore, RunRegistry};
     use coldtall_rng::SmallRng;
@@ -504,7 +489,7 @@ mod fuzz {
         );
         let record_char = |registry: &RunRegistry| {
             registry
-                .record(7, &char_key, "cryomem", &array)
+                .record(7, &char_key, Backend::CryoMem, &array)
                 .expect("record appends")
         };
         record_char(&registry);

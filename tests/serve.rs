@@ -450,7 +450,7 @@ fn wire_bytes_are_pinned() {
 fn store_bytes_are_pinned() {
     use coldtall::array::OrgGeometry;
     use coldtall::cell::{MemoryTechnology, Tentpole};
-    use coldtall::core::{DesignPointKey, MemoryConfig};
+    use coldtall::core::{Backend, DesignPointKey, MemoryConfig};
     use coldtall::serve::{GeometryStore, RunRegistry};
 
     let explorer = Explorer::with_defaults();
@@ -460,7 +460,7 @@ fn store_bytes_are_pinned() {
         let key = DesignPointKey::of_config(&config);
         let array = explorer.characterize(&config);
         assert!(registry
-            .record(0x0123_4567_89ab_cdef, &key, "cryomem", &array)
+            .record(0x0123_4567_89ab_cdef, &key, Backend::CryoMem, &array)
             .expect("record appends"));
     }
     let geometry_path = temp_registry("pinned-geometry");
