@@ -40,9 +40,9 @@
 #![deny(missing_docs)]
 
 use coldtall_cachesim::{LlcTraffic, TrafficTable};
-use coldtall_units::Watts;
 use coldtall_workloads::Benchmark;
 
+use crate::error::Error;
 use crate::evaluate::{Feasibility, LlcEvaluation, RowValues};
 
 /// A caller-owned struct-of-arrays store for evaluation rows.
@@ -134,8 +134,8 @@ impl EvalArena {
 
     /// Appends one row to the current plane.
     pub(crate) fn push_row(&mut self, values: &RowValues, lifetime_years: f64) {
-        self.device_power_w.push(values.device_power.get());
-        self.wall_power_w.push(values.wall_power.get());
+        self.device_power_w.push(values.device_power_w);
+        self.wall_power_w.push(values.wall_power_w);
         self.relative_power.push(values.relative_power);
         self.relative_latency.push(values.relative_latency);
         self.footprint_mm2.push(values.footprint_mm2);
@@ -253,6 +253,20 @@ impl EvalArena {
         &self.slowdown
     }
 
+    /// Row `index`'s numeric core, read back from the columns.
+    fn values(&self, index: usize) -> RowValues {
+        RowValues {
+            device_power_w: self.device_power_w[index],
+            wall_power_w: self.wall_power_w[index],
+            relative_power: self.relative_power[index],
+            relative_latency: self.relative_latency[index],
+            slowdown: self.slowdown[index],
+            feasibility: self.feasibility[index],
+            footprint_mm2: self.footprint_mm2[index],
+            bandwidth_utilization: self.bandwidth_utilization[index],
+        }
+    }
+
     /// Materializes one row as an [`LlcEvaluation`], bit-identical to
     /// what the scalar path produces for the same grid cell.
     ///
@@ -263,23 +277,34 @@ impl EvalArena {
     pub fn row(&self, index: usize) -> LlcEvaluation {
         let nb = self.benchmark_count();
         let (c, b) = (index / nb, index % nb);
-        let values = RowValues {
-            device_power: Watts::new(self.device_power_w[index]),
-            wall_power: Watts::new(self.wall_power_w[index]),
-            relative_power: self.relative_power[index],
-            relative_latency: self.relative_latency[index],
-            slowdown: self.slowdown[index],
-            feasibility: self.feasibility[index],
-            footprint_mm2: self.footprint_mm2[index],
-            bandwidth_utilization: self.bandwidth_utilization[index],
-        };
         LlcEvaluation::from_values(
             self.labels[c].clone(),
             self.benchmarks[b],
             self.traffic.get(b),
-            &values,
+            &self.values(index),
             self.lifetime_years[index],
         )
+    }
+
+    /// Checks every row, in grid order, against the invariant
+    /// [`LlcEvaluation::validate`] checks, without materializing one:
+    /// the first bad row's error is exactly what `self.row(i).validate()`
+    /// returns for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonFinite`] for the first row that holds a
+    /// `NaN`, or an infinite latency on a serviceable verdict.
+    pub fn validate(&self) -> Result<(), Error> {
+        let nb = self.benchmark_count();
+        for index in 0..self.rows() {
+            self.values(index).validate(
+                self.lifetime_years[index],
+                &self.labels[index / nb],
+                self.benchmarks[index % nb],
+            )?;
+        }
+        Ok(())
     }
 
     /// Materializes every row, in config-major grid order.
@@ -356,6 +381,66 @@ mod tests {
             arena.iter_rows().collect::<Vec<_>>(),
             arena.to_rows(),
         );
+    }
+
+    /// `validate` checks the arena's rows with the predicate
+    /// `LlcEvaluation::validate` uses, so one bad row anywhere in the
+    /// grid fails the arena with exactly that row's own error.
+    #[test]
+    fn validate_returns_the_bad_rows_own_error() {
+        /// Spoils one row's numbers or its lifetime.
+        type Spoil = fn(&mut RowValues, &mut f64);
+        let explorer = Explorer::with_defaults();
+        let plan = explorer
+            .plan_sweep(&MemoryConfig::study_set())
+            .expect("the study set resolves");
+        let mut clean = EvalArena::new();
+        explorer.run(&plan, &mut clean);
+        assert_eq!(clean.validate(), Ok(()));
+
+        // A serviceable row past the middle, so the check walks to it.
+        let bad = (clean.rows() / 2..clean.rows())
+            .find(|&i| clean.feasibility[i].is_serviceable())
+            .expect("the study grid has serviceable rows");
+        let spoiled = |spoil: Spoil| {
+            let mut arena = EvalArena::new();
+            arena.begin(plan.benchmarks());
+            for (c, label) in clean.config_labels().iter().enumerate() {
+                arena.push_plane_label(label.clone());
+                for b in 0..clean.benchmark_count() {
+                    let index = clean.row_index(c, b);
+                    let mut values = clean.values(index);
+                    let mut lifetime = clean.lifetime_years[index];
+                    if index == bad {
+                        spoil(&mut values, &mut lifetime);
+                    }
+                    arena.push_row(&values, lifetime);
+                }
+            }
+            arena
+        };
+        let cases: [(&str, Spoil); 3] = [
+            ("device_power", |values, _| values.device_power_w = f64::NAN),
+            ("lifetime_years", |_, lifetime| *lifetime = f64::NAN),
+            ("sentinel without verdict", |values, _| {
+                values.relative_latency = f64::INFINITY;
+                values.feasibility = Feasibility::Viable;
+            }),
+        ];
+        for (field, spoil) in cases {
+            let arena = spoiled(spoil);
+            let expected = if field == "device_power" {
+                // `Watts` refuses a NaN, so this row cannot materialize;
+                // an infinite device power fails the same check.
+                spoiled(|values, _| values.device_power_w = f64::INFINITY).row(bad)
+            } else {
+                arena.row(bad)
+            }
+            .validate()
+            .expect_err(field);
+            assert!(expected.to_string().contains(field), "{expected}");
+            assert_eq!(arena.validate(), Err(expected), "{field}");
+        }
     }
 
     #[test]

@@ -72,16 +72,23 @@ impl Feasibility {
     pub fn is_viable(self) -> bool {
         self == Self::Viable
     }
-}
 
-impl fmt::Display for Feasibility {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+    /// The verdict as text, the same bytes [`fmt::Display`] prints.
+    /// No verdict holds a character a JSON string must escape.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
             Self::Viable => "viable",
             Self::Slowdown => "slows the CPU",
             Self::RefreshDead => "refresh-dead",
             Self::BandwidthSaturated => "bandwidth-saturated",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Feasibility {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -164,12 +171,16 @@ pub(crate) fn device_power(array: &ArrayCharacterization, traffic: &LlcTraffic) 
 /// kernel (`crate::batch`) produce their rows through
 /// [`row_values`], so batch/scalar bit-identity holds *by
 /// construction* — there is exactly one copy of the float expressions.
+/// The powers are raw watts, as [`crate::EvalArena`]'s columns hold
+/// them, so reading a row back for [`RowValues::validate`] never goes
+/// through [`Watts::new`], which panics on a `NaN` the check must
+/// report instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct RowValues {
-    /// Device power at the operating temperature (no cooling).
-    pub device_power: Watts,
-    /// Wall power including refrigeration.
-    pub wall_power: Watts,
+    /// Device power in watts at the operating temperature (no cooling).
+    pub device_power_w: f64,
+    /// Wall power in watts including refrigeration.
+    pub wall_power_w: f64,
     /// Wall power relative to the study reference.
     pub relative_power: f64,
     /// Service time relative to the baseline on the same benchmark.
@@ -182,6 +193,52 @@ pub(crate) struct RowValues {
     pub footprint_mm2: f64,
     /// Fraction of bank bandwidth this traffic consumes.
     pub bandwidth_utilization: f64,
+}
+
+impl RowValues {
+    /// Checks the finite-or-explicitly-infeasible invariant over one
+    /// row's numbers: no field is `NaN`, and an infinite relative
+    /// latency only appears on rows whose verdict says the point is
+    /// unserviceable. [`LlcEvaluation::validate`] and
+    /// [`crate::EvalArena::validate`] both check their rows here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonFinite`] naming `config_label @ benchmark`
+    /// and the offending field.
+    pub(crate) fn validate(
+        &self,
+        lifetime_years: f64,
+        config_label: &str,
+        benchmark: &str,
+    ) -> Result<(), Error> {
+        let non_finite = |field: &str| Error::NonFinite {
+            context: format!("{config_label} @ {benchmark}: {field}"),
+        };
+        for (field, value) in [
+            ("device_power", self.device_power_w),
+            ("wall_power", self.wall_power_w),
+            ("relative_power", self.relative_power),
+            ("footprint_mm2", self.footprint_mm2),
+            ("bandwidth_utilization", self.bandwidth_utilization),
+        ] {
+            if !value.is_finite() {
+                return Err(non_finite(field));
+            }
+        }
+        // Latency and lifetime carry documented infinity sentinels
+        // (unserviceable / unlimited endurance) but never NaN.
+        if self.relative_latency.is_nan() {
+            return Err(non_finite("relative_latency"));
+        }
+        if lifetime_years.is_nan() {
+            return Err(non_finite("lifetime_years"));
+        }
+        if self.relative_latency.is_infinite() && self.feasibility.is_serviceable() {
+            return Err(non_finite("relative_latency (sentinel without verdict)"));
+        }
+        Ok(())
+    }
 }
 
 /// Computes one row's numeric fields from the array characterization,
@@ -214,8 +271,8 @@ pub(crate) fn row_values(
     let utilization =
         array.bandwidth_utilization(traffic.reads_per_sec, traffic.writes_per_sec);
     RowValues {
-        device_power: device,
-        wall_power: wall,
+        device_power_w: device.get(),
+        wall_power_w: wall.get(),
         relative_power: wall / reference_power,
         relative_latency,
         slowdown: relative_latency > 1.0,
@@ -263,8 +320,8 @@ impl LlcEvaluation {
             config_label,
             benchmark,
             traffic,
-            device_power: values.device_power,
-            wall_power: values.wall_power,
+            device_power: Watts::new(values.device_power_w),
+            wall_power: Watts::new(values.wall_power_w),
             relative_power: values.relative_power,
             relative_latency: values.relative_latency,
             slowdown: values.slowdown,
@@ -308,32 +365,17 @@ impl LlcEvaluation {
     ///
     /// Returns [`Error::NonFinite`] naming the offending field.
     pub fn validate(&self) -> Result<(), Error> {
-        let non_finite = |field: &str| Error::NonFinite {
-            context: format!("{} @ {}: {field}", self.config_label, self.benchmark),
+        let values = RowValues {
+            device_power_w: self.device_power.get(),
+            wall_power_w: self.wall_power.get(),
+            relative_power: self.relative_power,
+            relative_latency: self.relative_latency,
+            slowdown: self.slowdown,
+            feasibility: self.feasibility,
+            footprint_mm2: self.footprint_mm2,
+            bandwidth_utilization: self.bandwidth_utilization,
         };
-        for (field, value) in [
-            ("device_power", self.device_power.get()),
-            ("wall_power", self.wall_power.get()),
-            ("relative_power", self.relative_power),
-            ("footprint_mm2", self.footprint_mm2),
-            ("bandwidth_utilization", self.bandwidth_utilization),
-        ] {
-            if !value.is_finite() {
-                return Err(non_finite(field));
-            }
-        }
-        // Latency and lifetime carry documented infinity sentinels
-        // (unserviceable / unlimited endurance) but never NaN.
-        if self.relative_latency.is_nan() {
-            return Err(non_finite("relative_latency"));
-        }
-        if self.lifetime_years.is_nan() {
-            return Err(non_finite("lifetime_years"));
-        }
-        if self.relative_latency.is_infinite() && self.feasibility.is_serviceable() {
-            return Err(non_finite("relative_latency (sentinel without verdict)"));
-        }
-        Ok(())
+        values.validate(self.lifetime_years, &self.config_label, self.benchmark)
     }
 }
 

@@ -209,8 +209,8 @@ impl Explorer {
             Feasibility::Viable
         };
         let values = RowValues {
-            device_power: device,
-            wall_power: wall,
+            device_power_w: device.get(),
+            wall_power_w: wall.get(),
             relative_power: wall / self.reference_power(),
             relative_latency,
             slowdown: relative_latency > 1.0,

@@ -170,8 +170,12 @@ pub enum ResponsePayload {
     Sweep {
         /// Hash of the compiled study plan.
         plan_hash: u64,
-        /// Every evaluation row in (configuration x benchmark) order.
-        rows: Vec<LlcEvaluation>,
+        /// Every evaluation row, as the columns [`Explorer::run`]
+        /// filled, in (configuration x benchmark) order. A frontend
+        /// reads or renders the columns; [`EvalArena::row`]
+        /// materializes one row where a caller needs an
+        /// [`LlcEvaluation`].
+        arena: EvalArena,
     },
     /// Answer to [`Request::Search`].
     Search {
@@ -382,11 +386,8 @@ impl RequestHandler {
                 let mut arena = EvalArena::new();
                 self.explorer.run(&plan, &mut arena);
                 deadline.check()?;
-                let rows = arena.to_rows();
-                for row in &rows {
-                    row.validate()?;
-                }
-                Ok(ResponsePayload::Sweep { plan_hash, rows })
+                arena.validate()?;
+                Ok(ResponsePayload::Sweep { plan_hash, arena })
             }
             Request::Search {
                 tech,
@@ -692,7 +693,7 @@ mod tests {
     fn sweep_response_carries_the_study_plan_hash() {
         let registry = Registry::new();
         let handler = handler(&registry);
-        let ResponsePayload::Sweep { plan_hash, rows } = handler.handle(&Request::Sweep).unwrap()
+        let ResponsePayload::Sweep { plan_hash, arena } = handler.handle(&Request::Sweep).unwrap()
         else {
             panic!("sweep must answer with rows");
         };
@@ -702,7 +703,7 @@ mod tests {
             .unwrap()
             .stable_hash();
         assert_eq!(plan_hash, expected);
-        assert_eq!(rows.len(), 31 * 23);
+        assert_eq!(arena.rows(), 31 * 23);
     }
 
     /// Regression: every characterization miss used to record its

@@ -283,12 +283,12 @@ pub fn monte_carlo(cases: &[(MemoryTechnology, u8, u64)], samples: usize) -> Vec
 
 /// `characterize` over every drawn sample, in index order.
 ///
-/// With `t = max_threads().min(n)` above 1, worker `w` characterizes
-/// samples `w, w + t, …` — worker 0 on the calling thread, the others
-/// on scoped threads — and the results are restored by index;
-/// otherwise the samples run inline. A stride is enough: each case's
-/// samples cost about the same and sit contiguously, so every worker
-/// gets an equal share of each case.
+/// With `t = max_threads().min(n)` above 1, `t` workers (worker 0 on
+/// the calling thread, the others on scoped threads) each claim the
+/// next unclaimed sample index from one shared counter until none is
+/// left, and the results are put back in index order; otherwise the
+/// samples run inline. A worker that starts late claims fewer samples
+/// rather than holding a fixed share the others wait on.
 fn characterize_samples(
     drawn: &[(CellModel, u8)],
     characterize: impl Fn(&(CellModel, u8)) -> ArrayCharacterization + Sync,
@@ -300,23 +300,28 @@ fn characterize_samples(
         return drawn.iter().map(characterize).collect();
     }
     let characterize = &characterize;
-    // Worker `w`'s samples in order, and when it finished them.
-    let work = move |w: usize| -> (Vec<ArrayCharacterization>, Instant) {
-        let part = {
+    let next = &AtomicUsize::new(0);
+    // The samples one worker claimed, by index, and when it ran out.
+    let work = move || -> (Vec<(usize, ArrayCharacterization)>, Instant) {
+        let mut claimed = Vec::with_capacity(drawn.len().div_ceil(threads));
+        {
             let _busy = Span::enter(fan_out.busy.clone());
-            drawn
-                .iter()
-                .skip(w)
-                .step_by(threads)
-                .map(characterize)
-                .collect()
-        };
-        (part, Instant::now())
+            loop {
+                // `Relaxed` is enough: the counter publishes no data, and
+                // each result reaches the caller through its worker's join.
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(sample) = drawn.get(index) else {
+                    break;
+                };
+                claimed.push((index, characterize(sample)));
+            }
+        }
+        (claimed, Instant::now())
     };
     // The calling thread is worker 0, so `t - 1` threads spawn.
     let workers = thread::scope(|scope| {
-        let spawned: Vec<_> = (1..threads).map(|w| scope.spawn(move || work(w))).collect();
-        let mut workers = vec![work(0)];
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut workers = vec![work()];
         workers.extend(spawned.into_iter().map(|h| {
             h.join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -326,17 +331,21 @@ fn characterize_samples(
     let ended = Instant::now();
     let mut parts: Vec<_> = workers
         .into_iter()
-        .map(|(part, finished)| {
+        .map(|(claimed, finished)| {
             let idle = ended.saturating_duration_since(finished).as_nanos();
             fan_out.idle.record(u64::try_from(idle).unwrap_or(u64::MAX));
-            part.into_iter()
+            claimed.into_iter().peekable()
         })
         .collect();
+    // Each worker claimed its indices in increasing order, so sample
+    // `i` is at the front of exactly one part when its turn comes.
     (0..drawn.len())
         .map(|i| {
-            parts[i % threads]
-                .next()
-                .expect("worker i % t holds sample i")
+            parts
+                .iter_mut()
+                .find_map(|part| part.next_if(|&(index, _)| index == i))
+                .map(|(_, array)| array)
+                .expect("every sample index is claimed exactly once")
         })
         .collect()
 }

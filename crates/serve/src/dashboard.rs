@@ -19,7 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use coldtall_core::{
-    Constraints, Error, LlcEvaluation, Request, RequestHandler, ResponsePayload,
+    Constraints, Error, EvalArena, LlcEvaluation, Request, RequestHandler, ResponsePayload,
 };
 use coldtall_obs::Registry;
 
@@ -85,7 +85,7 @@ pub fn render_dashboard(
             constraints: Constraints::default(),
         })
         .map_err(wrap)?;
-    let ResponsePayload::Sweep { rows, .. } = &sweep else {
+    let ResponsePayload::Sweep { arena, .. } = &sweep else {
         unreachable!("sweep returns a sweep payload");
     };
     let ResponsePayload::Search {
@@ -99,8 +99,8 @@ pub fn render_dashboard(
 
     let mut written = Vec::new();
     for (name, contents) in [
-        ("index.html", index_page(handler, rows.len(), *plan_hash)),
-        ("pareto.html", pareto_page(rows, &outcome.frontier)),
+        ("index.html", index_page(handler, arena.rows(), *plan_hash)),
+        ("pareto.html", pareto_page(arena, &outcome.frontier)),
         ("search.html", search_page(region, outcome)),
         ("latency.html", latency_page(metrics)),
     ] {
@@ -137,12 +137,12 @@ fn index_page(handler: &RequestHandler, sweep_rows: usize, plan_hash: u64) -> St
 
 /// Scatter of wall power vs relative latency over serviceable sweep
 /// rows, with the constrained Pareto frontier highlighted.
-fn pareto_page(rows: &[LlcEvaluation], frontier: &[LlcEvaluation]) -> String {
+fn pareto_page(sweep: &EvalArena, frontier: &[LlcEvaluation]) -> String {
     const W: f64 = 640.0;
     const H: f64 = 400.0;
     const M: f64 = 45.0;
-    let serviceable: Vec<&LlcEvaluation> = rows
-        .iter()
+    let serviceable: Vec<LlcEvaluation> = sweep
+        .iter_rows()
         .filter(|r| r.relative_latency.is_finite() && r.relative_power.is_finite())
         .collect();
     let bound = |f: fn(&LlcEvaluation) -> f64, init: (f64, f64)| {
@@ -203,7 +203,7 @@ fn pareto_page(rows: &[LlcEvaluation], frontier: &[LlcEvaluation]) -> String {
          <th>rel. latency</th><th>rel. power</th><th>footprint mm&sup2;</th>\
          <th>lifetime yr</th></tr>",
         serviceable.len(),
-        rows.len(),
+        sweep.rows(),
         frontier.len(),
     );
     for row in frontier {

@@ -34,10 +34,12 @@
 //! strings `"inf"`, `"-inf"` — JSON numbers cannot carry them.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use coldtall_array::ArrayCharacterization;
 use coldtall_core::{
-    Constraints, DesignPoint, Error, LlcEvaluation, Request, ResponsePayload, StatusReport,
+    Constraints, DesignPoint, Error, EvalArena, Feasibility, LlcEvaluation, Request,
+    ResponsePayload, StatusReport,
 };
 use coldtall_obs::json::{self, Value};
 
@@ -255,9 +257,8 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
 }
 
 /// A [`std::fmt::Write`] sink that escapes everything written through
-/// it into the wrapped buffer, so `Display` values (feasibility
-/// verdicts, error messages) render escaped without an intermediate
-/// `String`.
+/// it into the wrapped buffer, so an error message's `Display` renders
+/// escaped without an intermediate `String`.
 struct Escaping<'a>(&'a mut String);
 
 impl std::fmt::Write for Escaping<'_> {
@@ -294,7 +295,7 @@ pub fn render_response(
     // Sweep responses are the large ones (hundreds of rows of roughly
     // 350 bytes); reserving up front spares the doubling copies.
     let rows = match outcome {
-        Ok(ResponsePayload::Sweep { rows, .. }) => rows.len(),
+        Ok(ResponsePayload::Sweep { arena, .. }) => arena.rows(),
         _ => 0,
     };
     let mut out = String::with_capacity(256 + rows * 384);
@@ -355,19 +356,14 @@ fn render_payload(out: &mut String, payload: &ResponsePayload) {
         }
         ResponsePayload::Evaluation { plan_hash, row } => {
             let _ = write!(out, "{{\"plan\":\"{plan_hash:016x}\",\"row\":");
-            render_row(out, row);
+            RowWriter::default().push(out, &RowFields::from(row));
             out.push('}');
         }
-        ResponsePayload::Sweep { plan_hash, rows } => {
+        ResponsePayload::Sweep { plan_hash, arena } => {
             let _ = write!(out, "{{\"plan\":\"{plan_hash:016x}\",\"rows\":");
-            num::push_u64(out, rows.len() as u64);
+            num::push_u64(out, arena.rows() as u64);
             out.push_str(",\"evaluations\":[");
-            for (i, row) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_row(out, row);
-            }
+            render_arena_rows(out, arena);
             out.push_str("]}");
         }
         ResponsePayload::Search {
@@ -378,11 +374,12 @@ fn render_payload(out: &mut String, payload: &ResponsePayload) {
             out.push_str("{\"region\":\"");
             push_escaped(out, region);
             let _ = write!(out, "\",\"plan\":\"{plan_hash:016x}\",\"frontier\":[");
+            let mut writer = RowWriter::default();
             for (i, row) in outcome.frontier.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                render_row(out, row);
+                writer.push(out, &RowFields::from(row));
             }
             let stats = &outcome.stats;
             out.push_str("],\"stats\":");
@@ -478,32 +475,178 @@ fn render_characterization(out: &mut String, a: &ArrayCharacterization) {
     out.push('}');
 }
 
-fn render_row(out: &mut String, row: &LlcEvaluation) {
-    out.push_str("{\"config\":\"");
-    push_escaped(out, &row.config_label);
-    out.push_str("\",\"benchmark\":\"");
-    push_escaped(out, row.benchmark);
-    out.push_str("\",\"device_power_w\":");
-    push_num(out, row.device_power.get());
-    out.push_str(",\"wall_power_w\":");
-    push_num(out, row.wall_power.get());
-    out.push_str(",\"relative_power\":");
-    push_num(out, row.relative_power);
-    out.push_str(",\"relative_latency\":");
-    push_num(out, row.relative_latency);
-    out.push_str(if row.slowdown {
-        ",\"slowdown\":true,\"feasibility\":\""
-    } else {
-        ",\"slowdown\":false,\"feasibility\":\""
-    });
-    let _ = write!(Escaping(out), "{}", row.feasibility);
-    out.push_str("\",\"footprint_mm2\":");
-    push_num(out, row.footprint_mm2);
-    out.push_str(",\"lifetime_years\":");
-    push_num(out, row.lifetime_years);
-    out.push_str(",\"bandwidth_utilization\":");
-    push_num(out, row.bandwidth_utilization);
-    out.push('}');
+/// One evaluation row's wire fields, read from an [`EvalArena`]'s
+/// columns or borrowed from an [`LlcEvaluation`].
+struct RowFields<'a> {
+    /// The row's configuration plane, for a row read from an arena.
+    plane: Option<usize>,
+    config: &'a str,
+    /// The row's benchmark column, for a row read from an arena.
+    column: Option<usize>,
+    benchmark: &'a str,
+    device_power_w: f64,
+    wall_power_w: f64,
+    relative_power: f64,
+    relative_latency: f64,
+    slowdown: bool,
+    feasibility: Feasibility,
+    footprint_mm2: f64,
+    lifetime_years: f64,
+    bandwidth_utilization: f64,
+}
+
+impl<'a> From<&'a LlcEvaluation> for RowFields<'a> {
+    fn from(row: &'a LlcEvaluation) -> Self {
+        Self {
+            plane: None,
+            config: &row.config_label,
+            column: None,
+            benchmark: row.benchmark,
+            device_power_w: row.device_power.get(),
+            wall_power_w: row.wall_power.get(),
+            relative_power: row.relative_power,
+            relative_latency: row.relative_latency,
+            slowdown: row.slowdown,
+            feasibility: row.feasibility,
+            footprint_mm2: row.footprint_mm2,
+            lifetime_years: row.lifetime_years,
+            bandwidth_utilization: row.bandwidth_utilization,
+        }
+    }
+}
+
+/// Writes the sweep's rows straight from the arena's columns, in
+/// (configuration x benchmark) order.
+fn render_arena_rows(out: &mut String, arena: &EvalArena) {
+    let columns = arena.benchmark_count();
+    let mut writer = RowWriter::new(columns);
+    for (plane, config) in arena.config_labels().iter().enumerate() {
+        for (column, &benchmark) in arena.benchmark_names().iter().enumerate() {
+            let index = plane * columns + column;
+            if index > 0 {
+                out.push(',');
+            }
+            let fields = RowFields {
+                plane: Some(plane),
+                config,
+                column: Some(column),
+                benchmark,
+                device_power_w: arena.device_power_watts()[index],
+                wall_power_w: arena.wall_power_watts()[index],
+                relative_power: arena.relative_power()[index],
+                relative_latency: arena.relative_latency()[index],
+                slowdown: arena.slowdown()[index],
+                feasibility: arena.feasibility()[index],
+                footprint_mm2: arena.footprint_mm2()[index],
+                lifetime_years: arena.lifetime_years()[index],
+                bandwidth_utilization: arena.bandwidth_utilization()[index],
+            };
+            writer.push(out, &fields);
+        }
+    }
+}
+
+/// Writes evaluation rows into one response. [`RowWriter::push`] is the
+/// one place the row's JSON keys and field order live: the sweep, the
+/// search frontier and the `evaluate` row all go through it.
+///
+/// Text the response already holds is copied with
+/// `String::extend_from_within` rather than escaped or formatted again:
+///
+/// * an arena plane's label is escaped once, by the plane's first row;
+/// * an arena column's benchmark name is escaped once per response;
+/// * a footprint bit-equal to the last footprint written copies that
+///   text (the footprint repeats down each plane);
+/// * a wall power bit-equal to the row's device power copies the device
+///   power's text (wherever the cooling factor is 1).
+///
+/// Bit-equal floats print the same bytes, so each copy is exactly what
+/// formatting would have written.
+#[derive(Default)]
+struct RowWriter {
+    /// The plane whose escaped label was written last, and where.
+    label: Option<(usize, Range<usize>)>,
+    /// Where each arena column's escaped benchmark name was written.
+    benchmarks: Vec<Option<Range<usize>>>,
+    /// The bits of the last footprint written, and where its text is.
+    footprint: Option<(u64, Range<usize>)>,
+}
+
+impl RowWriter {
+    /// A writer for rows read from an arena with `columns` benchmarks.
+    fn new(columns: usize) -> Self {
+        Self {
+            benchmarks: vec![None; columns],
+            ..Self::default()
+        }
+    }
+
+    /// Appends one row as a JSON object.
+    fn push(&mut self, out: &mut String, row: &RowFields<'_>) {
+        out.push_str("{\"config\":\"");
+        match (&self.label, row.plane) {
+            (Some((plane, text)), Some(row_plane)) if *plane == row_plane => {
+                out.extend_from_within(text.clone());
+            }
+            _ => {
+                let text = written(out, |out| push_escaped(out, row.config));
+                self.label = row.plane.map(|plane| (plane, text));
+            }
+        }
+        out.push_str("\",\"benchmark\":\"");
+        match row
+            .column
+            .and_then(|column| self.benchmarks.get_mut(column))
+        {
+            Some(Some(text)) => out.extend_from_within(text.clone()),
+            slot => {
+                let text = written(out, |out| push_escaped(out, row.benchmark));
+                if let Some(slot) = slot {
+                    *slot = Some(text);
+                }
+            }
+        }
+        out.push_str("\",\"device_power_w\":");
+        let device = written(out, |out| push_num(out, row.device_power_w));
+        out.push_str(",\"wall_power_w\":");
+        if row.wall_power_w.to_bits() == row.device_power_w.to_bits() {
+            out.extend_from_within(device);
+        } else {
+            push_num(out, row.wall_power_w);
+        }
+        out.push_str(",\"relative_power\":");
+        push_num(out, row.relative_power);
+        out.push_str(",\"relative_latency\":");
+        push_num(out, row.relative_latency);
+        out.push_str(if row.slowdown {
+            ",\"slowdown\":true,\"feasibility\":\""
+        } else {
+            ",\"slowdown\":false,\"feasibility\":\""
+        });
+        // No verdict holds a character that needs escaping.
+        out.push_str(row.feasibility.as_str());
+        out.push_str("\",\"footprint_mm2\":");
+        let bits = row.footprint_mm2.to_bits();
+        match &self.footprint {
+            Some((last, text)) if *last == bits => out.extend_from_within(text.clone()),
+            _ => {
+                let text = written(out, |out| push_num(out, row.footprint_mm2));
+                self.footprint = Some((bits, text));
+            }
+        }
+        out.push_str(",\"lifetime_years\":");
+        push_num(out, row.lifetime_years);
+        out.push_str(",\"bandwidth_utilization\":");
+        push_num(out, row.bandwidth_utilization);
+        out.push('}');
+    }
+}
+
+/// Runs `write` on `out` and returns where its text landed.
+fn written(out: &mut String, write: impl FnOnce(&mut String)) -> Range<usize> {
+    let start = out.len();
+    write(out);
+    start..out.len()
 }
 
 #[cfg(test)]
@@ -702,6 +845,120 @@ mod tests {
         for c in all.chars() {
             let s = format!("x{c}y");
             assert_eq!(escape(&s), reference(&s), "{c:?}");
+        }
+    }
+
+    /// The sweep renders straight from the arena's columns and copies
+    /// text it already wrote. Parsed back, every row must equal the
+    /// arena's own row: label, benchmark, slowdown and verdict text, and
+    /// each float bit for bit, with `"inf"` for the sentinels. The three
+    /// arenas take each side of the wall-power rule: the study set
+    /// mostly reuses the device power's text, every 77 K row has a
+    /// cooled wall power, and the cryo-STT region mixes both.
+    #[test]
+    fn sweep_rows_round_trip_from_the_arena() {
+        use coldtall_core::{Explorer, MemoryConfig};
+        use coldtall_units::Kelvin;
+
+        let explorer = Explorer::with_defaults();
+        let sweep = |configs: &[MemoryConfig]| {
+            let plan = explorer.plan_sweep(configs).expect("configs resolve");
+            let mut arena = EvalArena::new();
+            explorer.run(&plan, &mut arena);
+            arena
+        };
+        let study = MemoryConfig::study_set();
+        let cold: Vec<MemoryConfig> = study
+            .iter()
+            .map(|c| c.clone().at_temperature(Kelvin::LN2))
+            .collect();
+        let region = MemoryConfig::cryo_stt_study_set();
+        for (name, arena) in [
+            ("study", sweep(&study)),
+            ("study at 77 K", sweep(&cold)),
+            ("cryo-STT region", sweep(&region)),
+        ] {
+            let rows = arena.rows();
+            let wall_is_device = (0..rows)
+                .filter(|&i| {
+                    arena.wall_power_watts()[i].to_bits() == arena.device_power_watts()[i].to_bits()
+                })
+                .count();
+            let infinite = arena
+                .relative_latency()
+                .iter()
+                .filter(|l| l.is_infinite())
+                .count();
+            match name {
+                "study" => assert_eq!((rows, wall_is_device, infinite), (713, 667, 31)),
+                "study at 77 K" => assert_eq!((rows, wall_is_device), (713, 0)),
+                _ => {
+                    assert_eq!(rows, 1_472);
+                    assert!(
+                        0 < wall_is_device && wall_is_device < rows,
+                        "{wall_is_device}"
+                    );
+                }
+            }
+
+            let payload = ResponsePayload::Sweep {
+                plan_hash: 0,
+                arena: arena.clone(),
+            };
+            let line = render_response("sweep", None, &Ok(payload));
+            let value = coldtall_obs::json::parse(&line).expect("the sweep is valid JSON");
+            let result = value.get("result").expect("a result");
+            assert_eq!(
+                result.get("rows").and_then(Value::as_f64),
+                Some(rows as f64)
+            );
+            let Some(Value::Array(evaluations)) = result.get("evaluations") else {
+                panic!("{name}: no evaluations array");
+            };
+            assert_eq!(evaluations.len(), rows, "{name}");
+            let bits = |field: &Value| match field {
+                Value::Number(n) => n.to_bits(),
+                Value::String(s) if s == "inf" => f64::INFINITY.to_bits(),
+                other => panic!("{name}: not a wire float: {other:?}"),
+            };
+            for (i, wire) in evaluations.iter().enumerate() {
+                let row = arena.row(i);
+                let Value::Object(fields) = wire else {
+                    panic!("{name}: row {i} is not an object");
+                };
+                assert_eq!(fields.len(), 11, "{name}: row {i} keys");
+                let text = |key: &str| match &fields[key] {
+                    Value::String(s) => s.clone(),
+                    other => panic!("{name}: row {i} {key} is {other:?}"),
+                };
+                assert_eq!(text("config"), row.config_label, "{name}: row {i}");
+                assert_eq!(text("benchmark"), row.benchmark, "{name}: row {i}");
+                assert_eq!(
+                    text("feasibility"),
+                    row.feasibility.to_string(),
+                    "{name}: row {i}"
+                );
+                assert_eq!(
+                    fields["slowdown"],
+                    Value::Bool(row.slowdown),
+                    "{name}: row {i}"
+                );
+                for (key, expected) in [
+                    ("device_power_w", row.device_power.get()),
+                    ("wall_power_w", row.wall_power.get()),
+                    ("relative_power", row.relative_power),
+                    ("relative_latency", row.relative_latency),
+                    ("footprint_mm2", row.footprint_mm2),
+                    ("lifetime_years", row.lifetime_years),
+                    ("bandwidth_utilization", row.bandwidth_utilization),
+                ] {
+                    assert_eq!(
+                        bits(&fields[key]),
+                        expected.to_bits(),
+                        "{name}: row {i} {key}"
+                    );
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo test -q
+cargo test -q --workspace
 # The adversarial-input gate runs explicitly so a filtered or partial
 # test invocation can never silently skip it: no CLI argument or
 # environment variable may reach a panic, and no line of a seeded,

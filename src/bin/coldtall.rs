@@ -506,17 +506,17 @@ fn cmd_recommend(opts: &Options, out: &mut String) -> Result<(), String> {
         ..Constraints::default()
     };
     let name = opts.get("bench").unwrap_or("namd");
-    let ResponsePayload::Sweep { rows, .. } = answer(opts, &engine(opts)?, &Request::Sweep)? else {
+    let ResponsePayload::Sweep { arena, .. } = answer(opts, &engine(opts)?, &Request::Sweep)?
+    else {
         unreachable!("sweep answers with rows");
     };
-    let rows: Vec<LlcEvaluation> = rows
-        .into_iter()
-        .filter(|row| row.benchmark == name)
-        .collect();
-    if rows.is_empty() {
+    let Some(column) = arena.benchmark_names().iter().position(|&b| b == name) else {
         let name = name.to_string();
         return Err(Error::UnknownBenchmark { name }.to_string());
-    }
+    };
+    let rows: Vec<LlcEvaluation> = (0..arena.config_count())
+        .map(|config| arena.row(arena.row_index(config, column)))
+        .collect();
     let pick = coldtall::core::recommend(&rows, &constraints)
         .ok_or("no configuration satisfies the constraints")?;
     let _ = writeln!(
@@ -532,10 +532,10 @@ fn cmd_recommend(opts: &Options, out: &mut String) -> Result<(), String> {
 
 fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
     let handler = engine(opts)?;
-    let ResponsePayload::Sweep { rows, .. } = answer(opts, &handler, &Request::Sweep)? else {
+    let ResponsePayload::Sweep { arena, .. } = answer(opts, &handler, &Request::Sweep)? else {
         unreachable!("sweep answers with rows");
     };
-    let benchmarks = spec2017().len();
+    let benchmarks = arena.benchmark_count();
     let mut table = TextTable::new(&[
         "configuration",
         "viable",
@@ -543,20 +543,20 @@ fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
         "mean_rel_power",
         "mean_rel_latency",
     ]);
-    for per_bench in rows.chunks(benchmarks) {
-        let viable = per_bench.iter().filter(|row| !row.slowdown).count();
-        let min_power = per_bench
-            .iter()
-            .map(|row| row.relative_power)
-            .fold(f64::INFINITY, f64::min);
+    // One configuration plane per chunk of each column.
+    let planes = arena
+        .config_labels()
+        .iter()
+        .zip(arena.slowdown().chunks(benchmarks))
+        .zip(arena.relative_power().chunks(benchmarks))
+        .zip(arena.relative_latency().chunks(benchmarks));
+    for (((label, slowdown), power), latency) in planes {
+        let viable = slowdown.iter().filter(|&&slow| !slow).count();
+        let min_power = power.iter().copied().fold(f64::INFINITY, f64::min);
         #[allow(clippy::cast_precision_loss)]
-        let mean_power = per_bench.iter().map(|row| row.relative_power).sum::<f64>()
-            / benchmarks as f64;
-        let finite_latencies: Vec<f64> = per_bench
-            .iter()
-            .map(|row| row.relative_latency)
-            .filter(|l| l.is_finite())
-            .collect();
+        let mean_power = power.iter().sum::<f64>() / benchmarks as f64;
+        let finite_latencies: Vec<f64> =
+            latency.iter().copied().filter(|l| l.is_finite()).collect();
         #[allow(clippy::cast_precision_loss)]
         let mean_latency = if finite_latencies.is_empty() {
             f64::INFINITY
@@ -564,7 +564,7 @@ fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
             finite_latencies.iter().sum::<f64>() / finite_latencies.len() as f64
         };
         table.row(&[
-            &per_bench[0].config_label,
+            label,
             &format!("{viable}/{benchmarks}"),
             &sci(min_power),
             &sci(mean_power),
@@ -575,8 +575,8 @@ fn cmd_sweep(opts: &Options, out: &mut String) -> Result<(), String> {
     let _ = writeln!(
         out,
         "\n{} rows ({} configurations x {} benchmarks), {} characterizations memoized",
-        rows.len(),
-        rows.len() / benchmarks,
+        arena.rows(),
+        arena.config_count(),
         benchmarks,
         handler.explorer().cached_characterizations()
     );
