@@ -2,10 +2,8 @@
 
 use coldtall_units::{Joules, Seconds, SquareMeters, Watts};
 
-use crate::components::{
-    bitline, decoder, htree, leakage, refresh, sense, vertical, Ctx,
-};
 use crate::components::wordline;
+use crate::components::{bitline, decoder, htree, leakage, refresh, sense, vertical, Ctx};
 use crate::organization::Organization;
 use crate::spec::ArraySpec;
 
@@ -84,11 +82,12 @@ impl ArrayCharacterization {
         let read_cycle_time = t_wl + t_bl_read + t_sense;
         let write_cycle_time = t_wl + t_bl_write + t_pulse;
 
-        let e_common = decoder::energy(ctx) + wordline::energy(ctx) + htree::energy(ctx)
+        let e_common = decoder::energy(ctx)
+            + wordline::energy(ctx)
+            + htree::energy(ctx)
             + vertical::energy(ctx);
         let read_energy = e_common + bitline::read_energy(ctx) + sense::read_energy(ctx);
-        let write_energy =
-            e_common + bitline::write_energy(ctx) + sense::write_energy(ctx);
+        let write_energy = e_common + bitline::write_energy(ctx) + sense::write_energy(ctx);
 
         let leakage_power = leakage::total(ctx);
         let (refresh_power, refresh_busy_fraction, retention) = match refresh::profile(ctx) {

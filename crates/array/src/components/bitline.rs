@@ -121,7 +121,10 @@ mod tests {
 
     fn ctx_for(cell: CellModel) -> (ArraySpec, Organization) {
         let node = ProcessNode::ptm_22nm_hp();
-        (ArraySpec::llc_16mib(cell, &node), Organization::new(512, 1024))
+        (
+            ArraySpec::llc_16mib(cell, &node),
+            Organization::new(512, 1024),
+        )
     }
 
     #[test]

@@ -61,8 +61,7 @@ impl Geometry {
         let decoder_strip = rows * cell_height * calib::DECODER_STRIP_DEPTH_F * f;
         let sense_strip = cols * cell_width * sense_depth * f;
         let strips_area = (decoder_strip + sense_strip) * calib::DUAL_PORT_AREA_FACTOR;
-        let subarray_area =
-            (cell_block_area + strips_area) * (1.0 + calib::CONTROL_AREA_OVERHEAD);
+        let subarray_area = (cell_block_area + strips_area) * (1.0 + calib::CONTROL_AREA_OVERHEAD);
 
         let overhead = spec.storage_overhead();
         let subarrays_total = org.subarray_count(spec.capacity(), overhead);
@@ -77,8 +76,7 @@ impl Geometry {
         } else {
             calib::GLOBAL_FLOOR_VOLATILE_MM2
         };
-        let capacity_scale =
-            (spec.capacity().bits_f64() / (16.0 * 1024.0 * 1024.0 * 8.0)).sqrt();
+        let capacity_scale = (spec.capacity().bits_f64() / (16.0 * 1024.0 * 1024.0 * 8.0)).sqrt();
         let floor_area = floor_mm2_base * 1e-6 * capacity_scale;
 
         let tsv_area = if dies > 1 {

@@ -39,7 +39,11 @@ pub fn delay(ctx: &Ctx<'_>) -> Seconds {
 /// plus the broadcast/background term proportional to the die footprint
 /// (clock and control distribution, partially-switched branches).
 pub fn energy(ctx: &Ctx<'_>) -> Joules {
-    energy_raw(&ctx.temp, path_m(ctx.geom.footprint), ctx.geom.per_die_content)
+    energy_raw(
+        &ctx.temp,
+        path_m(ctx.geom.footprint),
+        ctx.geom.per_die_content,
+    )
 }
 
 #[cfg(test)]
@@ -81,10 +85,10 @@ mod tests {
     fn cryo_htree_is_much_faster() {
         let node = ProcessNode::ptm_22nm_hp();
         let org = Organization::new(512, 1024);
-        let warm = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature(Kelvin::REFERENCE);
-        let cold = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature_cryo(Kelvin::LN2);
+        let warm =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature(Kelvin::REFERENCE);
+        let cold =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature_cryo(Kelvin::LN2);
         let d_warm = delay(&Ctx::new(&warm, org));
         let d_cold = delay(&Ctx::new(&cold, org));
         let ratio = d_cold / d_warm;

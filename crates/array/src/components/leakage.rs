@@ -54,7 +54,10 @@ mod tests {
 
     fn ctx_build(cell: CellModel) -> (ArraySpec, Organization) {
         let node = ProcessNode::ptm_22nm_hp();
-        (ArraySpec::llc_16mib(cell, &node), Organization::new(512, 1024))
+        (
+            ArraySpec::llc_16mib(cell, &node),
+            Organization::new(512, 1024),
+        )
     }
 
     #[test]
@@ -87,17 +90,20 @@ mod tests {
             let (spec, _) = ctx_build(pcm);
             let envm = total(&Ctx::new(&spec, org)).get();
             let ratio = sram / envm;
-            assert!(ratio > 2.0 && ratio < 80.0, "{tp}: SRAM/eNVM leak = {ratio}");
+            assert!(
+                ratio > 2.0 && ratio < 80.0,
+                "{tp}: SRAM/eNVM leak = {ratio}"
+            );
         }
     }
 
     #[test]
     fn cryo_kills_periphery_leakage_too() {
         let node = ProcessNode::ptm_22nm_hp();
-        let warm = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature(Kelvin::REFERENCE);
-        let cold = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature_cryo(Kelvin::LN2);
+        let warm =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature(Kelvin::REFERENCE);
+        let cold =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature_cryo(Kelvin::LN2);
         let org = Organization::new(512, 1024);
         let ratio = total(&Ctx::new(&cold, org)) / total(&Ctx::new(&warm, org));
         assert!(ratio < 1e-4, "cryo leak ratio = {ratio:e}");

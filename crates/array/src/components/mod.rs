@@ -69,7 +69,8 @@ impl NodeDevices {
     pub(crate) fn new(node: &ProcessNode) -> Self {
         let nmos = Mosfet::nmos(node);
         let w_min = node.min_width();
-        let r_eq_nominal = nmos.equivalent_resistance(&OperatingPoint::nominal(node, Kelvin::ROOM), w_min);
+        let r_eq_nominal =
+            nmos.equivalent_resistance(&OperatingPoint::nominal(node, Kelvin::ROOM), w_min);
         let gate_cap_min = nmos.gate_cap(w_min);
         let junction_half = nmos.junction_cap(w_min) * 0.5;
         Self {
@@ -250,7 +251,10 @@ impl TempCtx {
                 let re_pj = cell.read_energy_cell().as_picos();
                 let scaled = calib::CURRENT_SENSE_LEAK_FACTOR
                     * (re_pj / calib::CURRENT_SENSE_REFERENCE_PJ).powi(2);
-                scaled.clamp(calib::CURRENT_SENSE_LEAK_FACTOR, calib::CURRENT_SENSE_LEAK_MAX)
+                scaled.clamp(
+                    calib::CURRENT_SENSE_LEAK_FACTOR,
+                    calib::CURRENT_SENSE_LEAK_MAX,
+                )
             }
             ReadMechanism::VoltageSense { .. } => 1.0,
         };
@@ -347,7 +351,12 @@ pub struct Ctx<'a> {
 impl<'a> Ctx<'a> {
     /// Builds the context for one candidate organization.
     pub fn new(spec: &'a ArraySpec, org: Organization) -> Self {
-        Self::with_parts(spec, org, Geometry::derive(spec, org), &DeviceCtx::new(spec))
+        Self::with_parts(
+            spec,
+            org,
+            Geometry::derive(spec, org),
+            &DeviceCtx::new(spec),
+        )
     }
 
     /// Builds the context from pre-derived parts: a (possibly cached)
@@ -411,11 +420,11 @@ mod tests {
     #[test]
     fn cryo_devices_are_faster() {
         let node = ProcessNode::ptm_22nm_hp();
-        let spec = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature_cryo(Kelvin::LN2);
+        let spec =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature_cryo(Kelvin::LN2);
         assert!(speed_factor(&spec) < 0.7);
-        let hot = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature(Kelvin::new(387.0));
+        let hot =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature(Kelvin::new(387.0));
         assert!(speed_factor(&hot) > 1.0);
     }
 

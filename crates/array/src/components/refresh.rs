@@ -258,8 +258,7 @@ mod tests {
         // cryo as Δ(T) grows.
         let adjusted = stt.with_thermal_stability(30.0);
         let profile_at = |t: f64| {
-            let spec =
-                ArraySpec::llc_16mib(adjusted.clone(), &node).at_temperature(Kelvin::new(t));
+            let spec = ArraySpec::llc_16mib(adjusted.clone(), &node).at_temperature(Kelvin::new(t));
             profile(&Ctx::new(&spec, org)).unwrap()
         };
         let warm = profile_at(350.0);
@@ -269,8 +268,7 @@ mod tests {
         assert!(cool.retention > warm.retention);
         assert!(cool.power < warm.power);
         // By 250 K the Δ(T) boost lifts retention back over the floor.
-        let spec =
-            ArraySpec::llc_16mib(adjusted.clone(), &node).at_temperature(Kelvin::new(250.0));
+        let spec = ArraySpec::llc_16mib(adjusted.clone(), &node).at_temperature(Kelvin::new(250.0));
         assert!(profile(&Ctx::new(&spec, org)).is_none());
     }
 

@@ -60,10 +60,10 @@ mod tests {
     #[test]
     fn sram_write_pulse_speeds_up_at_cryo() {
         let node = ProcessNode::ptm_22nm_hp();
-        let warm = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature(Kelvin::REFERENCE);
-        let cold = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature_cryo(Kelvin::LN2);
+        let warm =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature(Kelvin::REFERENCE);
+        let cold =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature_cryo(Kelvin::LN2);
         let org = Organization::new(512, 1024);
         assert!(write_pulse(&Ctx::new(&cold, org)) < write_pulse(&Ctx::new(&warm, org)));
     }

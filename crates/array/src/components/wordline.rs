@@ -73,10 +73,10 @@ mod tests {
     #[test]
     fn cryo_wordline_is_faster() {
         let node = ProcessNode::ptm_22nm_hp();
-        let warm = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature(Kelvin::REFERENCE);
-        let cold = ArraySpec::llc_16mib(CellModel::sram(&node), &node)
-            .at_temperature_cryo(Kelvin::LN2);
+        let warm =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature(Kelvin::REFERENCE);
+        let cold =
+            ArraySpec::llc_16mib(CellModel::sram(&node), &node).at_temperature_cryo(Kelvin::LN2);
         let org = Organization::new(512, 1024);
         let d_warm = delay(&Ctx::new(&warm, org));
         let d_cold = delay(&Ctx::new(&cold, org));

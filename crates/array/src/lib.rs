@@ -40,8 +40,8 @@
 
 pub mod calib;
 mod characterize;
-mod ecc;
 mod components;
+mod ecc;
 mod optimizer;
 mod org_geometry;
 mod organization;

@@ -416,7 +416,9 @@ mod tests {
             SpecError::UnsupportedDieCount { dies: 9 }
         );
         assert_eq!(
-            spec().try_with_stacking(Stacking::FaceToFace, 4).unwrap_err(),
+            spec()
+                .try_with_stacking(Stacking::FaceToFace, 4)
+                .unwrap_err(),
             SpecError::StackingMismatch {
                 stacking: Stacking::FaceToFace,
                 dies: 4

@@ -60,11 +60,8 @@ pub fn run() -> TextTable {
         .chunks_exact(suite)
         .zip(arena.relative_latency().chunks_exact(suite));
     for (config, (powers, latencies)) in configs.iter().zip(planes) {
-        let cell = CellModel::tentpole(
-            MemoryTechnology::SttRam,
-            config.tentpole(),
-            explorer.node(),
-        );
+        let cell =
+            CellModel::tentpole(MemoryTechnology::SttRam, config.tentpole(), explorer.node());
         let t = config.temperature();
         let thermal = cell
             .mtj_thermal(t)

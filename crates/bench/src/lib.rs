@@ -105,7 +105,10 @@ pub fn first_divergence(expected: &str, actual: &str) -> String {
     let mut pairs = expected.lines().zip(actual.lines()).enumerate();
     match pairs.find(|(_, (want, got))| want != got) {
         Some((i, (want, got))) => {
-            format!("first divergence at line {}:\n  expected: {want}\n  actual:   {got}", i + 1)
+            format!(
+                "first divergence at line {}:\n  expected: {want}\n  actual:   {got}",
+                i + 1
+            )
         }
         None => format!(
             "line counts differ: expected {}, actual {}",

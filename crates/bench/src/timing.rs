@@ -126,7 +126,10 @@ mod tests {
             || order.borrow_mut().push('b'),
         );
         // 1 warmup of each, then strict a/b alternation.
-        assert_eq!(*order.borrow(), vec!['a', 'b', 'a', 'b', 'a', 'b', 'a', 'b']);
+        assert_eq!(
+            *order.borrow(),
+            vec!['a', 'b', 'a', 'b', 'a', 'b', 'a', 'b']
+        );
         assert_eq!(a.runs.len(), 3);
         assert_eq!(b.runs.len(), 3);
     }

@@ -83,9 +83,15 @@ mod tests {
 
     #[test]
     fn constructors_set_kind() {
-        assert_eq!(MemoryAccess::fetch(1, 0x40).kind, AccessKind::InstructionFetch);
+        assert_eq!(
+            MemoryAccess::fetch(1, 0x40).kind,
+            AccessKind::InstructionFetch
+        );
         assert_eq!(MemoryAccess::data_read(2, 0x80).kind, AccessKind::DataRead);
-        assert_eq!(MemoryAccess::data_write(3, 0xc0).kind, AccessKind::DataWrite);
+        assert_eq!(
+            MemoryAccess::data_write(3, 0xc0).kind,
+            AccessKind::DataWrite
+        );
     }
 
     #[test]

@@ -109,9 +109,7 @@ pub fn read_trace<R: BufRead>(reader: R) -> Result<Vec<MemoryAccess>, ParseTrace
             .strip_prefix("0x")
             .or_else(|| addr_str.strip_prefix("0X"))
             .ok_or_else(|| err("address must be hex (0x...)"))
-            .and_then(|hex| {
-                u64::from_str_radix(hex, 16).map_err(|_| err("bad hex address"))
-            })?;
+            .and_then(|hex| u64::from_str_radix(hex, 16).map_err(|_| err("bad hex address")))?;
         if parts.next().is_some() {
             return Err(err("trailing tokens"));
         }

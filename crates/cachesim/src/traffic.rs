@@ -215,10 +215,7 @@ mod tests {
 
     #[test]
     fn try_new_accepts_idle_and_rejects_hostile_rates() {
-        assert_eq!(
-            LlcTraffic::try_new(0.0, 0.0),
-            Ok(LlcTraffic::new(0.0, 0.0))
-        );
+        assert_eq!(LlcTraffic::try_new(0.0, 0.0), Ok(LlcTraffic::new(0.0, 0.0)));
         for (r, w) in [
             (-1.0, 0.0),
             (0.0, -1e6),
@@ -273,8 +270,14 @@ mod tests {
         assert!(!table.is_empty());
         for (i, record) in records.iter().enumerate() {
             assert_eq!(&table.get(i), record);
-            assert_eq!(table.reads_per_sec()[i].to_bits(), record.reads_per_sec.to_bits());
-            assert_eq!(table.writes_per_sec()[i].to_bits(), record.writes_per_sec.to_bits());
+            assert_eq!(
+                table.reads_per_sec()[i].to_bits(),
+                record.reads_per_sec.to_bits()
+            );
+            assert_eq!(
+                table.writes_per_sec()[i].to_bits(),
+                record.writes_per_sec.to_bits()
+            );
         }
     }
 
@@ -287,7 +290,11 @@ mod tests {
         let capacity = table.reads_per_sec.capacity();
         table.clear();
         assert!(table.is_empty());
-        assert_eq!(table.reads_per_sec.capacity(), capacity, "clear must not shed capacity");
+        assert_eq!(
+            table.reads_per_sec.capacity(),
+            capacity,
+            "clear must not shed capacity"
+        );
         table.push(LlcTraffic::new(3.0, 4.0));
         assert_eq!(table.get(0), LlcTraffic::new(3.0, 4.0));
         assert_eq!(table.reads_per_sec.capacity(), capacity);

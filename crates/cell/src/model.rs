@@ -305,8 +305,7 @@ impl CellModel {
             endurance_writes: entry.endurance_writes,
             nonvolatile: true,
             mlc_bits: entry.mlc_bits,
-            mtj_delta_ref: (entry.technology == MemoryTechnology::SttRam)
-                .then_some(MTJ_DELTA_REF),
+            mtj_delta_ref: (entry.technology == MemoryTechnology::SttRam).then_some(MTJ_DELTA_REF),
             devices: CellDevices::new(node, Volts::ZERO),
         }
     }
@@ -314,11 +313,7 @@ impl CellModel {
     /// Builds the requested technology's cell model: the analytical model
     /// for SRAM/eDRAM, or the tentpole bounding cell for eNVMs.
     #[must_use]
-    pub fn tentpole(
-        technology: MemoryTechnology,
-        tentpole: Tentpole,
-        node: &ProcessNode,
-    ) -> Self {
+    pub fn tentpole(technology: MemoryTechnology, tentpole: Tentpole, node: &ProcessNode) -> Self {
         match technology {
             MemoryTechnology::Sram => Self::sram(node),
             MemoryTechnology::Edram3T => Self::edram_3t(node),
@@ -566,16 +561,18 @@ mod tests {
         let n = node();
         let sram = CellModel::sram(&n);
         let edram = CellModel::edram_3t(&n);
-        let ratio_at = |o: &OperatingPoint| {
-            sram.leakage_power(&n, o).get() / edram.leakage_power(&n, o).get()
-        };
+        let ratio_at =
+            |o: &OperatingPoint| sram.leakage_power(&n, o).get() / edram.leakage_power(&n, o).get();
         let at_cryo = ratio_at(&cryo());
         let at_350 = ratio_at(&op(350.0));
         let at_387 = ratio_at(&op(387.0));
         assert!(at_cryo > 5.0 && at_cryo < 25.0, "77 K ratio = {at_cryo}");
         assert!(at_350 > 40.0 && at_350 < 160.0, "350 K ratio = {at_350}");
         assert!(at_387 > 25.0 && at_387 < 160.0, "387 K ratio = {at_387}");
-        assert!(at_350 > 3.0 * at_cryo, "advantage must grow with temperature");
+        assert!(
+            at_350 > 3.0 * at_cryo,
+            "advantage must grow with temperature"
+        );
     }
 
     #[test]
@@ -593,7 +590,10 @@ mod tests {
         let t300 = edram.retention(&n, &op(300.0)).unwrap();
         let t77 = edram.retention(&n, &cryo()).unwrap();
         assert!(t350.get() < 1e-5, "350 K retention = {t350}");
-        assert!(t300.get() > 1e-5 && t300.get() < 1e-3, "300 K retention = {t300}");
+        assert!(
+            t300.get() > 1e-5 && t300.get() < 1e-3,
+            "300 K retention = {t300}"
+        );
         // The paper's anchor: cryogenic retention is prolonged more than
         // 10,000x, effectively eliminating refresh.
         assert!(t77 / t300 > 1.0e4, "retention gain = {}", t77 / t300);

@@ -186,7 +186,11 @@ mod tests {
                 );
             }
             assert!(e.endurance_writes >= 1.0e6, "{}: bad endurance", e.id);
-            assert!((2016..=2020).contains(&e.year), "{}: year out of survey window", e.id);
+            assert!(
+                (2016..=2020).contains(&e.year),
+                "{}: year out of survey window",
+                e.id
+            );
             assert!(e.mlc_bits >= 1, "{}: bad MLC bits", e.id);
         }
     }

@@ -140,7 +140,8 @@ impl EvalArena {
         self.relative_latency.push(values.relative_latency);
         self.footprint_mm2.push(values.footprint_mm2);
         self.lifetime_years.push(lifetime_years);
-        self.bandwidth_utilization.push(values.bandwidth_utilization);
+        self.bandwidth_utilization
+            .push(values.bandwidth_utilization);
         self.feasibility.push(values.feasibility);
         self.slowdown.push(values.slowdown);
     }
@@ -195,7 +196,10 @@ impl EvalArena {
     #[must_use]
     pub fn row_index(&self, config: usize, benchmark: usize) -> usize {
         assert!(config < self.config_count(), "config index out of range");
-        assert!(benchmark < self.benchmark_count(), "benchmark index out of range");
+        assert!(
+            benchmark < self.benchmark_count(),
+            "benchmark index out of range"
+        );
         config * self.benchmark_count() + benchmark
     }
 
@@ -377,10 +381,7 @@ mod tests {
         assert_eq!(row.lifetime_years, arena.lifetime_years()[index]);
         assert_eq!(row.feasibility, arena.feasibility()[index]);
         assert_eq!(row.slowdown, arena.slowdown()[index]);
-        assert_eq!(
-            arena.iter_rows().collect::<Vec<_>>(),
-            arena.to_rows(),
-        );
+        assert_eq!(arena.iter_rows().collect::<Vec<_>>(), arena.to_rows(),);
     }
 
     /// `validate` checks the arena's rows with the predicate

@@ -291,7 +291,8 @@ impl MemoryConfig {
     /// resizing the array.
     #[must_use]
     pub fn to_spec(&self, node: &ProcessNode) -> ArraySpec {
-        self.to_base_spec(node).at_temperature_cryo(self.temperature)
+        self.to_base_spec(node)
+            .at_temperature_cryo(self.temperature)
     }
 
     /// The temperature-free half of [`MemoryConfig::to_spec`]: cell,
@@ -323,7 +324,11 @@ impl MemoryConfig {
             Self::edram_77k(),
         ];
         for dies in [2, 4, 8] {
-            set.push(Self::envm_3d(MemoryTechnology::Sram, Tentpole::Optimistic, dies));
+            set.push(Self::envm_3d(
+                MemoryTechnology::Sram,
+                Tentpole::Optimistic,
+                dies,
+            ));
         }
         for tech in MemoryTechnology::ENVM_SET {
             for tentpole in Tentpole::BOTH {
@@ -349,8 +354,7 @@ impl MemoryConfig {
             for dies in Self::VALID_DIES {
                 for &t in coldtall_cryo::study_temperatures() {
                     set.push(
-                        Self::envm_3d(MemoryTechnology::SttRam, tentpole, dies)
-                            .at_temperature(t),
+                        Self::envm_3d(MemoryTechnology::SttRam, tentpole, dies).at_temperature(t),
                     );
                 }
             }
@@ -392,7 +396,9 @@ mod tests {
         let set = MemoryConfig::cryo_stt_study_set();
         // 2 tentpoles x 4 die counts x 8 study temperatures.
         assert_eq!(set.len(), 2 * 4 * 8);
-        assert!(set.iter().all(|c| c.technology() == MemoryTechnology::SttRam));
+        assert!(set
+            .iter()
+            .all(|c| c.technology() == MemoryTechnology::SttRam));
         assert!(set.iter().any(|c| c.is_cryogenic()));
         assert!(set.iter().any(|c| c.dies() == 8));
         // Every point is reachable through the frontend constructor.
@@ -430,14 +436,15 @@ mod tests {
     #[test]
     fn try_envm_3d_returns_typed_errors() {
         for dies in [0, 3, 5, 7, 9, 255] {
-            let err =
-                MemoryConfig::try_envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, dies)
-                    .unwrap_err();
+            let err = MemoryConfig::try_envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, dies)
+                .unwrap_err();
             assert!(matches!(err, crate::Error::InvalidDieCount { dies: d } if d == dies));
         }
-        let ok = MemoryConfig::try_envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 8)
-            .unwrap();
-        assert_eq!(ok, MemoryConfig::envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 8));
+        let ok = MemoryConfig::try_envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 8).unwrap();
+        assert_eq!(
+            ok,
+            MemoryConfig::envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 8)
+        );
     }
 
     #[test]
@@ -457,13 +464,9 @@ mod tests {
                 Tentpole::Optimistic => "optimistic",
                 Tentpole::Pessimistic => "pessimistic",
             };
-            let rebuilt = MemoryConfig::try_design_point(
-                tech,
-                tentpole,
-                config.dies(),
-                config.temperature(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
+            let rebuilt =
+                MemoryConfig::try_design_point(tech, tentpole, config.dies(), config.temperature())
+                    .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
             assert_eq!(rebuilt, config);
         }
     }
@@ -487,8 +490,7 @@ mod tests {
         assert!(matches!(err, crate::Error::UnsupportedPoint { .. }));
         assert!(err.to_string().contains("350 K"));
         // ...but at the reference it is the study's stacked-SRAM point.
-        let stacked =
-            MemoryConfig::try_design_point("sram", "opt", 4, Kelvin::REFERENCE).unwrap();
+        let stacked = MemoryConfig::try_design_point("sram", "opt", 4, Kelvin::REFERENCE).unwrap();
         assert_eq!(
             stacked,
             MemoryConfig::envm_3d(MemoryTechnology::Sram, Tentpole::Optimistic, 4)

@@ -226,6 +226,10 @@ mod tests {
         use std::error::Error as _;
         let err = Error::from(coldtall_units::Kelvin::try_new(f64::NAN).unwrap_err());
         assert!(err.source().is_some());
-        assert!(Error::UnknownTechnology { name: "flash".into() }.source().is_none());
+        assert!(Error::UnknownTechnology {
+            name: "flash".into()
+        }
+        .source()
+        .is_none());
     }
 }

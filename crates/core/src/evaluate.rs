@@ -143,8 +143,7 @@ pub(crate) fn service_time(array: &ArrayCharacterization, traffic: &LlcTraffic) 
     if array.refresh_busy_fraction >= REFRESH_INFEASIBLE {
         return f64::INFINITY;
     }
-    let utilization =
-        array.bandwidth_utilization(traffic.reads_per_sec, traffic.writes_per_sec);
+    let utilization = array.bandwidth_utilization(traffic.reads_per_sec, traffic.writes_per_sec);
     if utilization >= 1.0 {
         return f64::INFINITY;
     }
@@ -268,8 +267,7 @@ pub(crate) fn row_values(
     } else {
         1.0
     };
-    let utilization =
-        array.bandwidth_utilization(traffic.reads_per_sec, traffic.writes_per_sec);
+    let utilization = array.bandwidth_utilization(traffic.reads_per_sec, traffic.writes_per_sec);
     RowValues {
         device_power_w: device.get(),
         wall_power_w: wall.get(),

@@ -565,11 +565,10 @@ impl Explorer {
         config: &MemoryConfig,
         benchmark: &str,
     ) -> Result<LlcEvaluation, Error> {
-        let bench = coldtall_workloads::benchmark(benchmark).ok_or_else(|| {
-            Error::UnknownBenchmark {
+        let bench =
+            coldtall_workloads::benchmark(benchmark).ok_or_else(|| Error::UnknownBenchmark {
                 name: benchmark.to_string(),
-            }
-        })?;
+            })?;
         let row = self.evaluate_cell(config, bench)?;
         row.validate()?;
         Ok(row)
@@ -997,7 +996,10 @@ mod tests {
         // ...until the caller demands viability.
         assert!(matches!(
             dead.require_viable().unwrap_err(),
-            Error::Infeasible { feasibility: crate::Feasibility::RefreshDead, .. }
+            Error::Infeasible {
+                feasibility: crate::Feasibility::RefreshDead,
+                ..
+            }
         ));
     }
 
@@ -1009,7 +1011,9 @@ mod tests {
             .expect("valid configs characterize");
         assert_eq!(array, explorer.characterize(&MemoryConfig::edram_77k()));
         let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_350k()];
-        let rows = explorer.try_sweep_configs(&configs).expect("sweep is NaN-free");
+        let rows = explorer
+            .try_sweep_configs(&configs)
+            .expect("sweep is NaN-free");
         assert_eq!(rows.len(), 2 * spec2017().len());
         let plan = explorer.plan_sweep(&configs).expect("plan compiles");
         let mut arena = EvalArena::new();

@@ -52,9 +52,9 @@ mod lifetime;
 mod parcache;
 mod pareto;
 mod plan;
+pub mod report;
 mod request;
 mod search;
-pub mod report;
 pub mod selection;
 mod thermal_schedule;
 mod variation;
@@ -65,14 +65,14 @@ pub use config::MemoryConfig;
 pub use error::Error;
 pub use evaluate::{Feasibility, LlcEvaluation};
 pub use explorer::Explorer;
-pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 pub use hybrid::HybridLlc;
+pub use lifetime::{lifetime_years, LIFETIME_TARGET_YEARS};
 pub use parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache};
 pub use pareto::{pareto_front, recommend, Constraints, ParetoFrontier};
+pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 pub use request::{DesignPoint, Request, RequestHandler, ResponsePayload, StatusReport};
 pub use search::{PruneReason, PrunedRegion, SearchOutcome, SearchStats};
 pub use thermal_schedule::{plan_schedule, TemperatureSchedule, WorkloadPhase};
 pub use variation::{
     max_threads, monte_carlo, sample_cells, set_max_threads, MetricBand, VariationSummary,
 };
-pub use lifetime::{lifetime_years, LIFETIME_TARGET_YEARS};

@@ -352,9 +352,7 @@ impl<V: Clone> MemoCache<V> {
     /// `V` is not followed — the gauge is a growth trend, not an
     /// allocator audit.
     fn entry_footprint(key: &DesignPointKey) -> usize {
-        key.canonical().len()
-            + std::mem::size_of::<DesignPointKey>()
-            + std::mem::size_of::<V>()
+        key.canonical().len() + std::mem::size_of::<DesignPointKey>() + std::mem::size_of::<V>()
     }
 
     /// A point-in-time snapshot of every cached entry, sorted by
@@ -830,9 +828,7 @@ mod tests {
             let handles: Vec<_> = (0..64)
                 .map(|i| {
                     let cache = &cache;
-                    scope.spawn(move || {
-                        cache.get_or_insert_with(&key("contested"), move || i)
-                    })
+                    scope.spawn(move || cache.get_or_insert_with(&key("contested"), move || i))
                 })
                 .collect();
             handles

@@ -200,9 +200,9 @@ impl ParetoFrontier {
     /// member belongs *on* the frontier.
     #[must_use]
     pub fn strictly_dominates(&self, corner: [f64; 3]) -> bool {
-        self.points.iter().any(|p| {
-            p.coords[0] < corner[0] && p.coords[1] < corner[1] && p.coords[2] < corner[2]
-        })
+        self.points
+            .iter()
+            .any(|p| p.coords[0] < corner[0] && p.coords[1] < corner[1] && p.coords[2] < corner[2])
     }
 
     /// Iterates the resident points as `(seq, coords, row)`.
@@ -360,10 +360,7 @@ mod tests {
     #[test]
     fn constraints_none_rejects_unserviceable_rows() {
         let explorer = Explorer::with_defaults();
-        let dead = explorer.evaluate(
-            &MemoryConfig::edram_350k(),
-            benchmark("namd").unwrap(),
-        );
+        let dead = explorer.evaluate(&MemoryConfig::edram_350k(), benchmark("namd").unwrap());
         assert!(dead.relative_latency.is_infinite(), "precondition");
         assert!(!Constraints::none().satisfied_by(&dead));
         // A pool of only unserviceable rows must recommend nothing.
@@ -392,9 +389,7 @@ mod tests {
         poisoned.push(nan_power);
         poisoned.push(nan_area);
         let front = pareto_front(&poisoned);
-        assert!(front
-            .iter()
-            .all(|e| !e.config_label.starts_with("nan-")));
+        assert!(front.iter().all(|e| !e.config_label.starts_with("nan-")));
         assert_eq!(front, pareto_front(&evals), "poison rows change nothing");
     }
 

@@ -377,10 +377,7 @@ mod tests {
         let a = MemoryConfig::volatile_2d(MemoryTechnology::Sram, Kelvin::new(77.0));
         let b = MemoryConfig::volatile_2d(MemoryTechnology::Sram, Kelvin::new(77.4));
         assert_eq!(a.label(), b.label());
-        assert_ne!(
-            DesignPointKey::of_config(&a),
-            DesignPointKey::of_config(&b)
-        );
+        assert_ne!(DesignPointKey::of_config(&a), DesignPointKey::of_config(&b));
     }
 
     #[test]
@@ -422,7 +419,10 @@ mod tests {
         // The namespace keeps geometry keys apart from design points.
         let geometry = DesignPointKey::geometry_of(&MemoryConfig::sram_77k());
         assert!(geometry.canonical().starts_with("geom|"));
-        assert_ne!(geometry, DesignPointKey::of_config(&MemoryConfig::sram_77k()));
+        assert_ne!(
+            geometry,
+            DesignPointKey::of_config(&MemoryConfig::sram_77k())
+        );
     }
 
     #[test]
@@ -436,7 +436,9 @@ mod tests {
     #[test]
     fn study_plan_compiles_to_31_jobs() {
         let registry = BackendRegistry::with_defaults();
-        let plan = SweepPlan::study().compile(&registry).expect("study compiles");
+        let plan = SweepPlan::study()
+            .compile(&registry)
+            .expect("study compiles");
         assert_eq!(plan.jobs().len(), 31);
         assert_eq!(plan.configs().len(), 31);
         assert_eq!(plan.rows(), 31 * plan.benchmarks().len());

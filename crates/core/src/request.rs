@@ -565,13 +565,9 @@ mod tests {
         };
         assert_eq!(label, "4-die PCM (optimistic)");
         assert_eq!(backend, "destiny");
-        let config = MemoryConfig::try_design_point(
-            "pcm",
-            "optimistic",
-            4,
-            Kelvin::try_new(350.0).unwrap(),
-        )
-        .unwrap();
+        let config =
+            MemoryConfig::try_design_point("pcm", "optimistic", 4, Kelvin::try_new(350.0).unwrap())
+                .unwrap();
         let direct = handler.explorer().try_characterize(&config).unwrap();
         assert_eq!(
             characterization.read_latency.get().to_bits(),

@@ -343,8 +343,8 @@ fn plane_corner(
     let mut latency_lb = f64::INFINITY;
     for (b, &base) in base_services.iter().enumerate() {
         let reads = traffic.get(b).reads_per_sec;
-        let power = (floors.standby_power_w + reads * floors.read_energy_j) * wall_factor
-            / reference_power;
+        let power =
+            (floors.standby_power_w + reads * floors.read_energy_j) * wall_factor / reference_power;
         // Mirrors `row_values`: a non-positive or non-finite baseline
         // denominator pins relative latency, so the bound drops to 0.
         let latency = if base.is_finite() && base > 0.0 {
@@ -363,7 +363,9 @@ fn plane_corner(
 fn exceeds_caps(corner: &[f64; 3], constraints: &Constraints) -> bool {
     corner[1] > constraints.max_relative_latency
         || constraints.max_area_mm2.is_some_and(|a| corner[2] > a)
-        || constraints.max_relative_power.is_some_and(|p| corner[0] > p)
+        || constraints
+            .max_relative_power
+            .is_some_and(|p| corner[0] > p)
 }
 
 /// Pops the open region minimizing `(power, latency, area, first_leaf)`
@@ -439,7 +441,13 @@ pub(crate) fn run(
         leaves.push(Leaf {
             config_index,
             job,
-            corner: plane_corner(&floors, wall_factor, &base_services, &traffic, reference_power),
+            corner: plane_corner(
+                &floors,
+                wall_factor,
+                &base_services,
+                &traffic,
+                reference_power,
+            ),
             infeasible: floors.refresh_busy_fraction >= REFRESH_INFEASIBLE,
         });
     }
@@ -525,7 +533,10 @@ pub(crate) fn run(
         }
     }
 
-    debug_assert_eq!(stats.points_evaluated + stats.points_skipped, stats.rows_total);
+    debug_assert_eq!(
+        stats.points_evaluated + stats.points_skipped,
+        stats.rows_total
+    );
     metrics.regions_expanded.add(stats.regions_expanded);
     metrics.regions_pruned.add(stats.regions_pruned);
     metrics.regions_refined.add(stats.regions_refined);
@@ -581,7 +592,11 @@ mod tests {
     fn infeasible_everywhere_space_yields_an_empty_frontier() {
         let explorer = Explorer::with_defaults();
         let outcome = explorer
-            .search("350 K eDRAM", &[MemoryConfig::edram_350k()], &Constraints::none())
+            .search(
+                "350 K eDRAM",
+                &[MemoryConfig::edram_350k()],
+                &Constraints::none(),
+            )
             .expect("an infeasible space is a result, not an error");
         assert!(outcome.frontier.is_empty());
         assert_eq!(outcome.stats.points_evaluated, 0);

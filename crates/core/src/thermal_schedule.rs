@@ -70,7 +70,10 @@ impl TemperatureSchedule {
     /// Number of temperature transitions in the schedule.
     #[must_use]
     pub fn transitions(&self) -> usize {
-        self.temperatures.windows(2).filter(|w| w[0] != w[1]).count()
+        self.temperatures
+            .windows(2)
+            .filter(|w| w[0] != w[1])
+            .count()
     }
 }
 
@@ -238,12 +241,7 @@ mod tests {
         // single intermediate temperature dominates and no switching is
         // warranted.
         let explorer = Explorer::with_defaults();
-        let schedule = plan_schedule(
-            &explorer,
-            MemoryTechnology::Sram,
-            &phases(),
-            &candidates(),
-        );
+        let schedule = plan_schedule(&explorer, MemoryTechnology::Sram, &phases(), &candidates());
         let t = schedule.best_fixed_temperature;
         assert!(t > Kelvin::LN2 && t < Kelvin::REFERENCE, "fixed = {t}");
         assert!(schedule.savings_fraction() < 0.05);
@@ -259,8 +257,7 @@ mod tests {
                 duration: Seconds::new(50.0),
             })
             .collect();
-        let schedule =
-            plan_schedule(&explorer, MemoryTechnology::Edram3T, &steady, &candidates());
+        let schedule = plan_schedule(&explorer, MemoryTechnology::Edram3T, &steady, &candidates());
         assert_eq!(schedule.transitions(), 0);
         assert!(schedule.savings_fraction().abs() < 1e-9);
     }

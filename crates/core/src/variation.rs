@@ -26,8 +26,8 @@ use std::time::Instant;
 use coldtall_array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall_cell::{CellModel, MemoryTechnology, SurveyEntry, Tentpole};
 use coldtall_obs::{Counter, Histogram, Span};
-use coldtall_tech::ProcessNode;
 use coldtall_rng::SmallRng;
+use coldtall_tech::ProcessNode;
 
 /// Explicit thread-count override; 0 when unset ([`set_max_threads`]).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -193,11 +193,7 @@ pub fn sample_cells(
                     opt.write_latency_ns,
                     pess.write_latency_ns,
                 ),
-                write_energy_pj: log_uniform(
-                    &mut rng,
-                    opt.write_energy_pj,
-                    pess.write_energy_pj,
-                ),
+                write_energy_pj: log_uniform(&mut rng, opt.write_energy_pj, pess.write_energy_pj),
                 endurance_writes: log_uniform(
                     &mut rng,
                     pess.endurance_writes,
@@ -354,15 +350,10 @@ fn characterize_samples(
 mod tests {
     use super::*;
 
-    fn tentpole_metric(
-        technology: MemoryTechnology,
-        tentpole: Tentpole,
-        dies: u8,
-    ) -> (f64, f64) {
+    fn tentpole_metric(technology: MemoryTechnology, tentpole: Tentpole, dies: u8) -> (f64, f64) {
         let node = ProcessNode::ptm_22nm_hp();
         let objective = Objective::EnergyDelayProduct;
-        let baseline =
-            ArraySpec::llc_16mib(CellModel::sram(&node), &node).characterize(objective);
+        let baseline = ArraySpec::llc_16mib(CellModel::sram(&node), &node).characterize(objective);
         let mut spec =
             ArraySpec::llc_16mib(CellModel::tentpole(technology, tentpole, &node), &node);
         if dies > 1 {

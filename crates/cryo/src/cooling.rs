@@ -117,7 +117,10 @@ impl CoolingSystem {
     /// Panics if `device_power` is negative.
     #[must_use]
     pub fn wall_power(self, device_power: Watts, t: Kelvin) -> Watts {
-        assert!(device_power.get() >= 0.0, "device power must be non-negative");
+        assert!(
+            device_power.get() >= 0.0,
+            "device power must be non-negative"
+        );
         device_power * self.wall_factor(t)
     }
 }

@@ -74,12 +74,30 @@ mod tests {
 
     #[test]
     fn classification_boundaries() {
-        assert_eq!(OperatingRegime::of(Kelvin::new(4.0)), OperatingRegime::Superconducting);
-        assert_eq!(OperatingRegime::of(Kelvin::new(30.0)), OperatingRegime::FreezeOut);
-        assert_eq!(OperatingRegime::of(Kelvin::new(77.0)), OperatingRegime::Cmos77K);
-        assert_eq!(OperatingRegime::of(Kelvin::new(149.9)), OperatingRegime::Cmos77K);
-        assert_eq!(OperatingRegime::of(Kelvin::new(300.0)), OperatingRegime::Conventional);
-        assert_eq!(OperatingRegime::of(Kelvin::new(401.0)), OperatingRegime::OverTemperature);
+        assert_eq!(
+            OperatingRegime::of(Kelvin::new(4.0)),
+            OperatingRegime::Superconducting
+        );
+        assert_eq!(
+            OperatingRegime::of(Kelvin::new(30.0)),
+            OperatingRegime::FreezeOut
+        );
+        assert_eq!(
+            OperatingRegime::of(Kelvin::new(77.0)),
+            OperatingRegime::Cmos77K
+        );
+        assert_eq!(
+            OperatingRegime::of(Kelvin::new(149.9)),
+            OperatingRegime::Cmos77K
+        );
+        assert_eq!(
+            OperatingRegime::of(Kelvin::new(300.0)),
+            OperatingRegime::Conventional
+        );
+        assert_eq!(
+            OperatingRegime::of(Kelvin::new(401.0)),
+            OperatingRegime::OverTemperature
+        );
     }
 
     #[test]

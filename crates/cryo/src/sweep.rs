@@ -14,9 +14,7 @@ use coldtall_units::Kelvin;
 #[must_use]
 pub fn study_temperatures() -> &'static [Kelvin] {
     static POINTS: OnceLock<[Kelvin; 8]> = OnceLock::new();
-    POINTS.get_or_init(|| {
-        [77.0, 127.0, 177.0, 227.0, 277.0, 327.0, 350.0, 387.0].map(Kelvin::new)
-    })
+    POINTS.get_or_init(|| [77.0, 127.0, 177.0, 227.0, 277.0, 327.0, 350.0, 387.0].map(Kelvin::new))
 }
 
 /// An inclusive temperature range iterated at a fixed step, for custom

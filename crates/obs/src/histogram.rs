@@ -133,7 +133,11 @@ impl Histogram {
     /// past the data (a p50 of 736 over a max of 613); returns 0 when
     /// empty.
     #[must_use]
-    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )]
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
@@ -314,7 +318,11 @@ mod tests {
     /// interpolated quantile is non-decreasing in `q` and always lies
     /// inside its rank's bucket bounds.
     #[test]
-    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )]
     fn interpolated_quantiles_are_monotone_and_bucket_bounded() {
         // Inline LCG: keeps the test deterministic with no dependencies.
         let mut state = 0x2545_f491_4f6c_dd1d_u64;

@@ -38,11 +38,7 @@ struct Valued {
 }
 
 fn get_or_create<M: Default>(map: &RwLock<BTreeMap<String, Arc<M>>>, name: &str) -> Arc<M> {
-    if let Some(found) = map
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(name)
-    {
+    if let Some(found) = map.read().unwrap_or_else(PoisonError::into_inner).get(name) {
         return Arc::clone(found);
     }
     Arc::clone(
@@ -230,11 +226,21 @@ impl Registry {
             let _ = writeln!(out, "{name:width$}  {value}");
         }
         out.push_str("# spans\n");
-        for (name, hist) in self.spans.read().unwrap_or_else(PoisonError::into_inner).iter() {
+        for (name, hist) in self
+            .spans
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             histogram_text(&mut out, name, hist, "ns");
         }
         out.push_str("# values\n");
-        for (name, value) in self.values.read().unwrap_or_else(PoisonError::into_inner).iter() {
+        for (name, value) in self
+            .values
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             histogram_text(&mut out, name, &value.histogram, value.unit);
         }
         out
@@ -261,7 +267,10 @@ impl Registry {
         render_scalar_section(&mut out, &self.gauges());
         out.push_str("},\n  \"spans\": {");
         let spans = self.spans.read().unwrap_or_else(PoisonError::into_inner);
-        let spans: Vec<_> = spans.iter().map(|(name, hist)| (name, &**hist, "ns")).collect();
+        let spans: Vec<_> = spans
+            .iter()
+            .map(|(name, hist)| (name, &**hist, "ns"))
+            .collect();
         histogram_section_json(&mut out, &spans);
         out.push_str("},\n  \"values\": {");
         let values = self.values.read().unwrap_or_else(PoisonError::into_inner);
@@ -457,7 +466,10 @@ mod tests {
         assert_eq!(power["sum_permille"], Value::Number(1800.0));
         assert_eq!(power["max_permille"], Value::Number(1000.0));
         assert!(power.contains_key("p50_permille"));
-        assert!(power.keys().all(|field| !field.ends_with("_ns")), "{power:?}");
+        assert!(
+            power.keys().all(|field| !field.ends_with("_ns")),
+            "{power:?}"
+        );
 
         let text = registry.render_text();
         let (_, values) = text.split_once("# values\n").expect("values section");

@@ -120,7 +120,10 @@ fn index_page(handler: &RequestHandler, sweep_rows: usize, plan_hash: u64) -> St
          <table><tr><th>metric</th><th>value</th></tr>"
     );
     for (name, value) in [
-        ("cached characterizations", status.cached_characterizations as u64),
+        (
+            "cached characterizations",
+            status.cached_characterizations as u64,
+        ),
         ("cached geometries", status.cached_geometries as u64),
         ("cache hits", status.cache_hits),
         ("cache misses", status.cache_misses),
@@ -234,7 +237,10 @@ fn search_page(region: &str, outcome: &coldtall_core::SearchOutcome) -> String {
         ("grid rows total", stats.rows_total),
         ("points evaluated", stats.points_evaluated),
         ("points skipped", stats.points_skipped),
-        ("&nbsp;&nbsp;skipped: provably infeasible", stats.skipped_infeasible),
+        (
+            "&nbsp;&nbsp;skipped: provably infeasible",
+            stats.skipped_infeasible,
+        ),
         ("&nbsp;&nbsp;skipped: pruned by bound", stats.skipped_pruned),
         ("regions expanded", stats.regions_expanded),
         ("regions pruned", stats.regions_pruned),

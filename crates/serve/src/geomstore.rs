@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 
-use coldtall_array::{geometry_code_epoch, Geometry, Organization, OrgGeometry};
+use coldtall_array::{geometry_code_epoch, Geometry, OrgGeometry, Organization};
 use coldtall_core::{DesignPointKey, Explorer, MemoryConfig};
 use coldtall_obs::json::Value;
 
@@ -341,8 +341,15 @@ mod tests {
         let warm_rows = fresh.try_sweep_configs(&configs).unwrap();
         let cold_rows = cold.try_sweep_configs(&configs).unwrap();
         assert_eq!(warm_rows, cold_rows);
-        assert_eq!(fresh.geometry_cache().solves(), 0, "warm start must skip the solve");
-        assert!(cold.geometry_cache().solves() > 0, "the cold side really solves");
+        assert_eq!(
+            fresh.geometry_cache().solves(),
+            0,
+            "warm start must skip the solve"
+        );
+        assert!(
+            cold.geometry_cache().solves() > 0,
+            "the cold side really solves"
+        );
 
         let _ = std::fs::remove_file(&path);
     }
@@ -371,7 +378,10 @@ mod tests {
         assert_eq!(stats.replayed, distinct);
         assert_eq!(stats.skipped, 0);
         let rows = fresh.try_sweep_configs(&configs).unwrap();
-        assert_eq!(rows, seeded_rows, "warmed sweep diverged from the seeding sweep");
+        assert_eq!(
+            rows, seeded_rows,
+            "warmed sweep diverged from the seeding sweep"
+        );
         assert_eq!(fresh.geometry_cache().solves(), 0);
 
         let _ = std::fs::remove_file(&path);
@@ -423,7 +433,11 @@ mod tests {
         std::fs::read_to_string(path)
             .unwrap()
             .lines()
-            .map(|line| log::decode::<GeomRecord>(line).expect("well-formed line").key)
+            .map(|line| {
+                log::decode::<GeomRecord>(line)
+                    .expect("well-formed line")
+                    .key
+            })
             .collect()
     }
 
@@ -530,7 +544,9 @@ mod tests {
         // Warming with a config set that never touches the stored
         // geometry restores nothing — and is not an error.
         let fresh = private_explorer();
-        let stats = store.warm_into(&fresh, &[MemoryConfig::sram_350k()]).unwrap();
+        let stats = store
+            .warm_into(&fresh, &[MemoryConfig::sram_350k()])
+            .unwrap();
         assert_eq!(stats.replayed, 0);
         assert_eq!(stats.skipped, 0);
         let _ = std::fs::remove_file(&path);

@@ -75,7 +75,15 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
         None => return Err("missing 'cmd' field".to_string()),
     };
     let allowed: &[&str] = match cmd {
-        "characterize" => &["cmd", "id", "deadline_ms", "tech", "tentpole", "dies", "temp"],
+        "characterize" => &[
+            "cmd",
+            "id",
+            "deadline_ms",
+            "tech",
+            "tentpole",
+            "dies",
+            "temp",
+        ],
         "evaluate" => &[
             "cmd",
             "id",
@@ -168,9 +176,7 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
 
 /// The design-point envelope fields, defaulting to the 350 K SRAM
 /// baseline.
-fn design_point(
-    fields: &std::collections::BTreeMap<String, Value>,
-) -> Result<DesignPoint, String> {
+fn design_point(fields: &std::collections::BTreeMap<String, Value>) -> Result<DesignPoint, String> {
     let mut point = DesignPoint::baseline();
     if let Some(tech) = string_field(fields, "tech")? {
         point.tech = tech;
@@ -208,7 +214,8 @@ fn finite_f64(value: &Value, field: &str) -> Result<f64, String> {
 
 fn non_negative_int(value: &Value, field: &str) -> Result<u64, String> {
     match value.as_f64() {
-        Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2.0_f64.powi(53) => {
+        Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2.0_f64.powi(53) =>
+        {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             Ok(n as u64)
         }
@@ -409,7 +416,10 @@ fn render_status(out: &mut String, status: &StatusReport) {
     push_counts(
         out,
         &[
-            ("cached_characterizations", status.cached_characterizations as u64),
+            (
+                "cached_characterizations",
+                status.cached_characterizations as u64,
+            ),
             ("cached_geometries", status.cached_geometries as u64),
             ("cache_hits", status.cache_hits),
             ("cache_misses", status.cache_misses),
@@ -698,7 +708,9 @@ mod tests {
             Request::Sweep
         ));
         assert!(matches!(
-            parse_request(r#"{"cmd":"status","id":"abc"}"#).unwrap().request,
+            parse_request(r#"{"cmd":"status","id":"abc"}"#)
+                .unwrap()
+                .request,
             Request::Status
         ));
     }
@@ -743,7 +755,10 @@ mod tests {
         assert_eq!(value.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(value.get("id"), Some(&Value::String("abc".to_string())));
         assert_eq!(
-            value.get("result").and_then(|r| r.get("cache_hits")).and_then(Value::as_f64),
+            value
+                .get("result")
+                .and_then(|r| r.get("cache_hits"))
+                .and_then(Value::as_f64),
             Some(10.0)
         );
 

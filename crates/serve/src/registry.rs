@@ -320,9 +320,11 @@ mod tests {
         let truncated = &good[..good.len() / 2];
         let wrong_schema = good.replacen("\"schema\":2", "\"schema\":99", 1);
         // A v1 record (no backend field) is foreign, not fatal.
-        let v1_record = good
-            .replacen("\"schema\":2", "\"schema\":1", 1)
-            .replacen(",\"backend\":\"cryomem\"", "", 1);
+        let v1_record = good.replacen("\"schema\":2", "\"schema\":1", 1).replacen(
+            ",\"backend\":\"cryomem\"",
+            "",
+            1,
+        );
         // A backend this build does not have is foreign too.
         let foreign_backend = good.replacen("\"backend\":\"cryomem\"", "\"backend\":\"nvsim\"", 1);
         // Non-power-of-two geometry must be rejected before the

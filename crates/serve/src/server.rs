@@ -422,11 +422,7 @@ impl Server {
             // Wait for every admitted request to finish. Queued
             // requests waiting at the gate see the flag and bail.
             while gate.active > 0 {
-                gate = self
-                    .shared
-                    .gate_cv
-                    .wait(gate)
-                    .expect("gate lock poisoned");
+                gate = self.shared.gate_cv.wait(gate).expect("gate lock poisoned");
             }
         }
         self.shared.gate_cv.notify_all();

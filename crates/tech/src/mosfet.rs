@@ -348,8 +348,7 @@ mod tests {
         let cryo = OperatingPoint::cryo_optimized(&n, Kelvin::LN2);
         let base = OperatingPoint::nominal(&n, Kelvin::REFERENCE);
         let w = Meters::from_nanos(100.0);
-        let speedup =
-            nmos.equivalent_resistance(&base, w) / nmos.equivalent_resistance(&cryo, w);
+        let speedup = nmos.equivalent_resistance(&base, w) / nmos.equivalent_resistance(&cryo, w);
         assert!(speedup > 2.0 && speedup < 6.0, "device speedup = {speedup}");
     }
 

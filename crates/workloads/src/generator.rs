@@ -185,9 +185,15 @@ mod tests {
 
     #[test]
     fn stream_is_deterministic_per_seed() {
-        let a: Vec<_> = AccessGenerator::new(params(1 << 20), 0, 7).take(100).collect();
-        let b: Vec<_> = AccessGenerator::new(params(1 << 20), 0, 7).take(100).collect();
-        let c: Vec<_> = AccessGenerator::new(params(1 << 20), 0, 8).take(100).collect();
+        let a: Vec<_> = AccessGenerator::new(params(1 << 20), 0, 7)
+            .take(100)
+            .collect();
+        let b: Vec<_> = AccessGenerator::new(params(1 << 20), 0, 7)
+            .take(100)
+            .collect();
+        let c: Vec<_> = AccessGenerator::new(params(1 << 20), 0, 8)
+            .take(100)
+            .collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

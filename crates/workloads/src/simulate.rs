@@ -90,7 +90,11 @@ mod tests {
         let config = CpuConfig::skylake_desktop();
         let lbm = simulate_traffic(benchmark("lbm").unwrap(), config, 40_000, 2);
         assert!(lbm.writes_per_sec > 0.0);
-        assert!(lbm.write_fraction() > 0.15, "lbm writes = {}", lbm.write_fraction());
+        assert!(
+            lbm.write_fraction() > 0.15,
+            "lbm writes = {}",
+            lbm.write_fraction()
+        );
     }
 
     #[test]

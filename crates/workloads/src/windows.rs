@@ -43,8 +43,7 @@ pub fn windowed_traffic(
 
     let instructions_per_core =
         accesses_per_core_per_window as f64 * benchmark.generator.instructions_per_access;
-    let window_time =
-        Seconds::new(instructions_per_core / benchmark.ipc / config.frequency.get());
+    let window_time = Seconds::new(instructions_per_core / benchmark.ipc / config.frequency.get());
 
     let mut run_window = |hierarchy: &mut Hierarchy| {
         for _ in 0..accesses_per_core_per_window {

@@ -35,7 +35,16 @@ fn main() {
         "sim_write_frac",
     ]);
     // A subset spanning the three traffic bands keeps the example quick.
-    let chosen = ["povray", "leela", "deepsjeng", "x264", "namd", "gcc", "lbm", "mcf"];
+    let chosen = [
+        "povray",
+        "leela",
+        "deepsjeng",
+        "x264",
+        "namd",
+        "gcc",
+        "lbm",
+        "mcf",
+    ];
     for name in chosen {
         let bench = spec2017()
             .iter()

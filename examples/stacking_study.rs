@@ -63,7 +63,11 @@ fn main() {
         "rel_read_lat",
         "rel_read_energy",
     ]);
-    for stacking in [Stacking::FaceToFace, Stacking::FaceToBack, Stacking::Monolithic] {
+    for stacking in [
+        Stacking::FaceToFace,
+        Stacking::FaceToBack,
+        Stacking::Monolithic,
+    ] {
         let cell = CellModel::tentpole(MemoryTechnology::SttRam, Tentpole::Optimistic, &node);
         let spec = ArraySpec::llc_16mib(cell, &node).with_stacking(stacking, 2);
         let a = spec.characterize(objective);

@@ -86,16 +86,18 @@ fn main() -> ExitCode {
             Options::parse(&args[1..], &["tech", "tentpole", "dies", "temp", "backend"])
                 .and_then(|opts| cmd_characterize(&opts, &mut out))
         }
-        "evaluate" => {
-            Options::parse(&args[1..], &["tech", "tentpole", "dies", "temp", "bench", "backend"])
-                .and_then(|opts| cmd_evaluate(&opts, &mut out))
-        }
+        "evaluate" => Options::parse(
+            &args[1..],
+            &["tech", "tentpole", "dies", "temp", "bench", "backend"],
+        )
+        .and_then(|opts| cmd_evaluate(&opts, &mut out)),
         "recommend" => Options::parse(&args[1..], &["bench", "max-area"])
             .and_then(|opts| cmd_recommend(&opts, &mut out)),
         "replicate" => cmd_replicate(&args[1..], &mut out),
         "backends" => Options::parse(&args[1..], &[]).and_then(|_| cmd_backends(&mut out)),
-        "sweep" => Options::parse(&args[1..], &["warm-start"])
-            .and_then(|opts| cmd_sweep(&opts, &mut out)),
+        "sweep" => {
+            Options::parse(&args[1..], &["warm-start"]).and_then(|opts| cmd_sweep(&opts, &mut out))
+        }
         "search" => Options::parse(
             &args[1..],
             &[
@@ -384,7 +386,9 @@ fn answer(
     };
     let payload = handler.handle(request).map_err(cli_error)?;
     if let Some((path, store)) = store {
-        let appended = store.sync_from(explorer).map_err(|e| store_error(path, e))?;
+        let appended = store
+            .sync_from(explorer)
+            .map_err(|e| store_error(path, e))?;
         if appended > 0 {
             eprintln!("warm-start: recorded {appended} new geometries to {path}");
         }
@@ -413,8 +417,7 @@ fn design_point(opts: &Options) -> Result<DesignPoint, String> {
 }
 
 fn cmd_backends(out: &mut String) -> Result<(), String> {
-    let mut table =
-        TextTable::new(&["backend", "priority", "technologies", "temperature", "dies"]);
+    let mut table = TextTable::new(&["backend", "priority", "technologies", "temperature", "dies"]);
     for &backend in BackendRegistry::with_defaults().backends() {
         let technologies: Vec<&str> = backend.technologies().iter().map(|t| t.name()).collect();
         let dies: Vec<String> = backend.die_counts().iter().map(u8::to_string).collect();
@@ -443,7 +446,11 @@ fn cmd_list(out: &mut String) -> Result<(), String> {
         ]);
     }
     let _ = write!(out, "{}", table.render());
-    let _ = writeln!(out, "\nconfigurations ({}):", MemoryConfig::study_set().len());
+    let _ = writeln!(
+        out,
+        "\nconfigurations ({}):",
+        MemoryConfig::study_set().len()
+    );
     for c in MemoryConfig::study_set() {
         let _ = writeln!(out, "  {}", c.label());
     }
@@ -465,14 +472,22 @@ fn cmd_characterize(opts: &Options, out: &mut String) -> Result<(), String> {
     };
     let _ = writeln!(out, "{label}:");
     let _ = writeln!(out, "  backend           : {backend}");
-    let _ = writeln!(out, "  organization      : {} subarrays x {} dies", a.organization, a.dies);
+    let _ = writeln!(
+        out,
+        "  organization      : {} subarrays x {} dies",
+        a.organization, a.dies
+    );
     let _ = writeln!(out, "  read latency      : {}", a.read_latency);
     let _ = writeln!(out, "  write latency     : {}", a.write_latency);
     let _ = writeln!(out, "  read energy/bit   : {}", a.read_energy_per_bit());
     let _ = writeln!(out, "  write energy/bit  : {}", a.write_energy_per_bit());
     let _ = writeln!(out, "  leakage power     : {}", a.leakage_power);
     let _ = writeln!(out, "  refresh power     : {}", a.refresh_power);
-    let _ = writeln!(out, "  footprint         : {:.3} mm^2", a.footprint.as_mm2());
+    let _ = writeln!(
+        out,
+        "  footprint         : {:.3} mm^2",
+        a.footprint.as_mm2()
+    );
     let _ = writeln!(out, "  array efficiency  : {:.2}", a.array_efficiency);
     Ok(())
 }
@@ -492,8 +507,16 @@ fn cmd_evaluate(opts: &Options, out: &mut String) -> Result<(), String> {
     let _ = writeln!(out, "  wall power (cooled) : {}", e.wall_power);
     let _ = writeln!(out, "  relative power      : {}", sci(e.relative_power));
     let _ = writeln!(out, "  relative latency    : {}", sci(e.relative_latency));
-    let _ = writeln!(out, "  bandwidth use       : {}", sci(e.bandwidth_utilization));
-    let _ = writeln!(out, "  lifetime            : {} years", sci(e.lifetime_years));
+    let _ = writeln!(
+        out,
+        "  bandwidth use       : {}",
+        sci(e.bandwidth_utilization)
+    );
+    let _ = writeln!(
+        out,
+        "  lifetime            : {} years",
+        sci(e.lifetime_years)
+    );
     let _ = writeln!(out, "  verdict             : {}", e.feasibility);
     Ok(())
 }

@@ -59,7 +59,9 @@ fn backend_dispatch_is_bit_identical_to_direct_lowering() {
     let node = ProcessNode::ptm_22nm_hp();
     for config in MemoryConfig::study_set() {
         let via_registry = explorer.characterize(&config);
-        let direct = config.to_spec(&node).characterize(Objective::EnergyDelayProduct);
+        let direct = config
+            .to_spec(&node)
+            .characterize(Objective::EnergyDelayProduct);
         assert_eq!(via_registry, direct, "{}", config.label());
     }
 }
@@ -82,7 +84,10 @@ fn study_sweep_rows_identical_under_1_and_4_thread_pools() {
         let _pinned = support::pin_threads(4);
         sweep()
     };
-    assert_eq!(one.len(), MemoryConfig::study_set().len() * spec2017().len());
+    assert_eq!(
+        one.len(),
+        MemoryConfig::study_set().len() * spec2017().len()
+    );
     assert_eq!(one, four, "sweep rows must not depend on the thread count");
 }
 

@@ -59,7 +59,9 @@ fn assert_batched_paths_bit_identical(threads: usize) {
     let run = |execute: &dyn Fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
         let registry = Registry::new();
         let explorer = observed_explorer(&registry);
-        let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
+        let plan = explorer
+            .plan_sweep(&configs)
+            .expect("study configs resolve");
         execute(&explorer, &plan)
     };
     let per_point = run(&support::per_point);
@@ -92,7 +94,9 @@ fn perf_smoke() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
     let configs = expanded_study();
-    let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
+    let plan = explorer
+        .plan_sweep(&configs)
+        .expect("study configs resolve");
     let distinct_geometries: HashSet<DesignPointKey> = plan
         .jobs()
         .iter()

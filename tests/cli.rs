@@ -39,9 +39,7 @@ fn characterize_cryo_edram() {
 
 #[test]
 fn evaluate_stacked_pcm_on_mcf() {
-    let (ok, out, _) = run(&[
-        "evaluate", "--bench", "mcf", "--tech", "pcm", "--dies", "8",
-    ]);
+    let (ok, out, _) = run(&["evaluate", "--bench", "mcf", "--tech", "pcm", "--dies", "8"]);
     assert!(ok);
     assert!(out.contains("8-die PCM"));
     assert!(out.contains("viable"));
@@ -89,7 +87,10 @@ fn replicate_csv_prints_every_generator_csv() {
         .collect();
     assert!(ok && out == csv, "{err}");
     let (ok, _, err) = run(&["replicate", "--csv", "--check"]);
-    assert!(!ok && err.contains("--csv and --check cannot be combined"), "{err}");
+    assert!(
+        !ok && err.contains("--csv and --check cannot be combined"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -134,7 +135,15 @@ fn backend_pin_on_the_overlap_point_asserts_the_policy_winner() {
 #[test]
 fn backend_pin_matches_and_mismatches() {
     // A correct pin succeeds and the resolved backend is reported.
-    let (ok, out, _) = run(&["characterize", "--tech", "edram", "--temp", "77", "--backend", "cryomem"]);
+    let (ok, out, _) = run(&[
+        "characterize",
+        "--tech",
+        "edram",
+        "--temp",
+        "77",
+        "--backend",
+        "cryomem",
+    ]);
     assert!(ok);
     assert!(out.contains("backend           : cryomem"), "output: {out}");
 
@@ -424,8 +433,14 @@ fn warm_start_skips_a_non_utf8_store_line() {
 fn search_reports_the_frontier_and_work_avoidance() {
     let (ok, out, _) = run(&["search", "--objective", "power"]);
     assert!(ok);
-    assert!(out.contains("frontier points over 713 rows"), "search summary: {out}");
-    assert!(out.contains("skipped ("), "work-avoidance accounting: {out}");
+    assert!(
+        out.contains("frontier points over 713 rows"),
+        "search summary: {out}"
+    );
+    assert!(
+        out.contains("skipped ("),
+        "work-avoidance accounting: {out}"
+    );
     assert!(out.contains("best by power:"), "objective pick: {out}");
     // The study set holds a refresh-dead plane (350 K 3T-eDRAM), so
     // the search must report a nonzero skip count.
@@ -466,12 +481,18 @@ fn search_temps_range_walks_the_cryo_nvm_region() {
         out.contains("over 1472 rows"),
         "the full cryo-STT region searches: {out}"
     );
-    assert!(out.contains("STT-RAM"), "frontier holds STT-RAM points: {out}");
+    assert!(
+        out.contains("STT-RAM"),
+        "frontier holds STT-RAM points: {out}"
+    );
 
     // A sub-range narrows the ladder: 77-130 K keeps 77 and 127 K only.
     let (ok, out, _) = run(&["search", "--tech", "stt-ram", "--temps", "77:130"]);
     assert!(ok);
-    assert!(out.contains("over 368 rows"), "two ladder temperatures: {out}");
+    assert!(
+        out.contains("over 368 rows"),
+        "two ladder temperatures: {out}"
+    );
 
     // An inverted or out-of-span range is a typed error.
     let (ok, _, err) = run(&["search", "--temps", "300:100"]);
@@ -530,7 +551,13 @@ fn metrics_text_reports_cache_pool_and_spans() {
     let (ok, out, err) = run(&["sweep", "--metrics"]);
     assert!(ok);
     assert!(out.contains("713 rows"), "command output still on stdout");
-    for needle in ["cache.hits", "cache.misses", "pool.tasks", "# spans", "characterize"] {
+    for needle in [
+        "cache.hits",
+        "cache.misses",
+        "pool.tasks",
+        "# spans",
+        "characterize",
+    ] {
         assert!(err.contains(needle), "metrics text misses {needle}: {err}");
     }
 }
@@ -542,7 +569,13 @@ fn metrics_json_is_parseable_with_required_keys() {
     let parsed = coldtall::obs::json::parse(&err)
         .unwrap_or_else(|e| panic!("--metrics=json stderr is not valid JSON ({e}):\n{err}"));
     let counters = parsed.get("counters").expect("counters section");
-    for key in ["cache.hits", "cache.misses", "cache.inserts", "pool.tasks", "sweep.rows"] {
+    for key in [
+        "cache.hits",
+        "cache.misses",
+        "cache.inserts",
+        "pool.tasks",
+        "sweep.rows",
+    ] {
         assert!(counters.get(key).is_some(), "counters missing {key}");
     }
     assert!(

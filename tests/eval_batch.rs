@@ -59,7 +59,9 @@ fn assert_batch_matches_scalar_oracle(threads: usize) {
     let configs = expanded_study();
     let plan_on = |registry: &Registry| {
         let explorer = observed_explorer(registry);
-        let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
+        let plan = explorer
+            .plan_sweep(&configs)
+            .expect("study configs resolve");
         (explorer, plan)
     };
 
@@ -185,7 +187,9 @@ fn perf_smoke() {
     let _pinned = support::pin_threads(1);
     let configs = expanded_study();
     let explorer = Explorer::with_defaults();
-    let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
+    let plan = explorer
+        .plan_sweep(&configs)
+        .expect("study configs resolve");
     // Warm every characterization so both sides measure evaluation.
     let mut arena = EvalArena::new();
     explorer.run(&plan, &mut arena);
@@ -224,7 +228,9 @@ fn new_temperatures_on_a_warm_explorer_hit_the_geometry_cache() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
     let configs = expanded_study();
-    let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
+    let plan = explorer
+        .plan_sweep(&configs)
+        .expect("study configs resolve");
     let mut arena = EvalArena::new();
     explorer.run(&plan, &mut arena);
     let solves = registry.counter_value("geometry.solves").unwrap();
@@ -242,7 +248,9 @@ fn new_temperatures_on_a_warm_explorer_hit_the_geometry_cache() {
                 .at_temperature(Kelvin::new(config.temperature().get() + 1.0))
         })
         .collect();
-    let shifted_plan = explorer.plan_sweep(&shifted).expect("shifted configs resolve");
+    let shifted_plan = explorer
+        .plan_sweep(&shifted)
+        .expect("shifted configs resolve");
     explorer.run(&shifted_plan, &mut arena);
 
     assert_eq!(

@@ -46,7 +46,10 @@ fn fig4_shows_the_namd_asymmetry() {
         .map(|c| c.parse().unwrap())
         .collect();
     let (at_350, cooled) = (cells[0], cells[2]);
-    assert!(cooled > at_350, "cryo eDRAM must lose to 350K eDRAM on namd");
+    assert!(
+        cooled > at_350,
+        "cryo eDRAM must lose to 350K eDRAM on namd"
+    );
 }
 
 #[test]

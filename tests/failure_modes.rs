@@ -102,11 +102,8 @@ fn core_rejects_invalid_design_points() {
     })
     .contains("1, 2, 4, or 8"));
     assert!(catch(|| {
-        let _ = coldtall::core::HybridLlc::new(
-            MemoryConfig::sram_350k(),
-            MemoryConfig::sram_350k(),
-            0,
-        );
+        let _ =
+            coldtall::core::HybridLlc::new(MemoryConfig::sram_350k(), MemoryConfig::sram_350k(), 0);
     })
     .contains("between 1 and 15"));
 }
@@ -114,8 +111,8 @@ fn core_rejects_invalid_design_points() {
 #[test]
 fn cryo_rejects_negative_power() {
     assert!(catch(|| {
-        let _ = coldtall::cryo::CoolingSystem::Server100kW
-            .wall_power(Watts::new(-1.0), Kelvin::LN2);
+        let _ =
+            coldtall::cryo::CoolingSystem::Server100kW.wall_power(Watts::new(-1.0), Kelvin::LN2);
     })
     .contains("non-negative"));
     assert!(catch(|| {

@@ -91,7 +91,15 @@ fn hostile_cli_arguments_never_panic() {
         &["characterize", "--backend", "nvsim"],
         &["characterize", "--backend", ""],
         &["characterize", "--backend", "destiny"],
-        &["evaluate", "--backend", "cryomem", "--tech", "pcm", "--dies", "4"],
+        &[
+            "evaluate",
+            "--backend",
+            "cryomem",
+            "--tech",
+            "pcm",
+            "--dies",
+            "4",
+        ],
         &["evaluate", "--backend", "CRYOMEM"],
         &["sweep", "--backend", "cryomem"],
         &["recommend", "--backend", "destiny"],
@@ -148,16 +156,23 @@ fn hostile_environment_never_breaks_a_run() {
     // is the one command whose work the thread count reaches.
     let variation = std::fs::read_to_string("results/variation_study.txt").expect("golden");
     for threads in ["garbage", "0", "-4", "184467440737095516160", "³"] {
-        let (ok, out, err) =
-            run_with_env(&["recommend", "--bench", "povray"], &[("COLDTALL_THREADS", threads)]);
-        assert!(ok, "COLDTALL_THREADS={threads} must not break recommend: {err}");
+        let (ok, out, err) = run_with_env(
+            &["recommend", "--bench", "povray"],
+            &[("COLDTALL_THREADS", threads)],
+        );
+        assert!(
+            ok,
+            "COLDTALL_THREADS={threads} must not break recommend: {err}"
+        );
         assert!(out.contains("77K"), "output unchanged under bad env");
         assert!(
             !err.contains("panicked"),
             "COLDTALL_THREADS={threads} reached a panic: {err}"
         );
-        let (ok, out, err) =
-            run_with_env(&["replicate", "variation_study"], &[("COLDTALL_THREADS", threads)]);
+        let (ok, out, err) = run_with_env(
+            &["replicate", "variation_study"],
+            &[("COLDTALL_THREADS", threads)],
+        );
         assert!(
             ok && out == variation && !err.contains("panicked"),
             "COLDTALL_THREADS={threads} broke replicate: {err}"
@@ -174,13 +189,23 @@ fn hostile_env_and_bad_args_compose() {
         &[("COLDTALL_THREADS", "zero")],
     );
     assert!(!ok);
-    assert!(err.contains("error: unknown benchmark 'doom'"), "stderr: {err}");
+    assert!(
+        err.contains("error: unknown benchmark 'doom'"),
+        "stderr: {err}"
+    );
     assert!(!err.contains("panicked"));
 }
 
 #[test]
 fn kelvin_rejects_every_non_physical_temperature() {
-    for bad in [0.0, -1.0, -273.15, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+    for bad in [
+        0.0,
+        -1.0,
+        -273.15,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ] {
         assert!(
             Kelvin::try_new(bad).is_err(),
             "Kelvin::try_new({bad}) must fail"
@@ -200,10 +225,16 @@ fn spec_builders_reject_bad_geometry_without_panicking() {
         assert!(spec.clone().try_with_dies(dies).is_err(), "dies={dies}");
     }
     // Face-to-face bonding joins exactly two dies.
-    assert!(spec.clone().try_with_stacking(Stacking::FaceToFace, 4).is_err());
+    assert!(spec
+        .clone()
+        .try_with_stacking(Stacking::FaceToFace, 4)
+        .is_err());
     assert!(spec.clone().try_with_stacking(Stacking::Planar, 2).is_err());
     // A capacity smaller than one line cannot hold a line.
-    assert!(spec.clone().try_with_capacity(Capacity::from_bytes(8)).is_err());
+    assert!(spec
+        .clone()
+        .try_with_capacity(Capacity::from_bytes(8))
+        .is_err());
     assert!(spec.clone().try_with_line_bits(0).is_err());
     // The happy path still works after all those failed moves.
     assert!(spec.try_with_dies(8).is_ok());
@@ -232,7 +263,10 @@ fn config_and_benchmark_lookups_are_typed() {
         );
     }
     for name in ["", "flash", "dram4", "SRAM ", "🦀"] {
-        assert!(MemoryConfig::parse_technology(name).is_err(), "tech {name:?}");
+        assert!(
+            MemoryConfig::parse_technology(name).is_err(),
+            "tech {name:?}"
+        );
     }
     let explorer = Explorer::with_defaults();
     for name in ["", "doom", "Namd", "namd "] {
@@ -305,7 +339,11 @@ fn unclaimed_points_are_no_backend_on_the_one_cell_entries() {
         let err = explorer.try_characterize(&config).unwrap_err();
         assert!(matches!(err, Error::NoBackend { .. }), "{label}: {err}");
     }
-    assert_eq!(explorer.cached_characterizations(), 0, "nothing was published");
+    assert_eq!(
+        explorer.cached_characterizations(),
+        0,
+        "nothing was published"
+    );
 }
 
 /// Adversarial-but-legal corners of the library API: extreme yet valid

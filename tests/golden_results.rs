@@ -91,7 +91,13 @@ fn every_results_artifact_is_covered() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
     let mut on_disk: Vec<String> = fs::read_dir(&dir)
         .expect("results/ directory present")
-        .map(|entry| entry.expect("readable dir entry").file_name().to_string_lossy().into_owned())
+        .map(|entry| {
+            entry
+                .expect("readable dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
         .collect();
     on_disk.sort();
     let covered: Vec<String> = bench::ARTIFACTS

@@ -67,8 +67,12 @@ fn hits_plus_misses_equals_characterization_calls() {
     // keep holding.
     let _ = sweep(&explorer, &configs);
 
-    let hits = registry.counter_value("cache.hits").expect("hits registered");
-    let misses = registry.counter_value("cache.misses").expect("misses registered");
+    let hits = registry
+        .counter_value("cache.hits")
+        .expect("hits registered");
+    let misses = registry
+        .counter_value("cache.misses")
+        .expect("misses registered");
     let calls = registry
         .counter_value("explorer.characterize.calls")
         .expect("calls registered");
@@ -89,7 +93,10 @@ fn counters_identical_between_sequential_and_parallel_sweeps() {
     let par_registry = Registry::new();
     let par_rows = sweep_on_threads(&par_registry, 4, &configs);
 
-    assert_eq!(seq_rows, par_rows, "rows must not depend on the thread count");
+    assert_eq!(
+        seq_rows, par_rows,
+        "rows must not depend on the thread count"
+    );
     assert_eq!(
         seq_registry.counters(),
         par_registry.counters(),
@@ -213,12 +220,19 @@ fn histogram_quantiles_are_monotone() {
     let _ = sweep(&explorer, &small_config_set());
     for name in ["characterize", "evaluate", "sweep"] {
         let span = registry.span(name);
-        let (p50, p95, p99) = (span.quantile(0.50), span.quantile(0.95), span.quantile(0.99));
+        let (p50, p95, p99) = (
+            span.quantile(0.50),
+            span.quantile(0.95),
+            span.quantile(0.99),
+        );
         assert!(
             p50 <= p95 && p95 <= p99,
             "span '{name}': p50={p50} p95={p95} p99={p99} not monotone"
         );
-        assert!(span.quantile(1.0) >= span.max() / 2, "upper bound brackets max");
+        assert!(
+            span.quantile(1.0) >= span.max() / 2,
+            "upper bound brackets max"
+        );
     }
 }
 
@@ -237,7 +251,11 @@ fn reset_zeroes_every_counter_gauge_and_span() {
         assert_eq!(value, 0, "gauge '{name}' survived reset");
     }
     for name in ["characterize", "evaluate", "sweep"] {
-        assert_eq!(registry.span(name).count(), 0, "span '{name}' survived reset");
+        assert_eq!(
+            registry.span(name).count(),
+            0,
+            "span '{name}' survived reset"
+        );
     }
 
     // Live handles keep working after a reset.

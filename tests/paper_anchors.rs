@@ -98,10 +98,7 @@ fn fig3_cryo_leakage_collapses_about_a_million_fold() {
     let base = sram_baseline();
     let cold = characterize_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct);
     let rel = cold.leakage_power / base.leakage_power;
-    assert!(
-        (1e-7..=1e-5).contains(&rel),
-        "77K leakage ratio = {rel:e}"
-    );
+    assert!((1e-7..=1e-5).contains(&rel), "77K leakage ratio = {rel:e}");
 }
 
 #[test]
@@ -112,16 +109,26 @@ fn fig3_edram_leakage_gap_grows_from_10x_to_beyond() {
     let obj = Objective::EnergyDelayProduct;
     let gap = |t: Kelvin| {
         characterize_at(&sram, t, obj).leakage_power
-            / characterize_at(&edram, t, obj).leakage_power.get().max(1e-30)
+            / characterize_at(&edram, t, obj)
+                .leakage_power
+                .get()
+                .max(1e-30)
             / 1.0
     };
     let gap_cold = characterize_at(&sram, Kelvin::LN2, obj).leakage_power.get()
-        / characterize_at(&edram, Kelvin::LN2, obj).leakage_power.get();
+        / characterize_at(&edram, Kelvin::LN2, obj)
+            .leakage_power
+            .get();
     let gap_hot = characterize_at(&sram, Kelvin::TDP, obj).leakage_power.get()
-        / characterize_at(&edram, Kelvin::TDP, obj).leakage_power.get();
+        / characterize_at(&edram, Kelvin::TDP, obj)
+            .leakage_power
+            .get();
     let _ = gap;
     assert!((5.0..=25.0).contains(&gap_cold), "77K gap = {gap_cold}");
-    assert!(gap_hot > 2.0 * gap_cold, "gap must widen: {gap_cold} -> {gap_hot}");
+    assert!(
+        gap_hot > 2.0 * gap_cold,
+        "gap must widen: {gap_cold} -> {gap_hot}"
+    );
 }
 
 #[test]
@@ -162,7 +169,10 @@ fn fig4_namd_cryo_sram_wins_about_3x_including_cooling() {
     let warm = explorer.evaluate(&MemoryConfig::sram_350k(), namd);
     let cold = explorer.evaluate(&MemoryConfig::sram_77k(), namd);
     let ratio = warm.wall_power / cold.wall_power;
-    assert!((2.0..=6.0).contains(&ratio), "namd SRAM cooled win = {ratio}");
+    assert!(
+        (2.0..=6.0).contains(&ratio),
+        "namd SRAM cooled win = {ratio}"
+    );
 }
 
 #[test]
@@ -328,8 +338,14 @@ fn fig6_best_read_energy_is_8die_sram_then_8die_pcm() {
     // 8-die SRAM ~75% lower, 8-die PCM ~55% lower than the baseline.
     let sram_rel = sram8.read_energy / base.read_energy;
     let pcm_rel = pcm8.read_energy / base.read_energy;
-    assert!((0.15..=0.4).contains(&sram_rel), "8-die SRAM read energy = {sram_rel}");
-    assert!((0.35..=0.6).contains(&pcm_rel), "8-die PCM read energy = {pcm_rel}");
+    assert!(
+        (0.15..=0.4).contains(&sram_rel),
+        "8-die SRAM read energy = {sram_rel}"
+    );
+    assert!(
+        (0.35..=0.6).contains(&pcm_rel),
+        "8-die PCM read energy = {pcm_rel}"
+    );
     assert!(sram8.read_energy < pcm8.read_energy);
     assert!(pcm8.read_energy < stt8.read_energy);
     assert!(pcm8.read_energy < rram8.read_energy);
@@ -364,7 +380,10 @@ fn fig6_8die_pcm_has_the_best_read_latency() {
     assert!(pcm4.read_latency <= pcm2.read_latency);
     assert!(pcm2.read_latency < stt8.read_latency);
     assert!(stt8.read_latency < rram8.read_latency);
-    assert!(stt8.read_latency < sram8.read_latency, "STT competitive read");
+    assert!(
+        stt8.read_latency < sram8.read_latency,
+        "STT competitive read"
+    );
 }
 
 #[test]
@@ -386,7 +405,10 @@ fn fig6_8die_stt_has_the_lowest_write_latency() {
     for dies in [1u8, 2, 4, 8] {
         let stt = characterized(MemoryTechnology::SttRam, Tentpole::Optimistic, dies);
         let sram = characterized(MemoryTechnology::Sram, Tentpole::Optimistic, dies);
-        assert!(stt.write_latency < sram.write_latency, "{dies}-die STT write");
+        assert!(
+            stt.write_latency < sram.write_latency,
+            "{dies}-die STT write"
+        );
     }
 }
 
@@ -425,7 +447,10 @@ fn fig7_pessimistic_envms_win_only_single_digits() {
         let config = MemoryConfig::envm_3d(tech, Tentpole::Pessimistic, 1);
         let eval = explorer.evaluate(&config, x264);
         let win = warm.relative_power / eval.relative_power;
-        assert!((2.0..=12.0).contains(&win), "{tech} pessimistic win = {win}");
+        assert!(
+            (2.0..=12.0).contains(&win),
+            "{tech} pessimistic win = {win}"
+        );
     }
 }
 
@@ -435,9 +460,13 @@ fn fig7_stt_benefit_shrinks_as_write_power_dominates() {
     let config = MemoryConfig::envm_3d(MemoryTechnology::SttRam, Tentpole::Optimistic, 8);
     let quiet = benchmark("deepsjeng").unwrap(); // 8e4 reads/s
     let busy = benchmark("lbm").unwrap(); // write-heavy
-    let quiet_win = explorer.evaluate(&MemoryConfig::sram_350k(), quiet).relative_power
+    let quiet_win = explorer
+        .evaluate(&MemoryConfig::sram_350k(), quiet)
+        .relative_power
         / explorer.evaluate(&config, quiet).relative_power;
-    let busy_win = explorer.evaluate(&MemoryConfig::sram_350k(), busy).relative_power
+    let busy_win = explorer
+        .evaluate(&MemoryConfig::sram_350k(), busy)
+        .relative_power
         / explorer.evaluate(&config, busy).relative_power;
     assert!(
         busy_win < quiet_win / 2.0,
@@ -525,7 +554,11 @@ fn table2_matches_the_papers_band_structure() {
     assert!(low.power.improvement > 100.0);
 
     let mid = rows.iter().find(|r| r.band == TrafficBand::Mid).unwrap();
-    assert!(mid.power.label.contains("PCM"), "mid winner = {}", mid.power.label);
+    assert!(
+        mid.power.label.contains("PCM"),
+        "mid winner = {}",
+        mid.power.label
+    );
     assert_eq!(mid.power.alternate.as_deref(), Some("77K 3T-eDRAM"));
     assert!(
         (10.0..=60.0).contains(&mid.power.improvement),
@@ -535,7 +568,10 @@ fn table2_matches_the_papers_band_structure() {
 
     let high = rows.iter().find(|r| r.band == TrafficBand::High).unwrap();
     assert!(high.power.label.contains("PCM"));
-    assert!(high.power.endurance_limited, "PCM winners carry the endurance flag");
+    assert!(
+        high.power.endurance_limited,
+        "PCM winners carry the endurance flag"
+    );
 
     for row in &rows {
         assert!(row.area.label.contains("8-die PCM"));

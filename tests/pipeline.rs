@@ -95,9 +95,16 @@ fn full_sweep_produces_finite_sane_rows() {
     let rows = explorer
         .try_sweep_configs(&MemoryConfig::study_set())
         .expect("the study set resolves");
-    assert_eq!(rows.len(), MemoryConfig::study_set().len() * spec2017().len());
+    assert_eq!(
+        rows.len(),
+        MemoryConfig::study_set().len() * spec2017().len()
+    );
     for row in &rows {
-        assert!(row.wall_power.get() > 0.0, "{}: zero power", row.config_label);
+        assert!(
+            row.wall_power.get() > 0.0,
+            "{}: zero power",
+            row.config_label
+        );
         assert!(row.relative_power > 0.0);
         assert!(row.footprint_mm2 > 0.1 && row.footprint_mm2 < 50.0);
         assert!(

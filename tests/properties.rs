@@ -342,7 +342,11 @@ fn histogram_merge_equals_concatenated_samples() {
         assert_eq!(left.min(), concatenated.min());
         assert_eq!(left.max(), concatenated.max());
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(left.quantile(q), concatenated.quantile(q), "seed {seed}, q={q}");
+            assert_eq!(
+                left.quantile(q),
+                concatenated.quantile(q),
+                "seed {seed}, q={q}"
+            );
         }
     }
 }

@@ -86,7 +86,9 @@ fn assert_search_matches_exhaustive(threads: usize) {
     // The exhaustive reference: one plan run into an arena.
     let registry = Registry::new();
     let exhaustive = observed_explorer(&registry);
-    let plan = exhaustive.plan_sweep(&configs).expect("study configs resolve");
+    let plan = exhaustive
+        .plan_sweep(&configs)
+        .expect("study configs resolve");
     let mut arena = EvalArena::new();
     exhaustive.run(&plan, &mut arena);
     let rows = arena.to_rows();
@@ -221,7 +223,10 @@ fn perf_smoke() {
         stats.points_evaluated < stats.rows_total,
         "adaptive search must evaluate strictly fewer points than the grid holds"
     );
-    assert_eq!(stats.points_evaluated + stats.points_skipped, stats.rows_total);
+    assert_eq!(
+        stats.points_evaluated + stats.points_skipped,
+        stats.rows_total
+    );
     assert_eq!(
         stats.points_skipped,
         stats.skipped_infeasible + stats.skipped_pruned
@@ -254,7 +259,9 @@ fn perf_smoke() {
         "search.tightness.area",
     ] {
         assert!(spans.get(name).is_none(), "{name} is not a duration");
-        let tightness = values.get(name).expect("telemetry must report the tightness");
+        let tightness = values
+            .get(name)
+            .expect("telemetry must report the tightness");
         assert!(tightness.get("count").and_then(|v| v.as_f64()) > Some(0.0));
         let p50 = tightness.get("p50_permille").and_then(|v| v.as_f64());
         assert!(p50.is_some_and(|p| p <= 1000.0), "{name}: p50 {p50:?}");
@@ -271,11 +278,17 @@ fn every_pruned_region_bound_is_below_every_member_row() {
         .search("study", &MemoryConfig::study_set(), &Constraints::none())
         .expect("the study set searches");
     assert!(
-        outcome.pruned.iter().any(|r| r.reason == PruneReason::Infeasible),
+        outcome
+            .pruned
+            .iter()
+            .any(|r| r.reason == PruneReason::Infeasible),
         "the 350 K 3T-eDRAM plane must be skipped as infeasible"
     );
     assert!(
-        outcome.pruned.iter().any(|r| r.reason == PruneReason::Dominated),
+        outcome
+            .pruned
+            .iter()
+            .any(|r| r.reason == PruneReason::Dominated),
         "the incumbent frontier must dominate at least one region"
     );
     for region in &outcome.pruned {
@@ -413,9 +426,19 @@ fn frontier_membership_is_insertion_order_invariant() {
     // passed stays the original index, only arrival order changes.
     let orders: Vec<Vec<usize>> = vec![
         (0..rows.len()).rev().collect(),
-        (0..rows.len()).step_by(3).chain((0..rows.len()).filter(|i| i % 3 != 0)).collect(),
-        (0..rows.len() / 2).flat_map(|i| [rows.len() - 1 - i, i]).collect::<Vec<_>>()
-            .into_iter().chain(if rows.len() % 2 == 1 { Some(rows.len() / 2) } else { None })
+        (0..rows.len())
+            .step_by(3)
+            .chain((0..rows.len()).filter(|i| i % 3 != 0))
+            .collect(),
+        (0..rows.len() / 2)
+            .flat_map(|i| [rows.len() - 1 - i, i])
+            .collect::<Vec<_>>()
+            .into_iter()
+            .chain(if rows.len() % 2 == 1 {
+                Some(rows.len() / 2)
+            } else {
+                None
+            })
             .collect(),
     ];
     for order in orders {

@@ -179,12 +179,21 @@ fn concurrent_tcp_clients_get_bit_identical_responses() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
     });
 
-    assert!(requests.len() >= 8, "the contract covers >= 8 concurrent clients");
+    assert!(
+        requests.len() >= 8,
+        "the contract covers >= 8 concurrent clients"
+    );
     for ((line, got), want) in requests.iter().zip(&results).zip(&expected) {
-        assert_eq!(got, want, "served bytes differ from library bytes for {line}");
+        assert_eq!(
+            got, want,
+            "served bytes differ from library bytes for {line}"
+        );
     }
     daemon.shutdown();
 }
