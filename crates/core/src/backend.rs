@@ -21,6 +21,7 @@
 #![deny(missing_docs)]
 
 use core::fmt;
+use core::ops::RangeInclusive;
 
 use coldtall_array::{ArrayCharacterization, Objective, OrgGeometry};
 use coldtall_cell::MemoryTechnology;
@@ -32,12 +33,11 @@ use crate::error::Error;
 use crate::parcache::GeometryCache;
 use crate::plan::DesignPointKey;
 
-/// Lowest operating temperature either backend accepts — the CLI's
-/// legal lower bound, below the paper's 77 K sweep floor.
-const MIN_TEMPERATURE_K: f64 = 60.0;
-
-/// Highest operating temperature either backend accepts.
-const MAX_TEMPERATURE_K: f64 = 400.0;
+/// The operating temperatures both backends model, in kelvin. The
+/// lower bound is the CLI's legal floor, below the paper's 77 K sweep
+/// floor. A design point's temperature and a search's `temps` selector
+/// must fall inside it.
+pub(crate) const TEMPERATURE_SPAN_K: RangeInclusive<f64> = 60.0..=400.0;
 
 /// One of the paper's two array-characterization engines.
 ///
@@ -106,8 +106,8 @@ impl Backend {
     #[must_use]
     pub fn temperature_span(self) -> (Kelvin, Kelvin) {
         (
-            Kelvin::new(MIN_TEMPERATURE_K),
-            Kelvin::new(MAX_TEMPERATURE_K),
+            Kelvin::new(*TEMPERATURE_SPAN_K.start()),
+            Kelvin::new(*TEMPERATURE_SPAN_K.end()),
         )
     }
 

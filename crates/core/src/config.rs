@@ -168,22 +168,21 @@ impl MemoryConfig {
     }
 
     /// Builds a design point from frontend-style raw fields — the one
-    /// design-point validator, which both frontends reach through
+    /// design-point parser, which both frontends reach through
     /// [`crate::DesignPoint::to_config`], so they accept the same
     /// space.
     ///
-    /// eNVM technologies take any tentpole, die count, and
-    /// temperature. Volatile technologies (SRAM, 3T-eDRAM) are 2D at
-    /// any temperature; stacked volatile points are modeled only at
-    /// the 350 K reference (the study's 2/4/8-die SRAM points).
+    /// It checks the names and the die count only. Whether a point is
+    /// modeled is the dispatch rule's answer
+    /// ([`crate::BackendRegistry::resolve`]), as it is for a search
+    /// region's points: stacked SRAM resolves to Destiny at any
+    /// temperature, and stacked 3T-eDRAM to no backend.
     ///
     /// # Errors
     ///
     /// Returns [`crate::Error::UnknownTechnology`],
-    /// [`crate::Error::UnknownTentpole`],
-    /// [`crate::Error::InvalidDieCount`], or
-    /// [`crate::Error::UnsupportedPoint`] (stacked volatile off the
-    /// 350 K reference).
+    /// [`crate::Error::UnknownTentpole`], or
+    /// [`crate::Error::InvalidDieCount`].
     pub fn try_design_point(
         tech: &str,
         tentpole: &str,
@@ -192,23 +191,10 @@ impl MemoryConfig {
     ) -> Result<Self, crate::Error> {
         let technology = Self::parse_technology(tech)?;
         let tentpole = Self::parse_tentpole(tentpole)?;
-        Self::validate_dies(dies)?;
-        if technology.is_nonvolatile() {
+        if technology.is_nonvolatile() || dies != 1 {
             Ok(Self::try_envm_3d(technology, tentpole, dies)?.at_temperature(temperature))
-        } else if dies == 1 {
-            Ok(Self::volatile_2d(technology, temperature))
-        } else if temperature == Kelvin::REFERENCE {
-            Self::try_envm_3d(technology, tentpole, dies)
         } else {
-            Err(crate::Error::UnsupportedPoint {
-                reason: format!(
-                    "{}-die {} at {:.0} K: volatile stacks are modeled at the 350 K \
-                     reference only",
-                    dies,
-                    technology.name(),
-                    temperature.get()
-                ),
-            })
+            Ok(Self::volatile_2d(technology, temperature))
         }
     }
 
@@ -485,15 +471,17 @@ mod tests {
             MemoryConfig::try_design_point("pcm", "opt", 3, Kelvin::REFERENCE),
             Err(crate::Error::InvalidDieCount { dies: 3 })
         ));
-        // Stacked volatile off the 350 K reference is out of scope...
-        let err = MemoryConfig::try_design_point("sram", "opt", 4, Kelvin::LN2).unwrap_err();
-        assert!(matches!(err, crate::Error::UnsupportedPoint { .. }));
-        assert!(err.to_string().contains("350 K"));
-        // ...but at the reference it is the study's stacked-SRAM point.
+        // At the reference a volatile stack is the study's stacked-SRAM
+        // point; off it, that point re-pinned, as a search region builds
+        // it. Whether it is modeled is the dispatch rule's answer.
         let stacked = MemoryConfig::try_design_point("sram", "opt", 4, Kelvin::REFERENCE).unwrap();
         assert_eq!(
             stacked,
             MemoryConfig::envm_3d(MemoryTechnology::Sram, Tentpole::Optimistic, 4)
+        );
+        assert_eq!(
+            MemoryConfig::try_design_point("sram", "opt", 4, Kelvin::LN2).unwrap(),
+            stacked.at_temperature(Kelvin::LN2)
         );
     }
 

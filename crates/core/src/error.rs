@@ -91,10 +91,8 @@ pub enum Error {
         /// The unrecognized name as supplied.
         name: String,
     },
-    /// A field combination the exploration deliberately does not model
-    /// (for example, a stacked volatile cache at a cryogenic
-    /// temperature). The individual fields are each valid; the
-    /// combination is out of scope.
+    /// A design point the exploration deliberately does not model: a
+    /// physical temperature outside the modeled 60-400 K window.
     UnsupportedPoint {
         /// Why the combination is out of scope.
         reason: String,

@@ -758,6 +758,9 @@ mod tests {
         assert_eq!(a.collect_since(&mut cursor, |_| true).len(), 20);
     }
 
+    /// The cursor is a position in the cache's insertion-ordered log,
+    /// so a sync racing two publishers never misses an entry, and never
+    /// offers one twice.
     #[test]
     fn concurrent_publishers_never_hide_an_entry_from_the_cursor() {
         use std::collections::HashSet;

@@ -148,6 +148,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// FNV-1a over a sweep grid's identity: every configuration's
+/// canonical key in row order, then every benchmark name.
+fn plan_hash(configs: &[MemoryConfig], benchmarks: &[Benchmark]) -> u64 {
+    let mut text = String::new();
+    for config in configs {
+        text.push_str(DesignPointKey::of_config(config).canonical());
+        text.push('\n');
+    }
+    text.push_str("--benchmarks--\n");
+    for benchmark in benchmarks {
+        text.push_str(benchmark.name);
+        text.push('\n');
+    }
+    fnv1a(text.as_bytes())
+}
+
 /// One validated characterization job of an [`ExecutionPlan`]: a
 /// distinct design point, its canonical key, and the backend it
 /// resolved to.
@@ -218,6 +234,14 @@ impl SweepPlan {
     pub fn with_benchmarks(mut self, benchmarks: &'static [Benchmark]) -> Self {
         self.benchmarks = benchmarks;
         self
+    }
+
+    /// The plan's [`ExecutionPlan::stable_hash`], read off the
+    /// uncompiled plan: the hash covers only the grid's canonical keys
+    /// and the benchmark names, so it needs no backend resolution.
+    #[must_use]
+    pub fn stable_hash(&self) -> u64 {
+        plan_hash(&self.configs, self.benchmarks)
     }
 
     /// Compiles the plan: resolves every configuration through the
@@ -300,17 +324,7 @@ impl ExecutionPlan {
     /// produced it.
     #[must_use]
     pub fn stable_hash(&self) -> u64 {
-        let mut text = String::new();
-        for config in &self.configs {
-            text.push_str(DesignPointKey::of_config(config).canonical());
-            text.push('\n');
-        }
-        text.push_str("--benchmarks--\n");
-        for benchmark in self.benchmarks {
-            text.push_str(benchmark.name);
-            text.push('\n');
-        }
-        fnv1a(text.as_bytes())
+        plan_hash(&self.configs, self.benchmarks)
     }
 
     /// The deduplicated job serving `key`, if the plan compiled one.
@@ -442,6 +456,7 @@ mod tests {
         assert_eq!(plan.jobs().len(), 31);
         assert_eq!(plan.configs().len(), 31);
         assert_eq!(plan.rows(), 31 * plan.benchmarks().len());
+        assert_eq!(plan.stable_hash(), SweepPlan::study().stable_hash());
     }
 
     #[test]

@@ -609,6 +609,8 @@ mod tests {
             .collect()
     }
 
+    /// The one-buffer `TextTable` renders and exports CSV byte for byte
+    /// as the nested-`Vec` oracle does.
     #[test]
     fn table_matches_the_nested_vec_oracle() {
         let mut rng = SmallRng::seed_from_u64(2018);

@@ -20,7 +20,6 @@
 //! after evaluation), so work already dispatched runs to completion
 //! and lands in the cache — a timed-out request wastes no warmth.
 
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,6 +27,7 @@ use coldtall_array::ArrayCharacterization;
 use coldtall_obs::{Counter, Histogram, Registry, Span};
 use coldtall_units::Kelvin;
 
+use crate::backend::TEMPERATURE_SPAN_K;
 use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::error::Error;
@@ -36,10 +36,6 @@ use crate::explorer::Explorer;
 use crate::pareto::Constraints;
 use crate::plan::SweepPlan;
 use crate::search::SearchOutcome;
-
-/// The modeled operating window in kelvin: a design point's
-/// temperature and a search's `temps` selector must fall inside it.
-const TEMPERATURE_WINDOW: RangeInclusive<f64> = 60.0..=400.0;
 
 /// One design point as a frontend names it: raw strings and numbers,
 /// validated by [`MemoryConfig::try_design_point`] at dispatch time.
@@ -79,7 +75,7 @@ impl DesignPoint {
     /// modeled 60–400 K window.
     pub fn to_config(&self) -> Result<MemoryConfig, Error> {
         let temperature = Kelvin::try_new(self.temperature_kelvin)?;
-        if !TEMPERATURE_WINDOW.contains(&self.temperature_kelvin) {
+        if !TEMPERATURE_SPAN_K.contains(&self.temperature_kelvin) {
             return Err(Error::UnsupportedPoint {
                 reason: format!(
                     "{:.1} K is outside the modeled 60-400 K window",
@@ -360,23 +356,27 @@ impl RequestHandler {
                 let config = point.to_config()?;
                 deadline.check()?;
                 let backend = self.explorer.backends().resolve(&config)?.name();
-                let plan_hash = self.plan_hash(std::slice::from_ref(&config))?;
                 let characterization = self.explorer.try_characterize(&config)?;
                 deadline.check()?;
                 Ok(ResponsePayload::Characterization {
                     label: config.label(),
                     backend,
-                    plan_hash,
+                    plan_hash: SweepPlan::new(vec![config]).stable_hash(),
                     characterization,
                 })
             }
             Request::Evaluate { point, benchmark } => {
                 let config = point.to_config()?;
                 deadline.check()?;
-                let plan_hash = self.plan_hash(std::slice::from_ref(&config))?;
+                // Resolved first, so a point no backend admits fails
+                // before the benchmark lookup or any cache probe.
+                self.explorer.backends().resolve(&config)?;
                 let row = self.explorer.try_evaluate(&config, benchmark)?;
                 deadline.check()?;
-                Ok(ResponsePayload::Evaluation { plan_hash, row })
+                Ok(ResponsePayload::Evaluation {
+                    plan_hash: SweepPlan::new(vec![config]).stable_hash(),
+                    row,
+                })
             }
             Request::Sweep => {
                 let configs = MemoryConfig::study_set();
@@ -397,13 +397,12 @@ impl RequestHandler {
             } => {
                 let (region, configs) =
                     Self::search_region(tech.as_deref(), *dies, temps.as_deref())?;
-                let plan_hash = self.plan_hash(&configs)?;
                 deadline.check()?;
                 let outcome = self.explorer.search(&region, &configs, constraints)?;
                 deadline.check()?;
                 Ok(ResponsePayload::Search {
                     region,
-                    plan_hash,
+                    plan_hash: SweepPlan::new(configs).stable_hash(),
                     outcome,
                 })
             }
@@ -445,15 +444,6 @@ impl RequestHandler {
         Ok((region.join(" x "), configs))
     }
 
-    /// Stable hash of the plan over `configs` under the full SPEC2017
-    /// suite — the key tying run-registry records back to the work
-    /// that produced them.
-    fn plan_hash(&self, configs: &[MemoryConfig]) -> Result<u64, Error> {
-        Ok(SweepPlan::new(configs.to_vec())
-            .compile(self.explorer.backends())?
-            .stable_hash())
-    }
-
     /// The current [`StatusReport`].
     #[must_use]
     pub fn status(&self) -> StatusReport {
@@ -488,7 +478,7 @@ fn temperatures(temps: &str) -> Result<(Vec<Kelvin>, String), Error> {
         let (Ok(lo), Ok(hi)) = (lo.parse::<f64>(), hi.parse::<f64>()) else {
             return Err(invalid("lo and hi must be kelvin values"));
         };
-        if !(TEMPERATURE_WINDOW.contains(&lo) && TEMPERATURE_WINDOW.contains(&hi) && lo <= hi) {
+        if !(TEMPERATURE_SPAN_K.contains(&lo) && TEMPERATURE_SPAN_K.contains(&hi) && lo <= hi) {
             return Err(invalid("lo:hi needs 60 <= lo <= hi <= 400 kelvin"));
         }
         let inside: Vec<Kelvin> = ladder
@@ -506,7 +496,7 @@ fn temperatures(temps: &str) -> Result<(Vec<Kelvin>, String), Error> {
     let kelvin: f64 = temps
         .parse()
         .map_err(|_| invalid("expected 'study', a kelvin value, or a lo:hi range"))?;
-    if !TEMPERATURE_WINDOW.contains(&kelvin) {
+    if !TEMPERATURE_SPAN_K.contains(&kelvin) {
         return Err(invalid("outside the modeled 60-400 K window"));
     }
     Ok((vec![Kelvin::try_new(kelvin)?], format!("{temps} K")))
@@ -685,21 +675,108 @@ mod tests {
         }
     }
 
+    /// Every answer carries the hash of the compiled plan over its
+    /// configurations, although only the sweep compiles one: the
+    /// point and search answers hash the uncompiled plan.
     #[test]
     fn sweep_response_carries_the_study_plan_hash() {
         let registry = Registry::new();
         let handler = handler(&registry);
+        let compiled = |configs: &[MemoryConfig]| {
+            handler
+                .explorer()
+                .plan_sweep(configs)
+                .unwrap()
+                .stable_hash()
+        };
         let ResponsePayload::Sweep { plan_hash, arena } = handler.handle(&Request::Sweep).unwrap()
         else {
             panic!("sweep must answer with rows");
         };
-        let expected = handler
-            .explorer()
-            .plan_sweep(&MemoryConfig::study_set())
-            .unwrap()
-            .stable_hash();
-        assert_eq!(plan_hash, expected);
+        assert_eq!(plan_hash, compiled(&MemoryConfig::study_set()));
         assert_eq!(arena.rows(), 31 * 23);
+
+        let point = DesignPoint {
+            tech: "pcm".to_string(),
+            dies: 4,
+            ..DesignPoint::baseline()
+        };
+        let config = point.to_config().unwrap();
+        let characterize = Request::Characterize {
+            point: point.clone(),
+        };
+        let Ok(ResponsePayload::Characterization { plan_hash, .. }) = handler.handle(&characterize)
+        else {
+            panic!("characterize must answer with a characterization");
+        };
+        assert_eq!(plan_hash, compiled(std::slice::from_ref(&config)));
+        let evaluate = Request::Evaluate {
+            point,
+            benchmark: "mcf".to_string(),
+        };
+        let Ok(ResponsePayload::Evaluation { plan_hash, .. }) = handler.handle(&evaluate) else {
+            panic!("evaluate must answer with an evaluation row");
+        };
+        assert_eq!(plan_hash, compiled(std::slice::from_ref(&config)));
+
+        let (_, region) = RequestHandler::search_region(Some("stt"), None, Some("77:400")).unwrap();
+        let search = Request::Search {
+            tech: Some("stt".to_string()),
+            dies: None,
+            temps: Some("77:400".to_string()),
+            constraints: Constraints::none(),
+        };
+        let Ok(ResponsePayload::Search { plan_hash, .. }) = handler.handle(&search) else {
+            panic!("search must answer with a frontier");
+        };
+        assert_eq!(plan_hash, compiled(&region));
+    }
+
+    /// One scope rule: every row a search puts on its frontier is a
+    /// point query's answer, bit for bit. The 77 K 4-die frontier holds
+    /// stacked SRAM off the 350 K reference, which `evaluate` answers
+    /// like any other point the dispatch rule admits.
+    #[test]
+    fn every_frontier_row_answers_as_a_point_query() {
+        let registry = Registry::new();
+        let handler = handler(&registry);
+        let search = Request::Search {
+            tech: None,
+            dies: Some(4),
+            temps: Some("77".to_string()),
+            constraints: Constraints::none(),
+        };
+        let Ok(ResponsePayload::Search { outcome, .. }) = handler.handle(&search) else {
+            panic!("search must answer with a frontier");
+        };
+        assert!(
+            outcome
+                .frontier
+                .iter()
+                .any(|row| row.config_label == "77K 4-die SRAM"),
+            "{:?}",
+            outcome.frontier
+        );
+        let (_, region) = RequestHandler::search_region(None, Some(4), Some("77")).unwrap();
+        for row in &outcome.frontier {
+            let config = region
+                .iter()
+                .find(|config| config.label() == row.config_label)
+                .expect("every frontier row names a region configuration");
+            let evaluate = Request::Evaluate {
+                point: DesignPoint {
+                    tech: config.technology().name().to_lowercase(),
+                    tentpole: config.tentpole().to_string(),
+                    dies: config.dies(),
+                    temperature_kelvin: config.temperature().get(),
+                },
+                benchmark: row.benchmark.to_string(),
+            };
+            match handler.handle(&evaluate) {
+                Ok(ResponsePayload::Evaluation { row: answer, .. }) => assert_eq!(&answer, row),
+                other => panic!("{evaluate:?} must answer with a row: {other:?}"),
+            }
+        }
     }
 
     /// Regression: every characterization miss used to record its
@@ -801,10 +878,6 @@ mod tests {
                     dies: config.dies(),
                     temperature_kelvin,
                 };
-                // Stacked SRAM is modeled at the 350 K reference only.
-                if point.to_config().is_err() {
-                    continue;
-                }
                 let request = Request::Characterize { point };
                 let answer = |handler: &RequestHandler| match handler.handle(&request) {
                     Ok(ResponsePayload::Characterization {

@@ -288,6 +288,8 @@ mod tests {
         }
     }
 
+    /// Table II's modal winner breaks ties by configuration order,
+    /// never by hash-map iteration order.
     #[test]
     fn modal_ties_fall_to_configuration_order() {
         let labels: Vec<String> = ["2-die PCM", "4-die PCM", "8-die PCM", "SRAM"]

@@ -31,11 +31,9 @@
 #![forbid(unsafe_code)]
 
 mod cooling;
-mod regime;
 mod sweep;
 mod thermal;
 
 pub use cooling::{overhead_for_capacity, CoolingSystem};
-pub use regime::OperatingRegime;
 pub use sweep::{study_temperatures, TemperatureSweep};
 pub use thermal::LnBath;

@@ -360,6 +360,8 @@ mod tests {
         assert!(parse("\"\\ud800\"").is_err(), "lone surrogate rejected");
     }
 
+    /// The string scan copies whole runs between escapes, in linear
+    /// time, and must decode exactly as the per-char scan did.
     #[test]
     fn string_scan_matches_a_per_char_reference() {
         // One char at a time, as the scanner did before it copied runs.

@@ -354,6 +354,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A store written by one process restores the full study set into
+    /// a fresh explorer, whose sweep is byte-identical and solves no
+    /// geometry.
     #[test]
     fn full_study_replays_byte_identically_with_zero_solves() {
         let path = temp_path("study");
@@ -387,6 +390,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A corrupt, truncated or stale-epoch line is skipped, never
+    /// trusted and never fatal. So is a line past the 1 MiB line cap,
+    /// mid-file or running to EOF, and the records around it replay.
     #[test]
     fn corrupt_truncated_and_stale_epoch_lines_are_skipped_not_fatal() {
         let config = MemoryConfig::sram_350k();

@@ -5,7 +5,7 @@
 //! One record per line, floats stored as the 16-hex-digit
 //! [`f64::to_bits`] pattern so a replayed value is *bit-identical*.
 //! Records carry a schema version and the
-//! [`ExecutionPlan::stable_hash`](coldtall_core::ExecutionPlan::stable_hash)
+//! [`SweepPlan::stable_hash`](coldtall_core::SweepPlan::stable_hash)
 //! they were computed under; replay ignores records from other schema
 //! versions, and dedup keys on `(plan, key)` so restarts never grow the
 //! file with repeats.
@@ -308,6 +308,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A corrupt or foreign record is one skipped line, never fatal. So
+    /// is a line past the 1 MiB line cap, mid-file or running to EOF
+    /// with no newline, and the records around it still replay.
     #[test]
     fn corrupt_and_foreign_lines_are_skipped_not_fatal() {
         let explorer = Explorer::with_defaults();

@@ -18,7 +18,6 @@ mod support;
 use coldtall::array::Objective;
 use coldtall::core::{Backend, BackendRegistry, Explorer, MemoryConfig};
 use coldtall::tech::ProcessNode;
-use coldtall::units::Kelvin;
 use coldtall::workloads::spec2017;
 
 #[test]
@@ -122,13 +121,6 @@ fn registry_migration_preserves_every_resolved_point() {
     let mut checked = 0;
     for config in MemoryConfig::study_set() {
         for &t in coldtall::cryo::study_temperatures() {
-            // Stacked volatile arrays are modeled at the 350 K
-            // reference only — the old registry never resolved them
-            // elsewhere, so there is nothing to migrate.
-            if !config.technology().is_nonvolatile() && config.dies() > 1 && t != Kelvin::REFERENCE
-            {
-                continue;
-            }
             let point = config.clone().at_temperature(t);
             let expected = if point.technology().is_nonvolatile() || point.dies() > 1 {
                 Backend::Destiny
@@ -142,7 +134,5 @@ fn registry_migration_preserves_every_resolved_point() {
             checked += 1;
         }
     }
-    // 31 configs x 8 study temperatures, minus the 3 stacked-SRAM
-    // configs at the 7 non-reference temperatures.
-    assert_eq!(checked, 31 * 8 - 3 * 7);
+    assert_eq!(checked, 31 * 8);
 }

@@ -88,7 +88,9 @@ fn batched_execution_is_bit_identical_to_per_point_at_four_threads() {
 
 /// The headline perf invariant: one geometry solve per distinct
 /// temperature-stripped key across the whole study x temperature grid,
-/// and none at all on a warm cache.
+/// one dispatch per geometry batch, and no solve at all on a warm
+/// cache. Counter-based, so machine load cannot flake it the way a
+/// wall-clock threshold would.
 #[test]
 fn perf_smoke() {
     let registry = Registry::new();

@@ -269,8 +269,9 @@ fn wire_line(args: &[&str]) -> String {
 /// `parse_request` -> `RequestHandler::handle` -> `render_response`.
 /// Both must succeed, naming the same configuration (and, for a
 /// characterization, the same backend), or both must fail with the
-/// CLI's `error:` line containing the wire's error text. Every study
-/// point, spelled the way a user types it, characterizes on both.
+/// CLI's `error:` line containing the wire's error text. A row with an
+/// expected label must succeed on both and name it: every study point,
+/// spelled the way a user types it, and stacked SRAM off 350 K.
 #[test]
 fn cli_and_wire_answer_alike() {
     use coldtall::core::{Explorer, MemoryConfig, RequestHandler};
@@ -279,12 +280,11 @@ fn cli_and_wire_answer_alike() {
 
     // Each row with the label a success must carry, where it is known.
     let mut rows: Vec<(String, Option<String>)> = [
-        // The study's stacked SRAM is modeled at 350 K only.
+        // Stacked SRAM, at 350 K as in the study.
         "characterize --tech sram --dies 2",
         "characterize --tech sram --dies 4",
         "characterize --tech sram --dies 8",
         "evaluate --tech sram --dies 2 --bench mcf",
-        "characterize --tech sram --dies 4 --temp 77",
         "characterize --temp 0",
         "characterize --temp 20",
         "characterize --tech pcm --tentpole hopeful",
@@ -299,6 +299,12 @@ fn cli_and_wire_answer_alike() {
     ]
     .map(|row| (row.to_string(), None))
     .to_vec();
+    // Off 350 K the dispatch rule admits stacked SRAM too, as the
+    // search does, and its frontier names this very point.
+    rows.push((
+        "characterize --tech sram --dies 4 --temp 77".to_string(),
+        Some("77K 4-die SRAM".to_string()),
+    ));
     for config in MemoryConfig::study_set() {
         let row = format!(
             "characterize --tech {} --tentpole {} --dies {} --temp {}",
@@ -349,10 +355,13 @@ fn cli_and_wire_answer_alike() {
                     out.starts_with(&l) && expected.as_ref().is_none_or(|e| *e == l)
                 }) && backend.is_none_or(|b| out.contains(&backend_line(b)))
             }
-            (false, false) => text(wire.get("error")).is_some_and(|message| {
-                err.lines()
-                    .any(|l| l.starts_with("error: ") && l.contains(&message))
-            }),
+            (false, false) => {
+                expected.is_none()
+                    && text(wire.get("error")).is_some_and(|message| {
+                        err.lines()
+                            .any(|l| l.starts_with("error: ") && l.contains(&message))
+                    })
+            }
             _ => false,
         };
         if !agree {
@@ -392,6 +401,9 @@ fn sweep_summarizes_the_full_study() {
     assert!(out.contains("77K 3T-eDRAM"));
 }
 
+/// A geometry-store line that is not UTF-8 is one more skipped line: a
+/// warmed `coldtall sweep` still exits 0 with the plain sweep's bytes
+/// and re-appends nothing.
 #[test]
 fn warm_start_skips_a_non_utf8_store_line() {
     let mut path = std::env::temp_dir();

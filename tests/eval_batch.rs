@@ -181,7 +181,8 @@ fn arena_reuse_allocates_nothing_after_the_first_sweep() {
 /// The headline perf invariant gated by `scripts/check.sh`: on a warm
 /// explorer (characterizations cached, so the evaluation kernel is
 /// what gets measured) [`Explorer::run`] is strictly faster per row
-/// than the scalar per-row loop.
+/// than the scalar per-row loop. Interleaved median timing, so a
+/// one-off scheduler hiccup lands on both sides alike.
 #[test]
 fn perf_smoke() {
     let _pinned = support::pin_threads(1);

@@ -364,7 +364,9 @@ fn extreme_legal_temperatures_evaluate_cleanly() {
 /// Deterministic mutation fuzzing of the parsers that read bytes from
 /// outside the program: both store line formats and the serve request
 /// line. A fixed seed and iteration budget (not wall-clock) keep every
-/// run identical; a failure reproduces from the seed alone.
+/// run identical; a failure reproduces from the seed alone. No mutated
+/// line may panic: a store line replays or counts as skipped, and a
+/// request line gets a typed answer.
 mod fuzz {
     use coldtall::array::OrgGeometry;
     use coldtall::cell::{MemoryTechnology, Tentpole};

@@ -203,9 +203,10 @@ fn search_matches_exhaustive_at_four_threads() {
     assert_search_matches_exhaustive(4);
 }
 
-/// The search perf gate (wired into `scripts/check.sh`): work
-/// avoidance is real and exactly accounted, with the telemetry
-/// counters mirroring the reported statistics.
+/// The search perf gate: work avoidance is real and exactly accounted
+/// (points skipped > 0, strictly fewer evaluations than the grid holds),
+/// with the telemetry counters mirroring the reported statistics.
+/// Counter-based, never wall-clock.
 #[test]
 fn perf_smoke() {
     let registry = Registry::new();

@@ -419,6 +419,8 @@ const WIRE_PINS: &[(&str, usize, u64)] = &[
     ),
 ];
 
+/// Every `WIRE_PINS` line renders to its pinned bytes, and the daemon
+/// sends exactly those bytes.
 #[test]
 fn wire_bytes_are_pinned() {
     let metrics = coldtall::obs::Registry::new();
@@ -525,6 +527,10 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> String {
     response.trim_end().to_string()
 }
 
+/// Untrusted input gets typed errors on both frontends, and the daemon
+/// keeps answering. Over TCP, JSON nested past the depth cap and a line
+/// that is not UTF-8 leave the connection open, and a line past the
+/// length cap closes it; stdin answers all three and reads on.
 #[test]
 fn hostile_lines_get_typed_errors_and_the_daemon_survives() {
     let mut daemon = Daemon::start(&["--listen", "127.0.0.1:0"], &[]);
