@@ -32,8 +32,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-// Library code must surface impossible configurations through the
-// `try_` builders (or a documented panic in a thin wrapper), never an
+// Library code refuses an impossible configuration with a documented
+// precondition panic (the builders' `# Panics` sections), never an
 // anonymous `unwrap`; tests are exempt since a test failure IS the
 // report.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -54,5 +54,5 @@ pub use ecc::EccScheme;
 pub use optimizer::{ComponentFloors, Objective};
 pub use org_geometry::{geometry_code_epoch, OrgGeometry};
 pub use organization::Organization;
-pub use spec::{ArraySpec, SpecError};
+pub use spec::ArraySpec;
 pub use stacking::Stacking;

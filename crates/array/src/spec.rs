@@ -1,7 +1,5 @@
 //! Array specification: what to characterize.
 
-use core::fmt;
-
 use coldtall_cell::CellModel;
 use coldtall_tech::{OperatingPoint, ProcessNode};
 use coldtall_units::{Capacity, Kelvin};
@@ -11,59 +9,6 @@ use crate::ecc::EccScheme;
 use crate::optimizer::Objective;
 use crate::org_geometry::OrgGeometry;
 use crate::stacking::Stacking;
-
-/// A rejected array specification: the builder was asked for a
-/// physically meaningless configuration.
-///
-/// Each variant's [`fmt::Display`] message matches the panic message of
-/// the corresponding infallible builder, so migrating a call site from
-/// `with_x` to `try_with_x` never changes what the user reads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpecError {
-    /// The requested die count has no stacking style that supports it.
-    UnsupportedDieCount {
-        /// The rejected die count.
-        dies: u8,
-    },
-    /// The stacking style cannot stack that many dies (e.g.
-    /// face-to-face beyond two).
-    StackingMismatch {
-        /// The requested stacking style.
-        stacking: Stacking,
-        /// The rejected die count.
-        dies: u8,
-    },
-    /// The capacity cannot hold even one access line.
-    CapacityBelowLine {
-        /// The rejected capacity, in bits.
-        capacity_bits: u64,
-        /// The line width the capacity must at least hold.
-        line_bits: u32,
-    },
-    /// A zero-width access line.
-    ZeroLineWidth,
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::UnsupportedDieCount { dies } => write!(f, "unsupported die count {dies}"),
-            Self::StackingMismatch { stacking, dies } => {
-                write!(f, "{stacking} does not support {dies} dies")
-            }
-            Self::CapacityBelowLine {
-                capacity_bits,
-                line_bits,
-            } => write!(
-                f,
-                "capacity must hold at least one line ({capacity_bits} b < {line_bits} b)"
-            ),
-            Self::ZeroLineWidth => write!(f, "line width must be positive"),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
 
 /// A complete description of a memory array to characterize: the cell,
 /// macro-level parameters (capacity, line width, ports, ECC), the 3D
@@ -122,66 +67,41 @@ impl ArraySpec {
     }
 
     /// Sets the die count, selecting the default stacking style for it
-    /// (planar for 1 die, face-to-back otherwise), rejecting die counts
-    /// no style supports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::UnsupportedDieCount`] if `dies` is zero or
-    /// above the default style's limit.
-    pub fn try_with_dies(mut self, dies: u8) -> Result<Self, SpecError> {
-        let stacking = Stacking::default_for_dies(dies);
-        if !stacking.supports_dies(dies) {
-            return Err(SpecError::UnsupportedDieCount { dies });
-        }
-        self.dies = dies;
-        self.stacking = stacking;
-        Ok(self)
-    }
-
-    /// Sets the die count, selecting the default stacking style for it
     /// (planar for 1 die, face-to-back otherwise).
     ///
     /// Precondition: a stacking style supporting `dies` exists (1-8).
-    /// Use [`ArraySpec::try_with_dies`] for untrusted inputs.
     ///
     /// # Panics
     ///
-    /// Panics if `dies` is zero or above the style's limit.
+    /// Panics with `unsupported die count {dies}` if `dies` is zero or
+    /// above the style's limit.
     #[must_use]
-    pub fn with_dies(self, dies: u8) -> Self {
-        self.try_with_dies(dies).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Sets an explicit stacking style and die count, rejecting
-    /// unsupported combinations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::StackingMismatch`] if the style does not
-    /// support the die count (e.g. face-to-face beyond two dies).
-    pub fn try_with_stacking(mut self, stacking: Stacking, dies: u8) -> Result<Self, SpecError> {
-        if !stacking.supports_dies(dies) {
-            return Err(SpecError::StackingMismatch { stacking, dies });
-        }
-        self.stacking = stacking;
+    pub fn with_dies(mut self, dies: u8) -> Self {
+        let stacking = Stacking::default_for_dies(dies);
+        assert!(stacking.supports_dies(dies), "unsupported die count {dies}");
         self.dies = dies;
-        Ok(self)
+        self.stacking = stacking;
+        self
     }
 
     /// Sets an explicit stacking style and die count.
     ///
-    /// Precondition: `stacking.supports_dies(dies)`. Use
-    /// [`ArraySpec::try_with_stacking`] for untrusted inputs.
+    /// Precondition: `stacking.supports_dies(dies)`.
     ///
     /// # Panics
     ///
-    /// Panics if the style does not support the die count (e.g.
-    /// face-to-face beyond two dies).
+    /// Panics with `{stacking} does not support {dies} dies` if the
+    /// style does not support the die count (e.g. face-to-face beyond
+    /// two dies, or a planar stack of more than one).
     #[must_use]
-    pub fn with_stacking(self, stacking: Stacking, dies: u8) -> Self {
-        self.try_with_stacking(stacking, dies)
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn with_stacking(mut self, stacking: Stacking, dies: u8) -> Self {
+        assert!(
+            stacking.supports_dies(dies),
+            "{stacking} does not support {dies} dies"
+        );
+        self.stacking = stacking;
+        self.dies = dies;
+        self
     }
 
     /// Sets the operating point (temperature and voltages).
@@ -220,63 +140,38 @@ impl ArraySpec {
         self
     }
 
-    /// Replaces the usable capacity (e.g. for hybrid-partition
-    /// studies), rejecting capacities below one access line.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::CapacityBelowLine`] if the capacity cannot
-    /// hold one line.
-    pub fn try_with_capacity(mut self, capacity: Capacity) -> Result<Self, SpecError> {
-        if capacity.bits() < u64::from(self.line_bits) {
-            return Err(SpecError::CapacityBelowLine {
-                capacity_bits: capacity.bits(),
-                line_bits: self.line_bits,
-            });
-        }
-        self.capacity = capacity;
-        Ok(self)
-    }
-
     /// Replaces the usable capacity (e.g. for hybrid-partition studies).
     ///
-    /// Precondition: the capacity holds at least one line. Use
-    /// [`ArraySpec::try_with_capacity`] for untrusted inputs.
+    /// Precondition: the capacity holds at least one line.
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is below one line.
+    /// Panics with `capacity must hold at least one line (..)` if the
+    /// capacity is below one line.
     #[must_use]
-    pub fn with_capacity(self, capacity: Capacity) -> Self {
-        self.try_with_capacity(capacity)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Sets the access-line width in data bits, rejecting zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::ZeroLineWidth`] if `bits` is zero.
-    pub fn try_with_line_bits(mut self, bits: u32) -> Result<Self, SpecError> {
-        if bits == 0 {
-            return Err(SpecError::ZeroLineWidth);
-        }
-        self.line_bits = bits;
-        Ok(self)
+    pub fn with_capacity(mut self, capacity: Capacity) -> Self {
+        assert!(
+            capacity.bits() >= u64::from(self.line_bits),
+            "capacity must hold at least one line ({} b < {} b)",
+            capacity.bits(),
+            self.line_bits
+        );
+        self.capacity = capacity;
+        self
     }
 
     /// Sets the access-line width in data bits.
     ///
-    /// Precondition: `bits > 0`. Use [`ArraySpec::try_with_line_bits`]
-    /// for untrusted inputs.
+    /// Precondition: `bits > 0`.
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is zero.
+    /// Panics with `line width must be positive` if `bits` is zero.
     #[must_use]
-    pub fn with_line_bits(self, bits: u32) -> Self {
-        self.try_with_line_bits(bits)
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn with_line_bits(mut self, bits: u32) -> Self {
+        assert!(bits > 0, "line width must be positive");
+        self.line_bits = bits;
+        self
     }
 
     /// Selects an explicit error-correction scheme.
@@ -403,41 +298,6 @@ mod tests {
     #[should_panic(expected = "does not support")]
     fn face_to_face_rejects_four_dies() {
         let _ = spec().with_stacking(Stacking::FaceToFace, 4);
-    }
-
-    #[test]
-    fn try_builders_return_typed_errors_instead_of_panicking() {
-        assert_eq!(
-            spec().try_with_dies(0).unwrap_err(),
-            SpecError::UnsupportedDieCount { dies: 0 }
-        );
-        assert_eq!(
-            spec().try_with_dies(9).unwrap_err(),
-            SpecError::UnsupportedDieCount { dies: 9 }
-        );
-        assert_eq!(
-            spec()
-                .try_with_stacking(Stacking::FaceToFace, 4)
-                .unwrap_err(),
-            SpecError::StackingMismatch {
-                stacking: Stacking::FaceToFace,
-                dies: 4
-            }
-        );
-        assert_eq!(
-            spec().try_with_line_bits(0).unwrap_err(),
-            SpecError::ZeroLineWidth
-        );
-        let err = spec()
-            .try_with_capacity(Capacity::from_bits(8))
-            .unwrap_err();
-        assert!(err.to_string().contains("at least one line"));
-        // The happy path still chains like the infallible builder.
-        let s = spec()
-            .try_with_dies(4)
-            .and_then(|s| s.try_with_line_bits(256))
-            .unwrap();
-        assert_eq!((s.dies(), s.line_bits()), (4, 256));
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use config::CpuConfig;
 pub use hierarchy::Hierarchy;
 pub use replacement::ReplacementPolicy;
 pub use stats::CacheStats;
-pub use traffic::{InvalidTraffic, LlcTraffic, TrafficTable};
+pub use traffic::{LlcTraffic, TrafficTable};

@@ -1,31 +1,8 @@
 //! LLC traffic extraction: the quantity the DSE consumes.
 
-use core::fmt;
-
 use coldtall_units::Seconds;
 
 use crate::hierarchy::Hierarchy;
-
-/// A rejected traffic record: a rate was negative, `NaN`, or infinite.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InvalidTraffic {
-    /// The rejected reads-per-second rate.
-    pub reads_per_sec: f64,
-    /// The rejected writes-per-second rate.
-    pub writes_per_sec: f64,
-}
-
-impl fmt::Display for InvalidTraffic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "traffic rates must be finite and non-negative, got {} reads/s, {} writes/s",
-            self.reads_per_sec, self.writes_per_sec
-        )
-    }
-}
-
-impl std::error::Error for InvalidTraffic {}
 
 /// LLC traffic under continuous execution: read and write accesses per
 /// second, the x-axes of the paper's Fig. 5 and Fig. 7.
@@ -38,36 +15,15 @@ pub struct LlcTraffic {
 }
 
 impl LlcTraffic {
-    /// Builds a traffic record directly from rates, rejecting negative,
-    /// `NaN`, or infinite rates (zero is legal: an idle cache).
+    /// Builds a traffic record directly from rates (zero is legal: an
+    /// idle cache).
     ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidTraffic`] if either rate is negative or not
-    /// finite.
-    pub fn try_new(reads_per_sec: f64, writes_per_sec: f64) -> Result<Self, InvalidTraffic> {
-        let ok = |rate: f64| rate.is_finite() && rate >= 0.0;
-        if ok(reads_per_sec) && ok(writes_per_sec) {
-            Ok(Self {
-                reads_per_sec,
-                writes_per_sec,
-            })
-        } else {
-            Err(InvalidTraffic {
-                reads_per_sec,
-                writes_per_sec,
-            })
-        }
-    }
-
-    /// Builds a traffic record directly from rates.
-    ///
-    /// Precondition: both rates are finite and non-negative. Use
-    /// [`LlcTraffic::try_new`] for untrusted inputs.
+    /// Precondition: both rates are finite and non-negative.
     ///
     /// # Panics
     ///
-    /// Panics if either rate is negative or not finite.
+    /// Panics with `read rate must be finite and non-negative` (or
+    /// `write rate ...`) if that rate is negative or not finite.
     #[must_use]
     pub fn new(reads_per_sec: f64, writes_per_sec: f64) -> Self {
         assert!(
@@ -212,20 +168,6 @@ mod tests {
     use super::*;
     use crate::access::MemoryAccess;
     use crate::config::CpuConfig;
-
-    #[test]
-    fn try_new_accepts_idle_and_rejects_hostile_rates() {
-        assert_eq!(LlcTraffic::try_new(0.0, 0.0), Ok(LlcTraffic::new(0.0, 0.0)));
-        for (r, w) in [
-            (-1.0, 0.0),
-            (0.0, -1e6),
-            (f64::NAN, 1.0),
-            (1.0, f64::INFINITY),
-        ] {
-            let err = LlcTraffic::try_new(r, w).unwrap_err();
-            assert!(err.to_string().contains("finite and non-negative"));
-        }
-    }
 
     #[test]
     fn from_simulation_extrapolates_rates() {

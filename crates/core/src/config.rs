@@ -89,36 +89,15 @@ impl MemoryConfig {
         }
     }
 
-    /// An eNVM (or SRAM) configuration with `dies` stacked dies at
-    /// 350 K, rejecting die counts outside the study's 1/2/4/8 set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::InvalidDieCount`] if `dies` is not 1, 2,
-    /// 4, or 8.
-    pub fn try_envm_3d(
-        technology: MemoryTechnology,
-        tentpole: Tentpole,
-        dies: u8,
-    ) -> Result<Self, crate::Error> {
-        Self::validate_dies(dies)?;
-        Ok(Self {
-            technology,
-            tentpole,
-            dies,
-            temperature: Kelvin::REFERENCE,
-            cooling: CoolingSystem::default(),
-        })
-    }
-
     /// An eNVM (or SRAM) configuration with `dies` stacked dies at 350 K.
     ///
-    /// Precondition: `dies` is 1, 2, 4, or 8. Use
-    /// [`MemoryConfig::try_envm_3d`] for untrusted inputs.
+    /// Precondition: `dies` is 1, 2, 4, or 8. Outside input goes
+    /// through [`MemoryConfig::try_design_point`] instead.
     ///
     /// # Panics
     ///
-    /// Panics if `dies` is not 1, 2, 4, or 8.
+    /// Panics with `the study stacks 1, 2, 4, or 8 dies, got {dies}`
+    /// ([`crate::Error::InvalidDieCount`]'s message) otherwise.
     #[must_use]
     pub fn envm_3d(technology: MemoryTechnology, tentpole: Tentpole, dies: u8) -> Self {
         Self::validate_dies(dies).unwrap_or_else(|e| panic!("{e}"));
@@ -191,8 +170,9 @@ impl MemoryConfig {
     ) -> Result<Self, crate::Error> {
         let technology = Self::parse_technology(tech)?;
         let tentpole = Self::parse_tentpole(tentpole)?;
+        Self::validate_dies(dies)?;
         if technology.is_nonvolatile() || dies != 1 {
-            Ok(Self::try_envm_3d(technology, tentpole, dies)?.at_temperature(temperature))
+            Ok(Self::envm_3d(technology, tentpole, dies).at_temperature(temperature))
         } else {
             Ok(Self::volatile_2d(technology, temperature))
         }
@@ -414,23 +394,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1, 2, 4, or 8")]
+    #[should_panic(expected = "the study stacks 1, 2, 4, or 8 dies, got 3")]
     fn bad_die_count_rejected() {
         let _ = MemoryConfig::envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 3);
-    }
-
-    #[test]
-    fn try_envm_3d_returns_typed_errors() {
-        for dies in [0, 3, 5, 7, 9, 255] {
-            let err = MemoryConfig::try_envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, dies)
-                .unwrap_err();
-            assert!(matches!(err, crate::Error::InvalidDieCount { dies: d } if d == dies));
-        }
-        let ok = MemoryConfig::try_envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 8).unwrap();
-        assert_eq!(
-            ok,
-            MemoryConfig::envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, 8)
-        );
     }
 
     #[test]
@@ -467,10 +433,17 @@ mod tests {
             MemoryConfig::try_design_point("sram", "hopeful", 1, Kelvin::REFERENCE),
             Err(crate::Error::UnknownTentpole { name }) if name == "hopeful"
         ));
-        assert!(matches!(
-            MemoryConfig::try_design_point("pcm", "opt", 3, Kelvin::REFERENCE),
-            Err(crate::Error::InvalidDieCount { dies: 3 })
-        ));
+        // A die count outside the study set is typed on both branches,
+        // volatile and not.
+        for tech in ["pcm", "sram"] {
+            for dies in [0, 3, 5, 7, 9, 255] {
+                assert_eq!(
+                    MemoryConfig::try_design_point(tech, "opt", dies, Kelvin::REFERENCE),
+                    Err(crate::Error::InvalidDieCount { dies }),
+                    "{tech} x {dies}"
+                );
+            }
+        }
         // At the reference a volatile stack is the study's stacked-SRAM
         // point; off it, that point re-pinned, as a search region builds
         // it. Whether it is modeled is the dispatch rule's answer.

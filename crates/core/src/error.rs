@@ -1,9 +1,11 @@
 //! The exploration's typed error taxonomy.
 //!
-//! Every invalid input reachable from an untrusted caller — a CLI flag,
-//! an environment variable, a future service request — lowers to one
-//! variant of [`Error`] instead of a panic, and every evaluation
-//! upholds the finite-or-explicitly-infeasible invariant: a
+//! Outside input reaches the engine only as a [`crate::Request`], from
+//! a CLI flag or a serve wire field, and [`crate::RequestHandler`]
+//! lowers every invalid one to a variant of [`Error`] instead of a
+//! panic. Every variant but [`Error::NonFinite`] names a failure some
+//! request can cause. `NonFinite` guards the invariant that every
+//! evaluation is finite or explicitly infeasible: a
 //! [`crate::LlcEvaluation`] field is either a finite number, a
 //! documented `f64::INFINITY` sentinel (unserviceable latency,
 //! unlimited lifetime), or the row is rejected here. `NaN` is never a
@@ -11,11 +13,7 @@
 
 use core::fmt;
 
-use coldtall_array::SpecError;
-use coldtall_cachesim::InvalidTraffic;
 use coldtall_units::InvalidTemperature;
-
-use crate::evaluate::Feasibility;
 
 /// Everything that can go wrong between an untrusted input and a
 /// finished evaluation.
@@ -36,16 +34,11 @@ use crate::evaluate::Feasibility;
 pub enum Error {
     /// A temperature outside the finite, strictly positive range.
     InvalidTemperature(InvalidTemperature),
-    /// An array specification the builder rejected (die count,
-    /// stacking, capacity, or line width).
-    InvalidSpec(SpecError),
     /// A die count outside the study's 1/2/4/8 set.
     InvalidDieCount {
         /// The rejected die count.
         dies: u8,
     },
-    /// A traffic record with negative or non-finite rates.
-    InvalidTraffic(InvalidTraffic),
     /// A technology name the exploration does not know.
     UnknownTechnology {
         /// The unrecognized name as supplied.
@@ -55,16 +48,6 @@ pub enum Error {
     UnknownBenchmark {
         /// The unrecognized name as supplied.
         name: String,
-    },
-    /// A design point that cannot serve the benchmark's traffic (or
-    /// would slow the CPU down) when the caller demanded a viable one.
-    Infeasible {
-        /// Display label of the configuration.
-        config: String,
-        /// The benchmark it was evaluated under.
-        benchmark: String,
-        /// Why the point is not viable.
-        feasibility: Feasibility,
     },
     /// An internal model produced a non-finite number where a finite
     /// one is guaranteed — an invariant violation, reported instead of
@@ -122,18 +105,11 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::InvalidTemperature(e) => e.fmt(f),
-            Self::InvalidSpec(e) => e.fmt(f),
             Self::InvalidDieCount { dies } => {
                 write!(f, "the study stacks 1, 2, 4, or 8 dies, got {dies}")
             }
-            Self::InvalidTraffic(e) => e.fmt(f),
             Self::UnknownTechnology { name } => write!(f, "unknown technology '{name}'"),
             Self::UnknownBenchmark { name } => write!(f, "unknown benchmark '{name}'"),
-            Self::Infeasible {
-                config,
-                benchmark,
-                feasibility,
-            } => write!(f, "{config} is not viable under {benchmark}: {feasibility}"),
             Self::NonFinite { context } => {
                 write!(f, "internal model produced a non-finite value in {context}")
             }
@@ -166,8 +142,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::InvalidTemperature(e) => Some(e),
-            Self::InvalidSpec(e) => Some(e),
-            Self::InvalidTraffic(e) => Some(e),
             _ => None,
         }
     }
@@ -176,18 +150,6 @@ impl std::error::Error for Error {
 impl From<InvalidTemperature> for Error {
     fn from(e: InvalidTemperature) -> Self {
         Self::InvalidTemperature(e)
-    }
-}
-
-impl From<SpecError> for Error {
-    fn from(e: SpecError) -> Self {
-        Self::InvalidSpec(e)
-    }
-}
-
-impl From<InvalidTraffic> for Error {
-    fn from(e: InvalidTraffic) -> Self {
-        Self::InvalidTraffic(e)
     }
 }
 

@@ -336,25 +336,6 @@ impl LlcEvaluation {
         self.lifetime_years >= crate::lifetime::LIFETIME_TARGET_YEARS
     }
 
-    /// Demands full viability, converting an infeasible (or merely
-    /// slow) row into a typed [`Error::Infeasible`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Infeasible`] unless the feasibility verdict is
-    /// [`Feasibility::Viable`].
-    pub fn require_viable(self) -> Result<Self, Error> {
-        if self.feasibility.is_viable() {
-            Ok(self)
-        } else {
-            Err(Error::Infeasible {
-                config: self.config_label,
-                benchmark: self.benchmark.to_string(),
-                feasibility: self.feasibility,
-            })
-        }
-    }
-
     /// Checks the finite-or-explicitly-infeasible invariant: no field
     /// is `NaN`, and an infinite relative latency only appears on rows
     /// whose feasibility verdict says the point is unserviceable.
@@ -470,6 +451,5 @@ mod tests {
         assert!(!saturated.feasibility.is_serviceable());
         assert!(saturated.relative_latency.is_infinite());
         saturated.validate().expect("sentinel backed by a verdict");
-        assert!(saturated.require_viable().is_err());
     }
 }

@@ -550,9 +550,7 @@ impl Explorer {
     ///
     /// Infeasible rows are *data*, not errors — an evaluation of a
     /// refresh-dead point returns `Ok` with the verdict in
-    /// [`LlcEvaluation::feasibility`]; chain
-    /// [`LlcEvaluation::require_viable`] to turn non-viability into a
-    /// typed [`Error::Infeasible`].
+    /// [`LlcEvaluation::feasibility`].
     ///
     /// # Errors
     ///
@@ -988,19 +986,11 @@ mod tests {
             .try_evaluate(&MemoryConfig::sram_350k(), "doom")
             .unwrap_err();
         assert!(matches!(err, Error::UnknownBenchmark { name } if name == "doom"));
-        // An infeasible point is data with a verdict, not an error...
+        // An infeasible point is data with a verdict, not an error.
         let dead = explorer
             .try_evaluate(&MemoryConfig::edram_350k(), "namd")
             .expect("infeasible rows are returned, not rejected");
         assert_eq!(dead.feasibility, crate::Feasibility::RefreshDead);
-        // ...until the caller demands viability.
-        assert!(matches!(
-            dead.require_viable().unwrap_err(),
-            Error::Infeasible {
-                feasibility: crate::Feasibility::RefreshDead,
-                ..
-            }
-        ));
     }
 
     #[test]

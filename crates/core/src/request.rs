@@ -589,32 +589,69 @@ mod tests {
         assert_eq!(registry.counter_value("serve.errors"), Some(0));
     }
 
+    /// Every [`Error`] variant a request can raise has a request here
+    /// that raises it. The names come from a `match` with no `_` arm,
+    /// so a new variant does not compile until someone names a request
+    /// for it. [`Error::NonFinite`] is the one variant with no request:
+    /// it guards the invariant that no model output is NaN, so a
+    /// request that raised it would be a model bug.
     #[test]
-    fn typed_errors_surface_and_count() {
+    fn every_request_error_variant_has_a_request_that_raises_it() {
         let registry = Registry::new();
         let handler = handler(&registry);
-        let bad = Request::Evaluate {
-            point: DesignPoint {
-                tech: "flash".to_string(),
-                ..DesignPoint::baseline()
-            },
-            benchmark: "namd".to_string(),
+        let characterize =
+            |tech: &str, tentpole: &str, dies: u8, temperature_kelvin: f64| Request::Characterize {
+                point: DesignPoint {
+                    tech: tech.to_string(),
+                    tentpole: tentpole.to_string(),
+                    dies,
+                    temperature_kelvin,
+                },
+            };
+        let search = |tech: Option<&str>, dies: Option<u8>, temps: Option<&str>| Request::Search {
+            tech: tech.map(String::from),
+            dies,
+            temps: temps.map(String::from),
+            constraints: Constraints::none(),
         };
-        assert!(matches!(
-            handler.handle(&bad).unwrap_err(),
-            Error::UnknownTechnology { .. }
-        ));
-        let cold = Request::Characterize {
-            point: DesignPoint {
-                temperature_kelvin: 4.0,
-                ..DesignPoint::baseline()
-            },
+        let doom = Request::Evaluate {
+            point: DesignPoint::baseline(),
+            benchmark: "doom".to_string(),
         };
-        assert!(matches!(
-            handler.handle(&cold).unwrap_err(),
-            Error::UnsupportedPoint { .. }
-        ));
-        assert_eq!(registry.counter_value("serve.errors"), Some(2));
+        // The last request runs under a zero budget; the rest have none.
+        let cases = [
+            ("InvalidTemperature", characterize("sram", "opt", 1, 0.0)),
+            ("UnsupportedPoint", characterize("sram", "opt", 1, 20.0)),
+            ("InvalidDieCount", characterize("pcm", "opt", 3, 350.0)),
+            ("UnknownTechnology", characterize("flash", "opt", 1, 350.0)),
+            ("UnknownTentpole", characterize("pcm", "hopeful", 1, 350.0)),
+            ("UnknownBenchmark", doom),
+            ("NoBackend", characterize("edram", "opt", 8, 350.0)),
+            ("EmptySearchSpace", search(Some("edram"), Some(8), None)),
+            ("InvalidTemps", search(None, None, Some("banana"))),
+            ("DeadlineExceeded", Request::Sweep),
+        ];
+        for (expected, request) in &cases {
+            let deadline = (*expected == "DeadlineExceeded").then_some(Duration::ZERO);
+            let error = handler
+                .handle_with_deadline(request, deadline)
+                .expect_err(expected);
+            let raised = match error {
+                Error::InvalidTemperature(_) => "InvalidTemperature",
+                Error::InvalidDieCount { .. } => "InvalidDieCount",
+                Error::UnknownTechnology { .. } => "UnknownTechnology",
+                Error::UnknownBenchmark { .. } => "UnknownBenchmark",
+                Error::NonFinite { .. } => "NonFinite",
+                Error::NoBackend { .. } => "NoBackend",
+                Error::EmptySearchSpace { .. } => "EmptySearchSpace",
+                Error::UnknownTentpole { .. } => "UnknownTentpole",
+                Error::UnsupportedPoint { .. } => "UnsupportedPoint",
+                Error::InvalidTemps { .. } => "InvalidTemps",
+                Error::DeadlineExceeded { .. } => "DeadlineExceeded",
+            };
+            assert_eq!(raised, *expected, "{request:?}");
+        }
+        assert_eq!(registry.counter_value("serve.errors"), Some(10));
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! A minimal JSON parser for validating metric exports.
+//! A minimal JSON parser for validating metric exports, and the one
+//! string escaper every JSON writer in the workspace shares.
 //!
 //! The offline workspace has no `serde_json`; the CLI tests and the
 //! bench harness still need to prove that `--metrics=json` output and
 //! `BENCH_sweep.json` are well-formed and carry the expected keys.
 //! This is a straightforward recursive-descent parser over the JSON
 //! grammar — strict enough to reject malformed documents, small enough
-//! to audit in one sitting. It is a *reader* only; rendering lives
-//! with the data (the registry, the bench `JsonObject`).
+//! to audit in one sitting. Rendering lives with the data (the
+//! registry, the serve protocol, the bench `JsonObject`); only the
+//! string escaping ([`push_escaped`], [`escape`]) lives here, beside
+//! the parser that reads those strings back.
 //!
 //! The serve daemon feeds it bytes from untrusted TCP clients, so
 //! nesting is capped at [`MAX_DEPTH`]: each level costs a stack frame,
@@ -14,7 +17,7 @@
 //! stack — an abort of the whole process, not a catchable panic.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The deepest array/object nesting [`parse`] accepts. Every document
 /// the workspace reads nests a handful of levels.
@@ -119,6 +122,43 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
         )));
     }
     Ok(value)
+}
+
+/// Escapes a string for embedding in a JSON string literal.
+#[must_use]
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal (without the
+/// surrounding quotes): `"` and `\` get a backslash, `\n`, `\r` and
+/// `\t` their short escapes, and every other byte below 0x20 a
+/// `\u00XX` escape. Unescaped runs are copied whole, so a string with
+/// nothing to escape — every label, benchmark, backend and metric name
+/// the workspace produces — costs one scan and one `push_str`.
+pub fn push_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 struct Parser<'a> {
@@ -418,6 +458,72 @@ mod tests {
         }
         assert!(parse("\"abc").is_err(), "unterminated run");
         assert!(parse("\"ab\\").is_err(), "unterminated escape");
+    }
+
+    #[test]
+    fn escape_handles_quotes_and_control_characters() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    /// `push_escaped` appends to what is already in the buffer; a clean
+    /// string (the fast path) is copied through untouched, multi-byte
+    /// UTF-8 included.
+    #[test]
+    fn push_escaped_copies_clean_strings_through() {
+        let mut out = String::from("prefix:");
+        push_escaped(&mut out, "edram 77K x4 | µ-tier");
+        assert_eq!(out, "prefix:edram 77K x4 | µ-tier");
+        push_escaped(&mut out, "");
+        assert_eq!(out, "prefix:edram 77K x4 | µ-tier");
+    }
+
+    #[test]
+    fn push_escaped_escapes_quotes_backslashes_and_controls() {
+        let mut out = String::new();
+        push_escaped(&mut out, "say \"hi\"\\path");
+        assert_eq!(out, "say \\\"hi\\\"\\\\path");
+
+        let mut out = String::new();
+        push_escaped(&mut out, "a\tb\rc\nd\u{0}e\u{1f}f\u{7f}");
+        assert_eq!(out, "a\\tb\\rc\\nd\\u0000e\\u001ff\u{7f}");
+
+        // Escapes at both ends and back to back, around multi-byte text.
+        let mut out = String::new();
+        push_escaped(&mut out, "\"é\\\"");
+        assert_eq!(out, "\\\"é\\\\\\\"");
+    }
+
+    /// Every control character escapes exactly as a per-`char`
+    /// reference escaper does, so the wire bytes cannot move.
+    #[test]
+    fn push_escaped_matches_a_per_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let all: String = (0u32..0x80)
+            .filter_map(char::from_u32)
+            .chain("é∑😀".chars())
+            .collect();
+        assert_eq!(escape(&all), reference(&all));
+        for c in all.chars() {
+            let s = format!("x{c}y");
+            assert_eq!(escape(&s), reference(&s), "{c:?}");
+        }
     }
 
     #[test]

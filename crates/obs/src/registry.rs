@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
+use crate::json::escape;
 use crate::{Counter, Gauge, Histogram};
 
 /// Histogram quantiles reported by the exporters.
@@ -334,17 +335,6 @@ fn render_scalar_section(out: &mut String, entries: &[(String, u64)]) {
     if !entries.is_empty() {
         out.push_str("\n  ");
     }
-}
-
-/// Escapes a metric name for embedding in a JSON string literal.
-fn escape(name: &str) -> String {
-    name.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// The process-wide registry: what the `coldtall --metrics` flag and

@@ -24,10 +24,9 @@ use std::io;
 
 use coldtall_array::{geometry_code_epoch, Geometry, OrgGeometry, Organization};
 use coldtall_core::{DesignPointKey, Explorer, MemoryConfig};
-use coldtall_obs::json::Value;
+use coldtall_obs::json::{push_escaped, Value};
 
 use crate::log::{f64_bits, hex_u64, subarray_dim, Record, RecordLog, ReplayStats};
-use crate::proto::push_escaped;
 
 /// The geometry-record schema this build writes and replays. Bump when
 /// the field set changes; replay skips records from other versions.

@@ -41,7 +41,7 @@ use coldtall_core::{
     Constraints, DesignPoint, Error, EvalArena, Feasibility, LlcEvaluation, Request,
     ResponsePayload, StatusReport,
 };
-use coldtall_obs::json::{self, Value};
+use coldtall_obs::json::{self, escape, push_escaped, Value};
 
 use crate::num;
 
@@ -226,41 +226,6 @@ fn non_negative_int(value: &Value, field: &str) -> Result<u64, String> {
 fn u8_field(value: &Value, field: &str) -> Result<u8, String> {
     let n = non_negative_int(value, field)?;
     u8::try_from(n).map_err(|_| format!("'{field}' is out of range"))
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s);
-    out
-}
-
-/// Appends `s` to `out` escaped for a JSON string literal (without the
-/// surrounding quotes). Unescaped runs are copied whole, so a string
-/// with nothing to escape — every label, benchmark and backend name the
-/// engine produces — costs one scan and one `push_str`.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    let mut run = 0;
-    for (i, byte) in s.bytes().enumerate() {
-        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
-            continue;
-        }
-        // Every escaped byte is ASCII, so `i` is a char boundary.
-        out.push_str(&s[run..i]);
-        match byte {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{byte:04x}");
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
 }
 
 /// A [`std::fmt::Write`] sink that escapes everything written through
@@ -795,72 +760,6 @@ mod tests {
         assert_eq!(num(f64::INFINITY), "\"inf\"");
         assert_eq!(num(f64::NEG_INFINITY), "\"-inf\"");
         assert_eq!(num(f64::NAN), "\"nan\"");
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control_characters() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    /// `push_escaped` appends to what is already in the buffer; a clean
-    /// string (the fast path) is copied through untouched, multi-byte
-    /// UTF-8 included.
-    #[test]
-    fn push_escaped_copies_clean_strings_through() {
-        let mut out = String::from("prefix:");
-        push_escaped(&mut out, "edram 77K x4 | µ-tier");
-        assert_eq!(out, "prefix:edram 77K x4 | µ-tier");
-        push_escaped(&mut out, "");
-        assert_eq!(out, "prefix:edram 77K x4 | µ-tier");
-    }
-
-    #[test]
-    fn push_escaped_escapes_quotes_backslashes_and_controls() {
-        let mut out = String::new();
-        push_escaped(&mut out, "say \"hi\"\\path");
-        assert_eq!(out, "say \\\"hi\\\"\\\\path");
-
-        let mut out = String::new();
-        push_escaped(&mut out, "a\tb\rc\nd\u{0}e\u{1f}f\u{7f}");
-        assert_eq!(out, "a\\tb\\rc\\nd\\u0000e\\u001ff\u{7f}");
-
-        // Escapes at both ends and back to back, around multi-byte text.
-        let mut out = String::new();
-        push_escaped(&mut out, "\"é\\\"");
-        assert_eq!(out, "\\\"é\\\\\\\"");
-    }
-
-    /// Every control character escapes to exactly what the previous
-    /// per-`char` escaper produced, so the wire bytes cannot move.
-    #[test]
-    fn push_escaped_matches_a_per_char_reference() {
-        fn reference(s: &str) -> String {
-            let mut out = String::new();
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let all: String = (0u32..0x80)
-            .filter_map(char::from_u32)
-            .chain("é∑😀".chars())
-            .collect();
-        assert_eq!(escape(&all), reference(&all));
-        for c in all.chars() {
-            let s = format!("x{c}y");
-            assert_eq!(escape(&s), reference(&s), "{c:?}");
-        }
     }
 
     /// The sweep renders straight from the arena's columns and copies

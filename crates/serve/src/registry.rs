@@ -25,11 +25,10 @@ use std::path::Path;
 
 use coldtall_array::{ArrayCharacterization, Organization};
 use coldtall_core::{Backend, DesignPointKey, Explorer};
-use coldtall_obs::json::Value;
+use coldtall_obs::json::{push_escaped, Value};
 use coldtall_units::{Joules, Seconds, SquareMeters, Watts};
 
 use crate::log::{self, f64_bits, hex_u64, subarray_dim, Record, RecordLog, ReplayStats};
-use crate::proto::push_escaped;
 
 /// The record schema this build writes and replays. Bump when the
 /// field set changes; replay skips records from other versions.

@@ -333,7 +333,7 @@ impl Server {
     pub fn ready_line(&self) -> String {
         let addr = self.local_addr.map_or_else(
             || "null".to_string(),
-            |a| format!("\"{}\"", proto::escape(&a.to_string())),
+            |a| format!("\"{}\"", coldtall_obs::json::escape(&a.to_string())),
         );
         format!(
             "{{\"event\":\"ready\",\"addr\":{addr},\"replayed\":{},\"duplicates\":{},\

@@ -309,6 +309,16 @@ impl Options {
             n => Ok(n),
         }
     }
+
+    /// The value of `--name` as a finite number, if given. `inf`, `nan`
+    /// and literals that overflow `f64` are refused, as the wire
+    /// refuses them.
+    fn finite(&self, name: &str) -> Result<Option<f64>, String> {
+        match self.parsed::<f64>(name)? {
+            Some(v) if !v.is_finite() => Err(format!("bad --{name} value")),
+            v => Ok(v),
+        }
+    }
 }
 
 /// The engine every command runs through, built the way the daemon
@@ -525,7 +535,7 @@ fn cmd_evaluate(opts: &Options, out: &mut String) -> Result<(), String> {
 /// ranked by [`coldtall::core::recommend`].
 fn cmd_recommend(opts: &Options, out: &mut String) -> Result<(), String> {
     let constraints = Constraints {
-        max_area_mm2: opts.parsed("max-area")?,
+        max_area_mm2: opts.finite("max-area")?,
         ..Constraints::default()
     };
     let name = opts.get("bench").unwrap_or("namd");
@@ -626,13 +636,13 @@ fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
         temps: opts.get("temps").map(String::from),
         constraints: Constraints {
             max_relative_latency: opts
-                .parsed("max-latency")?
+                .finite("max-latency")?
                 .unwrap_or(none.max_relative_latency),
-            max_area_mm2: opts.parsed("max-area")?,
+            max_area_mm2: opts.finite("max-area")?,
             min_lifetime_years: opts
-                .parsed("min-lifetime")?
+                .finite("min-lifetime")?
                 .unwrap_or(none.min_lifetime_years),
-            max_relative_power: opts.parsed("max-power")?,
+            max_relative_power: opts.finite("max-power")?,
         },
     };
     let ResponsePayload::Search {

@@ -551,6 +551,37 @@ fn search_rejects_bad_regions_objectives_and_flags() {
     assert!(err.contains("unexpected argument 'study'"), "stderr: {err}");
 }
 
+/// Regression: a non-finite cap used to pass as if uncapped
+/// (`search --max-latency inf` exited 0) or fail for the wrong reason
+/// (`search --min-lifetime nan` reported an infeasible region). The CLI
+/// refuses what the wire refuses: `'max_latency' must be a finite
+/// number`. `1e400` overflows to infinity, so it is refused too.
+#[test]
+fn non_finite_caps_are_refused() {
+    for (cmd, flag) in [
+        ("search", "--max-latency"),
+        ("search", "--max-area"),
+        ("search", "--min-lifetime"),
+        ("search", "--max-power"),
+        ("recommend", "--max-area"),
+    ] {
+        for value in ["inf", "-inf", "nan", "1e400"] {
+            let output = Command::new(env!("CARGO_BIN_EXE_coldtall"))
+                .args([cmd, flag, value])
+                .output()
+                .expect("binary runs");
+            let err = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{cmd} {flag} {value}: {err}");
+            assert_eq!(
+                err.lines().next(),
+                Some(format!("error: bad {flag} value").as_str()),
+                "{cmd} {flag} {value}"
+            );
+            assert!(!err.contains("panicked"), "{cmd} {flag} {value}: {err}");
+        }
+    }
+}
+
 #[test]
 fn metrics_are_absent_by_default() {
     let (ok, _, err) = run(&["list"]);

@@ -3,19 +3,19 @@
 //! through silently.
 
 use coldtall::array::{ArraySpec, Objective, Stacking};
-use coldtall::cachesim::{CacheConfig, CpuConfig, Hierarchy, MemoryAccess};
+use coldtall::cachesim::{CacheConfig, CpuConfig, Hierarchy, LlcTraffic, MemoryAccess};
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall::core::MemoryConfig;
 use coldtall::tech::{OperatingPoint, ProcessNode};
 use coldtall::units::{Capacity, Kelvin, Volts, Watts};
 
-fn catch(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+fn catch<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> String {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let result = std::panic::catch_unwind(f);
     std::panic::set_hook(hook);
     match result {
-        Ok(()) => panic!("expected a panic"),
+        Ok(_) => panic!("expected a panic"),
         Err(payload) => payload
             .downcast_ref::<String>()
             .cloned()
@@ -50,25 +50,50 @@ fn tech_rejects_nonsense() {
     .contains("non-negative"));
 }
 
+/// Each array builder refuses a geometry no array has, with the exact
+/// text its `# Panics` section documents: the array layer stacks 1-8
+/// dies, face-to-face bonding joins exactly two, a planar array is one
+/// die, and the capacity must hold one non-empty line.
 #[test]
 fn array_rejects_impossible_configurations() {
     let node = ProcessNode::ptm_22nm_hp();
-    let cell = CellModel::sram(&node);
-    let spec = ArraySpec::llc_16mib(cell.clone(), &node);
-    assert!(catch(move || {
-        let _ = spec.with_stacking(Stacking::FaceToFace, 8);
-    })
-    .contains("does not support"));
-    let spec2 = ArraySpec::llc_16mib(cell.clone(), &node);
-    assert!(catch(move || {
-        let _ = spec2.with_line_bits(0);
-    })
-    .contains("positive"));
-    let spec3 = ArraySpec::llc_16mib(cell, &node);
-    assert!(catch(move || {
-        let _ = spec3.with_capacity(Capacity::from_bits(8));
-    })
-    .contains("at least one line"));
+    let spec = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
+    for dies in [0u8, 9, 16, 255] {
+        let spec = spec.clone();
+        assert_eq!(
+            catch(move || spec.with_dies(dies)),
+            format!("unsupported die count {dies}")
+        );
+    }
+    for (stacking, dies, style) in [
+        (Stacking::FaceToFace, 4, "3D face-to-face"),
+        (Stacking::FaceToFace, 8, "3D face-to-face"),
+        (Stacking::Planar, 2, "2D"),
+    ] {
+        let spec = spec.clone();
+        assert_eq!(
+            catch(move || spec.with_stacking(stacking, dies)),
+            format!("{style} does not support {dies} dies")
+        );
+    }
+    for (capacity, text) in [
+        (Capacity::from_bits(8), "(8 b < 512 b)"),
+        (Capacity::from_bytes(8), "(64 b < 512 b)"),
+    ] {
+        let spec = spec.clone();
+        assert_eq!(
+            catch(move || spec.with_capacity(capacity)),
+            format!("capacity must hold at least one line {text}")
+        );
+    }
+    let zero_width = spec.clone();
+    assert_eq!(
+        catch(move || zero_width.with_line_bits(0)),
+        "line width must be positive"
+    );
+    // Inside the limits the builders chain.
+    let spec = spec.with_dies(8).with_line_bits(256);
+    assert_eq!((spec.dies(), spec.line_bits()), (8, 256));
 }
 
 #[test]
@@ -93,6 +118,26 @@ fn cachesim_rejects_malformed_geometry() {
         h.access(MemoryAccess::data_read(99, 0));
     })
     .contains("out of range"));
+}
+
+/// Idle traffic is legal; a NaN, infinite or negative rate panics
+/// with the text `LlcTraffic::new` documents, naming the direction at
+/// fault.
+#[test]
+fn traffic_rejects_non_finite_and_negative_rates() {
+    assert_eq!(LlcTraffic::new(0.0, 0.0).total_per_sec(), 0.0);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, -1.0, -1e6] {
+        assert_eq!(
+            catch(move || LlcTraffic::new(bad, 1.0)),
+            "read rate must be finite and non-negative",
+            "read rate {bad}"
+        );
+        assert_eq!(
+            catch(move || LlcTraffic::new(1.0, bad)),
+            "write rate must be finite and non-negative",
+            "write rate {bad}"
+        );
+    }
 }
 
 #[test]

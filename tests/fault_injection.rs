@@ -9,12 +9,9 @@
 
 use std::process::Command;
 
-use coldtall::array::{ArraySpec, Stacking};
-use coldtall::cachesim::LlcTraffic;
-use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
-use coldtall::core::{Explorer, MemoryConfig};
-use coldtall::tech::ProcessNode;
-use coldtall::units::{Capacity, Kelvin};
+use coldtall::cell::{MemoryTechnology, Tentpole};
+use coldtall::core::{Error, Explorer, MemoryConfig};
+use coldtall::units::Kelvin;
 
 fn run_with_env(args: &[&str], envs: &[(&str, &str)]) -> (bool, String, String) {
     let mut command = Command::new(env!("CARGO_BIN_EXE_coldtall"));
@@ -215,52 +212,11 @@ fn kelvin_rejects_every_non_physical_temperature() {
 }
 
 #[test]
-fn spec_builders_reject_bad_geometry_without_panicking() {
-    let node = ProcessNode::ptm_22nm_hp();
-    let cell = CellModel::tentpole(MemoryTechnology::Pcm, Tentpole::Optimistic, &node);
-    let spec = ArraySpec::llc_16mib(cell, &node);
-    // The array layer allows any 1-8 die stack (the 1/2/4/8 study set
-    // is a core-level restriction); zero and over-tall stacks fail.
-    for dies in [0u8, 9, 16, 255] {
-        assert!(spec.clone().try_with_dies(dies).is_err(), "dies={dies}");
-    }
-    // Face-to-face bonding joins exactly two dies.
-    assert!(spec
-        .clone()
-        .try_with_stacking(Stacking::FaceToFace, 4)
-        .is_err());
-    assert!(spec.clone().try_with_stacking(Stacking::Planar, 2).is_err());
-    // A capacity smaller than one line cannot hold a line.
-    assert!(spec
-        .clone()
-        .try_with_capacity(Capacity::from_bytes(8))
-        .is_err());
-    assert!(spec.clone().try_with_line_bits(0).is_err());
-    // The happy path still works after all those failed moves.
-    assert!(spec.try_with_dies(8).is_ok());
-}
-
-#[test]
-fn traffic_rejects_non_finite_and_negative_rates() {
-    for (r, w) in [
-        (f64::NAN, 0.0),
-        (0.0, f64::NAN),
-        (f64::INFINITY, 1.0),
-        (-1.0, 0.0),
-        (0.0, -0.5),
-    ] {
-        assert!(LlcTraffic::try_new(r, w).is_err(), "({r}, {w}) must fail");
-    }
-    assert!(LlcTraffic::try_new(0.0, 0.0).is_ok(), "idle is legal");
-}
-
-#[test]
 fn config_and_benchmark_lookups_are_typed() {
     for dies in [0u8, 3, 6, 12, 200] {
-        assert!(
-            MemoryConfig::try_envm_3d(MemoryTechnology::Pcm, Tentpole::Optimistic, dies).is_err(),
-            "dies={dies}"
-        );
+        let err = MemoryConfig::try_design_point("pcm", "optimistic", dies, Kelvin::REFERENCE)
+            .expect_err("a die count outside 1/2/4/8 must be typed");
+        assert_eq!(err, Error::InvalidDieCount { dies });
     }
     for name in ["", "flash", "dram4", "SRAM ", "🦀"] {
         assert!(
