@@ -211,6 +211,39 @@ fn kelvin_rejects_every_non_physical_temperature() {
     assert!(Kelvin::try_new(f64::MIN_POSITIVE).is_ok(), "tiny but legal");
 }
 
+/// The stack height is the one piece of array geometry that outside
+/// input names, so every front end rejects an impossible one with a
+/// typed error before any panicking array builder sees it: the config
+/// front end returns `InvalidDieCount`, and each CLI command that takes
+/// `--dies` words it on stderr and exits 1.
+#[test]
+fn spec_builders_reject_bad_geometry_without_panicking() {
+    for dies in [0u8, 9, 16, 255] {
+        let err = MemoryConfig::try_design_point("pcm", "optimistic", dies, Kelvin::REFERENCE)
+            .expect_err("an impossible stack must be typed");
+        assert_eq!(err, Error::InvalidDieCount { dies });
+        let flag = dies.to_string();
+        for command in ["characterize", "evaluate", "search"] {
+            let args = [command, "--tech", "pcm", "--dies", &flag];
+            assert_graceful_failure(&args);
+            let (_, _, err) = run_with_env(&args, &[]);
+            assert!(
+                err.starts_with(&format!(
+                    "error: --dies: the study stacks 1, 2, 4, or 8 dies, got {dies}\n"
+                )),
+                "coldtall {args:?}: {err}"
+            );
+        }
+    }
+    // The happy path still works after all those failed requests.
+    let tall = MemoryConfig::try_design_point("pcm", "optimistic", 8, Kelvin::REFERENCE)
+        .expect("8 dies is a study stack");
+    assert_eq!(tall.dies(), 8);
+    let (ok, out, err) = run_with_env(&["characterize", "--tech", "pcm", "--dies", "8"], &[]);
+    assert!(ok, "characterize --dies 8 must succeed: {err}");
+    assert!(!out.is_empty());
+}
+
 #[test]
 fn config_and_benchmark_lookups_are_typed() {
     for dies in [0u8, 3, 6, 12, 200] {
