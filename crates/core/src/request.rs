@@ -16,11 +16,17 @@
 //! the same [`ResponsePayload`] through the same renderer.
 //!
 //! Deadlines are cooperative: the handler checks the elapsed budget
-//! between pipeline stages (after planning, after characterization,
-//! after evaluation), so work already dispatched runs to completion
-//! and lands in the cache — a timed-out request wastes no warmth.
+//! between pipeline stages (once the request is validated, and once
+//! its answer is computed), so work already dispatched runs to
+//! completion and lands in the cache — a timed-out request wastes no
+//! warmth. The study sweep is a constant of the handler: the first
+//! `sweep` computes it and the handler keeps it. Every `sweep` checks
+//! its budget before it reads the kept answer and again once the answer
+//! is in hand; a first sweep whose budget runs out mid-computation
+//! still keeps what it computed, and an [`Error::DeadlineExceeded`] is
+//! never kept.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use coldtall_array::ArrayCharacterization;
@@ -170,8 +176,9 @@ pub enum ResponsePayload {
         /// filled, in (configuration x benchmark) order. A frontend
         /// reads or renders the columns; [`EvalArena::row`]
         /// materializes one row where a caller needs an
-        /// [`LlcEvaluation`].
-        arena: EvalArena,
+        /// [`LlcEvaluation`]. The handler keeps this one arena and
+        /// answers every sweep with it.
+        arena: Arc<EvalArena>,
     },
     /// Answer to [`Request::Search`].
     Search {
@@ -219,6 +226,8 @@ struct HandlerMetrics {
     errors: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
     per_kind: Vec<(&'static str, Arc<Counter>)>,
+    /// Sweeps answered from the kept study sweep.
+    sweep_memo_hits: Arc<Counter>,
     span: Arc<Histogram>,
 }
 
@@ -235,6 +244,7 @@ impl HandlerMetrics {
                 .iter()
                 .map(|kind| (*kind, registry.counter(&format!("serve.{kind}.requests"))))
                 .collect(),
+            sweep_memo_hits: registry.counter("serve.sweep.memo_hits"),
             span: registry.span("serve.request"),
         }
     }
@@ -279,6 +289,10 @@ impl Deadline {
     }
 }
 
+/// The study sweep a handler keeps: the plan hash and the validated
+/// arena, or the typed error computing them returned.
+type StudySweep = Result<(u64, Arc<EvalArena>), Error>;
+
 /// The service facade: one warm [`Explorer`], a default deadline, and
 /// per-request telemetry. `Send + Sync`, so one handler serves every
 /// connection thread of a daemon.
@@ -287,6 +301,9 @@ pub struct RequestHandler {
     explorer: Explorer,
     default_deadline: Option<Duration>,
     metrics: HandlerMetrics,
+    /// The study sweep, computed by the first `sweep` request. The
+    /// study grid is fixed, so every later sweep answers from it.
+    sweep: OnceLock<StudySweep>,
 }
 
 impl RequestHandler {
@@ -303,6 +320,7 @@ impl RequestHandler {
             explorer,
             default_deadline,
             metrics: HandlerMetrics::registered(registry),
+            sweep: OnceLock::new(),
         }
     }
 
@@ -379,14 +397,9 @@ impl RequestHandler {
                 })
             }
             Request::Sweep => {
-                let configs = MemoryConfig::study_set();
-                let plan = self.explorer.plan_sweep(&configs)?;
-                let plan_hash = plan.stable_hash();
                 deadline.check()?;
-                let mut arena = EvalArena::new();
-                self.explorer.run(&plan, &mut arena);
+                let (plan_hash, arena) = self.study_sweep()?;
                 deadline.check()?;
-                arena.validate()?;
                 Ok(ResponsePayload::Sweep { plan_hash, arena })
             }
             Request::Search {
@@ -408,6 +421,26 @@ impl RequestHandler {
             }
             Request::Status => Ok(ResponsePayload::Status(self.status())),
         }
+    }
+
+    /// The study sweep: planned, run and validated by the first call,
+    /// and kept. Callers that race the first call wait for it and count
+    /// a `serve.sweep.memo_hits`, as every later call does; the
+    /// explorer's sweep counters move only for the call that computes.
+    fn study_sweep(&self) -> StudySweep {
+        let mut computed = false;
+        let kept = self.sweep.get_or_init(|| {
+            computed = true;
+            let plan = self.explorer.plan_sweep(&MemoryConfig::study_set())?;
+            let mut arena = EvalArena::new();
+            self.explorer.run(&plan, &mut arena);
+            arena.validate()?;
+            Ok((plan.stable_hash(), Arc::new(arena)))
+        });
+        if !computed {
+            self.metrics.sweep_memo_hits.inc();
+        }
+        kept.clone()
     }
 
     /// The study region narrowed by the optional filters and expanded
@@ -767,6 +800,49 @@ mod tests {
             panic!("search must answer with a frontier");
         };
         assert_eq!(plan_hash, compiled(&region));
+    }
+
+    /// The study sweep is computed once per handler. Two threads racing
+    /// the first sweep get the same kept arena, the explorer runs the
+    /// study once, and the thread that waited counts a memo hit. A
+    /// spent budget still fails a later sweep and is never kept.
+    #[test]
+    fn racing_first_sweeps_compute_the_study_once() {
+        let registry = Registry::new();
+        let handler = handler(&registry);
+        let sweep = |deadline| match handler.handle_with_deadline(&Request::Sweep, deadline) {
+            Ok(ResponsePayload::Sweep { arena, .. }) => Ok(arena),
+            Ok(_) => panic!("sweep must answer with rows"),
+            Err(error) => Err(error),
+        };
+        let start = std::sync::Barrier::new(2);
+        let arenas: Vec<Arc<EvalArena>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        sweep(None).expect("the study sweep answers")
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|racer| racer.join().expect("sweep thread"))
+                .collect()
+        });
+        assert!(Arc::ptr_eq(&arenas[0], &arenas[1]));
+        assert_eq!(registry.counter_value("sweep.rows"), Some(31 * 23));
+        assert_eq!(registry.counter_value("serve.sweep.memo_hits"), Some(1));
+
+        assert!(matches!(
+            sweep(Some(Duration::ZERO)),
+            Err(Error::DeadlineExceeded { budget_ms: 0, .. })
+        ));
+        let arena = sweep(None).expect("the kept sweep answers");
+        assert!(Arc::ptr_eq(&arena, &arenas[0]));
+        assert_eq!(registry.counter_value("sweep.rows"), Some(31 * 23));
+        assert_eq!(registry.counter_value("serve.sweep.memo_hits"), Some(2));
+        assert_eq!(registry.counter_value("serve.sweep.requests"), Some(4));
     }
 
     /// One scope rule: every row a search puts on its frontier is a

@@ -264,24 +264,8 @@ pub fn render_response(
     id: Option<&str>,
     outcome: &Result<ResponsePayload, Error>,
 ) -> String {
-    // Sweep responses are the large ones (hundreds of rows of roughly
-    // 350 bytes); reserving up front spares the doubling copies.
-    let rows = match outcome {
-        Ok(ResponsePayload::Sweep { arena, .. }) => arena.rows(),
-        _ => 0,
-    };
-    let mut out = String::with_capacity(256 + rows * 384);
-    out.push_str(if outcome.is_ok() {
-        "{\"ok\":true,\"cmd\":\""
-    } else {
-        "{\"ok\":false,\"cmd\":\""
-    });
-    push_escaped(&mut out, cmd);
-    out.push('"');
-    if let Some(id) = id {
-        out.push_str(",\"id\":");
-        out.push_str(id);
-    }
+    let mut out = String::with_capacity(outcome.as_ref().map_or(256, payload_capacity));
+    push_envelope(&mut out, outcome.is_ok(), cmd, id);
     match outcome {
         Ok(payload) => {
             out.push_str(",\"result\":");
@@ -295,6 +279,58 @@ pub fn render_response(
         }
     }
     out
+}
+
+/// Renders a payload's `result` object alone: the bytes
+/// [`render_response`] writes after `"result":`.
+pub(crate) fn render_result(payload: &ResponsePayload) -> String {
+    let mut out = String::with_capacity(payload_capacity(payload));
+    render_payload(&mut out, payload);
+    out
+}
+
+/// Renders a successful response line (no trailing newline) around a
+/// `result` object [`render_result`] rendered: byte for byte what
+/// [`render_response`] renders for that payload. The line is allocated
+/// with one byte to spare, so the caller's newline costs no copy of the
+/// result.
+pub(crate) fn render_ok_response(cmd: &str, id: Option<&str>, result: &str) -> String {
+    // The envelope's 36 fixed bytes (`{"ok":true,"cmd":""`, `,"id":`,
+    // `,"result":` and the closing brace) plus the newline.
+    let len = 37 + cmd.len() + id.map_or(0, str::len) + result.len();
+    let mut out = String::with_capacity(len);
+    push_envelope(&mut out, true, cmd, id);
+    out.push_str(",\"result\":");
+    out.push_str(result);
+    out.push('}');
+    out
+}
+
+/// The capacity to reserve for a payload's rendering. Sweep responses
+/// are the large ones (hundreds of rows of roughly 350 bytes);
+/// reserving up front spares the doubling copies.
+fn payload_capacity(payload: &ResponsePayload) -> usize {
+    let rows = match payload {
+        ResponsePayload::Sweep { arena, .. } => arena.rows(),
+        _ => 0,
+    };
+    256 + rows * 384
+}
+
+/// Appends a response's opening: the `ok` flag, the `cmd`, and the
+/// echoed `id` if any.
+fn push_envelope(out: &mut String, ok: bool, cmd: &str, id: Option<&str>) {
+    out.push_str(if ok {
+        "{\"ok\":true,\"cmd\":\""
+    } else {
+        "{\"ok\":false,\"cmd\":\""
+    });
+    push_escaped(out, cmd);
+    out.push('"');
+    if let Some(id) = id {
+        out.push_str(",\"id\":");
+        out.push_str(id);
+    }
 }
 
 /// Renders one parse-failure response line (no trailing newline).
@@ -817,7 +853,7 @@ mod tests {
 
             let payload = ResponsePayload::Sweep {
                 plan_hash: 0,
-                arena: arena.clone(),
+                arena: std::sync::Arc::new(arena.clone()),
             };
             let line = render_response("sweep", None, &Ok(payload));
             let value = coldtall_obs::json::parse(&line).expect("the sweep is valid JSON");

@@ -14,7 +14,11 @@
 //!
 //! No request fans out: every request runs inline on the thread that
 //! read it, and the threads share one explorer, whose caches each sit
-//! behind one lock.
+//! behind one lock. The study sweep is a constant of the daemon: the
+//! handler keeps its arena, and the daemon keeps its rendered `result`
+//! object, both filled by the first successful `sweep` (never at
+//! start-up), so a repeated sweep is one copy of those bytes behind its
+//! own `cmd` and `id`.
 //!
 //! The shutdown gate is a `Mutex<GateState>` + condvar (a struct, not a
 //! bare integer — the workspace denies `clippy::mutex_integer`). Every
@@ -22,7 +26,10 @@
 //! and bounds in-flight requests at `max_inflight`; shutdown flips the
 //! flag, waits for the active count to reach zero, and only then
 //! returns — so stdin EOF never strands a half-finished job or an
-//! unsynced registry record.
+//! unsynced registry record. Connection threads are joined as they
+//! finish: each accept joins the finished ones, and shutdown joins the
+//! rest, so a client that reconnects in a loop leaves no thread stack
+//! mapped behind it.
 //!
 //! `std` cannot trap `SIGTERM` without external crates, so the
 //! *graceful* shutdown trigger is stdin EOF (or an explicit
@@ -32,11 +39,11 @@
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use coldtall_core::{MemoryConfig, RequestHandler, SweepPlan};
+use coldtall_core::{MemoryConfig, RequestHandler, ResponsePayload, SweepPlan};
 
 use crate::geomstore::GeometryStore;
 use crate::log::ReplayStats;
@@ -139,6 +146,11 @@ struct Shared {
     max_inflight: usize,
     gate: Mutex<GateState>,
     gate_cv: Condvar,
+    /// The `result` object of the handler's kept study sweep, rendered
+    /// by the first successful `sweep`: the handler answers every sweep
+    /// with the one arena it keeps, so every sweep response splices
+    /// these bytes.
+    sweep_result: OnceLock<String>,
 }
 
 impl Shared {
@@ -191,7 +203,9 @@ impl Shared {
 
     /// Handles one request line end to end: parse, admit, dispatch,
     /// persist, render. Always produces exactly one response line (no
-    /// trailing newline).
+    /// trailing newline). A sweep's `result` is the kept rendering,
+    /// spliced behind the request's `cmd` and `id` into a line with room
+    /// for the newline [`Shared::respond`] appends.
     fn handle_line(&self, line: &str) -> String {
         let parsed = match proto::parse_request(line) {
             Ok(parsed) => parsed,
@@ -227,7 +241,16 @@ impl Shared {
                 let _ = geometry.sync_from(self.handler.explorer());
             }
         }
-        proto::render_response(parsed.request.kind(), parsed.id.as_deref(), &outcome)
+        let (cmd, id) = (parsed.request.kind(), parsed.id.as_deref());
+        match &outcome {
+            Ok(payload @ ResponsePayload::Sweep { .. }) => {
+                let result = self
+                    .sweep_result
+                    .get_or_init(|| proto::render_result(payload));
+                proto::render_ok_response(cmd, id, result)
+            }
+            _ => proto::render_response(cmd, id, &outcome),
+        }
     }
 }
 
@@ -289,6 +312,7 @@ impl Server {
             max_inflight: options.max_inflight.max(1),
             gate: Mutex::new(GateState::default()),
             gate_cv: Condvar::new(),
+            sweep_result: OnceLock::new(),
         });
         let connections = Arc::new(Mutex::new(Vec::new()));
         let (local_addr, accept_thread) = match &options.listen {
@@ -444,7 +468,10 @@ impl Server {
 }
 
 /// Spawns the accept loop: polls the non-blocking listener, spawning a
-/// connection thread per client, until the shutdown flag is set.
+/// connection thread per client, until the shutdown flag is set. Each
+/// accept first joins the connection threads that have finished, so
+/// the list holds the live connections and those that finished since
+/// the last accept, never every connection the daemon ever took.
 fn spawn_accept_loop(
     listener: TcpListener,
     shared: &Arc<Shared>,
@@ -460,10 +487,11 @@ fn spawn_accept_loop(
             Ok((stream, _peer)) => {
                 let shared = Arc::clone(&shared);
                 let handle = thread::spawn(move || serve_connection(&shared, stream));
-                connections
-                    .lock()
-                    .expect("connection list lock poisoned")
-                    .push(handle);
+                let mut connections = connections.lock().expect("connection list lock poisoned");
+                for finished in connections.extract_if(.., |handle| handle.is_finished()) {
+                    let _ = finished.join();
+                }
+                connections.push(handle);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(5));
@@ -645,6 +673,55 @@ mod tests {
         server.shutdown();
         let _ = std::fs::remove_file(&registry_path);
         let _ = std::fs::remove_file(&geometry_path);
+    }
+
+    /// Regression: every connection's thread handle stayed in the list
+    /// until shutdown, so a client that reconnected in a loop grew the
+    /// daemon by one thread stack per connection. Each accept now joins
+    /// the connection threads that have finished.
+    #[test]
+    fn finished_connections_are_joined_on_the_next_accept() {
+        let handler = RequestHandler::new(Explorer::with_defaults(), &Registry::new(), None);
+        let options = ServeOptions {
+            listen: Some("127.0.0.1:0".to_string()),
+            ..ServeOptions::default()
+        };
+        let server = Server::start(handler, &options).expect("daemon starts");
+        let addr = server.local_addr().expect("daemon listens");
+        let status = || {
+            let mut stream = TcpStream::connect(addr).expect("client connects");
+            stream
+                .write_all(b"{\"cmd\":\"status\"}\n")
+                .expect("request sent");
+            let mut response = String::new();
+            BufReader::new(stream)
+                .read_line(&mut response)
+                .expect("response read");
+            assert!(response.contains("\"ok\":true"), "{response}");
+        };
+        for _ in 0..40 {
+            status();
+        }
+        // A connection's thread may still be running when the next
+        // accept looks, so poll: each probe is one more accept.
+        let held = || {
+            server
+                .connections
+                .lock()
+                .expect("connection list lock poisoned")
+                .len()
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while held() > 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} connection handles held after 40 sequential connections",
+                held()
+            );
+            status();
+            thread::sleep(Duration::from_millis(10));
+        }
+        server.shutdown();
     }
 
     #[test]

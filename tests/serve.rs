@@ -451,6 +451,63 @@ fn wire_bytes_are_pinned() {
     daemon.shutdown();
 }
 
+/// The daemon answers every sweep from its first answer, and the bytes
+/// never move: three sweeps, between which an off-ladder `characterize`
+/// grows the cache and an `evaluate` and a `search` run, each answer the
+/// pinned sweep bytes. A sweep with an `id` answers what the library
+/// renders for it, and the final `status` counts every line.
+#[test]
+fn repeated_sweeps_answer_the_pinned_bytes() {
+    let (sweep, len, hash) = WIRE_PINS[0];
+    let session = [
+        sweep,
+        r#"{"cmd":"characterize","tech":"pcm","dies":4,"temp":123.4}"#,
+        sweep,
+        r#"{"cmd":"evaluate","tech":"stt","temp":77,"bench":"mcf"}"#,
+        r#"{"cmd":"search","tech":"pcm","max_latency":1.1,"max_area":10.0}"#,
+        sweep,
+    ];
+    let mut daemon = Daemon::start(&[], &[]);
+    for line in session {
+        let response = daemon.request(line);
+        if line == sweep {
+            assert_eq!(
+                (response.len(), fnv1a(response.as_bytes())),
+                (len, hash),
+                "a repeated sweep moved its bytes: {}",
+                &response[..response.len().min(200)]
+            );
+        } else {
+            assert!(response.starts_with(r#"{"ok":true"#), "{line}: {response}");
+        }
+    }
+
+    let with_id = r#"{"cmd":"sweep","id":"s\"2"}"#;
+    let metrics = coldtall::obs::Registry::new();
+    let handler = RequestHandler::new(
+        Explorer::with_registry(
+            coldtall::tech::ProcessNode::ptm_22nm_hp(),
+            coldtall::array::Objective::EnergyDelayProduct,
+            &metrics,
+        ),
+        &metrics,
+        None,
+    );
+    assert_eq!(
+        daemon.request(with_id),
+        expected_response(&handler, with_id)
+    );
+
+    let status = daemon.request(r#"{"cmd":"status"}"#);
+    let served = json::parse(&status)
+        .expect("status is JSON")
+        .get("result")
+        .and_then(|r| r.get("requests_served"))
+        .and_then(Value::as_f64);
+    assert_eq!(served, Some((session.len() + 2) as f64), "{status}");
+    daemon.shutdown();
+}
+
 /// The two store formats are an on-disk contract: a file written by one
 /// build must replay unchanged in the next. Fixed records — a 77 K
 /// eDRAM point, a 350 K SRAM point whose `retention` is `null`, and a
