@@ -1,9 +1,9 @@
 //! Table I: key CPU model parameters.
 
-use coldtall_cachesim::CpuConfig;
 use coldtall_core::report::TextTable;
+use coldtall_workloads::CpuConfig;
 
-/// Regenerates Table I from the simulator's configuration (desktop-class
+/// Regenerates Table I from [`CpuConfig::skylake_desktop`] (desktop-class
 /// CPU based on an Intel Skylake at 22 nm).
 #[must_use]
 pub fn run() -> TextTable {

@@ -39,8 +39,7 @@
 
 #![deny(missing_docs)]
 
-use coldtall_cachesim::{LlcTraffic, TrafficTable};
-use coldtall_workloads::Benchmark;
+use coldtall_workloads::{Benchmark, LlcTraffic, TrafficTable};
 
 use crate::error::Error;
 use crate::evaluate::{Feasibility, LlcEvaluation, RowValues};

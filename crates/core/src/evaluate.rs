@@ -4,8 +4,8 @@
 use core::fmt;
 
 use coldtall_array::ArrayCharacterization;
-use coldtall_cachesim::LlcTraffic;
 use coldtall_units::{Joules, Seconds, Watts};
+use coldtall_workloads::LlcTraffic;
 
 use crate::config::MemoryConfig;
 use crate::error::Error;

@@ -63,9 +63,9 @@
 #![deny(missing_docs)]
 
 use coldtall_array::ComponentFloors;
-use coldtall_cachesim::TrafficTable;
 use coldtall_obs::{Counter, Histogram, Registry};
 use coldtall_units::SquareMeters;
+use coldtall_workloads::TrafficTable;
 use std::sync::Arc;
 
 use crate::batch::EvalArena;

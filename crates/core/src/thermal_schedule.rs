@@ -8,10 +8,9 @@
 //! energy-optimal temperature per phase by dynamic programming, charging
 //! a thermal-mass transition cost for each temperature change.
 
-use coldtall_cachesim::LlcTraffic;
 use coldtall_cell::MemoryTechnology;
 use coldtall_units::{Joules, Kelvin, Seconds};
-use coldtall_workloads::Benchmark;
+use coldtall_workloads::{Benchmark, LlcTraffic};
 
 use crate::config::MemoryConfig;
 use crate::explorer::Explorer;

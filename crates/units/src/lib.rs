@@ -1,7 +1,7 @@
 //! Typed physical quantities for the `coldtall` workspace.
 //!
 //! Every model in the workspace (device physics, array characterization,
-//! cache simulation, design-space exploration) passes quantities through
+//! workload traffic, design-space exploration) passes quantities through
 //! this crate's newtypes rather than bare `f64`s, so that a latency can
 //! never be silently added to an energy and the engineering-notation
 //! formatting is uniform in every report.

@@ -10,37 +10,8 @@
 
 use std::sync::OnceLock;
 
-use coldtall_cachesim::LlcTraffic;
-
-use crate::generator::GeneratorParams;
 use crate::profile::{Benchmark, Suite};
-
-fn accel(
-    name: &'static str,
-    reads: f64,
-    writes: f64,
-    ws_bytes: u64,
-    hot_probability: f64,
-    ipc: f64,
-) -> Benchmark {
-    let write_fraction = (writes / (reads + writes)).clamp(0.0, 0.95);
-    Benchmark {
-        name,
-        suite: Suite::Accelerator,
-        traffic: LlcTraffic::new(reads, writes),
-        generator: GeneratorParams {
-            working_set_bytes: ws_bytes,
-            hot_fraction: (256.0 * 1024.0 / ws_bytes as f64).min(0.05),
-            hot_probability,
-            write_fraction,
-            // Accelerators stream with long, regular runs.
-            sequential_run: 64,
-            instructions_per_access: 2.0,
-            shared_fraction: 0.0,
-        },
-        ipc,
-    }
-}
+use crate::suite::bench;
 
 /// The accelerator study set: four specialized-traffic scenarios, from
 /// an ultra-quiet space-borne sensor pipeline to a streaming graph
@@ -52,18 +23,18 @@ pub fn accelerator_profiles() -> &'static [Benchmark] {
 }
 
 fn build_profiles() -> Vec<Benchmark> {
-    const MIB: u64 = 1024 * 1024;
+    use Suite::Accelerator;
     vec![
         // A duty-cycled sensor-fusion pipeline on a satellite: tiny,
         // perfectly periodic traffic.
-        accel("sensor-fusion-space", 2.0e3, 5.0e2, MIB, 0.999, 0.8),
+        bench("sensor-fusion-space", Accelerator, 2.0e3, 5.0e2),
         // Edge DNN inference with weights resident in the cache: bursts
         // of reads at a low duty cycle.
-        accel("dnn-inference-edge", 4.0e4, 4.0e3, 8 * MIB, 0.99, 1.5),
+        bench("dnn-inference-edge", Accelerator, 4.0e4, 4.0e3),
         // Always-on video analytics: steady moderate streaming.
-        accel("video-analytics", 2.0e6, 6.0e5, 32 * MIB, 0.9, 1.2),
+        bench("video-analytics", Accelerator, 2.0e6, 6.0e5),
         // A graph-analytics engine: irregular, high-rate pointer chasing.
-        accel("graph-engine", 6.0e7, 1.5e7, 256 * MIB, 0.4, 0.5),
+        bench("graph-engine", Accelerator, 6.0e7, 1.5e7),
     ]
 }
 
@@ -86,7 +57,6 @@ mod tests {
         assert_eq!(set.last().unwrap().traffic_band(), TrafficBand::High);
         for b in set {
             assert_eq!(b.suite, Suite::Accelerator);
-            b.generator.validate();
         }
     }
 

@@ -2,9 +2,46 @@
 
 use coldtall_units::{Capacity, Hertz};
 
-use crate::cache::CacheConfig;
+/// Geometry of one cache level: capacity, associativity and line size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheConfig {
+    /// Total data capacity.
+    pub capacity: Capacity,
+    /// Associativity (ways per set).
+    pub ways: u32,
+    /// Line size in bytes.
+    pub line_bytes: u32,
+}
 
-/// The simulated CPU: core count, frequency, and the cache hierarchy.
+impl CacheConfig {
+    /// Creates a cache-level geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless ways and line size are nonzero powers of two and the
+    /// capacity divides evenly into at least one set.
+    #[must_use]
+    pub fn new(capacity: Capacity, ways: u32, line_bytes: u32) -> Self {
+        assert!(ways.is_power_of_two(), "ways must be a power of two");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let lines = capacity.bytes() / u64::from(line_bytes);
+        assert!(
+            lines >= u64::from(ways) && lines.is_multiple_of(u64::from(ways)),
+            "capacity must hold a whole number of sets"
+        );
+        Self {
+            capacity,
+            ways,
+            line_bytes,
+        }
+    }
+}
+
+/// The CPU whose LLC the study sizes: core count, frequency, and the
+/// cache hierarchy.
 ///
 /// [`CpuConfig::skylake_desktop`] reproduces Table I of the paper: an
 /// 8-core desktop-class CPU at 5 GHz (22 nm) with 32 KiB L1I/L1D,
@@ -23,12 +60,6 @@ pub struct CpuConfig {
     pub l2: CacheConfig,
     /// Shared last-level cache.
     pub llc: CacheConfig,
-    /// Next-line prefetch degree at the L2 (0 disables prefetching).
-    pub prefetch_degree: u8,
-    /// Enables write-invalidate snooping coherence between the private
-    /// hierarchies (SPECrate copies share nothing, so the study default
-    /// is off; multi-threaded traces need it).
-    pub coherence: bool,
 }
 
 impl CpuConfig {
@@ -42,29 +73,7 @@ impl CpuConfig {
             l1d: CacheConfig::new(Capacity::from_kibibytes(32), 8, 64),
             l2: CacheConfig::new(Capacity::from_kibibytes(512), 8, 64),
             llc: CacheConfig::new(Capacity::from_mebibytes(16), 16, 64),
-            prefetch_degree: 0,
-            coherence: false,
         }
-    }
-
-    /// Enables the L2 next-line prefetcher with the given degree.
-    #[must_use]
-    pub fn with_prefetch(mut self, degree: u8) -> Self {
-        self.prefetch_degree = degree;
-        self
-    }
-
-    /// Enables write-invalidate snooping coherence.
-    #[must_use]
-    pub fn with_coherence(mut self) -> Self {
-        self.coherence = true;
-        self
-    }
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        Self::skylake_desktop()
     }
 }
 
@@ -82,5 +91,11 @@ mod tests {
         assert_eq!(cfg.l2.capacity, Capacity::from_kibibytes(512));
         assert_eq!(cfg.llc.capacity, Capacity::from_mebibytes(16));
         assert_eq!(cfg.llc.ways, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_odd_ways() {
+        let _ = CacheConfig::new(Capacity::from_kibibytes(32), 3, 64);
     }
 }

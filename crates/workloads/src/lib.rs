@@ -1,20 +1,20 @@
-//! SPEC CPU2017-like workloads: calibrated LLC traffic profiles and
-//! synthetic address-stream generators.
+//! SPEC CPU2017-like workloads: the calibrated LLC traffic table the
+//! design-space exploration reads, and the Table I CPU it stands for.
 //!
 //! The paper drives its design-space exploration with the LLC read/write
 //! accesses-per-second of the full SPECrate CPU2017 suite, measured with
-//! Sniper on the Table I CPU. SPEC binaries and reference inputs are
-//! licensed artifacts we cannot ship, so this crate substitutes two
-//! coupled models (see `DESIGN.md` section 3):
-//!
-//! 1. a **calibrated traffic table** ([`spec2017`]): per-benchmark LLC
-//!    read/write rates landing in the bands the paper reports (povray
-//!    below 1e4 reads/s at the quiet end; mcf above 1e8 with the lowest
-//!    write share; lbm write-heavy; namd as the Fig. 1 reference), and
-//! 2. a **synthetic address-stream generator** ([`AccessGenerator`])
-//!    per benchmark, whose working-set and locality parameters
-//!    reproduce the same traffic class when simulated through
-//!    [`coldtall_cachesim`] ([`simulate_traffic`]).
+//! Sniper on the Table I CPU; those two rates are all it takes from
+//! Sniper. SPEC binaries and reference inputs are licensed artifacts we
+//! cannot ship, so this crate substitutes a **calibrated traffic table**
+//! ([`spec2017`]): per-benchmark [`LlcTraffic`] landing in the bands the
+//! paper reports (povray below 1e4 reads/s at the quiet end; mcf above
+//! 1e8 with the lowest write share; lbm write-heavy; namd as the Fig. 1
+//! reference). The rates are calibrated, not simulated: a trace-driven
+//! stand-in for Sniper did not reproduce them (povray and leela read 0,
+//! the other 21 benchmarks 9.8x-3,500x the table's rate, and 12 of 23
+//! landed in their band; `DESIGN.md` section 3). [`CpuConfig`] holds
+//! the Table I parameters the table stands for, and [`TrafficTable`] is
+//! the struct-of-arrays form the batched evaluation streams.
 //!
 //! # Examples
 //!
@@ -31,15 +31,13 @@
 #![forbid(unsafe_code)]
 
 mod accelerator;
-mod generator;
+mod cpu;
 mod profile;
-mod simulate;
 mod suite;
-mod windows;
+mod traffic;
 
 pub use accelerator::{accelerator_profile, accelerator_profiles};
-pub use generator::{AccessGenerator, GeneratorParams};
+pub use cpu::{CacheConfig, CpuConfig};
 pub use profile::{Benchmark, Suite, TrafficBand};
-pub use simulate::simulate_traffic;
 pub use suite::{benchmark, spec2017};
-pub use windows::windowed_traffic;
+pub use traffic::{LlcTraffic, TrafficTable};

@@ -2,9 +2,7 @@
 
 use core::fmt;
 
-use coldtall_cachesim::LlcTraffic;
-
-use crate::generator::GeneratorParams;
+use crate::traffic::LlcTraffic;
 
 /// Which half of the SPECrate 2017 suite a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,8 +26,7 @@ impl fmt::Display for Suite {
 }
 
 /// One benchmark: its calibrated LLC traffic under continuous operation
-/// on the Table I CPU, plus the synthetic-stream parameters that
-/// reproduce its traffic class through the cache simulator.
+/// on the Table I CPU.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Benchmark {
     /// Short benchmark name (e.g. `"namd"`).
@@ -38,11 +35,6 @@ pub struct Benchmark {
     pub suite: Suite,
     /// Calibrated LLC traffic (reads/s, writes/s).
     pub traffic: LlcTraffic,
-    /// Synthetic-stream generator parameters.
-    pub generator: GeneratorParams,
-    /// Approximate per-core instructions-per-cycle, used to convert
-    /// simulated access counts into continuous-operation rates.
-    pub ipc: f64,
 }
 
 impl Benchmark {

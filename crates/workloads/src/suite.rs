@@ -11,77 +11,49 @@
 
 use std::sync::OnceLock;
 
-use coldtall_cachesim::LlcTraffic;
-
-use crate::generator::GeneratorParams;
 use crate::profile::{Benchmark, Suite};
+use crate::traffic::LlcTraffic;
 
-#[allow(clippy::too_many_arguments)]
-fn bench(
-    name: &'static str,
-    suite: Suite,
-    reads: f64,
-    writes: f64,
-    ws_bytes: u64,
-    hot_probability: f64,
-    ipc: f64,
-) -> Benchmark {
-    let write_fraction = (writes / (reads + writes)).clamp(0.0, 0.95);
-    // The hot set is what stays resident in the private caches: cap it
-    // at 256 KiB in absolute terms so the streaming giants do not carry
-    // a multi-megabyte "hot" region that thrashes the hierarchy.
-    let hot_fraction = (256.0 * 1024.0 / ws_bytes as f64).min(0.05);
+pub(crate) fn bench(name: &'static str, suite: Suite, reads: f64, writes: f64) -> Benchmark {
     Benchmark {
         name,
         suite,
         traffic: LlcTraffic::new(reads, writes),
-        generator: GeneratorParams {
-            working_set_bytes: ws_bytes,
-            hot_fraction,
-            hot_probability,
-            write_fraction,
-            sequential_run: 16,
-            instructions_per_access: 4.0,
-            shared_fraction: 0.0,
-        },
-        ipc,
     }
 }
 
 fn build_suite() -> Vec<Benchmark> {
     use Suite::{FpRate, IntRate};
-    const KIB: u64 = 1024;
-    const MIB: u64 = 1024 * 1024;
     vec![
         // Low-traffic band (< 5e4 LLC reads/s).
-        bench("povray", FpRate, 3.0e3, 8.0e2, 256 * KIB, 0.995, 2.2),
-        bench("leela", IntRate, 2.0e4, 7.0e3, 512 * KIB, 0.99, 1.6),
-        bench("exchange2", IntRate, 3.5e4, 9.0e3, MIB, 0.99, 2.4),
+        bench("povray", FpRate, 3.0e3, 8.0e2),
+        bench("leela", IntRate, 2.0e4, 7.0e3),
+        bench("exchange2", IntRate, 3.5e4, 9.0e3),
         // Mid-traffic band (5e4 ..= 8e6).
-        bench("deepsjeng", IntRate, 8.0e4, 3.0e4, 2 * MIB, 0.98, 1.8),
-        bench("perlbench", IntRate, 1.5e5, 6.0e4, 4 * MIB, 0.97, 1.9),
-        bench("nab", FpRate, 3.0e5, 9.0e4, 4 * MIB, 0.96, 2.0),
-        bench("imagick", FpRate, 6.0e5, 1.5e5, 8 * MIB, 0.95, 2.3),
-        bench("x264", IntRate, 1.2e6, 5.0e5, 8 * MIB, 0.93, 2.1),
-        bench("xalancbmk", IntRate, 2.2e6, 6.0e5, 12 * MIB, 0.90, 1.5),
-        bench("blender", FpRate, 3.5e6, 1.2e6, 16 * MIB, 0.88, 1.7),
-        bench("parest", FpRate, 5.0e6, 1.5e6, 24 * MIB, 0.85, 1.4),
-        bench("namd", FpRate, 6.0e6, 2.0e6, 32 * MIB, 0.85, 2.0),
-        bench("cam4", FpRate, 7.0e6, 2.5e6, 32 * MIB, 0.83, 1.3),
+        bench("deepsjeng", IntRate, 8.0e4, 3.0e4),
+        bench("perlbench", IntRate, 1.5e5, 6.0e4),
+        bench("nab", FpRate, 3.0e5, 9.0e4),
+        bench("imagick", FpRate, 6.0e5, 1.5e5),
+        bench("x264", IntRate, 1.2e6, 5.0e5),
+        bench("xalancbmk", IntRate, 2.2e6, 6.0e5),
+        bench("blender", FpRate, 3.5e6, 1.2e6),
+        bench("parest", FpRate, 5.0e6, 1.5e6),
+        bench("namd", FpRate, 6.0e6, 2.0e6),
+        bench("cam4", FpRate, 7.0e6, 2.5e6),
         // High-traffic band (> 8e6).
-        bench("wrf", FpRate, 9.0e6, 3.0e6, 48 * MIB, 0.80, 1.2),
-        bench("gcc", IntRate, 1.8e7, 7.0e6, 64 * MIB, 0.75, 1.1),
-        bench("xz", IntRate, 2.5e7, 1.1e7, 64 * MIB, 0.72, 0.9),
-        bench("roms", FpRate, 3.0e7, 1.2e7, 96 * MIB, 0.70, 1.0),
-        bench("cactuBSSN", FpRate, 4.0e7, 1.6e7, 128 * MIB, 0.65, 0.9),
-        bench("omnetpp", IntRate, 5.0e7, 2.0e7, 128 * MIB, 0.60, 0.7),
-        bench("bwaves", FpRate, 8.0e7, 3.0e7, 192 * MIB, 0.55, 0.8),
-        bench("fotonik3d", FpRate, 1.5e8, 6.0e7, 256 * MIB, 0.45, 0.6),
+        bench("wrf", FpRate, 9.0e6, 3.0e6),
+        bench("gcc", IntRate, 1.8e7, 7.0e6),
+        bench("xz", IntRate, 2.5e7, 1.1e7),
+        bench("roms", FpRate, 3.0e7, 1.2e7),
+        bench("cactuBSSN", FpRate, 4.0e7, 1.6e7),
+        bench("omnetpp", IntRate, 5.0e7, 2.0e7),
+        bench("bwaves", FpRate, 8.0e7, 3.0e7),
+        bench("fotonik3d", FpRate, 1.5e8, 6.0e7),
         // lbm: the write-heavy stencil (near-parity write share).
-        bench("lbm", FpRate, 3.0e8, 2.0e8, 256 * MIB, 0.35, 0.6),
+        bench("lbm", FpRate, 3.0e8, 2.0e8),
         // mcf: the most read-intensive workload, with the lowest write
         // share of the high-traffic group (Fig. 7's exception).
-        bench("mcf", IntRate, 4.0e8, 2.0e6, 512 * MIB, 0.10, 0.4),
+        bench("mcf", IntRate, 4.0e8, 2.0e6),
     ]
 }
 
@@ -169,28 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn generator_params_are_valid_and_track_traffic() {
-        for b in spec2017() {
-            b.generator.validate();
-            // Quiet benchmarks stay cache-resident; busy ones stream.
-            if b.traffic.reads_per_sec < 1e4 {
-                assert!(b.generator.hot_probability > 0.99);
-            }
-            if b.traffic.reads_per_sec > 1e8 {
-                assert!(b.generator.working_set_bytes > 64 * 1024 * 1024);
-            }
-        }
-    }
-
-    #[test]
-    fn working_sets_grow_with_traffic() {
-        let suite = spec2017();
-        for pair in suite.windows(2) {
+    fn table_is_sorted_by_read_traffic() {
+        for pair in spec2017().windows(2) {
             assert!(
                 pair[0].traffic.reads_per_sec <= pair[1].traffic.reads_per_sec,
                 "suite table must be sorted by read traffic"
             );
-            assert!(pair[0].generator.working_set_bytes <= pair[1].generator.working_set_bytes);
         }
     }
 }

@@ -1,8 +1,4 @@
-//! LLC traffic extraction: the quantity the DSE consumes.
-
-use coldtall_units::Seconds;
-
-use crate::hierarchy::Hierarchy;
+//! LLC traffic: the quantity the DSE consumes.
 
 /// LLC traffic under continuous execution: read and write accesses per
 /// second, the x-axes of the paper's Fig. 5 and Fig. 7.
@@ -15,8 +11,8 @@ pub struct LlcTraffic {
 }
 
 impl LlcTraffic {
-    /// Builds a traffic record directly from rates (zero is legal: an
-    /// idle cache).
+    /// Builds a traffic record from rates (zero is legal: an idle
+    /// cache).
     ///
     /// Precondition: both rates are finite and non-negative.
     ///
@@ -38,27 +34,6 @@ impl LlcTraffic {
             reads_per_sec,
             writes_per_sec,
         }
-    }
-
-    /// Extracts traffic from a simulated hierarchy, extrapolating the
-    /// counted LLC accesses over the simulated execution time — the same
-    /// continuous-operation extrapolation the paper applies to its
-    /// Sniper runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `execution_time` is not strictly positive.
-    #[must_use]
-    pub fn from_simulation(hierarchy: &Hierarchy, execution_time: Seconds) -> Self {
-        assert!(
-            execution_time.get() > 0.0,
-            "execution time must be positive"
-        );
-        let stats = hierarchy.llc_stats();
-        Self::new(
-            stats.read_accesses as f64 / execution_time.get(),
-            stats.write_accesses as f64 / execution_time.get(),
-        )
     }
 
     /// Total accesses per second.
@@ -166,18 +141,6 @@ impl FromIterator<LlcTraffic> for TrafficTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::MemoryAccess;
-    use crate::config::CpuConfig;
-
-    #[test]
-    fn from_simulation_extrapolates_rates() {
-        let mut h = Hierarchy::new(CpuConfig::skylake_desktop());
-        for i in 0..1000u64 {
-            h.access(MemoryAccess::data_read(0, i * 64 * 128));
-        }
-        let t = LlcTraffic::from_simulation(&h, Seconds::new(1e-3));
-        assert!((t.reads_per_sec - 1e6).abs() < 1e-6 * 1e6);
-    }
 
     #[test]
     fn derived_quantities() {
@@ -191,13 +154,6 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_rate_rejected() {
         let _ = LlcTraffic::new(-1.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_time_rejected() {
-        let h = Hierarchy::new(CpuConfig::skylake_desktop());
-        let _ = LlcTraffic::from_simulation(&h, Seconds::ZERO);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The repo's one-stop verification gate: rustfmt-clean sources, every
 # workspace test run once (unit, integration, golden-file and doc
-# tests), and warning-free clippy and rustdoc. CI, the verify skill,
-# and pre-commit hooks all call this script so "green" means the same
-# thing everywhere. Why a test matters is in its own doc comment.
+# tests), and warning-free clippy and rustdoc. It is run by hand
+# (`bash scripts/check.sh`); README, DESIGN.md § 16 and the verify
+# recipe name it as the gate. No CI config or git hook calls it. Why a
+# test matters is in its own doc comment.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -15,10 +15,8 @@
 //!   characterization engine,
 //! * [`cryo`] — cryocooler overheads and temperature sweeps (CryoMEM's
 //!   system side),
-//! * [`cachesim`] — a trace-driven multi-core cache hierarchy (the
-//!   Sniper substitute),
-//! * [`workloads`] — SPECrate 2017-like traffic profiles and synthetic
-//!   streams,
+//! * [`workloads`] — the calibrated SPECrate 2017 LLC traffic table and
+//!   the Table I CPU (standing in for Sniper runs of SPEC CPU2017),
 //! * [`core`] — the cross-stack explorer, application model, and
 //!   Table II selection engine (NVMExplorer itself),
 //! * [`obs`] — the observability layer: the metrics registry behind
@@ -42,7 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub use coldtall_array as array;
-pub use coldtall_cachesim as cachesim;
 pub use coldtall_cell as cell;
 pub use coldtall_core as core;
 pub use coldtall_cryo as cryo;

@@ -243,14 +243,20 @@ fn fig5_cryo_cooled_power_exceeds_baseline_at_the_highest_traffic() {
     );
 }
 
+/// 77 K SRAM meets the paper's 2-4x (it measures 3.87-3.90x across
+/// the suite). 77 K 3T-eDRAM measures 4.37-4.46x, past the paper's
+/// bound, so its half keeps 2-6x: EXPERIMENTS.md calls the row partial.
 #[test]
 fn fig5_cryo_aggregate_latency_is_2_to_4x_lower_everywhere() {
     let explorer = Explorer::with_defaults();
     for bench in spec2017() {
-        for config in [MemoryConfig::sram_77k(), MemoryConfig::edram_77k()] {
+        for (config, bound) in [
+            (MemoryConfig::sram_77k(), 2.0..=4.0),
+            (MemoryConfig::edram_77k(), 2.0..=6.0),
+        ] {
             let eval = explorer.evaluate(&config, bench);
             assert!(
-                (2.0..=6.0).contains(&(1.0 / eval.relative_latency)),
+                bound.contains(&(1.0 / eval.relative_latency)),
                 "{} on {}: latency win = {}",
                 config.label(),
                 bench.name,
@@ -281,7 +287,7 @@ fn fig5_povray_band_reduction_exceeds_2500x_even_with_cooling() {
     let warm = explorer.evaluate(&MemoryConfig::sram_350k(), povray);
     let cold = explorer.evaluate(&MemoryConfig::edram_77k(), povray);
     let reduction = warm.wall_power / cold.wall_power;
-    assert!(reduction > 1000.0, "povray reduction = {reduction}");
+    assert!(reduction > 2500.0, "povray reduction = {reduction}");
 }
 
 // ---------------------------------------------------------------- Fig. 6

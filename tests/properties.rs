@@ -6,7 +6,6 @@
 //! cases, zero dependencies.
 
 use coldtall::array::{ArraySpec, Objective};
-use coldtall::cachesim::{CacheConfig, SetAssociativeCache};
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall::cryo::CoolingSystem;
 use coldtall::tech::{copper_resistivity_ratio, Mosfet, OperatingPoint, ProcessNode};
@@ -184,66 +183,6 @@ fn cooling_overhead_is_carnot_shaped() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn cache_hits_after_fill_regardless_of_geometry() {
-    let mut rng = SmallRng::seed_from_u64(7);
-    for ways_pow in 0u32..4 {
-        for sets_pow in 2u32..6 {
-            let ways = 1u32 << ways_pow;
-            let sets = 1u64 << sets_pow;
-            let capacity = Capacity::from_bytes(sets * u64::from(ways) * 64);
-            let mut cache = SetAssociativeCache::new(CacheConfig::new(capacity, ways, 64));
-            let addr = rng.gen_range(0..1_000_000_000);
-            cache.access(addr, false);
-            assert!(cache.access(addr, false).is_hit());
-            assert!(cache.contains(addr));
-        }
-    }
-}
-
-#[test]
-fn cache_occupancy_never_exceeds_capacity() {
-    let mut rng = SmallRng::seed_from_u64(8);
-    for trial in 0..24 {
-        let len = usize::try_from(rng.gen_range(1..500)).unwrap();
-        let accesses: Vec<(u64, bool)> = (0..len)
-            .map(|_| (rng.gen_range(0..1_000_000), rng.gen_bool(0.5)))
-            .collect();
-        let capacity = Capacity::from_bytes(4 * 64 * 8);
-        let mut cache = SetAssociativeCache::new(CacheConfig::new(capacity, 4, 64));
-        let mut distinct = std::collections::HashSet::new();
-        for &(addr, is_write) in &accesses {
-            cache.access(addr, is_write);
-            distinct.insert(addr / 64);
-        }
-        // Lines still resident can never exceed total line slots.
-        let resident = distinct
-            .iter()
-            .filter(|line| cache.contains(**line * 64))
-            .count() as u64;
-        assert!(
-            resident <= capacity.bytes() / 64,
-            "over-occupancy in trial {trial}"
-        );
-    }
-}
-
-#[test]
-fn lru_recency_is_respected() {
-    for tag_count in 3u64..10 {
-        // One-set cache of 2 ways: after touching tags 0..n in order,
-        // only the last two survive.
-        let capacity = Capacity::from_bytes(2 * 64);
-        let mut cache = SetAssociativeCache::new(CacheConfig::new(capacity, 2, 64));
-        for tag in 0..tag_count {
-            cache.access(tag * 64, false);
-        }
-        assert!(cache.contains((tag_count - 1) * 64));
-        assert!(cache.contains((tag_count - 2) * 64));
-        assert!(!cache.contains((tag_count - 3) * 64));
     }
 }
 
