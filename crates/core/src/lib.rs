@@ -70,7 +70,10 @@ pub use lifetime::{lifetime_years, LIFETIME_TARGET_YEARS};
 pub use parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache};
 pub use pareto::{pareto_front, recommend, Constraints, ParetoFrontier};
 pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
-pub use request::{DesignPoint, Request, RequestHandler, ResponsePayload, StatusReport};
+pub use request::{
+    DesignPoint, FieldError, FieldProblem, FieldValue, Request, RequestHandler, ResponsePayload,
+    StatusReport,
+};
 pub use search::{PruneReason, PrunedRegion, SearchOutcome, SearchStats};
 pub use thermal_schedule::{plan_schedule, TemperatureSchedule, WorkloadPhase};
 pub use variation::{

@@ -4,12 +4,14 @@
 //! Both frontends speak to the engine exclusively through
 //! [`RequestHandler`]: the `coldtall` CLI turns its flags into a
 //! [`Request`] and renders the answer as text, and the serve daemon
-//! parses a JSON line into one and renders the answer as JSON. The
-//! handler is a thin, `Send + Sync` dispatcher that owns one warm
-//! [`Explorer`], enforces a cooperative per-request deadline, and
+//! parses a JSON line into one and renders the answer as JSON. Both
+//! build the request through [`Request::from_fields`], the one field
+//! table. The handler is a thin, `Send + Sync` dispatcher that owns one
+//! warm [`Explorer`], enforces a cooperative per-request deadline, and
 //! answers with typed payloads. Validation lives here and in
 //! [`DesignPoint::to_config`], once, so the two frontends accept the
-//! same inputs and refuse the rest with the same typed [`Error`].
+//! same inputs and refuse the rest with the same typed [`Error`] or
+//! [`FieldError`].
 //! Wire formats live in the frontends — this module knows nothing
 //! about JSON or sockets, which is what keeps responses bit-identical
 //! between a daemon round-trip and a direct library call: both render
@@ -58,18 +60,6 @@ pub struct DesignPoint {
 }
 
 impl DesignPoint {
-    /// A 2D SRAM point at the 350 K reference — the protocol's default
-    /// when a request names no fields.
-    #[must_use]
-    pub fn baseline() -> Self {
-        Self {
-            tech: "sram".to_string(),
-            tentpole: "optimistic".to_string(),
-            dies: 1,
-            temperature_kelvin: 350.0,
-        }
-    }
-
     /// Validates the raw fields into a [`MemoryConfig`].
     ///
     /// # Errors
@@ -144,6 +134,160 @@ impl Request {
             Self::Status => "status",
         }
     }
+
+    /// Builds the `cmd` request from its `(field, value)` pairs: the one
+    /// request grammar. The wire names a field by its JSON key, the CLI
+    /// by its flag with `_` spelled `-` (`--max-latency`). The defaults
+    /// below and the `match` in `read` are the field table: a field left
+    /// out keeps its default, and reading checks a value's form only.
+    /// Names, die counts and temperature ranges are
+    /// [`DesignPoint::to_config`]'s checks and the region builder's. Each
+    /// frontend refuses a repeated field before it calls this: the CLI's
+    /// option grammar and JSON's object grammar both do.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] for the first refused field, in the order given.
+    pub fn from_fields(cmd: &str, fields: &[(&str, FieldValue<'_>)]) -> Result<Self, FieldError> {
+        let refused = |field: &str, problem| FieldError {
+            field: field.to_string(),
+            problem,
+        };
+        // The 350 K 2D SRAM reference.
+        let point = || DesignPoint {
+            tech: "sram".to_string(),
+            tentpole: "optimistic".to_string(),
+            dies: 1,
+            temperature_kelvin: 350.0,
+        };
+        let mut request = match cmd {
+            "characterize" => Self::Characterize { point: point() },
+            "evaluate" => Self::Evaluate {
+                point: point(),
+                benchmark: "namd".to_string(),
+            },
+            "sweep" => Self::Sweep,
+            "search" => Self::Search {
+                tech: None,
+                dies: None,
+                temps: None,
+                constraints: Constraints::none(),
+            },
+            "status" => Self::Status,
+            _ => return Err(refused(cmd, FieldProblem::UnknownCommand)),
+        };
+        for &(field, value) in fields {
+            request
+                .read(field, value)
+                .map_err(|problem| refused(field, problem))?;
+        }
+        Ok(request)
+    }
+
+    /// Reads one field into the request, by the command's row.
+    fn read(&mut self, field: &str, value: FieldValue<'_>) -> Result<(), FieldProblem> {
+        match (self, field) {
+            (Self::Evaluate { benchmark, .. }, "bench") => *benchmark = value.text()?,
+            (Self::Characterize { point } | Self::Evaluate { point, .. }, _) => match field {
+                "tech" => point.tech = value.text()?,
+                "tentpole" => point.tentpole = value.text()?,
+                "dies" => point.dies = value.dies()?,
+                "temp" => point.temperature_kelvin = value.finite()?,
+                _ => return Err(FieldProblem::Unknown),
+            },
+            (Self::Search { tech, .. }, "tech") => *tech = Some(value.text()?),
+            (Self::Search { dies, .. }, "dies") => *dies = Some(value.dies()?),
+            (Self::Search { temps, .. }, "temps") => *temps = Some(value.text()?),
+            (Self::Search { constraints: c, .. }, _) => match field {
+                "max_latency" => c.max_relative_latency = value.cap()?,
+                "max_area" => c.max_area_mm2 = Some(value.cap()?),
+                "min_lifetime" => c.min_lifetime_years = value.cap()?,
+                "max_power" => c.max_relative_power = Some(value.cap()?),
+                _ => return Err(FieldProblem::Unknown),
+            },
+            _ => return Err(FieldProblem::Unknown),
+        }
+        Ok(())
+    }
+}
+
+/// A request field's value as a frontend received it: CLI text, or a
+/// JSON string or number.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldValue<'a> {
+    /// Text. A numeric field reads it by JSON's number grammar, so `4.0`
+    /// and `1e2` are numbers and `+4`, `inf` and `nan` are not.
+    Text(&'a str),
+    /// A number.
+    Number(f64),
+}
+
+impl FieldValue<'_> {
+    /// The value as a name: a technology, tentpole, benchmark or
+    /// `temps` selector.
+    fn text(self) -> Result<String, FieldProblem> {
+        match self {
+            Self::Text(text) => Ok(text.to_string()),
+            Self::Number(_) => Err(FieldProblem::NotText),
+        }
+    }
+
+    /// The value as a finite number, which is all a temperature must be.
+    fn finite(self) -> Result<f64, FieldProblem> {
+        match self {
+            Self::Text(text) => coldtall_obs::json::parse(text).map_or(None, |v| v.as_f64()),
+            Self::Number(n) => Some(n),
+        }
+        .filter(|n| n.is_finite())
+        .ok_or(FieldProblem::NotFinite)
+    }
+
+    /// The value as a die count: an integer-valued number (`4.0` is 4)
+    /// that fits a `u8`.
+    fn dies(self) -> Result<u8, FieldProblem> {
+        match self.finite() {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Ok(n) if n.fract() == 0.0 && (0.0..=255.0).contains(&n) => Ok(n as u8),
+            _ => Err(FieldProblem::NotDieCount),
+        }
+    }
+
+    /// The value as a constraint cap: a finite number, at least 0.
+    fn cap(self) -> Result<f64, FieldProblem> {
+        match self.finite()? {
+            n if n < 0.0 => Err(FieldProblem::Negative),
+            n => Ok(n),
+        }
+    }
+}
+
+/// What is wrong with a request field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldProblem {
+    /// No request kind has this name.
+    UnknownCommand,
+    /// The command takes no field of this name.
+    Unknown,
+    /// A number where a name belongs.
+    NotText,
+    /// Not a finite number.
+    NotFinite,
+    /// Not an integer from 0 to 255.
+    NotDieCount,
+    /// A cap below zero.
+    Negative,
+}
+
+/// A field [`Request::from_fields`] refused, and why. Each frontend
+/// words it: `bad --max-latency value`, `'max_latency' must be a finite
+/// number`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The field as the frontend named it; the command, for
+    /// [`FieldProblem::UnknownCommand`].
+    pub field: String,
+    /// What is wrong with it.
+    pub problem: FieldProblem,
 }
 
 /// The typed answer to one [`Request`].
@@ -543,6 +687,42 @@ mod tests {
     use coldtall_array::Objective;
     use coldtall_tech::ProcessNode;
 
+    /// The design point of a request that names no field.
+    fn baseline() -> DesignPoint {
+        match Request::from_fields("characterize", &[]) {
+            Ok(Request::Characterize { point }) => point,
+            other => panic!("characterize builds a point: {other:?}"),
+        }
+    }
+
+    /// A field left out takes the table's default: the 350 K 2D SRAM
+    /// reference point, `namd`, and no search filter or cap.
+    #[test]
+    fn fields_left_out_take_the_table_defaults() {
+        let point = baseline();
+        assert_eq!(
+            (point.tech.as_str(), point.tentpole.as_str(), point.dies),
+            ("sram", "optimistic", 1)
+        );
+        assert_eq!(point.temperature_kelvin.to_bits(), 350.0_f64.to_bits());
+        assert_eq!(
+            Request::from_fields("evaluate", &[("dies", FieldValue::Number(4.0))]),
+            Ok(Request::Evaluate {
+                point: DesignPoint { dies: 4, ..point },
+                benchmark: "namd".to_string(),
+            })
+        );
+        assert_eq!(
+            Request::from_fields("search", &[]),
+            Ok(Request::Search {
+                tech: None,
+                dies: None,
+                temps: None,
+                constraints: Constraints::none(),
+            })
+        );
+    }
+
     fn handler(registry: &Registry) -> RequestHandler {
         let explorer = Explorer::with_registry(
             ProcessNode::ptm_22nm_hp(),
@@ -604,7 +784,7 @@ mod tests {
         let registry = Registry::new();
         let handler = handler(&registry);
         let request = Request::Evaluate {
-            point: DesignPoint::baseline(),
+            point: baseline(),
             benchmark: "namd".to_string(),
         };
         let ResponsePayload::Evaluation { row, .. } = handler.handle(&request).unwrap() else {
@@ -648,7 +828,7 @@ mod tests {
             constraints: Constraints::none(),
         };
         let doom = Request::Evaluate {
-            point: DesignPoint::baseline(),
+            point: baseline(),
             benchmark: "doom".to_string(),
         };
         // The last request runs under a zero budget; the rest have none.
@@ -769,7 +949,7 @@ mod tests {
         let point = DesignPoint {
             tech: "pcm".to_string(),
             dies: 4,
-            ..DesignPoint::baseline()
+            ..baseline()
         };
         let config = point.to_config().unwrap();
         let characterize = Request::Characterize {
@@ -905,7 +1085,7 @@ mod tests {
         let points: Vec<DesignPoint> = (0..2000)
             .map(|i| DesignPoint {
                 temperature_kelvin: 60.0 + f64::from(i) * 0.17,
-                ..DesignPoint::baseline()
+                ..baseline()
             })
             .collect();
         for point in &points {

@@ -16,6 +16,7 @@
 //! and an unbounded `[[[[…` line would overflow the parsing thread's
 //! stack — an abort of the whole process, not a catchable panic.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -70,7 +71,8 @@ pub enum Value {
     String(String),
     /// An array.
     Array(Vec<Value>),
-    /// An object; keys are sorted for stable iteration.
+    /// An object; keys are sorted for stable iteration, and each is
+    /// unique: [`parse`] refuses a repeated key.
     Object(BTreeMap<String, Value>),
 }
 
@@ -101,7 +103,7 @@ impl Value {
 ///
 /// [`ParseError::TooDeep`] past [`MAX_DEPTH`] levels of nesting, and
 /// otherwise [`ParseError::Syntax`] describing the first syntax error
-/// with its byte offset.
+/// (a repeated object key among them) with its byte offset.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut parser = Parser {
         input,
@@ -243,11 +245,19 @@ impl Parser<'_> {
         }
         loop {
             self.skip_whitespace();
-            let key = self.string()?;
+            let at = self.pos;
+            // A repeated key is refused, not resolved: which copy wins
+            // is a guess a reader must not make.
+            let slot = match map.entry(self.string()?) {
+                Entry::Vacant(slot) => slot,
+                Entry::Occupied(taken) => {
+                    return Err(format!("duplicate key '{}' at byte {at}", taken.key()));
+                }
+            };
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
-            map.insert(key, self.value()?);
+            slot.insert(self.value()?);
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -389,6 +399,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }
+    }
+
+    #[test]
+    fn rejects_repeated_keys() {
+        for bad in [r#"{"a":1,"a":1}"#, r#"{"a":1,"b":{"c":2,"c":3}}"#] {
+            assert!(
+                matches!(parse(bad), Err(ParseError::Syntax(m)) if m.starts_with("duplicate key")),
+                "accepted repeated key in {bad:?}"
+            );
+        }
+        assert!(parse(r#"{"a":{"a":1},"b":[{"a":2},{"a":3}]}"#).is_ok());
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! response *bit-identical* to a local call: both print the same
 //! payload through the same code.
 //!
-//! Request grammar (unknown fields are rejected, not ignored — a typo
-//! like `"benhc"` must never silently default):
+//! Request grammar: `cmd` names the request, and every other field is
+//! read by [`Request::from_fields`], the field table the CLI's flags
+//! go through too. It holds each command's fields and their defaults
+//! (the 350 K 2D SRAM design point, `namd`, no search filter or cap).
+//! Unknown fields are rejected, not ignored — a typo like `"benhc"`
+//! must never silently default:
 //!
 //! ```json
 //! {"cmd":"characterize","tech":"pcm","tentpole":"optimistic","dies":4,"temp":350}
@@ -20,11 +24,13 @@
 //! {"cmd":"status"}
 //! ```
 //!
-//! Every request may carry `"id"` (string or number, echoed verbatim
-//! in the response) and `"deadline_ms"` (per-request budget). Design
-//! point fields default to the 350 K 2D SRAM baseline. A search's
-//! `"temps"` is the CLI's `--temps` selector as a string: `"study"`,
-//! a kelvin value (`"77"`), or a `"lo:hi"` range of the study ladder.
+//! A field's value is a JSON string or number. A numeric field also
+//! takes a string that holds one JSON number (`"temp":"77"`), as the
+//! CLI reads `--temp 77`. Every request may carry `"id"` (string or
+//! number, echoed verbatim in the response) and `"deadline_ms"`
+//! (per-request budget). A search's `"temps"` is the CLI's `--temps`
+//! selector as a string: `"study"`, a kelvin value (`"77"`), or a
+//! `"lo:hi"` range of the study ladder.
 //!
 //! Responses are `{"ok":true,"cmd":...,"result":{...}}` or
 //! `{"ok":false,"cmd":...,"error":"..."}`. Every number is printed by
@@ -38,7 +44,7 @@ use std::ops::Range;
 
 use coldtall_array::ArrayCharacterization;
 use coldtall_core::{
-    Constraints, DesignPoint, Error, EvalArena, Feasibility, LlcEvaluation, Request,
+    Error, EvalArena, Feasibility, FieldError, FieldProblem, FieldValue, LlcEvaluation, Request,
     ResponsePayload, StatusReport,
 };
 use coldtall_obs::json::{self, escape, push_escaped, Value};
@@ -57,7 +63,8 @@ pub struct ParsedRequest {
     pub deadline_ms: Option<u64>,
 }
 
-/// Parses one request line.
+/// Parses one request line: the JSON envelope here, the request's
+/// fields by [`Request::from_fields`].
 ///
 /// # Errors
 ///
@@ -74,46 +81,20 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
         Some(_) => return Err("'cmd' must be a string".to_string()),
         None => return Err("missing 'cmd' field".to_string()),
     };
-    let allowed: &[&str] = match cmd {
-        "characterize" => &[
-            "cmd",
-            "id",
-            "deadline_ms",
-            "tech",
-            "tentpole",
-            "dies",
-            "temp",
-        ],
-        "evaluate" => &[
-            "cmd",
-            "id",
-            "deadline_ms",
-            "tech",
-            "tentpole",
-            "dies",
-            "temp",
-            "bench",
-        ],
-        "sweep" | "status" => &["cmd", "id", "deadline_ms"],
-        "search" => &[
-            "cmd",
-            "id",
-            "deadline_ms",
-            "tech",
-            "dies",
-            "temps",
-            "max_latency",
-            "max_area",
-            "min_lifetime",
-            "max_power",
-        ],
-        other => return Err(format!("unknown cmd '{other}'")),
-    };
-    for key in fields.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!("unknown field '{key}' for cmd '{cmd}'"));
-        }
-    }
+    let pairs: Vec<(&str, FieldValue<'_>)> = fields
+        .iter()
+        .filter(|(key, _)| !matches!(key.as_str(), "cmd" | "id" | "deadline_ms"))
+        .map(|(key, value)| match value {
+            Value::String(text) => (key.as_str(), FieldValue::Text(text)),
+            // No field takes a boolean, null, array or object, and every
+            // field refuses NaN as it would refuse those.
+            _ => (
+                key.as_str(),
+                FieldValue::Number(value.as_f64().unwrap_or(f64::NAN)),
+            ),
+        })
+        .collect();
+    let request = Request::from_fields(cmd, &pairs).map_err(|error| field_error(cmd, &error))?;
     let id = match fields.get("id") {
         None => None,
         Some(Value::String(s)) => Some(format!("\"{}\"", escape(s))),
@@ -126,46 +107,12 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
     };
     let deadline_ms = match fields.get("deadline_ms") {
         None => None,
-        Some(v) => Some(non_negative_int(v, "deadline_ms")?),
-    };
-    let request = match cmd {
-        "characterize" => Request::Characterize {
-            point: design_point(fields)?,
-        },
-        "evaluate" => Request::Evaluate {
-            point: design_point(fields)?,
-            benchmark: string_field(fields, "bench")?.unwrap_or_else(|| "namd".to_string()),
-        },
-        "sweep" => Request::Sweep,
-        "status" => Request::Status,
-        "search" => {
-            let tech = string_field(fields, "tech")?;
-            let dies = fields
-                .get("dies")
-                .map(|v| u8_field(v, "dies"))
-                .transpose()?;
-            let temps = string_field(fields, "temps")?;
-            let mut constraints = Constraints::none();
-            if let Some(v) = fields.get("max_latency") {
-                constraints.max_relative_latency = finite_f64(v, "max_latency")?;
-            }
-            if let Some(v) = fields.get("max_area") {
-                constraints.max_area_mm2 = Some(finite_f64(v, "max_area")?);
-            }
-            if let Some(v) = fields.get("min_lifetime") {
-                constraints.min_lifetime_years = finite_f64(v, "min_lifetime")?;
-            }
-            if let Some(v) = fields.get("max_power") {
-                constraints.max_relative_power = Some(finite_f64(v, "max_power")?);
-            }
-            Request::Search {
-                tech,
-                dies,
-                temps,
-                constraints,
-            }
+        Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=2.0_f64.powi(53)).contains(n) =>
+        {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Some(*n as u64)
         }
-        _ => unreachable!("cmd validated above"),
+        Some(_) => return Err("'deadline_ms' must be a non-negative integer".to_string()),
     };
     Ok(ParsedRequest {
         request,
@@ -174,58 +121,17 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, String> {
     })
 }
 
-/// The design-point envelope fields, defaulting to the 350 K SRAM
-/// baseline.
-fn design_point(fields: &std::collections::BTreeMap<String, Value>) -> Result<DesignPoint, String> {
-    let mut point = DesignPoint::baseline();
-    if let Some(tech) = string_field(fields, "tech")? {
-        point.tech = tech;
+/// A refused request field, worded for the wire.
+fn field_error(cmd: &str, error: &FieldError) -> String {
+    let field = &error.field;
+    match error.problem {
+        FieldProblem::UnknownCommand => format!("unknown cmd '{field}'"),
+        FieldProblem::Unknown => format!("unknown field '{field}' for cmd '{cmd}'"),
+        FieldProblem::NotText => format!("'{field}' must be a string"),
+        FieldProblem::NotFinite => format!("'{field}' must be a finite number"),
+        FieldProblem::NotDieCount => format!("'{field}' must be an integer from 0 to 255"),
+        FieldProblem::Negative => format!("'{field}' must not be negative"),
     }
-    if let Some(tentpole) = string_field(fields, "tentpole")? {
-        point.tentpole = tentpole;
-    }
-    if let Some(v) = fields.get("dies") {
-        point.dies = u8_field(v, "dies")?;
-    }
-    if let Some(v) = fields.get("temp") {
-        point.temperature_kelvin = finite_f64(v, "temp")?;
-    }
-    Ok(point)
-}
-
-/// The string value of `field`, if present.
-fn string_field(
-    fields: &std::collections::BTreeMap<String, Value>,
-    field: &str,
-) -> Result<Option<String>, String> {
-    match fields.get(field) {
-        None => Ok(None),
-        Some(Value::String(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(format!("'{field}' must be a string")),
-    }
-}
-
-fn finite_f64(value: &Value, field: &str) -> Result<f64, String> {
-    match value.as_f64() {
-        Some(n) if n.is_finite() => Ok(n),
-        _ => Err(format!("'{field}' must be a finite number")),
-    }
-}
-
-fn non_negative_int(value: &Value, field: &str) -> Result<u64, String> {
-    match value.as_f64() {
-        Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2.0_f64.powi(53) =>
-        {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Ok(n as u64)
-        }
-        _ => Err(format!("'{field}' must be a non-negative integer")),
-    }
-}
-
-fn u8_field(value: &Value, field: &str) -> Result<u8, String> {
-    let n = non_negative_int(value, field)?;
-    u8::try_from(n).map_err(|_| format!("'{field}' is out of range"))
 }
 
 /// A [`std::fmt::Write`] sink that escapes everything written through
@@ -675,6 +581,12 @@ mod tests {
             Request::Characterize { point } if point.tech == "pcm" && point.dies == 8
         ));
         assert_eq!(parsed.id, None);
+        // An integer-valued die count is a die count, as on the CLI.
+        let parsed = parse_request(r#"{"cmd":"characterize","dies":4.0}"#).unwrap();
+        assert!(matches!(
+            &parsed.request,
+            Request::Characterize { point } if point.dies == 4
+        ));
 
         let parsed =
             parse_request(r#"{"cmd":"evaluate","bench":"mcf","id":7,"deadline_ms":500}"#).unwrap();
@@ -734,6 +646,11 @@ mod tests {
             r#"{"cmd":"search","temps":77}"#,
             r#"{"cmd":"status","deadline_ms":-1}"#,
             r#"{"cmd":"status","id":[1]}"#,
+            r#"{"cmd":"search","max_latency":-1}"#,
+            r#"{"cmd":"search","max_area":-0.5}"#,
+            r#"{"cmd":"search","min_lifetime":-1}"#,
+            r#"{"cmd":"search","max_power":-1e-9}"#,
+            r#"{"cmd":"characterize","dies":2,"dies":4}"#,
         ] {
             assert!(parse_request(bad).is_err(), "accepted bad request {bad:?}");
         }

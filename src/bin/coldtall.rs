@@ -29,7 +29,7 @@ use std::time::Duration;
 use coldtall::array::Objective;
 use coldtall::core::report::{sci, TextTable};
 use coldtall::core::{
-    Backend, BackendRegistry, CacheConfig, Constraints, DesignPoint, Error, Explorer,
+    Backend, BackendRegistry, CacheConfig, Constraints, Error, Explorer, FieldProblem, FieldValue,
     LlcEvaluation, MemoryConfig, Request, RequestHandler, ResponsePayload,
 };
 use coldtall::serve::{
@@ -80,52 +80,30 @@ fn main() -> ExitCode {
     // early (`coldtall sweep | head`) is a satisfied consumer, not an
     // error: the flush latches instead of panicking and we exit 0.
     let mut out = String::new();
+    // Each command's run flags: how to run or print, not what to ask.
+    // Every other option is a request field its command takes.
+    let options = |run_flags: &[&str]| Options::parse(&args[1..], command, run_flags);
     let result = match command.as_str() {
-        "list" => Options::parse(&args[1..], &[]).and_then(|_| cmd_list(&mut out)),
-        "characterize" => {
-            Options::parse(&args[1..], &["tech", "tentpole", "dies", "temp", "backend"])
-                .and_then(|opts| cmd_characterize(&opts, &mut out))
-        }
-        "evaluate" => Options::parse(
-            &args[1..],
-            &["tech", "tentpole", "dies", "temp", "bench", "backend"],
-        )
-        .and_then(|opts| cmd_evaluate(&opts, &mut out)),
-        "recommend" => Options::parse(&args[1..], &["bench", "max-area"])
-            .and_then(|opts| cmd_recommend(&opts, &mut out)),
+        "list" => options(&[]).and_then(|_| cmd_list(&mut out)),
+        "characterize" => options(&["backend"]).and_then(|opts| cmd_characterize(&opts, &mut out)),
+        "evaluate" => options(&["backend"]).and_then(|opts| cmd_evaluate(&opts, &mut out)),
+        "recommend" => options(&[]).and_then(|opts| cmd_recommend(&opts, &mut out)),
         "replicate" => cmd_replicate(&args[1..], &mut out),
-        "backends" => Options::parse(&args[1..], &[]).and_then(|_| cmd_backends(&mut out)),
-        "sweep" => {
-            Options::parse(&args[1..], &["warm-start"]).and_then(|opts| cmd_sweep(&opts, &mut out))
+        "backends" => options(&[]).and_then(|_| cmd_backends(&mut out)),
+        "sweep" => options(&["warm-start"]).and_then(|opts| cmd_sweep(&opts, &mut out)),
+        "search" => {
+            options(&["objective", "warm-start"]).and_then(|opts| cmd_search(&opts, &mut out))
         }
-        "search" => Options::parse(
-            &args[1..],
-            &[
-                "tech",
-                "dies",
-                "temps",
-                "objective",
-                "max-latency",
-                "max-area",
-                "min-lifetime",
-                "max-power",
-                "warm-start",
-            ],
-        )
-        .and_then(|opts| cmd_search(&opts, &mut out)),
-        "serve" => Options::parse(
-            &args[1..],
-            &[
-                "listen",
-                "registry",
-                "max-inflight",
-                "deadline-ms",
-                "threads",
-                "cache-cap",
-                "render",
-                "warm-start",
-            ],
-        )
+        "serve" => options(&[
+            "listen",
+            "registry",
+            "max-inflight",
+            "deadline-ms",
+            "threads",
+            "cache-cap",
+            "render",
+            "warm-start",
+        ])
         .and_then(|opts| cmd_serve(&opts)),
         "help" | "--help" | "-h" => {
             write_usage(&mut out);
@@ -196,30 +174,27 @@ fn write_usage(out: &mut String) {
          \x20 backends        the characterization backends and their capabilities\n\
          \x20 serve           long-running daemon: JSON requests over TCP/stdin\n\
          \n\
-         DESIGN-POINT OPTIONS:\n\
-         \x20 --tech <sram|edram|pcm|stt|rram>   technology (default sram)\n\
+         REQUEST FIELDS (characterize, evaluate, search; serve's JSON fields spell - as _):\n\
+         \x20 --tech <sram|edram|pcm|stt|rram>   technology (default sram); search: the only one\n\
          \x20 --tentpole <optimistic|pessimistic> eNVM tentpole (default optimistic)\n\
-         \x20 --dies <1|2|4|8>                   stacked dies (default 1)\n\
+         \x20 --dies <1|2|4|8>                   stacked dies (default 1); search: the only count\n\
          \x20 --temp <kelvin>                    operating temperature (default 350)\n\
-         \n\
-         OTHER OPTIONS:\n\
-         \x20 --bench <name>                     benchmark (default namd)\n\
-         \x20 --max-area <mm2>                   area constraint for recommend/search\n\
-         \n\
-         SEARCH OPTIONS:\n\
-         \x20 --tech <name>                      restrict the region to one technology\n\
-         \x20 --dies <1|2|4|8>                   restrict the region to one die count\n\
-         \x20 --temps <study|kelvin|lo:hi>       expand over the study's 8 temperatures,\n\
+         \x20 --bench <name>                     evaluate, recommend: benchmark (default namd)\n\
+         \x20 --temps <study|kelvin|lo:hi>       search: expand over the study's 8 temperatures,\n\
          \x20                                    re-pin the region to one temperature, or\n\
          \x20                                    expand over the ladder inside lo:hi kelvin\n\
-         \x20 --objective <power|latency|area>   also report the frontier point\n\
-         \x20                                    minimizing this coordinate\n\
-         \x20 --max-latency <x>                  relative-latency cap\n\
-         \x20 --max-power <x>                    relative-power cap\n\
-         \x20 --min-lifetime <years>             endurance floor\n\
-         \x20 --backend <cryomem|destiny>        pin the characterization backend;\n\
+         \x20 --max-latency <x>                  search: relative-latency cap\n\
+         \x20 --max-power <x>                    search: relative-power cap\n\
+         \x20 --max-area <mm2>                   search, recommend: area cap\n\
+         \x20 --min-lifetime <years>             search: endurance floor\n\
+         Numbers are JSON numbers: `4`, `4.0` and `1e2` are; `+4`, `inf` and `nan` are not.\n\
+         \n\
+         RUN FLAGS:\n\
+         \x20 --backend <cryomem|destiny>        characterize, evaluate: pin the backend;\n\
          \x20                                    errors if it is not the one the\n\
          \x20                                    registry resolves for the point\n\
+         \x20 --objective <power|latency|area>   search: also report the frontier point\n\
+         \x20                                    minimizing this coordinate\n\
          \x20 --metrics[=json]                   after the command, report engine\n\
          \x20                                    telemetry (cache hit rates, pool\n\
          \x20                                    utilization, span timings) to stderr\n\
@@ -252,17 +227,25 @@ fn write_usage(out: &mut String) {
     );
 }
 
-/// Parsed command-line options: `--key value` or `--key=value` pairs,
-/// validated against the command's allowed set.
+/// Parsed command-line options: `--key value` or `--key=value` pairs.
+/// The command's run flags are kept by name. Every other option is a
+/// request field, named by its flag with `-` spelled `_`, and must be
+/// one the command takes.
 ///
-/// Unknown options, options with a missing value, duplicated options,
-/// and stray positional arguments are all hard errors — a typo like
+/// Unknown options, options with a missing value, repeated options and
+/// stray positional arguments are all hard errors — a typo like
 /// `--benhc` must never silently fall back to a default.
-struct Options(HashMap<String, String>);
+struct Options {
+    flags: HashMap<String, String>,
+    fields: Vec<(String, String)>,
+}
 
 impl Options {
-    fn parse(args: &[String], allowed: &[&str]) -> Result<Self, String> {
-        let mut map = HashMap::new();
+    fn parse(args: &[String], cmd: &str, run_flags: &[&str]) -> Result<Self, String> {
+        let mut opts = Self {
+            flags: HashMap::new(),
+            fields: Vec::new(),
+        };
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             let Some(stripped) = arg.strip_prefix("--") else {
@@ -272,7 +255,10 @@ impl Options {
                 Some((n, v)) => (n, Some(v.to_string())),
                 None => (stripped, None),
             };
-            if !allowed.contains(&name) {
+            let field = name.replace('-', "_");
+            let run_flag = run_flags.contains(&name);
+            // A flag spells a field's `_` as `-`, and only so.
+            if !run_flag && (name.contains('_') || !takes(cmd, &field)) {
                 return Err(format!("unknown option '--{name}'"));
             }
             let value = match inline {
@@ -284,15 +270,21 @@ impl Options {
                     _ => return Err(format!("missing value for '--{name}'")),
                 },
             };
-            if map.insert(name.to_string(), value).is_some() {
+            if opts.flags.contains_key(name) || opts.fields.iter().any(|(f, _)| *f == field) {
                 return Err(format!("duplicate option '--{name}'"));
             }
+            if run_flag {
+                opts.flags.insert(name.to_string(), value);
+            } else {
+                opts.fields.push((field, value));
+            }
         }
-        Ok(Self(map))
+        Ok(opts)
     }
 
+    /// The value of the run flag `--name`, if given.
     fn get(&self, name: &str) -> Option<&str> {
-        self.0.get(name).map(String::as_str)
+        self.flags.get(name).map(String::as_str)
     }
 
     /// The value of `--name` parsed as a `T`, if given.
@@ -309,16 +301,30 @@ impl Options {
             n => Ok(n),
         }
     }
+}
 
-    /// The value of `--name` as a finite number, if given. `inf`, `nan`
-    /// and literals that overflow `f64` are refused, as the wire
-    /// refuses them.
-    fn finite(&self, name: &str) -> Result<Option<f64>, String> {
-        match self.parsed::<f64>(name)? {
-            Some(v) if !v.is_finite() => Err(format!("bad --{name} value")),
-            v => Ok(v),
-        }
+/// Whether the `cmd` command takes the request field `field`, by its
+/// row of the field table: any refusal but an unknown field means the
+/// row holds it. A command that is no request takes none, except
+/// `recommend`, which takes evaluate's `bench` and search's `max_area`.
+fn takes(cmd: &str, field: &str) -> bool {
+    use FieldProblem::{Unknown, UnknownCommand};
+    match cmd {
+        "recommend" => field == "bench" || field == "max_area",
+        _ => !Request::from_fields(cmd, &[(field, FieldValue::Text(""))])
+            .is_err_and(|error| matches!(error.problem, Unknown | UnknownCommand)),
     }
+}
+
+/// The `cmd` request the CLI's field text names. Every field is one the
+/// command takes, so a refusal is a bad value.
+fn request(cmd: &str, fields: &[(String, String)]) -> Result<Request, String> {
+    let fields: Vec<(&str, FieldValue<'_>)> = fields
+        .iter()
+        .map(|(field, value)| (field.as_str(), FieldValue::Text(value)))
+        .collect();
+    Request::from_fields(cmd, &fields)
+        .map_err(|error| format!("bad --{} value", error.field.replace('_', "-")))
 }
 
 /// The engine every command runs through, built the way the daemon
@@ -414,18 +420,6 @@ fn cli_error(error: Error) -> String {
     }
 }
 
-/// The design point the flags name. Parsing here is textual only;
-/// every range and combination check is [`DesignPoint::to_config`]'s.
-fn design_point(opts: &Options) -> Result<DesignPoint, String> {
-    let baseline = DesignPoint::baseline();
-    Ok(DesignPoint {
-        tech: opts.get("tech").map_or(baseline.tech, String::from),
-        tentpole: opts.get("tentpole").map_or(baseline.tentpole, String::from),
-        dies: opts.parsed("dies")?.unwrap_or(baseline.dies),
-        temperature_kelvin: opts.parsed("temp")?.unwrap_or(baseline.temperature_kelvin),
-    })
-}
-
 fn cmd_backends(out: &mut String) -> Result<(), String> {
     let mut table = TextTable::new(&["backend", "priority", "technologies", "temperature", "dies"]);
     for &backend in BackendRegistry::with_defaults().backends() {
@@ -468,9 +462,7 @@ fn cmd_list(out: &mut String) -> Result<(), String> {
 }
 
 fn cmd_characterize(opts: &Options, out: &mut String) -> Result<(), String> {
-    let request = Request::Characterize {
-        point: design_point(opts)?,
-    };
+    let request = request("characterize", &opts.fields)?;
     let ResponsePayload::Characterization {
         label,
         backend,
@@ -503,10 +495,7 @@ fn cmd_characterize(opts: &Options, out: &mut String) -> Result<(), String> {
 }
 
 fn cmd_evaluate(opts: &Options, out: &mut String) -> Result<(), String> {
-    let request = Request::Evaluate {
-        point: design_point(opts)?,
-        benchmark: opts.get("bench").unwrap_or("namd").to_string(),
-    };
+    let request = request("evaluate", &opts.fields)?;
     // Infeasible design points are still printable results — only
     // invalid inputs (or a NaN-invariant violation) error out.
     let ResponsePayload::Evaluation { row: e, .. } = answer(opts, &engine(opts)?, &request)? else {
@@ -532,33 +521,41 @@ fn cmd_evaluate(opts: &Options, out: &mut String) -> Result<(), String> {
 }
 
 /// `coldtall recommend`: the study sweep's rows for one benchmark,
-/// ranked by [`coldtall::core::recommend`].
+/// ranked by [`coldtall::core::recommend`]. It is no request: it reads
+/// `--bench` as evaluate does and `--max-area` as search does.
 fn cmd_recommend(opts: &Options, out: &mut String) -> Result<(), String> {
+    let (bench, area): (Vec<_>, Vec<_>) = opts.fields.iter().cloned().partition(|f| f.0 == "bench");
+    let Request::Evaluate { benchmark, .. } = request("evaluate", &bench)? else {
+        unreachable!("the field table builds the command it is given");
+    };
+    let Request::Search { constraints, .. } = request("search", &area)? else {
+        unreachable!("the field table builds the command it is given");
+    };
     let constraints = Constraints {
-        max_area_mm2: opts.finite("max-area")?,
+        max_area_mm2: constraints.max_area_mm2,
         ..Constraints::default()
     };
-    let name = opts.get("bench").unwrap_or("namd");
     let ResponsePayload::Sweep { arena, .. } = answer(opts, &engine(opts)?, &Request::Sweep)?
     else {
         unreachable!("sweep answers with rows");
     };
-    let Some(column) = arena.benchmark_names().iter().position(|&b| b == name) else {
-        let name = name.to_string();
-        return Err(Error::UnknownBenchmark { name }.to_string());
+    let Some(column) = arena.benchmark_names().iter().position(|&b| b == benchmark) else {
+        return Err(Error::UnknownBenchmark { name: benchmark }.to_string());
     };
     let rows: Vec<LlcEvaluation> = (0..arena.config_count())
         .map(|config| arena.row(arena.row_index(config, column)))
         .collect();
     let pick = coldtall::core::recommend(&rows, &constraints)
         .ok_or("no configuration satisfies the constraints")?;
+    let relation = if pick.relative_power > 1.0 {
+        format!("{}x above", sci(pick.relative_power))
+    } else {
+        format!("{}x below", sci(1.0 / pick.relative_power))
+    };
     let _ = writeln!(
         out,
-        "{}: {} ({}x below the 350K SRAM reference, {:.2} mm^2)",
-        name,
-        pick.config_label,
-        sci(1.0 / pick.relative_power),
-        pick.footprint_mm2
+        "{}: {} ({relation} the 350K SRAM reference, {:.2} mm^2)",
+        benchmark, pick.config_label, pick.footprint_mm2
     );
     Ok(())
 }
@@ -629,22 +626,7 @@ fn cmd_search(opts: &Options, out: &mut String) -> Result<(), String> {
             })
         })
         .transpose()?;
-    let none = Constraints::none();
-    let request = Request::Search {
-        tech: opts.get("tech").map(String::from),
-        dies: opts.parsed("dies")?,
-        temps: opts.get("temps").map(String::from),
-        constraints: Constraints {
-            max_relative_latency: opts
-                .finite("max-latency")?
-                .unwrap_or(none.max_relative_latency),
-            max_area_mm2: opts.finite("max-area")?,
-            min_lifetime_years: opts
-                .finite("min-lifetime")?
-                .unwrap_or(none.min_lifetime_years),
-            max_relative_power: opts.finite("max-power")?,
-        },
-    };
+    let request = request("search", &opts.fields)?;
     let ResponsePayload::Search {
         region, outcome, ..
     } = answer(opts, &engine(opts)?, &request)?

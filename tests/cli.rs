@@ -2,6 +2,10 @@
 
 use std::process::Command;
 
+use coldtall::core::{FieldError, Request};
+
+mod support;
+
 fn run(args: &[&str]) -> (bool, String, String) {
     run_with_env(args, &[])
 }
@@ -50,6 +54,19 @@ fn recommend_quiet_workload_goes_cryogenic() {
     let (ok, out, _) = run(&["recommend", "--bench", "povray"]);
     assert!(ok);
     assert!(out.contains("77K"), "povray recommendation: {out}");
+}
+
+/// Regression: a pick that draws more power than the 350 K SRAM
+/// reference was printed as `0.637x below` it. lbm's pick, 8-die SRAM,
+/// draws 1.571x the reference.
+#[test]
+fn recommend_says_above_for_a_pick_that_draws_more_power() {
+    let (ok, out, err) = run(&["recommend", "--bench", "lbm"]);
+    assert!(ok, "{err}");
+    assert!(
+        out.contains("(1.571x above the 350K SRAM reference"),
+        "lbm recommendation: {out}"
+    );
 }
 
 #[test]
@@ -196,7 +213,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Fixed invocations and the `(byte length, FNV-1a)` of their stdout.
 /// The values were taken from the build whose commands each built
 /// their own explorer; running every command through
-/// `RequestHandler` must reproduce them exactly.
+/// `RequestHandler` must reproduce them exactly. The mcf `recommend`
+/// row was re-pinned when its pick, 1.030x the reference's power,
+/// stopped printing as `0.971x below` it.
 const STDOUT_PINS: &[(&str, usize, u64)] = &[
     ("list", 2290, 0x2bed_d8cc_3f39_2b97),
     ("backends", 291, 0x9327_ac55_f91e_a607),
@@ -219,7 +238,7 @@ const STDOUT_PINS: &[(&str, usize, u64)] = &[
     (
         "recommend --bench mcf --max-area 5",
         82,
-        0x7f85_b105_d446_4b0f,
+        0x1336_c3f3_3fb2_f24c,
     ),
     ("sweep", 2547, 0x48bc_f179_ccee_7951),
     ("search --objective power", 2092, 0xbd1f_1eca_d288_b60f),
@@ -249,35 +268,56 @@ fn cli_stdout_bytes_are_pinned() {
     }
 }
 
-/// The serve request line for CLI `args`: the command is `cmd`,
-/// `--dies` and `--temp` are numbers, and every other flag is a
-/// string field of the same name.
-fn wire_line(args: &[&str]) -> String {
-    let mut fields = vec![format!("\"cmd\":\"{}\"", args[0])];
-    for pair in args[1..].chunks(2) {
-        let key = pair[0].trim_start_matches("--");
-        let value = match key {
-            "dies" | "temp" => pair[1].to_string(),
-            _ => format!("\"{}\"", pair[1]),
-        };
-        fields.push(format!("\"{key}\":{value}"));
-    }
-    format!("{{{}}}", fields.join(","))
+/// The CLI row `cmd --flag value ...` as the request the field table
+/// builds from its text (each flag a field with `-` spelled `_`), and
+/// the serve line naming the same fields.
+fn both_spellings(row: &str) -> (Result<Request, FieldError>, String) {
+    let args: Vec<&str> = row.split(' ').collect();
+    let owned: Vec<(String, &str)> = args[1..]
+        .chunks(2)
+        .map(|pair| (pair[0].trim_start_matches("--").replace('-', "_"), pair[1]))
+        .collect();
+    let fields: Vec<(&str, &str)> = owned.iter().map(|(f, v)| (f.as_str(), *v)).collect();
+    (
+        support::cli_request(args[0], &fields),
+        support::wire_line(args[0], &fields),
+    )
 }
 
-/// One table of inputs through both frontends: the binary, and
-/// `parse_request` -> `RequestHandler::handle` -> `render_response`.
-/// Both must succeed, naming the same configuration (and, for a
-/// characterization, the same backend), or both must fail with the
-/// CLI's `error:` line containing the wire's error text. A row with an
-/// expected label must succeed on both and name it: every study point,
-/// spelled the way a user types it, and stacked SRAM off 350 K.
+/// One table of inputs through both frontends, in-process: the request
+/// the field table builds from the CLI's text and the one
+/// `parse_request` builds from the same fields as JSON literals must be
+/// equal, or both must be refused. One handler then answers each
+/// request once. A row with an expected label must succeed and name it:
+/// every study point, spelled the way a user types it, stacked SRAM off
+/// 350 K, and `--dies 4.0`. The inputs the frontends once read
+/// differently must be refused by both while parsing.
+///
+/// The in-process check covers the field table, not the binary's option
+/// grammar (flag spelling, run flags, unknown and repeated options).
+/// That grammar is checked by running the binary: here, three rows for
+/// the exit code and first output line (an answer, a refusal while
+/// parsing, and one by the core), and `malformed_options_are_rejected_not_ignored`
+/// for unknown and repeated options. A repeated field on the wire is
+/// `json::tests::rejects_repeated_keys` and a row of
+/// `proto::tests::rejects_malformed_and_unknown_inputs`.
 #[test]
 fn cli_and_wire_answer_alike() {
-    use coldtall::core::{Explorer, MemoryConfig, RequestHandler};
-    use coldtall::obs::json::Value;
-    use coldtall::serve::{parse_request, render_parse_error, render_response};
+    use coldtall::core::{Explorer, MemoryConfig, RequestHandler, ResponsePayload};
+    use coldtall::serve::parse_request;
 
+    // Inputs the two frontends once read differently, which both now
+    // refuse while parsing: a signed die count, non-finite temperatures
+    // and negative caps.
+    let refused = [
+        "characterize --dies +4",
+        "characterize --temp inf",
+        "characterize --temp 1e400",
+        "search --max-latency -1",
+        "search --max-area -1",
+        "search --min-lifetime -1",
+        "search --max-power -1",
+    ];
     // Each row with the label a success must carry, where it is known.
     let mut rows: Vec<(String, Option<String>)> = [
         // Stacked SRAM, at 350 K as in the study.
@@ -297,14 +337,22 @@ fn cli_and_wire_answer_alike() {
         "search --temps 500",
         "search --temps banana",
     ]
+    .into_iter()
+    .chain(refused)
     .map(|row| (row.to_string(), None))
-    .to_vec();
+    .collect();
     // Off 350 K the dispatch rule admits stacked SRAM too, as the
-    // search does, and its frontier names this very point.
-    rows.push((
-        "characterize --tech sram --dies 4 --temp 77".to_string(),
-        Some("77K 4-die SRAM".to_string()),
-    ));
+    // search does, and its frontier names this very point. An
+    // integer-valued die count is a die count on both frontends.
+    for (row, label) in [
+        (
+            "characterize --tech sram --dies 4 --temp 77",
+            "77K 4-die SRAM",
+        ),
+        ("characterize --dies 4.0", "4-die SRAM"),
+    ] {
+        rows.push((row.to_string(), Some(label.to_string())));
+    }
     for config in MemoryConfig::study_set() {
         let row = format!(
             "characterize --tech {} --tentpole {} --dies {} --temp {}",
@@ -326,47 +374,33 @@ fn cli_and_wire_answer_alike() {
         &metrics,
         None,
     );
-    let text = |value: Option<&Value>| match value {
-        Some(Value::String(s)) => Some(s.clone()),
-        _ => None,
-    };
     let mut disagreements = Vec::new();
     for (row, expected) in &rows {
-        let args: Vec<&str> = row.split(' ').collect();
-        let (cli_ok, out, err) = run(&args);
-        let line = wire_line(&args);
-        let response = match parse_request(&line) {
-            Ok(parsed) => render_response(
-                parsed.request.kind(),
-                None,
-                &handler.handle(&parsed.request),
-            ),
-            Err(message) => render_parse_error(&message),
-        };
-        let wire = coldtall::obs::json::parse(&response).expect("responses are JSON");
-        let agree = match (cli_ok, wire.get("ok") == Some(&Value::Bool(true))) {
-            (true, true) => {
-                let result = wire.get("result");
-                let label = text(result.and_then(|r| r.get("label")))
-                    .or_else(|| text(result.and_then(|r| r.get("row")?.get("config"))));
-                let backend = text(result.and_then(|r| r.get("backend")));
-                let backend_line = |b| format!("  backend           : {b}\n");
-                label.is_some_and(|l| {
-                    out.starts_with(&l) && expected.as_ref().is_none_or(|e| *e == l)
-                }) && backend.is_none_or(|b| out.contains(&backend_line(b)))
-            }
-            (false, false) => {
-                expected.is_none()
-                    && text(wire.get("error")).is_some_and(|message| {
-                        err.lines()
-                            .any(|l| l.starts_with("error: ") && l.contains(&message))
-                    })
-            }
+        let (cli, line) = both_spellings(row);
+        let wire = parse_request(&line);
+        let agree = match (&cli, &wire) {
+            _ if refused.contains(&row.as_str()) => cli.is_err() && wire.is_err(),
+            (Ok(cli), Ok(wire)) if *cli == wire.request => match handler.handle(cli) {
+                Ok(
+                    ResponsePayload::Characterization { label, .. }
+                    | ResponsePayload::Evaluation {
+                        row:
+                            coldtall::core::LlcEvaluation {
+                                config_label: label,
+                                ..
+                            },
+                        ..
+                    },
+                ) => expected.as_ref().is_none_or(|e| *e == label),
+                Ok(_) => expected.is_none(),
+                Err(_) => expected.is_none(),
+            },
+            (Err(_), Err(_)) => expected.is_none(),
             _ => false,
         };
         if !agree {
             disagreements.push(format!(
-                "coldtall {row}\n  cli: {out:.80}{err}  wire: {response:.200}"
+                "coldtall {row}\n  cli: {cli:?}\n  wire {line}: {wire:?}"
             ));
         }
     }
@@ -376,6 +410,107 @@ fn cli_and_wire_answer_alike() {
         disagreements.len(),
         disagreements.join("\n")
     );
+
+    let doom = support::cli_request("evaluate", &[("bench", "doom")]).expect("a request");
+    let doom = handler.handle(&doom).expect_err("no benchmark doom");
+    for (row, ok, first_line) in [
+        ("characterize --dies 4.0", true, "4-die SRAM:".to_string()),
+        (
+            "search --max-latency -1",
+            false,
+            "error: bad --max-latency value".to_string(),
+        ),
+        ("evaluate --bench doom", false, format!("error: {doom}")),
+    ] {
+        let args: Vec<&str> = row.split(' ').collect();
+        let (cli_ok, out, err) = run(&args);
+        let printed = if ok { &out } else { &err };
+        assert_eq!(
+            (cli_ok, printed.lines().next()),
+            (ok, Some(first_line.as_str())),
+            "coldtall {row}: {err}"
+        );
+    }
+}
+
+/// Each way a request field can be refused, raised from both frontends:
+/// the CLI's text through `Request::from_fields`, and a wire line
+/// through `parse_request`, whose message words the problem for the
+/// wire. The CLI passes only text and names its own commands, so it
+/// cannot raise `NotText` or `UnknownCommand`; the binary asks the same
+/// table whether its command takes a field, and refuses one it does not
+/// take as an unknown option before reading any value. The kinds are
+/// named by a `match` with no `_` arm, so a new kind does not compile
+/// until it is named here.
+#[test]
+fn every_field_error_kind_is_raised_from_both_frontends() {
+    use coldtall::core::FieldProblem;
+    use coldtall::serve::parse_request;
+
+    let name = |problem| match problem {
+        FieldProblem::UnknownCommand => "UnknownCommand",
+        FieldProblem::Unknown => "Unknown",
+        FieldProblem::NotText => "NotText",
+        FieldProblem::NotFinite => "NotFinite",
+        FieldProblem::NotDieCount => "NotDieCount",
+        FieldProblem::Negative => "Negative",
+    };
+    // The kind, the CLI row raising it (if the CLI can), and a wire
+    // line raising it with the wire's message.
+    let cases = [
+        (
+            "UnknownCommand",
+            None,
+            r#"{"cmd":"teleport"}"#,
+            "unknown cmd 'teleport'",
+        ),
+        (
+            "Unknown",
+            Some("evaluate --benhc mcf"),
+            r#"{"cmd":"evaluate","benhc":"mcf"}"#,
+            "unknown field 'benhc' for cmd 'evaluate'",
+        ),
+        (
+            "NotText",
+            None,
+            r#"{"cmd":"evaluate","bench":7}"#,
+            "'bench' must be a string",
+        ),
+        (
+            "NotFinite",
+            Some("characterize --temp inf"),
+            r#"{"cmd":"characterize","temp":1e400}"#,
+            "'temp' must be a finite number",
+        ),
+        (
+            "NotDieCount",
+            Some("characterize --dies +4"),
+            r#"{"cmd":"characterize","dies":2.5}"#,
+            "'dies' must be an integer from 0 to 255",
+        ),
+        (
+            "Negative",
+            Some("search --max-latency -1"),
+            r#"{"cmd":"search","max_latency":-1}"#,
+            "'max_latency' must not be negative",
+        ),
+    ];
+    for (expected, cli, line, message) in cases {
+        if let Some(row) = cli {
+            let error = both_spellings(row).0.expect_err(row);
+            assert_eq!(name(error.problem), expected, "{row}");
+            assert_eq!(
+                format!("--{}", error.field.replace('_', "-")),
+                row.split(' ').nth(1).unwrap(),
+                "{row}"
+            );
+        }
+        assert_eq!(
+            parse_request(line).as_ref().map_err(String::as_str),
+            Err(message),
+            "{line}"
+        );
+    }
 }
 
 fn run_with_env(args: &[&str], envs: &[(&str, &str)]) -> (bool, String, String) {

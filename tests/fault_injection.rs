@@ -13,6 +13,8 @@ use coldtall::cell::{MemoryTechnology, Tentpole};
 use coldtall::core::{Error, Explorer, MemoryConfig};
 use coldtall::units::Kelvin;
 
+mod support;
+
 fn run_with_env(args: &[&str], envs: &[(&str, &str)]) -> (bool, String, String) {
     let mut command = Command::new(env!("CARGO_BIN_EXE_coldtall"));
     command.args(args);
@@ -355,8 +357,10 @@ fn extreme_legal_temperatures_evaluate_cleanly() {
 /// line. A fixed seed and iteration budget (not wall-clock) keep every
 /// run identical; a failure reproduces from the seed alone. No mutated
 /// line may panic: a store line replays or counts as skipped, and a
-/// request line gets a typed answer.
+/// request line gets a typed answer. Requests drawn from a menu of
+/// field values reach both frontends, which must agree.
 mod fuzz {
+    use super::support;
     use coldtall::array::OrgGeometry;
     use coldtall::cell::{MemoryTechnology, Tentpole};
     use coldtall::core::{Backend, DesignPointKey, Explorer, MemoryConfig};
@@ -371,6 +375,43 @@ mod fuzz {
     const LINES_PER_FILE: usize = 8;
     /// Mutated request lines.
     const REQUESTS: usize = 4000;
+    /// Requests drawn for both frontends.
+    const DRAWN: usize = 3000;
+    /// The commands and fields a drawn request picks from, with names
+    /// neither frontend knows.
+    const COMMANDS: [&str; 6] = [
+        "characterize",
+        "evaluate",
+        "sweep",
+        "search",
+        "status",
+        "teleport",
+    ];
+    const FIELDS: [&str; 11] = [
+        "tech",
+        "tentpole",
+        "dies",
+        "temp",
+        "bench",
+        "temps",
+        "max_latency",
+        "max_area",
+        "min_lifetime",
+        "max_power",
+        "benhc",
+    ];
+    /// Values of a text field.
+    const TEXTS: [&str; 12] = [
+        "sram", "stt-ram", "pcm", "pess", "hopeful", "mcf", "doom", "study", "77:400", "4", "",
+        "a\"b",
+    ];
+    /// Values of a numeric field: the spellings JSON's number grammar
+    /// reads, and the ones it refuses.
+    const NUMBERS: [&str; 30] = [
+        "4", "4.0", "2", "8", "3", "0", "-0", "255", "256", "2.5", "-1", "77", "77.5", "1e2",
+        "1.1", "1e-400", "1e400", "-1e400", "+4", "inf", "-inf", "nan", "NaN", "0x10", "four", "",
+        " 4", "true", "null", "[4]",
+    ];
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -611,5 +652,40 @@ mod fuzz {
                 ),
             }
         }
+        // Each drawn value spelled as CLI text and as its JSON literal:
+        // both frontends build the same request, or both refuse. A field
+        // is drawn once per request: both frontends refuse a repeat
+        // before the table reads it.
+        let mut built = 0;
+        for _ in 0..DRAWN {
+            let cmd = COMMANDS[below(&mut rng, COMMANDS.len())];
+            let mut fields: Vec<(&str, &str)> = Vec::new();
+            for _ in 0..below(&mut rng, 4) {
+                let field = FIELDS[below(&mut rng, FIELDS.len())];
+                let menu: &[&str] = if support::NUMERIC_FIELDS.contains(&field) {
+                    &NUMBERS
+                } else {
+                    &TEXTS
+                };
+                let value = menu[below(&mut rng, menu.len())];
+                if fields.iter().all(|&(drawn, _)| drawn != field) {
+                    fields.push((field, value));
+                }
+            }
+            let cli = support::cli_request(cmd, &fields);
+            let line = support::wire_line(cmd, &fields);
+            match (&cli, parse_request(&line)) {
+                (Ok(cli), Ok(wire)) => {
+                    assert_eq!(*cli, wire.request, "{line}");
+                    built += 1;
+                }
+                (Err(_), Err(_)) => {}
+                (_, wire) => panic!("{cmd} {fields:?}: the CLI builds {cli:?}, {line} {wire:?}"),
+            }
+        }
+        assert!(
+            (DRAWN / 5..DRAWN * 4 / 5).contains(&built),
+            "{built} of {DRAWN} drawn requests built: the menu must mix both outcomes"
+        );
     }
 }
